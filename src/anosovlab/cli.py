@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 
 import click
@@ -38,12 +37,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get("ANOSOVLAB_THREADS", "1")))
 
 
 def _write_json(doc: dict, out: str | None):
@@ -159,13 +152,10 @@ def construct(family, x, partition, rep_path, out):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
-@click.option("--threads", type=int, default=None)
-def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt,
-             threads):
+def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
     """Fit the growth of the word-sphere minimum of the k-th singular gap."""
     rep = _load_representation(family, x, partition, rep_path)
-    report = ver.anosov_gap_scan(rep, k, _check_L(l_value, l_cap),
-                                 threads=_resolve_threads(threads))
+    report = ver.anosov_gap_scan(rep, k, _check_L(l_value, l_cap))
     if fmt == "csv":
         if out is None:
             raise click.UsageError("--format csv needs --out")
@@ -198,24 +188,22 @@ def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt,
 @click.option("--identity-tol", type=float, default=1e-7,
               help="Relative tolerance of the eigenvalue identities.")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=None)
 def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
-          accept_tol, reject_tol, min_separation, identity_tol, out, threads):
+          accept_tol, reject_tol, min_separation, identity_tol, out):
     """Run one of the transversality / positivity / identity checks."""
     rep = _load_representation(family, x, partition, rep_path)
     l_value = _check_L(l_value, l_cap)
-    nthreads = _resolve_threads(threads)
     what = what.lower()
     if what == "hk":
         report = ver.hk_scan(rep, k, l_value, accept=accept_tol,
                              reject=reject_tol,
-                             min_separation=min_separation, threads=nthreads)
+                             min_separation=min_separation)
         _write_json({"command": "check-Hk", "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
     if what == "ck":
         report = ver.ck_scan(rep, k, l_value, accept=accept_tol,
                              reject=reject_tol,
-                             min_separation=min_separation, threads=nthreads)
+                             min_separation=min_separation)
         _write_json({"command": "check-Ck", "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
     if what == "hyperconvex":
@@ -237,7 +225,7 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
                      "report": report.to_dict()}, out)
         return 0 if report.passed else 1
     # eigen identities
-    reports = ver.eigen_identity_scan(rep, k, l_value, threads=nthreads)
+    reports = ver.eigen_identity_scan(rep, k, l_value)
     worst_pcr = max(r.pcr_rel_error for r in reports)
     worst_gcr = max(r.gcr_rel_error for r in reports)
     all_above_one = all(r.gcr_value > 1.0 for r in reports)
@@ -264,13 +252,10 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
-@click.option("--threads", type=int, default=None)
-def collar(family, x, partition, rep_path, k, l_value, l_cap, out, fmt,
-           threads):
+def collar(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
     """Collar inequality for every linked pair of ball words."""
     rep = _load_representation(family, x, partition, rep_path)
-    reports = ver.collar_scan(rep, k, _check_L(l_value, l_cap),
-                              threads=_resolve_threads(threads))
+    reports = ver.collar_scan(rep, k, _check_L(l_value, l_cap))
     rows = [r.to_dict() for r in reports]
     summary = {
         "command": "collar",

@@ -445,14 +445,18 @@ def min_angle(x: Subspace, y: Subspace) -> float:
 def svd(m) -> tuple:
     """Singular value decomposition (U, sigma, Vt) with M = U diag(sigma) Vt.
 
-    Validates the reconstruction residual against 1e-10 * ||M||.
+    Accepts one square matrix or an (n, d, d) stack of them; each matrix's
+    reconstruction residual is validated against 1e-10 * sigma_1.
     """
-    a = as_matrix(m)
+    a = m.entries if isinstance(m, Mat) else np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(
+            f"expected a square matrix or a stack of them, got {a.shape}")
     u, s, vt = np.linalg.svd(a)
-    scale = s[0] if s.size else 0.0
-    resid = np.linalg.norm(u @ np.diag(s) @ vt - a, 2)
-    if scale > 0 and resid > 1e-10 * scale:
-        raise NumericError(f"SVD reconstruction residual {resid:g} too large")
+    resid = np.linalg.norm((u * s[..., None, :]) @ vt - a, 2, axis=(-2, -1))
+    if (resid > 1e-10 * s[..., 0]).any():
+        raise NumericError(
+            f"SVD reconstruction residual {float(np.max(resid)):g} too large")
     return u, s, vt
 
 
@@ -511,6 +515,36 @@ def _modulus_clusters(moduli: np.ndarray, rtol: float) -> list:
     return groups
 
 
+def _schur_invariant_basis(a: np.ndarray, select, size: int, norm: float,
+                           diagnostics: dict) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of the selected eigenvalues.
+
+    ``select(re, im)`` picks eigenvalues of the real Schur form of ``a``;
+    the form is reordered so the picked ones lead (Bai-Demmel block swaps,
+    LAPACK ``trsen``) and the leading ``size`` Schur vectors are returned.
+    Checks that exactly ``size`` eigenvalues were picked and certifies the
+    invariance residual ||(I - P P^T) M P|| <= 1e-8 ||M||, where ``norm``
+    is ||M||.  Every NumericError carries ``diagnostics``.
+    """
+    try:
+        _, z, sdim = scipy.linalg.schur(a, output="real", sort=select)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError(f"reordered Schur form failed: {exc}",
+                           diagnostics=diagnostics) from exc
+    if sdim != size:
+        raise NumericError(
+            f"Schur reordering selected {sdim} eigenvalues, expected {size}",
+            diagnostics=diagnostics)
+    basis = z[:, :size]
+    image = a @ basis
+    resid = float(np.linalg.norm(image - basis @ (basis.T @ image), 2))
+    if norm > 0 and resid > 1e-8 * norm:
+        raise NumericError(
+            f"invariant subspace residual {resid:g} exceeds {1e-8 * norm:g}",
+            diagnostics={**diagnostics, "residual": resid})
+    return basis
+
+
 def eig_by_modulus(m, cluster_rtol: float = 1e-8) -> EigenDecomposition:
     """Eigenvalues ordered by descending modulus with cluster bases.
 
@@ -543,18 +577,9 @@ def eig_by_modulus(m, cluster_rtol: float = 1e-8) -> EigenDecomposition:
             mod = np.hypot(re, im)
             return bool((mod >= lo) & (mod <= hi))
 
-        _, z, sdim = scipy.linalg.schur(a, output="real", sort=in_cluster)
-        if sdim != stop - start:
-            raise NumericError(
-                f"Schur reordering selected {sdim} eigenvalues for a cluster "
-                f"of size {stop - start}",
-                diagnostics={"moduli": moduli.tolist()})
-        basis = z[:, :sdim]
-        resid = np.linalg.norm(a @ basis - basis @ (basis.T @ a @ basis), 2)
-        if norm > 0 and resid > 1e-8 * norm:
-            raise NumericError(
-                f"cluster basis invariance residual {resid:g} exceeds "
-                f"{1e-8 * norm:g}")
+        basis = _schur_invariant_basis(
+            a, in_cluster, stop - start, norm,
+            diagnostics={"moduli": moduli.tolist()})
         clusters.append(ModulusCluster(
             modulus=float(moduli[start:stop].mean()),
             eigenvalues=tuple(vals[start:stop]),

@@ -5,6 +5,12 @@ The two basic objects are the singular-value side (Cartan attractors
 (attracting invariant subspaces, signed/modulus eigenvalue ratios, the
 root and weight length functions).  Boundary flags of a representation
 at fixed points are attracting spaces of the corresponding matrices.
+
+Singular gaps at any number of indices come from one SVD per matrix, and
+a stack of matrices is decomposed in one batched call.  An attracting
+space is read off a real Schur form reordered so that the eigenvalues
+above the modulus gap lead: the gap is checked on the eigenvalue moduli
+first, and the invariance residual of the result is certified.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import numpy as np
 from .core_linalg import (
     Mat,
     Subspace,
+    _schur_invariant_basis,
     as_matrix,
     eig_by_modulus,
-    grassmann_distance,
     svd,
 )
 from .errors import GapError, NumericError
@@ -27,6 +33,7 @@ __all__ = [
     "SpectralGaps",
     "LengthPair",
     "singular_gap",
+    "singular_gaps",
     "cartan_attractor",
     "attracting_space",
     "eigenvalue_ratios",
@@ -66,15 +73,27 @@ def _check_index(k: int, d: int):
         raise GapError(f"gap index k={k} outside 1..{d - 1}", index=k)
 
 
+def singular_gaps(m, indices) -> np.ndarray:
+    """sigma_k / sigma_{k+1} (1-indexed) for every k in ``indices``.
+
+    ``m`` is one matrix, giving shape (len(indices),), or an (n, d, d)
+    stack, giving shape (n, len(indices)).  One SVD per matrix serves all
+    indices.
+    """
+    _, s, _ = svd(m)
+    for k in indices:
+        _check_index(k, s.shape[-1])
+    idx = np.asarray(indices, dtype=int)
+    low = s[..., idx]
+    if (low < 1e-300).any():
+        raise NumericError(
+            f"sigma = {float(np.min(low)):g} underflows after renormalization")
+    return s[..., idx - 1] / low
+
+
 def singular_gap(m, k: int) -> float:
     """sigma_k / sigma_{k+1} of the matrix (1-indexed)."""
-    a = as_matrix(m)
-    _check_index(k, a.shape[0])
-    _, s, _ = svd(a)
-    if s[k] < 1e-300:
-        raise NumericError(
-            f"sigma_{k + 1} = {s[k]:g} underflows after renormalization")
-    return float(s[k - 1] / s[k])
+    return float(singular_gaps(m, (k,))[0])
 
 
 def cartan_attractor(m, k: int) -> Subspace:
@@ -98,19 +117,19 @@ def _eigen_moduli(a: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(vals))[::-1]
 
 
-def attracting_space(m, k: int, tol: float = 1e-12,
-                     max_iter: int = 10_000) -> Subspace:
+def attracting_space(m, k: int) -> Subspace:
     """Invariant subspace of the k largest-modulus eigenvalues.
 
-    Computed by orthogonal subspace iteration with per-step
-    renormalization, seeded by the Cartan attractor when a singular gap
-    is available.  Convergence is declared when successive iterates are
-    closer than ``tol`` in Grassmannian distance; the invariance residual
-    ||(I - P P^T) M P|| <= 1e-8 ||M|| is certified at the end.
+    Requires a modulus gap, |lambda_k| > (1 + 1e-8) |lambda_{k+1}|, else
+    raises GapError.  The real Schur form is reordered so that the
+    eigenvalues of modulus above sqrt(|lambda_k| |lambda_{k+1}|) lead, and
+    the first k Schur vectors span the space.  The result is certified by
+    its invariance residual ||(I - P P^T) M P|| <= 1e-8 ||M||; a failed
+    certification raises NumericError with ``residual`` and ``gap_ratio``
+    diagnostics.
     """
     a = as_matrix(m)
-    d = a.shape[0]
-    _check_index(k, d)
+    _check_index(k, a.shape[0])
     moduli = _eigen_moduli(a)
     if moduli[k] <= 0 or moduli[k - 1] <= moduli[k] * (1.0 + EIGEN_GAP_MIN):
         raise GapError(
@@ -119,29 +138,15 @@ def attracting_space(m, k: int, tol: float = 1e-12,
             f"{moduli[k - 1] / max(moduli[k], 1e-300):.6g}",
             index=k,
             ratio=float(moduli[k - 1] / max(moduli[k], 1e-300)))
-    try:
-        q = cartan_attractor(a, k).basis
-    except GapError:
-        u, _, _ = svd(a)
-        q = u[:, :k]
-    prev = Subspace(q)
-    for iteration in range(max_iter):
-        q, _ = np.linalg.qr(a @ prev.basis)
-        cur = Subspace(q)
-        dist = grassmann_distance(prev, cur)
-        prev = cur
-        if dist < tol:
-            break
-    p = prev.basis
-    norm = np.linalg.norm(a, 2)
-    resid = np.linalg.norm(a @ p - p @ (p.T @ a @ p), 2)
-    if resid > 1e-8 * norm:
-        raise NumericError(
-            f"subspace iteration did not converge at index {k}: invariance "
-            f"residual {resid:g} after {iteration + 1} iterations",
-            diagnostics={"residual": float(resid), "iterations": iteration + 1,
-                         "gap_ratio": float(moduli[k - 1] / moduli[k])})
-    return prev
+    threshold = np.sqrt(moduli[k - 1] * moduli[k])
+
+    def above_gap(re, im):
+        return bool(np.hypot(re, im) > threshold)
+
+    basis = _schur_invariant_basis(
+        a, above_gap, k, float(np.linalg.norm(a, 2)),
+        diagnostics={"gap_ratio": float(moduli[k - 1] / moduli[k])})
+    return Subspace(basis)
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:

@@ -11,7 +11,6 @@ as proofs.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,7 @@ from .spectral import (
     cartan_attractor,
     eigenvalue_ratios,
     length_functions,
-    singular_gap,
+    singular_gaps,
 )
 
 __all__ = [
@@ -95,14 +94,6 @@ TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
                           # but nearly coincident points vanish to high order
                           # (contact of the flag curve), so threshold verdicts
                           # are only meaningful on separated triples
-
-
-def _parallel_map(fn, items, threads: int = 1):
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +233,14 @@ class GapScanReport:
         }
 
 
-def anosov_gap_scan(rep: Representation, k: int, max_length: int,
-                    slope_anosov: float = SLOPE_ANOSOV,
-                    slope_flat: float = SLOPE_FLAT,
-                    monotone_slack: float = MONOTONE_SLACK,
-                    threads: int = 1) -> GapScanReport:
-    """Fit the growth of the word-sphere minimum of log(sigma_k/sigma_k+1).
+def _gap_scans(rep: Representation, indices, max_length: int,
+               slope_anosov: float = SLOPE_ANOSOV,
+               slope_flat: float = SLOPE_FLAT,
+               monotone_slack: float = MONOTONE_SLACK) -> dict:
+    """Gap scan reports keyed by index, from one SVD per word of the ball.
 
-    Verdict is ``anosov-like`` when the fitted slope exceeds
-    ``slope_anosov`` and the per-length minima never dip more than
-    ``monotone_slack`` below the running maximum from length 2 on,
-    ``flat`` when the slope is below ``slope_flat``, else ``ambiguous``.
+    The matrices of each word sphere are decomposed in one batched call;
+    the per-sphere stack is the largest array held.
     """
     if max_length < 3:
         raise InputError("gap scans need max_length >= 3")
@@ -261,15 +249,19 @@ def anosov_gap_scan(rep: Representation, k: int, max_length: int,
     for w in ball.words:
         if len(w) == 0:
             continue
-        by_length.setdefault(len(w), []).append(w)
+        by_length.setdefault(len(w), []).append(ball.matrix(w).entries)
     lengths = sorted(by_length)
+    minima = np.array([
+        np.log(singular_gaps(np.stack(by_length[length]), indices)).min(axis=0)
+        for length in lengths])
+    return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist(),
+                           slope_anosov, slope_flat, monotone_slack)
+            for i, k in enumerate(indices)}
 
-    def sphere_min(length: int) -> float:
-        vals = [np.log(singular_gap(ball.matrix(w), k))
-                for w in by_length[length]]
-        return float(min(vals))
 
-    minima = _parallel_map(sphere_min, lengths, threads)
+def _gap_report(rep: Representation, k: int, max_length: int, lengths,
+                minima, slope_anosov: float, slope_flat: float,
+                monotone_slack: float) -> GapScanReport:
     slope, intercept = np.polyfit(lengths, minima, 1)
     running_max = -np.inf
     monotone = True
@@ -288,6 +280,23 @@ def anosov_gap_scan(rep: Representation, k: int, max_length: int,
         rep_label=rep.label, k=k, max_length=max_length,
         lengths=tuple(lengths), min_log_gaps=tuple(minima),
         slope=float(slope), intercept=float(intercept), verdict=verdict)
+
+
+def anosov_gap_scan(rep: Representation, k: int, max_length: int,
+                    slope_anosov: float = SLOPE_ANOSOV,
+                    slope_flat: float = SLOPE_FLAT,
+                    monotone_slack: float = MONOTONE_SLACK) -> GapScanReport:
+    """Fit the growth of the word-sphere minimum of log(sigma_k/sigma_k+1).
+
+    Verdict is ``anosov-like`` when the fitted slope exceeds
+    ``slope_anosov`` and the per-length minima never dip more than
+    ``monotone_slack`` below the running maximum from length 2 on,
+    ``flat`` when the slope is below ``slope_flat``, else ``ambiguous``.
+    The transversality scans certify several indices through the same
+    code, where one SVD per word serves every index.
+    """
+    return _gap_scans(rep, (k,), max_length, slope_anosov, slope_flat,
+                      monotone_slack)[k]
 
 
 def required_indices_h(k: int, d: int) -> tuple:
@@ -381,6 +390,8 @@ class TransversalityScanReport:
     worst_triple: tuple | None = None
     max_defect: float | None = None
     min_separation: float = 0.0
+    ambiguous_items: int = 0  # triples whose intersection summand fell in
+                              # the ambiguity band; left out of the defects
 
     def to_dict(self) -> dict:
         return {
@@ -390,6 +401,7 @@ class TransversalityScanReport:
             "certified": self.certified,
             "n_points": self.n_points, "n_triples": self.n_triples,
             "gap_failures": self.gap_failures,
+            "ambiguous_items": self.ambiguous_items,
             "min_defect": self.min_defect,
             "max_defect": self.max_defect,
             "min_separation": self.min_separation,
@@ -411,11 +423,10 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
                          accept: float, reject: float,
-                         scan_length: int, min_separation: float,
-                         threads: int = 1) -> TransversalityScanReport:
-    certification = {}
-    for idx in certify_indices:
-        certification[idx] = anosov_gap_scan(rep, idx, scan_length).verdict
+                         scan_length: int,
+                         min_separation: float) -> TransversalityScanReport:
+    certification = {idx: report.verdict for idx, report in
+                     _gap_scans(rep, certify_indices, scan_length).items()}
     certified = all(v == "anosov-like" for v in certification.values())
     if require_certification and not certified:
         return TransversalityScanReport(
@@ -433,63 +444,72 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
                circle_separation(angles[t[1]], angles[t[2]]))
         >= min_separation]
 
-    def defect_of(triple) -> tuple:
-        i, j, l = triple
-        words = (atlas.samples[i].word, atlas.samples[j].word,
-                 atlas.samples[l].word)
+    defects = []
+    defect_words = []
+    gap_failures = 0
+    ambiguous_items = 0
+    for triple in idx_triples:
+        words = tuple(atlas.samples[i].word for i in triple)
         try:
-            return (direct_sum_defect(summands_fn(atlas.flags, k, *words)), 0)
+            defect = direct_sum_defect(summands_fn(atlas.flags, k, *words))
         except GapError:
             # a required flag does not exist: the transversality sum is
             # not achievable, recorded as full degeneracy
-            return (0.0, 1)
-
-    results = _parallel_map(defect_of, idx_triples, threads)
-    defects = [r[0] for r in results]
-    gap_failures = sum(r[1] for r in results)
+            defect = 0.0
+            gap_failures += 1
+        except AmbiguityError:
+            # the intersection summand is too close to its cutoff to call
+            ambiguous_items += 1
+            continue
+        defects.append(defect)
+        defect_words.append(words)
     min_defect = float(min(defects)) if defects else None
     max_defect = float(max(defects)) if defects else None
-    worst = (idx_triples[int(np.argmin(defects))] if defects else None)
-    worst_words = (tuple(atlas.samples[i].word for i in worst)
-                   if worst is not None else None)
+    worst_words = defect_words[int(np.argmin(defects))] if defects else None
     verdict = (_scan_verdict(min_defect, accept, reject)
                if min_defect is not None else "ambiguous")
+    if verdict == "pass" and ambiguous_items:
+        verdict = "ambiguous"
     return TransversalityScanReport(
         kind=kind, rep_label=rep.label, k=k, max_length=max_length,
         certification=certification, certified=certified,
         n_points=n, n_triples=len(idx_triples), gap_failures=gap_failures,
         min_defect=min_defect, verdict=verdict, worst_triple=worst_words,
-        max_defect=max_defect, min_separation=min_separation)
+        max_defect=max_defect, min_separation=min_separation,
+        ambiguous_items=ambiguous_items)
 
 
 def hk_scan(rep: Representation, k: int, max_length: int,
             accept: float = SCAN_ACCEPT, reject: float = SCAN_REJECT,
-            scan_length: int = 6, min_separation: float = TRIPLE_SEPARATION,
-            threads: int = 1) -> TransversalityScanReport:
+            scan_length: int = 6, min_separation: float = TRIPLE_SEPARATION
+            ) -> TransversalityScanReport:
     """H_k defect over ordered separated fixed-point triples of a ball.
 
     Triples whose required flags do not exist (missing eigenvalue gap)
     are recorded with defect 0: the transversality sum the property
-    requires cannot be formed.
+    requires cannot be formed.  Triples whose intersection summand falls
+    in the ambiguity band of ``intersect`` are counted in
+    ``ambiguous_items``, left out of the defects, and turn a would-be
+    ``pass`` into ``ambiguous``.
     """
     return _transversality_scan(
         rep, k, max_length, "Hk", _hk_summands,
         required_indices_h(k, rep.dim), require_certification=False,
         accept=accept, reject=reject, scan_length=scan_length,
-        min_separation=min_separation, threads=threads)
+        min_separation=min_separation)
 
 
 def ck_scan(rep: Representation, k: int, max_length: int,
             accept: float = SCAN_ACCEPT, reject: float = SCAN_REJECT,
-            scan_length: int = 6, min_separation: float = TRIPLE_SEPARATION,
-            threads: int = 1) -> TransversalityScanReport:
+            scan_length: int = 6, min_separation: float = TRIPLE_SEPARATION
+            ) -> TransversalityScanReport:
     """C_k defect scan; non-certifiable when a required gap scan is not
     anosov-like (the property needs Anosov behaviour at those indices)."""
     return _transversality_scan(
         rep, k, max_length, "Ck", _ck_summands,
         required_indices_c(k, rep.dim), require_certification=True,
         accept=accept, reject=reject, scan_length=scan_length,
-        min_separation=min_separation, threads=threads)
+        min_separation=min_separation)
 
 
 # ---------------------------------------------------------------------------
@@ -775,15 +795,10 @@ def _auxiliary_point(rep: Representation, g: Word, candidates=None) -> Word:
     raise PreconditionError(f"no auxiliary boundary point found for {g}")
 
 
-def eigen_identity_scan(rep: Representation, k: int, max_length: int,
-                        threads: int = 1) -> list:
+def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
     """Eigenvalue-identity reports for every nontrivial word of the ball."""
-    words = [w for w in words_of_length(rep.rank, max_length) if len(w) > 0]
-
-    def one(w: Word):
-        return check_eigen_identities(rep, k, w, _auxiliary_point(rep, w))
-
-    return _parallel_map(one, words, threads)
+    return [check_eigen_identities(rep, k, w, _auxiliary_point(rep, w))
+            for w in words_of_length(rep.rank, max_length) if len(w) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +885,7 @@ def linked_pairs(rep: Representation, max_length: int) -> list:
     return out
 
 
-def collar_scan(rep: Representation, k: int, max_length: int,
-                threads: int = 1) -> list:
+def collar_scan(rep: Representation, k: int, max_length: int) -> list:
     """Collar reports for every ordered linked pair in the word ball."""
     ball = _MatrixBall(rep, max_length)
     pairs = linked_pairs(rep, max_length)
@@ -885,7 +899,7 @@ def collar_scan(rep: Representation, k: int, max_length: int,
             holds=bool(lhs > rhs), margin=float(lhs - rhs),
             sign_indeterminate=indet)
 
-    return _parallel_map(one, pairs, threads)
+    return [one(pair) for pair in pairs]
 
 
 # ---------------------------------------------------------------------------

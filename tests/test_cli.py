@@ -138,14 +138,6 @@ class TestCollar:
                  "--L", "2", "--format", "csv", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["collar", "--family", "fg", "--x", "1", "--k", "1",
-             "--L", "2", "--format", "csv", "--out", str(a), "--threads", "1"])
-        run(["collar", "--family", "fg", "--x", "1", "--k", "1",
-             "--L", "2", "--format", "csv", "--out", str(b), "--threads", "4"])
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestFgScan:
     def test_grid_csv(self, tmp_path):
@@ -190,10 +182,3 @@ class TestSopq:
             run(["sopq", "--p", "4", "--q", "5", "--count", "3",
                  "--seed", "11", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
-
-
-def test_env_threads_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANOSOVLAB_THREADS", "2")
-    out = tmp_path / "r.json"
-    assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
-                "--L", "3", "--out", str(out)]) == 0

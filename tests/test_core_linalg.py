@@ -237,6 +237,18 @@ class TestSvd:
         _, s, _ = svd(a)
         assert np.prod(s) == pytest.approx(abs(np.linalg.det(a)), rel=1e-8)
 
+    def test_stack_matches_per_matrix(self):
+        stack = RNG.normal(size=(5, 4, 4))
+        u, s, vt = svd(stack)
+        for i, a in enumerate(stack):
+            _, si, _ = svd(a)
+            assert np.allclose(s[i], si, rtol=1e-13)
+            assert np.allclose(u[i] @ np.diag(s[i]) @ vt[i], a, atol=1e-12)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(DimensionError):
+            svd(np.zeros((2, 3, 4)))
+
 
 FG_GAMMA = np.array([[4.0, 4.0, 1.0], [2.0, 3.0, 1.0], [1.0, 2.0, 1.0]])
 

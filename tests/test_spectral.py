@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from anosovlab.core_linalg import (
     Mat,
@@ -8,6 +9,8 @@ from anosovlab.core_linalg import (
     power_normalized,
 )
 from anosovlab.errors import GapError, NumericError
+from anosovlab.groups import Word, evaluate
+from anosovlab.representations import fuchsian_locus, punctured_torus_reference
 from anosovlab.spectral import (
     attracting_space,
     cartan_attractor,
@@ -91,6 +94,30 @@ class TestAttractingSpace:
     def test_modulus_tie_raises(self):
         with pytest.raises(GapError):
             attracting_space(np.diag([2.0, 2.0, 0.25]), 1)
+
+    def test_leading_complex_pair_gives_rotation_plane(self):
+        # oracle: rotation-scaling block on span(q0, q1), eigenvalue 0.25 on q2
+        q = random_orthogonal(3)
+        block = np.zeros((3, 3))
+        block[:2, :2] = 2.0 * np.array([[np.cos(0.7), -np.sin(0.7)],
+                                        [np.sin(0.7), np.cos(0.7)]])
+        block[2, 2] = 0.25
+        a = q @ block @ q.T
+        s = attracting_space(a, 2)
+        assert grassmann_distance(s, Subspace(q[:, :2])) < 1e-12
+        with pytest.raises(GapError):
+            attracting_space(a, 1)
+
+    def test_fuchsian_7_1_codim_one_matches_left_eigenvector(self):
+        # eigenvalue moduli span ~1.5e9; the top-7 space is the kernel of
+        # the left eigenvector of the smallest-modulus eigenvalue
+        rep = fuchsian_locus((7, 1), punctured_torus_reference())
+        m = evaluate(rep, Word((2, -1))).entries
+        vals, left = np.linalg.eig(m.T)
+        y = left[:, int(np.argmin(np.abs(vals)))].real
+        oracle = Subspace(scipy.linalg.null_space(y[None, :]))
+        s = attracting_space(m, 7)
+        assert grassmann_distance(s, oracle) < 1e-8
 
     def test_repelling_via_inverse(self):
         s = attracting_space(np.linalg.inv(FG_GAMMA), 1)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from anosovlab import verification
 from anosovlab.core_linalg import (
     Subspace,
     direct_sum_defect,
@@ -12,6 +13,7 @@ from anosovlab.core_linalg import (
 )
 from anosovlab.crossratio import gcr, pcr_quotient
 from anosovlab.errors import (
+    AmbiguityError,
     DomainError,
     GapError,
     InputError,
@@ -28,9 +30,18 @@ from anosovlab.representations import (
     sopq_form,
     sopq_positive,
 )
-from anosovlab.spectral import attracting_space, eigenvalue_ratios
+from anosovlab.spectral import (
+    attracting_space,
+    eigenvalue_ratios,
+    singular_gap,
+)
 from anosovlab.verification import (
+    MONOTONE_SLACK,
+    SLOPE_ANOSOV,
+    SLOPE_FLAT,
     BoundaryAtlas,
+    _gap_scans,
+    _MatrixBall,
     anosov_gap_scan,
     attractor_convergence_slope,
     boundary_flag,
@@ -55,6 +66,30 @@ from anosovlab.verification import (
 REF = punctured_torus_reference()
 A, B = Word((1,)), Word((2,))
 LAMBDA1 = (7 + 3 * np.sqrt(5)) / 2
+
+
+def reference_gap_scan(rep, k, max_length):
+    """One index at a time, one singular_gap call per word."""
+    ball = _MatrixBall(rep, max_length)
+    lengths = sorted({len(w) for w in ball.words if len(w) > 0})
+    minima = [min(np.log(singular_gap(ball.matrix(w), k))
+                  for w in ball.words if len(w) == length)
+              for length in lengths]
+    slope, _ = np.polyfit(lengths, minima, 1)
+    running_max = -np.inf
+    monotone = True
+    for length, m in zip(lengths, minima):
+        if length >= 3 and m < running_max - MONOTONE_SLACK:
+            monotone = False
+        if length >= 2:
+            running_max = max(running_max, m)
+    if slope > SLOPE_ANOSOV and monotone:
+        verdict = "anosov-like"
+    elif slope < SLOPE_FLAT:
+        verdict = "flat"
+    else:
+        verdict = "ambiguous"
+    return tuple(lengths), minima, slope, verdict
 
 
 def cone_vector(data, rng=None):
@@ -95,11 +130,25 @@ class TestGapScan:
         with pytest.raises(InputError):
             anosov_gap_scan(fg_rep(1.0), 1, 2)
 
-    def test_threads_deterministic(self):
+    def test_reruns_deterministic(self):
         rep = fg_rep(1.0)
-        r1 = anosov_gap_scan(rep, 1, 5, threads=1)
-        r4 = anosov_gap_scan(rep, 1, 5, threads=4)
-        assert r1.min_log_gaps == r4.min_log_gaps
+        r1 = anosov_gap_scan(rep, 1, 5)
+        r2 = anosov_gap_scan(rep, 1, 5)
+        assert r1.min_log_gaps == r2.min_log_gaps
+
+    @pytest.mark.parametrize("rep,indices", [
+        (fuchsian_locus((7, 1), REF), (1, 2, 3)),
+        (fg_rep(1.0), (1, 2)),
+    ])
+    def test_shared_pass_matches_per_index_loop(self, rep, indices):
+        shared = _gap_scans(rep, indices, 6)
+        for k in indices:
+            lengths, minima, slope, verdict = reference_gap_scan(rep, k, 6)
+            report = shared[k]
+            assert report.lengths == lengths
+            assert np.allclose(report.min_log_gaps, minima, rtol=1e-12, atol=0)
+            assert report.slope == pytest.approx(slope, rel=1e-12)
+            assert report.verdict == verdict
 
     def test_required_indices(self):
         assert required_indices_h(1, 6) == (1, 2)
@@ -179,6 +228,22 @@ class TestHkCk:
         report = ck_scan(rep, 1, 2)
         assert report.verdict == "non-certifiable"
         assert report.certification[3] == "flat"
+
+    def test_ambiguous_intersection_is_counted_not_fatal(self, monkeypatch):
+        calls = []
+
+        def first_call_ambiguous(v, w, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise AmbiguityError("inside the band", spectrum=np.ones(1))
+            return intersect(v, w, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "intersect", first_call_ambiguous)
+        report = hk_scan(fuchsian_locus((5, 1), REF), 1, 2)
+        assert report.ambiguous_items == 1
+        assert report.to_dict()["ambiguous_items"] == 1
+        assert report.verdict == "ambiguous"
+        assert report.min_defect > 1e-4
 
     def test_ck_scan_7_1_passes(self):
         rep = fuchsian_locus((7, 1), REF)
