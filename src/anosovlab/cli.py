@@ -207,9 +207,15 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
         _write_json({"command": "check-Ck", "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
     if what == "hyperconvex":
+        names = "abcdefgh"[:rep.rank]
         letters = []
         for ch in base_word:
-            idx = ord(ch.lower()) - ord("a") + 1
+            if ch not in names + names.upper():
+                raise click.BadParameter(
+                    f"{ch!r} is not a generator letter ({names} or "
+                    f"{names.upper()} for rank {rep.rank})",
+                    param_hint="'--base-word'")
+            idx = names.index(ch.lower()) + 1
             letters.append(idx if ch.islower() else -idx)
         base = Word.from_letters(letters)
         samples = [w for w in words_of_length(rep.rank, l_value) if len(w) > 0]

@@ -31,9 +31,6 @@ __all__ = [
     "PartialFlag",
     "ModulusCluster",
     "EigenDecomposition",
-    "TRANSVERSALITY_ACCEPT",
-    "TRANSVERSALITY_REJECT",
-    "transversality_verdict",
     "wedge_volume",
     "direct_sum_defect",
     "intersect",
@@ -45,12 +42,6 @@ __all__ = [
     "power_normalized",
 ]
 
-# Direct sums are accepted above the first threshold, rejected below the
-# second; in between the verdict is explicitly "ambiguous".  The tested
-# conditions are open, so a three-way answer is the honest one.
-TRANSVERSALITY_ACCEPT = 1e-7
-TRANSVERSALITY_REJECT = 1e-9
-
 ORTHONORMALITY_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
 
@@ -59,17 +50,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
-
-
-def transversality_verdict(defect: float,
-                           accept: float = TRANSVERSALITY_ACCEPT,
-                           reject: float = TRANSVERSALITY_REJECT) -> str:
-    """Classify a direct-sum defect as ``direct``/``degenerate``/``ambiguous``."""
-    if defect > accept:
-        return "direct"
-    if defect < reject:
-        return "degenerate"
-    return "ambiguous"
 
 
 @dataclass(frozen=True)
@@ -108,15 +88,6 @@ class Mat:
 
     def inverse(self) -> "Mat":
         return Mat(np.linalg.inv(self.entries), -self.log_scale)
-
-    def transpose(self) -> "Mat":
-        return Mat(self.entries.T, self.log_scale)
-
-    def log_abs_det(self) -> float:
-        sign, logdet = np.linalg.slogdet(self.entries)
-        if sign == 0:
-            return -np.inf
-        return logdet + self.dim * self.log_scale
 
     def is_unimodular(self, tol: float = 1e-8) -> bool:
         """Check |det - 1| <= tol * sigma_1^d, the group-element tag."""
@@ -333,16 +304,6 @@ def direct_sum_defect(parts) -> float:
 # principal angles, intersections, quotients
 # ---------------------------------------------------------------------------
 
-def principal_cosines(v: Subspace, w: Subspace) -> np.ndarray:
-    """Cosines of the principal angles, descending (closest pair first)."""
-    if v.ambient_dim != w.ambient_dim:
-        raise DimensionError("ambient dimensions differ")
-    if v.rank == 0 or w.rank == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(v.basis.T @ w.basis, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
-
-
 def intersect(v: Subspace, w: Subspace, tol: float = 1e-8,
               ambiguity_band: float = 100.0) -> Subspace:
     """Numerical intersection of two subspaces.
@@ -446,14 +407,16 @@ def svd(m) -> tuple:
     """Singular value decomposition (U, sigma, Vt) with M = U diag(sigma) Vt.
 
     Accepts one square matrix or an (n, d, d) stack of them; each matrix's
-    reconstruction residual is validated against 1e-10 * sigma_1.
+    reconstruction residual is validated against 1e-10 * sigma_1, in the
+    Frobenius norm, which bounds the 2-norm from above and needs no second
+    SVD.
     """
     a = m.entries if isinstance(m, Mat) else np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got {a.shape}")
     u, s, vt = np.linalg.svd(a)
-    resid = np.linalg.norm((u * s[..., None, :]) @ vt - a, 2, axis=(-2, -1))
+    resid = np.linalg.norm((u * s[..., None, :]) @ vt - a, axis=(-2, -1))
     if (resid > 1e-10 * s[..., 0]).any():
         raise NumericError(
             f"SVD reconstruction residual {float(np.max(resid)):g} too large")
@@ -523,8 +486,9 @@ def _schur_invariant_basis(a: np.ndarray, select, size: int, norm: float,
     the form is reordered so the picked ones lead (Bai-Demmel block swaps,
     LAPACK ``trsen``) and the leading ``size`` Schur vectors are returned.
     Checks that exactly ``size`` eigenvalues were picked and certifies the
-    invariance residual ||(I - P P^T) M P|| <= 1e-8 ||M||, where ``norm``
-    is ||M||.  Every NumericError carries ``diagnostics``.
+    invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||, where ``norm``
+    is the 2-norm ||M||; the Frobenius norm bounds the 2-norm from above
+    without an SVD.  Every NumericError carries ``diagnostics``.
     """
     try:
         _, z, sdim = scipy.linalg.schur(a, output="real", sort=select)
@@ -537,7 +501,7 @@ def _schur_invariant_basis(a: np.ndarray, select, size: int, norm: float,
             diagnostics=diagnostics)
     basis = z[:, :size]
     image = a @ basis
-    resid = float(np.linalg.norm(image - basis @ (basis.T @ image), 2))
+    resid = float(np.linalg.norm(image - basis @ (basis.T @ image)))
     if norm > 0 and resid > 1e-8 * norm:
         raise NumericError(
             f"invariant subspace residual {resid:g} exceeds {1e-8 * norm:g}",
@@ -552,7 +516,7 @@ def eig_by_modulus(m, cluster_rtol: float = 1e-8) -> EigenDecomposition:
     generalized eigenspaces of its eigenvalues, obtained from a reordered
     real Schur form.  Postconditions checked: |det(M - lambda I)| <=
     1e-8 ||M||^d per eigenvalue, and per-cluster invariance residual
-    ||(I - P P^T) M P|| <= 1e-8 ||M||.
+    ||(I - P P^T) M P||_F <= 1e-8 ||M||.
     """
     a = as_matrix(m)
     d = a.shape[0]

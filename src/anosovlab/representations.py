@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -314,7 +313,6 @@ def sopq_form(p: int, q: int) -> SOpqData:
 
 
 def j_block_of(data: SOpqData) -> np.ndarray:
-    m = data.q - data.p + 2
     return data.Q[data.p - 1: data.q + 1, data.p - 1: data.q + 1].copy()
 
 

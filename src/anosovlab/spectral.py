@@ -124,7 +124,7 @@ def attracting_space(m, k: int) -> Subspace:
     raises GapError.  The real Schur form is reordered so that the
     eigenvalues of modulus above sqrt(|lambda_k| |lambda_{k+1}|) lead, and
     the first k Schur vectors span the space.  The result is certified by
-    its invariance residual ||(I - P P^T) M P|| <= 1e-8 ||M||; a failed
+    its invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||; a failed
     certification raises NumericError with ``residual`` and ``gap_ratio``
     diagnostics.
     """

@@ -11,7 +11,7 @@ as proofs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     GapError,
     InputError,
-    NumericError,
     PreconditionError,
 )
 from .groups import (
@@ -97,50 +96,67 @@ TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
 
 
 # ---------------------------------------------------------------------------
-# word ball with cached matrices, boundary atlas with cached flags
+# the word ball: images, reference fixed points and flags, each computed once
 # ---------------------------------------------------------------------------
 
-class _MatrixBall:
-    """Matrices of all reduced words up to a length, built incrementally."""
+class _WordBall:
+    """The reduced words up to a length and everything the checks read off them.
+
+    ``images`` stacks the images of ``words`` in one read-only (n, d, d)
+    array.  Each image is its prefix's image times one generator or its
+    inverse: the products of ``evaluate`` in the same order, so the entries
+    agree bit for bit.  The reference fixed points of a word and its
+    attracting spaces are computed on first use and kept for the life of
+    the ball.  A word outside the ball is evaluated on demand and kept the
+    same way, so a ball of length 0 serves the single-item checks.  One
+    ball lives for one scan or check.
+    """
 
     def __init__(self, rep: Representation, max_length: int):
         self.rep = rep
         self.words = words_of_length(rep.rank, max_length)
-        self._cache: dict = {Word(): Mat.identity(rep.dim)}
-        gens = rep.generator_images
-        inv = [Mat(np.linalg.inv(g.entries), -g.log_scale) for g in gens]
-        for w in self.words:
-            if len(w) == 0:
-                continue
-            prefix = Word(w.letters[:-1])
-            last = w.letters[-1]
-            step = gens[last - 1] if last > 0 else inv[-last - 1]
-            self._cache[w] = self._cache[prefix] @ step
-
-    def matrix(self, w: Word) -> Mat:
-        m = self._cache.get(w)
-        if m is None:
-            m = evaluate(self.rep, w)
-            self._cache[w] = m
-        return m
-
-
-class _FlagCache:
-    """Attracting spaces per (word, dimension) for one representation."""
-
-    def __init__(self, rep: Representation):
-        self.rep = rep
-        self._mats: dict = {}
+        steps = {}
+        for i, g in enumerate(rep.generator_images, 1):
+            steps[i] = g.entries
+            steps[-i] = np.linalg.inv(g.entries)
+        self._rows: dict = {}
+        images = np.empty((len(self.words), rep.dim, rep.dim))
+        for i, w in enumerate(self.words):
+            letters = w.letters
+            self._rows[letters] = i
+            images[i] = (images[self._rows[letters[:-1]]] @ steps[letters[-1]]
+                         if letters else np.eye(rep.dim))
+        if not np.all(np.isfinite(images)):
+            raise InputError("word images overflow: matrix entries must be finite")
+        images.flags.writeable = False
+        self.images = images
+        self._outside: dict = {}
+        self._fixed: dict = {}
         self._spaces: dict = {}
 
-    def matrix(self, w: Word) -> np.ndarray:
-        m = self._mats.get(w)
+    def image(self, w: Word) -> np.ndarray:
+        """Image of ``w``: its row of ``images``, else evaluated and kept."""
+        i = self._rows.get(w.letters)
+        if i is not None:
+            return self.images[i]
+        m = self._outside.get(w)
         if m is None:
-            m = evaluate(self.rep, w).entries
-            self._mats[w] = m
+            m = self._outside[w] = evaluate(self.rep, w).entries
         return m
 
+    def fixed_points(self, w: Word) -> tuple:
+        """Attracting and repelling points of ``w`` on the reference circle."""
+        points = self._fixed.get(w)
+        if points is None:
+            if self.rep.reference is None:
+                raise InputError(
+                    "representation carries no 2x2 boundary reference")
+            points = self._fixed[w] = rp1_fixed_points(
+                evaluate(self.rep.reference, w), w)
+        return points
+
     def space(self, w: Word, dim: int) -> Subspace:
+        """Attracting space of dimension ``dim`` of the image of ``w``."""
         d = self.rep.dim
         if dim < 0 or dim > d:
             raise InputError(f"flag dimension {dim} outside 0..{d}")
@@ -151,8 +167,7 @@ class _FlagCache:
         key = (w, dim)
         s = self._spaces.get(key)
         if s is None:
-            s = attracting_space(self.matrix(w), dim)
-            self._spaces[key] = s
+            s = self._spaces[key] = attracting_space(self.image(w), dim)
         return s
 
 
@@ -163,12 +178,12 @@ class _BoundarySample:
 
 
 class BoundaryAtlas:
-    """Deduplicated fixed points of a word ball, with flag access.
+    """Deduplicated attracting fixed points of a word ball, with flag access.
 
-    Fixed points are computed in the 2x2 reference; boundary flags are
-    attracting spaces of the sample words in the target representation.
-    Non-loxodromic words (no fixed-point pair on the circle) are skipped
-    and counted.
+    Fixed points (in the 2x2 reference) and boundary flags (attracting
+    spaces in the target representation) are read from one ``_WordBall``,
+    ``self.ball``.  Non-loxodromic words (no fixed-point pair on the
+    circle) are skipped and counted.
     """
 
     def __init__(self, rep: Representation, max_length: int,
@@ -176,15 +191,12 @@ class BoundaryAtlas:
         if rep.reference is None:
             raise InputError(
                 "representation carries no 2x2 boundary reference")
-        self.rep = rep
-        self.flags = _FlagCache(rep)
+        self.ball = _WordBall(rep, max_length)
         raw = []
         self.skipped_nonloxodromic = 0
-        for w in words_of_length(rep.rank, max_length):
-            if len(w) == 0:
-                continue
+        for w in self.ball.words[1:]:
             try:
-                att, _ = rp1_fixed_points(evaluate(rep.reference, w), w)
+                att, _ = self.ball.fixed_points(w)
             except DomainError:
                 self.skipped_nonloxodromic += 1
                 continue
@@ -205,7 +217,7 @@ class BoundaryAtlas:
         return len(self.samples)
 
     def space(self, i: int, dim: int) -> Subspace:
-        return self.flags.space(self.samples[i].word, dim)
+        return self.ball.space(self.samples[i].word, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +251,18 @@ def _gap_scans(rep: Representation, indices, max_length: int,
                monotone_slack: float = MONOTONE_SLACK) -> dict:
     """Gap scan reports keyed by index, from one SVD per word of the ball.
 
-    The matrices of each word sphere are decomposed in one batched call;
-    the per-sphere stack is the largest array held.
+    The images of each word sphere, a slice of the ball's stack (words come
+    ordered by length), are decomposed in one batched call.
     """
     if max_length < 3:
         raise InputError("gap scans need max_length >= 3")
-    ball = _MatrixBall(rep, max_length)
-    by_length: dict = {}
-    for w in ball.words:
-        if len(w) == 0:
-            continue
-        by_length.setdefault(len(w), []).append(ball.matrix(w).entries)
-    lengths = sorted(by_length)
+    ball = _WordBall(rep, max_length)
+    lengths = list(range(1, max_length + 1))
+    edges = np.searchsorted([len(w) for w in ball.words],
+                            np.arange(max_length + 2))
     minima = np.array([
-        np.log(singular_gaps(np.stack(by_length[length]), indices)).min(axis=0)
+        np.log(singular_gaps(ball.images[edges[length]:edges[length + 1]],
+                             indices)).min(axis=0)
         for length in lengths])
     return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist(),
                            slope_anosov, slope_flat, monotone_slack)
@@ -315,11 +325,11 @@ def required_indices_c(k: int, d: int) -> tuple:
 
 def boundary_flag(rep: Representation, w: Word, dims) -> PartialFlag:
     """Flag of attracting spaces of the image of ``w`` at the given dims."""
-    cache = _FlagCache(rep)
+    ball = _WordBall(rep, 0)
     parts = []
     for dim in dims:
         try:
-            parts.append(cache.space(w, dim))
+            parts.append(ball.space(w, dim))
         except GapError as exc:
             raise GapError(
                 f"no eigenvalue gap at dimension {dim} for word {w}",
@@ -327,31 +337,28 @@ def boundary_flag(rep: Representation, w: Word, dims) -> PartialFlag:
     return PartialFlag(tuple(parts))
 
 
-def _hk_summands(flags: _FlagCache, k: int, x: Word, y: Word, z: Word):
-    d = flags.rep.dim
+def _hk_summands(ball: _WordBall, k: int, x: Word, y: Word, z: Word):
+    d = ball.rep.dim
     return [
-        flags.space(x, k),
-        intersect(flags.space(y, k), flags.space(z, d - k + 1)),
-        flags.space(z, d - k - 1),
+        ball.space(x, k),
+        intersect(ball.space(y, k), ball.space(z, d - k + 1)),
+        ball.space(z, d - k - 1),
     ]
 
 
-def _ck_summands(flags: _FlagCache, k: int, x: Word, y: Word, z: Word):
-    d = flags.rep.dim
+def _ck_summands(ball: _WordBall, k: int, x: Word, y: Word, z: Word):
+    d = ball.rep.dim
     return [
-        flags.space(x, d - k - 2),
-        intersect(flags.space(x, d - k + 1), flags.space(y, k)),
-        flags.space(z, k + 1),
+        ball.space(x, d - k - 2),
+        intersect(ball.space(x, d - k + 1), ball.space(y, k)),
+        ball.space(z, k + 1),
     ]
 
 
-def _triple_distinct(rep: Representation, words) -> None:
-    if rep.reference is None:
+def _triple_distinct(ball: _WordBall, words) -> None:
+    if ball.rep.reference is None:
         return
-    angles = []
-    for w in words:
-        att, _ = rp1_fixed_points(evaluate(rep.reference, w), w)
-        angles.append(att.angle)
+    angles = [ball.fixed_points(w)[0].angle for w in words]
     for i, j in itertools.combinations(range(len(angles)), 2):
         if circle_separation(angles[i], angles[j]) < DISTINCT_TOL:
             raise PreconditionError(
@@ -361,17 +368,17 @@ def _triple_distinct(rep: Representation, words) -> None:
 def check_Hk(rep: Representation, k: int, triple) -> float:
     """Defect of the H_k sum  x^k + (y^k n z^(d-k+1)) + z^(d-k-1)."""
     x, y, z = triple
-    _triple_distinct(rep, (x, y, z))
-    flags = _FlagCache(rep)
-    return direct_sum_defect(_hk_summands(flags, k, x, y, z))
+    ball = _WordBall(rep, 0)
+    _triple_distinct(ball, (x, y, z))
+    return direct_sum_defect(_hk_summands(ball, k, x, y, z))
 
 
 def check_Ck(rep: Representation, k: int, triple) -> float:
     """Defect of the C_k sum  x^(d-k-2) + (x^(d-k+1) n y^k) + z^(k+1)."""
     x, y, z = triple
-    _triple_distinct(rep, (x, y, z))
-    flags = _FlagCache(rep)
-    return direct_sum_defect(_ck_summands(flags, k, x, y, z))
+    ball = _WordBall(rep, 0)
+    _triple_distinct(ball, (x, y, z))
+    return direct_sum_defect(_ck_summands(ball, k, x, y, z))
 
 
 @dataclass(frozen=True)
@@ -451,7 +458,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     for triple in idx_triples:
         words = tuple(atlas.samples[i].word for i in triple)
         try:
-            defect = direct_sum_defect(summands_fn(atlas.flags, k, *words))
+            defect = direct_sum_defect(summands_fn(atlas.ball, k, *words))
         except GapError:
             # a required flag does not exist: the transversality sum is
             # not achievable, recorded as full degeneracy
@@ -520,25 +527,22 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
                       min_separation: float):
     """Curve points in P(x^(d-k+1)/x^(d-k-2)): the special x-line plus the
     projected sections of samples, thinned to the separation cutoff."""
-    if rep.reference is None:
-        raise InputError("projection check needs a boundary reference")
+    ball = _WordBall(rep, 0)
+    kept_angles = [ball.fixed_points(x)[0].angle]
     d = rep.dim
-    flags = _FlagCache(rep)
-    x_att, _ = rp1_fixed_points(evaluate(rep.reference, x), x)
-    x_low = flags.space(x, d - k - 2)
-    x_high = flags.space(x, d - k + 1)
+    x_low = ball.space(x, d - k - 2)
+    x_high = ball.space(x, d - k + 1)
     if x_high.rank - x_low.rank != 3:
         raise InputError("projection target is not 3-dimensional")
-    kept_angles = [x_att.angle]
-    lines = [quotient_project(flags.space(x, d - k - 1), x_low, x_high)]
+    lines = [quotient_project(ball.space(x, d - k - 1), x_low, x_high)]
     labels = [x]
     for y in samples:
-        att, _ = rp1_fixed_points(evaluate(rep.reference, y), y)
-        if any(circle_separation(att.angle, a) < min_separation
+        angle = ball.fixed_points(y)[0].angle
+        if any(circle_separation(angle, a) < min_separation
                for a in kept_angles):
             continue
-        kept_angles.append(att.angle)
-        section = intersect(flags.space(y, k), x_high)
+        kept_angles.append(angle)
+        section = intersect(ball.space(y, k), x_high)
         lines.append(quotient_project(section, x_low, x_high))
         labels.append(y)
     return lines, labels
@@ -547,29 +551,22 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
 def projection_triple_defect(rep: Representation, k: int, x: Word,
                              triple) -> float:
     """Spanning defect of three projected curve points (pairwise distinct)."""
-    words = list(triple)
-    if rep.reference is None:
-        raise InputError("projection check needs a boundary reference")
-    angles = []
-    for w in [x] + words:
-        att, _ = rp1_fixed_points(evaluate(rep.reference, w), w)
-        angles.append(att.angle)
-    for i, j in itertools.combinations(range(1, 4), 2):
-        if circle_separation(angles[i], angles[j]) < DISTINCT_TOL:
-            raise PreconditionError(
-                f"triple repeats the boundary point of {words[i - 1]}")
+    words = tuple(triple)
+    ball = _WordBall(rep, 0)
+    x_angle = ball.fixed_points(x)[0].angle
+    _triple_distinct(ball, words)
     d = rep.dim
-    flags = _FlagCache(rep)
-    x_low = flags.space(x, d - k - 2)
-    x_high = flags.space(x, d - k + 1)
+    x_low = ball.space(x, d - k - 2)
+    x_high = ball.space(x, d - k + 1)
     lines = []
-    for w, ang in zip(words, angles[1:]):
-        if circle_separation(ang, angles[0]) < DISTINCT_TOL:
+    for w in words:
+        if circle_separation(ball.fixed_points(w)[0].angle,
+                             x_angle) < DISTINCT_TOL:
             lines.append(quotient_project(
-                flags.space(x, d - k - 1), x_low, x_high))
+                ball.space(x, d - k - 1), x_low, x_high))
         else:
             lines.append(quotient_project(
-                intersect(flags.space(w, k), x_high), x_low, x_high))
+                intersect(ball.space(w, k), x_high), x_low, x_high))
     return direct_sum_defect(lines)
 
 
@@ -738,33 +735,37 @@ def check_eigen_identities(rep: Representation, k: int, g: Word,
     of g; the Grassmannian cross ratio (g-^k, x^(d-k), g x^(d-k), g+^k)
     equals the weight period lambda_1...lambda_k / (lambda_d...).
     """
-    if rep.reference is not None:
-        g_att, g_rep = rp1_fixed_points(evaluate(rep.reference, g), g)
-        x_att, _ = rp1_fixed_points(evaluate(rep.reference, x), x)
-        for fixed in (g_att, g_rep):
+    return _eigen_identities(_WordBall(rep, 0), k, g, x)
+
+
+def _eigen_identities(ball: _WordBall, k: int, g: Word,
+                      x: Word) -> EigenIdentityReport:
+    if ball.rep.reference is not None:
+        g_points = ball.fixed_points(g)
+        x_att, _ = ball.fixed_points(x)
+        for fixed in g_points:
             if circle_separation(x_att.angle, fixed.angle) < DISTINCT_TOL:
                 raise PreconditionError(
                     f"auxiliary point {x} hits a fixed point of {g}")
-    d = rep.dim
-    flags = _FlagCache(rep)
-    m_g = flags.matrix(g)
+    d = ball.rep.dim
+    m_g = ball.image(g)
     g_inv = g.inverse()
 
-    v_low = flags.space(g_inv, d - k - 1)
-    v_high = flags.space(g_inv, d - k + 1)
-    x_k = flags.space(x, k)
+    v_low = ball.space(g_inv, d - k - 1)
+    v_high = ball.space(g_inv, d - k + 1)
+    x_k = ball.space(x, k)
     gx_k = x_k.apply(m_g)
     entries = [
-        flags.space(g_inv, d - k),
+        ball.space(g_inv, d - k),
         intersect(x_k, v_high),
         intersect(gx_k, v_high),
-        intersect(flags.space(g, k), v_high),
+        intersect(ball.space(g, k), v_high),
     ]
     pcr_value = float(pcr_quotient(v_low, v_high, *entries))
 
-    x_dk = flags.space(x, d - k)
-    gcr_value = float(gcr(flags.space(g_inv, k), x_dk,
-                          x_dk.apply(m_g), flags.space(g, k)))
+    x_dk = ball.space(x, d - k)
+    gcr_value = float(gcr(ball.space(g_inv, k), x_dk,
+                          x_dk.apply(m_g), ball.space(g, k)))
 
     ratios = eigenvalue_ratios(m_g, k)
     lam = (ratios.lambda_ratio_signed
@@ -776,17 +777,13 @@ def check_eigen_identities(rep: Representation, k: int, g: Word,
         weight_period=_weight_period(m_g, k)[0])
 
 
-def _auxiliary_point(rep: Representation, g: Word, candidates=None) -> Word:
-    """A word whose fixed point avoids both fixed points of g."""
-    if rep.reference is None:
-        raise InputError("needs a boundary reference")
-    gp, gm = rp1_fixed_points(evaluate(rep.reference, g), g)
-    if candidates is None:
-        candidates = [Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)),
-                      Word((1, -2)), Word((1, 1, 2))]
-    for cand in candidates:
+def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
+    """A short word whose fixed point avoids both fixed points of g."""
+    gp, gm = ball.fixed_points(g)
+    for cand in (Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)),
+                 Word((1, -2)), Word((1, 1, 2))):
         try:
-            att, _ = rp1_fixed_points(evaluate(rep.reference, cand), cand)
+            att, _ = ball.fixed_points(cand)
         except DomainError:
             continue
         if (circle_separation(att.angle, gp.angle) > 1e-6
@@ -797,8 +794,9 @@ def _auxiliary_point(rep: Representation, g: Word, candidates=None) -> Word:
 
 def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
     """Eigenvalue-identity reports for every nontrivial word of the ball."""
-    return [check_eigen_identities(rep, k, w, _auxiliary_point(rep, w))
-            for w in words_of_length(rep.rank, max_length) if len(w) > 0]
+    ball = _WordBall(rep, max_length)
+    return [_eigen_identities(ball, k, w, _auxiliary_point(ball, w))
+            for w in ball.words[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -826,16 +824,27 @@ class CollarReport:
         }
 
 
-def _collar_values(m_g: np.ndarray, m_h: np.ndarray, k: int):
-    lhs, lhs_signed = _weight_period(m_g, k)
+def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
+    m_h = ball.image(h)
+    lhs, lhs_signed = _weight_period(ball.image(g), k)
     ratios = eigenvalue_ratios(m_h, k)
-    sign_indeterminate = (ratios.lambda_ratio_signed is None) or not lhs_signed
     gap = (ratios.lambda_ratio_modulus
            if ratios.lambda_ratio_signed is None
            else ratios.lambda_ratio_signed)
     rhs = 1.0 / (1.0 - 1.0 / gap)
     weight_rhs = 1.0 / (1.0 - np.exp(-length_functions(m_h, k).weight_length))
-    return lhs, rhs, weight_rhs, sign_indeterminate
+    return CollarReport(
+        g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
+        holds=bool(lhs > rhs), margin=float(lhs - rhs),
+        sign_indeterminate=(ratios.lambda_ratio_signed is None
+                            or not lhs_signed))
+
+
+def _linked(ball: _WordBall, g: Word, h: Word) -> bool:
+    """``groups.is_linked`` on the ball's reference fixed points."""
+    g_plus, g_minus = ball.fixed_points(g)
+    h_plus, h_minus = ball.fixed_points(h)
+    return is_cyclically_ordered([g_minus, h_minus, g_plus, h_plus])
 
 
 def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
@@ -845,61 +854,39 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     with the signed ratio; when the signed ratio is unavailable the
     moduli are substituted and the report is flagged sign-indeterminate.
     """
-    if rep.reference is None:
-        raise InputError("collar check needs a boundary reference")
-    from .groups import is_linked
-
-    if not is_linked(g, h, rep.reference):
+    ball = _WordBall(rep, 0)
+    if not _linked(ball, g, h):
         raise PreconditionError(f"pair ({g}, {h}) is not linked")
-    m_g = evaluate(rep, g).entries
-    m_h = evaluate(rep, h).entries
-    lhs, rhs, weight_rhs, indet = _collar_values(m_g, m_h, k)
-    return CollarReport(
-        g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
-        holds=bool(lhs > rhs), margin=float(lhs - rhs),
-        sign_indeterminate=indet)
+    return _collar_report(ball, k, g, h)
+
+
+def _linked_pairs(ball: _WordBall) -> list:
+    loxodromic = []
+    for w in ball.words[1:]:
+        try:
+            ball.fixed_points(w)
+        except DomainError:
+            continue
+        loxodromic.append(w)
+    out = []
+    for g, h in itertools.permutations(loxodromic, 2):
+        try:
+            if _linked(ball, g, h):
+                out.append((g, h))
+        except PreconditionError:
+            continue  # two of the four fixed points coincide
+    return out
 
 
 def linked_pairs(rep: Representation, max_length: int) -> list:
     """All ordered linked pairs (g, h) of nontrivial ball words."""
-    if rep.reference is None:
-        raise InputError("linkedness needs a boundary reference")
-    ref = rep.reference
-    fixed = []
-    for w in words_of_length(rep.rank, max_length):
-        if len(w) == 0:
-            continue
-        try:
-            att, repel = rp1_fixed_points(evaluate(ref, w), w)
-        except DomainError:
-            continue
-        fixed.append((w, att.angle, repel.angle))
-    out = []
-    for (g, gp, gm), (h, hp, hm) in itertools.permutations(fixed, 2):
-        angles = (gm, hm, gp, hp)
-        if min(circle_separation(a, b)
-               for a, b in itertools.combinations(angles, 2)) < DISTINCT_TOL:
-            continue
-        if is_cyclically_ordered(angles):
-            out.append((g, h))
-    return out
+    return _linked_pairs(_WordBall(rep, max_length))
 
 
 def collar_scan(rep: Representation, k: int, max_length: int) -> list:
     """Collar reports for every ordered linked pair in the word ball."""
-    ball = _MatrixBall(rep, max_length)
-    pairs = linked_pairs(rep, max_length)
-
-    def one(pair):
-        g, h = pair
-        lhs, rhs, weight_rhs, indet = _collar_values(
-            ball.matrix(g).entries, ball.matrix(h).entries, k)
-        return CollarReport(
-            g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
-            holds=bool(lhs > rhs), margin=float(lhs - rhs),
-            sign_indeterminate=indet)
-
-    return [one(pair) for pair in pairs]
+    ball = _WordBall(rep, max_length)
+    return [_collar_report(ball, k, g, h) for g, h in _linked_pairs(ball)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ class TestCheck:
                       "--out", str(out)])
         assert status == 0
 
+    @pytest.mark.parametrize("word", ["a-b", "1", "c"])
+    def test_hyperconvex_base_word_not_a_generator_exit_64(self, word):
+        # "c" names a third generator; fg has rank 2
+        assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
+                    "--k", "1", "--L", "2", "--base-word", word]) == 64
+
 
 class TestCollar:
     def test_fg_x1_contains_generator_pair(self, tmp_path):

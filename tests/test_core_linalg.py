@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from anosovlab.errors import (
     DimensionError,
     GapError,
     InputError,
+    NumericError,
     PreconditionError,
 )
 
@@ -249,6 +251,26 @@ class TestSvd:
         with pytest.raises(DimensionError):
             svd(np.zeros((2, 3, 4)))
 
+    @pytest.mark.parametrize("rel,fails", [(1e-6, True), (1e-14, False)])
+    def test_reconstruction_residual_checked_per_matrix(self, monkeypatch,
+                                                        rel, fails):
+        # the factors returned are those of a stack whose third matrix is
+        # scaled by 1 + rel: a relative error of rel in its reconstruction
+        stack = np.random.default_rng(5).normal(size=(4, 6, 6))
+        exact_svd = np.linalg.svd
+
+        def perturbed_svd(a, *args, **kwargs):
+            b = np.array(a, copy=True)
+            b[2] *= 1.0 + rel
+            return exact_svd(b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed_svd)
+        if fails:
+            with pytest.raises(NumericError):
+                svd(stack)
+        else:
+            svd(stack)
+
 
 FG_GAMMA = np.array([[4.0, 4.0, 1.0], [2.0, 3.0, 1.0], [1.0, 2.0, 1.0]])
 
@@ -293,6 +315,26 @@ class TestEig:
             p = cluster.basis
             resid = np.linalg.norm(a @ p - p @ (p.T @ a @ p), 2)
             assert resid <= 1e-8 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("angle,fails", [(1e-6, True), (1e-14, False)])
+    def test_invariance_residual_checked(self, monkeypatch, angle, fails):
+        # turn the Schur vectors by a plane rotation: still orthonormal, but
+        # the leading ones span an invariant subspace only up to ``angle``
+        exact_schur = scipy.linalg.schur
+
+        def turned_schur(a, *args, **kwargs):
+            t, z, sdim = exact_schur(a, *args, **kwargs)
+            c, s = np.cos(angle), np.sin(angle)
+            z = z.copy()
+            z[:, [0, -1]] = z[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+            return t, z, sdim
+
+        monkeypatch.setattr(scipy.linalg, "schur", turned_schur)
+        if fails:
+            with pytest.raises(NumericError):
+                eig_by_modulus(FG_GAMMA)
+        else:
+            eig_by_modulus(FG_GAMMA)
 
     def test_pairs_multiplicity(self):
         dec = eig_by_modulus(np.diag([2.0, 2.0, 0.25]))

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from anosovlab.errors import (
     InputError,
     PreconditionError,
 )
-from anosovlab.groups import Word, evaluate, words_of_length
+from anosovlab.groups import Word, evaluate, rp1_fixed_points, words_of_length
 from anosovlab.representations import (
     Representation,
     coxeter_number_B,
@@ -41,7 +42,7 @@ from anosovlab.verification import (
     SLOPE_FLAT,
     BoundaryAtlas,
     _gap_scans,
-    _MatrixBall,
+    _WordBall,
     anosov_gap_scan,
     attractor_convergence_slope,
     boundary_flag,
@@ -55,6 +56,7 @@ from anosovlab.verification import (
     collar_check,
     collar_scan,
     counterexample_scan,
+    eigen_identity_scan,
     hk_scan,
     linked_pairs,
     required_indices_c,
@@ -69,11 +71,11 @@ LAMBDA1 = (7 + 3 * np.sqrt(5)) / 2
 
 
 def reference_gap_scan(rep, k, max_length):
-    """One index at a time, one singular_gap call per word."""
-    ball = _MatrixBall(rep, max_length)
-    lengths = sorted({len(w) for w in ball.words if len(w) > 0})
-    minima = [min(np.log(singular_gap(ball.matrix(w), k))
-                  for w in ball.words if len(w) == length)
+    """One index at a time, one evaluate and one singular_gap call per word."""
+    words = words_of_length(rep.rank, max_length)
+    lengths = sorted({len(w) for w in words if len(w) > 0})
+    minima = [min(np.log(singular_gap(evaluate(rep, w), k))
+                  for w in words if len(w) == length)
               for length in lengths]
     slope, _ = np.polyfit(lengths, minima, 1)
     running_max = -np.inf
@@ -107,6 +109,40 @@ def random_positive_element(data, rng):
         vbars.append([rng.uniform(0.05, 2.0) for _ in range(data.p - 2)]
                      + [cone_vector(data, rng)])
     return sopq_positive(data, vbars)
+
+
+class TestWordBall:
+    @pytest.mark.parametrize("rep", [fuchsian_locus((7, 1), REF), fg_rep(1.0)])
+    def test_images_equal_evaluate(self, rep):
+        ball = _WordBall(rep, 5)
+        assert ball.images.shape == (len(ball.words), rep.dim, rep.dim)
+        for w in ball.words:
+            assert np.array_equal(ball.image(w), evaluate(rep, w).entries)
+
+    def test_word_outside_ball_evaluated_and_kept(self):
+        rep = fuchsian_locus((7, 1), REF)
+        ball = _WordBall(rep, 3)
+        w = Word((1, 2, -1, -2, 1, 1, 2, 2))
+        assert np.array_equal(ball.image(w), evaluate(rep, w).entries)
+        assert ball.image(w) is ball.image(w)
+
+    def test_eigen_identity_scan_computes_each_item_once(self, monkeypatch):
+        spaces, points = Counter(), Counter()
+
+        def counting_space(m, k):
+            spaces[m.tobytes(), k] += 1
+            return attracting_space(m, k)
+
+        def counting_points(m, w=None):
+            points[w] += 1
+            return rp1_fixed_points(m, w)
+
+        monkeypatch.setattr(verification, "attracting_space", counting_space)
+        monkeypatch.setattr(verification, "rp1_fixed_points", counting_points)
+        reports = eigen_identity_scan(fg_rep(1.0), 1, 3)
+        assert len(reports) == 52
+        assert len(spaces) == 104 and set(spaces.values()) == {1}
+        assert len(points) == 52 and set(points.values()) == {1}
 
 
 class TestGapScan:
