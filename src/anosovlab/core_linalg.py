@@ -290,14 +290,21 @@ def direct_sum_defect(parts) -> float:
     direct, one iff they are mutually orthogonal.  The empty or all-rank-0
     sum is trivially direct (defect 1).
     """
-    b = _concat_bases(parts)
-    d, s = b.shape
+    return float(_smallest_singular_values(_concat_bases(parts)))
+
+
+def _smallest_singular_values(b: np.ndarray) -> np.ndarray:
+    """Direct-sum defects of concatenated bases, one (d, s) matrix or a stack.
+
+    One batched SVD gives the smallest singular value of every matrix; the
+    sum of no summands (s = 0) is direct with defect 1.
+    """
+    d, s = b.shape[-2:]
     if s > d:
         raise DimensionError(f"ranks sum to {s} > ambient dimension {d}")
     if s == 0:
-        return 1.0
-    sv = np.linalg.svd(b, compute_uv=False)
-    return float(sv[-1])
+        return np.ones(b.shape[:-2])
+    return np.linalg.svd(b, compute_uv=False)[..., -1]
 
 
 # ---------------------------------------------------------------------------

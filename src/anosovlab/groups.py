@@ -67,6 +67,13 @@ class Word:
         object.__setattr__(self, "letters", letters)
 
     @classmethod
+    def _trusted(cls, letters: tuple) -> "Word":
+        """A word from a tuple of ints already known to be freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def from_letters(cls, letters) -> "Word":
         """Build a word, freely reducing adjacent inverse pairs."""
         return cls(_reduce(letters))
@@ -103,17 +110,12 @@ def words_of_length(rank: int, max_length: int, cap: int = 500_000) -> list:
         raise InputError("max length must be >= 0")
     letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
     ball = [Word()]
-    sphere = [Word()]
+    sphere = [()]
     for _ in range(max_length):
-        nxt = []
-        for w in sphere:
-            last = w.letters[-1] if w.letters else 0
-            for letter in letters:
-                if letter == -last:
-                    continue
-                nxt.append(Word(w.letters + (letter,)))
-        ball.extend(nxt)
-        sphere = nxt
+        # no letter follows its inverse, so every word is reduced as built
+        sphere = [w + (letter,) for w in sphere for letter in letters
+                  if not w or letter != -w[-1]]
+        ball.extend(map(Word._trusted, sphere))
         if len(ball) > cap:
             raise BudgetError(
                 f"word ball exceeds the configured cap of {cap} words")

@@ -19,6 +19,7 @@ from .core_linalg import (
     Mat,
     PartialFlag,
     Subspace,
+    _smallest_singular_values,
     direct_sum_defect,
     grassmann_distance,
     intersect,
@@ -105,11 +106,12 @@ class _WordBall:
     ``images`` stacks the images of ``words`` in one read-only (n, d, d)
     array.  Each image is its prefix's image times one generator or its
     inverse: the products of ``evaluate`` in the same order, so the entries
-    agree bit for bit.  The reference fixed points of a word and its
-    attracting spaces are computed on first use and kept for the life of
-    the ball.  A word outside the ball is evaluated on demand and kept the
-    same way, so a ball of length 0 serves the single-item checks.  One
-    ball lives for one scan or check.
+    agree bit for bit.  The reference fixed points of a word, its
+    attracting spaces and any other spectral value of its image (``cached``)
+    are computed on first use and kept for the life of the ball.  A word
+    outside the ball is evaluated on demand and kept the same way, so a ball
+    of length 0 serves the single-item checks.  One ball lives for one scan
+    or check.
     """
 
     def __init__(self, rep: Representation, max_length: int):
@@ -132,7 +134,9 @@ class _WordBall:
         self.images = images
         self._outside: dict = {}
         self._fixed: dict = {}
-        self._spaces: dict = {}
+        self._values: dict = {}
+        self._zero = Subspace.zero(rep.dim)
+        self._full = Subspace.full(rep.dim)
 
     def image(self, w: Word) -> np.ndarray:
         """Image of ``w``: its row of ``images``, else evaluated and kept."""
@@ -155,20 +159,24 @@ class _WordBall:
                 evaluate(self.rep.reference, w), w)
         return points
 
+    def cached(self, fn, w: Word, index: int):
+        """``fn(image of w, index)``, computed on first use and kept."""
+        key = (fn, w, index)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = fn(self.image(w), index)
+        return value
+
     def space(self, w: Word, dim: int) -> Subspace:
         """Attracting space of dimension ``dim`` of the image of ``w``."""
         d = self.rep.dim
         if dim < 0 or dim > d:
             raise InputError(f"flag dimension {dim} outside 0..{d}")
         if dim == 0:
-            return Subspace.zero(d)
+            return self._zero
         if dim == d:
-            return Subspace.full(d)
-        key = (w, dim)
-        s = self._spaces.get(key)
-        if s is None:
-            s = self._spaces[key] = attracting_space(self.image(w), dim)
-        return s
+            return self._full
+        return self.cached(attracting_space, w, dim)
 
 
 @dataclass(frozen=True)
@@ -337,22 +345,29 @@ def boundary_flag(rep: Representation, w: Word, dims) -> PartialFlag:
     return PartialFlag(tuple(parts))
 
 
-def _hk_summands(ball: _WordBall, k: int, x: Word, y: Word, z: Word):
-    d = ball.rep.dim
-    return [
-        ball.space(x, k),
-        intersect(ball.space(y, k), ball.space(z, d - k + 1)),
-        ball.space(z, d - k - 1),
-    ]
+# A transversality sum is described by its summands in order.  A summand
+# lists its (role, dim) parts, the role being 0, 1 or 2 for x, y or z: one
+# part is that point's attracting space, two parts (of two different
+# points) are their intersection.
+
+def _hk_summands(k: int, d: int) -> tuple:
+    """H_k:  x^k + (y^k n z^(d-k+1)) + z^(d-k-1)."""
+    return (((0, k),), ((1, k), (2, d - k + 1)), ((2, d - k - 1),))
 
 
-def _ck_summands(ball: _WordBall, k: int, x: Word, y: Word, z: Word):
-    d = ball.rep.dim
-    return [
-        ball.space(x, d - k - 2),
-        intersect(ball.space(x, d - k + 1), ball.space(y, k)),
-        ball.space(z, k + 1),
-    ]
+def _ck_summands(k: int, d: int) -> tuple:
+    """C_k:  x^(d-k-2) + (x^(d-k+1) n y^k) + z^(k+1)."""
+    return (((0, d - k - 2),), ((0, d - k + 1), (1, k)), ((2, k + 1),))
+
+
+def _triple_defect(rep: Representation, k: int, triple, summands_fn) -> float:
+    ball = _WordBall(rep, 0)
+    _triple_distinct(ball, triple)
+    parts = []
+    for summand in summands_fn(k, rep.dim):
+        spaces = [ball.space(triple[role], dim) for role, dim in summand]
+        parts.append(spaces[0] if len(spaces) == 1 else intersect(*spaces))
+    return direct_sum_defect(parts)
 
 
 def _triple_distinct(ball: _WordBall, words) -> None:
@@ -368,17 +383,13 @@ def _triple_distinct(ball: _WordBall, words) -> None:
 def check_Hk(rep: Representation, k: int, triple) -> float:
     """Defect of the H_k sum  x^k + (y^k n z^(d-k+1)) + z^(d-k-1)."""
     x, y, z = triple
-    ball = _WordBall(rep, 0)
-    _triple_distinct(ball, (x, y, z))
-    return direct_sum_defect(_hk_summands(ball, k, x, y, z))
+    return _triple_defect(rep, k, (x, y, z), _hk_summands)
 
 
 def check_Ck(rep: Representation, k: int, triple) -> float:
     """Defect of the C_k sum  x^(d-k-2) + (x^(d-k+1) n y^k) + z^(k+1)."""
     x, y, z = triple
-    ball = _WordBall(rep, 0)
-    _triple_distinct(ball, (x, y, z))
-    return direct_sum_defect(_ck_summands(ball, k, x, y, z))
+    return _triple_defect(rep, k, (x, y, z), _ck_summands)
 
 
 @dataclass(frozen=True)
@@ -426,6 +437,103 @@ def _scan_verdict(min_defect: float, accept: float, reject: float) -> str:
     return "ambiguous"
 
 
+_OK, _GAP, _AMBIGUOUS = 0, 1, 2   # outcome of a summand and of a triple
+
+
+def _separated(angles: np.ndarray, min_separation: float) -> np.ndarray:
+    """n x n mask of the ordered pairs of distinct points at least
+    ``min_separation`` apart, by the formula of ``circle_separation``."""
+    delta = np.abs(angles[:, None] - angles[None, :]) % np.pi
+    mask = np.minimum(delta, np.pi - delta) >= min_separation
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+@dataclass(frozen=True)
+class _SummandTable:
+    """One summand of a transversality sum at every key it is asked for.
+
+    A key is one point (a flag) or an ordered pair of points (an
+    intersection), indexed by the triple positions in ``roles``.
+    """
+
+    roles: tuple
+    status: np.ndarray    # _OK, _GAP or _AMBIGUOUS per key
+    rank: np.ndarray
+    basis: np.ndarray     # orthonormal basis per key, zero-padded to (d, d)
+
+
+def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
+    """Tables of the summands over the points and pairs of ``used``.
+
+    ``used`` marks the ordered point pairs that occur in some kept triple.
+    Every flag is computed once per point and every intersection once per
+    pair; a missing flag (GapError) or an ambiguous intersection
+    (AmbiguityError) is recorded as the key's status.
+    """
+    n = len(atlas)
+    d = atlas.ball.rep.dim
+    points = np.flatnonzero(used.any(axis=1))
+    flags = {}
+    for dim in sorted({dim for summand in summands for _, dim in summand}):
+        for i in points:
+            try:
+                flags[i, dim] = atlas.space(i, dim)
+            except GapError:
+                flags[i, dim] = None
+    tables = []
+    for summand in summands:
+        shape = (n,) * len(summand)
+        status = np.full(shape, _OK, dtype=np.int8)
+        rank = np.zeros(shape, dtype=int)
+        basis = np.zeros(shape + (d, d))
+        keys = points[:, None] if len(summand) == 1 else np.argwhere(used)
+        for key in map(tuple, keys):
+            spaces = [flags[i, dim] for i, (_, dim) in zip(key, summand)]
+            if None in spaces:
+                status[key] = _GAP
+                continue
+            try:
+                space = (spaces[0] if len(spaces) == 1
+                         else intersect(*spaces))
+            except AmbiguityError:
+                status[key] = _AMBIGUOUS
+                continue
+            rank[key] = space.rank
+            basis[key][:, :space.rank] = space.basis
+        tables.append(_SummandTable(
+            tuple(role for role, _ in summand), status, rank, basis))
+    return tables
+
+
+def _triple_defects(tables: list, x: int, y: np.ndarray,
+                    z: np.ndarray) -> tuple:
+    """Outcome and defect of the triples (x, y[i], z[i]).
+
+    The first summand that is not ``_OK``, in summand order, decides a
+    triple's outcome; a triple with a missing flag has defect 0.  The
+    defects of the other triples come from one batched SVD per signature
+    of summand ranks.
+    """
+    columns = (np.full(len(y), x), y, z)
+    keys = [tuple(columns[role] for role in t.roles) for t in tables]
+    status = np.full(len(y), _OK, dtype=np.int8)
+    for t, key in zip(tables, keys):
+        status = np.where(status == _OK, t.status[key], status)
+    ranks = [t.rank[key] for t, key in zip(tables, keys)]
+    d = tables[0].basis.shape[-1]
+    signature = sum(r * (d + 1) ** i for i, r in enumerate(ranks))
+    defects = np.zeros(len(y))
+    ok = status == _OK
+    for code in np.unique(signature[ok]):
+        rows = np.flatnonzero(ok & (signature == code))
+        stack = np.concatenate(
+            [t.basis[tuple(c[rows] for c in key)][:, :, :r[rows[0]]]
+             for t, key, r in zip(tables, keys, ranks)], axis=2)
+        defects[rows] = _smallest_singular_values(stack)
+    return status, defects
+
+
 def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
@@ -443,36 +551,39 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
             verdict="non-certifiable", min_separation=min_separation)
     atlas = BoundaryAtlas(rep, max_length)
     n = len(atlas)
-    angles = [s.angle for s in atlas.samples]
-    idx_triples = [
-        t for t in itertools.permutations(range(n), 3)
-        if min(circle_separation(angles[t[0]], angles[t[1]]),
-               circle_separation(angles[t[0]], angles[t[2]]),
-               circle_separation(angles[t[1]], angles[t[2]]))
-        >= min_separation]
+    separated = _separated(np.array([s.angle for s in atlas.samples]),
+                           min_separation)
+    pairwise = separated.astype(int)
+    used = separated & (pairwise @ pairwise > 0)   # some third point fits
+    tables = _summand_tables(atlas, summands_fn(k, rep.dim), used)
 
-    defects = []
-    defect_words = []
-    gap_failures = 0
-    ambiguous_items = 0
-    for triple in idx_triples:
-        words = tuple(atlas.samples[i].word for i in triple)
-        try:
-            defect = direct_sum_defect(summands_fn(atlas.ball, k, *words))
-        except GapError:
-            # a required flag does not exist: the transversality sum is
-            # not achievable, recorded as full degeneracy
-            defect = 0.0
-            gap_failures += 1
-        except AmbiguityError:
-            # the intersection summand is too close to its cutoff to call
-            ambiguous_items += 1
+    # triples in the lexicographic order of their point indices, one first
+    # point at a time, so the stacks stay O(n^2 d^2); a missing flag makes
+    # the sum unachievable (defect 0), an ambiguous intersection leaves the
+    # triple out of the defects
+    n_triples = gap_failures = ambiguous_items = 0
+    min_defect, max_defect, worst = np.inf, -np.inf, None
+    for x in range(n):
+        y, z = np.nonzero(separated[x][:, None] & separated[x][None, :]
+                          & separated)
+        if not len(y):
             continue
-        defects.append(defect)
-        defect_words.append(words)
-    min_defect = float(min(defects)) if defects else None
-    max_defect = float(max(defects)) if defects else None
-    worst_words = defect_words[int(np.argmin(defects))] if defects else None
+        status, defects = _triple_defects(tables, x, y, z)
+        n_triples += len(y)
+        gap_failures += int(np.sum(status == _GAP))
+        kept = status != _AMBIGUOUS
+        ambiguous_items += int(np.sum(~kept))
+        if not kept.any():
+            continue
+        defects, y, z = defects[kept], y[kept], z[kept]
+        j = int(np.argmin(defects))
+        if defects[j] < min_defect:
+            min_defect, worst = float(defects[j]), (x, int(y[j]), int(z[j]))
+        max_defect = max(max_defect, float(defects.max()))
+    if worst is None:
+        min_defect = max_defect = worst_words = None
+    else:
+        worst_words = tuple(atlas.samples[i].word for i in worst)
     verdict = (_scan_verdict(min_defect, accept, reject)
                if min_defect is not None else "ambiguous")
     if verdict == "pass" and ambiguous_items:
@@ -480,7 +591,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     return TransversalityScanReport(
         kind=kind, rep_label=rep.label, k=k, max_length=max_length,
         certification=certification, certified=certified,
-        n_points=n, n_triples=len(idx_triples), gap_failures=gap_failures,
+        n_points=n, n_triples=n_triples, gap_failures=gap_failures,
         min_defect=min_defect, verdict=verdict, worst_triple=worst_words,
         max_defect=max_defect, min_separation=min_separation,
         ambiguous_items=ambiguous_items)
@@ -494,10 +605,13 @@ def hk_scan(rep: Representation, k: int, max_length: int,
 
     Triples whose required flags do not exist (missing eigenvalue gap)
     are recorded with defect 0: the transversality sum the property
-    requires cannot be formed.  Triples whose intersection summand falls
-    in the ambiguity band of ``intersect`` are counted in
-    ``ambiguous_items``, left out of the defects, and turn a would-be
-    ``pass`` into ``ambiguous``.
+    requires cannot be formed.  Ambiguity is decided per intersection
+    pair: the intersection summand y^k n z^(d-k+1) is computed once per
+    ordered pair (y, z), and when it falls in the ambiguity band of
+    ``intersect`` every triple sharing that pair is counted in
+    ``ambiguous_items``, left out of the defects, and turns a would-be
+    ``pass`` into ``ambiguous``.  The first summand, in order, that is
+    missing or ambiguous decides a triple's outcome.
     """
     return _transversality_scan(
         rep, k, max_length, "Hk", _hk_summands,
@@ -825,14 +939,14 @@ class CollarReport:
 
 
 def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
-    m_h = ball.image(h)
-    lhs, lhs_signed = _weight_period(ball.image(g), k)
-    ratios = eigenvalue_ratios(m_h, k)
+    lhs, lhs_signed = ball.cached(_weight_period, g, k)
+    ratios = ball.cached(eigenvalue_ratios, h, k)
     gap = (ratios.lambda_ratio_modulus
            if ratios.lambda_ratio_signed is None
            else ratios.lambda_ratio_signed)
     rhs = 1.0 / (1.0 - 1.0 / gap)
-    weight_rhs = 1.0 / (1.0 - np.exp(-length_functions(m_h, k).weight_length))
+    weight_rhs = 1.0 / (1.0 - np.exp(
+        -ball.cached(length_functions, h, k).weight_length))
     return CollarReport(
         g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
         holds=bool(lhs > rhs), margin=float(lhs - rhs),

@@ -70,6 +70,15 @@ class TestWordsOfLength:
         with pytest.raises(BudgetError):
             words_of_length(2, 12, cap=1000)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_equals_validated_words(self, rank):
+        ball = words_of_length(rank, 5)
+        validated = [Word(w.letters) for w in ball]
+        assert ball == validated
+        assert [hash(w) for w in ball] == [hash(w) for w in validated]
+        assert all(type(x) is int for w in ball for x in w.letters)
+        assert [len(w) for w in ball] == sorted(len(w) for w in ball)
+
 
 class TestEvaluate:
     def test_empty_word(self):

@@ -1,13 +1,15 @@
 import itertools
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from anosovlab import verification
+from anosovlab import spectral, verification
 from anosovlab.core_linalg import (
     Subspace,
     direct_sum_defect,
+    eig_by_modulus,
     grassmann_distance,
     intersect,
     span,
@@ -20,7 +22,13 @@ from anosovlab.errors import (
     InputError,
     PreconditionError,
 )
-from anosovlab.groups import Word, evaluate, rp1_fixed_points, words_of_length
+from anosovlab.groups import (
+    Word,
+    circle_separation,
+    evaluate,
+    rp1_fixed_points,
+    words_of_length,
+)
 from anosovlab.representations import (
     Representation,
     coxeter_number_B,
@@ -38,8 +46,11 @@ from anosovlab.spectral import (
 )
 from anosovlab.verification import (
     MONOTONE_SLACK,
+    SCAN_ACCEPT,
+    SCAN_REJECT,
     SLOPE_ANOSOV,
     SLOPE_FLAT,
+    TRIPLE_SEPARATION,
     BoundaryAtlas,
     _gap_scans,
     _WordBall,
@@ -92,6 +103,76 @@ def reference_gap_scan(rep, k, max_length):
     else:
         verdict = "ambiguous"
     return tuple(lengths), minima, slope, verdict
+
+
+def reference_transversality_scan(rep, k, max_length, kind,
+                                  min_separation=TRIPLE_SEPARATION):
+    """One triple at a time in permutations order, the summands written out.
+
+    Returns the fields of a TransversalityScanReport that the triples
+    decide; the first summand to raise decides a triple's outcome.
+    """
+    atlas = BoundaryAtlas(rep, max_length)
+    d = rep.dim
+    space = atlas.space
+    angles = [s.angle for s in atlas.samples]
+
+    def summands(x, y, z):
+        # through the module attribute, so a monkeypatched intersect applies
+        if kind == "Hk":
+            return [space(x, k),
+                    verification.intersect(space(y, k), space(z, d - k + 1)),
+                    space(z, d - k - 1)]
+        return [space(x, d - k - 2),
+                verification.intersect(space(x, d - k + 1), space(y, k)),
+                space(z, k + 1)]
+
+    n_triples = gap_failures = ambiguous_items = 0
+    defects, triples = [], []
+    for t in itertools.permutations(range(len(atlas)), 3):
+        if min(circle_separation(angles[i], angles[j])
+               for i, j in itertools.combinations(t, 2)) < min_separation:
+            continue
+        n_triples += 1
+        try:
+            defect = direct_sum_defect(summands(*t))
+        except GapError:
+            defect = 0.0
+            gap_failures += 1
+        except AmbiguityError:
+            ambiguous_items += 1
+            continue
+        defects.append(defect)
+        triples.append(t)
+    if not defects:
+        return dict(n_triples=n_triples, gap_failures=gap_failures,
+                    ambiguous_items=ambiguous_items, min_defect=None,
+                    max_defect=None, worst_triple=None, verdict="ambiguous")
+    min_defect = min(defects)
+    if min_defect > SCAN_ACCEPT:
+        verdict = "ambiguous" if ambiguous_items else "pass"
+    elif min_defect < SCAN_REJECT:
+        verdict = "fail"
+    else:
+        verdict = "ambiguous"
+    worst = triples[defects.index(min_defect)]
+    return dict(n_triples=n_triples, gap_failures=gap_failures,
+                ambiguous_items=ambiguous_items, min_defect=min_defect,
+                max_defect=max(defects),
+                worst_triple=tuple(atlas.samples[i].word for i in worst),
+                verdict=verdict)
+
+
+def assert_matches_reference(report, reference):
+    for field in ("min_defect", "max_defect"):
+        got, want = getattr(report, field), reference[field]
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+    for field in ("worst_triple", "n_triples", "gap_failures",
+                  "ambiguous_items", "verdict"):
+        assert getattr(report, field) == reference[field], field
 
 
 def cone_vector(data, rng=None):
@@ -266,20 +347,90 @@ class TestHkCk:
         assert report.certification[3] == "flat"
 
     def test_ambiguous_intersection_is_counted_not_fatal(self, monkeypatch):
-        calls = []
+        # an ambiguous intersection is a property of its (y, z) pair, so it
+        # makes every separated triple with middle point y0 ambiguous
+        rep = fuchsian_locus((5, 1), REF)
+        atlas = BoundaryAtlas(rep, 2)
+        y0 = 3
+        y0_space = atlas.space(y0, 1).basis
 
-        def first_call_ambiguous(v, w, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
+        def ambiguous_at_y0(v, w, *args, **kwargs):
+            if np.array_equal(v.basis, y0_space):
                 raise AmbiguityError("inside the band", spectrum=np.ones(1))
             return intersect(v, w, *args, **kwargs)
 
-        monkeypatch.setattr(verification, "intersect", first_call_ambiguous)
-        report = hk_scan(fuchsian_locus((5, 1), REF), 1, 2)
-        assert report.ambiguous_items == 1
-        assert report.to_dict()["ambiguous_items"] == 1
+        angles = [s.angle for s in atlas.samples]
+        expected = sum(
+            1 for t in itertools.permutations(range(len(atlas)), 3)
+            if t[1] == y0 and min(
+                circle_separation(angles[i], angles[j])
+                for i, j in itertools.combinations(t, 2)) >= TRIPLE_SEPARATION)
+        assert expected > 0
+        monkeypatch.setattr(verification, "intersect", ambiguous_at_y0)
+        report = hk_scan(rep, 1, 2)
+        assert report.ambiguous_items == expected
+        assert report.to_dict()["ambiguous_items"] == expected
         assert report.verdict == "ambiguous"
         assert report.min_defect > 1e-4
+
+    @pytest.mark.parametrize("scan,rep,k,L,kwargs", [
+        (hk_scan, fuchsian_locus((5, 1), REF), 1, 3, {}),
+        (hk_scan, fuchsian_locus((5, 1), REF), 2, 2, {}),
+        (hk_scan, fuchsian_locus((4, 2), REF), 1, 2, {}),
+        (hk_scan, fg_rep(1.0), 1, 3, {}),
+        (ck_scan, fuchsian_locus((7, 1), REF), 1, 2, {}),
+        (hk_scan, fuchsian_locus((5, 1), REF), 1, 2, {"min_separation": 0}),
+    ])
+    def test_scan_matches_per_triple_reference(self, scan, rep, k, L, kwargs):
+        report = scan(rep, k, L, **kwargs)
+        kind = "Hk" if scan is hk_scan else "Ck"
+        assert_matches_reference(report, reference_transversality_scan(
+            rep, k, L, kind, **kwargs))
+
+    @pytest.mark.parametrize("scan,rep", [
+        (hk_scan, fuchsian_locus((5, 1), REF)),
+        (ck_scan, fuchsian_locus((7, 1), REF)),
+    ])
+    def test_mixed_outcomes_match_per_triple_reference(self, monkeypatch,
+                                                       scan, rep):
+        # flags missing for some words, intersections ambiguous or zero for
+        # some pairs: mixed outcomes and rank signatures in every chunk
+        def gappy_space(m, dim):
+            if zlib.crc32(m.tobytes() + bytes([dim])) % 6 == 0:
+                raise GapError("forced", index=dim, ratio=1.0)
+            return attracting_space(m, dim)
+
+        def fickle_intersect(v, w, *args, **kwargs):
+            h = zlib.crc32(v.basis.tobytes() + w.basis.tobytes())
+            if h % 4 == 0:
+                raise AmbiguityError("forced", spectrum=np.ones(1))
+            if h % 4 == 1:
+                return Subspace.zero(v.ambient_dim)
+            return intersect(v, w, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "attracting_space", gappy_space)
+        monkeypatch.setattr(verification, "intersect", fickle_intersect)
+        report = scan(rep, 1, 2)
+        reference = reference_transversality_scan(
+            rep, 1, 2, "Hk" if scan is hk_scan else "Ck")
+        assert reference["gap_failures"] and reference["ambiguous_items"]
+        assert reference["n_triples"] > (reference["gap_failures"]
+                                         + reference["ambiguous_items"])
+        assert_matches_reference(report, reference)
+
+    def test_intersection_computed_once_per_pair(self, monkeypatch):
+        pairs = Counter()
+
+        def counting_intersect(v, w, *args, **kwargs):
+            pairs[v.basis.tobytes(), w.basis.tobytes()] += 1
+            return intersect(v, w, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "intersect", counting_intersect)
+        # k = 2 on (7,1): y^2 n z^7, neither part is the full space
+        report = hk_scan(fuchsian_locus((7, 1), REF), 2, 2)
+        n = report.n_points
+        assert report.n_triples > n * (n - 1)
+        assert 0 < len(pairs) <= n * (n - 1) and set(pairs.values()) == {1}
 
     def test_ck_scan_7_1_passes(self):
         rep = fuchsian_locus((7, 1), REF)
@@ -409,6 +560,18 @@ class TestCollar:
         rep = fg_rep(0.5)
         for report in collar_scan(rep, 1, 3):
             assert report.rhs >= report.weight_rhs - 1e-9
+
+    def test_collar_scan_decomposes_each_word_once(self, monkeypatch):
+        matrices = Counter()
+
+        def counting_eig(m, *args, **kwargs):
+            matrices[np.asarray(m).tobytes()] += 1
+            return eig_by_modulus(m, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eig_by_modulus", counting_eig)
+        reports = collar_scan(fg_rep(1.0), 1, 3)
+        assert len(reports) == 1944
+        assert len(matrices) <= 52 and set(matrices.values()) == {1}
 
     def test_linked_pairs_symmetric(self):
         pairs = linked_pairs(fg_rep(1.0), 2)
