@@ -92,12 +92,19 @@ def _load_representation(family, x, partition, rep_path):
     if family == "fuchsian":
         if partition is None:
             raise click.UsageError("--family fuchsian needs --partition")
-        parts = tuple(int(p) for p in partition.split(","))
+        try:
+            parts = tuple(int(p) for p in partition.split(","))
+        except ValueError:
+            raise click.UsageError(
+                f"--partition {partition!r} is not a comma-separated list "
+                "of integers") from None
         return fuchsian_locus(parts, punctured_torus_reference())
     raise click.UsageError(f"unknown family {family!r}")
 
 
 def _check_L(l_value: int, cap: int):
+    if l_value < 1:
+        raise click.UsageError(f"--L {l_value} is below 1")
     if l_value > cap:
         raise click.UsageError(f"--L {l_value} exceeds the cap {cap}")
     return l_value
@@ -291,7 +298,7 @@ def collar(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
 @cli.command("fg-scan")
 @click.option("--x-min", type=float, required=True)
 @click.option("--x-max", type=float, required=True)
-@click.option("--points", type=int, default=25)
+@click.option("--points", type=click.IntRange(min=1), default=25)
 @click.option("--log-grid", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), default=None,
               help="CSV output path (stdout when omitted).")
@@ -322,7 +329,7 @@ def fg_scan(x_min, x_max, points, log_grid, out):
 @cli.command()
 @click.option("--p", type=int, required=True)
 @click.option("--q", type=int, required=True)
-@click.option("--count", type=int, default=100)
+@click.option("--count", type=click.IntRange(min=1), default=100)
 @click.option("--seed", type=int, required=True,
               help="RNG seed; required for reproducibility.")
 @click.option("--entry-max", type=float, default=2.0)

@@ -31,6 +31,7 @@ __all__ = [
     "PartialFlag",
     "ModulusCluster",
     "EigenDecomposition",
+    "Spectrum",
     "wedge_volume",
     "direct_sum_defect",
     "intersect",
@@ -38,6 +39,7 @@ __all__ = [
     "grassmann_distance",
     "min_angle",
     "svd",
+    "spectrum",
     "eig_by_modulus",
     "power_normalized",
 ]
@@ -97,8 +99,8 @@ class Mat:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Accept a Mat or a raw square array and return the entries."""
-    if isinstance(m, Mat):
+    """Accept a Mat, a Spectrum or a raw square array and return the entries."""
+    if isinstance(m, (Mat, Spectrum)):
         return m.entries
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -466,10 +468,41 @@ class EigenDecomposition:
         return out
 
 
-def _sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class Spectrum:
+    """A matrix, its residual-checked eigenvalues and its 2-norm.
+
+    ``values`` run by descending modulus, then real part, then imaginary part.
+    """
+
+    entries: np.ndarray = field(repr=False)
+    values: np.ndarray
+    norm: float
+
+
+def spectrum(m) -> Spectrum:
+    """The Spectrum of a matrix; a Spectrum is returned as is.
+
+    Checks |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d per eigenvalue.
+    """
+    if isinstance(m, Spectrum):
+        return m
+    a = as_matrix(m)
+    d = a.shape[0]
     vals = np.linalg.eigvals(a)
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    return vals[order]
+    vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
+    vals.flags.writeable = False
+    norm = float(np.linalg.norm(a, 2))
+    if norm > 0:
+        budget = 1e-8 * max(norm, 1.0) ** d
+        for lam in vals:
+            resid = abs(np.linalg.det(a - lam * np.eye(d)))
+            if resid > budget:
+                raise NumericError(
+                    f"characteristic-polynomial residual {resid:g} exceeds "
+                    f"{budget:g} at eigenvalue {lam}",
+                    diagnostics={"eigenvalue": lam, "residual": resid})
+    return Spectrum(entries=a, values=vals, norm=norm)
 
 
 def _modulus_clusters(moduli: np.ndarray, rtol: float) -> list:
@@ -521,23 +554,12 @@ def eig_by_modulus(m, cluster_rtol: float = 1e-8) -> EigenDecomposition:
 
     Each modulus cluster gets an orthonormal basis of the sum of the
     generalized eigenspaces of its eigenvalues, obtained from a reordered
-    real Schur form.  Postconditions checked: |det(M - lambda I)| <=
-    1e-8 ||M||^d per eigenvalue, and per-cluster invariance residual
-    ||(I - P P^T) M P||_F <= 1e-8 ||M||.
+    real Schur form.  Postconditions checked: the characteristic-polynomial
+    residual of each eigenvalue (``spectrum``) and the per-cluster
+    invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||.
     """
-    a = as_matrix(m)
-    d = a.shape[0]
-    vals = _sorted_eigenvalues(a)
-    norm = float(np.linalg.norm(a, 2))
-    if norm > 0:
-        budget = 1e-8 * max(norm, 1.0) ** d
-        for lam in vals:
-            resid = abs(np.linalg.det(a - lam * np.eye(d)))
-            if resid > budget:
-                raise NumericError(
-                    f"characteristic-polynomial residual {resid:g} exceeds "
-                    f"{budget:g} at eigenvalue {lam}",
-                    diagnostics={"eigenvalue": lam, "residual": resid})
+    spec = spectrum(m)
+    a, vals, norm = spec.entries, spec.values, spec.norm
     moduli = np.abs(vals)
     clusters = []
     for start, stop in _modulus_clusters(moduli, cluster_rtol):

@@ -3,14 +3,18 @@
 The two basic objects are the singular-value side (Cartan attractors
 ``U_k``, gap ratios ``sigma_k/sigma_{k+1}``) and the eigenvalue side
 (attracting invariant subspaces, signed/modulus eigenvalue ratios, the
-root and weight length functions).  Boundary flags of a representation
-at fixed points are attracting spaces of the corresponding matrices.
+root and weight length functions, the weight period).  Boundary flags of
+a representation at fixed points are attracting spaces of the
+corresponding matrices.
 
 Singular gaps at any number of indices come from one SVD per matrix, and
-a stack of matrices is decomposed in one batched call.  An attracting
-space is read off a real Schur form reordered so that the eigenvalues
-above the modulus gap lead: the gap is checked on the eigenvalue moduli
-first, and the invariance residual of the result is certified.
+a stack of matrices is decomposed in one batched call.  The eigenvalue
+side reads one ``core_linalg.Spectrum`` per matrix: its sorted,
+residual-checked eigenvalues and ||M||_2.  Each function takes a matrix or
+its record, so a caller keeping the record decomposes each matrix once.
+An attracting space is read off a real Schur form reordered so that the
+eigenvalues above the record's modulus gap lead, and certified by its
+invariance residual.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_linalg import (
-    Mat,
+    Spectrum,
     Subspace,
     _schur_invariant_basis,
     as_matrix,
-    eig_by_modulus,
+    spectrum,
     svd,
 )
 from .errors import GapError, NumericError
@@ -38,6 +42,7 @@ __all__ = [
     "attracting_space",
     "eigenvalue_ratios",
     "length_functions",
+    "weight_period",
 ]
 
 SIGMA_GAP_MIN = 1e-9     # relative singular gap needed for a Cartan attractor
@@ -59,6 +64,12 @@ class SpectralGaps:
     lambda_ratio_signed: float | None
     lambda_ratio_modulus: float
 
+    @property
+    def lambda_ratio(self) -> float:
+        """The signed ratio if present, else the modulus ratio."""
+        return (self.lambda_ratio_modulus if self.lambda_ratio_signed is None
+                else self.lambda_ratio_signed)
+
 
 @dataclass(frozen=True)
 class LengthPair:
@@ -71,6 +82,12 @@ class LengthPair:
 def _check_index(k: int, d: int):
     if not 1 <= k < d:
         raise GapError(f"gap index k={k} outside 1..{d - 1}", index=k)
+
+
+def _indexed_spectrum(m, k: int) -> Spectrum:
+    """The record of ``m`` once k is checked, so a bad index decomposes nothing."""
+    _check_index(k, as_matrix(m).shape[0])
+    return spectrum(m)
 
 
 def singular_gaps(m, indices) -> np.ndarray:
@@ -112,11 +129,6 @@ def cartan_attractor(m, k: int) -> Subspace:
     return Subspace(u[:, :k])
 
 
-def _eigen_moduli(a: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvals(a)
-    return np.sort(np.abs(vals))[::-1]
-
-
 def attracting_space(m, k: int) -> Subspace:
     """Invariant subspace of the k largest-modulus eigenvalues.
 
@@ -128,9 +140,8 @@ def attracting_space(m, k: int) -> Subspace:
     certification raises NumericError with ``residual`` and ``gap_ratio``
     diagnostics.
     """
-    a = as_matrix(m)
-    _check_index(k, a.shape[0])
-    moduli = _eigen_moduli(a)
+    spec = _indexed_spectrum(m, k)
+    moduli = np.abs(spec.values)
     if moduli[k] <= 0 or moduli[k - 1] <= moduli[k] * (1.0 + EIGEN_GAP_MIN):
         raise GapError(
             f"no eigenvalue-modulus gap of index {k}: "
@@ -144,19 +155,15 @@ def attracting_space(m, k: int) -> Subspace:
         return bool(np.hypot(re, im) > threshold)
 
     basis = _schur_invariant_basis(
-        a, above_gap, k, float(np.linalg.norm(a, 2)),
+        spec.entries, above_gap, k, spec.norm,
         diagnostics={"gap_ratio": float(moduli[k - 1] / moduli[k])})
     return Subspace(basis)
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:
     """Populate SpectralGaps from the SVD and the eigenvalue list."""
-    a = as_matrix(m)
-    d = a.shape[0]
-    _check_index(k, d)
-    dec = eig_by_modulus(a)
-    vals = np.array(dec.values)
-    lk, lk1 = vals[k - 1], vals[k]
+    spec = _indexed_spectrum(m, k)
+    lk, lk1 = spec.values[k - 1:k + 1]
     modulus_ratio = float(abs(lk) / abs(lk1)) if abs(lk1) > 0 else np.inf
     signed = None
     if (abs(lk.imag) <= REAL_IMAG_TOL * max(abs(lk), 1e-300)
@@ -166,20 +173,27 @@ def eigenvalue_ratios(m, k: int) -> SpectralGaps:
         if abs(abs(signed) - modulus_ratio) > 1e-9 * max(modulus_ratio, 1.0):
             raise NumericError(
                 "signed and modulus eigenvalue ratios disagree beyond tolerance")
-    return SpectralGaps(k=k, sigma_ratio=singular_gap(a, k),
+    return SpectralGaps(k=k, sigma_ratio=singular_gap(spec.entries, k),
                         lambda_ratio_signed=signed,
                         lambda_ratio_modulus=modulus_ratio)
 
 
 def length_functions(m, k: int) -> LengthPair:
     """Weight and root lengths at index k, from eigenvalue moduli only."""
-    a = as_matrix(m)
-    d = a.shape[0]
-    _check_index(k, d)
-    moduli = _eigen_moduli(a)
+    moduli = np.abs(_indexed_spectrum(m, k).values)
     if moduli[-1] < 1e-300:
         raise NumericError("matrix has an eigenvalue of modulus zero")
     logs = np.log(moduli)
-    weight = float(np.sum(logs[:k]) - np.sum(logs[d - k:]))
+    weight = float(np.sum(logs[:k]) - np.sum(logs[-k:]))
     root = float(logs[k - 1] - logs[k])
     return LengthPair(weight_length=weight, root_length=root)
+
+
+def weight_period(m, k: int) -> tuple:
+    """(lambda_1...lambda_k / (lambda_d...lambda_(d-k+1)), True) when real
+    to a relative 1e-8, else (its modulus, False)."""
+    vals = _indexed_spectrum(m, k).values
+    ratio = np.prod(vals[:k]) / np.prod(vals[-k:])
+    if abs(ratio.imag) <= 1e-8 * max(abs(ratio), 1e-300):
+        return float(ratio.real), True
+    return float(abs(ratio)), False

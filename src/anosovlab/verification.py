@@ -18,6 +18,7 @@ import numpy as np
 from .core_linalg import (
     Mat,
     PartialFlag,
+    Spectrum,
     Subspace,
     _smallest_singular_values,
     direct_sum_defect,
@@ -25,6 +26,7 @@ from .core_linalg import (
     intersect,
     power_normalized,
     quotient_project,
+    spectrum,
     wedge_volume,
 )
 from .crossratio import gcr, pcr_quotient
@@ -50,6 +52,7 @@ from .spectral import (
     eigenvalue_ratios,
     length_functions,
     singular_gaps,
+    weight_period,
 )
 
 __all__ = [
@@ -106,10 +109,10 @@ class _WordBall:
     ``images`` stacks the images of ``words`` in one read-only (n, d, d)
     array.  Each image is its prefix's image times one generator or its
     inverse: the products of ``evaluate`` in the same order, so the entries
-    agree bit for bit.  The reference fixed points of a word, its
-    attracting spaces and any other spectral value of its image (``cached``)
-    are computed on first use and kept for the life of the ball.  A word
-    outside the ball is evaluated on demand and kept the same way, so a ball
+    agree bit for bit.  The reference fixed points of a word, the Spectrum
+    of its image and every value read from it (``cached``: attracting spaces,
+    ratios, lengths) are computed on first use and kept for the life of the
+    ball.  A word outside the ball is evaluated on demand and kept, so a ball
     of length 0 serves the single-item checks.  One ball lives for one scan
     or check.
     """
@@ -134,6 +137,7 @@ class _WordBall:
         self.images = images
         self._outside: dict = {}
         self._fixed: dict = {}
+        self._spectra: dict = {}
         self._values: dict = {}
         self._zero = Subspace.zero(rep.dim)
         self._full = Subspace.full(rep.dim)
@@ -159,12 +163,19 @@ class _WordBall:
                 evaluate(self.rep.reference, w), w)
         return points
 
+    def spectrum(self, w: Word) -> Spectrum:
+        """Sorted, residual-checked eigenvalues and 2-norm of the image of ``w``."""
+        spec = self._spectra.get(w)
+        if spec is None:
+            spec = self._spectra[w] = spectrum(self.image(w))
+        return spec
+
     def cached(self, fn, w: Word, index: int):
-        """``fn(image of w, index)``, computed on first use and kept."""
+        """``fn(spectrum of w, index)`` for a ``spectral`` function, kept."""
         key = (fn, w, index)
         value = self._values.get(key)
         if value is None:
-            value = self._values[key] = fn(self.image(w), index)
+            value = self._values[key] = fn(self.spectrum(w), index)
         return value
 
     def space(self, w: Word, dim: int) -> Subspace:
@@ -829,17 +840,6 @@ class EigenIdentityReport:
         }
 
 
-def _weight_period(m: np.ndarray, k: int) -> tuple:
-    """Signed weight period when real; else its modulus with a flag."""
-    vals = np.linalg.eigvals(m)
-    vals = vals[np.argsort(-np.abs(vals))]
-    d = len(vals)
-    ratio = np.prod(vals[:k]) / np.prod(vals[d - k:])
-    if abs(ratio.imag) <= 1e-8 * max(abs(ratio), 1e-300):
-        return float(ratio.real), True
-    return float(abs(ratio)), False
-
-
 def check_eigen_identities(rep: Representation, k: int, g: Word,
                            x: Word) -> EigenIdentityReport:
     """Both eigenvalue identities for one group element.
@@ -881,14 +881,10 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
     gcr_value = float(gcr(ball.space(g_inv, k), x_dk,
                           x_dk.apply(m_g), ball.space(g, k)))
 
-    ratios = eigenvalue_ratios(m_g, k)
-    lam = (ratios.lambda_ratio_signed
-           if ratios.lambda_ratio_signed is not None
-           else ratios.lambda_ratio_modulus)
     return EigenIdentityReport(
         g=g, x=x, k=k, pcr_value=pcr_value, gcr_value=gcr_value,
-        lambda_ratio=float(lam),
-        weight_period=_weight_period(m_g, k)[0])
+        lambda_ratio=ball.cached(eigenvalue_ratios, g, k).lambda_ratio,
+        weight_period=ball.cached(weight_period, g, k)[0])
 
 
 def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
@@ -939,12 +935,9 @@ class CollarReport:
 
 
 def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
-    lhs, lhs_signed = ball.cached(_weight_period, g, k)
+    lhs, lhs_signed = ball.cached(weight_period, g, k)
     ratios = ball.cached(eigenvalue_ratios, h, k)
-    gap = (ratios.lambda_ratio_modulus
-           if ratios.lambda_ratio_signed is None
-           else ratios.lambda_ratio_signed)
-    rhs = 1.0 / (1.0 - 1.0 / gap)
+    rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
     weight_rhs = 1.0 / (1.0 - np.exp(
         -ball.cached(length_functions, h, k).weight_length))
     return CollarReport(
@@ -1034,12 +1027,9 @@ def counterexample_scan(x_grid) -> list:
         rep = fg_rep(float(x))
         gam = eigenvalue_ratios(rep.generator_images[0].entries, 1)
         dlt = eigenvalue_ratios(rep.generator_images[1].entries, 1)
-        rg = (gam.lambda_ratio_signed if gam.lambda_ratio_signed is not None
-              else gam.lambda_ratio_modulus)
-        rd = (dlt.lambda_ratio_signed if dlt.lambda_ratio_signed is not None
-              else dlt.lambda_ratio_modulus)
         rows.append(CounterexampleRow(
-            x=float(x), ratio_gamma=float(rg), ratio_delta=float(rd),
+            x=float(x), ratio_gamma=float(gam.lambda_ratio),
+            ratio_delta=float(dlt.lambda_ratio),
             root_length=float(np.log(gam.lambda_ratio_modulus))))
     return rows
 

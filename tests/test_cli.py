@@ -39,6 +39,9 @@ class TestConstruct:
     def test_usage_error_exit_64(self):
         assert run(["construct"]) == 64
         assert run(["construct", "--family", "fg"]) == 64
+        for partition in ("5,a", ","):
+            assert run(["construct", "--family", "fuchsian",
+                        "--partition", partition]) == 64
 
     def test_domain_error_exit_3(self, capsys):
         assert run(["construct", "--family", "fg", "--x", "-1.0"]) == 3
@@ -76,6 +79,8 @@ class TestGapScan:
     def test_L_cap(self):
         assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
                     "--L", "9"]) == 64
+        assert run(["check", "eigen-identities", "--family", "fg", "--x",
+                    "1", "--k", "1", "--L", "0"]) == 64
 
 
 class TestCheck:
@@ -167,6 +172,8 @@ class TestFgScan:
 
     def test_bad_range(self):
         assert run(["fg-scan", "--x-min", "0", "--x-max", "1"]) == 64
+        assert run(["fg-scan", "--x-min", "0.5", "--x-max", "1",
+                    "--points", "0"]) == 64
 
 
 class TestSopq:
@@ -181,6 +188,8 @@ class TestSopq:
 
     def test_seed_required(self):
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "2"]) == 64
+        assert run(["sopq", "--p", "4", "--q", "5", "--count", "0",
+                    "--seed", "7"]) == 64
 
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anosovlab import spectral
 from anosovlab.core_linalg import (
     Mat,
+    Spectrum,
     Subspace,
+    eig_by_modulus,
     grassmann_distance,
     power_normalized,
+    spectrum,
 )
 from anosovlab.errors import GapError, NumericError
 from anosovlab.groups import Word, evaluate
@@ -17,6 +23,7 @@ from anosovlab.spectral import (
     eigenvalue_ratios,
     length_functions,
     singular_gap,
+    weight_period,
 )
 
 RNG = np.random.default_rng(1123)
@@ -28,6 +35,82 @@ LAMBDA1 = (7 + 3 * np.sqrt(5)) / 2
 def random_orthogonal(d, rng=RNG):
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     return q * np.sign(np.diag(r))
+
+
+# every reader of the eigenvalue record, at index 1
+RECORD_READERS = {
+    "eig_by_modulus": eig_by_modulus,
+    "attracting_space": lambda m: attracting_space(m, 1),
+    "eigenvalue_ratios": lambda m: eigenvalue_ratios(m, 1),
+    "length_functions": lambda m: length_functions(m, 1),
+    "weight_period": lambda m: weight_period(m, 1),
+}
+
+
+class TestSpectrum:
+    def test_sorted_by_modulus_then_real_then_imaginary(self):
+        a = np.diag([0.0, 0.0, -2.0, 0.5, 2.0])
+        a[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]    # eigenvalues +-i
+        spec = spectrum(a)
+        assert np.allclose(spec.values, [2.0, -2.0, 1j, -1j, 0.5], atol=1e-15)
+        assert spec.norm == pytest.approx(2.0)
+        assert spec.entries is a
+
+    def test_record_returned_unchanged(self):
+        spec = spectrum(FG_GAMMA)
+        assert spectrum(spec) is spec
+        assert not spec.values.flags.writeable
+
+    @pytest.mark.parametrize("reader", sorted(RECORD_READERS))
+    def test_reader_gives_the_same_from_the_record(self, reader):
+        fn = RECORD_READERS[reader]
+        from_matrix, from_record = fn(FG_GAMMA), fn(spectrum(FG_GAMMA))
+        if isinstance(from_matrix, Subspace):
+            assert np.array_equal(from_matrix.basis, from_record.basis)
+        elif reader == "eig_by_modulus":
+            assert from_matrix.values == from_record.values
+        else:
+            assert from_matrix == from_record
+
+    @pytest.mark.parametrize("reader", sorted(RECORD_READERS))
+    @pytest.mark.parametrize("scale,fails", [(1 + 1e-3, True), (1 + 1e-14, False)])
+    def test_characteristic_residual_checked(self, monkeypatch, reader, scale,
+                                             fails):
+        exact = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: exact(a) * scale)
+        if fails:
+            with pytest.raises(NumericError):
+                RECORD_READERS[reader](FG_GAMMA)
+        else:
+            RECORD_READERS[reader](FG_GAMMA)
+
+    @pytest.mark.parametrize("fn", [attracting_space, eigenvalue_ratios,
+                                    length_functions, weight_period])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bad_index_decomposes_nothing(self, monkeypatch, fn, k):
+        def no_spectrum(m):
+            raise AssertionError("decomposed before checking the index")
+
+        monkeypatch.setattr(spectral, "spectrum", no_spectrum)
+        with pytest.raises(GapError):
+            fn(FG_GAMMA, k)
+
+    @given(st.integers(min_value=2, max_value=8),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_readers_agree_on_random_matrices(self, d, seed):
+        m = np.random.default_rng(seed).normal(size=(d, d))
+        assert np.array_equal(spectrum(m).values,
+                              np.array(eig_by_modulus(m).values))
+        for k in range(1, d):
+            lengths = length_functions(m, k)
+            period, _ = weight_period(m, k)
+            ratio = eigenvalue_ratios(m, k).lambda_ratio_modulus
+            # moduli of a complex pair tie exactly: a length can be 0
+            assert np.log(abs(period)) == pytest.approx(
+                lengths.weight_length, rel=1e-10, abs=1e-12)
+            assert np.log(ratio) == pytest.approx(
+                lengths.root_length, rel=1e-10, abs=1e-12)
 
 
 class TestSingularGap:
@@ -46,6 +129,8 @@ class TestSingularGap:
     def test_bad_index(self):
         with pytest.raises(GapError):
             singular_gap(np.eye(3), 3)
+        with pytest.raises(GapError):
+            singular_gap(np.eye(3), 0)
 
 
 class TestCartanAttractor:
