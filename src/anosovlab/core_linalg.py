@@ -46,6 +46,12 @@ __all__ = [
 
 ORTHONORMALITY_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
+DET_RTOL = 1e-8           # |det - 1| bound, relative to sigma_1^d, of SL(d)
+INTERSECT_TOL = 1e-8      # principal cosines >= 1 - this span an intersection
+AMBIGUITY_BAND = 100.0    # cosines in (1 - band * tol, 1 - tol) are ambiguous
+QUOTIENT_RANK_RTOL = 1e-8  # relative rank cutoff of a quotient image
+EIGEN_TIE_RTOL = 1e-8     # eigenvalues (or moduli) closer than this times the
+                          # largest modulus count as equal
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -91,11 +97,11 @@ class Mat:
     def inverse(self) -> "Mat":
         return Mat(np.linalg.inv(self.entries), -self.log_scale)
 
-    def is_unimodular(self, tol: float = 1e-8) -> bool:
-        """Check |det - 1| <= tol * sigma_1^d, the group-element tag."""
+    def is_unimodular(self) -> bool:
+        """Check |det - 1| <= DET_RTOL * sigma_1^d, the group-element tag."""
         sigma1 = float(np.linalg.norm(self.entries, 2)) * np.exp(self.log_scale)
         det = np.linalg.det(self.entries) * np.exp(self.dim * self.log_scale)
-        return abs(det - 1.0) <= tol * max(1.0, sigma1) ** self.dim
+        return abs(det - 1.0) <= DET_RTOL * max(1.0, sigma1) ** self.dim
 
 
 def as_matrix(m) -> np.ndarray:
@@ -158,8 +164,8 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim: int | None = None,
-                      rank_rtol: float = 1e-10) -> "Subspace":
+    def from_spanning(cls, vectors,
+                      ambient_dim: int | None = None) -> "Subspace":
         """Subspace spanned by the given (column) vectors, re-orthonormalized."""
         a = np.asarray(vectors, dtype=float)
         if a.ndim == 1:
@@ -167,7 +173,7 @@ class Subspace:
         if ambient_dim is not None and a.shape[0] != ambient_dim:
             raise DimensionError(
                 f"vectors live in R^{a.shape[0]}, expected R^{ambient_dim}")
-        q, _ = _orthonormal_basis(a, rank_rtol)
+        q, _ = _orthonormal_basis(a)
         return cls(q)
 
     @classmethod
@@ -183,8 +189,9 @@ class Subspace:
         """Span of the listed standard basis vectors (0-indexed)."""
         return cls(np.eye(d)[:, list(indices)])
 
-    def contains(self, other: "Subspace", tol: float = CONTAINMENT_TOL) -> bool:
-        """True when ``other`` lies inside self up to residual ``tol``."""
+    def contains(self, other: "Subspace") -> bool:
+        """True when ``other`` lies inside self up to residual
+        ``CONTAINMENT_TOL``."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")
         if other.rank == 0:
@@ -192,7 +199,7 @@ class Subspace:
         if self.rank == 0:
             return False
         resid = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return float(np.linalg.norm(resid, 2)) <= tol
+        return float(np.linalg.norm(resid, 2)) <= CONTAINMENT_TOL
 
     def apply(self, m) -> "Subspace":
         """Image of the subspace under an invertible matrix, re-orthonormalized."""
@@ -313,12 +320,12 @@ def _smallest_singular_values(b: np.ndarray) -> np.ndarray:
 # principal angles, intersections, quotients
 # ---------------------------------------------------------------------------
 
-def intersect(v: Subspace, w: Subspace, tol: float = 1e-8,
-              ambiguity_band: float = 100.0) -> Subspace:
+def intersect(v: Subspace, w: Subspace) -> Subspace:
     """Numerical intersection of two subspaces.
 
-    Keeps the principal directions whose angle cosine is >= 1 - tol.
-    Cosines inside the band (1 - ambiguity_band*tol, 1 - tol) mean the
+    Keeps the principal directions whose angle cosine is
+    >= 1 - INTERSECT_TOL.  Cosines inside the band
+    (1 - AMBIGUITY_BAND * INTERSECT_TOL, 1 - INTERSECT_TOL) mean the
     configuration is too close to the cutoff to call; an AmbiguityError
     carrying the cosine spectrum is raised so the caller can inspect it.
     """
@@ -333,12 +340,12 @@ def intersect(v: Subspace, w: Subspace, tol: float = 1e-8,
         return v
     u, s, _ = np.linalg.svd(v.basis.T @ w.basis)
     s = np.clip(s, 0.0, 1.0)
-    accept = s >= 1.0 - tol
-    fuzzy = (~accept) & (s > 1.0 - ambiguity_band * tol)
+    accept = s >= 1.0 - INTERSECT_TOL
+    fuzzy = (~accept) & (s > 1.0 - AMBIGUITY_BAND * INTERSECT_TOL)
     if np.any(fuzzy):
         raise AmbiguityError(
             "principal-angle cosines fall inside the ambiguity band around "
-            f"1 - {tol:g}", spectrum=s.copy())
+            f"1 - {INTERSECT_TOL:g}", spectrum=s.copy())
     k = int(np.sum(accept))
     if k == 0:
         return Subspace.zero(d)
@@ -365,8 +372,8 @@ def quotient_complement(x_low: Subspace, x_high: Subspace) -> np.ndarray:
     return q
 
 
-def quotient_project(v: Subspace, x_low: Subspace, x_high: Subspace,
-                     rank_cut: float = 1e-8) -> Subspace:
+def quotient_project(v: Subspace, x_low: Subspace,
+                     x_high: Subspace) -> Subspace:
     """Image of V in the quotient X_high / X_low.
 
     Returns the image in the coordinates of an orthonormal basis of the
@@ -380,7 +387,7 @@ def quotient_project(v: Subspace, x_low: Subspace, x_high: Subspace,
         raise PreconditionError("V is contained in X_low; quotient image is zero")
     comp = quotient_complement(x_low, x_high)
     coords = comp.T @ v.basis
-    q, rank = _orthonormal_basis(coords, rank_rtol=rank_cut)
+    q, rank = _orthonormal_basis(coords, rank_rtol=QUOTIENT_RANK_RTOL)
     if rank == 0:
         raise PreconditionError("quotient image of V is numerically zero")
     return Subspace(q)
@@ -456,12 +463,12 @@ class EigenDecomposition:
     def moduli(self) -> np.ndarray:
         return np.abs(np.array(self.values))
 
-    def pairs(self, rtol: float = 1e-8) -> list:
+    def pairs(self) -> list:
         """Distinct eigenvalues with multiplicities, descending modulus."""
         out = []
         scale = max(self.moduli.max(), 1e-300)
         for lam in self.values:
-            if out and abs(lam - out[-1][0]) <= rtol * scale:
+            if out and abs(lam - out[-1][0]) <= EIGEN_TIE_RTOL * scale:
                 out[-1] = (out[-1][0], out[-1][1] + 1)
             else:
                 out.append((lam, 1))
@@ -483,7 +490,8 @@ class Spectrum:
 def spectrum(m) -> Spectrum:
     """The Spectrum of a matrix; a Spectrum is returned as is.
 
-    Checks |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d per eigenvalue.
+    Checks |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d per eigenvalue,
+    from one batched determinant over the stack of the M - lambda I.
     """
     if isinstance(m, Spectrum):
         return m
@@ -495,23 +503,24 @@ def spectrum(m) -> Spectrum:
     norm = float(np.linalg.norm(a, 2))
     if norm > 0:
         budget = 1e-8 * max(norm, 1.0) ** d
-        for lam in vals:
-            resid = abs(np.linalg.det(a - lam * np.eye(d)))
-            if resid > budget:
-                raise NumericError(
-                    f"characteristic-polynomial residual {resid:g} exceeds "
-                    f"{budget:g} at eigenvalue {lam}",
-                    diagnostics={"eigenvalue": lam, "residual": resid})
+        resids = np.abs(np.linalg.det(a[None] - vals[:, None, None] * np.eye(d)))
+        bad = np.flatnonzero(resids > budget)
+        if bad.size:
+            lam, resid = vals[bad[0]], float(resids[bad[0]])
+            raise NumericError(
+                f"characteristic-polynomial residual {resid:g} exceeds "
+                f"{budget:g} at eigenvalue {lam}",
+                diagnostics={"eigenvalue": lam, "residual": resid})
     return Spectrum(entries=a, values=vals, norm=norm)
 
 
-def _modulus_clusters(moduli: np.ndarray, rtol: float) -> list:
+def _modulus_clusters(moduli: np.ndarray) -> list:
     """Split a descending modulus sequence into tied groups."""
     groups = []
     start = 0
     scale = max(moduli[0], 1e-300)
     for i in range(1, len(moduli)):
-        if moduli[start] - moduli[i] > rtol * scale:
+        if moduli[start] - moduli[i] > EIGEN_TIE_RTOL * scale:
             groups.append((start, i))
             start = i
     groups.append((start, len(moduli)))
@@ -549,7 +558,7 @@ def _schur_invariant_basis(a: np.ndarray, select, size: int, norm: float,
     return basis
 
 
-def eig_by_modulus(m, cluster_rtol: float = 1e-8) -> EigenDecomposition:
+def eig_by_modulus(m) -> EigenDecomposition:
     """Eigenvalues ordered by descending modulus with cluster bases.
 
     Each modulus cluster gets an orthonormal basis of the sum of the
@@ -562,9 +571,9 @@ def eig_by_modulus(m, cluster_rtol: float = 1e-8) -> EigenDecomposition:
     a, vals, norm = spec.entries, spec.values, spec.norm
     moduli = np.abs(vals)
     clusters = []
-    for start, stop in _modulus_clusters(moduli, cluster_rtol):
-        lo = moduli[stop - 1] - cluster_rtol * max(norm, 1.0)
-        hi = moduli[start] + cluster_rtol * max(norm, 1.0)
+    for start, stop in _modulus_clusters(moduli):
+        lo = moduli[stop - 1] - EIGEN_TIE_RTOL * max(norm, 1.0)
+        hi = moduli[start] + EIGEN_TIE_RTOL * max(norm, 1.0)
 
         def in_cluster(re, im, lo=lo, hi=hi):
             mod = np.hypot(re, im)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import Mat, PartialFlag, Subspace
+from .core_linalg import DET_RTOL, Mat, PartialFlag, Subspace
 from .errors import (
     ConstructionError,
     DomainError,
@@ -45,7 +45,6 @@ __all__ = [
     "rep_from_json",
 ]
 
-DET_RTOL = 1e-8
 Q_INVARIANCE_TOL = 1e-10
 
 
@@ -66,7 +65,7 @@ class Representation:
             if g.dim != self.dim:
                 raise InputError(
                     f"generator image has dimension {g.dim}, expected {self.dim}")
-            if not g.is_unimodular(DET_RTOL):
+            if not g.is_unimodular():
                 raise ConstructionError(
                     f"generator image determinant differs from 1 beyond "
                     f"{DET_RTOL:g} relative ({self.label or 'unlabeled'})")
@@ -447,16 +446,22 @@ def rep_to_json(rep: Representation) -> str:
 
 
 def rep_from_json(text: str) -> Representation:
-    doc = json.loads(text)
-    ref = None
-    if doc.get("reference") is not None:
-        rdoc = doc["reference"]
-        ref = Representation(
-            dim=int(rdoc["dim"]),
-            generator_images=tuple(Mat(np.array(g)) for g in rdoc["generators"]),
-            label=rdoc.get("label", ""))
-    return Representation(
-        dim=int(doc["dim"]),
-        generator_images=tuple(Mat(np.array(g)) for g in doc["generators"]),
-        reference=ref,
-        label=doc.get("label", ""))
+    """Parse ``rep_to_json`` output; malformed text raises InputError."""
+    try:
+        doc = json.loads(text)
+        rdoc = doc.get("reference")
+        # the reference first, then the representation that carries it
+        parts = [(int(part["dim"]),
+                  [np.array(g, dtype=float) for g in part["generators"]],
+                  part.get("label", ""))
+                 for part in (rdoc, doc) if part is not None]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(
+            f"malformed representation JSON: {type(exc).__name__}: {exc}"
+        ) from exc
+    rep = None
+    for dim, generators, label in parts:
+        rep = Representation(
+            dim=dim, generator_images=tuple(Mat(g) for g in generators),
+            reference=rep, label=label)
+    return rep

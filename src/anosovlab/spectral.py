@@ -191,9 +191,9 @@ def length_functions(m, k: int) -> LengthPair:
 
 def weight_period(m, k: int) -> tuple:
     """(lambda_1...lambda_k / (lambda_d...lambda_(d-k+1)), True) when real
-    to a relative 1e-8, else (its modulus, False)."""
+    to a relative REAL_IMAG_TOL, else (its modulus, False)."""
     vals = _indexed_spectrum(m, k).values
     ratio = np.prod(vals[:k]) / np.prod(vals[-k:])
-    if abs(ratio.imag) <= 1e-8 * max(abs(ratio), 1e-300):
+    if abs(ratio.imag) <= REAL_IMAG_TOL * max(abs(ratio), 1e-300):
         return float(ratio.real), True
     return float(abs(ratio)), False

@@ -11,7 +11,7 @@ as proofs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .groups import (
+    ANGLE_SEPARATION,
     Word,
     circle_separation,
     evaluate,
@@ -91,12 +92,43 @@ MONOTONE_SLACK = 0.5      # allowed dip (log units) of per-length minima;
 SCAN_ACCEPT = 1e-4        # scan-level defect above which a property holds
 SCAN_REJECT = 1e-7        # scan-level defect below which it fails
 POINT_DEDUP_TOL = 1e-8    # boundary angles closer than this are one point
-DISTINCT_TOL = 1e-10      # angles closer than this violate distinctness
+CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
+                          # transversality scan
+POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
+WEDGE_DEGENERACY_TOL = 1e-12  # |wedge| below this is a transversality failure
+CONVERGENCE_POWERS = 40   # powers g^1..g^n fitted by attractor_convergence_slope
 TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
                           # scan triples; transversality defects of distinct
                           # but nearly coincident points vanish to high order
                           # (contact of the flag curve), so threshold verdicts
                           # are only meaningful on separated triples
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+_KEYS = {"rep_label": "rep", "max_length": "L"}
+
+
+def _plain(value):
+    """``value`` with words as strings, tuples as lists and str dict keys."""
+    if isinstance(value, Word):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(key): _plain(v) for key, v in value.items()}
+    return value
+
+
+class _Report:
+    """Base of the report dataclasses: their fields, in declaration order,
+    as a JSON-ready dict."""
+
+    def to_dict(self) -> dict:
+        return {_KEYS.get(f.name, f.name): _plain(getattr(self, f.name))
+                for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +237,7 @@ class BoundaryAtlas:
     circle) are skipped and counted.
     """
 
-    def __init__(self, rep: Representation, max_length: int,
-                 dedup_tol: float = POINT_DEDUP_TOL):
+    def __init__(self, rep: Representation, max_length: int):
         if rep.reference is None:
             raise InputError(
                 "representation carries no 2x2 boundary reference")
@@ -223,12 +254,13 @@ class BoundaryAtlas:
         raw.sort(key=lambda s: s.angle)
         samples = []
         for s in raw:
-            if samples and circle_separation(samples[-1].angle, s.angle) < dedup_tol:
+            if samples and circle_separation(
+                    samples[-1].angle, s.angle) < POINT_DEDUP_TOL:
                 continue
             samples.append(s)
         # the sort is linear but the circle wraps: the last can equal the first
         if len(samples) > 1 and circle_separation(
-                samples[0].angle, samples[-1].angle) < dedup_tol:
+                samples[0].angle, samples[-1].angle) < POINT_DEDUP_TOL:
             samples.pop()
         self.samples = samples
 
@@ -244,7 +276,7 @@ class BoundaryAtlas:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GapScanReport:
+class GapScanReport(_Report):
     rep_label: str
     k: int
     max_length: int
@@ -254,20 +286,8 @@ class GapScanReport:
     intercept: float
     verdict: str           # anosov-like | flat | ambiguous
 
-    def to_dict(self) -> dict:
-        return {
-            "rep": self.rep_label, "k": self.k, "L": self.max_length,
-            "lengths": list(self.lengths),
-            "min_log_gaps": list(self.min_log_gaps),
-            "slope": self.slope, "intercept": self.intercept,
-            "verdict": self.verdict,
-        }
 
-
-def _gap_scans(rep: Representation, indices, max_length: int,
-               slope_anosov: float = SLOPE_ANOSOV,
-               slope_flat: float = SLOPE_FLAT,
-               monotone_slack: float = MONOTONE_SLACK) -> dict:
+def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
     """Gap scan reports keyed by index, from one SVD per word of the ball.
 
     The images of each word sphere, a slice of the ball's stack (words come
@@ -283,25 +303,23 @@ def _gap_scans(rep: Representation, indices, max_length: int,
         np.log(singular_gaps(ball.images[edges[length]:edges[length + 1]],
                              indices)).min(axis=0)
         for length in lengths])
-    return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist(),
-                           slope_anosov, slope_flat, monotone_slack)
+    return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist())
             for i, k in enumerate(indices)}
 
 
 def _gap_report(rep: Representation, k: int, max_length: int, lengths,
-                minima, slope_anosov: float, slope_flat: float,
-                monotone_slack: float) -> GapScanReport:
+                minima) -> GapScanReport:
     slope, intercept = np.polyfit(lengths, minima, 1)
     running_max = -np.inf
     monotone = True
     for length, m in zip(lengths, minima):
-        if length >= 3 and m < running_max - monotone_slack:
+        if length >= 3 and m < running_max - MONOTONE_SLACK:
             monotone = False
         if length >= 2:
             running_max = max(running_max, m)
-    if slope > slope_anosov and monotone:
+    if slope > SLOPE_ANOSOV and monotone:
         verdict = "anosov-like"
-    elif slope < slope_flat:
+    elif slope < SLOPE_FLAT:
         verdict = "flat"
     else:
         verdict = "ambiguous"
@@ -311,21 +329,18 @@ def _gap_report(rep: Representation, k: int, max_length: int, lengths,
         slope=float(slope), intercept=float(intercept), verdict=verdict)
 
 
-def anosov_gap_scan(rep: Representation, k: int, max_length: int,
-                    slope_anosov: float = SLOPE_ANOSOV,
-                    slope_flat: float = SLOPE_FLAT,
-                    monotone_slack: float = MONOTONE_SLACK) -> GapScanReport:
+def anosov_gap_scan(rep: Representation, k: int,
+                    max_length: int) -> GapScanReport:
     """Fit the growth of the word-sphere minimum of log(sigma_k/sigma_k+1).
 
     Verdict is ``anosov-like`` when the fitted slope exceeds
-    ``slope_anosov`` and the per-length minima never dip more than
-    ``monotone_slack`` below the running maximum from length 2 on,
-    ``flat`` when the slope is below ``slope_flat``, else ``ambiguous``.
+    ``SLOPE_ANOSOV`` and the per-length minima never dip more than
+    ``MONOTONE_SLACK`` below the running maximum from length 2 on,
+    ``flat`` when the slope is below ``SLOPE_FLAT``, else ``ambiguous``.
     The transversality scans certify several indices through the same
     code, where one SVD per word serves every index.
     """
-    return _gap_scans(rep, (k,), max_length, slope_anosov, slope_flat,
-                      monotone_slack)[k]
+    return _gap_scans(rep, (k,), max_length)[k]
 
 
 def required_indices_h(k: int, d: int) -> tuple:
@@ -386,7 +401,7 @@ def _triple_distinct(ball: _WordBall, words) -> None:
         return
     angles = [ball.fixed_points(w)[0].angle for w in words]
     for i, j in itertools.combinations(range(len(angles)), 2):
-        if circle_separation(angles[i], angles[j]) < DISTINCT_TOL:
+        if circle_separation(angles[i], angles[j]) < ANGLE_SEPARATION:
             raise PreconditionError(
                 f"boundary points of {words[i]} and {words[j]} coincide")
 
@@ -403,8 +418,8 @@ def check_Ck(rep: Representation, k: int, triple) -> float:
     return _triple_defect(rep, k, (x, y, z), _ck_summands)
 
 
-@dataclass(frozen=True)
-class TransversalityScanReport:
+@dataclass(frozen=True, kw_only=True)
+class TransversalityScanReport(_Report):
     kind: str               # "Hk" | "Ck" | "projection"
     rep_label: str
     k: int
@@ -414,30 +429,13 @@ class TransversalityScanReport:
     n_points: int
     n_triples: int
     gap_failures: int
-    min_defect: float | None
-    verdict: str            # pass | fail | ambiguous | non-certifiable
-    worst_triple: tuple | None = None
-    max_defect: float | None = None
-    min_separation: float = 0.0
     ambiguous_items: int = 0  # triples whose intersection summand fell in
                               # the ambiguity band; left out of the defects
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "rep": self.rep_label, "k": self.k,
-            "L": self.max_length,
-            "certification": {str(i): v for i, v in self.certification.items()},
-            "certified": self.certified,
-            "n_points": self.n_points, "n_triples": self.n_triples,
-            "gap_failures": self.gap_failures,
-            "ambiguous_items": self.ambiguous_items,
-            "min_defect": self.min_defect,
-            "max_defect": self.max_defect,
-            "min_separation": self.min_separation,
-            "verdict": self.verdict,
-            "worst_triple": None if self.worst_triple is None
-            else [str(w) for w in self.worst_triple],
-        }
+    min_defect: float | None
+    max_defect: float | None = None
+    min_separation: float = 0.0
+    verdict: str            # pass | fail | ambiguous | non-certifiable
+    worst_triple: tuple | None = None
 
 
 def _scan_verdict(min_defect: float, accept: float, reject: float) -> str:
@@ -545,14 +543,19 @@ def _triple_defects(tables: list, x: int, y: np.ndarray,
     return status, defects
 
 
+def _check_k(k: int, top: int) -> None:
+    if not 1 <= k <= top:
+        raise InputError(f"k={k} outside 1..{top}")
+
+
 def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
                          accept: float, reject: float,
-                         scan_length: int,
                          min_separation: float) -> TransversalityScanReport:
-    certification = {idx: report.verdict for idx, report in
-                     _gap_scans(rep, certify_indices, scan_length).items()}
+    certification = {
+        idx: report.verdict for idx, report in
+        _gap_scans(rep, certify_indices, CERTIFICATION_LENGTH).items()}
     certified = all(v == "anosov-like" for v in certification.values())
     if require_certification and not certified:
         return TransversalityScanReport(
@@ -610,9 +613,10 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
 
 def hk_scan(rep: Representation, k: int, max_length: int,
             accept: float = SCAN_ACCEPT, reject: float = SCAN_REJECT,
-            scan_length: int = 6, min_separation: float = TRIPLE_SEPARATION
+            min_separation: float = TRIPLE_SEPARATION
             ) -> TransversalityScanReport:
-    """H_k defect over ordered separated fixed-point triples of a ball.
+    """H_k defect over ordered separated fixed-point triples of a ball,
+    for k in 1..d-1.
 
     Triples whose required flags do not exist (missing eigenvalue gap)
     are recorded with defect 0: the transversality sum the property
@@ -624,29 +628,46 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     ``pass`` into ``ambiguous``.  The first summand, in order, that is
     missing or ambiguous decides a triple's outcome.
     """
+    _check_k(k, rep.dim - 1)
     return _transversality_scan(
         rep, k, max_length, "Hk", _hk_summands,
         required_indices_h(k, rep.dim), require_certification=False,
-        accept=accept, reject=reject, scan_length=scan_length,
-        min_separation=min_separation)
+        accept=accept, reject=reject, min_separation=min_separation)
 
 
 def ck_scan(rep: Representation, k: int, max_length: int,
             accept: float = SCAN_ACCEPT, reject: float = SCAN_REJECT,
-            scan_length: int = 6, min_separation: float = TRIPLE_SEPARATION
+            min_separation: float = TRIPLE_SEPARATION
             ) -> TransversalityScanReport:
-    """C_k defect scan; non-certifiable when a required gap scan is not
-    anosov-like (the property needs Anosov behaviour at those indices)."""
+    """C_k defect scan for k in 1..d-2; non-certifiable when a required gap
+    scan is not anosov-like (the property needs Anosov behaviour at those
+    indices)."""
+    _check_k(k, rep.dim - 2)
     return _transversality_scan(
         rep, k, max_length, "Ck", _ck_summands,
         required_indices_c(k, rep.dim), require_certification=True,
-        accept=accept, reject=reject, scan_length=scan_length,
-        min_separation=min_separation)
+        accept=accept, reject=reject, min_separation=min_separation)
 
 
 # ---------------------------------------------------------------------------
 # hyperconvexity of the projected curve
 # ---------------------------------------------------------------------------
+
+def _projected_line(ball: _WordBall, k: int, x: Word, w: Word) -> Subspace:
+    """Curve point of ``w`` in P(X), X = x^(d-k+1)/x^(d-k-2): the line
+    [x^(d-k-1)] when w's boundary point is x's, else [w^k n x^(d-k+1)]."""
+    d = ball.rep.dim
+    x_low = ball.space(x, d - k - 2)
+    x_high = ball.space(x, d - k + 1)
+    if x_high.rank - x_low.rank != 3:
+        raise InputError("projection target is not 3-dimensional")
+    if circle_separation(ball.fixed_points(w)[0].angle,
+                         ball.fixed_points(x)[0].angle) < ANGLE_SEPARATION:
+        line = ball.space(x, d - k - 1)
+    else:
+        line = intersect(ball.space(w, k), x_high)
+    return quotient_project(line, x_low, x_high)
+
 
 def _projection_lines(rep: Representation, k: int, x: Word, samples,
                       min_separation: float):
@@ -654,12 +675,7 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
     projected sections of samples, thinned to the separation cutoff."""
     ball = _WordBall(rep, 0)
     kept_angles = [ball.fixed_points(x)[0].angle]
-    d = rep.dim
-    x_low = ball.space(x, d - k - 2)
-    x_high = ball.space(x, d - k + 1)
-    if x_high.rank - x_low.rank != 3:
-        raise InputError("projection target is not 3-dimensional")
-    lines = [quotient_project(ball.space(x, d - k - 1), x_low, x_high)]
+    lines = [_projected_line(ball, k, x, x)]
     labels = [x]
     for y in samples:
         angle = ball.fixed_points(y)[0].angle
@@ -667,8 +683,7 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
                for a in kept_angles):
             continue
         kept_angles.append(angle)
-        section = intersect(ball.space(y, k), x_high)
-        lines.append(quotient_project(section, x_low, x_high))
+        lines.append(_projected_line(ball, k, x, y))
         labels.append(y)
     return lines, labels
 
@@ -678,21 +693,8 @@ def projection_triple_defect(rep: Representation, k: int, x: Word,
     """Spanning defect of three projected curve points (pairwise distinct)."""
     words = tuple(triple)
     ball = _WordBall(rep, 0)
-    x_angle = ball.fixed_points(x)[0].angle
     _triple_distinct(ball, words)
-    d = rep.dim
-    x_low = ball.space(x, d - k - 2)
-    x_high = ball.space(x, d - k + 1)
-    lines = []
-    for w in words:
-        if circle_separation(ball.fixed_points(w)[0].angle,
-                             x_angle) < DISTINCT_TOL:
-            lines.append(quotient_project(
-                ball.space(x, d - k - 1), x_low, x_high))
-        else:
-            lines.append(quotient_project(
-                intersect(ball.space(w, k), x_high), x_low, x_high))
-    return direct_sum_defect(lines)
+    return direct_sum_defect([_projected_line(ball, k, x, w) for w in words])
 
 
 def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
@@ -733,7 +735,7 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PositivityScanReport:
+class PositivityScanReport(_Report):
     rep_label: str
     k: int
     max_length: int
@@ -743,28 +745,19 @@ class PositivityScanReport:
     worst_quadruple: tuple
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rep": self.rep_label, "k": self.k, "L": self.max_length,
-            "n_points": self.n_points, "n_quadruples": self.n_quadruples,
-            "min_gcr": self.min_gcr,
-            "worst_quadruple": [str(w) for w in self.worst_quadruple],
-            "passed": self.passed,
-        }
 
-
-def check_positively_ratioed(rep: Representation, k: int, max_length: int,
-                             margin: float = 1e-9,
-                             degeneracy_tol: float = 1e-12
-                             ) -> PositivityScanReport:
-    """Minimum Grassmannian cross ratio over cyclically ordered quadruples.
+def check_positively_ratioed(rep: Representation, k: int,
+                             max_length: int) -> PositivityScanReport:
+    """Minimum Grassmannian cross ratio over cyclically ordered quadruples,
+    for k in 1..d-1.
 
     The atlas points are sorted by boundary angle, so every 4-subset
     together with its cyclic rotations and reversals enumerates all
     cyclically ordered arrangements; the cross ratios are evaluated from
-    a cached wedge table.  Passing means min > 1 + margin.
+    a cached wedge table.  Passing means min > 1 + ``POSITIVITY_MARGIN``.
     """
     d = rep.dim
+    _check_k(k, d - 1)
     atlas = BoundaryAtlas(rep, max_length)
     n = len(atlas)
     if n < 4:
@@ -778,7 +771,7 @@ def check_positively_ratioed(rep: Representation, k: int, max_length: int,
                 continue
             wedge[i, j] = wedge_volume([k_flags[i], dk_flags[j]])
     off = np.abs(wedge + np.eye(n))
-    if np.min(off) < degeneracy_tol:
+    if np.min(off) < WEDGE_DEGENERACY_TOL:
         bad = np.unravel_index(int(np.argmin(off)), off.shape)
         raise DomainError(
             f"transversality failure between points "
@@ -805,7 +798,7 @@ def check_positively_ratioed(rep: Representation, k: int, max_length: int,
     return PositivityScanReport(
         rep_label=rep.label, k=k, max_length=max_length, n_points=n,
         n_quadruples=count, min_gcr=float(min_gcr),
-        worst_quadruple=worst_words, passed=bool(min_gcr > 1.0 + margin))
+        worst_quadruple=worst_words, passed=bool(min_gcr > 1.0 + POSITIVITY_MARGIN))
 
 
 # ---------------------------------------------------------------------------
@@ -813,31 +806,16 @@ def check_positively_ratioed(rep: Representation, k: int, max_length: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EigenIdentityReport:
+class EigenIdentityReport(_Report):
     g: Word
     x: Word
     k: int
     pcr_value: float
-    gcr_value: float
     lambda_ratio: float
+    gcr_value: float
     weight_period: float
-
-    @property
-    def pcr_rel_error(self) -> float:
-        return abs(self.pcr_value - self.lambda_ratio) / abs(self.lambda_ratio)
-
-    @property
-    def gcr_rel_error(self) -> float:
-        return abs(self.gcr_value - self.weight_period) / abs(self.weight_period)
-
-    def to_dict(self) -> dict:
-        return {
-            "g": str(self.g), "x": str(self.x), "k": self.k,
-            "pcr_value": self.pcr_value, "lambda_ratio": self.lambda_ratio,
-            "gcr_value": self.gcr_value, "weight_period": self.weight_period,
-            "pcr_rel_error": self.pcr_rel_error,
-            "gcr_rel_error": self.gcr_rel_error,
-        }
+    pcr_rel_error: float
+    gcr_rel_error: float
 
 
 def check_eigen_identities(rep: Representation, k: int, g: Word,
@@ -858,7 +836,7 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
         g_points = ball.fixed_points(g)
         x_att, _ = ball.fixed_points(x)
         for fixed in g_points:
-            if circle_separation(x_att.angle, fixed.angle) < DISTINCT_TOL:
+            if circle_separation(x_att.angle, fixed.angle) < ANGLE_SEPARATION:
                 raise PreconditionError(
                     f"auxiliary point {x} hits a fixed point of {g}")
     d = ball.rep.dim
@@ -881,10 +859,13 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
     gcr_value = float(gcr(ball.space(g_inv, k), x_dk,
                           x_dk.apply(m_g), ball.space(g, k)))
 
+    lambda_ratio = ball.cached(eigenvalue_ratios, g, k).lambda_ratio
+    period = ball.cached(weight_period, g, k)[0]
     return EigenIdentityReport(
-        g=g, x=x, k=k, pcr_value=pcr_value, gcr_value=gcr_value,
-        lambda_ratio=ball.cached(eigenvalue_ratios, g, k).lambda_ratio,
-        weight_period=ball.cached(weight_period, g, k)[0])
+        g=g, x=x, k=k, pcr_value=pcr_value, lambda_ratio=lambda_ratio,
+        gcr_value=gcr_value, weight_period=period,
+        pcr_rel_error=abs(pcr_value - lambda_ratio) / abs(lambda_ratio),
+        gcr_rel_error=abs(gcr_value - period) / abs(period))
 
 
 def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
@@ -914,7 +895,7 @@ def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CollarReport:
+class CollarReport(_Report):
     g: Word
     h: Word
     k: int
@@ -924,14 +905,6 @@ class CollarReport:
     holds: bool
     margin: float
     sign_indeterminate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "g": str(self.g), "h": str(self.h), "k": self.k,
-            "lhs": self.lhs, "rhs": self.rhs, "weight_rhs": self.weight_rhs,
-            "holds": self.holds, "margin": self.margin,
-            "sign_indeterminate": self.sign_indeterminate,
-        }
 
 
 def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
@@ -1001,16 +974,11 @@ def collar_scan(rep: Representation, k: int, max_length: int) -> list:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CounterexampleRow:
+class CounterexampleRow(_Report):
     x: float
     ratio_gamma: float
     ratio_delta: float
     root_length: float
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "ratio_gamma": self.ratio_gamma,
-                "ratio_delta": self.ratio_delta,
-                "root_length": self.root_length}
 
 
 def counterexample_scan(x_grid) -> list:
@@ -1092,12 +1060,13 @@ def sopq_model_triple_defect(data: SOpqData, p_el, k: int) -> float:
 # convergence of Cartan attractors to the attracting space
 # ---------------------------------------------------------------------------
 
-def attractor_convergence_slope(rep: Representation, w: Word, k: int,
-                                n_max: int = 40) -> tuple:
-    """Least-squares slope of log d(U_k(g^n), attracting space) in n."""
+def attractor_convergence_slope(rep: Representation, w: Word,
+                                k: int) -> tuple:
+    """Least-squares slope of log d(U_k(g^n), attracting space) in
+    n = 1..``CONVERGENCE_POWERS``."""
     m = evaluate(rep, w)
     target = attracting_space(m.entries, k)
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, CONVERGENCE_POWERS + 1)
     dists = []
     for n in ns:
         p = power_normalized(m.entries, int(n))

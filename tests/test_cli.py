@@ -49,6 +49,20 @@ class TestConstruct:
         doc = json.loads(err)
         assert doc["error"] == "InputError"
 
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '{"dim": 2, "label": "no generators"}',
+        '{"dim": 2, "generators": [[[1.0, 0.0], [0.0]]]}',
+    ], ids=["not-json", "no-generators", "ragged"])
+    def test_malformed_rep_file_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        assert run(["gap-scan", "--rep", str(path), "--k", "1",
+                    "--L", "3"]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InputError"
+        assert "malformed representation JSON" in doc["message"]
+
 
 class TestGapScan:
     def test_fg_json_report(self, tmp_path):
@@ -106,6 +120,14 @@ class TestCheck:
                       "--k", "1", "--L", "2", "--out", str(out)])
         assert status == 0
         assert json.loads(out.read_text())["report"]["min_gcr"] > 1
+
+    @pytest.mark.parametrize("k", ["0", "3"])
+    def test_pos_ratioed_bad_k_exit_3(self, capsys, k):
+        assert run(["check", "pos-ratioed", "--family", "fg", "--x", "1",
+                    "--k", k, "--L", "2"]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InputError"
+        assert f"k={k} outside 1..2" in doc["message"]
 
     def test_eigen_identities_fg(self, tmp_path):
         out = tmp_path / "r.json"

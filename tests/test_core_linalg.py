@@ -137,7 +137,7 @@ class TestIntersect:
         c, s = np.cos(theta), np.sin(theta)
         w = Subspace.from_spanning(np.array([c, s, 0.0]))
         with pytest.raises(AmbiguityError) as exc:
-            intersect(e(3, 0), w, tol=1e-8)
+            intersect(e(3, 0), w)
         assert exc.value.spectrum is not None
 
     def test_full_space_shortcut(self):

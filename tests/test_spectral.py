@@ -84,6 +84,22 @@ class TestSpectrum:
         else:
             RECORD_READERS[reader](FG_GAMMA)
 
+    def test_residual_error_names_the_first_failing_eigenvalue(
+            self, monkeypatch):
+        # the two smaller eigenvalues of FG_GAMMA (1 and 7 - 3 sqrt 5) are
+        # moved off; the error reports the first of them in sorted order
+        exact = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals",
+            lambda a: np.where(np.abs(exact(a)) < 5, exact(a) * 1.001,
+                               exact(a)))
+        with pytest.raises(NumericError) as exc:
+            spectrum(FG_GAMMA)
+        lam = exc.value.diagnostics["eigenvalue"]
+        assert lam == pytest.approx(1.001, rel=1e-9)
+        assert exc.value.diagnostics["residual"] == pytest.approx(
+            abs(np.linalg.det(FG_GAMMA - lam * np.eye(3))), rel=1e-9)
+
     @pytest.mark.parametrize("fn", [attracting_space, eigenvalue_ratios,
                                     length_functions, weight_period])
     @pytest.mark.parametrize("k", [0, 3])

@@ -47,6 +47,12 @@ from anosovlab.spectral import (
 )
 from anosovlab.verification import (
     MONOTONE_SLACK,
+    CollarReport,
+    CounterexampleRow,
+    EigenIdentityReport,
+    GapScanReport,
+    PositivityScanReport,
+    TransversalityScanReport,
     SCAN_ACCEPT,
     SCAN_REJECT,
     SLOPE_ANOSOV,
@@ -459,11 +465,40 @@ class TestProjectionHyperconvexity:
         d = projection_triple_defect(rep, 1, A, (B, A * B, B * A))
         assert d > 1e-4
 
+    def test_worst_triple_recomputes_exactly(self):
+        # the scan and the single-triple check build each curve point with
+        # the same code, also the special line of the base point itself
+        rep = fg_rep(1.0)
+        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
+        report = check_projection_hyperconvexity(rep, 1, A, samples)
+        assert A in report.worst_triple
+        assert projection_triple_defect(
+            rep, 1, A, report.worst_triple) == report.min_defect
+
     def test_7_1_projection(self):
         rep = fuchsian_locus((7, 1), REF)
         samples = [w for w in words_of_length(2, 2) if len(w) > 0]
         report = check_projection_hyperconvexity(rep, 1, A, samples)
         assert report.min_defect > 1e-4
+
+
+class TestIndexRange:
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_positivity_rejects_k_outside_1_to_d_minus_1(self, k):
+        with pytest.raises(InputError, match=f"k={k} outside 1..2"):
+            check_positively_ratioed(fg_rep(1.0), k, 2)
+
+    @pytest.mark.parametrize("scan,k,top", [
+        (hk_scan, 0, 5), (hk_scan, 6, 5), (ck_scan, 0, 4), (ck_scan, 5, 4)])
+    def test_transversality_scans_reject_k_out_of_range(self, scan, k, top):
+        rep = fuchsian_locus((5, 1), REF)
+        with pytest.raises(InputError, match=f"k={k} outside 1..{top}"):
+            scan(rep, k, 2)
+
+    def test_top_indices_still_run(self):
+        rep = fuchsian_locus((5, 1), REF)
+        assert hk_scan(rep, 5, 2).n_triples > 0
+        assert ck_scan(rep, 4, 2).verdict == "non-certifiable"
 
 
 class TestPositivelyRatioed:
@@ -705,6 +740,79 @@ class TestSignPositivity:
 
 class TestConvergence:
     def test_fg_gamma_slope(self):
-        slope, dists = attractor_convergence_slope(fg_rep(1.0), A, 1, 40)
+        slope, dists = attractor_convergence_slope(fg_rep(1.0), A, 1)
         assert slope < -0.1
         assert dists[0] > dists[5] > dists[10]
+
+
+class TestReportFormat:
+    """Key order and value types of every report's ``to_dict``."""
+
+    AB = (A, B, A * B)
+
+    REPORTS = {
+        "gap": (GapScanReport(
+            rep_label="r", k=1, max_length=3, lengths=(1, 2, 3),
+            min_log_gaps=(0.1, 0.2, 0.3), slope=0.1, intercept=0.0,
+            verdict="anosov-like"),
+            ["rep", "k", "L", "lengths", "min_log_gaps", "slope",
+             "intercept", "verdict"]),
+        "transversality": (TransversalityScanReport(
+            kind="Hk", rep_label="r", k=1, max_length=2,
+            certification={1: "anosov-like", 2: "flat"}, certified=False,
+            n_points=3, n_triples=6, gap_failures=0, min_defect=0.5,
+            verdict="pass", worst_triple=AB, max_defect=0.7,
+            min_separation=0.3, ambiguous_items=1),
+            ["kind", "rep", "k", "L", "certification", "certified",
+             "n_points", "n_triples", "gap_failures", "ambiguous_items",
+             "min_defect", "max_defect", "min_separation", "verdict",
+             "worst_triple"]),
+        "positivity": (PositivityScanReport(
+            rep_label="r", k=1, max_length=2, n_points=4, n_quadruples=8,
+            min_gcr=1.5, worst_quadruple=AB + (B * A,), passed=True),
+            ["rep", "k", "L", "n_points", "n_quadruples", "min_gcr",
+             "worst_quadruple", "passed"]),
+        "eigen": (EigenIdentityReport(
+            g=A, x=B, k=1, pcr_value=2.0, lambda_ratio=2.0, gcr_value=4.0,
+            weight_period=4.0, pcr_rel_error=0.0, gcr_rel_error=0.0),
+            ["g", "x", "k", "pcr_value", "lambda_ratio", "gcr_value",
+             "weight_period", "pcr_rel_error", "gcr_rel_error"]),
+        "collar": (CollarReport(
+            g=A, h=B, k=1, lhs=3.0, rhs=2.0, weight_rhs=1.5, holds=True,
+            margin=1.0, sign_indeterminate=False),
+            ["g", "h", "k", "lhs", "rhs", "weight_rhs", "holds", "margin",
+             "sign_indeterminate"]),
+        "counterexample": (CounterexampleRow(
+            x=1.0, ratio_gamma=6.8, ratio_delta=6.8, root_length=1.9),
+            ["x", "ratio_gamma", "ratio_delta", "root_length"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_key_order(self, name):
+        report, keys = self.REPORTS[name]
+        assert list(report.to_dict()) == keys
+
+    def test_words_tuples_and_keys_become_json_types(self):
+        doc = self.REPORTS["transversality"][0].to_dict()
+        assert doc["certification"] == {"1": "anosov-like", "2": "flat"}
+        assert doc["worst_triple"] == ["a", "b", "ab"]
+        assert self.REPORTS["gap"][0].to_dict()["lengths"] == [1, 2, 3]
+        assert self.REPORTS["positivity"][0].to_dict()["worst_quadruple"] == [
+            "a", "b", "ab", "ba"]
+        eigen = self.REPORTS["eigen"][0].to_dict()
+        assert (eigen["g"], eigen["x"]) == ("a", "b")
+
+    def test_missing_worst_triple_is_null(self):
+        rep = fuchsian_locus((5, 1), REF)
+        doc = ck_scan(rep, 1, 2).to_dict()
+        assert doc["verdict"] == "non-certifiable"
+        assert doc["worst_triple"] is None and doc["min_defect"] is None
+
+    def test_eigen_errors_are_fields(self):
+        report = check_eigen_identities(fg_rep(1.0), 1, A, B)
+        assert report.pcr_rel_error == (
+            abs(report.pcr_value - report.lambda_ratio)
+            / abs(report.lambda_ratio))
+        assert report.gcr_rel_error == (
+            abs(report.gcr_value - report.weight_period)
+            / abs(report.weight_period))
