@@ -5,6 +5,9 @@ emitting machine-readable reports: JSON for nested reports, CSV (with a
 sidecar schema file) for flat scan tables.  Exit status: 0 all checks
 pass, 1 any check fails, 2 only ambiguous verdicts, 3 numeric/domain
 errors (diagnostic JSON on stderr), 64 usage errors.
+
+The commands only adapt arguments and aggregate report verdicts: every
+verdict threshold is a constant of ``verification``.
 """
 
 from __future__ import annotations
@@ -20,14 +23,11 @@ from . import verification as ver
 from .errors import AnosovLabError
 from .groups import Word, words_of_length
 from .representations import (
-    coxeter_number_B,
     fg_rep,
     fuchsian_locus,
     punctured_torus_reference,
     rep_from_json,
     rep_to_json,
-    sopq_form,
-    sopq_positive,
 )
 
 L_CAP_DEFAULT = 7
@@ -39,13 +39,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2, default=str)
+def _emit(text: str, out: str | None):
     if out is None:
         click.echo(text)
     else:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+
+
+def _write_json(doc: dict, out: str | None):
+    _emit(json.dumps(doc, indent=2, default=str), out)
 
 
 def _write_csv(out: str, columns: list, rows: list, descriptions: dict):
@@ -141,13 +144,8 @@ def cli():
               help="Output path for the representation JSON (default stdout).")
 def construct(family, x, partition, rep_path, out):
     """Emit a representation as JSON."""
-    rep = _load_representation(family, x, partition, rep_path)
-    text = rep_to_json(rep)
-    if out is None:
-        click.echo(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    _emit(rep_to_json(_load_representation(family, x, partition, rep_path)),
+          out)
     return 0
 
 
@@ -174,9 +172,7 @@ def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
         })
     else:
         _write_json({"command": "gap-scan", "report": report.to_dict()}, out)
-    return _status_from_verdicts([
-        "pass" if report.verdict == "anosov-like" else
-        ("fail" if report.verdict == "flat" else "ambiguous")])
+    return _status_from_verdicts([report.verdict])
 
 
 @cli.command()
@@ -189,28 +185,20 @@ def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
 @click.option("--L-cap", "l_cap", type=int, default=L_CAP_DEFAULT)
 @click.option("--base-word", type=str, default="a",
               help="Base boundary point for the hyperconvex projection check.")
-@click.option("--accept-tol", type=float, default=ver.SCAN_ACCEPT)
-@click.option("--reject-tol", type=float, default=ver.SCAN_REJECT)
 @click.option("--min-separation", type=float, default=ver.TRIPLE_SEPARATION)
-@click.option("--identity-tol", type=float, default=1e-7,
-              help="Relative tolerance of the eigenvalue identities.")
 @click.option("--out", type=click.Path(), default=None)
 def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
-          accept_tol, reject_tol, min_separation, identity_tol, out):
+          min_separation, out):
     """Run one of the transversality / positivity / identity checks."""
     rep = _load_representation(family, x, partition, rep_path)
     l_value = _check_L(l_value, l_cap)
     what = what.lower()
     if what == "hk":
-        report = ver.hk_scan(rep, k, l_value, accept=accept_tol,
-                             reject=reject_tol,
-                             min_separation=min_separation)
+        report = ver.hk_scan(rep, k, l_value, min_separation=min_separation)
         _write_json({"command": "check-Hk", "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
     if what == "ck":
-        report = ver.ck_scan(rep, k, l_value, accept=accept_tol,
-                             reject=reject_tol,
-                             min_separation=min_separation)
+        report = ver.ck_scan(rep, k, l_value, min_separation=min_separation)
         _write_json({"command": "check-Ck", "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
     if what == "hyperconvex":
@@ -227,8 +215,7 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
         base = Word.from_letters(letters)
         samples = [w for w in words_of_length(rep.rank, l_value) if len(w) > 0]
         report = ver.check_projection_hyperconvexity(
-            rep, k, base, samples, accept=accept_tol, reject=reject_tol,
-            min_separation=min_separation)
+            rep, k, base, samples, min_separation=min_separation)
         _write_json({"command": "check-hyperconvex",
                      "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
@@ -239,18 +226,14 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
         return 0 if report.passed else 1
     # eigen identities
     reports = ver.eigen_identity_scan(rep, k, l_value)
-    worst_pcr = max(r.pcr_rel_error for r in reports)
-    worst_gcr = max(r.gcr_rel_error for r in reports)
-    all_above_one = all(r.gcr_value > 1.0 for r in reports)
-    passed = worst_pcr <= identity_tol and worst_gcr <= identity_tol \
-        and all_above_one
+    passed = all(r.passed for r in reports)
     _write_json({
         "command": "check-eigen-identities",
         "n_words": len(reports),
-        "max_pcr_rel_error": worst_pcr,
-        "max_gcr_rel_error": worst_gcr,
-        "all_periods_above_one": all_above_one,
-        "tolerance": identity_tol,
+        "max_pcr_rel_error": max(r.pcr_rel_error for r in reports),
+        "max_gcr_rel_error": max(r.gcr_rel_error for r in reports),
+        "all_periods_above_one": all(r.gcr_value > 1.0 for r in reports),
+        "tolerance": ver.IDENTITY_RTOL,
         "passed": passed,
         "reports": [r.to_dict() for r in reports],
     }, out)
@@ -275,7 +258,7 @@ def collar(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
         "n_pairs": len(reports),
         "all_hold": all(r.holds for r in reports),
         "min_margin": min((r.margin for r in reports), default=None),
-        "weight_chain_ok": all(r.rhs >= r.weight_rhs - 1e-9 for r in reports),
+        "weight_chain_ok": all(r.weight_chain_ok for r in reports),
     }
     if fmt == "csv":
         if out is None:
@@ -308,7 +291,8 @@ def fg_scan(x_min, x_max, points, log_grid, out):
         raise click.UsageError("need 0 < x-min <= x-max")
     grid = (np.geomspace(x_min, x_max, points) if log_grid
             else np.linspace(x_min, x_max, points))
-    rows = [r.to_dict() for r in ver.counterexample_scan(grid)]
+    reports = ver.counterexample_scan(grid)
+    rows = [r.to_dict() for r in reports]
     columns = ["x", "ratio_gamma", "ratio_delta", "root_length"]
     if out is None:
         click.echo(",".join(columns))
@@ -321,9 +305,7 @@ def fg_scan(x_min, x_max, points, log_grid, out):
             "ratio_delta": "signed lambda_1/lambda_2 of the second generator",
             "root_length": "log of the top eigenvalue gap",
         })
-    agree = all(abs(r["ratio_gamma"] - r["ratio_delta"])
-                <= 1e-8 * abs(r["ratio_gamma"]) for r in rows)
-    return 0 if agree else 1
+    return 0 if all(r.columns_agree for r in reports) else 1
 
 
 @cli.command()
@@ -336,41 +318,9 @@ def fg_scan(x_min, x_max, points, log_grid, out):
 @click.option("--out", type=click.Path(), default=None)
 def sopq(p, q, count, seed, entry_max, out):
     """Build random positive elements and check the positivity coefficients."""
-    data = sopq_form(p, q)
-    rng = np.random.default_rng(seed)
-    half_h = coxeter_number_B(p - 1) // 2
-    m = q - p + 2
-    rows = []
-    ok = True
-    for i in range(count):
-        vbars = []
-        for _ in range(half_h):
-            scalars = [float(rng.uniform(1e-6, entry_max))
-                       for _ in range(p - 2)]
-            v = np.zeros(m)
-            v[0] = rng.uniform(1e-6, entry_max)
-            v[-1] = (-1.0) ** (p - 1) * rng.uniform(1e-6, entry_max)
-            vbars.append(scalars + [v])
-        p_el = sopq_positive(data, vbars)
-        resid = float(np.linalg.norm(
-            p_el.entries.T @ data.Q @ p_el.entries - data.Q, 2))
-        row = {"index": i, "q_residual": resid}
-        for k in range(1, p - 2):
-            c, ci = ver.sopq_positivity_coeffs(p_el, data, k)
-            defect = ver.sopq_model_triple_defect(data, p_el, k)
-            row[f"coeff_k{k}"] = c
-            row[f"coeff_inv_k{k}"] = ci
-            row[f"model_defect_k{k}"] = defect
-            ok = ok and c > 0 and ci > 0 and defect > 1e-6
-        ok = ok and resid <= 1e-10 * float(np.linalg.norm(data.Q, 2)) * 100
-        rows.append(row)
-    _write_json({
-        "command": "sopq", "p": p, "q": q, "count": count, "seed": seed,
-        "all_positive": ok,
-        "max_q_residual": max(r["q_residual"] for r in rows),
-        "rows": rows,
-    }, out)
-    return 0 if ok else 1
+    report = ver.sopq_scan(p, q, count, seed, entry_max)
+    _write_json({"command": "sopq", **report.to_dict()}, out)
+    return 0 if report.all_positive else 1
 
 
 def main(argv=None) -> int:

@@ -60,7 +60,6 @@ class SpectralGaps:
     """
 
     k: int
-    sigma_ratio: float
     lambda_ratio_signed: float | None
     lambda_ratio_modulus: float
 
@@ -161,7 +160,7 @@ def attracting_space(m, k: int) -> Subspace:
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:
-    """Populate SpectralGaps from the SVD and the eigenvalue list."""
+    """Populate SpectralGaps from the sorted eigenvalue list."""
     spec = _indexed_spectrum(m, k)
     lk, lk1 = spec.values[k - 1:k + 1]
     modulus_ratio = float(abs(lk) / abs(lk1)) if abs(lk1) > 0 else np.inf
@@ -173,8 +172,7 @@ def eigenvalue_ratios(m, k: int) -> SpectralGaps:
         if abs(abs(signed) - modulus_ratio) > 1e-9 * max(modulus_ratio, 1.0):
             raise NumericError(
                 "signed and modulus eigenvalue ratios disagree beyond tolerance")
-    return SpectralGaps(k=k, sigma_ratio=singular_gap(spec.entries, k),
-                        lambda_ratio_signed=signed,
+    return SpectralGaps(k=k, lambda_ratio_signed=signed,
                         lambda_ratio_modulus=modulus_ratio)
 
 

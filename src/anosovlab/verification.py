@@ -5,7 +5,7 @@ identities, the collar inequality and the root-gap degeneration scan.
 Everything here is a desk-scale numerical verification over word balls:
 "for all" statements are checked on exhaustive samples of fixed points
 and reported with minimum defects and three-way verdicts, never claimed
-as proofs.
+as proofs.  Every threshold behind a verdict is a constant of this module.
 """
 
 from __future__ import annotations
@@ -46,7 +46,14 @@ from .groups import (
     rp1_fixed_points,
     words_of_length,
 )
-from .representations import Representation, SOpqData, fg_rep
+from .representations import (
+    Representation,
+    SOpqData,
+    coxeter_number_B,
+    fg_rep,
+    sopq_form,
+    sopq_positive,
+)
 from .spectral import (
     attracting_space,
     cartan_attractor,
@@ -63,6 +70,7 @@ __all__ = [
     "EigenIdentityReport",
     "CollarReport",
     "CounterexampleRow",
+    "SopqScanReport",
     "anosov_gap_scan",
     "boundary_flag",
     "check_Hk",
@@ -80,6 +88,7 @@ __all__ = [
     "counterexample_scan",
     "sopq_positivity_coeffs",
     "sopq_model_triple_defect",
+    "sopq_scan",
     "required_indices_h",
     "required_indices_c",
 ]
@@ -102,6 +111,16 @@ TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
                           # but nearly coincident points vanish to high order
                           # (contact of the flag curve), so threshold verdicts
                           # are only meaningful on separated triples
+IDENTITY_RTOL = 1e-7      # relative error within which an eigenvalue
+                          # identity holds
+WEIGHT_CHAIN_SLACK = 1e-9  # allowed excess of the weight bound over the
+                           # collar rhs
+RATIO_AGREEMENT_RTOL = 1e-8  # relative gap within which the two generator
+                             # ratio columns of the fg family agree
+SOPQ_ENTRY_MIN = 1e-6     # lower end of the uniform draws of sopq_scan
+SOPQ_DEFECT_FLOOR = 1e-6  # model C_k defect above which a positive
+                          # element passes
+SOPQ_RESIDUAL_RTOL = 1e-8  # ||P^T Q P - Q||_2 allowed, relative to ||Q||_2
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +457,10 @@ class TransversalityScanReport(_Report):
     worst_triple: tuple | None = None
 
 
-def _scan_verdict(min_defect: float, accept: float, reject: float) -> str:
-    if min_defect > accept:
+def _scan_verdict(min_defect: float) -> str:
+    if min_defect > SCAN_ACCEPT:
         return "pass"
-    if min_defect < reject:
+    if min_defect < SCAN_REJECT:
         return "fail"
     return "ambiguous"
 
@@ -551,7 +570,6 @@ def _check_k(k: int, top: int) -> None:
 def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
-                         accept: float, reject: float,
                          min_separation: float) -> TransversalityScanReport:
     certification = {
         idx: report.verdict for idx, report in
@@ -598,7 +616,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
         min_defect = max_defect = worst_words = None
     else:
         worst_words = tuple(atlas.samples[i].word for i in worst)
-    verdict = (_scan_verdict(min_defect, accept, reject)
+    verdict = (_scan_verdict(min_defect)
                if min_defect is not None else "ambiguous")
     if verdict == "pass" and ambiguous_items:
         verdict = "ambiguous"
@@ -612,11 +630,14 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
 
 
 def hk_scan(rep: Representation, k: int, max_length: int,
-            accept: float = SCAN_ACCEPT, reject: float = SCAN_REJECT,
             min_separation: float = TRIPLE_SEPARATION
             ) -> TransversalityScanReport:
     """H_k defect over ordered separated fixed-point triples of a ball,
     for k in 1..d-1.
+
+    The verdict is ``pass`` when the minimum defect exceeds
+    ``SCAN_ACCEPT``, ``fail`` when it is below ``SCAN_REJECT``, else
+    ``ambiguous``.
 
     Triples whose required flags do not exist (missing eigenvalue gap)
     are recorded with defect 0: the transversality sum the property
@@ -632,21 +653,21 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     return _transversality_scan(
         rep, k, max_length, "Hk", _hk_summands,
         required_indices_h(k, rep.dim), require_certification=False,
-        accept=accept, reject=reject, min_separation=min_separation)
+        min_separation=min_separation)
 
 
 def ck_scan(rep: Representation, k: int, max_length: int,
-            accept: float = SCAN_ACCEPT, reject: float = SCAN_REJECT,
             min_separation: float = TRIPLE_SEPARATION
             ) -> TransversalityScanReport:
     """C_k defect scan for k in 1..d-2; non-certifiable when a required gap
     scan is not anosov-like (the property needs Anosov behaviour at those
-    indices)."""
+    indices), else verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
+    ``hk_scan``."""
     _check_k(k, rep.dim - 2)
     return _transversality_scan(
         rep, k, max_length, "Ck", _ck_summands,
         required_indices_c(k, rep.dim), require_certification=True,
-        accept=accept, reject=reject, min_separation=min_separation)
+        min_separation=min_separation)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +680,6 @@ def _projected_line(ball: _WordBall, k: int, x: Word, w: Word) -> Subspace:
     d = ball.rep.dim
     x_low = ball.space(x, d - k - 2)
     x_high = ball.space(x, d - k + 1)
-    if x_high.rank - x_low.rank != 3:
-        raise InputError("projection target is not 3-dimensional")
     if circle_separation(ball.fixed_points(w)[0].angle,
                          ball.fixed_points(x)[0].angle) < ANGLE_SEPARATION:
         line = ball.space(x, d - k - 1)
@@ -672,15 +691,16 @@ def _projected_line(ball: _WordBall, k: int, x: Word, w: Word) -> Subspace:
 def _projection_lines(rep: Representation, k: int, x: Word, samples,
                       min_separation: float):
     """Curve points in P(x^(d-k+1)/x^(d-k-2)): the special x-line plus the
-    projected sections of samples, thinned to the separation cutoff."""
+    projected sections of samples, thinned to the separation cutoff and
+    never keeping two coincident boundary points."""
     ball = _WordBall(rep, 0)
+    cutoff = max(min_separation, ANGLE_SEPARATION)
     kept_angles = [ball.fixed_points(x)[0].angle]
     lines = [_projected_line(ball, k, x, x)]
     labels = [x]
     for y in samples:
         angle = ball.fixed_points(y)[0].angle
-        if any(circle_separation(angle, a) < min_separation
-               for a in kept_angles):
+        if any(circle_separation(angle, a) < cutoff for a in kept_angles):
             continue
         kept_angles.append(angle)
         lines.append(_projected_line(ball, k, x, y))
@@ -690,7 +710,9 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
 
 def projection_triple_defect(rep: Representation, k: int, x: Word,
                              triple) -> float:
-    """Spanning defect of three projected curve points (pairwise distinct)."""
+    """Spanning defect of three projected curve points (pairwise distinct),
+    for k in 1..d-2."""
+    _check_k(k, rep.dim - 2)
     words = tuple(triple)
     ball = _WordBall(rep, 0)
     _triple_distinct(ball, words)
@@ -698,18 +720,21 @@ def projection_triple_defect(rep: Representation, k: int, x: Word,
 
 
 def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
-                                    samples, accept: float = SCAN_ACCEPT,
-                                    reject: float = SCAN_REJECT,
+                                    samples,
                                     min_separation: float = TRIPLE_SEPARATION
                                     ) -> TransversalityScanReport:
-    """Spanning defect of projected triples in the 3-space X = x^(d-k+1)/x^(d-k-2).
+    """Spanning defect of projected triples in the 3-space
+    X = x^(d-k+1)/x^(d-k-2), for k in 1..d-2.
 
     Every sample boundary point y maps to the line [y^k n x^(d-k+1)];
     the point x itself contributes the line [x^(d-k-1)].  Samples closer
-    than the separation cutoff to an already-kept curve point are
-    thinned out; the report carries the minimum 3-plane spanning defect
-    over all triples of kept curve points.
+    than the separation cutoff (at least ``groups.ANGLE_SEPARATION``) to
+    an already-kept curve point are thinned out; the report carries the
+    minimum 3-plane spanning defect over all triples of kept curve
+    points, with verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
+    ``hk_scan``.
     """
+    _check_k(k, rep.dim - 2)
     lines, labels = _projection_lines(rep, k, x, samples, min_separation)
     n = len(lines)
     if n < 3:
@@ -726,7 +751,7 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
         certification={}, certified=True, n_points=n,
         n_triples=n * (n - 1) * (n - 2) // 6, gap_failures=0,
         min_defect=float(min_defect),
-        verdict=_scan_verdict(float(min_defect), accept, reject),
+        verdict=_scan_verdict(float(min_defect)),
         worst_triple=worst, min_separation=min_separation)
 
 
@@ -817,6 +842,13 @@ class EigenIdentityReport(_Report):
     pcr_rel_error: float
     gcr_rel_error: float
 
+    @property
+    def passed(self) -> bool:
+        """Both identities hold to ``IDENTITY_RTOL``; the period exceeds 1."""
+        return (self.pcr_rel_error <= IDENTITY_RTOL
+                and self.gcr_rel_error <= IDENTITY_RTOL
+                and self.gcr_value > 1.0)
+
 
 def check_eigen_identities(rep: Representation, k: int, g: Word,
                            x: Word) -> EigenIdentityReport:
@@ -906,6 +938,11 @@ class CollarReport(_Report):
     margin: float
     sign_indeterminate: bool
 
+    @property
+    def weight_chain_ok(self) -> bool:
+        """The weight bound lies below rhs, up to ``WEIGHT_CHAIN_SLACK``."""
+        return self.rhs >= self.weight_rhs - WEIGHT_CHAIN_SLACK
+
 
 def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
     lhs, lhs_signed = ball.cached(weight_period, g, k)
@@ -979,6 +1016,12 @@ class CounterexampleRow(_Report):
     ratio_gamma: float
     ratio_delta: float
     root_length: float
+
+    @property
+    def columns_agree(self) -> bool:
+        """The ratios agree to ``RATIO_AGREEMENT_RTOL`` of ``ratio_gamma``."""
+        return (abs(self.ratio_gamma - self.ratio_delta)
+                <= RATIO_AGREEMENT_RTOL * abs(self.ratio_gamma))
 
 
 def counterexample_scan(x_grid) -> list:
@@ -1054,6 +1097,69 @@ def sopq_model_triple_defect(data: SOpqData, p_el, k: int) -> float:
     px_k = _coordinate_span_bottom(d, k).apply(m)
     x_k1 = _coordinate_span_bottom(d, k + 1)
     return direct_sum_defect([z_low, intersect(z_high, px_k), x_k1])
+
+
+@dataclass(frozen=True)
+class SopqScanReport(_Report):
+    p: int
+    q: int
+    count: int
+    seed: int
+    all_positive: bool
+    max_q_residual: float
+    rows: tuple            # one dict per sampled element
+
+
+def sopq_scan(p: int, q: int, count: int, seed: int,
+              entry_max: float) -> SopqScanReport:
+    """Positivity coefficients and model C_k defects of random positive
+    elements of SO(p, q).
+
+    Each element is ``sopq_positive`` of h/2 factors whose p-2 scalars and
+    two cone-vector entries are drawn uniformly from
+    [``SOPQ_ENTRY_MIN``, ``entry_max``) by a generator seeded with
+    ``seed``.  An element passes when it preserves Q to
+    ``SOPQ_RESIDUAL_RTOL`` ||Q||_2 and, for every k in 1..p-3, both
+    coefficients are positive and the model defect exceeds
+    ``SOPQ_DEFECT_FLOOR``.
+    """
+    if count < 1:
+        raise InputError(f"count={count} is below 1")
+    if not entry_max > SOPQ_ENTRY_MIN:
+        raise InputError(
+            f"entry_max={entry_max} is not above {SOPQ_ENTRY_MIN}")
+    data = sopq_form(p, q)
+    rng = np.random.default_rng(seed)
+    half_h = coxeter_number_B(p - 1) // 2
+    m = q - p + 2
+    budget = SOPQ_RESIDUAL_RTOL * float(np.linalg.norm(data.Q, 2))
+    rows = []
+    ok = True
+    for i in range(count):
+        vbars = []
+        for _ in range(half_h):
+            scalars = [float(rng.uniform(SOPQ_ENTRY_MIN, entry_max))
+                       for _ in range(p - 2)]
+            v = np.zeros(m)
+            v[0] = rng.uniform(SOPQ_ENTRY_MIN, entry_max)
+            v[-1] = (-1.0) ** (p - 1) * rng.uniform(SOPQ_ENTRY_MIN, entry_max)
+            vbars.append(scalars + [v])
+        p_el = sopq_positive(data, vbars)
+        resid = float(np.linalg.norm(
+            p_el.entries.T @ data.Q @ p_el.entries - data.Q, 2))
+        row = {"index": i, "q_residual": resid}
+        for k in range(1, p - 2):
+            c, ci = sopq_positivity_coeffs(p_el, data, k)
+            defect = sopq_model_triple_defect(data, p_el, k)
+            row[f"coeff_k{k}"] = c
+            row[f"coeff_inv_k{k}"] = ci
+            row[f"model_defect_k{k}"] = defect
+            ok = ok and c > 0 and ci > 0 and defect > SOPQ_DEFECT_FLOOR
+        ok = ok and resid <= budget
+        rows.append(row)
+    return SopqScanReport(
+        p=p, q=q, count=count, seed=seed, all_positive=ok,
+        max_q_residual=max(r["q_residual"] for r in rows), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,13 @@ class TestCheck:
                       "--out", str(out)])
         assert status == 0
 
+    def test_hyperconvex_k_out_of_range_exit_3(self, capsys):
+        assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
+                    "--k", "2", "--L", "2"]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InputError"
+        assert "k=2 outside 1..1" in doc["message"]
+
     @pytest.mark.parametrize("word", ["a-b", "1", "c"])
     def test_hyperconvex_base_word_not_a_generator_exit_64(self, word):
         # "c" names a third generator; fg has rank 2
@@ -212,6 +219,11 @@ class TestSopq:
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "2"]) == 64
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "0",
                     "--seed", "7"]) == 64
+
+    def test_empty_draw_range_exit_3(self, capsys):
+        assert run(["sopq", "--p", "4", "--q", "5", "--count", "2",
+                    "--seed", "7", "--entry-max", "0"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

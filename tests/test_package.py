@@ -1,11 +1,13 @@
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import anosovlab
+from anosovlab.cli import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(anosovlab.__path__))
 
@@ -32,3 +34,47 @@ def test_every_traced_name_resolves():
             missing.append(qualname)
     assert len(tracing.TRACED) == 15
     assert missing == []
+
+
+# Every value a caller can set: a new option or defaulted parameter must be
+# added here by name, so it shows up as a deliberate edit.
+CLI_OPTIONS = {
+    "check": ["what", "--family", "--x", "--partition", "--rep", "--k", "--L",
+              "--L-cap", "--base-word", "--min-separation", "--out"],
+    "collar": ["--family", "--x", "--partition", "--rep", "--k", "--L",
+               "--L-cap", "--out", "--format"],
+    "construct": ["--family", "--x", "--partition", "--rep", "--out"],
+    "fg-scan": ["--x-min", "--x-max", "--points", "--log-grid", "--out"],
+    "gap-scan": ["--family", "--x", "--partition", "--rep", "--k", "--L",
+                 "--L-cap", "--out", "--format"],
+    "sopq": ["--p", "--q", "--count", "--seed", "--entry-max", "--out"],
+}
+
+DEFAULTED_PARAMETERS = [
+    "groups.words_of_length(cap)",
+    "groups.rp1_fixed_points(word)",
+    "verification.hk_scan(min_separation)",
+    "verification.ck_scan(min_separation)",
+    "verification.check_projection_hyperconvexity(min_separation)",
+]
+
+
+def test_cli_options_are_exactly_the_listed_ones():
+    found = {name: [p.opts[0] for p in command.params]
+             for name, command in cli.commands.items()}
+    assert cli.params == []
+    assert found == CLI_OPTIONS
+
+
+def test_defaulted_public_parameters_are_exactly_the_listed_ones():
+    found = []
+    for name in MODULES:
+        module = importlib.import_module(f"anosovlab.{name}")
+        for attr in getattr(module, "__all__", ()):
+            fn = getattr(module, attr)
+            if not inspect.isfunction(fn):
+                continue
+            found += [f"{name}.{attr}({p.name})"
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not inspect.Parameter.empty]
+    assert found == DEFAULTED_PARAMETERS

@@ -46,7 +46,10 @@ from anosovlab.spectral import (
     singular_gap,
 )
 from anosovlab.verification import (
+    IDENTITY_RTOL,
     MONOTONE_SLACK,
+    RATIO_AGREEMENT_RTOL,
+    WEIGHT_CHAIN_SLACK,
     CollarReport,
     CounterexampleRow,
     EigenIdentityReport,
@@ -81,6 +84,7 @@ from anosovlab.verification import (
     required_indices_h,
     sopq_model_triple_defect,
     sopq_positivity_coeffs,
+    sopq_scan,
 )
 
 REF = punctured_torus_reference()
@@ -481,6 +485,17 @@ class TestProjectionHyperconvexity:
         report = check_projection_hyperconvexity(rep, 1, A, samples)
         assert report.min_defect > 1e-4
 
+    def test_zero_separation_still_drops_coincident_points(self):
+        # the sample a has the base point's boundary point; keeping both
+        # gave a spurious fail with min defect about 1e-33 on 17 points
+        rep = fg_rep(1.0)
+        samples = [w for w in words_of_length(2, 2) if len(w) > 0]
+        report = check_projection_hyperconvexity(rep, 1, A, samples,
+                                                 min_separation=0)
+        assert report.verdict == "pass"
+        assert report.n_points == 12
+        assert report.min_defect > 1e-3
+
 
 class TestIndexRange:
     @pytest.mark.parametrize("k", [0, 3])
@@ -494,6 +509,16 @@ class TestIndexRange:
         rep = fuchsian_locus((5, 1), REF)
         with pytest.raises(InputError, match=f"k={k} outside 1..{top}"):
             scan(rep, k, 2)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("check", [
+        lambda rep, k: check_projection_hyperconvexity(
+            rep, k, A, [B, A * B, B * A]),
+        lambda rep, k: projection_triple_defect(rep, k, A, (B, A * B, B * A)),
+    ], ids=["scan", "triple"])
+    def test_projection_checks_reject_k_outside_1_to_d_minus_2(self, check, k):
+        with pytest.raises(InputError, match=f"k={k} outside 1..1"):
+            check(fg_rep(1.0), k)
 
     def test_top_indices_still_run(self):
         rep = fuchsian_locus((5, 1), REF)
@@ -700,6 +725,72 @@ class TestSopqChecks:
         p_el = random_positive_element(data, rng)
         with pytest.raises(InputError):
             sopq_positivity_coeffs(p_el, data, 2)  # p - 3 = 1
+
+
+class TestSopqScan:
+    def test_draws_pinned(self):
+        # literals of the sampler before it moved out of the CLI: any
+        # change to the draw order changes them
+        report = sopq_scan(4, 5, 5, 7, 2.0)
+        assert report.all_positive
+        assert report.max_q_residual == 5.053590574293935e-14
+        assert report.rows[0] == {
+            "index": 0, "q_residual": 2.4836702822830627e-14,
+            "coeff_k1": 11.507085493220536,
+            "coeff_inv_k1": 3.9160692539664215,
+            "model_defect_k1": 0.3862826364141154}
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(InputError, match="count=0"):
+            sopq_scan(4, 5, 0, 7, 2.0)
+
+    @pytest.mark.parametrize("entry_max", [0.0, -1.0, float("nan")])
+    def test_empty_draw_range_rejected(self, entry_max):
+        with pytest.raises(InputError, match="entry_max"):
+            sopq_scan(4, 5, 2, 7, entry_max)
+
+
+class TestVerdictProperties:
+    ABOVE = float(np.nextafter(IDENTITY_RTOL, 1.0))
+
+    @staticmethod
+    def eigen(pcr=0.0, gcr=0.0, gcr_value=4.0):
+        return EigenIdentityReport(
+            g=A, x=B, k=1, pcr_value=2.0, lambda_ratio=2.0,
+            gcr_value=gcr_value, weight_period=4.0, pcr_rel_error=pcr,
+            gcr_rel_error=gcr)
+
+    def test_identity_passes_at_the_tolerance(self):
+        assert self.eigen(pcr=IDENTITY_RTOL, gcr=IDENTITY_RTOL).passed
+
+    @pytest.mark.parametrize("field", ["pcr", "gcr"])
+    def test_identity_fails_just_above_the_tolerance(self, field):
+        assert not self.eigen(**{field: self.ABOVE}).passed
+
+    def test_period_of_one_fails(self):
+        assert not self.eigen(gcr_value=1.0).passed
+        assert self.eigen(gcr_value=float(np.nextafter(1.0, 2.0))).passed
+
+    @staticmethod
+    def collar(rhs):
+        return CollarReport(g=A, h=B, k=1, lhs=3.0, rhs=rhs, weight_rhs=1.5,
+                            holds=True, margin=3.0 - rhs,
+                            sign_indeterminate=False)
+
+    def test_weight_chain_slack(self):
+        at_slack = 1.5 - WEIGHT_CHAIN_SLACK
+        below = float(np.nextafter(at_slack, 0.0))
+        assert self.collar(at_slack).weight_chain_ok
+        assert not self.collar(below).weight_chain_ok
+
+    def test_ratio_columns_agree(self):
+        def row(delta):
+            return CounterexampleRow(x=1.0, ratio_gamma=1.0,
+                                     ratio_delta=delta, root_length=0.0)
+        # binary gaps either side of RATIO_AGREEMENT_RTOL = 1e-8
+        assert row(1.0 + 2.0 ** -27).columns_agree
+        assert not row(1.0 + 2.0 ** -26).columns_agree
+        assert 2.0 ** -27 < RATIO_AGREEMENT_RTOL < 2.0 ** -26
 
 
 class TestDuality:
