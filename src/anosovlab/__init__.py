@@ -19,10 +19,8 @@ from .core_linalg import (
 )
 from .crossratio import CrossRatioValue, gcr, pcr, pcr_quotient, shear, triple_ratio
 from .groups import (
-    BoundaryPoint,
     Word,
     evaluate,
-    is_cyclically_ordered,
     is_linked,
     rp1_fixed_points,
     words_of_length,

@@ -18,9 +18,10 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import verification as ver
-from .errors import AnosovLabError
+from .errors import AnosovLabError, InputError
 from .groups import Word, words_of_length
 from .representations import (
     fg_rep,
@@ -30,7 +31,7 @@ from .representations import (
     rep_to_json,
 )
 
-L_CAP_DEFAULT = 7
+L_CAP = 7   # longest word length any command scans
 
 
 def _fmt(value) -> str:
@@ -105,11 +106,11 @@ def _load_representation(family, x, partition, rep_path):
     raise click.UsageError(f"unknown family {family!r}")
 
 
-def _check_L(l_value: int, cap: int):
+def _check_L(l_value: int):
     if l_value < 1:
         raise click.UsageError(f"--L {l_value} is below 1")
-    if l_value > cap:
-        raise click.UsageError(f"--L {l_value} exceeds the cap {cap}")
+    if l_value > L_CAP:
+        raise click.UsageError(f"--L {l_value} exceeds the cap {L_CAP}")
     return l_value
 
 
@@ -153,14 +154,13 @@ def construct(family, x, partition, rep_path, out):
 @_add_options(rep_options)
 @click.option("--k", type=int, required=True)
 @click.option("--L", "l_value", type=int, required=True)
-@click.option("--L-cap", "l_cap", type=int, default=L_CAP_DEFAULT)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
-def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
+def gap_scan(family, x, partition, rep_path, k, l_value, out, fmt):
     """Fit the growth of the word-sphere minimum of the k-th singular gap."""
     rep = _load_representation(family, x, partition, rep_path)
-    report = ver.anosov_gap_scan(rep, k, _check_L(l_value, l_cap))
+    report = ver.anosov_gap_scan(rep, k, _check_L(l_value))
     if fmt == "csv":
         if out is None:
             raise click.UsageError("--format csv needs --out")
@@ -182,16 +182,22 @@ def gap_scan(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
 @_add_options(rep_options)
 @click.option("--k", type=int, required=True)
 @click.option("--L", "l_value", type=int, required=True)
-@click.option("--L-cap", "l_cap", type=int, default=L_CAP_DEFAULT)
 @click.option("--base-word", type=str, default="a",
               help="Base boundary point for the hyperconvex projection check.")
 @click.option("--min-separation", type=float, default=ver.TRIPLE_SEPARATION)
 @click.option("--out", type=click.Path(), default=None)
-def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
+def check(what, family, x, partition, rep_path, k, l_value, base_word,
           min_separation, out):
     """Run one of the transversality / positivity / identity checks."""
+    given = click.get_current_context().get_parameter_source
+    applies = {"base_word": what == "hyperconvex",
+               "min_separation": what in ("Hk", "Ck", "hyperconvex")}
+    for name, ok in applies.items():
+        if not ok and given(name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"--{name.replace('_', '-')} does not "
+                                   f"apply to check {what}")
     rep = _load_representation(family, x, partition, rep_path)
-    l_value = _check_L(l_value, l_cap)
+    l_value = _check_L(l_value)
     what = what.lower()
     if what == "hk":
         report = ver.hk_scan(rep, k, l_value, min_separation=min_separation)
@@ -202,17 +208,11 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
         _write_json({"command": "check-Ck", "report": report.to_dict()}, out)
         return _status_from_verdicts([report.verdict])
     if what == "hyperconvex":
-        names = "abcdefgh"[:rep.rank]
-        letters = []
-        for ch in base_word:
-            if ch not in names + names.upper():
-                raise click.BadParameter(
-                    f"{ch!r} is not a generator letter ({names} or "
-                    f"{names.upper()} for rank {rep.rank})",
-                    param_hint="'--base-word'")
-            idx = names.index(ch.lower()) + 1
-            letters.append(idx if ch.islower() else -idx)
-        base = Word.from_letters(letters)
+        try:
+            base = Word.parse(base_word, rep.rank)
+        except InputError as exc:
+            raise click.BadParameter(
+                str(exc), param_hint="'--base-word'") from None
         samples = [w for w in words_of_length(rep.rank, l_value) if len(w) > 0]
         report = ver.check_projection_hyperconvexity(
             rep, k, base, samples, min_separation=min_separation)
@@ -244,14 +244,13 @@ def check(what, family, x, partition, rep_path, k, l_value, l_cap, base_word,
 @_add_options(rep_options)
 @click.option("--k", type=int, required=True)
 @click.option("--L", "l_value", type=int, required=True)
-@click.option("--L-cap", "l_cap", type=int, default=L_CAP_DEFAULT)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
-def collar(family, x, partition, rep_path, k, l_value, l_cap, out, fmt):
+def collar(family, x, partition, rep_path, k, l_value, out, fmt):
     """Collar inequality for every linked pair of ball words."""
     rep = _load_representation(family, x, partition, rep_path)
-    reports = ver.collar_scan(rep, k, _check_L(l_value, l_cap))
+    reports = ver.collar_scan(rep, k, _check_L(l_value))
     rows = [r.to_dict() for r in reports]
     summary = {
         "command": "collar",

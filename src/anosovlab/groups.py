@@ -25,7 +25,6 @@ from .errors import (
 
 __all__ = [
     "Word",
-    "BoundaryPoint",
     "words_of_length",
     "evaluate",
     "rp1_fixed_points",
@@ -37,6 +36,7 @@ __all__ = [
 RENORMALIZE_ABOVE = 30      # word length beyond which products are rescaled
 ANGLE_SEPARATION = 1e-10    # below this two boundary angles count as coincident
 LOXODROMIC_TRACE = 2.0 + 1e-8
+LETTERS = "abcdefgh"        # generator names; capitals are the inverses
 
 
 def _reduce(letters) -> tuple:
@@ -90,12 +90,28 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        names = "abcdefgh"
         out = []
         for x in self.letters:
-            name = names[abs(x) - 1] if abs(x) <= len(names) else f"g{abs(x)}"
+            name = (LETTERS[abs(x) - 1] if abs(x) <= len(LETTERS)
+                    else f"g{abs(x)}")
             out.append(name.upper() if x < 0 else name)
         return "".join(out)
+
+    @classmethod
+    def parse(cls, text: str, rank: int) -> "Word":
+        """The word ``text`` in the letters of ``__str__`` (a generator in
+        lower case, its inverse in upper case), freely reduced."""
+        names = LETTERS[:rank]
+        hint = f"({names} or {names.upper()} for rank {rank})"
+        if not text:
+            raise InputError(f"empty word: give generator letters {hint}")
+        letters = []
+        for ch in text:
+            if ch not in names + names.upper():
+                raise InputError(f"{ch!r} is not a generator letter {hint}")
+            idx = names.index(ch.lower()) + 1
+            letters.append(idx if ch.islower() else -idx)
+        return cls.from_letters(letters)
 
 
 def words_of_length(rank: int, max_length: int, cap: int = 500_000) -> list:
@@ -155,22 +171,15 @@ def _angle_of_direction(v: np.ndarray) -> float:
     return 0.0 if theta >= np.pi else theta
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point of RP^1 given by its angle in [0, pi), tagged by its source word."""
-
-    angle: float
-    source_word: Word | None = None
-
-
 def circle_separation(a: float, b: float) -> float:
     """Distance of two angles on RP^1 (circle of circumference pi)."""
     delta = abs(a - b) % np.pi
     return min(delta, np.pi - delta)
 
 
-def rp1_fixed_points(m, word: Word | None = None):
-    """Attracting and repelling fixed lines of a loxodromic 2x2 matrix."""
+def rp1_fixed_points(m) -> tuple:
+    """Angles in [0, pi) of the attracting and repelling fixed lines of a
+    loxodromic 2x2 matrix, as ``(attracting, repelling)`` floats."""
     a = m.entries if isinstance(m, Mat) else np.asarray(m, dtype=float)
     if a.shape != (2, 2):
         raise InputError("fixed points on RP^1 need a 2x2 matrix")
@@ -193,25 +202,19 @@ def rp1_fixed_points(m, word: Word | None = None):
         v = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
         return v / np.linalg.norm(v)
 
-    att = BoundaryPoint(_angle_of_direction(eigdir(lam_plus)), word)
-    rep_pt = BoundaryPoint(_angle_of_direction(eigdir(lam_minus)), word)
-    return att, rep_pt
+    return (_angle_of_direction(eigdir(lam_plus)),
+            _angle_of_direction(eigdir(lam_minus)))
 
 
-def _angles(points) -> list:
-    out = []
-    for p in points:
-        out.append(p.angle if isinstance(p, BoundaryPoint) else float(p))
-    return out
+def is_cyclically_ordered(angles) -> bool:
+    """True iff the sequence of angles in [0, pi) is monotone around RP^1
+    for one orientation: its cyclic descents number 1 or n - 1.
 
-
-def is_cyclically_ordered(points) -> bool:
-    """True iff the angle sequence is monotone around RP^1 for one orientation.
-
-    Cyclic shifts and full reversal of the tuple preserve the verdict;
-    coincident points (separation below 1e-10) are a precondition error.
+    Cyclic shifts and full reversal of the sequence preserve the verdict;
+    coincident points (separation below ``ANGLE_SEPARATION``) are a
+    precondition error.
     """
-    angles = _angles(points)
+    angles = [float(a) for a in angles]
     n = len(angles)
     if n < 4:
         raise PreconditionError("cyclic order needs at least 4 points")
@@ -232,6 +235,6 @@ def is_linked(g: Word, h: Word, ref) -> bool:
     circle.  Both images must be loxodromic and the four fixed points
     pairwise distinct.
     """
-    g_plus, g_minus = rp1_fixed_points(evaluate(ref, g), g)
-    h_plus, h_minus = rp1_fixed_points(evaluate(ref, h), h)
+    g_plus, g_minus = rp1_fixed_points(evaluate(ref, g))
+    h_plus, h_minus = rp1_fixed_points(evaluate(ref, h))
     return is_cyclically_ordered([g_minus, h_minus, g_plus, h_plus])

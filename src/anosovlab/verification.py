@@ -42,7 +42,6 @@ from .groups import (
     Word,
     circle_separation,
     evaluate,
-    is_cyclically_ordered,
     rp1_fixed_points,
     words_of_length,
 )
@@ -204,15 +203,27 @@ class _WordBall:
         return m
 
     def fixed_points(self, w: Word) -> tuple:
-        """Attracting and repelling points of ``w`` on the reference circle."""
+        """Attracting and repelling angles of ``w`` on the reference circle."""
         points = self._fixed.get(w)
         if points is None:
             if self.rep.reference is None:
                 raise InputError(
                     "representation carries no 2x2 boundary reference")
             points = self._fixed[w] = rp1_fixed_points(
-                evaluate(self.rep.reference, w), w)
+                evaluate(self.rep.reference, w))
         return points
+
+    def loxodromic(self) -> tuple:
+        """The nontrivial words with reference fixed points, in ball order,
+        and their (n, 2) array of (attracting, repelling) angles."""
+        words, ends = [], []
+        for w in self.words[1:]:
+            try:
+                ends.append(self.fixed_points(w))
+            except DomainError:
+                continue
+            words.append(w)
+        return words, np.array(ends, dtype=float).reshape(-1, 2)
 
     def spectrum(self, w: Word) -> Spectrum:
         """Sorted, residual-checked eigenvalues and 2-norm of the image of ``w``."""
@@ -241,19 +252,15 @@ class _WordBall:
         return self.cached(attracting_space, w, dim)
 
 
-@dataclass(frozen=True)
-class _BoundarySample:
-    angle: float
-    word: Word          # a word whose attracting fixed point this is
-
-
 class BoundaryAtlas:
     """Deduplicated attracting fixed points of a word ball, with flag access.
 
-    Fixed points (in the 2x2 reference) and boundary flags (attracting
-    spaces in the target representation) are read from one ``_WordBall``,
-    ``self.ball``.  Non-loxodromic words (no fixed-point pair on the
-    circle) are skipped and counted.
+    ``angles`` ascends in [0, pi); ``angles[i]`` is the attracting angle,
+    in the 2x2 reference, of ``words[i]``.  The loxodromic words of
+    ``self.ball`` are stably sorted by it, and a point within
+    ``POINT_DEDUP_TOL`` of the last kept one (or, across the wrap, of the
+    first) is dropped.  Non-loxodromic words are skipped and counted.
+    Boundary flags are read from the same ball.
     """
 
     def __init__(self, rep: Representation, max_length: int):
@@ -261,33 +268,27 @@ class BoundaryAtlas:
             raise InputError(
                 "representation carries no 2x2 boundary reference")
         self.ball = _WordBall(rep, max_length)
-        raw = []
-        self.skipped_nonloxodromic = 0
-        for w in self.ball.words[1:]:
-            try:
-                att, _ = self.ball.fixed_points(w)
-            except DomainError:
-                self.skipped_nonloxodromic += 1
+        words, ends = self.ball.loxodromic()
+        self.skipped_nonloxodromic = len(self.ball.words) - 1 - len(words)
+        attracting = ends[:, 0].tolist()
+        kept = []
+        for i in sorted(range(len(words)), key=attracting.__getitem__):
+            if kept and circle_separation(
+                    attracting[kept[-1]], attracting[i]) < POINT_DEDUP_TOL:
                 continue
-            raw.append(_BoundarySample(att.angle, w))
-        raw.sort(key=lambda s: s.angle)
-        samples = []
-        for s in raw:
-            if samples and circle_separation(
-                    samples[-1].angle, s.angle) < POINT_DEDUP_TOL:
-                continue
-            samples.append(s)
+            kept.append(i)
         # the sort is linear but the circle wraps: the last can equal the first
-        if len(samples) > 1 and circle_separation(
-                samples[0].angle, samples[-1].angle) < POINT_DEDUP_TOL:
-            samples.pop()
-        self.samples = samples
+        if len(kept) > 1 and circle_separation(
+                attracting[kept[0]], attracting[kept[-1]]) < POINT_DEDUP_TOL:
+            kept.pop()
+        self.words = [words[i] for i in kept]
+        self.angles = ends[kept, 0]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.words)
 
     def space(self, i: int, dim: int) -> Subspace:
-        return self.ball.space(self.samples[i].word, dim)
+        return self.ball.space(self.words[i], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +419,7 @@ def _triple_defect(rep: Representation, k: int, triple, summands_fn) -> float:
 def _triple_distinct(ball: _WordBall, words) -> None:
     if ball.rep.reference is None:
         return
-    angles = [ball.fixed_points(w)[0].angle for w in words]
+    angles = [ball.fixed_points(w)[0] for w in words]
     for i, j in itertools.combinations(range(len(angles)), 2):
         if circle_separation(angles[i], angles[j]) < ANGLE_SEPARATION:
             raise PreconditionError(
@@ -468,13 +469,10 @@ def _scan_verdict(min_defect: float) -> str:
 _OK, _GAP, _AMBIGUOUS = 0, 1, 2   # outcome of a summand and of a triple
 
 
-def _separated(angles: np.ndarray, min_separation: float) -> np.ndarray:
-    """n x n mask of the ordered pairs of distinct points at least
-    ``min_separation`` apart, by the formula of ``circle_separation``."""
-    delta = np.abs(angles[:, None] - angles[None, :]) % np.pi
-    mask = np.minimum(delta, np.pi - delta) >= min_separation
-    np.fill_diagonal(mask, False)
-    return mask
+def _apart(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+    """Elementwise ``circle_separation(a, b) >= cutoff``, by its formula."""
+    delta = np.abs(a - b) % np.pi
+    return np.minimum(delta, np.pi - delta) >= cutoff
 
 
 @dataclass(frozen=True)
@@ -583,8 +581,10 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
             verdict="non-certifiable", min_separation=min_separation)
     atlas = BoundaryAtlas(rep, max_length)
     n = len(atlas)
-    separated = _separated(np.array([s.angle for s in atlas.samples]),
-                           min_separation)
+    # ordered pairs of distinct points at least min_separation apart
+    separated = _apart(atlas.angles[:, None], atlas.angles[None, :],
+                       min_separation)
+    np.fill_diagonal(separated, False)
     pairwise = separated.astype(int)
     used = separated & (pairwise @ pairwise > 0)   # some third point fits
     tables = _summand_tables(atlas, summands_fn(k, rep.dim), used)
@@ -615,7 +615,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     if worst is None:
         min_defect = max_defect = worst_words = None
     else:
-        worst_words = tuple(atlas.samples[i].word for i in worst)
+        worst_words = tuple(atlas.words[i] for i in worst)
     verdict = (_scan_verdict(min_defect)
                if min_defect is not None else "ambiguous")
     if verdict == "pass" and ambiguous_items:
@@ -680,8 +680,8 @@ def _projected_line(ball: _WordBall, k: int, x: Word, w: Word) -> Subspace:
     d = ball.rep.dim
     x_low = ball.space(x, d - k - 2)
     x_high = ball.space(x, d - k + 1)
-    if circle_separation(ball.fixed_points(w)[0].angle,
-                         ball.fixed_points(x)[0].angle) < ANGLE_SEPARATION:
+    if circle_separation(ball.fixed_points(w)[0],
+                         ball.fixed_points(x)[0]) < ANGLE_SEPARATION:
         line = ball.space(x, d - k - 1)
     else:
         line = intersect(ball.space(w, k), x_high)
@@ -695,11 +695,11 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
     never keeping two coincident boundary points."""
     ball = _WordBall(rep, 0)
     cutoff = max(min_separation, ANGLE_SEPARATION)
-    kept_angles = [ball.fixed_points(x)[0].angle]
+    kept_angles = [ball.fixed_points(x)[0]]
     lines = [_projected_line(ball, k, x, x)]
     labels = [x]
     for y in samples:
-        angle = ball.fixed_points(y)[0].angle
+        angle = ball.fixed_points(y)[0]
         if any(circle_separation(angle, a) < cutoff for a in kept_angles):
             continue
         kept_angles.append(angle)
@@ -800,7 +800,7 @@ def check_positively_ratioed(rep: Representation, k: int,
         bad = np.unravel_index(int(np.argmin(off)), off.shape)
         raise DomainError(
             f"transversality failure between points "
-            f"{atlas.samples[bad[0]].word} and {atlas.samples[bad[1]].word}")
+            f"{atlas.words[bad[0]]} and {atlas.words[bad[1]]}")
 
     def arrangement_values(quad):
         # rotations of the angle-sorted subset; full reversal composes the
@@ -819,7 +819,7 @@ def check_positively_ratioed(rep: Representation, k: int,
             if val < min_gcr:
                 min_gcr = val
                 worst = tup
-    worst_words = tuple(atlas.samples[i].word for i in worst)
+    worst_words = tuple(atlas.words[i] for i in worst)
     return PositivityScanReport(
         rep_label=rep.label, k=k, max_length=max_length, n_points=n,
         n_quadruples=count, min_gcr=float(min_gcr),
@@ -865,10 +865,9 @@ def check_eigen_identities(rep: Representation, k: int, g: Word,
 def _eigen_identities(ball: _WordBall, k: int, g: Word,
                       x: Word) -> EigenIdentityReport:
     if ball.rep.reference is not None:
-        g_points = ball.fixed_points(g)
         x_att, _ = ball.fixed_points(x)
-        for fixed in g_points:
-            if circle_separation(x_att.angle, fixed.angle) < ANGLE_SEPARATION:
+        for fixed in ball.fixed_points(g):
+            if circle_separation(x_att, fixed) < ANGLE_SEPARATION:
                 raise PreconditionError(
                     f"auxiliary point {x} hits a fixed point of {g}")
     d = ball.rep.dim
@@ -909,8 +908,8 @@ def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
             att, _ = ball.fixed_points(cand)
         except DomainError:
             continue
-        if (circle_separation(att.angle, gp.angle) > 1e-6
-                and circle_separation(att.angle, gm.angle) > 1e-6):
+        if (circle_separation(att, gp) > 1e-6
+                and circle_separation(att, gm) > 1e-6):
             return cand
     raise PreconditionError(f"no auxiliary boundary point found for {g}")
 
@@ -957,11 +956,18 @@ def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
                             or not lhs_signed))
 
 
-def _linked(ball: _WordBall, g: Word, h: Word) -> bool:
-    """``groups.is_linked`` on the ball's reference fixed points."""
-    g_plus, g_minus = ball.fixed_points(g)
-    h_plus, h_minus = ball.fixed_points(h)
-    return is_cyclically_ordered([g_minus, h_minus, g_plus, h_plus])
+def _linked(ends: np.ndarray) -> np.ndarray:
+    """(n, n) mask of ``groups.is_linked`` on every ordered pair (g, h) of n
+    words with (n, 2) (attracting, repelling) angles ``ends``: the cyclic
+    descents of (g-, h-, g+, h+) number 1 or 3, and no two of the four
+    points are closer than ``ANGLE_SEPARATION``."""
+    plus, minus = ends[:, 0], ends[:, 1]
+    cycle = (minus[:, None], minus[None, :], plus[:, None], plus[None, :])
+    descents = sum(cycle[(i + 1) % 4] < cycle[i] for i in range(4))
+    distinct = True
+    for i, j in itertools.combinations(range(4), 2):
+        distinct = distinct & _apart(cycle[i], cycle[j], ANGLE_SEPARATION)
+    return distinct & ((descents == 1) | (descents == 3))
 
 
 def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
@@ -972,27 +978,18 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     moduli are substituted and the report is flagged sign-indeterminate.
     """
     ball = _WordBall(rep, 0)
-    if not _linked(ball, g, h):
+    ends = np.array([ball.fixed_points(g), ball.fixed_points(h)])
+    if not _linked(ends)[0, 1]:
         raise PreconditionError(f"pair ({g}, {h}) is not linked")
     return _collar_report(ball, k, g, h)
 
 
 def _linked_pairs(ball: _WordBall) -> list:
-    loxodromic = []
-    for w in ball.words[1:]:
-        try:
-            ball.fixed_points(w)
-        except DomainError:
-            continue
-        loxodromic.append(w)
-    out = []
-    for g, h in itertools.permutations(loxodromic, 2):
-        try:
-            if _linked(ball, g, h):
-                out.append((g, h))
-        except PreconditionError:
-            continue  # two of the four fixed points coincide
-    return out
+    """Linked ordered pairs (g, h) of the ball's loxodromic words, in ball
+    order of g, then of h; pairs with two coincident fixed points are left
+    out."""
+    words, ends = ball.loxodromic()
+    return [(words[i], words[j]) for i, j in np.argwhere(_linked(ends))]
 
 
 def linked_pairs(rep: Representation, max_length: int) -> list:

@@ -151,11 +151,32 @@ class TestCheck:
         assert doc["error"] == "InputError"
         assert "k=2 outside 1..1" in doc["message"]
 
-    @pytest.mark.parametrize("word", ["a-b", "1", "c"])
+    @pytest.mark.parametrize("word", ["a-b", "1", "c", ""])
     def test_hyperconvex_base_word_not_a_generator_exit_64(self, word):
         # "c" names a third generator; fg has rank 2
         assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
                     "--k", "1", "--L", "2", "--base-word", word]) == 64
+
+    @pytest.mark.parametrize("args, message", [
+        (["Hk", "--family", "fuchsian", "--partition", "5,1", "--base-word",
+          "zz"], "--base-word does not apply to check Hk"),
+        (["pos-ratioed", "--family", "fg", "--x", "1", "--min-separation",
+          "5", "--base-word", "b"],
+         "--base-word does not apply to check pos-ratioed"),
+        (["eigen-identities", "--family", "fg", "--x", "1",
+          "--min-separation", "0.3"],
+         "--min-separation does not apply to check eigen-identities"),
+    ])
+    def test_flag_that_does_not_apply_exit_64(self, capsys, args, message):
+        assert run(["check", *args, "--k", "1", "--L", "2"]) == 64
+        assert message in capsys.readouterr().err
+
+    def test_min_separation_applies_to_transversality(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["check", "Hk", "--family", "fuchsian", "--partition",
+                    "4,2", "--k", "1", "--L", "2", "--min-separation", "0.5",
+                    "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["report"]["min_separation"] == 0.5
 
 
 class TestCollar:
@@ -170,6 +191,11 @@ class TestCollar:
         assert len(gen_pair) == 1
         assert gen_pair[0]["lhs"] == pytest.approx(46.978713763747794, rel=1e-9)
         assert gen_pair[0]["rhs"] == pytest.approx(1.1708203932499369, rel=1e-9)
+
+    def test_L_above_cap_exit_64(self, capsys):
+        assert run(["collar", "--family", "fg", "--x", "1", "--k", "1",
+                    "--L", "8"]) == 64
+        assert "--L 8 exceeds the cap 7" in capsys.readouterr().err
 
     def test_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,6 @@ from anosovlab.errors import (
     PreconditionError,
 )
 from anosovlab.groups import (
-    BoundaryPoint,
     Word,
     circle_separation,
     evaluate,
@@ -20,7 +23,12 @@ from anosovlab.groups import (
     rp1_fixed_points,
     words_of_length,
 )
-from anosovlab.representations import punctured_torus_reference
+from anosovlab.representations import (
+    fg_rep,
+    fuchsian_locus,
+    punctured_torus_reference,
+)
+from anosovlab.verification import linked_pairs
 
 RNG = np.random.default_rng(7)
 
@@ -44,6 +52,22 @@ class TestWord:
     def test_str(self):
         assert str(Word((1, -2, 1))) == "aBa"
         assert str(Word()) == "e"
+
+    @pytest.mark.parametrize("rank, max_length", [(2, 3), (3, 2)])
+    def test_parse_inverts_str(self, rank, max_length):
+        for w in words_of_length(rank, max_length)[1:]:
+            assert Word.parse(str(w), rank) == w
+
+    def test_parse_reduces(self):
+        assert Word.parse("abBa", 2) == Word((1, 1))
+
+    @pytest.mark.parametrize("text, message", [
+        ("ac", "'c' is not a generator letter (ab or AB for rank 2)"),
+        ("", "empty word"),
+    ])
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Word.parse(text, 2)
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -114,23 +138,29 @@ class TestEvaluate:
 class TestFixedPoints:
     def test_diagonal(self):
         att, rep = rp1_fixed_points(np.diag([2.0, 0.5]))
-        assert att.angle == pytest.approx(0.0, abs=1e-12)
-        assert rep.angle == pytest.approx(np.pi / 2, rel=1e-12)
+        assert att == pytest.approx(0.0, abs=1e-12)
+        assert rep == pytest.approx(np.pi / 2, rel=1e-12)
+
+    def test_returns_two_floats(self):
+        points = rp1_fixed_points(evaluate(punctured_torus_reference(),
+                                           Word((1, -2))))
+        assert type(points) is tuple and len(points) == 2
+        assert all(type(p) is float and 0.0 <= p < np.pi for p in points)
 
     def test_golden_ratio_slopes(self):
         # oracle: eigenvectors of [[1,1],[1,2]] are (1, lambda - 1) with
         # lambda = (3 +- sqrt5)/2, slopes phi and -1/phi
         a = np.array([[1.0, 1.0], [1.0, 2.0]])
         att, rep = rp1_fixed_points(a)
-        assert np.tan(att.angle) == pytest.approx(GOLDEN, rel=1e-10)
-        assert np.tan(rep.angle) == pytest.approx((1 - np.sqrt(5)) / 2, rel=1e-10)
+        assert np.tan(att) == pytest.approx(GOLDEN, rel=1e-10)
+        assert np.tan(rep) == pytest.approx((1 - np.sqrt(5)) / 2, rel=1e-10)
 
     def test_inverse_swaps(self):
         a = np.array([[1.0, 1.0], [1.0, 2.0]])
         att, rep = rp1_fixed_points(a)
         att_i, rep_i = rp1_fixed_points(np.linalg.inv(a))
-        assert att.angle == pytest.approx(rep_i.angle, abs=1e-12)
-        assert rep.angle == pytest.approx(att_i.angle, abs=1e-12)
+        assert att == pytest.approx(rep_i, abs=1e-12)
+        assert rep == pytest.approx(att_i, abs=1e-12)
 
     def test_elliptic_rejected(self):
         with pytest.raises(DomainError):
@@ -226,6 +256,32 @@ class TestLinked:
         # conjugating an unlinked configuration keeps it unlinked
         w = Word.from_letters([1, 2, -1])
         assert not is_linked(Word((1,)), w, ref)
+
+    @pytest.mark.parametrize("rep", [
+        fg_rep(1.0), fg_rep(0.5),
+        fuchsian_locus((3, 1), punctured_torus_reference()),
+        dataclasses.replace(schottky_reference(),
+                            reference=schottky_reference()),
+    ], ids=["fg1", "fg0.5", "fuchsian31", "schottky"])
+    def test_linked_pairs_match_per_pair_reference(self, rep):
+        # the linkage mask against is_linked on every ordered pair in
+        # permutations order, coincident fixed points left out
+        loxodromic = []
+        for w in words_of_length(rep.rank, 3)[1:]:
+            try:
+                rp1_fixed_points(evaluate(rep.reference, w))
+            except DomainError:
+                continue
+            loxodromic.append(w)
+        expected, coincident = [], 0
+        for g, h in itertools.permutations(loxodromic, 2):
+            try:
+                if is_linked(g, h, rep.reference):
+                    expected.append((g, h))
+            except PreconditionError:
+                coincident += 1
+        assert expected and coincident
+        assert linked_pairs(rep, 3) == expected
 
     def test_symmetry_and_inversion_invariance(self):
         ref = punctured_torus_reference()

@@ -40,19 +40,18 @@ def test_every_traced_name_resolves():
 # added here by name, so it shows up as a deliberate edit.
 CLI_OPTIONS = {
     "check": ["what", "--family", "--x", "--partition", "--rep", "--k", "--L",
-              "--L-cap", "--base-word", "--min-separation", "--out"],
+              "--base-word", "--min-separation", "--out"],
     "collar": ["--family", "--x", "--partition", "--rep", "--k", "--L",
-               "--L-cap", "--out", "--format"],
+               "--out", "--format"],
     "construct": ["--family", "--x", "--partition", "--rep", "--out"],
     "fg-scan": ["--x-min", "--x-max", "--points", "--log-grid", "--out"],
     "gap-scan": ["--family", "--x", "--partition", "--rep", "--k", "--L",
-                 "--L-cap", "--out", "--format"],
+                 "--out", "--format"],
     "sopq": ["--p", "--q", "--count", "--seed", "--entry-max", "--out"],
 }
 
 DEFAULTED_PARAMETERS = [
     "groups.words_of_length(cap)",
-    "groups.rp1_fixed_points(word)",
     "verification.hk_scan(min_separation)",
     "verification.ck_scan(min_separation)",
     "verification.check_projection_hyperconvexity(min_separation)",

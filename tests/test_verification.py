@@ -126,7 +126,7 @@ def reference_transversality_scan(rep, k, max_length, kind,
     atlas = BoundaryAtlas(rep, max_length)
     d = rep.dim
     space = atlas.space
-    angles = [s.angle for s in atlas.samples]
+    angles = atlas.angles
 
     def summands(x, y, z):
         # through the module attribute, so a monkeypatched intersect applies
@@ -170,7 +170,7 @@ def reference_transversality_scan(rep, k, max_length, kind,
     return dict(n_triples=n_triples, gap_failures=gap_failures,
                 ambiguous_items=ambiguous_items, min_defect=min_defect,
                 max_defect=max(defects),
-                worst_triple=tuple(atlas.samples[i].word for i in worst),
+                worst_triple=tuple(atlas.words[i] for i in worst),
                 verdict=verdict)
 
 
@@ -225,9 +225,9 @@ class TestWordBall:
             spaces[getattr(m, "entries", m).tobytes(), k] += 1
             return attracting_space(m, k)
 
-        def counting_points(m, w=None):
-            points[w] += 1
-            return rp1_fixed_points(m, w)
+        def counting_points(m):
+            points[m.entries.tobytes()] += 1
+            return rp1_fixed_points(m)
 
         monkeypatch.setattr(verification, "attracting_space", counting_space)
         monkeypatch.setattr(verification, "rp1_fixed_points", counting_points)
@@ -235,6 +235,23 @@ class TestWordBall:
         assert len(reports) == 52
         assert len(spaces) == 104 and set(spaces.values()) == {1}
         assert len(points) == 52 and set(points.values()) == {1}
+
+
+class TestBoundaryAtlas:
+    @pytest.mark.parametrize("rep", [fg_rep(1.0), fuchsian_locus((5, 1), REF)])
+    def test_angles_ascend_and_belong_to_their_words(self, rep):
+        atlas = BoundaryAtlas(rep, 3)
+        assert len(atlas.words) == len(atlas.angles) == len(atlas) > 0
+        assert np.all(np.diff(atlas.angles) > 0)
+        for w, angle in zip(atlas.words, atlas.angles):
+            assert angle == rp1_fixed_points(evaluate(rep.reference, w))[0]
+
+    def test_loxodromic_words_and_skipped_count(self):
+        atlas = BoundaryAtlas(fg_rep(1.0), 3)
+        words, ends = atlas.ball.loxodromic()
+        assert ends.shape == (len(words), 2)
+        assert (len(words) + atlas.skipped_nonloxodromic
+                == len(atlas.ball.words) - 1)
 
 
 class TestGapScan:
@@ -370,7 +387,7 @@ class TestHkCk:
                 raise AmbiguityError("inside the band", spectrum=np.ones(1))
             return intersect(v, w, *args, **kwargs)
 
-        angles = [s.angle for s in atlas.samples]
+        angles = atlas.angles
         expected = sum(
             1 for t in itertools.permutations(range(len(atlas)), 3)
             if t[1] == y0 and min(
