@@ -37,6 +37,7 @@ RENORMALIZE_ABOVE = 30      # word length beyond which products are rescaled
 ANGLE_SEPARATION = 1e-10    # below this two boundary angles count as coincident
 LOXODROMIC_TRACE = 2.0 + 1e-8
 LETTERS = "abcdefgh"        # generator names; capitals are the inverses
+WORD_BALL_CAP = 500_000     # largest word ball words_of_length builds
 
 
 def _reduce(letters) -> tuple:
@@ -89,7 +90,7 @@ class Word:
 
     def __str__(self) -> str:
         if not self.letters:
-            return "e"
+            return "1"
         out = []
         for x in self.letters:
             name = (LETTERS[abs(x) - 1] if abs(x) <= len(LETTERS)
@@ -114,11 +115,11 @@ class Word:
         return cls.from_letters(letters)
 
 
-def words_of_length(rank: int, max_length: int, cap: int = 500_000) -> list:
+def words_of_length(rank: int, max_length: int) -> list:
     """All freely reduced words of length <= max_length, identity first.
 
     The sphere of radius l in rank n has 2n (2n-1)^(l-1) words; a
-    BudgetError is raised when the ball would exceed ``cap``.
+    BudgetError is raised when the ball would exceed ``WORD_BALL_CAP``.
     """
     if rank < 1:
         raise InputError("rank must be >= 1")
@@ -132,9 +133,9 @@ def words_of_length(rank: int, max_length: int, cap: int = 500_000) -> list:
         sphere = [w + (letter,) for w in sphere for letter in letters
                   if not w or letter != -w[-1]]
         ball.extend(map(Word._trusted, sphere))
-        if len(ball) > cap:
+        if len(ball) > WORD_BALL_CAP:
             raise BudgetError(
-                f"word ball exceeds the configured cap of {cap} words")
+                f"word ball exceeds the cap of {WORD_BALL_CAP} words")
     return ball
 
 

@@ -11,6 +11,7 @@ as proofs.  Every threshold behind a verdict is a constant of this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,7 +28,6 @@ from .core_linalg import (
     power_normalized,
     quotient_project,
     spectrum,
-    wedge_volume,
 )
 from .crossratio import gcr, pcr_quotient
 from .errors import (
@@ -54,6 +54,7 @@ from .representations import (
     sopq_positive,
 )
 from .spectral import (
+    EIGEN_GAP_MIN,
     attracting_space,
     cartan_attractor,
     eigenvalue_ratios,
@@ -157,40 +158,49 @@ class _WordBall:
     """The reduced words up to a length and everything the checks read off them.
 
     ``images`` stacks the images of ``words`` in one read-only (n, d, d)
-    array.  Each image is its prefix's image times one generator or its
-    inverse: the products of ``evaluate`` in the same order, so the entries
-    agree bit for bit.  The reference fixed points of a word, the Spectrum
-    of its image and every value read from it (``cached``: attracting spaces,
-    ratios, lengths) are computed on first use and kept for the life of the
-    ball.  A word outside the ball is evaluated on demand and kept, so a ball
-    of length 0 serves the single-item checks.  One ball lives for one scan
-    or check.
+    array, and the 2x2 reference images of the ball are built on first use
+    the same way (``_products``).  The reference fixed points of a word, the
+    Spectrum of its image and every value read from it (``cached``:
+    attracting spaces, ratios, lengths) are computed on first use and kept
+    for the life of the ball.  A word outside the ball is evaluated on
+    demand and kept, so a ball of length 0 serves the single-item checks.
+    One ball lives for one scan or check.
     """
 
     def __init__(self, rep: Representation, max_length: int):
         self.rep = rep
         self.words = words_of_length(rep.rank, max_length)
-        steps = {}
-        for i, g in enumerate(rep.generator_images, 1):
-            steps[i] = g.entries
-            steps[-i] = np.linalg.inv(g.entries)
-        self._rows: dict = {}
-        images = np.empty((len(self.words), rep.dim, rep.dim))
-        for i, w in enumerate(self.words):
-            letters = w.letters
-            self._rows[letters] = i
-            images[i] = (images[self._rows[letters[:-1]]] @ steps[letters[-1]]
-                         if letters else np.eye(rep.dim))
+        self._rows = {w.letters: i for i, w in enumerate(self.words)}
+        images = self._products(rep)
         if not np.all(np.isfinite(images)):
             raise InputError("word images overflow: matrix entries must be finite")
         images.flags.writeable = False
         self.images = images
+        self._reference_images = None
         self._outside: dict = {}
         self._fixed: dict = {}
         self._spectra: dict = {}
         self._values: dict = {}
         self._zero = Subspace.zero(rep.dim)
         self._full = Subspace.full(rep.dim)
+
+    def _products(self, rep: Representation) -> np.ndarray:
+        """The (n, dim, dim) images of ``words`` under ``rep``.  Each is its
+        prefix's image times one generator or its inverse: the products of
+        ``evaluate`` in the same order, so the entries agree bit for bit."""
+        if rep.rank < self.rep.rank and len(self.words) > 1:
+            raise InputError(f"word uses generator {rep.rank + 1}, "
+                             f"representation has {rep.rank}")
+        steps = {}
+        for i, g in enumerate(rep.generator_images, 1):
+            steps[i] = g.entries
+            steps[-i] = np.linalg.inv(g.entries)
+        images = np.empty((len(self.words), rep.dim, rep.dim))
+        for i, w in enumerate(self.words):
+            letters = w.letters
+            images[i] = (images[self._rows[letters[:-1]]] @ steps[letters[-1]]
+                         if letters else np.eye(rep.dim))
+        return images
 
     def image(self, w: Word) -> np.ndarray:
         """Image of ``w``: its row of ``images``, else evaluated and kept."""
@@ -206,11 +216,18 @@ class _WordBall:
         """Attracting and repelling angles of ``w`` on the reference circle."""
         points = self._fixed.get(w)
         if points is None:
-            if self.rep.reference is None:
+            ref = self.rep.reference
+            if ref is None:
                 raise InputError(
                     "representation carries no 2x2 boundary reference")
-            points = self._fixed[w] = rp1_fixed_points(
-                evaluate(self.rep.reference, w))
+            i = self._rows.get(w.letters)
+            if i is None:
+                m = evaluate(ref, w)
+            else:
+                if self._reference_images is None:
+                    self._reference_images = self._products(ref)
+                m = self._reference_images[i]
+            points = self._fixed[w] = rp1_fixed_points(m)
         return points
 
     def loxodromic(self) -> tuple:
@@ -776,10 +793,10 @@ def check_positively_ratioed(rep: Representation, k: int,
     """Minimum Grassmannian cross ratio over cyclically ordered quadruples,
     for k in 1..d-1.
 
-    The atlas points are sorted by boundary angle, so every 4-subset
-    together with its cyclic rotations and reversals enumerates all
-    cyclically ordered arrangements; the cross ratios are evaluated from
-    a cached wedge table.  Passing means min > 1 + ``POSITIVITY_MARGIN``.
+    The 4 C(n, 4) rotations of 4-subsets of the angle-sorted points are all
+    cyclic arrangements, scored from one batched ``det`` table of [k-flag_i |
+    (d-k)-flag_j]; the worst is the first minimum in the order of
+    ``_arrangement_minimum``.  Passing means min > 1 + ``POSITIVITY_MARGIN``.
     """
     d = rep.dim
     _check_k(k, d - 1)
@@ -787,43 +804,42 @@ def check_positively_ratioed(rep: Representation, k: int,
     n = len(atlas)
     if n < 4:
         raise InputError("need at least 4 boundary points")
-    k_flags = [atlas.space(i, k) for i in range(n)]
-    dk_flags = [atlas.space(i, d - k) for i in range(n)]
-    wedge = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            wedge[i, j] = wedge_volume([k_flags[i], dk_flags[j]])
+    k_flags = np.stack([atlas.space(i, k).basis for i in range(n)])
+    dk_flags = np.stack([atlas.space(i, d - k).basis for i in range(n)])
+    wedge = np.linalg.det(np.concatenate(
+        [np.broadcast_to(k_flags[:, None], (n, n, d, k)),
+         np.broadcast_to(dk_flags[None, :], (n, n, d, d - k))], axis=3))
+    np.fill_diagonal(wedge, 0.0)
     off = np.abs(wedge + np.eye(n))
     if np.min(off) < WEDGE_DEGENERACY_TOL:
         bad = np.unravel_index(int(np.argmin(off)), off.shape)
         raise DomainError(
             f"transversality failure between points "
             f"{atlas.words[bad[0]]} and {atlas.words[bad[1]]}")
-
-    def arrangement_values(quad):
-        # rotations of the angle-sorted subset; full reversal composes the
-        # two cross-ratio inversions and reproduces the same value
-        for rot in range(4):
-            x, y, z, w = quad[rot:] + quad[:rot]
-            yield ((x, y, z, w),
-                   (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z]))
-
-    min_gcr = np.inf
-    worst = None
-    count = 0
-    for quad in itertools.combinations(range(n), 4):
-        for tup, val in arrangement_values(quad):
-            count += 1
-            if val < min_gcr:
-                min_gcr = val
-                worst = tup
-    worst_words = tuple(atlas.words[i] for i in worst)
+    min_gcr, worst = _arrangement_minimum(wedge)
     return PositivityScanReport(
         rep_label=rep.label, k=k, max_length=max_length, n_points=n,
-        n_quadruples=count, min_gcr=float(min_gcr),
-        worst_quadruple=worst_words, passed=bool(min_gcr > 1.0 + POSITIVITY_MARGIN))
+        n_quadruples=4 * math.comb(n, 4), min_gcr=min_gcr,
+        worst_quadruple=tuple(atlas.words[i] for i in worst),
+        passed=bool(min_gcr > 1.0 + POSITIVITY_MARGIN))
+
+
+def _arrangement_minimum(wedge: np.ndarray) -> tuple:
+    """First minimum of the cross ratio over an (n, n) wedge table and its
+    (x, y, z, w), ordered by 4-subset a < b < c < d, then by rotation r."""
+    n = len(wedge)
+    min_gcr, worst = np.inf, None
+    tails = np.column_stack(np.triu_indices(n, 1))   # (c, d), c < d, sorted
+    rotations = (np.arange(4)[:, None] + np.arange(4)) % 4   # r-th starts at r
+    for a, b in itertools.combinations(range(n - 2), 2):
+        cd = tails[np.searchsorted(tails[:, 0], b + 1):]   # b < c < d
+        quads = np.concatenate((np.broadcast_to((a, b), (len(cd), 2)), cd), 1)
+        x, y, z, w = quads[:, rotations].transpose(2, 0, 1)
+        values = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
+        s, r = divmod(int(np.argmin(values)), 4)   # subset, then rotation
+        if values[s, r] < min_gcr:
+            min_gcr, worst = float(values[s, r]), quads[s, rotations[r]]
+    return min_gcr, tuple(worst.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +962,11 @@ class CollarReport(_Report):
 def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
     lhs, lhs_signed = ball.cached(weight_period, g, k)
     ratios = ball.cached(eigenvalue_ratios, h, k)
+    if ratios.lambda_ratio_modulus <= 1.0 + EIGEN_GAP_MIN:
+        raise GapError(
+            f"no eigenvalue gap at index {k} for word {h}: "
+            f"|lambda_{k}|/|lambda_{k + 1}| = {ratios.lambda_ratio_modulus:.6g}",
+            index=k, ratio=ratios.lambda_ratio_modulus)
     rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
     weight_rhs = 1.0 / (1.0 - np.exp(
         -ball.cached(length_functions, h, k).weight_length))
@@ -976,6 +997,8 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     lhs is the signed weight period of g, rhs = (1 - lambda_(k+1)/lambda_k(h))^-1
     with the signed ratio; when the signed ratio is unavailable the
     moduli are substituted and the report is flagged sign-indeterminate.
+    Without a modulus gap |lambda_k/lambda_(k+1)(h)| > 1 + ``EIGEN_GAP_MIN``
+    (``attracting_space``'s rule) rhs is undefined: GapError.
     """
     ball = _WordBall(rep, 0)
     ends = np.array([ball.fixed_points(g), ball.fixed_points(h)])

@@ -192,6 +192,14 @@ class TestCollar:
         assert gen_pair[0]["lhs"] == pytest.approx(46.978713763747794, rel=1e-9)
         assert gen_pair[0]["rhs"] == pytest.approx(1.1708203932499369, rel=1e-9)
 
+    @pytest.mark.parametrize("partition, k", [("2,2", 1), ("3,1", 2)])
+    def test_no_eigenvalue_gap_exit_3(self, capsys, partition, k):
+        assert run(["collar", "--family", "fuchsian", "--partition",
+                    partition, "--k", str(k), "--L", "2"]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "GapError"
+        assert f"no eigenvalue gap at index {k}" in doc["message"]
+
     def test_L_above_cap_exit_64(self, capsys):
         assert run(["collar", "--family", "fg", "--x", "1", "--k", "1",
                     "--L", "8"]) == 64

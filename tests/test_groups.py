@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosovlab import groups
 from anosovlab.core_linalg import Mat
 from anosovlab.errors import (
     BudgetError,
@@ -51,7 +52,12 @@ class TestWord:
 
     def test_str(self):
         assert str(Word((1, -2, 1))) == "aBa"
-        assert str(Word()) == "e"
+        assert str(Word()) == "1"
+
+    def test_str_names_each_word_once(self):
+        # "e" names generator 5, so the identity prints as "1"
+        ball = words_of_length(5, 2)
+        assert len({str(w) for w in ball}) == len(ball)
 
     @pytest.mark.parametrize("rank, max_length", [(2, 3), (3, 2)])
     def test_parse_inverts_str(self, rank, max_length):
@@ -64,6 +70,7 @@ class TestWord:
     @pytest.mark.parametrize("text, message", [
         ("ac", "'c' is not a generator letter (ab or AB for rank 2)"),
         ("", "empty word"),
+        ("1", "'1' is not a generator letter"),
     ])
     def test_parse_rejects(self, text, message):
         with pytest.raises(InputError, match=re.escape(message)):
@@ -90,9 +97,10 @@ class TestWordsOfLength:
         ball = words_of_length(2, 3)
         assert len(set(ball)) == len(ball)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            words_of_length(2, 12, cap=1000)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(groups, "WORD_BALL_CAP", 1000)
+        with pytest.raises(BudgetError, match="cap of 1000 words"):
+            words_of_length(2, 12)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_equals_validated_words(self, rank):

@@ -51,7 +51,6 @@ CLI_OPTIONS = {
 }
 
 DEFAULTED_PARAMETERS = [
-    "groups.words_of_length(cap)",
     "verification.hk_scan(min_separation)",
     "verification.ck_scan(min_separation)",
     "verification.check_projection_hyperconvexity(min_separation)",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import zlib
 from collections import Counter
 
@@ -14,6 +15,7 @@ from anosovlab.core_linalg import (
     intersect,
     span,
     spectrum,
+    wedge_volume,
 )
 from anosovlab.crossratio import gcr, pcr_quotient
 from anosovlab.errors import (
@@ -56,12 +58,14 @@ from anosovlab.verification import (
     GapScanReport,
     PositivityScanReport,
     TransversalityScanReport,
+    POSITIVITY_MARGIN,
     SCAN_ACCEPT,
     SCAN_REJECT,
     SLOPE_ANOSOV,
     SLOPE_FLAT,
     TRIPLE_SEPARATION,
     BoundaryAtlas,
+    _arrangement_minimum,
     _gap_scans,
     _WordBall,
     anosov_gap_scan,
@@ -174,6 +178,38 @@ def reference_transversality_scan(rep, k, max_length, kind,
                 verdict=verdict)
 
 
+def reference_arrangement_minimum(wedge):
+    """One arrangement at a time: the rotations of every angle-sorted
+    4-subset in combinations order; a strict < keeps the first minimum."""
+    min_gcr, worst, count = np.inf, None, 0
+    for quad in itertools.combinations(range(len(wedge)), 4):
+        for rot in range(4):
+            x, y, z, w = quad[rot:] + quad[:rot]
+            val = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
+            count += 1
+            if val < min_gcr:
+                min_gcr, worst = val, (x, y, z, w)
+    return float(min_gcr), worst, count
+
+
+def reference_positivity_scan(rep, k, max_length):
+    """The positivity report from one wedge_volume call per ordered pair of
+    points and the arrangement loop above."""
+    atlas = BoundaryAtlas(rep, max_length)
+    n, d = len(atlas), rep.dim
+    k_flags = [atlas.space(i, k) for i in range(n)]
+    dk_flags = [atlas.space(i, d - k) for i in range(n)]
+    wedge = np.zeros((n, n))
+    for i, j in itertools.permutations(range(n), 2):
+        wedge[i, j] = wedge_volume([k_flags[i], dk_flags[j]])
+    min_gcr, worst, count = reference_arrangement_minimum(wedge)
+    return PositivityScanReport(
+        rep_label=rep.label, k=k, max_length=max_length, n_points=n,
+        n_quadruples=count, min_gcr=min_gcr,
+        worst_quadruple=tuple(atlas.words[i] for i in worst),
+        passed=min_gcr > 1.0 + POSITIVITY_MARGIN)
+
+
 def assert_matches_reference(report, reference):
     for field in ("min_defect", "max_defect"):
         got, want = getattr(report, field), reference[field]
@@ -210,6 +246,21 @@ class TestWordBall:
         assert ball.images.shape == (len(ball.words), rep.dim, rep.dim)
         for w in ball.words:
             assert np.array_equal(ball.image(w), evaluate(rep, w).entries)
+            try:
+                expected = rp1_fixed_points(evaluate(rep.reference, w))
+            except DomainError:
+                continue
+            assert ball.fixed_points(w) == expected
+
+    def test_reference_without_a_generator_is_an_input_error(self):
+        fg = fg_rep(1.0)
+        short = Representation(dim=2, generator_images=(
+            REF.generator_images[0],))
+        rep = Representation(dim=3, generator_images=fg.generator_images,
+                             reference=short)
+        with pytest.raises(InputError,
+                           match="word uses generator 2, representation has 1"):
+            BoundaryAtlas(rep, 1)
 
     def test_word_outside_ball_evaluated_and_kept(self):
         rep = fuchsian_locus((7, 1), REF)
@@ -226,7 +277,7 @@ class TestWordBall:
             return attracting_space(m, k)
 
         def counting_points(m):
-            points[m.entries.tobytes()] += 1
+            points[getattr(m, "entries", m).tobytes()] += 1
             return rp1_fixed_points(m)
 
         monkeypatch.setattr(verification, "attracting_space", counting_space)
@@ -549,6 +600,26 @@ class TestPositivelyRatioed:
         assert report.passed
         assert report.min_gcr > 1.0 + 1e-6
 
+    @pytest.mark.parametrize("rep, k, max_length", [
+        (fg_rep(1.0), 1, 2), (fg_rep(1.0), 1, 3), (fg_rep(0.6), 2, 2),
+        (fuchsian_locus((5, 1), REF), 2, 2), (fuchsian_locus((3, 1), REF), 1, 2),
+    ], ids=["fg1-k1-L2", "fg1-k1-L3", "fg0.6-k2-L2", "51-k2-L2", "31-k1-L2"])
+    def test_scan_matches_per_arrangement_reference(self, rep, k, max_length):
+        report = check_positively_ratioed(rep, k, max_length)
+        reference = reference_positivity_scan(rep, k, max_length)
+        assert report.to_dict() == reference.to_dict()
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 12])
+    def test_first_minimum_on_tied_tables(self, n):
+        # entries in {-2, -1, 1, 2} make the cross ratio take few values,
+        # so most minima are tied and only the first-minimum rule decides
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            wedge = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n))
+            min_gcr, worst, count = reference_arrangement_minimum(wedge)
+            assert _arrangement_minimum(wedge) == (min_gcr, worst)
+            assert count == 4 * math.comb(n, 4)
+
     def test_orientation_symmetries(self):
         # swapping either pair of like-dimension entries inverts the
         # value; the full reversal composes both inversions and gives
@@ -660,6 +731,14 @@ class TestCollar:
         assert (A, B) in pairset
         for g, h in pairs:
             assert (h, g) in pairset
+
+    def test_no_eigenvalue_gap_at_k_raises(self):
+        # lambda_2/lambda_3 of b is 1 + 2^-52: no gap, not a huge rhs
+        rep = fuchsian_locus((3, 1), REF)
+        with pytest.raises(GapError, match="index 2 for word b") as info:
+            collar_check(rep, 2, A, B)
+        assert info.value.index == 2
+        assert info.value.ratio <= 1.0 + spectral.EIGEN_GAP_MIN
 
     def test_collar_scan_matches_collar_check(self):
         rep = fg_rep(2.0)
