@@ -795,8 +795,12 @@ def check_positively_ratioed(rep: Representation, k: int,
 
     The 4 C(n, 4) rotations of 4-subsets of the angle-sorted points are all
     cyclic arrangements, scored from one batched ``det`` table of [k-flag_i |
-    (d-k)-flag_j]; the worst is the first minimum in the order of
-    ``_arrangement_minimum``.  Passing means min > 1 + ``POSITIVITY_MARGIN``.
+    (d-k)-flag_j] (``_wedge_table``).  ``_arrangement_minimum`` finds their
+    minimum without visiting each: one prefix-min/max sweep per point, O(n^3)
+    time and O(n^2) memory, bit-identical to scoring every arrangement.  The
+    worst quadruple is the first minimum by 4-subset, then rotation.
+    Passing means min > 1 + ``POSITIVITY_MARGIN``.  A wedge below
+    ``WEDGE_DEGENERACY_TOL`` raises ``DomainError``.
     """
     d = rep.dim
     _check_k(k, d - 1)
@@ -804,18 +808,16 @@ def check_positively_ratioed(rep: Representation, k: int,
     n = len(atlas)
     if n < 4:
         raise InputError("need at least 4 boundary points")
-    k_flags = np.stack([atlas.space(i, k).basis for i in range(n)])
-    dk_flags = np.stack([atlas.space(i, d - k).basis for i in range(n)])
-    wedge = np.linalg.det(np.concatenate(
-        [np.broadcast_to(k_flags[:, None], (n, n, d, k)),
-         np.broadcast_to(dk_flags[None, :], (n, n, d, d - k))], axis=3))
-    np.fill_diagonal(wedge, 0.0)
+    wedge = _wedge_table(atlas, k)
     off = np.abs(wedge + np.eye(n))
     if np.min(off) < WEDGE_DEGENERACY_TOL:
-        bad = np.unravel_index(int(np.argmin(off)), off.shape)
+        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
         raise DomainError(
             f"transversality failure between points "
-            f"{atlas.words[bad[0]]} and {atlas.words[bad[1]]}")
+            f"{atlas.words[i]} and {atlas.words[j]}: |wedge| = "
+            f"{off[i, j]:.3g} below WEDGE_DEGENERACY_TOL = "
+            f"{WEDGE_DEGENERACY_TOL:g}, angular separation "
+            f"{circle_separation(atlas.angles[i], atlas.angles[j]):.3g} rad")
     min_gcr, worst = _arrangement_minimum(wedge)
     return PositivityScanReport(
         rep_label=rep.label, k=k, max_length=max_length, n_points=n,
@@ -824,22 +826,98 @@ def check_positively_ratioed(rep: Representation, k: int,
         passed=bool(min_gcr > 1.0 + POSITIVITY_MARGIN))
 
 
+def _wedge_table(atlas: BoundaryAtlas, k: int) -> np.ndarray:
+    """W[i, j] = det[k-flag_i | (d-k)-flag_j], one batched ``det`` over the
+    (n, n, d, d) stack; the diagonal, never read, is zero."""
+    n, d = len(atlas), atlas.ball.rep.dim
+    k_flags = np.stack([atlas.space(i, k).basis for i in range(n)])
+    dk_flags = np.stack([atlas.space(i, d - k).basis for i in range(n)])
+    wedge = np.linalg.det(np.concatenate(
+        [np.broadcast_to(k_flags[:, None], (n, n, d, k)),
+         np.broadcast_to(dk_flags[None, :], (n, n, d, d - k))], axis=3))
+    np.fill_diagonal(wedge, 0.0)
+    return wedge
+
+
 def _arrangement_minimum(wedge: np.ndarray) -> tuple:
-    """First minimum of the cross ratio over an (n, n) wedge table and its
-    (x, y, z, w), ordered by 4-subset a < b < c < d, then by rotation r."""
+    """Minimum cross ratio over an (n, n) wedge table of angle-sorted points,
+    and the first (x, y, z, w) that attains it.
+
+    An arrangement is cyclically ordered, x < y < z < w, and scores
+    ``(W[x,z]/W[x,y]) * (W[w,y]/W[w,z])``; only off-diagonal entries are
+    read.  Instead of scoring all 4 C(n, 4) arrangements, one sweep per z
+    (``_arc_sweep``) takes the exact minimum over w for every (x, y) from
+    prefix minima and maxima: O(n^3) time and O(n^2) memory, and every
+    value bit-identical to the arrangement's own.
+
+    Ties are kept as the loop over 4-subsets a < b < c < d in combinations
+    order, each in rotations r = 0..3 (x the r-th point), keeps them: the
+    z whose sweeps attain the minimum are swept again, and of the
+    arrangements attaining it (``_first_attaining``) the one with the least
+    (subset, r) wins.
+    """
     n = len(wedge)
-    min_gcr, worst = np.inf, None
-    tails = np.column_stack(np.triu_indices(n, 1))   # (c, d), c < d, sorted
-    rotations = (np.arange(4)[:, None] + np.arange(4)) % 4   # r-th starts at r
-    for a, b in itertools.combinations(range(n - 2), 2):
-        cd = tails[np.searchsorted(tails[:, 0], b + 1):]   # b < c < d
-        quads = np.concatenate((np.broadcast_to((a, b), (len(cd), 2)), cd), 1)
-        x, y, z, w = quads[:, rotations].transpose(2, 0, 1)
-        values = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
-        s, r = divmod(int(np.argmin(values)), 4)   # subset, then rotation
-        if values[s, r] < min_gcr:
-            min_gcr, worst = float(values[s, r]), quads[s, rotations[r]]
-    return min_gcr, tuple(worst.tolist())
+    ring = np.tile(wedge, (2, 2))
+    np.fill_diagonal(ring, 1.0)   # the arcs' W[i, i]: read by no arrangement
+    # (x, y) at arc positions (i, j) with 1 <= i < j; row r holds i = r + 1
+    valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
+    minima = [np.min(_arc_sweep(ring, z)[2], where=valid, initial=np.inf)
+              for z in range(n)]
+    min_gcr = min(minima)
+    tied = np.flatnonzero(np.array(minima) == min_gcr)
+    return float(min_gcr), min(
+        _first_attaining(ring, z, min_gcr, valid) for z in tied)[1]
+
+
+def _first_attaining(ring: np.ndarray, z: int, min_gcr: float,
+                     valid: np.ndarray) -> tuple:
+    """(key, (x, y, z, w)) of the first arrangement of one z whose value is
+    ``min_gcr``; the key orders by sorted 4-subset, then rotation.
+
+    The arrangements are taken one y at a time, as (w, x) masks, so memory
+    stays O(n^2) however many of them tie; time is O(n^2) per y that has
+    one, O(n^4) only when nearly every arrangement ties.
+    """
+    n = len(ring) // 2
+    g, f, values = _arc_sweep(ring, z)
+    arc = (z + 1 + np.arange(n - 1)) % n
+    hits = valid & (values == min_gcr)
+    firsts = []
+    for j in np.flatnonzero(hits.any(axis=0)):
+        r = np.flatnonzero(hits[:, j])   # x at arc position r + 1
+        w, s = np.nonzero((g[:, j, None] * f[r, j] == min_gcr)
+                          & (np.arange(n - 1)[:, None] <= r))
+        quads = np.column_stack(
+            np.broadcast_arrays(arc[r[s] + 1], arc[j], z, arc[w]))
+        subsets = np.sort(quads, axis=1)
+        rotations = np.argmax(subsets == quads[:, :1], axis=1)
+        keys = np.ravel_multi_index((*subsets.T, rotations), (n,) * 4 + (4,))
+        first = int(np.argmin(keys))
+        firsts.append((int(keys[first]), tuple(quads[first].tolist())))
+    return min(firsts)
+
+
+def _arc_sweep(ring: np.ndarray, z: int) -> tuple:
+    """Every arrangement (x, y, z, w) of one z, minimised over w.
+
+    ``ring`` is the wedge table tiled twice in both axes, so the n - 1
+    points after z in cyclic order, the arc, are a view: on it the
+    arrangement's order is w, x, y.  With G[w, y] = W[w,y]/W[w,z] and
+    F[x, y] = W[x,z]/W[x,y], its value is the product G * F, the loop's two
+    IEEE factors commuted and so bit-identical.  Rounding is monotone, so
+    the minimum over w before x of fl(G * F) is F times the prefix minimum
+    of G along the arc where F > 0, and times its prefix maximum where
+    F < 0.  Returns G (arc position of w, of y), F and those minima, the
+    last two with row r for x at arc position r + 1.
+    """
+    n = len(ring) // 2
+    arc = ring[z + 1:z + n, z + 1:z + n]
+    to_z = ring[z + 1:z + n, z, None]
+    g = arc / to_z
+    f = to_z[1:] / arc[1:]
+    low = np.minimum.accumulate(g, axis=0)[:-1]    # w strictly before x
+    high = np.maximum.accumulate(g, axis=0)[:-1]
+    return g, f, np.where(f > 0, low, high) * f
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -120,6 +121,15 @@ class TestCheck:
                       "--k", "1", "--L", "2", "--out", str(out)])
         assert status == 0
         assert json.loads(out.read_text())["report"]["min_gcr"] > 1
+
+    def test_pos_ratioed_fg_L4(self, tmp_path):
+        out = tmp_path / "r.json"
+        status = run(["check", "pos-ratioed", "--family", "fg", "--x", "1",
+                      "--k", "1", "--L", "4", "--out", str(out)])
+        assert status == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["n_points"] == 124
+        assert report["n_quadruples"] == 37_525_004 == 4 * math.comb(124, 4)
 
     @pytest.mark.parametrize("k", ["0", "3"])
     def test_pos_ratioed_bad_k_exit_3(self, capsys, k):

@@ -1,10 +1,14 @@
 import itertools
 import math
+import re
 import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anosovlab import spectral, verification
 from anosovlab.core_linalg import (
@@ -64,9 +68,11 @@ from anosovlab.verification import (
     SLOPE_ANOSOV,
     SLOPE_FLAT,
     TRIPLE_SEPARATION,
+    WEDGE_DEGENERACY_TOL,
     BoundaryAtlas,
     _arrangement_minimum,
     _gap_scans,
+    _wedge_table,
     _WordBall,
     anosov_gap_scan,
     attractor_convergence_slope,
@@ -190,6 +196,38 @@ def reference_arrangement_minimum(wedge):
             if val < min_gcr:
                 min_gcr, worst = val, (x, y, z, w)
     return float(min_gcr), worst, count
+
+
+def pairwise_arrangement_minimum(wedge):
+    """The same first minimum in array code, O(n^4): the 4-subsets of one
+    leading pair (a, b) at a time, their four rotations as (m, 4) index
+    arrays; a row-major argmin and a strict < across pairs keep the first."""
+    n = len(wedge)
+    min_gcr, worst = np.inf, None
+    tails = np.column_stack(np.triu_indices(n, 1))   # (c, d), c < d, sorted
+    rotations = (np.arange(4)[:, None] + np.arange(4)) % 4   # r-th starts at r
+    for a, b in itertools.combinations(range(n - 2), 2):
+        cd = tails[np.searchsorted(tails[:, 0], b + 1):]   # b < c < d
+        quads = np.concatenate((np.broadcast_to((a, b), (len(cd), 2)), cd), 1)
+        x, y, z, w = quads[:, rotations].transpose(2, 0, 1)
+        values = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
+        s, r = divmod(int(np.argmin(values)), 4)   # subset, then rotation
+        if values[s, r] < min_gcr:
+            min_gcr, worst = float(values[s, r]), quads[s, rotations[r]]
+    return min_gcr, tuple(worst.tolist())
+
+
+@st.composite
+def wedge_tables(draw, elements):
+    n = draw(st.integers(min_value=4, max_value=12))
+    return draw(hnp.arrays(np.float64, (n, n), elements=elements))
+
+
+# nonzero entries of both signs, so that F < 0 takes the prefix maximum
+MIXED_SIGN = st.one_of(st.floats(min_value=0.1, max_value=10.0),
+                       st.floats(min_value=-10.0, max_value=-0.1))
+# a few values, so that the cross ratio takes few values and ties abound
+FEW_VALUES = st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0])
 
 
 def reference_positivity_scan(rep, k, max_length):
@@ -619,6 +657,54 @@ class TestPositivelyRatioed:
             min_gcr, worst, count = reference_arrangement_minimum(wedge)
             assert _arrangement_minimum(wedge) == (min_gcr, worst)
             assert count == 4 * math.comb(n, 4)
+
+    @given(wedge_tables(MIXED_SIGN))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_loop_on_mixed_sign_tables(self, wedge):
+        min_gcr, worst, _ = reference_arrangement_minimum(wedge)
+        assert _arrangement_minimum(wedge) == (min_gcr, worst)
+
+    @given(wedge_tables(FEW_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_loop_on_tied_tables(self, wedge):
+        min_gcr, worst, _ = reference_arrangement_minimum(wedge)
+        assert _arrangement_minimum(wedge) == (min_gcr, worst)
+
+    @pytest.mark.parametrize("values", [None, (-2.0, -1.0, 1.0, 2.0)],
+                             ids=["continuous", "tied"])
+    def test_sweep_matches_pairwise_arrays_at_60_points(self, values):
+        rng = np.random.default_rng(60)
+        for _ in range(3):
+            if values is None:
+                wedge = rng.uniform(0.1, 10.0, (60, 60)) * rng.choice(
+                    [-1.0, 1.0], (60, 60))
+            else:
+                wedge = rng.choice(values, (60, 60))
+            assert _arrangement_minimum(wedge) == \
+                pairwise_arrangement_minimum(wedge)
+
+    def test_sweep_matches_pairwise_arrays_on_fg_L4(self):
+        atlas = BoundaryAtlas(fg_rep(1.0), 4)
+        wedge = _wedge_table(atlas, 1)
+        assert len(wedge) == 124
+        assert _arrangement_minimum(wedge) == \
+            pairwise_arrangement_minimum(wedge)
+
+    def test_degenerate_wedge_message(self):
+        # two L=5 points 7.2e-7 rad apart have nearly coincident flags
+        with pytest.raises(DomainError) as info:
+            check_positively_ratioed(fg_rep(1.0), 1, 5)
+        message = str(info.value)
+        assert message.startswith(
+            "transversality failure between points BBBa and BBBaB: ")
+        number = r"([0-9.]+(?:e[-+]?[0-9]+)?)"
+        match = re.search(
+            rf"\|wedge\| = {number} below WEDGE_DEGENERACY_TOL = {number}, "
+            rf"angular separation {number} rad$", message)
+        assert match is not None, message
+        wedge, tol, separation = map(float, match.groups())
+        assert 0 < wedge < tol == WEDGE_DEGENERACY_TOL
+        assert separation == pytest.approx(7.2e-7, rel=0.01)
 
     def test_orientation_symmetries(self):
         # swapping either pair of like-dimension entries inverts the
