@@ -10,14 +10,12 @@ from .core_linalg import (
     eig_by_modulus,
     grassmann_distance,
     intersect,
-    min_angle,
-    power_normalized,
     quotient_project,
     span,
     svd,
     wedge_volume,
 )
-from .crossratio import CrossRatioValue, gcr, pcr, pcr_quotient, shear, triple_ratio
+from .crossratio import CrossRatioValue, gcr, pcr, pcr_quotient
 from .groups import (
     Word,
     evaluate,
@@ -29,7 +27,6 @@ from .representations import (
     Representation,
     SOpqData,
     dual_rep,
-    fg_flags,
     fg_rep,
     fuchsian_locus,
     punctured_torus_reference,
@@ -44,7 +41,6 @@ from .spectral import (
     LengthPair,
     SpectralGaps,
     attracting_space,
-    cartan_attractor,
     eigenvalue_ratios,
     length_functions,
     singular_gap,

@@ -286,8 +286,8 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
               help="CSV output path (stdout when omitted).")
 def fg_scan(x_min, x_max, points, log_grid, out):
     """Root-gap degeneration grid of the one-parameter family."""
-    if not (0 < x_min <= x_max):
-        raise click.UsageError("need 0 < x-min <= x-max")
+    if not (0 < x_min <= x_max and np.isfinite(x_max)):
+        raise click.UsageError("need 0 < x-min <= x-max, both finite")
     grid = (np.geomspace(x_min, x_max, points) if log_grid
             else np.linspace(x_min, x_max, points))
     reports = ver.counterexample_scan(grid)

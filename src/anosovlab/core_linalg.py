@@ -19,7 +19,6 @@ import scipy.linalg
 from .errors import (
     AmbiguityError,
     DimensionError,
-    GapError,
     InputError,
     NumericError,
     PreconditionError,
@@ -37,11 +36,9 @@ __all__ = [
     "intersect",
     "quotient_project",
     "grassmann_distance",
-    "min_angle",
     "svd",
     "spectrum",
     "eig_by_modulus",
-    "power_normalized",
 ]
 
 ORTHONORMALITY_TOL = 1e-12
@@ -62,17 +59,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mat:
-    """Dense square real matrix, optionally carrying a log scale.
-
-    The matrix represented is ``exp(log_scale) * entries``; the scale is
-    tracked separately so long products and high powers stay inside
-    floating-point range.  All ratio-type quantities (singular gaps,
-    eigenvalue ratios, length functions, cross ratios of images) are
-    scale-free, so most consumers can ignore ``log_scale``.
-    """
+    """Dense square real matrix with finite entries, stored read-only."""
 
     entries: np.ndarray
-    log_scale: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -86,21 +75,10 @@ class Mat:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, d: int) -> "Mat":
-        return cls(np.eye(d))
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return Mat(self.entries @ other.entries,
-                   self.log_scale + other.log_scale)
-
-    def inverse(self) -> "Mat":
-        return Mat(np.linalg.inv(self.entries), -self.log_scale)
-
     def is_unimodular(self) -> bool:
         """Check |det - 1| <= DET_RTOL * sigma_1^d, the group-element tag."""
-        sigma1 = float(np.linalg.norm(self.entries, 2)) * np.exp(self.log_scale)
-        det = np.linalg.det(self.entries) * np.exp(self.dim * self.log_scale)
+        sigma1 = float(np.linalg.norm(self.entries, 2))
+        det = np.linalg.det(self.entries)
         return abs(det - 1.0) <= DET_RTOL * max(1.0, sigma1) ** self.dim
 
 
@@ -254,10 +232,6 @@ class PartialFlag:
         raise InputError(f"flag has no part of rank {rank}; dims {self.dims}")
 
 
-def flag(*parts) -> PartialFlag:
-    return PartialFlag(tuple(parts))
-
-
 # ---------------------------------------------------------------------------
 # wedge volumes and direct sums
 # ---------------------------------------------------------------------------
@@ -282,7 +256,7 @@ def wedge_volume(parts) -> float:
     The ranks must sum to the ambient dimension.  The value depends on
     each part's basis choice only through an overall scaling per part, so
     it is meaningful only inside ratios where those scalings cancel
-    (cross ratios, triple ratios).
+    (cross ratios).
     """
     b = _concat_bases(parts)
     d = b.shape[0]
@@ -403,16 +377,6 @@ def grassmann_distance(x: Subspace, y: Subspace) -> float:
         return 0.0
     angles = scipy.linalg.subspace_angles(x.basis, y.basis)
     return float(np.sin(angles[0]))
-
-
-def min_angle(x: Subspace, y: Subspace) -> float:
-    """Smallest principal angle in radians; zero iff the intersection is nontrivial."""
-    if x.ambient_dim != y.ambient_dim:
-        raise DimensionError("ambient dimensions differ")
-    if x.rank == 0 or y.rank == 0:
-        return np.pi / 2
-    angles = scipy.linalg.subspace_angles(x.basis, y.basis)
-    return float(angles[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -588,26 +552,3 @@ def eig_by_modulus(m) -> EigenDecomposition:
             basis=_readonly(basis)))
     return EigenDecomposition(values=tuple(vals), clusters=tuple(clusters))
 
-
-def power_normalized(m, n: int) -> Mat:
-    """M^n with per-step renormalization by the largest singular value.
-
-    Returns a Mat whose ``entries`` have unit spectral norm and whose
-    ``log_scale`` tracks the removed factor, so powers up to n ~ 60 never
-    overflow.  Only scale-free quantities (singular directions, gap
-    ratios) should be read off the result.
-    """
-    if n < 0:
-        return power_normalized(Mat(np.linalg.inv(as_matrix(m))), -n)
-    a = as_matrix(m)
-    log_scale = n * (m.log_scale if isinstance(m, Mat) else 0.0)
-    d = a.shape[0]
-    acc = np.eye(d)
-    for _ in range(n):
-        acc = a @ acc
-        s = np.linalg.norm(acc, 2)
-        if s == 0:
-            raise NumericError("matrix power collapsed to zero")
-        acc = acc / s
-        log_scale += np.log(s)
-    return Mat(acc, log_scale)

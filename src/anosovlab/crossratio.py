@@ -1,10 +1,10 @@
-"""Projective and Grassmannian cross ratios, triple ratio and shear.
+"""Projective, pencil and Grassmannian cross ratios.
 
-All four quantities are ratios of wedge volumes of orthonormal bases;
-each basis appears exactly once in a numerator and once in a denominator,
-so the values are independent of every basis choice.  Degenerate
-denominators produce an explicit infinity marker rather than a float
-inf, so identity tests can assert on it.
+All three are ratios of wedge volumes of orthonormal bases; each basis
+appears exactly once in a numerator and once in a denominator, so the
+values are independent of every basis choice.  Degenerate denominators
+produce an explicit infinity marker rather than a float inf, so identity
+tests can assert on it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_linalg import (
-    PartialFlag,
     Subspace,
     direct_sum_defect,
     quotient_project,
@@ -27,8 +26,6 @@ __all__ = [
     "pcr",
     "pcr_quotient",
     "gcr",
-    "triple_ratio",
-    "shear",
 ]
 
 DEGENERACY_TOL = 1e-14      # wedges below this count as vanishing
@@ -62,13 +59,6 @@ class CrossRatioValue:
         if self.value is None:
             raise DomainError("cross ratio is the infinity marker")
         return self.value
-
-    def reciprocal(self) -> "CrossRatioValue":
-        if self.value is None:
-            return CrossRatioValue.finite(0.0)
-        if self.value == 0.0:
-            return CrossRatioValue.infinity()
-        return CrossRatioValue.finite(1.0 / self.value)
 
 
 def _line2(x) -> np.ndarray:
@@ -165,75 +155,3 @@ def gcr(v1: Subspace, w2: Subspace, w3: Subspace, v4: Subspace) -> CrossRatioVal
              * wedges["V4", "W2"] / wedges["V4", "W3"])
     return CrossRatioValue.finite(value)
 
-
-def _flag_line_plane(fl: PartialFlag):
-    """Line vector and a completing plane vector of a (1,2)-flag in R^3."""
-    if fl.ambient_dim != 3 or fl.dims != (1, 2):
-        raise PreconditionError("triple ratio needs (line < plane) flags in R^3")
-    a1 = fl.parts[0].basis[:, 0]
-    plane = fl.parts[1].basis
-    # completing vector: plane basis column with the largest residual off a1
-    resid = plane - np.outer(a1, a1 @ plane)
-    idx = int(np.argmax(np.linalg.norm(resid, axis=0)))
-    a2 = resid[:, idx]
-    norm = np.linalg.norm(a2)
-    if norm < 1e-12:
-        raise PreconditionError("flag plane does not extend the flag line")
-    return a1, a2 / norm
-
-
-def triple_ratio(a: PartialFlag, b: PartialFlag, c: PartialFlag) -> CrossRatioValue:
-    """Triple ratio of three (line < plane) flags in R^3.
-
-    Product of three wedge ratios; the value does not depend on the
-    choice of lifts or completing plane vectors.  Each of the six wedges
-    must be nondegenerate (> 1e-12).
-    """
-    a1, a2 = _flag_line_plane(a)
-    b1, b2 = _flag_line_plane(b)
-    c1, c2 = _flag_line_plane(c)
-
-    def w(u, v, z):
-        return float(np.linalg.det(np.column_stack([u, v, z])))
-
-    factors = [
-        (w(a1, a2, b1), w(a1, a2, c1)),
-        (w(b1, b2, c1), w(b1, b2, a1)),
-        (w(c1, c2, a1), w(c1, c2, b1)),
-    ]
-    value = 1.0
-    for num, den in factors:
-        if abs(num) < 1e-12 or abs(den) < 1e-12:
-            raise DomainError(
-                "degenerate flag configuration: a triple-ratio wedge vanishes")
-        value *= num / den
-    return CrossRatioValue.finite(value)
-
-
-def shear(a: PartialFlag, line_b: Subspace, c: PartialFlag,
-          line_d: Subspace) -> tuple:
-    """Shear pair of two flags and two lines in R^3.
-
-    (log(-pcr over the line of A of: plane of A, l_B, l_D, line of C),
-     log(-pcr over the line of C of: plane of C, l_B, l_D, line of A)).
-    Zero exactly in harmonic position.  The cross ratios must be
-    negative; otherwise the configuration is outside the domain.
-    """
-    for fl in (a, c):
-        if fl.ambient_dim != 3 or fl.dims != (1, 2):
-            raise PreconditionError("shear needs (line < plane) flags in R^3")
-    for ln in (line_b, line_d):
-        if ln.ambient_dim != 3 or ln.rank != 1:
-            raise PreconditionError("shear needs lines in R^3")
-    full = Subspace.full(3)
-
-    def component(flag_from: PartialFlag, other_line: Subspace) -> float:
-        val = pcr_quotient(flag_from.parts[0], full,
-                           flag_from.parts[1], line_b, line_d, other_line)
-        if val.is_infinite or float(val) >= 0.0:
-            raise DomainError(
-                f"shear cross ratio must be negative, got "
-                f"{'infinity' if val.is_infinite else float(val):}")
-        return float(np.log(-float(val)))
-
-    return (component(a, c.parts[0]), component(c, a.parts[0]))

@@ -142,8 +142,10 @@ def words_of_length(rank: int, max_length: int) -> list:
 def evaluate(rep, word: Word) -> Mat:
     """Image of a word: ordered product of generator images and inverses.
 
-    For words longer than 30 letters the partial products are rescaled by
-    their largest singular value, with the log scale tracked on the Mat.
+    For words longer than 30 letters each partial product is divided by
+    its largest singular value, so the result is a positive multiple of
+    the image with unit 2-norm; every ratio read off it (singular and
+    eigenvalue gaps, attracting spaces, cross ratios) is unchanged.
     """
     d = rep.dim
     gens = rep.generator_images
@@ -152,19 +154,13 @@ def evaluate(rep, word: Word) -> Mat:
             raise InputError(
                 f"word uses generator {abs(letter)}, representation has {len(gens)}")
     acc = np.eye(d)
-    log_scale = 0.0
     renormalize = len(word) > RENORMALIZE_ABOVE
     for letter in word.letters:
-        g = gens[abs(letter) - 1]
-        a = g.entries if letter > 0 else np.linalg.inv(g.entries)
-        ls = g.log_scale if letter > 0 else -g.log_scale
-        acc = acc @ a
-        log_scale += ls
+        g = gens[abs(letter) - 1].entries
+        acc = acc @ (g if letter > 0 else np.linalg.inv(g))
         if renormalize:
-            s = np.linalg.norm(acc, 2)
-            acc /= s
-            log_scale += np.log(s)
-    return Mat(acc, log_scale)
+            acc /= np.linalg.norm(acc, 2)
+    return Mat(acc)
 
 
 def _angle_of_direction(v: np.ndarray) -> float:

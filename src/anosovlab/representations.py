@@ -4,7 +4,7 @@ Families provided:
 
 * symmetric powers of 2x2 matrices and block-diagonal Fuchsian loci,
 * the one-parameter positive family of the once-punctured torus in
-  SL(3,R), together with its four standard flags,
+  SL(3,R),
 * dual (inverse-transpose) representations,
 * the SO(p,q) model: the form Q, the unipotent generators E_k(v) and
   products of positive elements.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import DET_RTOL, Mat, PartialFlag, Subspace
+from .core_linalg import DET_RTOL, Mat
 from .errors import (
     ConstructionError,
     DomainError,
@@ -35,7 +35,6 @@ __all__ = [
     "sym_power",
     "fuchsian_locus",
     "fg_rep",
-    "fg_flags",
     "dual_rep",
     "sopq_form",
     "sopq_E",
@@ -206,40 +205,10 @@ def fg_rep(x: float) -> Representation:
         label=f"fg(x={x:.17g})")
 
 
-def _flag3(line, second) -> PartialFlag:
-    line = np.asarray(line, dtype=float)
-    second = np.asarray(second, dtype=float)
-    return PartialFlag((
-        Subspace.from_spanning(line),
-        Subspace.from_spanning(np.column_stack([line, second])),
-    ))
-
-
-def fg_flags(x: float) -> dict:
-    """The four standard flags of the family: infinity, zero, t, s.
-
-    ``infinity`` and ``zero`` are the coordinate flags at the ends of the
-    square diagonal; ``t`` and ``s`` complete the two flag triangles with
-    triple ratios x and 1/x.
-    """
-    if not (np.isfinite(x) and x > 0):
-        raise InputError(f"family parameter must be positive, got {x}")
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    return {
-        "infinity": _flag3(e1, e2),
-        "zero": _flag3(e3, e2),
-        "t": _flag3(np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0, -float(x)])),
-        "s": _flag3(np.array([1.0, -1.0, 1.0]), np.array([1.0, 0.0, -float(x)])),
-    }
-
-
 def dual_rep(rep: Representation) -> Representation:
     """Contragradient representation: images replaced by inverse transposes."""
     images = tuple(
-        Mat(np.linalg.inv(g.entries).T, -g.log_scale)
-        for g in rep.generator_images)
+        Mat(np.linalg.inv(g.entries).T) for g in rep.generator_images)
     return Representation(dim=rep.dim, generator_images=images,
                           reference=rep.reference,
                           label=rep.label + "+dual" if rep.label else "dual")

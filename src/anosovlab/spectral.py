@@ -1,9 +1,9 @@
 """Gap functionals, attractors and length functions of a single matrix.
 
-The two basic objects are the singular-value side (Cartan attractors
-``U_k``, gap ratios ``sigma_k/sigma_{k+1}``) and the eigenvalue side
-(attracting invariant subspaces, signed/modulus eigenvalue ratios, the
-root and weight length functions, the weight period).  Boundary flags of
+The two basic objects are the singular-value side (gap ratios
+``sigma_k/sigma_{k+1}``) and the eigenvalue side (attracting invariant
+subspaces, signed/modulus eigenvalue ratios, the root and weight length
+functions, the weight period).  Boundary flags of
 a representation at fixed points are attracting spaces of the
 corresponding matrices.
 
@@ -38,14 +38,12 @@ __all__ = [
     "LengthPair",
     "singular_gap",
     "singular_gaps",
-    "cartan_attractor",
     "attracting_space",
     "eigenvalue_ratios",
     "length_functions",
     "weight_period",
 ]
 
-SIGMA_GAP_MIN = 1e-9     # relative singular gap needed for a Cartan attractor
 EIGEN_GAP_MIN = 1e-8     # relative modulus gap needed for an attracting space
 REAL_IMAG_TOL = 1e-8     # |Im| below this times the modulus counts as real
 
@@ -110,22 +108,6 @@ def singular_gaps(m, indices) -> np.ndarray:
 def singular_gap(m, k: int) -> float:
     """sigma_k / sigma_{k+1} of the matrix (1-indexed)."""
     return float(singular_gaps(m, (k,))[0])
-
-
-def cartan_attractor(m, k: int) -> Subspace:
-    """Span of the k leading left singular vectors.
-
-    Requires an actual singular gap of index k; without one the attractor
-    depends on the arbitrary choices inside the decomposition.
-    """
-    a = as_matrix(m)
-    _check_index(k, a.shape[0])
-    u, s, _ = svd(a)
-    if s[k] <= 0 or s[k - 1] / s[k] <= 1.0 + SIGMA_GAP_MIN:
-        raise GapError(
-            f"no singular gap of index {k}: ratio {s[k - 1] / max(s[k], 1e-300):.6g}",
-            index=k, ratio=float(s[k - 1] / max(s[k], 1e-300)))
-    return Subspace(u[:, :k])
 
 
 def attracting_space(m, k: int) -> Subspace:

@@ -23,9 +23,7 @@ from .core_linalg import (
     Subspace,
     _smallest_singular_values,
     direct_sum_defect,
-    grassmann_distance,
     intersect,
-    power_normalized,
     quotient_project,
     spectrum,
 )
@@ -56,7 +54,6 @@ from .representations import (
 from .spectral import (
     EIGEN_GAP_MIN,
     attracting_space,
-    cartan_attractor,
     eigenvalue_ratios,
     length_functions,
     singular_gaps,
@@ -105,7 +102,6 @@ CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
                           # transversality scan
 POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
 WEDGE_DEGENERACY_TOL = 1e-12  # |wedge| below this is a transversality failure
-CONVERGENCE_POWERS = 40   # powers g^1..g^n fitted by attractor_convergence_slope
 TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
                           # scan triples; transversality defects of distinct
                           # but nearly coincident points vanish to high order
@@ -324,6 +320,11 @@ class GapScanReport(_Report):
     verdict: str           # anosov-like | flat | ambiguous
 
 
+def _check_k(k: int, top: int) -> None:
+    if not 1 <= k <= top:
+        raise InputError(f"k={k} outside 1..{top}")
+
+
 def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
     """Gap scan reports keyed by index, from one SVD per word of the ball.
 
@@ -377,6 +378,7 @@ def anosov_gap_scan(rep: Representation, k: int,
     The transversality scans certify several indices through the same
     code, where one SVD per word serves every index.
     """
+    _check_k(k, rep.dim - 1)
     return _gap_scans(rep, (k,), max_length)[k]
 
 
@@ -577,11 +579,6 @@ def _triple_defects(tables: list, x: int, y: np.ndarray,
     return status, defects
 
 
-def _check_k(k: int, top: int) -> None:
-    if not 1 <= k <= top:
-        raise InputError(f"k={k} outside 1..{top}")
-
-
 def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
@@ -749,9 +746,11 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
     an already-kept curve point are thinned out; the report carries the
     minimum 3-plane spanning defect over all triples of kept curve
     points, with verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
-    ``hk_scan``.
+    ``hk_scan``, and the length of the longest sample word as its
+    ``max_length``.
     """
     _check_k(k, rep.dim - 2)
+    samples = tuple(samples)
     lines, labels = _projection_lines(rep, k, x, samples, min_separation)
     n = len(lines)
     if n < 3:
@@ -764,7 +763,8 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
             min_defect = defect
             worst = (labels[i], labels[j], labels[l])
     return TransversalityScanReport(
-        kind="projection", rep_label=rep.label, k=k, max_length=0,
+        kind="projection", rep_label=rep.label, k=k,
+        max_length=max(map(len, samples)),
         certification={}, certified=True, n_points=n,
         n_triples=n * (n - 1) * (n - 2) // 6, gap_failures=0,
         min_defect=float(min_defect),
@@ -953,6 +953,7 @@ def check_eigen_identities(rep: Representation, k: int, g: Word,
     of g; the Grassmannian cross ratio (g-^k, x^(d-k), g x^(d-k), g+^k)
     equals the weight period lambda_1...lambda_k / (lambda_d...).
     """
+    _check_k(k, rep.dim - 1)
     return _eigen_identities(_WordBall(rep, 0), k, g, x)
 
 
@@ -1010,6 +1011,7 @@ def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
 
 def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
     """Eigenvalue-identity reports for every nontrivial word of the ball."""
+    _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, max_length)
     return [_eigen_identities(ball, k, w, _auxiliary_point(ball, w))
             for w in ball.words[1:]]
@@ -1078,6 +1080,7 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     Without a modulus gap |lambda_k/lambda_(k+1)(h)| > 1 + ``EIGEN_GAP_MIN``
     (``attracting_space``'s rule) rhs is undefined: GapError.
     """
+    _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, 0)
     ends = np.array([ball.fixed_points(g), ball.fixed_points(h)])
     if not _linked(ends)[0, 1]:
@@ -1100,6 +1103,7 @@ def linked_pairs(rep: Representation, max_length: int) -> list:
 
 def collar_scan(rep: Representation, k: int, max_length: int) -> list:
     """Collar reports for every ordered linked pair in the word ball."""
+    _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, max_length)
     return [_collar_report(ball, k, g, h) for g, h in _linked_pairs(ball)]
 
@@ -1259,22 +1263,3 @@ def sopq_scan(p: int, q: int, count: int, seed: int,
         p=p, q=q, count=count, seed=seed, all_positive=ok,
         max_q_residual=max(r["q_residual"] for r in rows), rows=tuple(rows))
 
-
-# ---------------------------------------------------------------------------
-# convergence of Cartan attractors to the attracting space
-# ---------------------------------------------------------------------------
-
-def attractor_convergence_slope(rep: Representation, w: Word,
-                                k: int) -> tuple:
-    """Least-squares slope of log d(U_k(g^n), attracting space) in
-    n = 1..``CONVERGENCE_POWERS``."""
-    m = evaluate(rep, w)
-    target = attracting_space(m.entries, k)
-    ns = np.arange(1, CONVERGENCE_POWERS + 1)
-    dists = []
-    for n in ns:
-        p = power_normalized(m.entries, int(n))
-        dists.append(grassmann_distance(cartan_attractor(p, k), target))
-    logs = np.log(np.maximum(dists, 1e-17))
-    slope, intercept = np.polyfit(ns, logs, 1)
-    return float(slope), list(map(float, dists))

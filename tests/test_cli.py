@@ -139,6 +139,16 @@ class TestCheck:
         assert doc["error"] == "InputError"
         assert f"k={k} outside 1..2" in doc["message"]
 
+    @pytest.mark.parametrize("command", [
+        ["gap-scan"], ["collar"], ["check", "eigen-identities"]],
+        ids=["gap-scan", "collar", "eigen-identities"])
+    def test_k_above_d_minus_1_exit_3(self, capsys, command):
+        assert run([*command, "--family", "fg", "--x", "1", "--k", "3",
+                    "--L", "3"]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InputError"
+        assert "k=3 outside 1..2" in doc["message"]
+
     def test_eigen_identities_fg(self, tmp_path):
         out = tmp_path / "r.json"
         status = run(["check", "eigen-identities", "--family", "fg", "--x",
@@ -153,6 +163,12 @@ class TestCheck:
                       "--k", "1", "--L", "3", "--base-word", "a",
                       "--out", str(out)])
         assert status == 0
+
+    def test_hyperconvex_reports_the_sample_length(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
+                    "--k", "1", "--L", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["L"] == 2
 
     def test_hyperconvex_k_out_of_range_exit_3(self, capsys):
         assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
@@ -245,6 +261,8 @@ class TestFgScan:
 
     def test_bad_range(self):
         assert run(["fg-scan", "--x-min", "0", "--x-max", "1"]) == 64
+        assert run(["fg-scan", "--x-min", "1", "--x-max", "inf"]) == 64
+        assert run(["fg-scan", "--x-min", "1", "--x-max", "nan"]) == 64
         assert run(["fg-scan", "--x-min", "0.5", "--x-max", "1",
                     "--points", "0"]) == 64
 

@@ -13,12 +13,9 @@ from anosovlab.crossratio import (
     gcr,
     pcr,
     pcr_quotient,
-    shear,
-    triple_ratio,
 )
 from anosovlab.errors import DomainError, PreconditionError
 from anosovlab.groups import is_cyclically_ordered
-from anosovlab.representations import fg_flags
 
 RNG = np.random.default_rng(31415)
 
@@ -258,85 +255,10 @@ class TestGcrIdentities:
             assert after == pytest.approx(before, rel=1e-9)
 
 
-def random_flag3(rng=RNG):
-    from anosovlab.core_linalg import PartialFlag
-
-    while True:
-        a = rng.normal(size=(3, 2))
-        if abs(np.linalg.det(np.column_stack([a, rng.normal(size=3)]))) > 1e-2:
-            return PartialFlag((
-                Subspace.from_spanning(a[:, 0]),
-                Subspace.from_spanning(a),
-            ))
-
-
-class TestTripleRatio:
-    def test_fg_flags_values(self):
-        for x in (0.1, 1.0, 7.0):
-            flags = fg_flags(x)
-            t1 = triple_ratio(flags["infinity"], flags["s"], flags["zero"])
-            assert float(t1) == pytest.approx(1.0 / x, rel=1e-12)
-            t2 = triple_ratio(flags["zero"], flags["t"], flags["infinity"])
-            assert float(t2) == pytest.approx(x, rel=1e-12)
-
-    def test_cyclic_invariance(self):
-        for _ in range(50):
-            a, b, c = (random_flag3() for _ in range(3))
-            try:
-                v = float(triple_ratio(a, b, c))
-            except DomainError:
-                continue
-            assert float(triple_ratio(b, c, a)) == pytest.approx(v, rel=1e-9)
-            assert float(triple_ratio(c, a, b)) == pytest.approx(v, rel=1e-9)
-
-    def test_degenerate_rejected(self):
-        flags = fg_flags(1.0)
-        with pytest.raises((DomainError, PreconditionError)):
-            triple_ratio(flags["infinity"], flags["infinity"], flags["zero"])
-
-
-class TestShear:
-    def normal_form(self):
-        from anosovlab.core_linalg import PartialFlag
-
-        a = PartialFlag((line(1, 0, 0), span([1, 0, 0], [0, 1, 0], d=3)))
-        c = PartialFlag((line(0, 0, 1), span([0, 0, 1], [0, 1, 0], d=3)))
-        return a, line(1, -1, 1), c, line(1, 1, 1)
-
-    def test_zero_in_harmonic_position(self):
-        a, lb, c, ld = self.normal_form()
-        s = shear(a, lb, c, ld)
-        assert s[0] == pytest.approx(0.0, abs=1e-12)
-        assert s[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_scaling_invariance(self):
-        a, _, c, _ = self.normal_form()
-        s = shear(a, line(-3, 3, -3), c, line(5, 5, 5))
-        assert s[0] == pytest.approx(0.0, abs=1e-12)
-        assert s[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_perturbed_line_oracle(self):
-        # oracle: quotient by e1 has coordinates (e2, e3); the first
-        # component is log(-pcr((1,0),(-1,1),(1.1,1),(0,1))) = log(1/1.1)
-        a, lb, c, _ = self.normal_form()
-        ld = line(1, 1.1, 1)
-        expected = float(np.log(1 / 1.1))
-        s = shear(a, lb, c, ld)
-        assert s[0] == pytest.approx(expected, rel=1e-10)
-        assert s[0] < 0
-
-    def test_wrong_sign_rejected(self):
-        a, lb, c, _ = self.normal_form()
-        # putting l_D on the wrong side makes the cross ratio positive
-        with pytest.raises(DomainError):
-            shear(a, lb, c, lb)
-
-
 def test_cross_ratio_value_markers():
     inf = CrossRatioValue.infinity()
     assert inf.is_infinite
-    assert float(inf.reciprocal()) == 0.0
     with pytest.raises(DomainError):
         float(inf)
     zero = CrossRatioValue.finite(0.0)
-    assert zero.reciprocal().is_infinite
+    assert not zero.is_infinite and float(zero) == 0.0

@@ -128,19 +128,22 @@ class TestEvaluate:
         idx = RNG.integers(0, len(words), size=(40, 2))
         for i, j in idx:
             w1, w2 = words[i], words[j]
-            lhs = evaluate(ref, w1 * w2)
-            rhs = evaluate(ref, w1) @ evaluate(ref, w2)
-            assert np.allclose(
-                lhs.entries * np.exp(lhs.log_scale),
-                rhs.entries * np.exp(rhs.log_scale), rtol=1e-9, atol=1e-12)
+            lhs = evaluate(ref, w1 * w2).entries
+            rhs = evaluate(ref, w1).entries @ evaluate(ref, w2).entries
+            assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_long_word_renormalizes(self):
         ref = punctured_torus_reference()
         w = Word.from_letters([1, 2] * 20)  # length 40 > 30
-        m = evaluate(ref, w)
-        assert np.all(np.isfinite(m.entries))
-        assert np.linalg.norm(m.entries, 2) == pytest.approx(1.0, rel=1e-9)
-        assert m.log_scale > 0
+        m = evaluate(ref, w).entries
+        assert np.all(np.isfinite(m))
+        assert np.linalg.norm(m, 2) == pytest.approx(1.0, rel=1e-9)
+        # a positive multiple of the image: (AB)^20 / ||(AB)^20||_2
+        power = np.linalg.matrix_power(
+            ref.generator_images[0].entries @ ref.generator_images[1].entries,
+            20)
+        assert np.allclose(m, power / np.linalg.norm(power, 2),
+                           rtol=1e-9, atol=0)
 
 
 class TestFixedPoints:

@@ -8,7 +8,6 @@ from anosovlab.representations import (
     Representation,
     coxeter_number_B,
     dual_rep,
-    fg_flags,
     fg_rep,
     fuchsian_locus,
     in_positive_cone,
@@ -157,10 +156,6 @@ class TestFgRep:
         ref = punctured_torus_reference()
         comm = evaluate(ref, Word.from_letters([1, 2, -1, -2]))
         assert np.trace(comm.entries) == pytest.approx(-2.0, rel=1e-12)
-
-    def test_flags_exist(self):
-        flags = fg_flags(2.0)
-        assert set(flags) == {"infinity", "zero", "t", "s"}
 
 
 class TestDualRep:

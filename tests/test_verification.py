@@ -75,7 +75,6 @@ from anosovlab.verification import (
     _wedge_table,
     _WordBall,
     anosov_gap_scan,
-    attractor_convergence_slope,
     boundary_flag,
     check_Ck,
     check_Hk,
@@ -609,6 +608,23 @@ class TestIndexRange:
         with pytest.raises(InputError, match=f"k={k} outside 1..2"):
             check_positively_ratioed(fg_rep(1.0), k, 2)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("scan", [
+        lambda rep, k: anosov_gap_scan(rep, k, 3),
+        lambda rep, k: collar_scan(rep, k, 2),
+        lambda rep, k: collar_check(rep, k, A, B),
+        lambda rep, k: eigen_identity_scan(rep, k, 2),
+        lambda rep, k: check_eigen_identities(rep, k, A, B),
+    ], ids=["gap", "collar", "collar-pair", "eigen", "eigen-pair"])
+    def test_scans_reject_k_outside_1_to_d_minus_1_first(
+            self, monkeypatch, scan, k):
+        def no_ball(*args):
+            raise AssertionError("word ball built before k was checked")
+
+        monkeypatch.setattr(verification, "_WordBall", no_ball)
+        with pytest.raises(InputError, match=f"k={k} outside 1..2"):
+            scan(fg_rep(1.0), k)
+
     @pytest.mark.parametrize("scan,k,top", [
         (hk_scan, 0, 5), (hk_scan, 6, 5), (ck_scan, 0, 4), (ck_scan, 5, 4)])
     def test_transversality_scans_reject_k_out_of_range(self, scan, k, top):
@@ -1009,13 +1025,6 @@ class TestSignPositivity:
                 g = eigenvalue_ratios(evaluate(rep, w).entries, 1)
                 assert g.lambda_ratio_signed is not None
                 assert g.lambda_ratio_signed > 0
-
-
-class TestConvergence:
-    def test_fg_gamma_slope(self):
-        slope, dists = attractor_convergence_slope(fg_rep(1.0), A, 1)
-        assert slope < -0.1
-        assert dists[0] > dists[5] > dists[10]
 
 
 class TestReportFormat:
