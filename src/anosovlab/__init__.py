@@ -3,7 +3,6 @@ cross-ratio, partial-hyperconvexity and collar statements for linear
 representations of free groups."""
 
 from .core_linalg import (
-    Mat,
     PartialFlag,
     Subspace,
     direct_sum_defect,

@@ -25,7 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Mat",
     "Subspace",
     "PartialFlag",
     "ModulusCluster",
@@ -43,7 +42,6 @@ __all__ = [
 
 ORTHONORMALITY_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
-DET_RTOL = 1e-8           # |det - 1| bound, relative to sigma_1^d, of SL(d)
 INTERSECT_TOL = 1e-8      # principal cosines >= 1 - this span an intersection
 AMBIGUITY_BAND = 100.0    # cosines in (1 - band * tol, 1 - tol) are ambiguous
 QUOTIENT_RANK_RTOL = 1e-8  # relative rank cutoff of a quotient image
@@ -57,34 +55,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Dense square real matrix with finite entries, stored read-only."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InputError("matrix entries must be finite")
-        object.__setattr__(self, "entries", _readonly(a))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_unimodular(self) -> bool:
-        """Check |det - 1| <= DET_RTOL * sigma_1^d, the group-element tag."""
-        sigma1 = float(np.linalg.norm(self.entries, 2))
-        det = np.linalg.det(self.entries)
-        return abs(det - 1.0) <= DET_RTOL * max(1.0, sigma1) ** self.dim
-
-
 def as_matrix(m) -> np.ndarray:
-    """Accept a Mat, a Spectrum or a raw square array and return the entries."""
-    if isinstance(m, (Mat, Spectrum)):
+    """The entries of a Spectrum, or a square array as a float array."""
+    if isinstance(m, Spectrum):
         return m.entries
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -386,12 +359,12 @@ def grassmann_distance(x: Subspace, y: Subspace) -> float:
 def svd(m) -> tuple:
     """Singular value decomposition (U, sigma, Vt) with M = U diag(sigma) Vt.
 
-    Accepts one square matrix or an (n, d, d) stack of them; each matrix's
+    Accepts one square array or an (n, d, d) stack of them; each matrix's
     reconstruction residual is validated against 1e-10 * sigma_1, in the
     Frobenius norm, which bounds the 2-norm from above and needs no second
     SVD.
     """
-    a = m.entries if isinstance(m, Mat) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got {a.shape}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import Mat
+from .core_linalg import _readonly
 from .errors import (
     BudgetError,
     DomainError,
@@ -139,8 +139,9 @@ def words_of_length(rank: int, max_length: int) -> list:
     return ball
 
 
-def evaluate(rep, word: Word) -> Mat:
-    """Image of a word: ordered product of generator images and inverses.
+def evaluate(rep, word: Word) -> np.ndarray:
+    """Image of a word, as a read-only float array: the ordered product of
+    generator images and inverses.  Non-finite entries raise InputError.
 
     For words longer than 30 letters each partial product is divided by
     its largest singular value, so the result is a positive multiple of
@@ -156,11 +157,13 @@ def evaluate(rep, word: Word) -> Mat:
     acc = np.eye(d)
     renormalize = len(word) > RENORMALIZE_ABOVE
     for letter in word.letters:
-        g = gens[abs(letter) - 1].entries
+        g = gens[abs(letter) - 1]
         acc = acc @ (g if letter > 0 else np.linalg.inv(g))
         if renormalize:
             acc /= np.linalg.norm(acc, 2)
-    return Mat(acc)
+    if not np.all(np.isfinite(acc)):
+        raise InputError("matrix entries must be finite")
+    return _readonly(acc)
 
 
 def _angle_of_direction(v: np.ndarray) -> float:
@@ -168,16 +171,17 @@ def _angle_of_direction(v: np.ndarray) -> float:
     return 0.0 if theta >= np.pi else theta
 
 
-def circle_separation(a: float, b: float) -> float:
-    """Distance of two angles on RP^1 (circle of circumference pi)."""
-    delta = abs(a - b) % np.pi
-    return min(delta, np.pi - delta)
+def circle_separation(a, b):
+    """Distance of two angles on RP^1 (circle of circumference pi); floats
+    or arrays, elementwise."""
+    delta = np.abs(a - b) % np.pi
+    return np.minimum(delta, np.pi - delta)
 
 
 def rp1_fixed_points(m) -> tuple:
     """Angles in [0, pi) of the attracting and repelling fixed lines of a
     loxodromic 2x2 matrix, as ``(attracting, repelling)`` floats."""
-    a = m.entries if isinstance(m, Mat) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.shape != (2, 2):
         raise InputError("fixed points on RP^1 need a 2x2 matrix")
     tr = a[0, 0] + a[1, 1]

@@ -9,9 +9,12 @@ Families provided:
 * the SO(p,q) model: the form Q, the unipotent generators E_k(v) and
   products of positive elements.
 
-Every constructed group element is certified (unit determinant,
-Q-invariance) rather than trusted; certification failures surface as
-ConstructionError instead of being silently repaired.
+Matrices are float ndarrays.  A Representation validates its generator
+images where it is built (square, finite, the declared dimension, unit
+determinant) and stores them read-only.  Every constructed group element
+is certified (unit determinant, Q-invariance) rather than trusted;
+certification failures surface as ConstructionError instead of being
+silently repaired.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import DET_RTOL, Mat
+from .core_linalg import _readonly
 from .errors import (
     ConstructionError,
+    DimensionError,
     DomainError,
     InputError,
 )
@@ -45,11 +49,32 @@ __all__ = [
 ]
 
 Q_INVARIANCE_TOL = 1e-10
+DET_RTOL = 1e-8           # |det - 1| bound, relative to sigma_1^d, of SL(d)
+
+
+def _generator_image(g) -> np.ndarray:
+    """A read-only float copy of ``g``, square with finite entries."""
+    try:
+        a = np.array(g, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise InputError(
+            f"generator image is not a real matrix: {exc}") from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError("matrix entries must be finite")
+    return _readonly(a)
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Generator images in SL(d,R) plus an optional 2x2 boundary reference."""
+    """Generator images in SL(d,R) plus an optional 2x2 boundary reference.
+
+    Each image is converted to a float array and checked here: it must be
+    square (DimensionError), finite (InputError), of dimension ``dim``
+    (InputError) and of determinant 1 within ``DET_RTOL`` sigma_1^d
+    (ConstructionError).  The images are stored read-only.
+    """
 
     dim: int
     generator_images: tuple
@@ -57,14 +82,14 @@ class Representation:
     label: str = ""
 
     def __post_init__(self):
-        images = tuple(self.generator_images)
+        images = tuple(map(_generator_image, self.generator_images))
         for g in images:
-            if not isinstance(g, Mat):
-                raise InputError("generator images must be Mat values")
-            if g.dim != self.dim:
+            d = g.shape[0]
+            if d != self.dim:
                 raise InputError(
-                    f"generator image has dimension {g.dim}, expected {self.dim}")
-            if not g.is_unimodular():
+                    f"generator image has dimension {d}, expected {self.dim}")
+            sigma1 = float(np.linalg.norm(g, 2))
+            if abs(np.linalg.det(g) - 1.0) > DET_RTOL * max(1.0, sigma1) ** d:
                 raise ConstructionError(
                     f"generator image determinant differs from 1 beyond "
                     f"{DET_RTOL:g} relative ({self.label or 'unlabeled'})")
@@ -72,7 +97,7 @@ class Representation:
             if self.reference.dim != 2:
                 raise InputError("boundary reference must be 2x2")
             for g in self.reference.generator_images:
-                tr = float(np.trace(g.entries))
+                tr = float(np.trace(g))
                 if abs(tr) <= 2.0:
                     raise InputError(
                         "reference generators must be loxodromic (|trace| > 2)")
@@ -89,8 +114,8 @@ def punctured_torus_reference() -> Representation:
     A = [[1,1],[1,2]], B = [[1,-1],[-1,2]]; the commutator has trace -2
     and the axes of the generators cross.
     """
-    a = Mat(np.array([[1.0, 1.0], [1.0, 2.0]]))
-    b = Mat(np.array([[1.0, -1.0], [-1.0, 2.0]]))
+    a = np.array([[1.0, 1.0], [1.0, 2.0]])
+    b = np.array([[1.0, -1.0], [-1.0, 2.0]])
     return Representation(dim=2, generator_images=(a, b),
                           label="punctured-torus-reference")
 
@@ -99,7 +124,7 @@ def punctured_torus_reference() -> Representation:
 # symmetric powers and Fuchsian loci
 # ---------------------------------------------------------------------------
 
-def sym_power(m, d: int) -> Mat:
+def sym_power(m, d: int) -> np.ndarray:
     """Irreducible d-dimensional representation of a 2x2 matrix.
 
     Acts on degree-(d-1) homogeneous polynomials in x, y listed in the
@@ -110,7 +135,7 @@ def sym_power(m, d: int) -> Mat:
     """
     if d < 1:
         raise InputError("target dimension must be >= 1")
-    a = m.entries if isinstance(m, Mat) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.shape != (2, 2):
         raise InputError("sym_power takes a 2x2 matrix")
     n = d - 1
@@ -138,8 +163,7 @@ def sym_power(m, d: int) -> Mat:
         # odd dimension: a global sign flips the determinant sign
         s = -s
         det = -det
-    s = s / det ** (1.0 / d)
-    return Mat(s)
+    return s / det ** (1.0 / d)
 
 
 def fuchsian_locus(partition, ref: Representation) -> Representation:
@@ -154,14 +178,14 @@ def fuchsian_locus(partition, ref: Representation) -> Representation:
     d = sum(partition)
     images = []
     for g in ref.generator_images:
-        blocks = [sym_power(g, p).entries for p in partition]
+        blocks = [sym_power(g, p) for p in partition]
         m = np.zeros((d, d))
         at = 0
         for blk in blocks:
             k = blk.shape[0]
             m[at:at + k, at:at + k] = blk
             at += k
-        images.append(Mat(m))
+        images.append(m)
     label = "fuchsian-(" + ",".join(str(p) for p in partition) + ")"
     return Representation(dim=d, generator_images=tuple(images),
                           reference=ref, label=label)
@@ -200,15 +224,14 @@ def fg_rep(x: float) -> Representation:
     gamma, delta = _fg_matrices(float(x))
     return Representation(
         dim=3,
-        generator_images=(Mat(scale * gamma), Mat(scale * delta)),
+        generator_images=(scale * gamma, scale * delta),
         reference=punctured_torus_reference(),
         label=f"fg(x={x:.17g})")
 
 
 def dual_rep(rep: Representation) -> Representation:
     """Contragradient representation: images replaced by inverse transposes."""
-    images = tuple(
-        Mat(np.linalg.inv(g.entries).T) for g in rep.generator_images)
+    images = tuple(np.linalg.inv(g).T for g in rep.generator_images)
     return Representation(dim=rep.dim, generator_images=images,
                           reference=rep.reference,
                           label=rep.label + "+dual" if rep.label else "dual")
@@ -294,7 +317,7 @@ def in_positive_cone(data: SOpqData, v: np.ndarray) -> bool:
     return bool(v[0] > 0 and v @ j @ v > 0)
 
 
-def sopq_E(data: SOpqData, k: int, v) -> Mat:
+def sopq_E(data: SOpqData, k: int, v) -> np.ndarray:
     """Unipotent generator E_k(v) of the positive semigroup.
 
     For k <= p-2, v is a positive scalar placed at positions (k, k+1)
@@ -316,7 +339,7 @@ def sopq_E(data: SOpqData, k: int, v) -> Mat:
         e[k - 1, k] = val
         e[d - k - 1, d - k] = val
         data.certify(e)
-        return Mat(e)
+        return e
     vec = np.asarray(v, dtype=float)
     m = q - p + 2
     if vec.shape != (m,):
@@ -346,7 +369,7 @@ def sopq_E(data: SOpqData, k: int, v) -> Mat:
     c_star = -r0 / (r1 - r0)
     e = build(c_star)
     data.certify(e)
-    return Mat(e)
+    return e
 
 
 def _as_vbar(data: SOpqData, vbar) -> list:
@@ -358,7 +381,7 @@ def _as_vbar(data: SOpqData, vbar) -> list:
     return entries
 
 
-def sopq_ab(data: SOpqData, vbar) -> Mat:
+def sopq_ab(data: SOpqData, vbar) -> np.ndarray:
     """One Weyl-word factor: product of even-index then odd-index E_j(v_j)."""
     entries = _as_vbar(data, vbar)
     p = data.p
@@ -366,12 +389,12 @@ def sopq_ab(data: SOpqData, vbar) -> Mat:
     odd = [j for j in range(1, p) if j % 2 == 1]
     acc = np.eye(data.d)
     for j in even + odd:
-        acc = acc @ sopq_E(data, j, entries[j - 1]).entries
+        acc = acc @ sopq_E(data, j, entries[j - 1])
     data.certify(acc)
-    return Mat(acc)
+    return acc
 
 
-def sopq_positive(data: SOpqData, vbars) -> Mat:
+def sopq_positive(data: SOpqData, vbars) -> np.ndarray:
     """Positive element: the ordered product of h/2 factors ab(vbar_i).
 
     h is the Coxeter number of B_(p-1), so h/2 = p-1 factors are
@@ -385,17 +408,17 @@ def sopq_positive(data: SOpqData, vbars) -> Mat:
             f"got {len(vbars)}")
     acc = np.eye(data.d)
     for vbar in vbars:
-        acc = acc @ sopq_ab(data, vbar).entries
+        acc = acc @ sopq_ab(data, vbar)
     data.certify(acc)
-    return Mat(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_to_lists(m: Mat) -> list:
-    return [[float(x) for x in row] for row in m.entries]
+def _matrix_to_lists(m: np.ndarray) -> list:
+    return [[float(x) for x in row] for row in m]
 
 
 def rep_to_json(rep: Representation) -> str:
@@ -431,6 +454,6 @@ def rep_from_json(text: str) -> Representation:
     rep = None
     for dim, generators, label in parts:
         rep = Representation(
-            dim=dim, generator_images=tuple(Mat(g) for g in generators),
+            dim=dim, generator_images=tuple(generators),
             reference=rep, label=label)
     return rep

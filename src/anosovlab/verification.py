@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core_linalg import (
-    Mat,
     PartialFlag,
     Spectrum,
     Subspace,
@@ -189,8 +188,8 @@ class _WordBall:
                              f"representation has {rep.rank}")
         steps = {}
         for i, g in enumerate(rep.generator_images, 1):
-            steps[i] = g.entries
-            steps[-i] = np.linalg.inv(g.entries)
+            steps[i] = g
+            steps[-i] = np.linalg.inv(g)
         images = np.empty((len(self.words), rep.dim, rep.dim))
         for i, w in enumerate(self.words):
             letters = w.letters
@@ -205,7 +204,7 @@ class _WordBall:
             return self.images[i]
         m = self._outside.get(w)
         if m is None:
-            m = self._outside[w] = evaluate(self.rep, w).entries
+            m = self._outside[w] = evaluate(self.rep, w)
         return m
 
     def fixed_points(self, w: Word) -> tuple:
@@ -432,6 +431,8 @@ def _triple_defect(rep: Representation, k: int, triple, summands_fn) -> float:
     for summand in summands_fn(k, rep.dim):
         spaces = [ball.space(triple[role], dim) for role, dim in summand]
         parts.append(spaces[0] if len(spaces) == 1 else intersect(*spaces))
+    if sum(part.rank for part in parts) > rep.dim:
+        return 0.0    # more than d dimensions never sum directly
     return direct_sum_defect(parts)
 
 
@@ -486,12 +487,6 @@ def _scan_verdict(min_defect: float) -> str:
 
 
 _OK, _GAP, _AMBIGUOUS = 0, 1, 2   # outcome of a summand and of a triple
-
-
-def _apart(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
-    """Elementwise ``circle_separation(a, b) >= cutoff``, by its formula."""
-    delta = np.abs(a - b) % np.pi
-    return np.minimum(delta, np.pi - delta) >= cutoff
 
 
 @dataclass(frozen=True)
@@ -556,9 +551,10 @@ def _triple_defects(tables: list, x: int, y: np.ndarray,
     """Outcome and defect of the triples (x, y[i], z[i]).
 
     The first summand that is not ``_OK``, in summand order, decides a
-    triple's outcome; a triple with a missing flag has defect 0.  The
-    defects of the other triples come from one batched SVD per signature
-    of summand ranks.
+    triple's outcome; a triple with a missing flag, or whose summand ranks
+    add up to more than d (never a direct sum), has defect 0.  The defects
+    of the other triples come from one batched SVD per signature of
+    summand ranks.
     """
     columns = (np.full(len(y), x), y, z)
     keys = [tuple(columns[role] for role in t.roles) for t in tables]
@@ -569,7 +565,7 @@ def _triple_defects(tables: list, x: int, y: np.ndarray,
     d = tables[0].basis.shape[-1]
     signature = sum(r * (d + 1) ** i for i, r in enumerate(ranks))
     defects = np.zeros(len(y))
-    ok = status == _OK
+    ok = (status == _OK) & (sum(ranks) <= d)
     for code in np.unique(signature[ok]):
         rows = np.flatnonzero(ok & (signature == code))
         stack = np.concatenate(
@@ -596,8 +592,8 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     atlas = BoundaryAtlas(rep, max_length)
     n = len(atlas)
     # ordered pairs of distinct points at least min_separation apart
-    separated = _apart(atlas.angles[:, None], atlas.angles[None, :],
-                       min_separation)
+    separated = circle_separation(atlas.angles[:, None],
+                                  atlas.angles[None, :]) >= min_separation
     np.fill_diagonal(separated, False)
     pairwise = separated.astype(int)
     used = separated & (pairwise @ pairwise > 0)   # some third point fits
@@ -655,13 +651,15 @@ def hk_scan(rep: Representation, k: int, max_length: int,
 
     Triples whose required flags do not exist (missing eigenvalue gap)
     are recorded with defect 0: the transversality sum the property
-    requires cannot be formed.  Ambiguity is decided per intersection
-    pair: the intersection summand y^k n z^(d-k+1) is computed once per
-    ordered pair (y, z), and when it falls in the ambiguity band of
-    ``intersect`` every triple sharing that pair is counted in
-    ``ambiguous_items``, left out of the defects, and turns a would-be
-    ``pass`` into ``ambiguous``.  The first summand, in order, that is
-    missing or ambiguous decides a triple's outcome.
+    requires cannot be formed.  So are triples whose summands have more
+    than d dimensions in all (an intersection may keep a direction within
+    the tolerance of ``intersect``): such a sum is never direct.
+    Ambiguity is decided per intersection pair: the intersection summand
+    y^k n z^(d-k+1) is computed once per ordered pair (y, z), and when it
+    falls in the ambiguity band of ``intersect`` every triple sharing
+    that pair is counted in ``ambiguous_items``, left out of the defects,
+    and turns a would-be ``pass`` into ``ambiguous``.  The first summand,
+    in order, that is missing or ambiguous decides a triple's outcome.
     """
     _check_k(k, rep.dim - 1)
     return _transversality_scan(
@@ -1067,7 +1065,8 @@ def _linked(ends: np.ndarray) -> np.ndarray:
     descents = sum(cycle[(i + 1) % 4] < cycle[i] for i in range(4))
     distinct = True
     for i, j in itertools.combinations(range(4), 2):
-        distinct = distinct & _apart(cycle[i], cycle[j], ANGLE_SEPARATION)
+        distinct = distinct & (circle_separation(cycle[i], cycle[j])
+                               >= ANGLE_SEPARATION)
     return distinct & ((descents == 1) | (descents == 3))
 
 
@@ -1138,8 +1137,8 @@ def counterexample_scan(x_grid) -> list:
         if not (np.isfinite(x) and x > 0):
             raise InputError(f"grid values must be positive, got {x}")
         rep = fg_rep(float(x))
-        gam = eigenvalue_ratios(rep.generator_images[0].entries, 1)
-        dlt = eigenvalue_ratios(rep.generator_images[1].entries, 1)
+        gam = eigenvalue_ratios(rep.generator_images[0], 1)
+        dlt = eigenvalue_ratios(rep.generator_images[1], 1)
         rows.append(CounterexampleRow(
             x=float(x), ratio_gamma=float(gam.lambda_ratio),
             ratio_delta=float(dlt.lambda_ratio),
@@ -1164,40 +1163,27 @@ def sopq_positivity_coeffs(p_el, data: SOpqData, k: int) -> tuple:
     Both are strictly positive for admissible parameters; this is the
     coefficient computation behind the C_k property of the model.
     """
-    if not 1 <= k <= data.p - 3:
-        raise InputError(f"k={k} outside 1..{data.p - 3}")
-    m = p_el.entries if isinstance(p_el, Mat) else np.asarray(p_el, dtype=float)
+    _check_k(k, data.p - 3)
+    m = np.asarray(p_el, dtype=float)
     _check_unipotent(m)
     d = data.d
     inv = np.linalg.inv(m)
     return (float(m[d - k - 2, d - k]), float(inv[d - k - 2, d - k]))
 
 
-def _coordinate_span_top(d: int, l: int) -> Subspace:
-    """Z^l = span(e_1, ..., e_l)."""
-    return Subspace.coordinate(d, *range(l)) if l > 0 else Subspace.zero(d)
-
-
-def _coordinate_span_bottom(d: int, l: int) -> Subspace:
-    """X^l = span(e_d, ..., e_(d-l+1))."""
-    return (Subspace.coordinate(d, *range(d - l, d)) if l > 0
-            else Subspace.zero(d))
-
-
 def sopq_model_triple_defect(data: SOpqData, p_el, k: int) -> float:
     """C_k defect of the model triple (X, P X, Z).
 
     Evaluates the direct-sum defect of
-    Z^(d-k-2) + (Z^(d-k+1) n P X^k) + X^(k+1).
+    Z^(d-k-2) + (Z^(d-k+1) n P X^k) + X^(k+1), where Z^l = span(e_1, ...,
+    e_l) and X^l = span(e_(d-l+1), ..., e_d).
     """
-    if not 1 <= k <= data.p - 3:
-        raise InputError(f"k={k} outside 1..{data.p - 3}")
+    _check_k(k, data.p - 3)
     d = data.d
-    m = p_el.entries if isinstance(p_el, Mat) else np.asarray(p_el, dtype=float)
-    z_low = _coordinate_span_top(d, d - k - 2)
-    z_high = _coordinate_span_top(d, d - k + 1)
-    px_k = _coordinate_span_bottom(d, k).apply(m)
-    x_k1 = _coordinate_span_bottom(d, k + 1)
+    z_low = Subspace.coordinate(d, *range(d - k - 2))
+    z_high = Subspace.coordinate(d, *range(d - k + 1))
+    px_k = Subspace.coordinate(d, *range(d - k, d)).apply(p_el)
+    x_k1 = Subspace.coordinate(d, *range(d - k - 1, d))
     return direct_sum_defect([z_low, intersect(z_high, px_k), x_k1])
 
 
@@ -1247,8 +1233,7 @@ def sopq_scan(p: int, q: int, count: int, seed: int,
             v[-1] = (-1.0) ** (p - 1) * rng.uniform(SOPQ_ENTRY_MIN, entry_max)
             vbars.append(scalars + [v])
         p_el = sopq_positive(data, vbars)
-        resid = float(np.linalg.norm(
-            p_el.entries.T @ data.Q @ p_el.entries - data.Q, 2))
+        resid = float(np.linalg.norm(p_el.T @ data.Q @ p_el - data.Q, 2))
         row = {"index": i, "q_residual": resid}
         for k in range(1, p - 2):
             c, ci = sopq_positivity_coeffs(p_el, data, k)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ class TestConstruct:
                     "--out", str(out)]) == 0
         rep = rep_from_json(out.read_text())
         assert rep.dim == 3
-        assert np.allclose(rep.generator_images[0].entries,
+        assert np.allclose(rep.generator_images[0],
                            [[4, 4, 1], [2, 3, 1], [1, 2, 1]])
 
     def test_fuchsian_partition(self, tmp_path):
@@ -107,6 +106,18 @@ class TestCheck:
         doc = json.loads(out.read_text())
         assert doc["report"]["verdict"] == "fail"
         assert doc["report"]["min_defect"] < 1e-10
+
+    def test_hk_intersection_of_excess_rank_fails(self, tmp_path):
+        # some (6,1) triples have summand ranks adding up to 8 > 7: a sum
+        # that is not direct, so the scan fails instead of aborting
+        out = tmp_path / "r.json"
+        status = run(["check", "Hk", "--family", "fuchsian", "--partition",
+                      "6,1", "--k", "2", "--L", "2", "--min-separation", "0",
+                      "--out", str(out)])
+        assert status == 1
+        doc = json.loads(out.read_text())
+        assert doc["report"]["verdict"] == "fail"
+        assert doc["report"]["min_defect"] == 0.0
 
     def test_ck_non_certifiable_exit_2(self, tmp_path):
         out = tmp_path / "r.json"

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovlab.core_linalg import (
-    EigenDecomposition,
-    Mat,
     Subspace,
     PartialFlag,
     direct_sum_defect,
@@ -21,7 +19,6 @@ from anosovlab.core_linalg import (
 from anosovlab.errors import (
     AmbiguityError,
     DimensionError,
-    GapError,
     InputError,
     NumericError,
     PreconditionError,
@@ -207,7 +204,7 @@ class TestAngles:
 
 class TestSvd:
     def test_identity(self):
-        _, s, _ = svd(Mat(np.eye(4)))
+        _, s, _ = svd(np.eye(4))
         assert np.allclose(s, 1.0)
 
     def test_diagonal(self):
@@ -333,14 +330,6 @@ class TestEig:
 # ---------------------------------------------------------------------------
 
 class TestTypes:
-    def test_mat_rejects_nan(self):
-        with pytest.raises(InputError):
-            Mat(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_mat_unimodular_tag(self):
-        assert Mat(FG_GAMMA).is_unimodular()
-        assert not Mat(2 * np.eye(3)).is_unimodular()
-
     def test_subspace_requires_orthonormal(self):
         with pytest.raises(InputError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))

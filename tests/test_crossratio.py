@@ -6,7 +6,6 @@ from anosovlab.core_linalg import (
     direct_sum_defect,
     quotient_complement,
     span,
-    wedge_volume,
 )
 from anosovlab.crossratio import (
     CrossRatioValue,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovlab import groups
-from anosovlab.core_linalg import Mat
 from anosovlab.errors import (
     BudgetError,
     DomainError,
@@ -25,6 +24,7 @@ from anosovlab.groups import (
     words_of_length,
 )
 from anosovlab.representations import (
+    Representation,
     fg_rep,
     fuchsian_locus,
     punctured_torus_reference,
@@ -115,12 +115,12 @@ class TestWordsOfLength:
 class TestEvaluate:
     def test_empty_word(self):
         ref = punctured_torus_reference()
-        assert np.allclose(evaluate(ref, Word()).entries, np.eye(2))
+        assert np.allclose(evaluate(ref, Word()), np.eye(2))
 
     def test_pre_reduction(self):
         ref = punctured_torus_reference()
         w = Word.from_letters([1, -1])
-        assert np.allclose(evaluate(ref, w).entries, np.eye(2))
+        assert np.allclose(evaluate(ref, w), np.eye(2))
 
     def test_homomorphism_on_random_pairs(self):
         ref = punctured_torus_reference()
@@ -128,22 +128,32 @@ class TestEvaluate:
         idx = RNG.integers(0, len(words), size=(40, 2))
         for i, j in idx:
             w1, w2 = words[i], words[j]
-            lhs = evaluate(ref, w1 * w2).entries
-            rhs = evaluate(ref, w1).entries @ evaluate(ref, w2).entries
+            lhs = evaluate(ref, w1 * w2)
+            rhs = evaluate(ref, w1) @ evaluate(ref, w2)
             assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_long_word_renormalizes(self):
         ref = punctured_torus_reference()
         w = Word.from_letters([1, 2] * 20)  # length 40 > 30
-        m = evaluate(ref, w).entries
+        m = evaluate(ref, w)
         assert np.all(np.isfinite(m))
         assert np.linalg.norm(m, 2) == pytest.approx(1.0, rel=1e-9)
         # a positive multiple of the image: (AB)^20 / ||(AB)^20||_2
         power = np.linalg.matrix_power(
-            ref.generator_images[0].entries @ ref.generator_images[1].entries,
-            20)
+            ref.generator_images[0] @ ref.generator_images[1], 20)
         assert np.allclose(m, power / np.linalg.norm(power, 2),
                            rtol=1e-9, atol=0)
+
+    def test_image_is_read_only(self):
+        m = evaluate(punctured_torus_reference(), Word((1, 2)))
+        assert m.dtype == float and not m.flags.writeable
+
+    def test_overflow_raises_input_error(self):
+        big = Representation(
+            dim=2, generator_images=(np.diag([1e100, 1e-100]),))
+        with np.errstate(over="ignore"), pytest.raises(
+                InputError, match="must be finite"):
+            evaluate(big, Word((1, 1, 1, 1)))
 
 
 class TestFixedPoints:
@@ -224,7 +234,7 @@ class TestCyclicOrder:
     def test_mobius_action_preserves_order(self):
         # orientation-preserving action on RP^1 preserves cyclic order
         ref = punctured_torus_reference()
-        g = evaluate(ref, Word((1, 2))).entries
+        g = evaluate(ref, Word((1, 2)))
         angles = [0.2, 0.9, 1.8, 2.7]
         moved = []
         for t in angles:
@@ -235,13 +245,12 @@ class TestCyclicOrder:
 
 def schottky_reference():
     """Ping-pong pair with nested fixed-point intervals (axes disjoint)."""
-    from anosovlab.representations import Representation
 
     def axis_matrix(theta1, theta2, t=4.0):
         s = np.column_stack([[np.cos(theta1), np.sin(theta1)],
                              [np.cos(theta2), np.sin(theta2)]])
         m = s @ np.diag([t, 1 / t]) @ np.linalg.inv(s)
-        return Mat(m / abs(np.linalg.det(m)) ** 0.5)
+        return m / abs(np.linalg.det(m)) ** 0.5
 
     return Representation(
         dim=2,

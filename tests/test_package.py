@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -10,6 +11,7 @@ import anosovlab
 from anosovlab.cli import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(anosovlab.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,7 +24,7 @@ def test_every_exported_name_resolves(name):
 def test_every_traced_name_resolves():
     # bench/run.py --trace rebinds each TRACED name by looking it up in the
     # package; a renamed or deleted function breaks traced runs
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -76,3 +78,32 @@ def test_defaulted_public_parameters_are_exactly_the_listed_ones():
                       for p in inspect.signature(fn).parameters.values()
                       if p.default is not inspect.Parameter.empty]
     assert found == DEFAULTED_PARAMETERS
+
+
+def _dead_imports(path: Path) -> list:
+    """Names ``path`` imports but never references nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = getattr(node, "targets", [])
+        if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_dead_imports():
+    # the package's __init__ imports are its exports
+    paths = [p for p in sorted((ROOT / "src" / "anosovlab").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert [dead for p in paths for dead in _dead_imports(p)] == []

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from anosovlab.core_linalg import Mat
-from anosovlab.errors import ConstructionError, DomainError, InputError
+from anosovlab.errors import (
+    ConstructionError,
+    DimensionError,
+    DomainError,
+    InputError,
+)
 from anosovlab.groups import Word, evaluate
 from anosovlab.representations import (
     Representation,
@@ -11,7 +15,6 @@ from anosovlab.representations import (
     fg_rep,
     fuchsian_locus,
     in_positive_cone,
-    j_block_of,
     punctured_torus_reference,
     rep_from_json,
     rep_to_json,
@@ -43,35 +46,71 @@ def cone_vector(data, rng=None, first=2.0, last_mag=0.5):
     return v
 
 
+class TestGeneratorImages:
+    """A Representation checks its generator images where it is built."""
+
+    def test_rejects_nan(self):
+        with pytest.raises(InputError, match="must be finite"):
+            Representation(dim=2, generator_images=(
+                np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError,
+                           match=r"must be square, got shape \(2, 3\)"):
+            Representation(dim=2, generator_images=(np.ones((2, 3)),))
+
+    def test_rejects_non_numeric(self):
+        with pytest.raises(InputError, match="not a real matrix"):
+            Representation(dim=2, generator_images=([[1.0, "x"], [0.0, 1.0]],))
+
+    def test_unimodular_check(self):
+        Representation(dim=3, generator_images=fg_rep(1.0).generator_images)
+        with pytest.raises(ConstructionError, match="determinant differs"):
+            Representation(dim=3, generator_images=(2 * np.eye(3),))
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(InputError, match="dimension 3, expected 2"):
+            Representation(dim=2, generator_images=(np.eye(3),))
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_images_are_read_only_float_copies(self, dtype):
+        a = np.array([[1, 1], [1, 2]], dtype=dtype)
+        rep = Representation(dim=2, generator_images=(a,))
+        g = rep.generator_images[0]
+        assert g.dtype == float and not g.flags.writeable
+        a[0, 0] = 5
+        assert g[0, 0] == 1.0
+
+
 class TestSymPower:
     def test_diagonal_weights(self):
         t = 1.7
         got = sym_power(np.diag([t, 1 / t]), 3)
-        assert np.allclose(got.entries, np.diag([t ** 2, 1.0, t ** -2]))
+        assert np.allclose(got, np.diag([t ** 2, 1.0, t ** -2]))
 
     def test_unipotent_hand_oracle(self):
         # oracle: expand (x+y)^2, (x+y)y, y^2 in the monomial basis
         got = sym_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 3)
         expected = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        assert np.allclose(got.entries, expected)
+        assert np.allclose(got, expected)
 
     def test_dimension_one(self):
         got = sym_power(random_sl2(), 1)
-        assert np.allclose(got.entries, [[1.0]])
+        assert np.allclose(got, [[1.0]])
 
     def test_multiplicative(self):
         for d in (2, 3, 5):
             for _ in range(20):
                 a, b = random_sl2(), random_sl2()
-                lhs = sym_power(a @ b, d).entries
-                rhs = sym_power(a, d).entries @ sym_power(b, d).entries
+                lhs = sym_power(a @ b, d)
+                rhs = sym_power(a, d) @ sym_power(b, d)
                 assert np.linalg.norm(lhs - rhs, 2) <= 1e-9 * np.linalg.norm(lhs, 2)
 
     def test_unit_determinant(self):
         for d in (2, 3, 4, 6):
             for _ in range(10):
                 got = sym_power(random_sl2(), d)
-                assert np.linalg.det(got.entries) == pytest.approx(1.0, rel=1e-9)
+                assert np.linalg.det(got) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestFuchsianLocus:
@@ -79,22 +118,22 @@ class TestFuchsianLocus:
         ref = punctured_torus_reference()
         rep = fuchsian_locus((2,), ref)
         for g, r in zip(rep.generator_images, ref.generator_images):
-            assert np.allclose(g.entries, r.entries)
+            assert np.allclose(g, r)
 
     def test_weights_3_1(self):
         ref = Representation(
-            dim=2, generator_images=(Mat(np.diag([2.0, 0.5])),), label="diag")
+            dim=2, generator_images=(np.diag([2.0, 0.5]),), label="diag")
         rep = fuchsian_locus((3, 1), ref)
-        assert np.allclose(rep.generator_images[0].entries,
+        assert np.allclose(rep.generator_images[0],
                            np.diag([4.0, 1.0, 0.25, 1.0]))
 
     def test_5_1_weight_exponents(self):
         # weight bookkeeping oracle: exponents (4,2,0,-2,-4) plus (0)
         t = 3.0
         ref = Representation(
-            dim=2, generator_images=(Mat(np.diag([t, 1 / t])),), label="diag")
+            dim=2, generator_images=(np.diag([t, 1 / t]),), label="diag")
         rep = fuchsian_locus((5, 1), ref)
-        s = np.linalg.svd(rep.generator_images[0].entries, compute_uv=False)
+        s = np.linalg.svd(rep.generator_images[0], compute_uv=False)
         expected = np.sort([t ** 4, t ** 2, 1.0, t ** -2, t ** -4, 1.0])[::-1]
         assert np.allclose(s, expected, rtol=1e-10)
         # no singular gap at k = 3 on the diagonal subgroup
@@ -112,14 +151,14 @@ class TestFuchsianLocus:
 class TestFgRep:
     def test_matrix_at_x_equal_1(self):
         rep = fg_rep(1.0)
-        assert np.allclose(rep.generator_images[0].entries,
+        assert np.allclose(rep.generator_images[0],
                            [[4, 4, 1], [2, 3, 1], [1, 2, 1]])
 
     def test_unit_determinant_on_grid(self):
         for x in (0.1, 1.0, 7.0):
             rep = fg_rep(x)
             for g in rep.generator_images:
-                assert np.linalg.det(g.entries) == pytest.approx(1.0, rel=1e-10)
+                assert np.linalg.det(g) == pytest.approx(1.0, rel=1e-10)
 
     def test_characteristic_polynomial_coefficients(self):
         # trace and second elementary symmetric function of both generators
@@ -128,7 +167,7 @@ class TestFgRep:
             c2 = 4 * x ** (-1 / 3) + 4 * x ** (2 / 3)
             c1 = 4 * x ** (1 / 3) + 4 * x ** (-2 / 3)
             for g in rep.generator_images:
-                a = g.entries
+                a = g
                 tr = np.trace(a)
                 e2 = (tr ** 2 - np.trace(a @ a)) / 2
                 assert tr == pytest.approx(c2, rel=1e-12)
@@ -136,13 +175,13 @@ class TestFgRep:
 
     def test_eigenvalues_at_one(self):
         rep = fg_rep(1.0)
-        lam = np.sort(np.linalg.eigvals(rep.generator_images[0].entries).real)[::-1]
+        lam = np.sort(np.linalg.eigvals(rep.generator_images[0]).real)[::-1]
         l1 = (7 + 3 * np.sqrt(5)) / 2
         assert np.allclose(lam, [l1, 1.0, 1 / l1], rtol=1e-10)
 
     def test_generators_share_characteristic_polynomial(self):
         rep = fg_rep(0.37)
-        a, b = (g.entries for g in rep.generator_images)
+        a, b = (g for g in rep.generator_images)
         assert np.trace(a) == pytest.approx(np.trace(b), rel=1e-12)
         assert np.trace(a @ a) == pytest.approx(np.trace(b @ b), rel=1e-12)
 
@@ -155,7 +194,7 @@ class TestFgRep:
     def test_reference_commutator_trace(self):
         ref = punctured_torus_reference()
         comm = evaluate(ref, Word.from_letters([1, 2, -1, -2]))
-        assert np.trace(comm.entries) == pytest.approx(-2.0, rel=1e-12)
+        assert np.trace(comm) == pytest.approx(-2.0, rel=1e-12)
 
 
 class TestDualRep:
@@ -164,22 +203,22 @@ class TestDualRep:
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]])
         # loxodromic reference check does not apply: no reference attached
-        rep = Representation(dim=2, generator_images=(Mat(rot),), label="rot")
+        rep = Representation(dim=2, generator_images=(rot,), label="rot")
         dd = dual_rep(rep)
-        assert np.allclose(dd.generator_images[0].entries, rot)
+        assert np.allclose(dd.generator_images[0], rot)
 
     def test_involution(self):
         rep = fg_rep(1.5)
         back = dual_rep(dual_rep(rep))
         for g, h in zip(back.generator_images, rep.generator_images):
-            assert np.allclose(g.entries, h.entries, atol=1e-10)
+            assert np.allclose(g, h, atol=1e-10)
 
     def test_singular_values_reversed_reciprocals(self):
         rep = fg_rep(2.0)
         dd = dual_rep(rep)
         for g, gd in zip(rep.generator_images, dd.generator_images):
-            s = np.linalg.svd(g.entries, compute_uv=False)
-            sd = np.linalg.svd(gd.entries, compute_uv=False)
+            s = np.linalg.svd(g, compute_uv=False)
+            sd = np.linalg.svd(gd, compute_uv=False)
             assert np.allclose(sd, 1.0 / s[::-1], rtol=1e-10)
 
 
@@ -195,12 +234,12 @@ class TestSopq:
     def test_E_zero_is_identity_limit(self):
         data = sopq_form(4, 5)
         e = sopq_E(data, 1, 1e-12)
-        assert np.allclose(e.entries, np.eye(9), atol=1e-10)
+        assert np.allclose(e, np.eye(9), atol=1e-10)
 
     def test_E1_positions_p4_q5(self):
         data = sopq_form(4, 5)
         v = 0.7
-        e = sopq_E(data, 1, v).entries
+        e = sopq_E(data, 1, v)
         expected = np.eye(9)
         expected[0, 1] = v   # position (1,2)
         expected[7, 8] = v   # position (8,9)
@@ -228,7 +267,7 @@ class TestSopq:
             data = sopq_form(p, q)
             d = data.d
             vbar = [1.0] * (p - 2) + [cone_vector(data)]
-            ab = sopq_ab(data, vbar).entries
+            ab = sopq_ab(data, vbar)
             for k in range(1, p - 2):
                 assert ab[d - k - 2, d - k - 1] == pytest.approx(1.0)
                 assert ab[d - k - 1, d - k] == pytest.approx(1.0)
@@ -243,7 +282,7 @@ class TestSopq:
                               for _ in range(data.p - 2)] + [cone_vector(data, rng)])
             p_el = sopq_positive(data, vbars)
             resid = np.linalg.norm(
-                p_el.entries.T @ data.Q @ p_el.entries - data.Q, 2)
+                p_el.T @ data.Q @ p_el - data.Q, 2)
             assert resid <= 1e-10 * np.linalg.norm(data.Q, 2) * 10
 
     def test_positive_element_needs_half_coxeter_factors(self):
@@ -264,11 +303,11 @@ class TestSerialization:
         assert back.dim == rep.dim
         assert back.label == rep.label
         for g, h in zip(back.generator_images, rep.generator_images):
-            assert np.array_equal(g.entries, h.entries)
+            assert np.array_equal(g, h)
         assert back.reference is not None
         for g, h in zip(back.reference.generator_images,
                         rep.reference.generator_images):
-            assert np.array_equal(g.entries, h.entries)
+            assert np.array_equal(g, h)
 
     def test_rejects_non_unimodular(self):
         doc = '{"dim": 2, "generators": [[[2.0, 0.0], [0.0, 2.0]]], "label": "bad"}'

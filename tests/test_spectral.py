@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from anosovlab import spectral
 from anosovlab.core_linalg import (
-    Mat,
-    Spectrum,
     Subspace,
     eig_by_modulus,
     grassmann_distance,
@@ -191,7 +189,7 @@ class TestAttractingSpace:
         # eigenvalue moduli span ~1.5e9; the top-7 space is the kernel of
         # the left eigenvector of the smallest-modulus eigenvalue
         rep = fuchsian_locus((7, 1), punctured_torus_reference())
-        m = evaluate(rep, Word((2, -1))).entries
+        m = evaluate(rep, Word((2, -1)))
         vals, left = np.linalg.eig(m.T)
         y = left[:, int(np.argmin(np.abs(vals)))].real
         oracle = Subspace(scipy.linalg.null_space(y[None, :]))
