@@ -20,6 +20,7 @@ silently repaired.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InputError,
+    NumericError,
 )
 
 __all__ = [
@@ -89,7 +91,15 @@ class Representation:
                 raise InputError(
                     f"generator image has dimension {d}, expected {self.dim}")
             sigma1 = float(np.linalg.norm(g, 2))
-            if abs(np.linalg.det(g) - 1.0) > DET_RTOL * max(1.0, sigma1) ** d:
+            try:
+                scale = max(1.0, sigma1) ** d
+            except OverflowError:
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise ConstructionError(
+                    f"generator image norm {sigma1:g} to the power {d} "
+                    f"exceeds the float range ({self.label or 'unlabeled'})")
+            if abs(np.linalg.det(g) - 1.0) > DET_RTOL * scale:
                 raise ConstructionError(
                     f"generator image determinant differs from 1 beyond "
                     f"{DET_RTOL:g} relative ({self.label or 'unlabeled'})")
@@ -268,10 +278,24 @@ class SOpqData:
         return self.p + self.q
 
     def certify(self, g: np.ndarray):
-        """Raise unless g preserves Q to the certification residual."""
-        resid = np.linalg.norm(g.T @ self.Q @ g - self.Q, 2)
+        """Raise unless g preserves Q to the certification residual.
+
+        An element too large for its residual or its squared norm to be
+        finite raises NumericError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(g))
+            if finite:
+                residual = g.T @ self.Q @ g - self.Q
+                scale = max(1.0, np.linalg.norm(g, 2)) ** 2
+                finite = np.all(np.isfinite(residual)) and np.isfinite(scale)
+        if not finite:
+            raise NumericError(
+                f"SO({self.p},{self.q}) element overflows: its residual or "
+                f"squared norm is not finite")
+        resid = np.linalg.norm(residual, 2)
         bound = Q_INVARIANCE_TOL * np.linalg.norm(self.Q, 2)
-        if resid > bound * max(1.0, np.linalg.norm(g, 2) ** 2):
+        if resid > bound * scale:
             raise ConstructionError(
                 f"form-invariance residual {resid:g} exceeds {bound:g} "
                 f"for SO({self.p},{self.q}) element")

@@ -96,7 +96,17 @@ MONOTONE_SLACK = 0.5      # allowed dip (log units) of per-length minima;
                           # specific lengths without changing the trend
 SCAN_ACCEPT = 1e-4        # scan-level defect above which a property holds
 SCAN_REJECT = 1e-7        # scan-level defect below which it fails
+BRACKET_RTOL = 1e-6       # relative slack of the certified bounds on a
+                          # triple's defect that decide where the exact SVD
+                          # runs
+BRACKET_ATOL = 1e-7       # their absolute slack: covers the sqrt(eps)
+                          # error of the Gram route near defect 0
+NEWTON_STEPS = 60         # Newton steps after which a triple's bounds are
+                          # given up (0, inf): its exact SVD always runs
+NEWTON_RTOL = 1e-12       # relative Newton step below which a triple's
+                          # bounds have converged
 POINT_DEDUP_TOL = 1e-8    # boundary angles closer than this are one point
+TRIPLE_BLOCK = 1 << 14    # (first point, y, z) index cells scanned at once
 CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
                           # transversality scan
 POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
@@ -546,33 +556,202 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     return tables
 
 
-def _triple_defects(tables: list, x: int, y: np.ndarray,
-                    z: np.ndarray) -> tuple:
-    """Outcome and defect of the triples (x, y[i], z[i]).
+@dataclass(frozen=True)
+class _Projected:
+    """A summand other than Z, as used by the defect bounds.
 
-    The first summand that is not ``_OK``, in summand order, decides a
-    triple's outcome; a triple with a missing flag, or whose summand ranks
-    add up to more than d (never a direct sum), has defect 0.  The defects
-    of the other triples come from one batched SVD per signature of
-    summand ranks.
+    Z is the one-point summand whose point also enters the intersection
+    summand, so N_Z^T (N_Z an orthonormal complement of Z) applied to
+    any other summand is a table over point pairs, indexed by the roles
+    ``key``.  ``projected`` holds N_Z^T times the first two basis columns
+    of the summand (index ``summand``) as rows, ``gram`` their Gram
+    matrices.
     """
-    columns = (np.full(len(y), x), y, z)
+
+    summand: int
+    key: tuple
+    projected: np.ndarray  # (n, n, 2, d - dim Z)
+    gram: np.ndarray       # (n, n, 2, 2)
+
+
+def _projected_summands(tables: list, summands) -> tuple:
+    """The summands other than Z, projected off Z once per point pair."""
+    pair = next(t.roles for t in tables if len(t.roles) == 2)
+    z = next(i for i, t in enumerate(tables)
+             if len(t.roles) == 1 and t.roles[0] in pair)
+    rho, m = summands[z][0]
+    complement = np.linalg.svd(tables[z].basis[..., :m])[0][..., m:]
+    parts = []
+    for i, t in enumerate(tables):
+        if i == z:
+            continue
+        key = t.roles if rho in t.roles else t.roles + (rho,)
+        rows = np.swapaxes(t.basis[..., :2], -1, -2)
+        if len(t.roles) == 1:
+            rows = rows[:, None]
+        comp = complement[:, None] if key.index(rho) == 0 else complement[None]
+        projected = rows @ comp
+        parts.append(_Projected(
+            i, key, projected, projected @ np.swapaxes(projected, -1, -2)))
+    return tuple(parts)
+
+
+def _defect_bounds(g: np.ndarray, G: np.ndarray, low: float,
+                   high: float) -> tuple:
+    """Certified bounds lo <= sigma_min(M) <= hi from 2x2 Gram blocks.
+
+    M = [R | Z] with R of r <= 2 unit columns and Z orthonormal; ``G`` =
+    R^T R and ``g`` = R^T (I - Z Z^T) R, stacked as (N, 2, 2).  A row
+    with r = 1 carries a phantom second column orthogonal to everything
+    (g22 = G22 = 1, off-diagonals 0), which adds a double root at
+    1 >= sigma_min^2.  sigma_min^2 is the smallest root of the quartic
+    q(lam) = det A(lam), A(lam) = g - lam (G + I) + lam^2 I (the Schur
+    complement of M^T M - lam I, times 1 - lam), whose roots are all
+    real, and q(0) = det g >= 0, so Newton from 0 rises monotonically
+    towards it; below every root, with Newton step s, the root lies in
+    [lam + s, lam + 4 s].  q is evaluated as the determinant of A, not
+    from its expanded coefficients, which near a multiple root at 1
+    (orthogonal summands) lose the root to eps^(1/4).  The bounds carry
+    the relative slack ``BRACKET_RTOL`` and the absolute ``BRACKET_ATOL``.
+
+    A row stops once its step is below ``NEWTON_RTOL`` of lam, or once
+    its bounds lie strictly between min(low, min hi) and
+    max(high, max lo), where no extreme can be; its bounds stay valid,
+    only wider.  A row still going after ``NEWTON_STEPS``, or whose
+    bounds are not finite, gets (0, inf).
+    """
+    n = len(g)
+    rows = np.stack([g[:, 0, 0], g[:, 1, 1], g[:, 0, 1],
+                     G[:, 0, 0] + 1, G[:, 1, 1] + 1, G[:, 0, 1]])
+    lam = np.zeros(n)
+    lo, hi = np.zeros(n), np.full(n, np.inf)
+    todo = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(NEWTON_STEPS):
+            g11, g22, g12, e1, e2, c = rows
+            a11 = (lam - e1) * lam + g11
+            a22 = (lam - e2) * lam + g22
+            a12 = g12 - lam * c
+            s = -(a11 * a22 - a12 * a12) / (
+                (2 * lam - e1) * a22 + a11 * (2 * lam - e2) + 2 * a12 * c)
+            below = np.sqrt(np.maximum(lam + np.minimum(s, 4 * s), 0.0))
+            above = np.sqrt(np.maximum(lam + np.maximum(s, 4 * s), 0.0))
+            # every iterate brackets the root: keep the tightest bounds
+            lo[todo] = np.fmax(
+                lo[todo], below * (1 - BRACKET_RTOL) - BRACKET_ATOL)
+            hi[todo] = np.fmin(
+                hi[todo], above * (1 + BRACKET_RTOL) + BRACKET_ATOL)
+            bottom, top = min(low, hi.min()), max(high, lo.max())
+            going = ((s > NEWTON_RTOL * (lam + s))
+                     & ((lo[todo] <= bottom) | (hi[todo] >= top)))
+            todo, lam, rows = todo[going], (lam + s)[going], rows[:, going]
+            if not todo.size:
+                break
+    lo = np.maximum(lo, 0.0)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    bad[todo] = True
+    lo[bad], hi[bad] = 0.0, np.inf
+    return lo, hi
+
+
+def _triple_bounds(tables: list, parts: tuple, columns, ranks,
+                   rows: np.ndarray, low: float, high: float) -> tuple:
+    """Bounds lo <= defect <= hi of the triples ``rows``, from the
+    summands other than Z (``_defect_bounds``); (0, inf) where those have
+    no column or more than two in all.
+
+    G is read per triple between two summands and taken as the identity
+    on one summand (orthonormal bases); g is read from the Gram tables on
+    one summand and per triple between two.
+    """
+    lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
+    other = [ranks[part.summand][rows] for part in parts]
+    r = sum(other)
+    small = np.flatnonzero((r >= 1) & (r <= 2))
+    if not small.size:
+        return lo, hi
+    g = np.tile(np.eye(2), (len(small), 1, 1))
+    G = g.copy()
+    signature = sum(o[small] * 3 ** i for i, o in enumerate(other))
+    for code in np.unique(signature):
+        at = signature == code
+        picked = rows[small[at]]
+
+        def read(table, roles):
+            return table[tuple(columns[i][picked] for i in roles)]
+
+        cols = [(part, j) for part, o in zip(parts, other)
+                for j in range(o[small[at][0]])]
+        for u, v in ((0, 0), (1, 1), (0, 1))[:2 * len(cols) - 1]:
+            (pa, j), (pb, l) = cols[u], cols[v]
+            if pa is pb:
+                g[at, u, v] = read(pa.gram[..., j, l], pa.key)
+                G[at, u, v] = float(j == l)
+            else:
+                g[at, u, v] = np.einsum(
+                    "ij,ij->i", read(pa.projected[..., j, :], pa.key),
+                    read(pb.projected[..., l, :], pb.key))
+                ta, tb = tables[pa.summand], tables[pb.summand]
+                G[at, u, v] = np.einsum(
+                    "ij,ij->i", read(ta.basis[..., j], ta.roles),
+                    read(tb.basis[..., l], tb.roles))
+            g[at, v, u], G[at, v, u] = g[at, u, v], G[at, u, v]
+    lo[small], hi[small] = _defect_bounds(g, G, low, high)
+    return lo, hi
+
+
+def _triple_extremes(tables: list, parts: tuple, x: np.ndarray,
+                     y: np.ndarray, z: np.ndarray, low: float,
+                     high: float) -> tuple:
+    """Outcomes of the triples (x[i], y[i], z[i]) and the extremes of their
+    defects that can pass beyond ``low`` or ``high``.
+
+    Returns ``(status, lowest, first, highest)``.  The first summand that
+    is not ``_OK``, in summand order, decides a triple's outcome; a triple
+    with a missing flag, or whose summand ranks add up to more than d
+    (never a direct sum), has defect 0.  Every other triple gets certified
+    bounds lo <= defect <= hi (``_triple_bounds``), and only the triples
+    whose lo is at most min(low, min hi) or whose hi is at least
+    max(high, max lo) get the exact defect, from one batched SVD per
+    signature of summand ranks.  ``lowest`` is the minimum of the exact
+    defects, with ``first`` the first index attaining it, and ``highest``
+    their maximum.  Every triple attaining the minimum of these triples,
+    when that is at most ``low``, or their maximum, when that is at least
+    ``high``, is among them, so a strict ``lowest < low`` keeps the first
+    minimum of the whole scan.
+    ``first`` is None when no triple is kept or all are pruned.
+    """
+    columns = (x, y, z)
     keys = [tuple(columns[role] for role in t.roles) for t in tables]
     status = np.full(len(y), _OK, dtype=np.int8)
     for t, key in zip(tables, keys):
         status = np.where(status == _OK, t.status[key], status)
     ranks = [t.rank[key] for t, key in zip(tables, keys)]
     d = tables[0].basis.shape[-1]
+    ok = (status == _OK) & (sum(ranks) <= d)
+    kept = status != _AMBIGUOUS
+    lo, hi = np.zeros(len(y)), np.zeros(len(y))
+    rows = np.flatnonzero(ok)
+    lo[rows], hi[rows] = _triple_bounds(tables, parts, columns, ranks, rows,
+                                        low, high)
+    low = min(low, hi[kept].min(initial=np.inf))
+    high = max(high, lo[kept].max(initial=-np.inf))
+    exact = kept & ((lo <= low) | (hi >= high))
     signature = sum(r * (d + 1) ** i for i, r in enumerate(ranks))
     defects = np.zeros(len(y))
-    ok = (status == _OK) & (sum(ranks) <= d)
-    for code in np.unique(signature[ok]):
-        rows = np.flatnonzero(ok & (signature == code))
+    survivors = ok & exact
+    for code in np.unique(signature[survivors]):
+        rows = np.flatnonzero(survivors & (signature == code))
         stack = np.concatenate(
             [t.basis[tuple(c[rows] for c in key)][:, :, :r[rows[0]]]
              for t, key, r in zip(tables, keys, ranks)], axis=2)
         defects[rows] = _smallest_singular_values(stack)
-    return status, defects
+    known = np.flatnonzero(exact)
+    if not known.size:
+        return status, np.inf, None, -np.inf
+    values = defects[known]
+    j = int(np.argmin(values))
+    return status, float(values[j]), int(known[j]), float(values.max())
 
 
 def _transversality_scan(rep: Representation, k: int, max_length: int,
@@ -597,31 +776,36 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     np.fill_diagonal(separated, False)
     pairwise = separated.astype(int)
     used = separated & (pairwise @ pairwise > 0)   # some third point fits
-    tables = _summand_tables(atlas, summands_fn(k, rep.dim), used)
+    summands = summands_fn(k, rep.dim)
+    tables = _summand_tables(atlas, summands, used)
+    parts = _projected_summands(tables, summands)
 
-    # triples in the lexicographic order of their point indices, one first
-    # point at a time, so the stacks stay O(n^2 d^2); a missing flag makes
-    # the sum unachievable (defect 0), an ambiguous intersection leaves the
-    # triple out of the defects
+    # triples in the lexicographic order of their point indices, a block of
+    # first points at a time, so the arrays stay O(TRIPLE_BLOCK); a missing
+    # flag makes the sum unachievable (defect 0), an ambiguous intersection
+    # leaves the triple out of the defects; the running extremes prune the
+    # exact SVDs
     n_triples = gap_failures = ambiguous_items = 0
     min_defect, max_defect, worst = np.inf, -np.inf, None
-    for x in range(n):
-        y, z = np.nonzero(separated[x][:, None] & separated[x][None, :]
-                          & separated)
-        if not len(y):
+    step = max(1, TRIPLE_BLOCK // max(1, n * n))
+    for start in range(0, n, step):
+        block = separated[start:start + step]
+        x, y, z = np.nonzero(block[:, :, None] & block[:, None, :]
+                             & separated)
+        if not len(x):
             continue
-        status, defects = _triple_defects(tables, x, y, z)
-        n_triples += len(y)
+        x += start
+        status, lowest, first, highest = _triple_extremes(
+            tables, parts, x, y, z, min_defect, max_defect)
+        n_triples += len(x)
         gap_failures += int(np.sum(status == _GAP))
-        kept = status != _AMBIGUOUS
-        ambiguous_items += int(np.sum(~kept))
-        if not kept.any():
+        ambiguous_items += int(np.sum(status == _AMBIGUOUS))
+        if first is None:
             continue
-        defects, y, z = defects[kept], y[kept], z[kept]
-        j = int(np.argmin(defects))
-        if defects[j] < min_defect:
-            min_defect, worst = float(defects[j]), (x, int(y[j]), int(z[j]))
-        max_defect = max(max_defect, float(defects.max()))
+        if lowest < min_defect:
+            min_defect = lowest
+            worst = (int(x[first]), int(y[first]), int(z[first]))
+        max_defect = max(max_defect, highest)
     if worst is None:
         min_defect = max_defect = worst_words = None
     else:
@@ -660,6 +844,16 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     that pair is counted in ``ambiguous_items``, left out of the defects,
     and turns a would-be ``pass`` into ``ambiguous``.  The first summand,
     in order, that is missing or ambiguous decides a triple's outcome.
+
+    The defects come from one batched SVD, but only on the triples that
+    can still reach the running minimum or maximum: every other triple is
+    pruned by certified bounds on its smallest singular value, from Gram
+    matrices of its other summands split off z^(d-k-1) (see
+    ``_defect_bounds``).  The bounds need those summands to have at most
+    two columns in all, as at k = 1; every other triple (at k >= 2, and
+    in C_k scans, unless an intersection is zero) gets its SVD.  The
+    reported values, the first worst triple and the counts are those of
+    the SVD of every triple.
     """
     _check_k(k, rep.dim - 1)
     return _transversality_scan(
@@ -1209,13 +1403,15 @@ def sopq_scan(p: int, q: int, count: int, seed: int,
     ``seed``.  An element passes when it preserves Q to
     ``SOPQ_RESIDUAL_RTOL`` ||Q||_2 and, for every k in 1..p-3, both
     coefficients are positive and the model defect exceeds
-    ``SOPQ_DEFECT_FLOOR``.
+    ``SOPQ_DEFECT_FLOOR``.  ``entry_max`` must be finite; an element too
+    large to certify (its residual overflows) raises NumericError.
     """
     if count < 1:
         raise InputError(f"count={count} is below 1")
-    if not entry_max > SOPQ_ENTRY_MIN:
+    if not (math.isfinite(entry_max) and entry_max > SOPQ_ENTRY_MIN):
         raise InputError(
-            f"entry_max={entry_max} is not above {SOPQ_ENTRY_MIN}")
+            f"entry_max={entry_max} is not a finite number above "
+            f"{SOPQ_ENTRY_MIN}")
     data = sopq_form(p, q)
     rng = np.random.default_rng(seed)
     half_h = coxeter_number_B(p - 1) // 2

@@ -63,6 +63,14 @@ class TestConstruct:
         assert doc["error"] == "InputError"
         assert "malformed representation JSON" in doc["message"]
 
+    def test_overflowing_rep_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text(
+            '{"dim": 2, "generators": [[[1e200, 0.0], [0.0, 1e-200]]]}')
+        assert run(["construct", "--rep", str(path)]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ConstructionError"
+
 
 class TestGapScan:
     def test_fg_json_report(self, tmp_path):
@@ -297,6 +305,13 @@ class TestSopq:
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "2",
                     "--seed", "7", "--entry-max", "0"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("entry_max,error", [
+        ("inf", "InputError"), ("1e300", "NumericError")])
+    def test_unusable_draw_range_exit_3(self, capsys, entry_max, error):
+        assert run(["sopq", "--p", "4", "--q", "5", "--count", "1",
+                    "--seed", "3", "--entry-max", entry_max]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

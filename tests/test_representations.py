@@ -68,6 +68,12 @@ class TestGeneratorImages:
         with pytest.raises(ConstructionError, match="determinant differs"):
             Representation(dim=3, generator_images=(2 * np.eye(3),))
 
+    def test_overflowing_norm_is_a_construction_error(self):
+        # sigma_1^d of a unimodular matrix may exceed the float range
+        with pytest.raises(ConstructionError, match="float range"):
+            Representation(dim=2,
+                           generator_images=(np.diag([1e200, 1e-200]),))
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(InputError, match="dimension 3, expected 2"):
             Representation(dim=2, generator_images=(np.eye(3),))

@@ -14,6 +14,7 @@ from anosovlab import spectral, verification
 from anosovlab.core_linalg import (
     Spectrum,
     Subspace,
+    _smallest_singular_values,
     direct_sum_defect,
     grassmann_distance,
     intersect,
@@ -27,6 +28,7 @@ from anosovlab.errors import (
     DomainError,
     GapError,
     InputError,
+    NumericError,
     PreconditionError,
 )
 from anosovlab.groups import (
@@ -71,6 +73,7 @@ from anosovlab.verification import (
     WEDGE_DEGENERACY_TOL,
     BoundaryAtlas,
     _arrangement_minimum,
+    _defect_bounds,
     _gap_scans,
     _wedge_table,
     _WordBall,
@@ -184,6 +187,46 @@ def reference_transversality_scan(rep, k, max_length, kind,
                 max_defect=max(defects),
                 worst_triple=tuple(atlas.words[i] for i in worst),
                 verdict=verdict)
+
+
+def all_triples_defects(tables, x, y, z):
+    """Outcome and exact defect of every triple (x[i], y[i], z[i]): one
+    batched SVD per signature of summand ranks, no triple left out."""
+    columns = (x, y, z)
+    keys = [tuple(columns[role] for role in t.roles) for t in tables]
+    status = np.full(len(y), verification._OK, dtype=np.int8)
+    for t, key in zip(tables, keys):
+        status = np.where(status == verification._OK, t.status[key], status)
+    ranks = [t.rank[key] for t, key in zip(tables, keys)]
+    d = tables[0].basis.shape[-1]
+    signature = sum(r * (d + 1) ** i for i, r in enumerate(ranks))
+    defects = np.zeros(len(y))
+    ok = (status == verification._OK) & (sum(ranks) <= d)
+    for code in np.unique(signature[ok]):
+        rows = np.flatnonzero(ok & (signature == code))
+        stack = np.concatenate(
+            [t.basis[tuple(c[rows] for c in key)][:, :, :r[rows[0]]]
+             for t, key, r in zip(tables, keys, ranks)], axis=2)
+        defects[rows] = _smallest_singular_values(stack)
+    return status, defects
+
+
+def all_triples_extremes(tables, parts, x, y, z, low, high):
+    """Drop-in for ``verification._triple_extremes`` that prunes nothing:
+    the extremes over the exact defects of every kept triple."""
+    status, defects = all_triples_defects(tables, x, y, z)
+    kept = np.flatnonzero(status != verification._AMBIGUOUS)
+    if not kept.size:
+        return status, np.inf, None, -np.inf
+    j = int(np.argmin(defects[kept]))
+    return (status, float(defects[kept[j]]), int(kept[j]),
+            float(defects[kept].max()))
+
+
+def all_triples_scan(monkeypatch, scan, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_triple_extremes", all_triples_extremes)
+        return scan(*args, **kwargs)
 
 
 def reference_arrangement_minimum(wedge):
@@ -511,11 +554,15 @@ class TestHkCk:
         # intersections of excess rank: summand ranks add up to more than d
         (hk_scan, fuchsian_locus((6, 1), REF), 2, 2, {"min_separation": 0}),
     ])
-    def test_scan_matches_per_triple_reference(self, scan, rep, k, L, kwargs):
+    def test_scan_matches_per_triple_reference(self, monkeypatch, scan, rep,
+                                               k, L, kwargs):
         report = scan(rep, k, L, **kwargs)
         kind = "Hk" if scan is hk_scan else "Ck"
         assert_matches_reference(report, reference_transversality_scan(
             rep, k, L, kind, **kwargs))
+        # pruning changes no bit of the report
+        assert report.to_dict() == all_triples_scan(
+            monkeypatch, scan, rep, k, L, **kwargs).to_dict()
 
     @pytest.mark.parametrize("scan,rep", [
         (hk_scan, fuchsian_locus((5, 1), REF)),
@@ -548,6 +595,8 @@ class TestHkCk:
         assert reference["n_triples"] > (reference["gap_failures"]
                                          + reference["ambiguous_items"])
         assert_matches_reference(report, reference)
+        assert report.to_dict() == all_triples_scan(
+            monkeypatch, scan, rep, 1, 2).to_dict()
 
     def test_intersection_computed_once_per_pair(self, monkeypatch):
         pairs = Counter()
@@ -568,6 +617,99 @@ class TestHkCk:
         report = ck_scan(rep, 1, 2)
         assert report.verdict == "pass"
         assert report.min_defect > 1e-4
+
+
+@st.composite
+def split_matrices(draw):
+    """A batch of M = [R | Z] as the scan splits a triple, with the Gram
+    blocks g and G the scan forms for it.  Z is orthonormal; R is one or
+    two orthonormal blocks of one or two columns in all, each at an
+    angle from 1e-12 to pi/2 off span(Z) and the blocks before it, so
+    sigma_min runs from about 1e-12 to exactly 1."""
+    d = draw(st.integers(min_value=3, max_value=8))
+    blocks = draw(st.sampled_from([(1,), (2,), (1, 1)]))
+    m = draw(st.integers(min_value=1, max_value=d - sum(blocks)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(min_value=1, max_value=6))
+    offset = st.floats(min_value=-12, max_value=0).map(lambda t: 10.0 ** t)
+    ms, gs, Gs = [], [], []
+    for _ in range(count):
+        theta = draw(st.one_of(offset, offset.map(lambda t: 1 - t)))
+        theta *= np.pi / 2
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        z, fresh = q[:, :m], q[:, m:]
+        parts = []
+        for size in blocks:
+            near = np.hstack([z] + parts) @ rng.standard_normal(
+                (m + sum(p.shape[1] for p in parts), size))
+            near /= np.linalg.norm(near, axis=0)
+            tilted = np.cos(theta) * near + np.sin(theta) * fresh[:, :size]
+            fresh = fresh[:, size:]
+            parts.append(np.linalg.qr(tilted)[0])
+        r = np.hstack(parts)
+        p_r = (q[:, m:].T @ r)
+        g, G = np.eye(2), np.eye(2)
+        g[:r.shape[1], :r.shape[1]] = p_r.T @ p_r
+        if len(parts) == 2:
+            G[0, 1] = G[1, 0] = parts[0][:, 0] @ parts[1][:, 0]
+        ms.append(np.hstack([r, z]))
+        gs.append(g)
+        Gs.append(G)
+    return np.array(ms), np.array(gs), np.array(Gs)
+
+
+class TestDefectBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(split=split_matrices(),
+           low=st.one_of(st.just(np.inf), st.floats(0.0, 1.0)),
+           high=st.one_of(st.just(-np.inf), st.floats(0.0, 1.0)))
+    def test_bounds_contain_the_svd_value(self, split, low, high):
+        # early stops against low/high only widen the bounds
+        ms, g, G = split
+        lo, hi = _defect_bounds(g, G, low, high)
+        sigma = _smallest_singular_values(ms)
+        assert np.all(lo <= sigma) and np.all(sigma <= hi)
+
+    @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF), fg_rep(1.0)])
+    def test_bounds_hold_on_every_triple(self, monkeypatch, rep):
+        tables, seen = [], []
+        summand_tables = verification._summand_tables
+        triple_bounds = verification._triple_bounds
+
+        def keep_tables(*args):
+            tables.append(summand_tables(*args))
+            return tables[-1]
+
+        def keep_bounds(tables, parts, columns, ranks, rows, low, high):
+            lo, hi = triple_bounds(tables, parts, columns, ranks, rows, low,
+                                   high)
+            seen.append((columns, rows, lo, hi))
+            return lo, hi
+
+        monkeypatch.setattr(verification, "_summand_tables", keep_tables)
+        monkeypatch.setattr(verification, "_triple_bounds", keep_bounds)
+        report = hk_scan(rep, 1, 3)
+        checked = bounded = 0
+        for (x, y, z), rows, lo, hi in seen:
+            _, defects = all_triples_defects(tables[0], x, y, z)
+            assert np.all(lo <= defects[rows])
+            assert np.all(defects[rows] <= hi)
+            checked += len(rows)
+            bounded += int(np.sum(np.isfinite(hi)))
+        assert checked == bounded == report.n_triples == 38280
+
+    def test_exact_svd_runs_on_few_triples(self, monkeypatch):
+        rows = []
+
+        def counting(stack):
+            rows.append(len(stack))
+            return _smallest_singular_values(stack)
+
+        monkeypatch.setattr(verification, "_smallest_singular_values",
+                            counting)
+        report = hk_scan(fuchsian_locus((5, 1), REF), 1, 3)
+        assert report.n_triples == 38280
+        assert 0 < sum(rows) <= 0.01 * report.n_triples
 
 
 class TestProjectionHyperconvexity:
@@ -956,10 +1098,15 @@ class TestSopqScan:
         with pytest.raises(InputError, match="count=0"):
             sopq_scan(4, 5, 0, 7, 2.0)
 
-    @pytest.mark.parametrize("entry_max", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("entry_max",
+                             [0.0, -1.0, float("nan"), float("inf")])
     def test_empty_draw_range_rejected(self, entry_max):
         with pytest.raises(InputError, match="entry_max"):
             sopq_scan(4, 5, 2, 7, entry_max)
+
+    def test_overflowing_element_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="overflows"):
+            sopq_scan(4, 5, 1, 3, 1e300)
 
 
 class TestVerdictProperties:
