@@ -458,12 +458,14 @@ def _triple_distinct(ball: _WordBall, words) -> None:
 
 def check_Hk(rep: Representation, k: int, triple) -> float:
     """Defect of the H_k sum  x^k + (y^k n z^(d-k+1)) + z^(d-k-1)."""
+    _check_k(k, rep.dim - 1)
     x, y, z = triple
     return _triple_defect(rep, k, (x, y, z), _hk_summands)
 
 
 def check_Ck(rep: Representation, k: int, triple) -> float:
     """Defect of the C_k sum  x^(d-k-2) + (x^(d-k+1) n y^k) + z^(k+1)."""
+    _check_k(k, rep.dim - 2)
     x, y, z = triple
     return _triple_defect(rep, k, (x, y, z), _ck_summands)
 
@@ -486,6 +488,12 @@ class TransversalityScanReport(_Report):
     min_separation: float = 0.0
     verdict: str            # pass | fail | ambiguous | non-certifiable
     worst_triple: tuple | None = None
+
+
+def _check_separation(min_separation: float) -> None:
+    if not (math.isfinite(min_separation) and min_separation >= 0):
+        raise InputError(f"min_separation={min_separation} is not a finite "
+                         f"number >= 0")
 
 
 def _scan_verdict(min_defect: float) -> str:
@@ -518,8 +526,11 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
 
     ``used`` marks the ordered point pairs that occur in some kept triple.
     Every flag is computed once per point and every intersection once per
-    pair; a missing flag (GapError) or an ambiguous intersection
-    (AmbiguityError) is recorded as the key's status.
+    pair, in a Python loop over the pairs; a missing flag (GapError) or an
+    ambiguous intersection (AmbiguityError) is recorded as the key's
+    status.  The scan hands in its summands without their whole-space
+    parts, so at k = 1 every summand is a point flag and the loop does
+    not run.
     """
     n = len(atlas)
     d = atlas.ball.rep.dim
@@ -556,63 +567,39 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     return tables
 
 
-@dataclass(frozen=True)
-class _Projected:
-    """A summand other than Z, as used by the defect bounds.
+def _line_tables(tables: list, summands) -> tuple | None:
+    """What the defect bounds read of a sum x^1 + y^1 + z^m of three point
+    flags, whose matrix is M = [a | b | Z] (H_1 at every d); None for
+    every other sum.
 
-    Z is the one-point summand whose point also enters the intersection
-    summand, so N_Z^T (N_Z an orthonormal complement of Z) applied to
-    any other summand is a table over point pairs, indexed by the roles
-    ``key``.  ``projected`` holds N_Z^T times the first two basis columns
-    of the summand (index ``summand``) as rows, ``gram`` their Gram
-    matrices.
+    Returns the unit vectors of the lines x^1 and y^1 per point, (n, d)
+    each, and their coordinates in an orthonormal complement of z^m per
+    (line point, z) pair, (n, n, d - m) each.
     """
-
-    summand: int
-    key: tuple
-    projected: np.ndarray  # (n, n, 2, d - dim Z)
-    gram: np.ndarray       # (n, n, 2, 2)
-
-
-def _projected_summands(tables: list, summands) -> tuple:
-    """The summands other than Z, projected off Z once per point pair."""
-    pair = next(t.roles for t in tables if len(t.roles) == 2)
-    z = next(i for i, t in enumerate(tables)
-             if len(t.roles) == 1 and t.roles[0] in pair)
-    rho, m = summands[z][0]
-    complement = np.linalg.svd(tables[z].basis[..., :m])[0][..., m:]
-    parts = []
-    for i, t in enumerate(tables):
-        if i == z:
-            continue
-        key = t.roles if rho in t.roles else t.roles + (rho,)
-        rows = np.swapaxes(t.basis[..., :2], -1, -2)
-        if len(t.roles) == 1:
-            rows = rows[:, None]
-        comp = complement[:, None] if key.index(rho) == 0 else complement[None]
-        projected = rows @ comp
-        parts.append(_Projected(
-            i, key, projected, projected @ np.swapaxes(projected, -1, -2)))
-    return tuple(parts)
+    if summands[:2] != (((0, 1),), ((1, 1),)) or len(summands[2]) > 1:
+        return None
+    m = summands[2][0][1]
+    complement = np.linalg.svd(tables[2].basis[..., :m])[0][..., m:]
+    units = [t.basis[..., 0] for t in tables[:2]]
+    return units, [np.swapaxes(u @ complement, 0, 1) for u in units]
 
 
-def _defect_bounds(g: np.ndarray, G: np.ndarray, low: float,
-                   high: float) -> tuple:
-    """Certified bounds lo <= sigma_min(M) <= hi from 2x2 Gram blocks.
+def _defect_bounds(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray,
+                   c: np.ndarray, low: float, high: float) -> tuple:
+    """Certified bounds lo <= sigma_min(M) <= hi of M = [a | b | Z].
 
-    M = [R | Z] with R of r <= 2 unit columns and Z orthonormal; ``G`` =
-    R^T R and ``g`` = R^T (I - Z Z^T) R, stacked as (N, 2, 2).  A row
-    with r = 1 carries a phantom second column orthogonal to everything
-    (g22 = G22 = 1, off-diagonals 0), which adds a double root at
-    1 >= sigma_min^2.  sigma_min^2 is the smallest root of the quartic
-    q(lam) = det A(lam), A(lam) = g - lam (G + I) + lam^2 I (the Schur
-    complement of M^T M - lam I, times 1 - lam), whose roots are all
-    real, and q(0) = det g >= 0, so Newton from 0 rises monotonically
-    towards it; below every root, with Newton step s, the root lies in
-    [lam + s, lam + 4 s].  q is evaluated as the determinant of A, not
-    from its expanded coefficients, which near a multiple root at 1
-    (orthogonal summands) lose the root to eps^(1/4).  The bounds carry
-    the relative slack ``BRACKET_RTOL`` and the absolute ``BRACKET_ATOL``.
+    a and b are unit columns with c = a.b and Z is orthonormal; g11, g22
+    and g12 are the entries of g = R^T (I - Z Z^T) R, R = [a | b], so
+    G + I, G = R^T R, has diagonal 2.  sigma_min^2 is the smallest root of
+    the quartic q(lam) = det A(lam), A(lam) = g - lam (G + I) + lam^2 I
+    (the Schur complement of M^T M - lam I, times 1 - lam), whose roots
+    are all real, and q(0) = det g >= 0, so Newton from 0 rises
+    monotonically towards it; below every root, with Newton step s, the
+    root lies in [lam + s, lam + 4 s].  q is evaluated as the determinant
+    of A, not from its expanded coefficients, which near a multiple root
+    at 1 (orthogonal summands) lose the root to eps^(1/4).  The bounds
+    carry the relative slack ``BRACKET_RTOL`` and the absolute
+    ``BRACKET_ATOL``.
 
     A row stops once its step is below ``NEWTON_RTOL`` of lam, or once
     its bounds lie strictly between min(low, min hi) and
@@ -620,20 +607,19 @@ def _defect_bounds(g: np.ndarray, G: np.ndarray, low: float,
     only wider.  A row still going after ``NEWTON_STEPS``, or whose
     bounds are not finite, gets (0, inf).
     """
-    n = len(g)
-    rows = np.stack([g[:, 0, 0], g[:, 1, 1], g[:, 0, 1],
-                     G[:, 0, 0] + 1, G[:, 1, 1] + 1, G[:, 0, 1]])
+    n = len(g11)
+    rows = np.stack([g11, g22, g12, c])
     lam = np.zeros(n)
     lo, hi = np.zeros(n), np.full(n, np.inf)
     todo = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(NEWTON_STEPS):
-            g11, g22, g12, e1, e2, c = rows
-            a11 = (lam - e1) * lam + g11
-            a22 = (lam - e2) * lam + g22
+            g11, g22, g12, c = rows
+            a11 = (lam - 2) * lam + g11
+            a22 = (lam - 2) * lam + g22
             a12 = g12 - lam * c
             s = -(a11 * a22 - a12 * a12) / (
-                (2 * lam - e1) * a22 + a11 * (2 * lam - e2) + 2 * a12 * c)
+                2 * ((lam - 1) * (a11 + a22) + a12 * c))
             below = np.sqrt(np.maximum(lam + np.minimum(s, 4 * s), 0.0))
             above = np.sqrt(np.maximum(lam + np.maximum(s, 4 * s), 0.0))
             # every iterate brackets the root: keep the tightest bounds
@@ -654,53 +640,21 @@ def _defect_bounds(g: np.ndarray, G: np.ndarray, low: float,
     return lo, hi
 
 
-def _triple_bounds(tables: list, parts: tuple, columns, ranks,
-                   rows: np.ndarray, low: float, high: float) -> tuple:
-    """Bounds lo <= defect <= hi of the triples ``rows``, from the
-    summands other than Z (``_defect_bounds``); (0, inf) where those have
-    no column or more than two in all.
+def _triple_bounds(lines: tuple, columns, low: float, high: float) -> tuple:
+    """Bounds lo <= defect <= hi of the triples (x[i], y[i], z[i]) of
+    ``columns`` = (x, y, z) from the tables of ``_line_tables``."""
+    (a, b), (pa, pb) = lines
+    x, y, z = columns
+    pa, pb = pa[x, z], pb[y, z]
 
-    G is read per triple between two summands and taken as the identity
-    on one summand (orthonormal bases); g is read from the Gram tables on
-    one summand and per triple between two.
-    """
-    lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
-    other = [ranks[part.summand][rows] for part in parts]
-    r = sum(other)
-    small = np.flatnonzero((r >= 1) & (r <= 2))
-    if not small.size:
-        return lo, hi
-    g = np.tile(np.eye(2), (len(small), 1, 1))
-    G = g.copy()
-    signature = sum(o[small] * 3 ** i for i, o in enumerate(other))
-    for code in np.unique(signature):
-        at = signature == code
-        picked = rows[small[at]]
+    def dot(u, v):
+        return np.einsum("ij,ij->i", u, v)
 
-        def read(table, roles):
-            return table[tuple(columns[i][picked] for i in roles)]
-
-        cols = [(part, j) for part, o in zip(parts, other)
-                for j in range(o[small[at][0]])]
-        for u, v in ((0, 0), (1, 1), (0, 1))[:2 * len(cols) - 1]:
-            (pa, j), (pb, l) = cols[u], cols[v]
-            if pa is pb:
-                g[at, u, v] = read(pa.gram[..., j, l], pa.key)
-                G[at, u, v] = float(j == l)
-            else:
-                g[at, u, v] = np.einsum(
-                    "ij,ij->i", read(pa.projected[..., j, :], pa.key),
-                    read(pb.projected[..., l, :], pb.key))
-                ta, tb = tables[pa.summand], tables[pb.summand]
-                G[at, u, v] = np.einsum(
-                    "ij,ij->i", read(ta.basis[..., j], ta.roles),
-                    read(tb.basis[..., l], tb.roles))
-            g[at, v, u], G[at, v, u] = g[at, u, v], G[at, u, v]
-    lo[small], hi[small] = _defect_bounds(g, G, low, high)
-    return lo, hi
+    return _defect_bounds(dot(pa, pa), dot(pb, pb), dot(pa, pb),
+                          dot(a[x], b[y]), low, high)
 
 
-def _triple_extremes(tables: list, parts: tuple, x: np.ndarray,
+def _triple_extremes(tables: list, lines: tuple | None, x: np.ndarray,
                      y: np.ndarray, z: np.ndarray, low: float,
                      high: float) -> tuple:
     """Outcomes of the triples (x[i], y[i], z[i]) and the extremes of their
@@ -710,7 +664,8 @@ def _triple_extremes(tables: list, parts: tuple, x: np.ndarray,
     is not ``_OK``, in summand order, decides a triple's outcome; a triple
     with a missing flag, or whose summand ranks add up to more than d
     (never a direct sum), has defect 0.  Every other triple gets certified
-    bounds lo <= defect <= hi (``_triple_bounds``), and only the triples
+    bounds lo <= defect <= hi (``_triple_bounds``) where ``lines``, the
+    tables of ``_line_tables``, is not None, else (0, inf); only the triples
     whose lo is at most min(low, min hi) or whose hi is at least
     max(high, max lo) get the exact defect, from one batched SVD per
     signature of summand ranks.  ``lowest`` is the minimum of the exact
@@ -730,10 +685,11 @@ def _triple_extremes(tables: list, parts: tuple, x: np.ndarray,
     d = tables[0].basis.shape[-1]
     ok = (status == _OK) & (sum(ranks) <= d)
     kept = status != _AMBIGUOUS
-    lo, hi = np.zeros(len(y)), np.zeros(len(y))
+    lo, hi = np.zeros(len(y)), np.where(ok, np.inf, 0.0)
     rows = np.flatnonzero(ok)
-    lo[rows], hi[rows] = _triple_bounds(tables, parts, columns, ranks, rows,
-                                        low, high)
+    if lines is not None and rows.size:
+        lo[rows], hi[rows] = _triple_bounds(
+            lines, [c[rows] for c in columns], low, high)
     low = min(low, hi[kept].min(initial=np.inf))
     high = max(high, lo[kept].max(initial=-np.inf))
     exact = kept & ((lo <= low) | (hi >= high))
@@ -758,6 +714,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
                          min_separation: float) -> TransversalityScanReport:
+    _check_separation(min_separation)
     certification = {
         idx: report.verdict for idx, report in
         _gap_scans(rep, certify_indices, CERTIFICATION_LENGTH).items()}
@@ -776,9 +733,12 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     np.fill_diagonal(separated, False)
     pairwise = separated.astype(int)
     used = separated & (pairwise @ pairwise > 0)   # some third point fits
-    summands = summands_fn(k, rep.dim)
+    # intersect(v, R^d) is v itself: whole-space parts drop out, and at
+    # k = 1 every summand is a point flag
+    summands = tuple(tuple(part for part in summand if part[1] < rep.dim)
+                     for summand in summands_fn(k, rep.dim))
     tables = _summand_tables(atlas, summands, used)
-    parts = _projected_summands(tables, summands)
+    lines = _line_tables(tables, summands)
 
     # triples in the lexicographic order of their point indices, a block of
     # first points at a time, so the arrays stay O(TRIPLE_BLOCK); a missing
@@ -796,7 +756,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
             continue
         x += start
         status, lowest, first, highest = _triple_extremes(
-            tables, parts, x, y, z, min_defect, max_defect)
+            tables, lines, x, y, z, min_defect, max_defect)
         n_triples += len(x)
         gap_failures += int(np.sum(status == _GAP))
         ambiguous_items += int(np.sum(status == _AMBIGUOUS))
@@ -838,22 +798,24 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     requires cannot be formed.  So are triples whose summands have more
     than d dimensions in all (an intersection may keep a direction within
     the tolerance of ``intersect``): such a sum is never direct.
-    Ambiguity is decided per intersection pair: the intersection summand
-    y^k n z^(d-k+1) is computed once per ordered pair (y, z), and when it
-    falls in the ambiguity band of ``intersect`` every triple sharing
-    that pair is counted in ``ambiguous_items``, left out of the defects,
-    and turns a would-be ``pass`` into ``ambiguous``.  The first summand,
-    in order, that is missing or ambiguous decides a triple's outcome.
+    Ambiguity is decided per intersection pair: for k >= 2 the
+    intersection summand y^k n z^(d-k+1) is computed once per ordered
+    pair (y, z), and when it falls in the ambiguity band of ``intersect``
+    every triple sharing that pair is counted in ``ambiguous_items``,
+    left out of the defects, and turns a would-be ``pass`` into
+    ``ambiguous``.  The first summand, in order, that is missing or
+    ambiguous decides a triple's outcome.  At k = 1, z^d is the whole
+    space, so H_1 is x^1 + y^1 + z^(d-2), three point flags, and no
+    intersection is computed.
 
     The defects come from one batched SVD, but only on the triples that
-    can still reach the running minimum or maximum: every other triple is
-    pruned by certified bounds on its smallest singular value, from Gram
-    matrices of its other summands split off z^(d-k-1) (see
-    ``_defect_bounds``).  The bounds need those summands to have at most
-    two columns in all, as at k = 1; every other triple (at k >= 2, and
-    in C_k scans, unless an intersection is zero) gets its SVD.  The
+    can still reach the running minimum or maximum.  At k = 1 every other
+    triple is pruned by certified bounds on its smallest singular value,
+    from the Gram entries of the lines x^1 and y^1 split off z^(d-2) (see
+    ``_defect_bounds``); at k >= 2 every triple gets its SVD.  The
     reported values, the first worst triple and the counts are those of
-    the SVD of every triple.
+    the SVD of every triple.  ``min_separation`` must be a finite number
+    >= 0.
     """
     _check_k(k, rep.dim - 1)
     return _transversality_scan(
@@ -868,7 +830,14 @@ def ck_scan(rep: Representation, k: int, max_length: int,
     """C_k defect scan for k in 1..d-2; non-certifiable when a required gap
     scan is not anosov-like (the property needs Anosov behaviour at those
     indices), else verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
-    ``hk_scan``."""
+    ``hk_scan``.
+
+    At k = 1, x^d is the whole space, so C_1 is x^(d-3) + y^1 + z^2,
+    three point flags, and no intersection is computed; for k >= 2,
+    x^(d-k+1) n y^k is computed once per ordered pair (x, y).  Every
+    triple gets its exact SVD, except at d = 4, where C_1 has the two
+    lines x^1 and y^1 and is bounded as H_1 is.
+    """
     _check_k(k, rep.dim - 2)
     return _transversality_scan(
         rep, k, max_length, "Ck", _ck_summands,
@@ -942,6 +911,7 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
     ``max_length``.
     """
     _check_k(k, rep.dim - 2)
+    _check_separation(min_separation)
     samples = tuple(samples)
     lines, labels = _projection_lines(rep, k, x, samples, min_separation)
     n = len(lines)

@@ -216,6 +216,21 @@ class TestCheck:
         assert run(["check", *args, "--k", "1", "--L", "2"]) == 64
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what,rep", [
+        ("Hk", ["--family", "fuchsian", "--partition", "5,1"]),
+        ("Ck", ["--family", "fuchsian", "--partition", "7,1"]),
+        ("hyperconvex", ["--family", "fg", "--x", "1"]),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_bad_min_separation_exit_3(self, capsys, what, rep, value):
+        # nan turned the coincidence filter off: check hyperconvex kept
+        # coincident points and failed, check Hk counted no triple
+        assert run(["check", what, *rep, "--k", "1", "--L", "2",
+                    "--min-separation", value]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InputError"
+        assert f"min_separation={float(value)}" in doc["message"]
+
     def test_min_separation_applies_to_transversality(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["check", "Hk", "--family", "fuchsian", "--partition",

@@ -107,3 +107,43 @@ def test_no_dead_imports():
              if p.name != "__init__.py"]
     paths += sorted((ROOT / "tests").glob("*.py"))
     assert [dead for p in paths for dead in _dead_imports(p)] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of every module-level private function, class or
+    assigned name of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_dead_private_names():
+    # a private name the package never reads outside its own definition is
+    # left over from deleted code
+    trees = {path.relative_to(ROOT): ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "anosovlab").glob("*.py"))}
+    reads = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                reads.append((path, node.lineno, node.name))
+    dead = [f"{path}:{node.lineno} {name}"
+            for path, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if not any(read == name and not (
+                where == path and node.lineno <= line <= node.end_lineno)
+                for where, line, read in reads)]
+    assert dead == []

@@ -305,6 +305,10 @@ def assert_matches_reference(report, reference):
         assert getattr(report, field) == reference[field], field
 
 
+def no_ball(*args):
+    raise AssertionError("word ball built before the arguments were checked")
+
+
 def cone_vector(data, rng=None):
     m = data.q - data.p + 2
     v = np.zeros(m)
@@ -519,11 +523,12 @@ class TestHkCk:
 
     def test_ambiguous_intersection_is_counted_not_fatal(self, monkeypatch):
         # an ambiguous intersection is a property of its (y, z) pair, so it
-        # makes every separated triple with middle point y0 ambiguous
-        rep = fuchsian_locus((5, 1), REF)
+        # makes every separated triple with middle point y0 ambiguous; H_2
+        # on (7,1), since at k = 1 no intersection is computed
+        rep = fuchsian_locus((7, 1), REF)
         atlas = BoundaryAtlas(rep, 2)
         y0 = 3
-        y0_space = atlas.space(y0, 1).basis
+        y0_space = atlas.space(y0, 2).basis
 
         def ambiguous_at_y0(v, w, *args, **kwargs):
             if np.array_equal(v.basis, y0_space):
@@ -538,7 +543,7 @@ class TestHkCk:
                 for i, j in itertools.combinations(t, 2)) >= TRIPLE_SEPARATION)
         assert expected > 0
         monkeypatch.setattr(verification, "intersect", ambiguous_at_y0)
-        report = hk_scan(rep, 1, 2)
+        report = hk_scan(rep, 2, 2)
         assert report.ambiguous_items == expected
         assert report.to_dict()["ambiguous_items"] == expected
         assert report.verdict == "ambiguous"
@@ -564,12 +569,14 @@ class TestHkCk:
         assert report.to_dict() == all_triples_scan(
             monkeypatch, scan, rep, k, L, **kwargs).to_dict()
 
-    @pytest.mark.parametrize("scan,rep", [
-        (hk_scan, fuchsian_locus((5, 1), REF)),
-        (ck_scan, fuchsian_locus((7, 1), REF)),
-    ])
+    @pytest.mark.parametrize("scan,rep,k,fickle", [
+        (hk_scan, fuchsian_locus((7, 1), REF), 2, True),
+        (ck_scan, fuchsian_locus((4, 1), REF), 2, True),
+        # no intersection at k = 1: missing flags among bounded triples
+        (hk_scan, fuchsian_locus((5, 1), REF), 1, False),
+    ], ids=["hk_scan-rep0", "ck_scan-rep1", "hk_scan-rep2"])
     def test_mixed_outcomes_match_per_triple_reference(self, monkeypatch,
-                                                       scan, rep):
+                                                       scan, rep, k, fickle):
         # flags missing for some words, intersections ambiguous or zero for
         # some pairs: mixed outcomes and rank signatures in every chunk
         def gappy_space(m, dim):
@@ -587,14 +594,38 @@ class TestHkCk:
             return intersect(v, w, *args, **kwargs)
 
         monkeypatch.setattr(verification, "attracting_space", gappy_space)
-        monkeypatch.setattr(verification, "intersect", fickle_intersect)
-        report = scan(rep, 1, 2)
+        if fickle:
+            monkeypatch.setattr(verification, "intersect", fickle_intersect)
+        report = scan(rep, k, 2)
         reference = reference_transversality_scan(
-            rep, 1, 2, "Hk" if scan is hk_scan else "Ck")
-        assert reference["gap_failures"] and reference["ambiguous_items"]
+            rep, k, 2, "Hk" if scan is hk_scan else "Ck")
+        assert report.certified
+        assert reference["gap_failures"]
+        assert bool(reference["ambiguous_items"]) == fickle
         assert reference["n_triples"] > (reference["gap_failures"]
                                          + reference["ambiguous_items"])
         assert_matches_reference(report, reference)
+        assert report.to_dict() == all_triples_scan(
+            monkeypatch, scan, rep, k, 2).to_dict()
+
+    @pytest.mark.parametrize("scan,rep", [
+        (hk_scan, fuchsian_locus((5, 1), REF)),
+        (ck_scan, fuchsian_locus((7, 1), REF)),
+    ])
+    def test_k1_sums_are_point_flags(self, monkeypatch, scan, rep):
+        # z^d (H_1) and x^d (C_1) are the whole space: no intersection runs
+        calls = []
+
+        def counting_intersect(v, w, *args, **kwargs):
+            calls.append(1)
+            return intersect(v, w, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "intersect", counting_intersect)
+            report = scan(rep, 1, 2)
+        assert calls == [] and report.verdict == "pass"
+        assert_matches_reference(report, reference_transversality_scan(
+            rep, 1, 2, "Hk" if scan is hk_scan else "Ck"))
         assert report.to_dict() == all_triples_scan(
             monkeypatch, scan, rep, 1, 2).to_dict()
 
@@ -621,11 +652,13 @@ class TestHkCk:
 
 @st.composite
 def split_matrices(draw):
-    """A batch of M = [R | Z] as the scan splits a triple, with the Gram
-    blocks g and G the scan forms for it.  Z is orthonormal; R is one or
-    two orthonormal blocks of one or two columns in all, each at an
-    angle from 1e-12 to pi/2 off span(Z) and the blocks before it, so
-    sigma_min runs from about 1e-12 to exactly 1."""
+    """A batch of M = [R | Z] with its Gram blocks g = R^T (I - Z Z^T) R
+    and G = R^T R.  Z is orthonormal; R is one or two orthonormal blocks
+    of one or two columns in all, each at an angle from 1e-12 to pi/2
+    off span(Z) and the blocks before it, so sigma_min runs from about
+    1e-12 to exactly 1.  The scan's shape is blocks (1, 1), the lines a
+    and b; one block (1,) pads R with a column orthogonal to everything
+    (g22 = 1, g12 = c = 0), and (2,) has c = 0."""
     d = draw(st.integers(min_value=3, max_value=8))
     blocks = draw(st.sampled_from([(1,), (2,), (1, 1)]))
     m = draw(st.integers(min_value=1, max_value=d - sum(blocks)))
@@ -666,7 +699,8 @@ class TestDefectBounds:
     def test_bounds_contain_the_svd_value(self, split, low, high):
         # early stops against low/high only widen the bounds
         ms, g, G = split
-        lo, hi = _defect_bounds(g, G, low, high)
+        lo, hi = _defect_bounds(g[:, 0, 0], g[:, 1, 1], g[:, 0, 1],
+                                G[:, 0, 1], low, high)
         sigma = _smallest_singular_values(ms)
         assert np.all(lo <= sigma) and np.all(sigma <= hi)
 
@@ -680,21 +714,20 @@ class TestDefectBounds:
             tables.append(summand_tables(*args))
             return tables[-1]
 
-        def keep_bounds(tables, parts, columns, ranks, rows, low, high):
-            lo, hi = triple_bounds(tables, parts, columns, ranks, rows, low,
-                                   high)
-            seen.append((columns, rows, lo, hi))
+        def keep_bounds(lines, columns, low, high):
+            lo, hi = triple_bounds(lines, columns, low, high)
+            seen.append((columns, lo, hi))
             return lo, hi
 
         monkeypatch.setattr(verification, "_summand_tables", keep_tables)
         monkeypatch.setattr(verification, "_triple_bounds", keep_bounds)
         report = hk_scan(rep, 1, 3)
         checked = bounded = 0
-        for (x, y, z), rows, lo, hi in seen:
-            _, defects = all_triples_defects(tables[0], x, y, z)
-            assert np.all(lo <= defects[rows])
-            assert np.all(defects[rows] <= hi)
-            checked += len(rows)
+        for columns, lo, hi in seen:
+            _, defects = all_triples_defects(tables[0], *columns)
+            assert np.all(lo <= defects)
+            assert np.all(defects <= hi)
+            checked += len(defects)
             bounded += int(np.sum(np.isfinite(hi)))
         assert checked == bounded == report.n_triples == 38280
 
@@ -774,12 +807,31 @@ class TestIndexRange:
     ], ids=["gap", "collar", "collar-pair", "eigen", "eigen-pair"])
     def test_scans_reject_k_outside_1_to_d_minus_1_first(
             self, monkeypatch, scan, k):
-        def no_ball(*args):
-            raise AssertionError("word ball built before k was checked")
-
         monkeypatch.setattr(verification, "_WordBall", no_ball)
         with pytest.raises(InputError, match=f"k={k} outside 1..2"):
             scan(fg_rep(1.0), k)
+
+    @pytest.mark.parametrize("check,k,top", [
+        (check_Hk, 0, 2), (check_Hk, 3, 2), (check_Ck, 0, 1), (check_Ck, 2, 1)])
+    def test_single_triple_checks_reject_k_first(self, monkeypatch, check, k,
+                                                 top):
+        monkeypatch.setattr(verification, "_WordBall", no_ball)
+        with pytest.raises(InputError, match=f"k={k} outside 1..{top}"):
+            check(fg_rep(1.0), k, (A, B, A * B))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("scan", [
+        lambda s: hk_scan(fg_rep(1.0), 1, 2, min_separation=s),
+        lambda s: ck_scan(fg_rep(1.0), 1, 2, min_separation=s),
+        lambda s: check_projection_hyperconvexity(
+            fg_rep(1.0), 1, A, [B, A * B, B * A], min_separation=s),
+    ], ids=["hk", "ck", "projection"])
+    def test_bad_min_separation_rejected_first(self, monkeypatch, scan, value):
+        # nan turned the coincidence filter off, so coincident points
+        # were kept
+        monkeypatch.setattr(verification, "_WordBall", no_ball)
+        with pytest.raises(InputError, match=f"min_separation={value}"):
+            scan(value)
 
     @pytest.mark.parametrize("scan,k,top", [
         (hk_scan, 0, 5), (hk_scan, 6, 5), (ck_scan, 0, 4), (ck_scan, 5, 4)])
