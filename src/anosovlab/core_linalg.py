@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AmbiguityError,
@@ -47,10 +46,13 @@ AMBIGUITY_BAND = 100.0    # cosines in (1 - band * tol, 1 - tol) are ambiguous
 QUOTIENT_RANK_RTOL = 1e-8  # relative rank cutoff of a quotient image
 EIGEN_TIE_RTOL = 1e-8     # eigenvalues (or moduli) closer than this times the
                           # largest modulus count as equal
+EIGENVECTOR_SIN_TIE = 1e-2  # eigenvectors at an angle of smaller sine are
+                            # one Jordan block's: rounding leaves those about
+                            # eps^(1/m) apart for a block of size m
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
 
@@ -341,15 +343,19 @@ def quotient_project(v: Subspace, x_low: Subspace,
 
 
 def grassmann_distance(x: Subspace, y: Subspace) -> float:
-    """Sine of the largest principal angle; a metric on each Grassmannian."""
+    """Sine of the largest principal angle; a metric on each Grassmannian.
+
+    It is ||Y - X X^T Y||_2 for the orthonormal bases X and Y: the part of
+    Y off X, read without the cancellation of sqrt(1 - cos^2).
+    """
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     if x.rank != y.rank:
         raise DimensionError(f"ranks differ: {x.rank} vs {y.rank}")
     if x.rank == 0:
         return 0.0
-    angles = scipy.linalg.subspace_angles(x.basis, y.basis)
-    return float(np.sin(angles[0]))
+    off = y.basis - x.basis @ (x.basis.T @ y.basis)
+    return float(np.linalg.norm(off, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -414,41 +420,74 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A matrix, its residual-checked eigenvalues and its 2-norm.
+    """A matrix, its residual-checked eigenvalues and eigenvectors, its 2-norm.
 
-    ``values`` run by descending modulus, then real part, then imaginary part.
+    ``values`` run by descending modulus, then real part, then imaginary
+    part, and column j of ``vectors`` is a unit eigenvector of ``values[j]``.
+    Both are real when every eigenvalue is, as ``np.linalg.eig`` gives them
+    for the matrix alone.
     """
 
     entries: np.ndarray = field(repr=False)
     values: np.ndarray
+    vectors: np.ndarray = field(repr=False)
     norm: float
 
 
-def spectrum(m) -> Spectrum:
-    """The Spectrum of a matrix; a Spectrum is returned as is.
+def _spectra(matrices) -> list:
+    """The Spectrum of each of n square matrices, or its NumericError.
 
-    Checks |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d per eigenvalue,
-    from one batched determinant over the stack of the M - lambda I.
+    ``matrices`` is an (n, d, d) stack or a sequence of (d, d) arrays; each
+    record keeps its matrix as ``entries``.  One batched ``eig``, one
+    batched 2-norm and one batched determinant serve all of them, and each
+    matrix is checked as if alone: |det(M - lambda I)| <= 1e-8
+    max(||M||, 1)^d per eigenvalue.  A matrix failing the check gets, in
+    place of its record, the error naming its first failing eigenvalue, for
+    the caller to raise where that matrix is read.
     """
-    if isinstance(m, Spectrum):
-        return m
-    a = as_matrix(m)
-    d = a.shape[0]
-    vals = np.linalg.eigvals(a)
-    vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
-    vals.flags.writeable = False
-    norm = float(np.linalg.norm(a, 2))
-    if norm > 0:
+    stack = np.asarray(matrices, dtype=float)
+    d = stack.shape[-1]
+    vals, vecs = np.linalg.eig(stack)
+    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    real = ~np.any(vals.imag != 0, axis=-1)
+    norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+    # real spectra are checked in real arithmetic, as eigvals would give them
+    resids = np.zeros(vals.shape)
+    for rows, shifts in ((real, vals[real].real), (~real, vals[~real])):
+        if rows.any():
+            resids[rows] = np.abs(np.linalg.det(
+                stack[rows, None] - shifts[..., None, None] * np.eye(d)))
+    records = []
+    for i, m in enumerate(matrices):
+        row_vals, row_vecs = vals[i], vecs[i]
+        if real[i]:
+            row_vals, row_vecs = row_vals.real, row_vecs.real
+        norm = float(norms[i])
         budget = 1e-8 * max(norm, 1.0) ** d
-        resids = np.abs(np.linalg.det(a[None] - vals[:, None, None] * np.eye(d)))
-        bad = np.flatnonzero(resids > budget)
-        if bad.size:
-            lam, resid = vals[bad[0]], float(resids[bad[0]])
-            raise NumericError(
+        bad = np.flatnonzero(resids[i] > budget) if norm > 0 else []
+        if len(bad):
+            lam, resid = row_vals[bad[0]], float(resids[i, bad[0]])
+            records.append(NumericError(
                 f"characteristic-polynomial residual {resid:g} exceeds "
                 f"{budget:g} at eigenvalue {lam}",
-                diagnostics={"eigenvalue": lam, "residual": resid})
-    return Spectrum(entries=a, values=vals, norm=norm)
+                diagnostics={"eigenvalue": lam, "residual": resid}))
+        else:
+            records.append(Spectrum(entries=m, values=_readonly(row_vals),
+                                    vectors=_readonly(row_vecs), norm=norm))
+    return records
+
+
+def spectrum(m) -> Spectrum:
+    """The Spectrum of a matrix (``_spectra`` on it alone); a Spectrum is
+    returned as is."""
+    if isinstance(m, Spectrum):
+        return m
+    record = _spectra([as_matrix(m)])[0]
+    if isinstance(record, NumericError):
+        raise record
+    return record
 
 
 def _modulus_clusters(moduli: np.ndarray) -> list:
@@ -464,33 +503,104 @@ def _modulus_clusters(moduli: np.ndarray) -> list:
     return groups
 
 
-def _schur_invariant_basis(a: np.ndarray, select, size: int, norm: float,
-                           diagnostics: dict) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace of the selected eigenvalues.
+def _tie_classes(close: np.ndarray) -> list:
+    """Index lists of the classes joined by the symmetric relation ``close``."""
+    classes = []
+    for j, row in enumerate(close.tolist()):
+        near = [c for c in classes if any(row[i] for i in c)]
+        for c in near:
+            classes.remove(c)
+        classes.append([i for c in near for i in c] + [j])
+    return classes
 
-    ``select(re, im)`` picks eigenvalues of the real Schur form of ``a``;
-    the form is reordered so the picked ones lead (Bai-Demmel block swaps,
-    LAPACK ``trsen``) and the leading ``size`` Schur vectors are returned.
-    Checks that exactly ``size`` eigenvalues were picked and certifies the
-    invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||, where ``norm``
-    is the 2-norm ||M||; the Frobenius norm bounds the 2-norm from above
-    without an SVD.  Every NumericError carries ``diagnostics``.
+
+def _generalized_eigenspace(a: np.ndarray, values: list) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of the eigenvalues
+    ``values`` of ``a``, Jordan chains included; complex if one is.
+
+    Deflation, one eigenvalue at a time: with P spanning the space of the
+    eigenvalues before lam and Q an orthonormal basis of its complement,
+    Q^H a Q is a on the quotient by span(P), and lam is one of its
+    eigenvalues.  P gains Q v and Q shrinks to Q V', where v and V' are
+    the right singular vectors of Q^H a Q - lam I of the least and of the
+    other singular values.  This is exact for equal eigenvalues, whether
+    Jordan chains or not, and for distinct ones alike, and each step
+    decomposes a - lam I on a subspace, never a power of it.
     """
-    try:
-        _, z, sdim = scipy.linalg.schur(a, output="real", sort=select)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"reordered Schur form failed: {exc}",
-                           diagnostics=diagnostics) from exc
-    if sdim != size:
+    dtype = complex if any(isinstance(lam, complex) for lam in values) else float
+    q = np.eye(len(a), dtype=dtype)
+    p = q[:, :0]
+    for lam in values:
+        quotient = q.conj().T @ a @ q
+        _, _, vh = np.linalg.svd(quotient - lam * np.eye(len(quotient)))
+        v = vh.conj().T
+        p, q = np.hstack((p, q @ v[:, -1:])), q @ v[:, :-1]
+    return p
+
+
+def _invariant_basis(spec: Spectrum, start: int, stop: int,
+                     diagnostics: dict) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of ``values[start:stop]``.
+
+    The selected eigenvalues are split into classes.  Eigenvalues whose
+    unit eigenvectors are at an angle of sine below EIGENVECTOR_SIN_TIE
+    belong to one class, as a Jordan block leaves them, also when rounding
+    splits its eigenvalue (by about eps^(1/m) for size m); such a class
+    takes in the eigenvalues tied with a member within EIGEN_TIE_RTOL times
+    the largest modulus (further blocks of the same eigenvalue).  Equal
+    eigenvalues with independent eigenvectors stay apart: those
+    eigenvectors span their eigenspace.  A lone real eigenvalue gives its
+    eigenvector, a lone complex pair the real and imaginary parts of the
+    eigenvector of its member with positive imaginary part, and a class its
+    generalized eigenspace (``_generalized_eigenspace``; real and imaginary
+    parts again off the real axis).  One SVD orthonormalizes the columns
+    (``_orthonormal_basis``).  Checks that the selection is closed under
+    conjugation and the columns span its dimension, and certifies the
+    invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||, where the
+    Frobenius norm bounds the 2-norm from above without an SVD.  Every
+    NumericError carries ``diagnostics``.
+    """
+    a, values = spec.entries, spec.values[start:stop]
+    vectors = spec.vectors[:, start:stop]
+    parallel = (np.abs(vectors.conj().T @ vectors) ** 2
+                >= 1.0 - EIGENVECTOR_SIN_TIE ** 2)
+    defective = np.count_nonzero(parallel, axis=1) > 1
+    equal = (np.abs(values[:, None] - values[None, :])
+             <= EIGEN_TIE_RTOL * max(abs(spec.values[0]), 1e-300))
+    classes = _tie_classes(
+        parallel | (equal & (defective[:, None] | defective[None, :])))
+    values = values.tolist()
+    lone, lone_upper, columns, dim = [], [], [], 0
+    for tied in classes:
+        if all(values[i].imag < 0 for i in tied):
+            continue    # the conjugate class gives the columns
+        upper = all(values[i].imag > 0 for i in tied)
+        dim += 2 * len(tied) if upper else len(tied)
+        if len(tied) == 1:
+            (lone_upper if upper else lone).append(tied[0])
+        else:
+            v = _generalized_eigenspace(a, [values[i] for i in tied])
+            columns += [v.real, v.imag] if v.dtype.kind == "c" else [v]
+    if lone_upper:
+        pairs = vectors[:, lone_upper]
+        columns += [pairs.real, pairs.imag]
+    if lone:
+        columns.append(vectors[:, lone].real)
+    if dim != stop - start:
         raise NumericError(
-            f"Schur reordering selected {sdim} eigenvalues, expected {size}",
+            f"the {stop - start} selected eigenvalues are not closed under "
+            f"conjugation", diagnostics=diagnostics)
+    basis, rank = _orthonormal_basis(np.hstack(columns))
+    if rank != dim:
+        raise NumericError(
+            f"invariant basis of {dim} eigenvalues has rank {rank}",
             diagnostics=diagnostics)
-    basis = z[:, :size]
     image = a @ basis
     resid = float(np.linalg.norm(image - basis @ (basis.T @ image)))
-    if norm > 0 and resid > 1e-8 * norm:
+    if spec.norm > 0 and resid > 1e-8 * spec.norm:
         raise NumericError(
-            f"invariant subspace residual {resid:g} exceeds {1e-8 * norm:g}",
+            f"invariant subspace residual {resid:g} exceeds "
+            f"{1e-8 * spec.norm:g}",
             diagnostics={**diagnostics, "residual": resid})
     return basis
 
@@ -499,29 +609,21 @@ def eig_by_modulus(m) -> EigenDecomposition:
     """Eigenvalues ordered by descending modulus with cluster bases.
 
     Each modulus cluster gets an orthonormal basis of the sum of the
-    generalized eigenspaces of its eigenvalues, obtained from a reordered
-    real Schur form.  Postconditions checked: the characteristic-polynomial
-    residual of each eigenvalue (``spectrum``) and the per-cluster
-    invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||.
+    generalized eigenspaces of its eigenvalues, read off the Spectrum
+    record by ``_invariant_basis``.  Postconditions checked: the
+    characteristic-polynomial residual of each eigenvalue (``spectrum``)
+    and the per-cluster invariance residual
+    ||(I - P P^T) M P||_F <= 1e-8 ||M||.
     """
     spec = spectrum(m)
-    a, vals, norm = spec.entries, spec.values, spec.norm
+    vals = spec.values
     moduli = np.abs(vals)
     clusters = []
     for start, stop in _modulus_clusters(moduli):
-        lo = moduli[stop - 1] - EIGEN_TIE_RTOL * max(norm, 1.0)
-        hi = moduli[start] + EIGEN_TIE_RTOL * max(norm, 1.0)
-
-        def in_cluster(re, im, lo=lo, hi=hi):
-            mod = np.hypot(re, im)
-            return bool((mod >= lo) & (mod <= hi))
-
-        basis = _schur_invariant_basis(
-            a, in_cluster, stop - start, norm,
-            diagnostics={"moduli": moduli.tolist()})
+        basis = _invariant_basis(spec, start, stop,
+                                 diagnostics={"moduli": moduli.tolist()})
         clusters.append(ModulusCluster(
             modulus=float(moduli[start:stop].mean()),
             eigenvalues=tuple(vals[start:stop]),
             basis=_readonly(basis)))
     return EigenDecomposition(values=tuple(vals), clusters=tuple(clusters))
-

@@ -10,10 +10,11 @@ corresponding matrices.
 Singular gaps at any number of indices come from one SVD per matrix, and
 a stack of matrices is decomposed in one batched call.  The eigenvalue
 side reads one ``core_linalg.Spectrum`` per matrix: its sorted,
-residual-checked eigenvalues and ||M||_2.  Each function takes a matrix or
-its record, so a caller keeping the record decomposes each matrix once.
-An attracting space is read off a real Schur form reordered so that the
-eigenvalues above the record's modulus gap lead, and certified by its
+residual-checked eigenvalues and eigenvectors and ||M||_2, from one
+``np.linalg.eig``.  Each function takes a matrix or its record, so a
+caller keeping the record decomposes each matrix once, and one record
+serves the attracting spaces of every dimension: a space is spanned by the
+record's eigenvectors above the modulus gap and certified by its
 invariance residual.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from .core_linalg import (
     Spectrum,
     Subspace,
-    _schur_invariant_basis,
+    _invariant_basis,
     as_matrix,
     spectrum,
     svd,
@@ -114,9 +115,10 @@ def attracting_space(m, k: int) -> Subspace:
     """Invariant subspace of the k largest-modulus eigenvalues.
 
     Requires a modulus gap, |lambda_k| > (1 + 1e-8) |lambda_{k+1}|, else
-    raises GapError.  The real Schur form is reordered so that the
-    eigenvalues of modulus above sqrt(|lambda_k| |lambda_{k+1}|) lead, and
-    the first k Schur vectors span the space.  The result is certified by
+    raises GapError.  The space is read off the first k columns of the
+    record's eigenvectors (``core_linalg._invariant_basis``: real and
+    imaginary parts of complex pairs, generalized eigenspaces of Jordan
+    blocks) and orthonormalized by one SVD.  The result is certified by
     its invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||; a failed
     certification raises NumericError with ``residual`` and ``gap_ratio``
     diagnostics.
@@ -130,14 +132,8 @@ def attracting_space(m, k: int) -> Subspace:
             f"{moduli[k - 1] / max(moduli[k], 1e-300):.6g}",
             index=k,
             ratio=float(moduli[k - 1] / max(moduli[k], 1e-300)))
-    threshold = np.sqrt(moduli[k - 1] * moduli[k])
-
-    def above_gap(re, im):
-        return bool(np.hypot(re, im) > threshold)
-
-    basis = _schur_invariant_basis(
-        spec.entries, above_gap, k, spec.norm,
-        diagnostics={"gap_ratio": float(moduli[k - 1] / moduli[k])})
+    basis = _invariant_basis(
+        spec, 0, k, diagnostics={"gap_ratio": float(moduli[k - 1] / moduli[k])})
     return Subspace(basis)
 
 

@@ -21,6 +21,7 @@ from .core_linalg import (
     Spectrum,
     Subspace,
     _smallest_singular_values,
+    _spectra,
     direct_sum_defect,
     intersect,
     quotient_project,
@@ -32,6 +33,7 @@ from .errors import (
     DomainError,
     GapError,
     InputError,
+    NumericError,
     PreconditionError,
 )
 from .groups import (
@@ -164,12 +166,16 @@ class _WordBall:
 
     ``images`` stacks the images of ``words`` in one read-only (n, d, d)
     array, and the 2x2 reference images of the ball are built on first use
-    the same way (``_products``).  The reference fixed points of a word, the
-    Spectrum of its image and every value read from it (``cached``:
-    attracting spaces, ratios, lengths) are computed on first use and kept
-    for the life of the ball.  A word outside the ball is evaluated on
-    demand and kept, so a ball of length 0 serves the single-item checks.
-    One ball lives for one scan or check.
+    the same way (``_products``).  The first Spectrum read builds the
+    records of every ball word from one batched eigendecomposition of
+    ``images`` (``core_linalg._spectra``); a word whose record failed its
+    residual check raises its NumericError only when it is read.  The
+    reference fixed points of a word and every value read from its record
+    (``cached``: attracting spaces of any dimension, ratios, lengths) are
+    computed on first use and kept for the life of the ball.  A word
+    outside the ball is evaluated and decomposed on demand and kept, so a
+    ball of length 0 serves the single-item checks.  One ball lives for
+    one scan or check.
     """
 
     def __init__(self, rep: Representation, max_length: int):
@@ -184,7 +190,8 @@ class _WordBall:
         self._reference_images = None
         self._outside: dict = {}
         self._fixed: dict = {}
-        self._spectra: dict = {}
+        self._records = None
+        self._outside_records: dict = {}
         self._values: dict = {}
         self._zero = Subspace.zero(rep.dim)
         self._full = Subspace.full(rep.dim)
@@ -248,10 +255,18 @@ class _WordBall:
         return words, np.array(ends, dtype=float).reshape(-1, 2)
 
     def spectrum(self, w: Word) -> Spectrum:
-        """Sorted, residual-checked eigenvalues and 2-norm of the image of ``w``."""
-        spec = self._spectra.get(w)
-        if spec is None:
-            spec = self._spectra[w] = spectrum(self.image(w))
+        """The Spectrum record of the image of ``w``."""
+        i = self._rows.get(w.letters)
+        if i is None:
+            spec = self._outside_records.get(w)
+            if spec is None:
+                spec = self._outside_records[w] = spectrum(self.image(w))
+            return spec
+        if self._records is None:
+            self._records = _spectra(self.images)
+        spec = self._records[i]
+        if isinstance(spec, NumericError):
+            raise spec.with_traceback(None)
         return spec
 
     def cached(self, fn, w: Word, index: int):

@@ -197,6 +197,20 @@ class TestAngles:
             assert dxy == pytest.approx(grassmann_distance(y, x), abs=1e-12)
             assert dxy <= grassmann_distance(x, z) + grassmann_distance(z, y) + 1e-9
 
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_subspace_angles(self, d, data):
+        # oracle: sine of the largest principal angle from scipy, including
+        # nearly equal subspaces, where sqrt(1 - cos^2) would cancel
+        k = data.draw(st.integers(min_value=1, max_value=d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1.0, 1e-3, 1e-8, 0.0]))
+        x = rng.normal(size=(d, k))
+        y = x + scale * rng.normal(size=(d, k))
+        x, y = Subspace.from_spanning(x), Subspace.from_spanning(y)
+        oracle = np.sin(scipy.linalg.subspace_angles(x.basis, y.basis)[0])
+        assert grassmann_distance(x, y) == pytest.approx(oracle, abs=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # svd / eig_by_modulus
@@ -301,18 +315,18 @@ class TestEig:
 
     @pytest.mark.parametrize("angle,fails", [(1e-6, True), (1e-14, False)])
     def test_invariance_residual_checked(self, monkeypatch, angle, fails):
-        # turn the Schur vectors by a plane rotation: still orthonormal, but
-        # the leading ones span an invariant subspace only up to ``angle``
-        exact_schur = scipy.linalg.schur
+        # turn two eigenvectors by a plane rotation: each column then spans
+        # an invariant line only up to ``angle``
+        exact_eig = np.linalg.eig
 
-        def turned_schur(a, *args, **kwargs):
-            t, z, sdim = exact_schur(a, *args, **kwargs)
+        def turned_eig(a):
+            vals, vecs = exact_eig(a)
             c, s = np.cos(angle), np.sin(angle)
-            z = z.copy()
-            z[:, [0, -1]] = z[:, [0, -1]] @ np.array([[c, -s], [s, c]])
-            return t, z, sdim
+            vecs = vecs.copy()
+            vecs[..., [0, -1]] = vecs[..., [0, -1]] @ np.array([[c, -s], [s, c]])
+            return vals, vecs
 
-        monkeypatch.setattr(scipy.linalg, "schur", turned_schur)
+        monkeypatch.setattr(np.linalg, "eig", turned_eig)
         if fails:
             with pytest.raises(NumericError):
                 eig_by_modulus(FG_GAMMA)

@@ -2,7 +2,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +150,14 @@ def test_no_dead_private_names():
                 where == path and node.lineno <= line <= node.end_lineno)
                 for where, line, read in reads)]
     assert dead == []
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test-only oracle: the package, its CLI and its checks run on
+    # numpy alone, and importing scipy.linalg would double the start-up time
+    code = ("import sys, anosovlab, anosovlab.cli, anosovlab.verification; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "[]"

@@ -13,7 +13,11 @@ from anosovlab.core_linalg import (
 )
 from anosovlab.errors import GapError, NumericError
 from anosovlab.groups import Word, evaluate
-from anosovlab.representations import fuchsian_locus, punctured_torus_reference
+from anosovlab.representations import (
+    fg_rep,
+    fuchsian_locus,
+    punctured_torus_reference,
+)
 from anosovlab.spectral import (
     attracting_space,
     eigenvalue_ratios,
@@ -21,11 +25,25 @@ from anosovlab.spectral import (
     singular_gap,
     weight_period,
 )
+from anosovlab.verification import BoundaryAtlas
 
 RNG = np.random.default_rng(1123)
 
 FG_GAMMA = np.array([[4.0, 4.0, 1.0], [2.0, 3.0, 1.0], [1.0, 2.0, 1.0]])
 LAMBDA1 = (7 + 3 * np.sqrt(5)) / 2
+REF = punctured_torus_reference()
+
+
+def schur_attracting_space(m, k):
+    """Oracle: the attracting space from a real Schur form reordered (LAPACK
+    trsen) so that the eigenvalues of modulus above sqrt(|lambda_k|
+    |lambda_(k+1)|) lead.  None when the reordering picks other than k
+    eigenvalues: the gap is below the resolution of the Schur form."""
+    moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
+    threshold = np.sqrt(moduli[k - 1] * moduli[k])
+    _, z, sdim = scipy.linalg.schur(
+        m, output="real", sort=lambda re, im: bool(np.hypot(re, im) > threshold))
+    return Subspace(z[:, :k]) if sdim == k else None
 
 
 def random_orthogonal(d, rng=RNG):
@@ -72,8 +90,13 @@ class TestSpectrum:
     @pytest.mark.parametrize("scale,fails", [(1 + 1e-3, True), (1 + 1e-14, False)])
     def test_characteristic_residual_checked(self, monkeypatch, reader, scale,
                                              fails):
-        exact = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: exact(a) * scale)
+        exact = np.linalg.eig
+
+        def scaled_eig(a):
+            vals, vecs = exact(a)
+            return vals * scale, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", scaled_eig)
         if fails:
             with pytest.raises(NumericError):
                 RECORD_READERS[reader](FG_GAMMA)
@@ -84,11 +107,13 @@ class TestSpectrum:
             self, monkeypatch):
         # the two smaller eigenvalues of FG_GAMMA (1 and 7 - 3 sqrt 5) are
         # moved off; the error reports the first of them in sorted order
-        exact = np.linalg.eigvals
-        monkeypatch.setattr(
-            np.linalg, "eigvals",
-            lambda a: np.where(np.abs(exact(a)) < 5, exact(a) * 1.001,
-                               exact(a)))
+        exact = np.linalg.eig
+
+        def moved_eig(a):
+            vals, vecs = exact(a)
+            return np.where(np.abs(vals) < 5, vals * 1.001, vals), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", moved_eig)
         with pytest.raises(NumericError) as exc:
             spectrum(FG_GAMMA)
         lam = exc.value.diagnostics["eigenvalue"]
@@ -201,6 +226,153 @@ class TestAttractingSpace:
         vals, vecs = np.linalg.eig(FG_GAMMA)
         idx = int(np.argmin(np.abs(vals)))
         assert grassmann_distance(s, Subspace.from_spanning(vecs[:, idx].real)) < 1e-10
+
+
+def mp_attracting_space(m, k, digits=40):
+    """Oracle: the span of the k top eigenvectors at ``digits`` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        vals, vecs = mpmath.eig(mpmath.matrix(m.tolist()))
+        top = sorted(range(len(vals)), key=lambda j: -abs(vals[j]))[:k]
+        assert all(abs(mpmath.im(vals[j])) <= 1e-25 * abs(vals[j]) for j in top)
+        basis = [[float(mpmath.re(vecs[r, j])) for j in top]
+                 for r in range(len(m))]
+    return Subspace.from_spanning(np.array(basis))
+
+
+@st.composite
+def block_spectra(draw):
+    """(M, moduli): M = P B P^-1 with B real 1x1 and rotation-scaling 2x2
+    blocks of distinct moduli at least a factor e^0.05 apart, and P an
+    orthogonal matrix times a unit upper-triangular one."""
+    d = draw(st.integers(min_value=2, max_value=8))
+    pairs = draw(st.integers(min_value=0, max_value=d // 2))
+    logs = draw(st.lists(st.integers(min_value=-40, max_value=40),
+                         min_size=d - pairs, max_size=d - pairs, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, moduli = [], []
+    for i, log in enumerate(logs):
+        r = np.exp(0.05 * log)
+        if i < pairs:
+            t = rng.uniform(0.2, np.pi - 0.2)
+            blocks.append(r * np.array([[np.cos(t), -np.sin(t)],
+                                        [np.sin(t), np.cos(t)]]))
+            moduli += [r, r]
+        else:
+            blocks.append(np.array([[r * rng.choice([-1.0, 1.0])]]))
+            moduli.append(r)
+    b = np.zeros((d, d))
+    i = 0
+    for block in blocks:
+        n = len(block)
+        b[i:i + n, i:i + n] = block
+        i += n
+    p = random_orthogonal(d, rng) @ (
+        np.eye(d) + np.triu(rng.uniform(-0.5, 0.5, (d, d)), 1))
+    return p @ b @ np.linalg.inv(p), np.sort(moduli)[::-1]
+
+
+class TestAgainstSchur:
+    """The attracting space from the record's eigenvectors against the
+    reordered real Schur form: sine distance <= 1e-9."""
+
+    @pytest.mark.parametrize("partition,dims,max_length,undecided", [
+        # the two eigenvalues 1 of (5,1) tie: at k = 3 there is no gap
+        # (GapError), or one of 2.2e-8 that the Schur reordering cannot see
+        ((5, 1), (1, 2, 3, 4), 4, [("aBAA", 3), ("bABB", 3)]),
+        ((4, 2), (1, 3, 5), 4, []),
+        ((3, 3), (2, 4), 4, []),       # a repeated eigenvalue in the selection
+        ((7, 1), (1, 2), 3, []),
+        (None, (1, 2), 4, []),         # fg(1)
+    ])
+    def test_atlas_words(self, partition, dims, max_length, undecided):
+        rep = fg_rep(1.0) if partition is None else fuchsian_locus(partition, REF)
+        atlas = BoundaryAtlas(rep, max_length)
+        compared, missed = 0, []
+        for w in atlas.words:
+            m = atlas.ball.image(w)
+            for k in dims:
+                try:
+                    space = attracting_space(m, k)
+                except GapError:
+                    continue
+                oracle = schur_attracting_space(m, k)
+                if oracle is None:
+                    missed.append((str(w), k))
+                    continue
+                assert grassmann_distance(space, oracle) <= 1e-9, (str(w), k)
+                compared += 1
+        assert sorted(missed) == sorted(undecided)
+        assert compared >= len(atlas)
+
+    def test_seven_one_at_length_four_as_accurate_as_schur(self):
+        # eigenvalue moduli of these words span up to 1e7 while their
+        # norms reach 2e7; both methods are off the 40-digit oracle by up
+        # to 4e-8 there, so where they differ by more than 1e-9 the one
+        # from eigenvectors is held to twice the error of the Schur form
+        atlas = BoundaryAtlas(fuchsian_locus((7, 1), REF), 4)
+        far = []
+        for w in atlas.words:
+            m = atlas.ball.image(w)
+            for k in (1, 2):
+                space, oracle = attracting_space(m, k), schur_attracting_space(m, k)
+                if grassmann_distance(space, oracle) <= 1e-9:
+                    continue
+                far.append((str(w), k))
+                truth = mp_attracting_space(m, k)
+                assert grassmann_distance(space, truth) <= 2 * grassmann_distance(
+                    oracle, truth), (str(w), k)
+        assert len(far) == 10
+
+    @given(block_spectra())
+    @settings(max_examples=80, deadline=None)
+    def test_random_block_spectra(self, case):
+        m, moduli = case
+        d = len(m)
+        vals = np.linalg.eigvals(m)
+        vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
+        assert np.array_equal(spectrum(m).values, vals)
+        for k in range(1, d):
+            if np.isclose(moduli[k - 1], moduli[k], rtol=1e-6):
+                with pytest.raises(GapError):   # k splits a complex pair
+                    attracting_space(m, k)
+                continue
+            oracle = schur_attracting_space(m, k)
+            assert oracle is not None
+            assert grassmann_distance(attracting_space(m, k), oracle) <= 1e-9
+
+    def test_jordan_block_inside_the_selection(self):
+        # oracle: the generalized eigenspace of 2 is span(e1, e2); its
+        # eigenvectors alone span only e1
+        m = np.diag([2.0, 2.0, 0.25])
+        m[0, 1] = 1.0
+        space = attracting_space(m, 2)
+        assert grassmann_distance(space, Subspace.coordinate(3, 0, 1)) < 1e-15
+        assert grassmann_distance(space, schur_attracting_space(m, 2)) < 1e-15
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7])
+    def test_conjugated_jordan_block(self, size):
+        # rounding splits the eigenvalue 2 of J_size(2) by about
+        # eps^(1/size) and leaves nearly parallel eigenvectors; the class
+        # is still one generalized eigenspace, span(q_1 .. q_size)
+        rng = np.random.default_rng(size)
+        m = np.diag([2.0] * size + [0.5]) + np.diag([1.0] * (size - 1) + [0.0], 1)
+        for _ in range(5):
+            q = random_orthogonal(size + 1, rng)
+            a = q @ m @ q.T
+            space = attracting_space(a, size)
+            assert grassmann_distance(space, Subspace(q[:, :size])) < 1e-12
+            assert grassmann_distance(space, schur_attracting_space(a, size)) < 1e-9
+
+    def test_three_by_three_jordan_block_inside_five_by_five(self):
+        m = np.diag([3.0, 3.0, 3.0, 1.0, 0.5])
+        m[0, 1] = m[1, 2] = 1.0
+        m[0, 4] = m[2, 3] = 0.7
+        space = attracting_space(m, 3)
+        assert grassmann_distance(space, Subspace.coordinate(5, 0, 1, 2)) < 1e-15
+        with pytest.raises(GapError):
+            attracting_space(m, 2)
+        assert len(eig_by_modulus(m).clusters) == 3
 
 
 class TestEigenvalueRatios:

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from anosovlab import spectral, verification
 from anosovlab.core_linalg import (
-    Spectrum,
     Subspace,
     _smallest_singular_values,
     direct_sum_defect,
@@ -355,6 +354,63 @@ class TestWordBall:
         w = Word((1, 2, -1, -2, 1, 1, 2, 2))
         assert np.array_equal(ball.image(w), evaluate(rep, w))
         assert ball.image(w) is ball.image(w)
+
+    @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF),
+                                     fuchsian_locus((3, 3), REF), fg_rep(1.0)])
+    def test_records_equal_eigvals_bit_for_bit(self, rep):
+        # the collar and gap reports read these values; eig must give the
+        # eigenvalues of eigvals, batched or not, sorted the same way
+        ball = _WordBall(rep, 3)
+        for w, m in zip(ball.words, ball.images):
+            vals = np.linalg.eigvals(m)
+            vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
+            record = ball.spectrum(w)
+            assert record.values.dtype == vals.dtype
+            assert np.array_equal(record.values, vals)
+            assert np.array_equal(spectrum(m).values, vals)
+            assert record.norm == np.linalg.norm(m, 2)
+
+    def test_failed_record_raises_only_where_read(self, monkeypatch):
+        # the eigenvalues of the image of ``ab`` are moved off in the batch:
+        # the other words read their records, ``ab`` raises the error that
+        # spectrum gives for its image alone
+        rep = fg_rep(1.0)
+        bad = evaluate(rep, A * B)
+        exact = np.linalg.eig
+
+        def moved_eig(a):
+            vals, vecs = exact(a)
+            hit = np.all(a == bad, axis=(-2, -1))
+            return np.where(hit[..., None], vals * 1.001, vals), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", moved_eig)
+        ball = _WordBall(rep, 2)
+        with pytest.raises(NumericError) as alone:
+            spectrum(bad)
+        for w in ball.words:
+            if w == A * B:
+                for _ in range(2):
+                    with pytest.raises(NumericError) as exc:
+                        ball.spectrum(w)
+                    assert str(exc.value) == str(alone.value)
+                    assert exc.value.diagnostics == alone.value.diagnostics
+            else:
+                assert np.array_equal(ball.spectrum(w).entries, ball.image(w))
+
+    def test_word_outside_ball_decomposed_alone_and_kept(self, monkeypatch):
+        stacks = []
+        exact = np.linalg.eig
+
+        def counting_eig(a):
+            stacks.append(np.shape(a))
+            return exact(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        ball = _WordBall(fuchsian_locus((7, 1), REF), 1)
+        w = Word((1, 2, -1, -2, 1, 1, 2, 2))
+        assert ball.spectrum(w) is ball.spectrum(w)
+        assert ball.spectrum(A) is ball.spectrum(A)
+        assert stacks == [(1, 8, 8), (5, 8, 8)]
 
     def test_eigen_identity_scan_computes_each_item_once(self, monkeypatch):
         spaces, points = Counter(), Counter()
@@ -1022,18 +1078,18 @@ class TestCollar:
             assert report.rhs >= report.weight_rhs - 1e-9
 
     def test_collar_scan_decomposes_each_word_once(self, monkeypatch):
-        matrices = Counter()
+        # one batched eig over the 53 words of the ball, identity included
+        stacks = []
+        exact = np.linalg.eig
 
-        def counting_spectrum(m):
-            if not isinstance(m, Spectrum):
-                matrices[np.asarray(m).tobytes()] += 1
-            return spectrum(m)
+        def counting_eig(a):
+            stacks.append(np.shape(a))
+            return exact(a)
 
-        monkeypatch.setattr(spectral, "spectrum", counting_spectrum)
-        monkeypatch.setattr(verification, "spectrum", counting_spectrum)
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
         reports = collar_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 1944
-        assert len(matrices) == 52 and set(matrices.values()) == {1}
+        assert stacks == [(53, 3, 3)]
 
     def test_linked_pairs_symmetric(self):
         pairs = linked_pairs(fg_rep(1.0), 2)
