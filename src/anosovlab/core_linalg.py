@@ -2,11 +2,12 @@
 
 Everything downstream (cross ratios, transversality defects, boundary
 flags) reduces to a handful of primitives on orthonormal subspace bases:
-wedge volumes, principal angles, numerical intersections and quotient
-projections.  Subspaces are always stored re-orthonormalized, so defect
-values are comparable across configurations and wedge volumes never
-overflow; quantities that depend on basis scalings are only ever used in
-ratios where the scalings cancel.
+wedge volumes, principal angles, intersections and quotient projections.
+An intersection is taken at the dimension that transversality gives it,
+rank V + rank W - d, so no tolerance decides its rank.  Subspaces are
+always stored re-orthonormalized, so defect values are comparable across
+configurations and wedge volumes never overflow; quantities that depend on
+basis scalings are only ever used in ratios where the scalings cancel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AmbiguityError,
     DimensionError,
     InputError,
     NumericError,
@@ -41,8 +41,6 @@ __all__ = [
 
 ORTHONORMALITY_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
-INTERSECT_TOL = 1e-8      # principal cosines >= 1 - this span an intersection
-AMBIGUITY_BAND = 100.0    # cosines in (1 - band * tol, 1 - tol) are ambiguous
 QUOTIENT_RANK_RTOL = 1e-8  # relative rank cutoff of a quotient image
 EIGEN_TIE_RTOL = 1e-8     # eigenvalues (or moduli) closer than this times the
                           # largest modulus count as equal
@@ -270,38 +268,40 @@ def _smallest_singular_values(b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def intersect(v: Subspace, w: Subspace) -> Subspace:
-    """Numerical intersection of two subspaces.
+    """Intersection of two subspaces at the transversal dimension
+    r = rank V + rank W - d: ``_intersections`` on the one pair.
 
-    Keeps the principal directions whose angle cosine is
-    >= 1 - INTERSECT_TOL.  Cosines inside the band
-    (1 - AMBIGUITY_BAND * INTERSECT_TOL, 1 - INTERSECT_TOL) mean the
-    configuration is too close to the cutoff to call; an AmbiguityError
-    carrying the cosine spectrum is raised so the caller can inspect it.
+    When V + W = R^d, as Anosov transversality makes it in the H_k and C_k
+    sums, that is V n W exactly.  Otherwise it is the r-space of V closest
+    to W, so two planes of R^4 sharing a line meet in the zero space, and
+    two 3-spaces sharing a plane in that plane.  A whole-space argument
+    returns the other argument itself.
     """
     if v.ambient_dim != w.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     d = v.ambient_dim
-    if v.rank == 0 or w.rank == 0:
-        return Subspace.zero(d)
     if v.rank == d:
         return w
     if w.rank == d:
         return v
-    u, s, _ = np.linalg.svd(v.basis.T @ w.basis)
-    s = np.clip(s, 0.0, 1.0)
-    accept = s >= 1.0 - INTERSECT_TOL
-    fuzzy = (~accept) & (s > 1.0 - AMBIGUITY_BAND * INTERSECT_TOL)
-    if np.any(fuzzy):
-        raise AmbiguityError(
-            "principal-angle cosines fall inside the ambiguity band around "
-            f"1 - {INTERSECT_TOL:g}", spectrum=s.copy())
-    k = int(np.sum(accept))
-    if k == 0:
-        return Subspace.zero(d)
-    q, rank = _orthonormal_basis(v.basis @ u[:, :k])
-    if rank != k:
-        raise NumericError("intersection basis lost rank during orthonormalization")
-    return Subspace(q)
+    return Subspace(_intersections(v.basis, w.basis))
+
+
+def _intersections(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bases of the intersections of a (..., d, a) stack V and a
+    (..., d, b) stack W of orthonormal bases, (..., d, r) with
+    r = max(a + b - d, 0).
+
+    One batched SVD of (I - W W^T) V: its singular values are the sines of
+    the principal angles between V and W, and V times the right singular
+    vectors of the r least of them is an orthonormal basis of the r
+    directions of V closest to W, which is V n W when V + W = R^d.
+    """
+    d, a = v.shape[-2:]
+    r = max(a + w.shape[-1] - d, 0)
+    off = v - w @ (np.swapaxes(w, -1, -2) @ v)
+    vt = np.linalg.svd(off, full_matrices=False)[2]
+    return v @ np.swapaxes(vt[..., a - r:, :], -1, -2)
 
 
 def quotient_complement(x_low: Subspace, x_high: Subspace) -> np.ndarray:

@@ -21,18 +21,6 @@ class PreconditionError(AnosovLabError):
     """A stated precondition (containment, distinctness, ...) is violated."""
 
 
-class AmbiguityError(AnosovLabError):
-    """A numerical verdict falls inside the configured ambiguity band.
-
-    Carries the offending spectrum so callers can inspect how close the
-    configuration is to the threshold.
-    """
-
-    def __init__(self, message, spectrum=None):
-        super().__init__(message)
-        self.spectrum = spectrum
-
-
 class GapError(AnosovLabError):
     """A required singular-value or eigenvalue gap is absent.
 

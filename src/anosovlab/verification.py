@@ -20,6 +20,7 @@ from .core_linalg import (
     PartialFlag,
     Spectrum,
     Subspace,
+    _intersections,
     _smallest_singular_values,
     _spectra,
     direct_sum_defect,
@@ -29,7 +30,6 @@ from .core_linalg import (
 )
 from .crossratio import gcr, pcr_quotient
 from .errors import (
-    AmbiguityError,
     DomainError,
     GapError,
     InputError,
@@ -456,8 +456,6 @@ def _triple_defect(rep: Representation, k: int, triple, summands_fn) -> float:
     for summand in summands_fn(k, rep.dim):
         spaces = [ball.space(triple[role], dim) for role, dim in summand]
         parts.append(spaces[0] if len(spaces) == 1 else intersect(*spaces))
-    if sum(part.rank for part in parts) > rep.dim:
-        return 0.0    # more than d dimensions never sum directly
     return direct_sum_defect(parts)
 
 
@@ -496,8 +494,6 @@ class TransversalityScanReport(_Report):
     n_points: int
     n_triples: int
     gap_failures: int
-    ambiguous_items: int = 0  # triples whose intersection summand fell in
-                              # the ambiguity band; left out of the defects
     min_defect: float | None
     max_defect: float | None = None
     min_separation: float = 0.0
@@ -519,9 +515,6 @@ def _scan_verdict(min_defect: float) -> str:
     return "ambiguous"
 
 
-_OK, _GAP, _AMBIGUOUS = 0, 1, 2   # outcome of a summand and of a triple
-
-
 @dataclass(frozen=True)
 class _SummandTable:
     """One summand of a transversality sum at every key it is asked for.
@@ -531,54 +524,45 @@ class _SummandTable:
     """
 
     roles: tuple
-    status: np.ndarray    # _OK, _GAP or _AMBIGUOUS per key
-    rank: np.ndarray
-    basis: np.ndarray     # orthonormal basis per key, zero-padded to (d, d)
+    missing: np.ndarray   # per key: a flag it reads has no eigenvalue gap
+    basis: np.ndarray     # (..., d, rank): an orthonormal basis per key
 
 
 def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     """Tables of the summands over the points and pairs of ``used``.
 
     ``used`` marks the ordered point pairs that occur in some kept triple.
-    Every flag is computed once per point and every intersection once per
-    pair, in a Python loop over the pairs; a missing flag (GapError) or an
-    ambiguous intersection (AmbiguityError) is recorded as the key's
-    status.  The scan hands in its summands without their whole-space
-    parts, so at k = 1 every summand is a point flag and the loop does
-    not run.
+    Every flag is computed once per point of such a pair; a flag without
+    an eigenvalue gap (GapError) is missing, and so is every key that
+    reads it.  An intersection summand is computed for every pair of
+    ``used`` without a missing flag in one ``core_linalg._intersections``
+    call, at the transversal dimension: a line in H_k and C_k.  The scan
+    hands in its summands without their whole-space parts, so at k = 1
+    every summand is a point flag and no intersection is computed.
     """
     n = len(atlas)
     d = atlas.ball.rep.dim
     points = np.flatnonzero(used.any(axis=1))
-    flags = {}
+    flags, gaps = {}, {}
     for dim in sorted({dim for summand in summands for _, dim in summand}):
+        flags[dim], gaps[dim] = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
         for i in points:
             try:
-                flags[i, dim] = atlas.space(i, dim)
+                flags[dim][i] = atlas.space(i, dim).basis
             except GapError:
-                flags[i, dim] = None
+                gaps[dim][i] = True
     tables = []
     for summand in summands:
-        shape = (n,) * len(summand)
-        status = np.full(shape, _OK, dtype=np.int8)
-        rank = np.zeros(shape, dtype=int)
-        basis = np.zeros(shape + (d, d))
-        keys = points[:, None] if len(summand) == 1 else np.argwhere(used)
-        for key in map(tuple, keys):
-            spaces = [flags[i, dim] for i, (_, dim) in zip(key, summand)]
-            if None in spaces:
-                status[key] = _GAP
-                continue
-            try:
-                space = (spaces[0] if len(spaces) == 1
-                         else intersect(*spaces))
-            except AmbiguityError:
-                status[key] = _AMBIGUOUS
-                continue
-            rank[key] = space.rank
-            basis[key][:, :space.rank] = space.basis
-        tables.append(_SummandTable(
-            tuple(role for role, _ in summand), status, rank, basis))
+        roles, dims = zip(*summand)
+        if len(dims) == 1:
+            missing, basis = gaps[dims[0]], flags[dims[0]]
+        else:
+            a, b = dims
+            missing = gaps[a][:, None] | gaps[b][None, :]
+            i, j = np.nonzero(used & ~missing)
+            basis = np.zeros((n, n, d, a + b - d))
+            basis[i, j] = _intersections(flags[a][i], flags[b][j])
+        tables.append(_SummandTable(roles, missing, basis))
     return tables
 
 
@@ -594,7 +578,7 @@ def _line_tables(tables: list, summands) -> tuple | None:
     if summands[:2] != (((0, 1),), ((1, 1),)) or len(summands[2]) > 1:
         return None
     m = summands[2][0][1]
-    complement = np.linalg.svd(tables[2].basis[..., :m])[0][..., m:]
+    complement = np.linalg.svd(tables[2].basis)[0][..., m:]
     units = [t.basis[..., 0] for t in tables[:2]]
     return units, [np.swapaxes(u @ complement, 0, 1) for u in units]
 
@@ -672,57 +656,43 @@ def _triple_bounds(lines: tuple, columns, low: float, high: float) -> tuple:
 def _triple_extremes(tables: list, lines: tuple | None, x: np.ndarray,
                      y: np.ndarray, z: np.ndarray, low: float,
                      high: float) -> tuple:
-    """Outcomes of the triples (x[i], y[i], z[i]) and the extremes of their
-    defects that can pass beyond ``low`` or ``high``.
+    """Missing flags of the triples (x[i], y[i], z[i]) and the extremes of
+    their defects that can pass beyond ``low`` or ``high``.
 
-    Returns ``(status, lowest, first, highest)``.  The first summand that
-    is not ``_OK``, in summand order, decides a triple's outcome; a triple
-    with a missing flag, or whose summand ranks add up to more than d
-    (never a direct sum), has defect 0.  Every other triple gets certified
-    bounds lo <= defect <= hi (``_triple_bounds``) where ``lines``, the
-    tables of ``_line_tables``, is not None, else (0, inf); only the triples
-    whose lo is at most min(low, min hi) or whose hi is at least
-    max(high, max lo) get the exact defect, from one batched SVD per
-    signature of summand ranks.  ``lowest`` is the minimum of the exact
-    defects, with ``first`` the first index attaining it, and ``highest``
-    their maximum.  Every triple attaining the minimum of these triples,
-    when that is at most ``low``, or their maximum, when that is at least
-    ``high``, is among them, so a strict ``lowest < low`` keeps the first
-    minimum of the whole scan.
-    ``first`` is None when no triple is kept or all are pruned.
+    Returns ``(missing, lowest, first, highest)``.  A triple reading a
+    missing flag has defect 0.  Every other triple gets certified bounds
+    lo <= defect <= hi (``_triple_bounds``) where ``lines``, the tables of
+    ``_line_tables``, is not None, else (0, inf); only the triples whose
+    lo is at most min(low, min hi) or whose hi is at least
+    max(high, max lo) get the exact defect, from one batched SVD of their
+    concatenated summand bases, which have d columns in all.  ``lowest``
+    is the minimum of the exact defects, with ``first`` the first index
+    attaining it, and ``highest`` their maximum.  Every triple attaining
+    the minimum of these triples, when that is at most ``low``, or their
+    maximum, when that is at least ``high``, is among them, so a strict
+    ``lowest < low`` keeps the first minimum of the whole scan.
+    ``first`` is None when all triples are pruned.
     """
     columns = (x, y, z)
     keys = [tuple(columns[role] for role in t.roles) for t in tables]
-    status = np.full(len(y), _OK, dtype=np.int8)
-    for t, key in zip(tables, keys):
-        status = np.where(status == _OK, t.status[key], status)
-    ranks = [t.rank[key] for t, key in zip(tables, keys)]
-    d = tables[0].basis.shape[-1]
-    ok = (status == _OK) & (sum(ranks) <= d)
-    kept = status != _AMBIGUOUS
-    lo, hi = np.zeros(len(y)), np.where(ok, np.inf, 0.0)
-    rows = np.flatnonzero(ok)
+    missing = np.any([t.missing[key] for t, key in zip(tables, keys)], axis=0)
+    lo, hi = np.zeros(len(y)), np.where(missing, 0.0, np.inf)
+    rows = np.flatnonzero(~missing)
     if lines is not None and rows.size:
         lo[rows], hi[rows] = _triple_bounds(
             lines, [c[rows] for c in columns], low, high)
-    low = min(low, hi[kept].min(initial=np.inf))
-    high = max(high, lo[kept].max(initial=-np.inf))
-    exact = kept & ((lo <= low) | (hi >= high))
-    signature = sum(r * (d + 1) ** i for i, r in enumerate(ranks))
+    exact = (lo <= min(low, hi.min())) | (hi >= max(high, lo.max()))
     defects = np.zeros(len(y))
-    survivors = ok & exact
-    for code in np.unique(signature[survivors]):
-        rows = np.flatnonzero(survivors & (signature == code))
-        stack = np.concatenate(
-            [t.basis[tuple(c[rows] for c in key)][:, :, :r[rows[0]]]
-             for t, key, r in zip(tables, keys, ranks)], axis=2)
-        defects[rows] = _smallest_singular_values(stack)
+    rows = np.flatnonzero(exact & ~missing)
+    defects[rows] = _smallest_singular_values(np.concatenate(
+        [t.basis[tuple(c[rows] for c in key)]
+         for t, key in zip(tables, keys)], axis=2))
     known = np.flatnonzero(exact)
     if not known.size:
-        return status, np.inf, None, -np.inf
+        return missing, np.inf, None, -np.inf
     values = defects[known]
     j = int(np.argmin(values))
-    return status, float(values[j]), int(known[j]), float(values.max())
+    return missing, float(values[j]), int(known[j]), float(values.max())
 
 
 def _transversality_scan(rep: Representation, k: int, max_length: int,
@@ -757,10 +727,9 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
 
     # triples in the lexicographic order of their point indices, a block of
     # first points at a time, so the arrays stay O(TRIPLE_BLOCK); a missing
-    # flag makes the sum unachievable (defect 0), an ambiguous intersection
-    # leaves the triple out of the defects; the running extremes prune the
-    # exact SVDs
-    n_triples = gap_failures = ambiguous_items = 0
+    # flag makes the sum unachievable (defect 0); the running extremes prune
+    # the exact SVDs
+    n_triples = gap_failures = 0
     min_defect, max_defect, worst = np.inf, -np.inf, None
     step = max(1, TRIPLE_BLOCK // max(1, n * n))
     for start in range(0, n, step):
@@ -770,11 +739,10 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
         if not len(x):
             continue
         x += start
-        status, lowest, first, highest = _triple_extremes(
+        missing, lowest, first, highest = _triple_extremes(
             tables, lines, x, y, z, min_defect, max_defect)
         n_triples += len(x)
-        gap_failures += int(np.sum(status == _GAP))
-        ambiguous_items += int(np.sum(status == _AMBIGUOUS))
+        gap_failures += int(np.count_nonzero(missing))
         if first is None:
             continue
         if lowest < min_defect:
@@ -787,15 +755,12 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
         worst_words = tuple(atlas.words[i] for i in worst)
     verdict = (_scan_verdict(min_defect)
                if min_defect is not None else "ambiguous")
-    if verdict == "pass" and ambiguous_items:
-        verdict = "ambiguous"
     return TransversalityScanReport(
         kind=kind, rep_label=rep.label, k=k, max_length=max_length,
         certification=certification, certified=certified,
         n_points=n, n_triples=n_triples, gap_failures=gap_failures,
         min_defect=min_defect, verdict=verdict, worst_triple=worst_words,
-        max_defect=max_defect, min_separation=min_separation,
-        ambiguous_items=ambiguous_items)
+        max_defect=max_defect, min_separation=min_separation)
 
 
 def hk_scan(rep: Representation, k: int, max_length: int,
@@ -809,17 +774,12 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     ``ambiguous``.
 
     Triples whose required flags do not exist (missing eigenvalue gap)
-    are recorded with defect 0: the transversality sum the property
-    requires cannot be formed.  So are triples whose summands have more
-    than d dimensions in all (an intersection may keep a direction within
-    the tolerance of ``intersect``): such a sum is never direct.
-    Ambiguity is decided per intersection pair: for k >= 2 the
-    intersection summand y^k n z^(d-k+1) is computed once per ordered
-    pair (y, z), and when it falls in the ambiguity band of ``intersect``
-    every triple sharing that pair is counted in ``ambiguous_items``,
-    left out of the defects, and turns a would-be ``pass`` into
-    ``ambiguous``.  The first summand, in order, that is missing or
-    ambiguous decides a triple's outcome.  At k = 1, z^d is the whole
+    are counted in ``gap_failures`` and recorded with defect 0: the
+    transversality sum the property requires cannot be formed.  For
+    k >= 2 the summand y^k n z^(d-k+1) is computed once per ordered pair
+    (y, z), all pairs in one batched call, as the line that y^k and z^(d-k)
+    being transverse make it (``intersect``): no tolerance decides its
+    rank, and the summand ranks add up to d.  At k = 1, z^d is the whole
     space, so H_1 is x^1 + y^1 + z^(d-2), three point flags, and no
     intersection is computed.
 
@@ -848,8 +808,9 @@ def ck_scan(rep: Representation, k: int, max_length: int,
     ``hk_scan``.
 
     At k = 1, x^d is the whole space, so C_1 is x^(d-3) + y^1 + z^2,
-    three point flags, and no intersection is computed; for k >= 2,
-    x^(d-k+1) n y^k is computed once per ordered pair (x, y).  Every
+    three point flags, and no intersection is computed; for k >= 2, the
+    line x^(d-k+1) n y^k is computed once per ordered pair (x, y), as the
+    H_k line is.  Every
     triple gets its exact SVD, except at d = 4, where C_1 has the two
     lines x^1 and y^1 and is bounded as H_1 is.
     """
@@ -1388,9 +1349,12 @@ def sopq_scan(p: int, q: int, count: int, seed: int,
     ``seed``.  An element passes when it preserves Q to
     ``SOPQ_RESIDUAL_RTOL`` ||Q||_2 and, for every k in 1..p-3, both
     coefficients are positive and the model defect exceeds
-    ``SOPQ_DEFECT_FLOOR``.  ``entry_max`` must be finite; an element too
-    large to certify (its residual overflows) raises NumericError.
+    ``SOPQ_DEFECT_FLOOR``.  p must be at least 4, so that some k is
+    checked, and ``entry_max`` finite; an element too large to certify
+    (its residual overflows) raises NumericError.
     """
+    if p < 4:
+        raise InputError(f"p={p} is below 4: no k in 1..p-3 to check")
     if count < 1:
         raise InputError(f"count={count} is below 1")
     if not (math.isfinite(entry_max) and entry_max > SOPQ_ENTRY_MIN):

@@ -115,18 +115,6 @@ class TestCheck:
         assert doc["report"]["verdict"] == "fail"
         assert doc["report"]["min_defect"] < 1e-10
 
-    def test_hk_intersection_of_excess_rank_fails(self, tmp_path):
-        # some (6,1) triples have summand ranks adding up to 8 > 7: a sum
-        # that is not direct, so the scan fails instead of aborting
-        out = tmp_path / "r.json"
-        status = run(["check", "Hk", "--family", "fuchsian", "--partition",
-                      "6,1", "--k", "2", "--L", "2", "--min-separation", "0",
-                      "--out", str(out)])
-        assert status == 1
-        doc = json.loads(out.read_text())
-        assert doc["report"]["verdict"] == "fail"
-        assert doc["report"]["min_defect"] == 0.0
-
     def test_ck_non_certifiable_exit_2(self, tmp_path):
         out = tmp_path / "r.json"
         status = run(["check", "Ck", "--family", "fuchsian", "--partition",
@@ -310,6 +298,11 @@ class TestSopq:
         doc = json.loads(out.read_text())
         assert doc["all_positive"]
         assert doc["max_q_residual"] < 1e-9
+
+    def test_p_below_4_exit_3(self, capsys):
+        assert run(["sopq", "--p", "3", "--q", "3", "--count", "1",
+                    "--seed", "0"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
     def test_seed_required(self):
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "2"]) == 64

@@ -17,7 +17,6 @@ from anosovlab.core_linalg import (
     wedge_volume,
 )
 from anosovlab.errors import (
-    AmbiguityError,
     DimensionError,
     InputError,
     NumericError,
@@ -127,18 +126,33 @@ class TestIntersect:
         assert got.rank == 1
         assert grassmann_distance(got, e(3, 0)) < 1e-10
 
-    def test_ambiguity_band(self):
-        theta = 5e-4  # 1 - cos(theta) = 1.25e-7, inside (tol, 100*tol) for tol=1e-8
-        c, s = np.cos(theta), np.sin(theta)
-        w = Subspace.from_spanning(np.array([c, s, 0.0]))
-        with pytest.raises(AmbiguityError) as exc:
-            intersect(e(3, 0), w)
-        assert exc.value.spectrum is not None
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_transverse_pairs_match_null_space_oracle(self, d):
+        # V + W = R^d: the intersection is {V c : V c = W c'}, the V-half of
+        # the null space of [V | -W], of dimension r = a + b - d
+        rng = np.random.default_rng(d)
+        for a in range(1, d):
+            for b in range(d - a + 1, d):
+                v, w = random_subspace(d, a, rng), random_subspace(d, b, rng)
+                null = scipy.linalg.null_space(np.hstack([v.basis, -w.basis]))
+                assert null.shape[1] == a + b - d
+                got = intersect(v, w)
+                assert got.rank == a + b - d
+                oracle = Subspace.from_spanning(v.basis @ null[:a])
+                assert grassmann_distance(got, oracle) <= 1e-12
+
+    def test_rank_is_the_transversal_dimension(self):
+        # two 3-spaces of R^4 sharing a plane: r = 2, that plane
+        got = intersect(e(4, 0, 1, 2), e(4, 0, 1, 3))
+        assert got.rank == 2
+        assert grassmann_distance(got, e(4, 0, 1)) < 1e-15
+        # two planes of R^4 sharing a line are not transverse: r = 0
+        assert intersect(e(4, 0, 1), e(4, 0, 2)).rank == 0
 
     def test_full_space_shortcut(self):
         v = random_subspace(4, 2)
-        got = intersect(v, Subspace.full(4))
-        assert grassmann_distance(got, v) < 1e-12
+        assert intersect(v, Subspace.full(4)) is v
+        assert intersect(Subspace.full(4), v) is v
 
 
 # ---------------------------------------------------------------------------

@@ -112,26 +112,23 @@ def test_no_dead_imports():
     assert [dead for p in paths for dead in _dead_imports(p)] == []
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, node) of every module-level private function, class or
-    assigned name of ``tree``."""
+def _definitions(tree: ast.Module):
+    """(name, node) of every module-level function, class or assigned name
+    of ``tree``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = getattr(node, "targets", [getattr(node, "target", None)])
-            names = [n.id for t in targets for n in ast.walk(t)
-                     if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
 
 
-def test_no_dead_private_names():
-    # a private name the package never reads outside its own definition is
-    # left over from deleted code
+def _unread(keep) -> list:
+    """The module-level names of the package passing ``keep`` that no code
+    of the package reads outside their own definition."""
     trees = {path.relative_to(ROOT): ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "anosovlab").glob("*.py"))}
     reads = []
@@ -143,13 +140,24 @@ def test_no_dead_private_names():
                 reads.append((path, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
                 reads.append((path, node.lineno, node.name))
-    dead = [f"{path}:{node.lineno} {name}"
+    return [f"{path}:{node.lineno} {name}"
             for path, tree in trees.items()
-            for name, node in _private_definitions(tree)
-            if not any(read == name and not (
+            for name, node in _definitions(tree) if keep(name)
+            and not any(read == name and not (
                 where == path and node.lineno <= line <= node.end_lineno)
                 for where, line, read in reads)]
-    assert dead == []
+
+
+def test_no_dead_private_names():
+    # a private name the package never reads outside its own definition is
+    # left over from deleted code
+    assert _unread(lambda name: name.startswith("_")
+                   and not name.startswith("__")) == []
+
+
+def test_no_dead_constants():
+    # so is an UPPER_CASE constant: a tolerance or setting nothing applies
+    assert _unread(str.isupper) == []
 
 
 def test_package_imports_no_scipy():

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from anosovlab import spectral, verification
 from anosovlab.core_linalg import (
     Subspace,
+    _intersections,
     _smallest_singular_values,
     direct_sum_defect,
     grassmann_distance,
@@ -23,7 +24,6 @@ from anosovlab.core_linalg import (
 )
 from anosovlab.crossratio import gcr
 from anosovlab.errors import (
-    AmbiguityError,
     DomainError,
     GapError,
     InputError,
@@ -132,7 +132,7 @@ def reference_transversality_scan(rep, k, max_length, kind,
     """One triple at a time in permutations order, the summands written out.
 
     Returns the fields of a TransversalityScanReport that the triples
-    decide; the first summand to raise decides a triple's outcome.
+    decide; a triple whose summand raises GapError has defect 0.
     """
     atlas = BoundaryAtlas(rep, max_length)
     d = rep.dim
@@ -140,16 +140,13 @@ def reference_transversality_scan(rep, k, max_length, kind,
     angles = atlas.angles
 
     def summands(x, y, z):
-        # through the module attribute, so a monkeypatched intersect applies
         if kind == "Hk":
-            return [space(x, k),
-                    verification.intersect(space(y, k), space(z, d - k + 1)),
+            return [space(x, k), intersect(space(y, k), space(z, d - k + 1)),
                     space(z, d - k - 1)]
         return [space(x, d - k - 2),
-                verification.intersect(space(x, d - k + 1), space(y, k)),
-                space(z, k + 1)]
+                intersect(space(x, d - k + 1), space(y, k)), space(z, k + 1)]
 
-    n_triples = gap_failures = ambiguous_items = 0
+    n_triples = gap_failures = 0
     defects, triples = [], []
     for t in itertools.permutations(range(len(atlas)), 3):
         if min(circle_separation(angles[i], angles[j])
@@ -157,69 +154,48 @@ def reference_transversality_scan(rep, k, max_length, kind,
             continue
         n_triples += 1
         try:
-            parts = summands(*t)
-            # more than d dimensions never sum directly
-            defect = (0.0 if sum(p.rank for p in parts) > d
-                      else direct_sum_defect(parts))
+            defect = direct_sum_defect(summands(*t))
         except GapError:
             defect = 0.0
             gap_failures += 1
-        except AmbiguityError:
-            ambiguous_items += 1
-            continue
         defects.append(defect)
         triples.append(t)
     if not defects:
         return dict(n_triples=n_triples, gap_failures=gap_failures,
-                    ambiguous_items=ambiguous_items, min_defect=None,
-                    max_defect=None, worst_triple=None, verdict="ambiguous")
+                    min_defect=None, max_defect=None, worst_triple=None,
+                    verdict="ambiguous")
     min_defect = min(defects)
     if min_defect > SCAN_ACCEPT:
-        verdict = "ambiguous" if ambiguous_items else "pass"
+        verdict = "pass"
     elif min_defect < SCAN_REJECT:
         verdict = "fail"
     else:
         verdict = "ambiguous"
     worst = triples[defects.index(min_defect)]
     return dict(n_triples=n_triples, gap_failures=gap_failures,
-                ambiguous_items=ambiguous_items, min_defect=min_defect,
+                min_defect=min_defect,
                 max_defect=max(defects),
                 worst_triple=tuple(atlas.words[i] for i in worst),
                 verdict=verdict)
 
 
 def all_triples_defects(tables, x, y, z):
-    """Outcome and exact defect of every triple (x[i], y[i], z[i]): one
-    batched SVD per signature of summand ranks, no triple left out."""
+    """Missing flags and exact defect of every triple (x[i], y[i], z[i]):
+    one batched SVD, no triple left out."""
     columns = (x, y, z)
     keys = [tuple(columns[role] for role in t.roles) for t in tables]
-    status = np.full(len(y), verification._OK, dtype=np.int8)
-    for t, key in zip(tables, keys):
-        status = np.where(status == verification._OK, t.status[key], status)
-    ranks = [t.rank[key] for t, key in zip(tables, keys)]
-    d = tables[0].basis.shape[-1]
-    signature = sum(r * (d + 1) ** i for i, r in enumerate(ranks))
-    defects = np.zeros(len(y))
-    ok = (status == verification._OK) & (sum(ranks) <= d)
-    for code in np.unique(signature[ok]):
-        rows = np.flatnonzero(ok & (signature == code))
-        stack = np.concatenate(
-            [t.basis[tuple(c[rows] for c in key)][:, :, :r[rows[0]]]
-             for t, key, r in zip(tables, keys, ranks)], axis=2)
-        defects[rows] = _smallest_singular_values(stack)
-    return status, defects
+    missing = np.any([t.missing[key] for t, key in zip(tables, keys)], axis=0)
+    stack = np.concatenate([t.basis[key] for t, key in zip(tables, keys)],
+                           axis=2)
+    return missing, np.where(missing, 0.0, _smallest_singular_values(stack))
 
 
 def all_triples_extremes(tables, parts, x, y, z, low, high):
     """Drop-in for ``verification._triple_extremes`` that prunes nothing:
-    the extremes over the exact defects of every kept triple."""
-    status, defects = all_triples_defects(tables, x, y, z)
-    kept = np.flatnonzero(status != verification._AMBIGUOUS)
-    if not kept.size:
-        return status, np.inf, None, -np.inf
-    j = int(np.argmin(defects[kept]))
-    return (status, float(defects[kept[j]]), int(kept[j]),
-            float(defects[kept].max()))
+    the extremes over the exact defects of every triple."""
+    missing, defects = all_triples_defects(tables, x, y, z)
+    j = int(np.argmin(defects))
+    return missing, float(defects[j]), j, float(defects.max())
 
 
 def all_triples_scan(monkeypatch, scan, *args, **kwargs):
@@ -299,8 +275,7 @@ def assert_matches_reference(report, reference):
             assert got is None
         else:
             assert got == pytest.approx(want, rel=1e-12, abs=0)
-    for field in ("worst_triple", "n_triples", "gap_failures",
-                  "ambiguous_items", "verdict"):
+    for field in ("worst_triple", "n_triples", "gap_failures", "verdict"):
         assert getattr(report, field) == reference[field], field
 
 
@@ -549,15 +524,6 @@ class TestHkCk:
         with pytest.raises(PreconditionError):
             check_Hk(rep, 1, (A, A * A, B))
 
-    def test_triple_of_excess_rank_has_defect_0(self):
-        # on (6,1) with k = 2, y^2 n z^6 keeps a second direction within
-        # the intersection tolerance: the summand ranks are 2 + 2 + 4 > 7
-        rep = fuchsian_locus((6, 1), REF)
-        x, y, z = (Word.parse(w, 2) for w in ("BA", "B", "Ba"))
-        ball = _WordBall(rep, 0)
-        assert intersect(ball.space(y, 2), ball.space(z, 6)).rank == 2
-        assert check_Hk(rep, 2, (x, y, z)) == 0.0
-
     def test_hk_scan_5_1_passes(self):
         rep = fuchsian_locus((5, 1), REF)
         report = hk_scan(rep, 1, 2)
@@ -577,34 +543,6 @@ class TestHkCk:
         assert report.verdict == "non-certifiable"
         assert report.certification[3] == "flat"
 
-    def test_ambiguous_intersection_is_counted_not_fatal(self, monkeypatch):
-        # an ambiguous intersection is a property of its (y, z) pair, so it
-        # makes every separated triple with middle point y0 ambiguous; H_2
-        # on (7,1), since at k = 1 no intersection is computed
-        rep = fuchsian_locus((7, 1), REF)
-        atlas = BoundaryAtlas(rep, 2)
-        y0 = 3
-        y0_space = atlas.space(y0, 2).basis
-
-        def ambiguous_at_y0(v, w, *args, **kwargs):
-            if np.array_equal(v.basis, y0_space):
-                raise AmbiguityError("inside the band", spectrum=np.ones(1))
-            return intersect(v, w, *args, **kwargs)
-
-        angles = atlas.angles
-        expected = sum(
-            1 for t in itertools.permutations(range(len(atlas)), 3)
-            if t[1] == y0 and min(
-                circle_separation(angles[i], angles[j])
-                for i, j in itertools.combinations(t, 2)) >= TRIPLE_SEPARATION)
-        assert expected > 0
-        monkeypatch.setattr(verification, "intersect", ambiguous_at_y0)
-        report = hk_scan(rep, 2, 2)
-        assert report.ambiguous_items == expected
-        assert report.to_dict()["ambiguous_items"] == expected
-        assert report.verdict == "ambiguous"
-        assert report.min_defect > 1e-4
-
     @pytest.mark.parametrize("scan,rep,k,L,kwargs", [
         (hk_scan, fuchsian_locus((5, 1), REF), 1, 3, {}),
         (hk_scan, fuchsian_locus((5, 1), REF), 2, 2, {}),
@@ -612,7 +550,7 @@ class TestHkCk:
         (hk_scan, fg_rep(1.0), 1, 3, {}),
         (ck_scan, fuchsian_locus((7, 1), REF), 1, 2, {}),
         (hk_scan, fuchsian_locus((5, 1), REF), 1, 2, {"min_separation": 0}),
-        # intersections of excess rank: summand ranks add up to more than d
+        # no separation: nearly coincident points give defects near 1e-7
         (hk_scan, fuchsian_locus((6, 1), REF), 2, 2, {"min_separation": 0}),
     ])
     def test_scan_matches_per_triple_reference(self, monkeypatch, scan, rep,
@@ -625,41 +563,28 @@ class TestHkCk:
         assert report.to_dict() == all_triples_scan(
             monkeypatch, scan, rep, k, L, **kwargs).to_dict()
 
-    @pytest.mark.parametrize("scan,rep,k,fickle", [
-        (hk_scan, fuchsian_locus((7, 1), REF), 2, True),
-        (ck_scan, fuchsian_locus((4, 1), REF), 2, True),
+    @pytest.mark.parametrize("scan,rep,k", [
+        (hk_scan, fuchsian_locus((7, 1), REF), 2),
+        (ck_scan, fuchsian_locus((4, 1), REF), 2),
         # no intersection at k = 1: missing flags among bounded triples
-        (hk_scan, fuchsian_locus((5, 1), REF), 1, False),
+        (hk_scan, fuchsian_locus((5, 1), REF), 1),
     ], ids=["hk_scan-rep0", "ck_scan-rep1", "hk_scan-rep2"])
     def test_mixed_outcomes_match_per_triple_reference(self, monkeypatch,
-                                                       scan, rep, k, fickle):
-        # flags missing for some words, intersections ambiguous or zero for
-        # some pairs: mixed outcomes and rank signatures in every chunk
+                                                       scan, rep, k):
+        # flags missing for some words: point summands and intersections
+        # missing for some keys in every chunk
         def gappy_space(m, dim):
             if zlib.crc32(getattr(m, "entries", m).tobytes()
                           + bytes([dim])) % 6 == 0:
                 raise GapError("forced", index=dim, ratio=1.0)
             return attracting_space(m, dim)
 
-        def fickle_intersect(v, w, *args, **kwargs):
-            h = zlib.crc32(v.basis.tobytes() + w.basis.tobytes())
-            if h % 4 == 0:
-                raise AmbiguityError("forced", spectrum=np.ones(1))
-            if h % 4 == 1:
-                return Subspace.zero(v.ambient_dim)
-            return intersect(v, w, *args, **kwargs)
-
         monkeypatch.setattr(verification, "attracting_space", gappy_space)
-        if fickle:
-            monkeypatch.setattr(verification, "intersect", fickle_intersect)
         report = scan(rep, k, 2)
         reference = reference_transversality_scan(
             rep, k, 2, "Hk" if scan is hk_scan else "Ck")
         assert report.certified
-        assert reference["gap_failures"]
-        assert bool(reference["ambiguous_items"]) == fickle
-        assert reference["n_triples"] > (reference["gap_failures"]
-                                         + reference["ambiguous_items"])
+        assert 0 < reference["gap_failures"] < reference["n_triples"]
         assert_matches_reference(report, reference)
         assert report.to_dict() == all_triples_scan(
             monkeypatch, scan, rep, k, 2).to_dict()
@@ -672,12 +597,13 @@ class TestHkCk:
         # z^d (H_1) and x^d (C_1) are the whole space: no intersection runs
         calls = []
 
-        def counting_intersect(v, w, *args, **kwargs):
-            calls.append(1)
-            return intersect(v, w, *args, **kwargs)
+        def counting_intersections(v, w):
+            calls.append(len(v))
+            return _intersections(v, w)
 
         with monkeypatch.context() as patch:
-            patch.setattr(verification, "intersect", counting_intersect)
+            patch.setattr(verification, "_intersections",
+                          counting_intersections)
             report = scan(rep, 1, 2)
         assert calls == [] and report.verdict == "pass"
         assert_matches_reference(report, reference_transversality_scan(
@@ -686,24 +612,44 @@ class TestHkCk:
             monkeypatch, scan, rep, 1, 2).to_dict()
 
     def test_intersection_computed_once_per_pair(self, monkeypatch):
-        pairs = Counter()
+        calls = []
 
-        def counting_intersect(v, w, *args, **kwargs):
-            pairs[v.basis.tobytes(), w.basis.tobytes()] += 1
-            return intersect(v, w, *args, **kwargs)
+        def counting_intersections(v, w):
+            calls.append(len(v))
+            return _intersections(v, w)
 
-        monkeypatch.setattr(verification, "intersect", counting_intersect)
-        # k = 2 on (7,1): y^2 n z^7, neither part is the full space
+        monkeypatch.setattr(verification, "_intersections",
+                            counting_intersections)
+        # k = 2 on (7,1): y^2 n z^7, neither part is the full space; one
+        # batched call covers every pair
         report = hk_scan(fuchsian_locus((7, 1), REF), 2, 2)
         n = report.n_points
         assert report.n_triples > n * (n - 1)
-        assert 0 < len(pairs) <= n * (n - 1) and set(pairs.values()) == {1}
+        assert len(calls) == 1 and 0 < calls[0] <= n * (n - 1)
 
     def test_ck_scan_7_1_passes(self):
         rep = fuchsian_locus((7, 1), REF)
         report = ck_scan(rep, 1, 2)
         assert report.verdict == "pass"
         assert report.min_defect > 1e-4
+
+    def test_9_1_h3_intersections_are_lines(self, monkeypatch):
+        # a cosine tolerance made 72 of these intersections ambiguous and
+        # others two-dimensional (min 0, fail); at the transversal rank
+        # every one is a line and the minimum is that of the flags
+        rep = fuchsian_locus((9, 1), REF)
+        report = hk_scan(rep, 3, 2)
+        assert report.gap_failures == 0
+        assert report.min_defect == pytest.approx(7.43e-6, rel=1e-3)
+        assert_matches_reference(report, reference_transversality_scan(
+            rep, 3, 2, "Hk"))
+        assert report.to_dict() == all_triples_scan(
+            monkeypatch, hk_scan, rep, 3, 2).to_dict()
+
+    def test_7_1_h2_minimum_pinned(self):
+        report = hk_scan(fuchsian_locus((7, 1), REF), 2, 3)
+        assert report.min_defect == pytest.approx(1.0839923384657232e-4,
+                                                  rel=1e-9, abs=0)
 
 
 @st.composite
@@ -1206,6 +1152,12 @@ class TestSopqScan:
         with pytest.raises(InputError, match="count=0"):
             sopq_scan(4, 5, 0, 7, 2.0)
 
+    def test_p_below_4_rejected(self, monkeypatch):
+        # k runs over 1..p-3: at p = 3 nothing would be checked
+        monkeypatch.setattr(verification, "sopq_form", no_ball)
+        with pytest.raises(InputError, match="p=3"):
+            sopq_scan(3, 3, 1, 0, 2.0)
+
     @pytest.mark.parametrize("entry_max",
                              [0.0, -1.0, float("nan"), float("inf")])
     def test_empty_draw_range_rejected(self, entry_max):
@@ -1313,10 +1265,9 @@ class TestReportFormat:
             certification={1: "anosov-like", 2: "flat"}, certified=False,
             n_points=3, n_triples=6, gap_failures=0, min_defect=0.5,
             verdict="pass", worst_triple=AB, max_defect=0.7,
-            min_separation=0.3, ambiguous_items=1),
+            min_separation=0.3),
             ["kind", "rep", "k", "L", "certification", "certified",
-             "n_points", "n_triples", "gap_failures", "ambiguous_items",
-             "min_defect", "max_defect", "min_separation", "verdict",
+             "n_points", "n_triples", "gap_failures", "min_defect", "max_defect", "min_separation", "verdict",
              "worst_triple"]),
         "positivity": (PositivityScanReport(
             rep_label="r", k=1, max_length=2, n_points=4, n_quadruples=8,
