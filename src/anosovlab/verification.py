@@ -26,7 +26,6 @@ from .core_linalg import (
     direct_sum_defect,
     intersect,
     quotient_project,
-    spectrum,
 )
 from .crossratio import gcr, pcr_quotient
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .groups import (
     ANGLE_SEPARATION,
+    RENORMALIZE_ABOVE,
     Word,
     circle_separation,
     evaluate,
@@ -162,67 +162,69 @@ class _Report:
 # ---------------------------------------------------------------------------
 
 class _WordBall:
-    """The reduced words up to a length and everything the checks read off them.
+    """The words a scan or check reads, and everything it reads off them.
 
-    ``images`` stacks the images of ``words`` in one read-only (n, d, d)
-    array, and the 2x2 reference images of the ball are built on first use
-    the same way (``_products``).  The first Spectrum read builds the
-    records of every ball word from one batched eigendecomposition of
-    ``images`` (``core_linalg._spectra``); a word whose record failed its
-    residual check raises its NumericError only when it is read.  The
-    reference fixed points of a word and every value read from its record
-    (``cached``: attracting spaces of any dimension, ratios, lengths) are
-    computed on first use and kept for the life of the ball.  A word
-    outside the ball is evaluated and decomposed on demand and kept, so a
-    ball of length 0 serves the single-item checks.  One ball lives for
-    one scan or check.
+    ``words`` is the ball ``words_of_length(rep.rank, max_length)``, its
+    first ``size`` words, then the prefixes of the named words and of their
+    inverses that it lacks, shortest first, then by letters.  ``images``
+    stacks their images in one read-only (n, d, d) array, and the 2x2
+    reference images are built on first use the same way (``_products``).
+    The first Spectrum read builds every word's record from one batched
+    eigendecomposition of ``images`` (``core_linalg._spectra``); a word
+    whose record failed its residual check raises its NumericError only
+    when it is read.  Reference fixed points and every value read from a
+    record (``cached``: attracting spaces of any dimension, ratios,
+    lengths) are computed on first use and kept for the life of the ball,
+    which is one scan or check.
     """
 
-    def __init__(self, rep: Representation, max_length: int):
+    def __init__(self, rep: Representation, max_length: int, named=()):
         self.rep = rep
         self.words = words_of_length(rep.rank, max_length)
+        self.size = len(self.words)
         self._rows = {w.letters: i for i, w in enumerate(self.words)}
+        extra = {v.letters[:i] for w in named for v in (w, w.inverse())
+                 for i in range(1, len(v) + 1)}.difference(self._rows)
+        for letters in sorted(sorted(extra), key=len):
+            self._rows[letters] = len(self.words)
+            self.words.append(Word._trusted(letters))
         images = self._products(rep)
         if not np.all(np.isfinite(images)):
             raise InputError("word images overflow: matrix entries must be finite")
         images.flags.writeable = False
         self.images = images
         self._reference_images = None
-        self._outside: dict = {}
         self._fixed: dict = {}
         self._records = None
-        self._outside_records: dict = {}
         self._values: dict = {}
         self._zero = Subspace.zero(rep.dim)
         self._full = Subspace.full(rep.dim)
 
     def _products(self, rep: Representation) -> np.ndarray:
-        """The (n, dim, dim) images of ``words`` under ``rep``.  Each is its
-        prefix's image times one generator or its inverse: the products of
-        ``evaluate`` in the same order, so the entries agree bit for bit."""
-        if rep.rank < self.rep.rank and len(self.words) > 1:
-            raise InputError(f"word uses generator {rep.rank + 1}, "
+        """The (n, dim, dim) images of ``words`` under ``rep``, equal to
+        ``evaluate`` bit for bit: beyond ``RENORMALIZE_ABOVE`` letters its
+        result, else the prefix's row times a generator or its inverse."""
+        # the earlier letters of a word end its prefixes, which are rows too
+        used = max((abs(w.letters[-1]) for w in self.words[1:]), default=0)
+        if used > rep.rank:
+            raise InputError(f"word uses generator {used}, "
                              f"representation has {rep.rank}")
         steps = {}
         for i, g in enumerate(rep.generator_images, 1):
             steps[i] = g
             steps[-i] = np.linalg.inv(g)
         images = np.empty((len(self.words), rep.dim, rep.dim))
-        for i, w in enumerate(self.words):
+        images[0] = np.eye(rep.dim)   # the ball's first word is the identity
+        for i, w in enumerate(self.words[1:], 1):
             letters = w.letters
             images[i] = (images[self._rows[letters[:-1]]] @ steps[letters[-1]]
-                         if letters else np.eye(rep.dim))
+                         if len(letters) <= RENORMALIZE_ABOVE
+                         else evaluate(rep, w))
         return images
 
     def image(self, w: Word) -> np.ndarray:
-        """Image of ``w``: its row of ``images``, else evaluated and kept."""
-        i = self._rows.get(w.letters)
-        if i is not None:
-            return self.images[i]
-        m = self._outside.get(w)
-        if m is None:
-            m = self._outside[w] = evaluate(self.rep, w)
-        return m
+        """Image of ``w``: its row of ``images``."""
+        return self.images[self._rows[w.letters]]
 
     def fixed_points(self, w: Word) -> tuple:
         """Attracting and repelling angles of ``w`` on the reference circle."""
@@ -232,21 +234,17 @@ class _WordBall:
             if ref is None:
                 raise InputError(
                     "representation carries no 2x2 boundary reference")
-            i = self._rows.get(w.letters)
-            if i is None:
-                m = evaluate(ref, w)
-            else:
-                if self._reference_images is None:
-                    self._reference_images = self._products(ref)
-                m = self._reference_images[i]
+            if self._reference_images is None:
+                self._reference_images = self._products(ref)
+            m = self._reference_images[self._rows[w.letters]]
             points = self._fixed[w] = rp1_fixed_points(m)
         return points
 
     def loxodromic(self) -> tuple:
-        """The nontrivial words with reference fixed points, in ball order,
-        and their (n, 2) array of (attracting, repelling) angles."""
+        """The nontrivial ball words, not the named ones, with reference fixed
+        points, in order, and their (n, 2) (attracting, repelling) angles."""
         words, ends = [], []
-        for w in self.words[1:]:
+        for w in self.words[1:self.size]:
             try:
                 ends.append(self.fixed_points(w))
             except DomainError:
@@ -256,15 +254,9 @@ class _WordBall:
 
     def spectrum(self, w: Word) -> Spectrum:
         """The Spectrum record of the image of ``w``."""
-        i = self._rows.get(w.letters)
-        if i is None:
-            spec = self._outside_records.get(w)
-            if spec is None:
-                spec = self._outside_records[w] = spectrum(self.image(w))
-            return spec
         if self._records is None:
             self._records = _spectra(self.images)
-        spec = self._records[i]
+        spec = self._records[self._rows[w.letters]]
         if isinstance(spec, NumericError):
             raise spec.with_traceback(None)
         return spec
@@ -301,9 +293,6 @@ class BoundaryAtlas:
     """
 
     def __init__(self, rep: Representation, max_length: int):
-        if rep.reference is None:
-            raise InputError(
-                "representation carries no 2x2 boundary reference")
         self.ball = _WordBall(rep, max_length)
         words, ends = self.ball.loxodromic()
         self.skipped_nonloxodromic = len(self.ball.words) - 1 - len(words)
@@ -421,8 +410,8 @@ def required_indices_c(k: int, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def boundary_flag(rep: Representation, w: Word, dims) -> PartialFlag:
-    """Flag of attracting spaces of the image of ``w`` at the given dims."""
-    ball = _WordBall(rep, 0)
+    """Attracting spaces of ``w`` at ``dims``, read off the ball naming it."""
+    ball = _WordBall(rep, 0, (w,))
     parts = []
     for dim in dims:
         try:
@@ -450,7 +439,7 @@ def _ck_summands(k: int, d: int) -> tuple:
 
 
 def _triple_defect(rep: Representation, k: int, triple, summands_fn) -> float:
-    ball = _WordBall(rep, 0)
+    ball = _WordBall(rep, 0, triple)
     _triple_distinct(ball, triple)
     parts = []
     for summand in summands_fn(k, rep.dim):
@@ -842,15 +831,18 @@ def _projected_line(ball: _WordBall, k: int, x: Word, w: Word) -> Subspace:
 def _projection_lines(rep: Representation, k: int, x: Word, samples,
                       min_separation: float):
     """Curve points in P(x^(d-k+1)/x^(d-k-2)): the special x-line plus the
-    projected sections of samples, thinned to the separation cutoff and
-    never keeping two coincident boundary points."""
-    ball = _WordBall(rep, 0)
+    projected sections of the samples with boundary points, thinned to the
+    separation cutoff and never keeping two coincident boundary points."""
+    ball = _WordBall(rep, 0, (x, *samples))
     cutoff = max(min_separation, ANGLE_SEPARATION)
     kept_angles = [ball.fixed_points(x)[0]]
     lines = [_projected_line(ball, k, x, x)]
     labels = [x]
     for y in samples:
-        angle = ball.fixed_points(y)[0]
+        try:
+            angle = ball.fixed_points(y)[0]
+        except DomainError:
+            continue
         if any(circle_separation(angle, a) < cutoff for a in kept_angles):
             continue
         kept_angles.append(angle)
@@ -865,7 +857,7 @@ def projection_triple_defect(rep: Representation, k: int, x: Word,
     for k in 1..d-2."""
     _check_k(k, rep.dim - 2)
     words = tuple(triple)
-    ball = _WordBall(rep, 0)
+    ball = _WordBall(rep, 0, (x, *words))
     _triple_distinct(ball, words)
     return direct_sum_defect([_projected_line(ball, k, x, w) for w in words])
 
@@ -877,10 +869,11 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
     """Spanning defect of projected triples in the 3-space
     X = x^(d-k+1)/x^(d-k-2), for k in 1..d-2.
 
-    Every sample boundary point y maps to the line [y^k n x^(d-k+1)];
-    the point x itself contributes the line [x^(d-k-1)].  Samples closer
-    than the separation cutoff (at least ``groups.ANGLE_SEPARATION``) to
-    an already-kept curve point are thinned out; the report carries the
+    The boundary point y of every sample with reference fixed points (the
+    others are skipped) maps to the line [y^k n x^(d-k+1)]; the point x
+    itself contributes the line [x^(d-k-1)].  Samples closer than the
+    separation cutoff (at least ``groups.ANGLE_SEPARATION``) to an
+    already-kept curve point are thinned out; the report carries the
     minimum 3-plane spanning defect over all triples of kept curve
     points, with verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
     ``hk_scan``, and the length of the longest sample word as its
@@ -1084,7 +1077,7 @@ class EigenIdentityReport(_Report):
 
 def check_eigen_identities(rep: Representation, k: int, g: Word,
                            x: Word) -> EigenIdentityReport:
-    """Both eigenvalue identities for one group element.
+    """Both eigenvalue identities for g, read off the ball naming g and x.
 
     The pencil cross ratio over (g-^(d-k-1) < g-^(d-k+1)) of the four
     sections equals the signed ratio lambda_k/lambda_(k+1) of the image
@@ -1092,7 +1085,7 @@ def check_eigen_identities(rep: Representation, k: int, g: Word,
     equals the weight period lambda_1...lambda_k / (lambda_d...).
     """
     _check_k(k, rep.dim - 1)
-    return _eigen_identities(_WordBall(rep, 0), k, g, x)
+    return _eigen_identities(_WordBall(rep, 0, (g, x)), k, g, x)
 
 
 def _eigen_identities(ball: _WordBall, k: int, g: Word,
@@ -1132,11 +1125,14 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
         gcr_rel_error=abs(gcr_value - period) / abs(period))
 
 
-def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
-    """A short word whose fixed point avoids both fixed points of g."""
+_AUXILIARY_WORDS = (Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)),
+                    Word((1, -2)), Word((1, 1, 2)))
+
+
+def _auxiliary_point(ball: _WordBall, g: Word, candidates) -> Word:
+    """The first candidate whose fixed point avoids both fixed points of g."""
     gp, gm = ball.fixed_points(g)
-    for cand in (Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)),
-                 Word((1, -2)), Word((1, 1, 2))):
+    for cand in candidates:
         try:
             att, _ = ball.fixed_points(cand)
         except DomainError:
@@ -1148,11 +1144,15 @@ def _auxiliary_point(ball: _WordBall, g: Word) -> Word:
 
 
 def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
-    """Eigenvalue-identity reports for every nontrivial word of the ball."""
+    """Eigenvalue-identity reports for every loxodromic word of the ball, in
+    ball order, each at the first of ``_AUXILIARY_WORDS`` within the rep's
+    rank whose boundary point avoids its fixed points."""
     _check_k(k, rep.dim - 1)
-    ball = _WordBall(rep, max_length)
-    return [_eigen_identities(ball, k, w, _auxiliary_point(ball, w))
-            for w in ball.words[1:]]
+    aux = [w for w in _AUXILIARY_WORDS if max(map(abs, w.letters)) <= rep.rank]
+    ball = _WordBall(rep, max_length, aux)
+    words, _ = ball.loxodromic()
+    return [_eigen_identities(ball, k, w, _auxiliary_point(ball, w, aux))
+            for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1220,7 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     (``attracting_space``'s rule) rhs is undefined: GapError.
     """
     _check_k(k, rep.dim - 1)
-    ball = _WordBall(rep, 0)
+    ball = _WordBall(rep, 0, (g, h))
     ends = np.array([ball.fixed_points(g), ball.fixed_points(h)])
     if not _linked(ends)[0, 1]:
         raise PreconditionError(f"pair ({g}, {h}) is not linked")

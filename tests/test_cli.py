@@ -171,6 +171,22 @@ class TestCheck:
                       "--out", str(out)])
         assert status == 0
 
+    @pytest.mark.parametrize("rep,L,n_points,min_defect", [
+        (["--family", "fg", "--x", "1"], 4, 8, 0.11171667272364436),
+        (["--family", "fuchsian", "--partition", "7,1"], 6, 8,
+         0.02291159024887727),
+    ], ids=["fg-L4", "7,1-L6"])
+    def test_hyperconvex_skips_parabolic_samples(self, tmp_path, rep, L,
+                                                 n_points, min_defect):
+        # from L = 4 on the samples hold the commutator abAB, which has no
+        # boundary point: reading it exited 3
+        out = tmp_path / "r.json"
+        assert run(["check", "hyperconvex", *rep, "--k", "1", "--L", str(L),
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["n_points"] == n_points
+        assert report["min_defect"] == min_defect
+
     def test_hyperconvex_reports_the_sample_length(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",

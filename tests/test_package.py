@@ -112,6 +112,34 @@ def test_no_dead_imports():
     assert [dead for p in paths for dead in _dead_imports(p)] == []
 
 
+def _scoped_nodes(path: Path):
+    """(scope, node) of every node of the module at ``path``; the scope is
+    the innermost enclosing function or class, as ``Class.method``, or ""
+    at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                yield from visit(child, scope)
+    yield from visit(ast.parse(path.read_text()), "")
+
+
+def test_one_word_ball_model():
+    # every eigendecomposition is the batched one of core_linalg._spectra,
+    # and every word image the checks read is a row of their word ball
+    src = ROOT / "src" / "anosovlab"
+    eig = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+           for scope, node in _scoped_nodes(path)
+           if isinstance(node, ast.Attribute) and node.attr == "eig"
+           and ast.unparse(node.value) == "np.linalg"]
+    assert eig == ["core_linalg.py:_spectra"]
+    evaluate = [scope for scope, node in _scoped_nodes(src / "verification.py")
+                if isinstance(node, ast.Name) and node.id == "evaluate"]
+    assert evaluate == ["_WordBall._products"]
+
+
 def _definitions(tree: ast.Module):
     """(name, node) of every module-level function, class or assigned name
     of ``tree``."""

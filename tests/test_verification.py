@@ -323,12 +323,39 @@ class TestWordBall:
                            match="word uses generator 2, representation has 1"):
             BoundaryAtlas(rep, 1)
 
-    def test_word_outside_ball_evaluated_and_kept(self):
+    def test_named_words_inverses_and_prefixes_are_rows(self):
         rep = fuchsian_locus((7, 1), REF)
-        ball = _WordBall(rep, 3)
         w = Word((1, 2, -1, -2, 1, 1, 2, 2))
-        assert np.array_equal(ball.image(w), evaluate(rep, w))
-        assert ball.image(w) is ball.image(w)
+        ball = _WordBall(rep, 2, (w, A * B))
+        assert ball.words[:ball.size] == words_of_length(2, 2)
+        assert len(set(ball.words)) == len(ball.words)
+        named = ball.words[ball.size:]
+        assert named == sorted(named, key=lambda v: (len(v), v.letters))
+        assert all(len(v) > 2 for v in named)
+        rows = {v: i for i, v in enumerate(ball.words)}
+        for v in (w, w.inverse()):
+            for i in range(1, len(v) + 1):
+                prefix = Word(v.letters[:i])
+                assert rows[prefix] > rows[Word(v.letters[:i - 1])]
+        # the scans' words are the ball's own, never the named ones
+        words, _ = ball.loxodromic()
+        assert set(words) <= set(ball.words[1:ball.size])
+
+    @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF), fg_rep(2.0)])
+    def test_every_row_equals_evaluate_past_renormalization(self, rep):
+        # a 40-letter word is renormalized by evaluate; its row is the same
+        # unit-norm matrix, not the plain product of its prefix chain
+        w = Word((1, 2, -1, -2) * 10)
+        ball = _WordBall(rep, 0, (w, A))
+        assert len(ball.words) == 1 + 2 * 40 + 1   # a is a prefix of w
+        for v in ball.words:
+            assert np.array_equal(ball.image(v), evaluate(rep, v))
+            try:
+                expected = rp1_fixed_points(evaluate(rep.reference, v))
+            except DomainError:
+                continue
+            assert ball.fixed_points(v) == expected
+        assert np.linalg.norm(ball.image(w), 2) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF),
                                      fuchsian_locus((3, 3), REF), fg_rep(1.0)])
@@ -372,7 +399,15 @@ class TestWordBall:
             else:
                 assert np.array_equal(ball.spectrum(w).entries, ball.image(w))
 
-    def test_word_outside_ball_decomposed_alone_and_kept(self, monkeypatch):
+    @pytest.mark.parametrize("check,rows", [
+        (lambda rep: collar_check(rep, 1, A, B), 5),
+        (lambda rep: check_eigen_identities(rep, 1, A * B, B), 6),
+        (lambda rep: check_Hk(rep, 1, (A, B, A * B)), 7),
+        (lambda rep: boundary_flag(rep, A * A, (1, 2)), 5),
+    ], ids=["collar", "eigen", "Hk", "flag"])
+    def test_single_item_check_decomposes_in_one_batch(self, monkeypatch,
+                                                       check, rows):
+        # the identity, the named words and their inverses with prefixes
         stacks = []
         exact = np.linalg.eig
 
@@ -381,11 +416,18 @@ class TestWordBall:
             return exact(a)
 
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
-        ball = _WordBall(fuchsian_locus((7, 1), REF), 1)
-        w = Word((1, 2, -1, -2, 1, 1, 2, 2))
-        assert ball.spectrum(w) is ball.spectrum(w)
-        assert ball.spectrum(A) is ball.spectrum(A)
-        assert stacks == [(1, 8, 8), (5, 8, 8)]
+        check(fg_rep(1.0))
+        assert stacks == [(rows, 3, 3)]
+
+    @pytest.mark.parametrize("check", [
+        lambda rep, c: collar_check(rep, 1, c, B),
+        lambda rep, c: check_Hk(rep, 1, (c, A, B)),
+        lambda rep, c: boundary_flag(rep, c, (1,)),
+    ], ids=["collar", "Hk", "flag"])
+    def test_word_beyond_the_rank_is_an_input_error(self, check):
+        with pytest.raises(InputError,
+                           match="word uses generator 3, representation has 2"):
+            check(fg_rep(1.0), Word((3,)))
 
     def test_eigen_identity_scan_computes_each_item_once(self, monkeypatch):
         spaces, points = Counter(), Counter()
@@ -645,6 +687,17 @@ class TestHkCk:
             rep, 3, 2, "Hk"))
         assert report.to_dict() == all_triples_scan(
             monkeypatch, hk_scan, rep, 3, 2).to_dict()
+
+    @pytest.mark.parametrize("scan,check,rep,k,L", [
+        (hk_scan, check_Hk, fuchsian_locus((5, 1), REF), 1, 3),
+        (ck_scan, check_Ck, fuchsian_locus((7, 1), REF), 1, 2),
+        (hk_scan, check_Hk, fuchsian_locus((7, 1), REF), 2, 3),
+        (hk_scan, check_Hk, fg_rep(1.0), 1, 3),
+    ], ids=["H1-5,1", "C1-7,1", "H2-7,1", "H1-fg"])
+    def test_worst_triple_recomputes_exactly(self, scan, check, rep, k, L):
+        # the single-triple check reads the scan's rows and flags
+        report = scan(rep, k, L)
+        assert check(rep, k, report.worst_triple) == report.min_defect
 
     def test_7_1_h2_minimum_pinned(self):
         report = hk_scan(fuchsian_locus((7, 1), REF), 2, 3)
@@ -992,6 +1045,25 @@ class TestEigenIdentities:
             wl = length_functions(evaluate(rep, w), 1).weight_length
             assert np.log(report.gcr_value) == pytest.approx(wl, rel=1e-7)
 
+    def test_scan_skips_parabolic_words(self):
+        # the commutator abAB and its conjugates have no boundary points;
+        # reading their fixed points aborted the scan at L = 4
+        rep = fuchsian_locus((2,), REF)
+        reports = eigen_identity_scan(rep, 1, 4)
+        words, _ = _WordBall(rep, 4).loxodromic()
+        assert [r.g for r in reports] == words
+        assert len(reports) == 152 < len(words_of_length(2, 4)) - 1
+        assert all(r.passed for r in reports)
+
+    def test_scan_of_rank_1_has_no_auxiliary_point(self):
+        fg = fg_rep(1.0)
+        rep = Representation(
+            dim=3, generator_images=fg.generator_images[:1],
+            reference=Representation(
+                dim=2, generator_images=REF.generator_images[:1]))
+        with pytest.raises(PreconditionError, match="no auxiliary"):
+            eigen_identity_scan(rep, 1, 2)
+
 
 def _other(w):
     return B if w.letters[0] == 1 else A
@@ -1054,12 +1126,10 @@ class TestCollar:
 
     def test_collar_scan_matches_collar_check(self):
         rep = fg_rep(2.0)
-        reports = collar_scan(rep, 1, 2)
-        assert reports
-        for r in reports[:5]:
-            direct = collar_check(rep, 1, r.g, r.h)
-            assert direct.lhs == pytest.approx(r.lhs, rel=1e-12)
-            assert direct.rhs == pytest.approx(r.rhs, rel=1e-12)
+        reports = collar_scan(rep, 1, 3)
+        assert len(reports) == 1944
+        for r in reports:
+            assert collar_check(rep, 1, r.g, r.h) == r
 
 
 class TestCounterexample:
