@@ -138,6 +138,8 @@ class Subspace:
     @classmethod
     def coordinate(cls, d: int, *indices: int) -> "Subspace":
         """Span of the listed standard basis vectors (0-indexed)."""
+        if any(not 0 <= i < d for i in indices):
+            raise InputError(f"coordinate indices {indices} outside 0..{d - 1}")
         return cls(np.eye(d)[:, list(indices)])
 
     def contains(self, other: "Subspace") -> bool:
@@ -503,20 +505,9 @@ def _modulus_clusters(moduli: np.ndarray) -> list:
     return groups
 
 
-def _tie_classes(close: np.ndarray) -> list:
-    """Index lists of the classes joined by the symmetric relation ``close``."""
-    classes = []
-    for j, row in enumerate(close.tolist()):
-        near = [c for c in classes if any(row[i] for i in c)]
-        for c in near:
-            classes.remove(c)
-        classes.append([i for c in near for i in c] + [j])
-    return classes
-
-
-def _generalized_eigenspace(a: np.ndarray, values: list) -> np.ndarray:
+def _generalized_eigenspace(a: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the invariant subspace of the eigenvalues
-    ``values`` of ``a``, Jordan chains included; complex if one is.
+    ``values`` of ``a``, Jordan chains included; complex if ``values`` is.
 
     Deflation, one eigenvalue at a time: with P spanning the space of the
     eigenvalues before lam and Q an orthonormal basis of its complement,
@@ -524,11 +515,11 @@ def _generalized_eigenspace(a: np.ndarray, values: list) -> np.ndarray:
     eigenvalues.  P gains Q v and Q shrinks to Q V', where v and V' are
     the right singular vectors of Q^H a Q - lam I of the least and of the
     other singular values.  This is exact for equal eigenvalues, whether
-    Jordan chains or not, and for distinct ones alike, and each step
-    decomposes a - lam I on a subspace, never a power of it.
+    Jordan chains or not, and for distinct ones alike, so one call serves
+    any set of Jordan blocks, and each step decomposes a - lam I on a
+    subspace, never a power of it.
     """
-    dtype = complex if any(isinstance(lam, complex) for lam in values) else float
-    q = np.eye(len(a), dtype=dtype)
+    q = np.eye(len(a), dtype=values.dtype)
     p = q[:, :0]
     for lam in values:
         quotient = q.conj().T @ a @ q
@@ -542,18 +533,17 @@ def _invariant_basis(spec: Spectrum, start: int, stop: int,
                      diagnostics: dict) -> np.ndarray:
     """Orthonormal basis of the invariant subspace of ``values[start:stop]``.
 
-    The selected eigenvalues are split into classes.  Eigenvalues whose
-    unit eigenvectors are at an angle of sine below EIGENVECTOR_SIN_TIE
-    belong to one class, as a Jordan block leaves them, also when rounding
-    splits its eigenvalue (by about eps^(1/m) for size m); such a class
-    takes in the eigenvalues tied with a member within EIGEN_TIE_RTOL times
-    the largest modulus (further blocks of the same eigenvalue).  Equal
-    eigenvalues with independent eigenvectors stay apart: those
-    eigenvectors span their eigenspace.  A lone real eigenvalue gives its
-    eigenvector, a lone complex pair the real and imaginary parts of the
-    eigenvector of its member with positive imaginary part, and a class its
-    generalized eigenspace (``_generalized_eigenspace``; real and imaginary
-    parts again off the real axis).  One SVD orthonormalizes the columns
+    An eigenvalue is defective when its unit eigenvector is at an angle of
+    sine below EIGENVECTOR_SIN_TIE to another's, as a Jordan block leaves
+    them, also when rounding splits its eigenvalue (by about eps^(1/m) for
+    size m).  The defective eigenvalues and those tied with one within
+    EIGEN_TIE_RTOL times the largest modulus (further blocks of the same
+    eigenvalue) form one deflation set, whose generalized eigenspace one
+    ``_generalized_eigenspace`` call gives (real and imaginary parts off
+    the real axis).  Every other eigenvalue gives its eigenvector: real
+    and imaginary parts of those with positive imaginary part, then the
+    real ones; equal eigenvalues with independent eigenvectors span their
+    eigenspace.  One SVD orthonormalizes the columns
     (``_orthonormal_basis``).  Checks that the selection is closed under
     conjugation and the columns span its dimension, and certifies the
     invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||, where the
@@ -567,25 +557,17 @@ def _invariant_basis(spec: Spectrum, start: int, stop: int,
     defective = np.count_nonzero(parallel, axis=1) > 1
     equal = (np.abs(values[:, None] - values[None, :])
              <= EIGEN_TIE_RTOL * max(abs(spec.values[0]), 1e-300))
-    classes = _tie_classes(
-        parallel | (equal & (defective[:, None] | defective[None, :])))
-    values = values.tolist()
-    lone, lone_upper, columns, dim = [], [], [], 0
-    for tied in classes:
-        if all(values[i].imag < 0 for i in tied):
-            continue    # the conjugate class gives the columns
-        upper = all(values[i].imag > 0 for i in tied)
-        dim += 2 * len(tied) if upper else len(tied)
-        if len(tied) == 1:
-            (lone_upper if upper else lone).append(tied[0])
-        else:
-            v = _generalized_eigenspace(a, [values[i] for i in tied])
-            columns += [v.real, v.imag] if v.dtype.kind == "c" else [v]
-    if lone_upper:
-        pairs = vectors[:, lone_upper]
-        columns += [pairs.real, pairs.imag]
-    if lone:
-        columns.append(vectors[:, lone].real)
+    deflated = equal[:, defective].any(axis=1)
+    upper, real = ~deflated & (values.imag > 0), ~deflated & (values.imag == 0)
+    columns = []
+    if deflated.any():
+        v = _generalized_eigenspace(a, values[deflated])
+        columns += [v.real, v.imag] if v.dtype.kind == "c" else [v]
+    if upper.any():
+        columns += [vectors[:, upper].real, vectors[:, upper].imag]
+    if real.any():
+        columns.append(vectors[:, real].real)
+    dim = np.count_nonzero(deflated | real) + 2 * np.count_nonzero(upper)
     if dim != stop - start:
         raise NumericError(
             f"the {stop - start} selected eigenvalues are not closed under "

@@ -117,11 +117,11 @@ def attracting_space(m, k: int) -> Subspace:
     Requires a modulus gap, |lambda_k| > (1 + 1e-8) |lambda_{k+1}|, else
     raises GapError.  The space is read off the first k columns of the
     record's eigenvectors (``core_linalg._invariant_basis``: real and
-    imaginary parts of complex pairs, generalized eigenspaces of Jordan
-    blocks) and orthonormalized by one SVD.  The result is certified by
-    its invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||; a failed
-    certification raises NumericError with ``residual`` and ``gap_ratio``
-    diagnostics.
+    imaginary parts of complex pairs, one generalized eigenspace for all
+    the Jordan blocks among them) and orthonormalized by one SVD.  The
+    result is certified by its invariance residual
+    ||(I - P P^T) M P||_F <= 1e-8 ||M||; a failed certification raises
+    NumericError with ``residual`` and ``gap_ratio`` diagnostics.
     """
     spec = _indexed_spectrum(m, k)
     moduli = np.abs(spec.values)

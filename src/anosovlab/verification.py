@@ -448,6 +448,13 @@ def _triple_defect(rep: Representation, k: int, triple, summands_fn) -> float:
     return direct_sum_defect(parts)
 
 
+def _three_words(triple) -> tuple:
+    words = tuple(triple)
+    if len(words) != 3:
+        raise InputError(f"a triple has three words, got {len(words)}")
+    return words
+
+
 def _triple_distinct(ball: _WordBall, words) -> None:
     if ball.rep.reference is None:
         return
@@ -461,15 +468,13 @@ def _triple_distinct(ball: _WordBall, words) -> None:
 def check_Hk(rep: Representation, k: int, triple) -> float:
     """Defect of the H_k sum  x^k + (y^k n z^(d-k+1)) + z^(d-k-1)."""
     _check_k(k, rep.dim - 1)
-    x, y, z = triple
-    return _triple_defect(rep, k, (x, y, z), _hk_summands)
+    return _triple_defect(rep, k, _three_words(triple), _hk_summands)
 
 
 def check_Ck(rep: Representation, k: int, triple) -> float:
     """Defect of the C_k sum  x^(d-k-2) + (x^(d-k+1) n y^k) + z^(k+1)."""
     _check_k(k, rep.dim - 2)
-    x, y, z = triple
-    return _triple_defect(rep, k, (x, y, z), _ck_summands)
+    return _triple_defect(rep, k, _three_words(triple), _ck_summands)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -856,7 +861,7 @@ def projection_triple_defect(rep: Representation, k: int, x: Word,
     """Spanning defect of three projected curve points (pairwise distinct),
     for k in 1..d-2."""
     _check_k(k, rep.dim - 2)
-    words = tuple(triple)
+    words = _three_words(triple)
     ball = _WordBall(rep, 0, (x, *words))
     _triple_distinct(ball, words)
     return direct_sum_defect([_projected_line(ball, k, x, w) for w in words])

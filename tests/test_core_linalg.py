@@ -362,6 +362,15 @@ class TestTypes:
         with pytest.raises(InputError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_coordinate_rejects_indices_outside_0_to_d_minus_1(self, index):
+        # numpy took -1 as the last column, e_3
+        with pytest.raises(InputError, match="outside 0..2"):
+            Subspace.coordinate(3, 0, index)
+
+    def test_coordinate_without_indices_is_the_zero_space(self):
+        assert Subspace.coordinate(3).basis.shape == (3, 0)
+
     def test_flag_containment(self):
         PartialFlag((e(3, 0), e(3, 0, 1)))
         with pytest.raises(PreconditionError):

@@ -24,13 +24,20 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def bench_module(name):
+    """``bench/<name>.py``, imported from its file under a private name
+    (registered first, as its dataclasses need)."""
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves():
     # bench/run.py --trace rebinds each TRACED name by looking it up in the
     # package; a renamed or deleted function breaks traced runs
-    path = ROOT / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing")
     missing = []
     for qualname in tracing.TRACED:
         module_name, attr = qualname.split(".")
@@ -39,6 +46,17 @@ def test_every_traced_name_resolves():
             missing.append(qualname)
     assert len(tracing.TRACED) == 15
     assert missing == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_benchmark_answers_pass_their_check(seed):
+    # the benchmark rejects a run whose answer drifts; this sees it first
+    workloads = bench_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        x = workloads.fg_parameter(seed) if workload.uses_x else None
+        rep = workload.build(x)
+        answer = workload.answer(rep, workload.scan(rep))
+        assert workloads.check_answer(workload, x, answer) == [], name
 
 
 # Every value a caller can set: a new option or defaulted parameter must be

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from anosovlab import spectral
 from anosovlab.core_linalg import (
     Subspace,
+    _orthonormal_basis,
     eig_by_modulus,
     grassmann_distance,
     spectrum,
@@ -373,6 +374,64 @@ class TestAgainstSchur:
         with pytest.raises(GapError):
             attracting_space(m, 2)
         assert len(eig_by_modulus(m).clusters) == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_distinct_jordan_blocks_in_one_selection(self, seed):
+        # J_2(3) + J_3(2) + (0.5): the rounding-split eigenvalues near 3 and
+        # near 2 are all defective and deflate as one set
+        m = np.diag([3.0, 3.0, 2.0, 2.0, 2.0, 0.5])
+        m[0, 1] = m[2, 3] = m[3, 4] = 1.0
+        q = random_orthogonal(6, np.random.default_rng(seed))
+        a = q @ m @ q.T
+        for k in (2, 5):
+            space = attracting_space(a, k)
+            assert grassmann_distance(space, Subspace(q[:, :k])) < 1e-12
+            assert grassmann_distance(space, schur_attracting_space(a, k)) < 1e-9
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_complex_jordan_block(self, size, seed):
+        # the real Jordan form of a block J_size(1.5 + 2i) and its conjugate:
+        # blocks C on the diagonal and I above it, then (0.5)
+        c = np.array([[1.5, -2.0], [2.0, 1.5]])
+        m = np.zeros((2 * size + 1, 2 * size + 1))
+        for i in range(size):
+            m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = c
+            if i:
+                m[2 * i - 2:2 * i, 2 * i:2 * i + 2] = np.eye(2)
+        m[-1, -1] = 0.5
+        q = random_orthogonal(2 * size + 1, np.random.default_rng(seed))
+        a = q @ m @ q.T
+        space = attracting_space(a, 2 * size)
+        assert grassmann_distance(space, Subspace(q[:, :2 * size])) < 1e-12
+        assert grassmann_distance(
+            space, schur_attracting_space(a, 2 * size)) < 1e-9
+
+    @pytest.mark.parametrize("partition,reads", [
+        ((5, 1), 176), ((7, 1), 268), ((3, 3), 88), (None, 88)])
+    def test_atlas_flags_are_the_orthonormalized_eigenvectors(self, partition,
+                                                               reads):
+        # no eigenvalue of these words is defective, so every flag is the
+        # SVD of its eigenvector columns, bit for bit: real and imaginary
+        # parts of those with positive imaginary part, then the real ones
+        rep = fg_rep(1.0) if partition is None else fuchsian_locus(partition, REF)
+        atlas = BoundaryAtlas(rep, 3)
+        compared = 0
+        for w in atlas.words:
+            spec = atlas.ball.spectrum(w)
+            for k in range(1, rep.dim):
+                try:
+                    space = attracting_space(spec, k)
+                except GapError:
+                    continue
+                values, vectors = spec.values[:k], spec.vectors[:, :k]
+                upper = vectors[:, values.imag > 0]
+                columns = np.hstack(
+                    (upper.real, upper.imag, vectors[:, values.imag == 0].real))
+                assert np.array_equal(
+                    space.basis, _orthonormal_basis(columns)[0]), (str(w), k)
+                compared += 1
+        assert compared == reads
 
 
 class TestEigenvalueRatios:

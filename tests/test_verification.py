@@ -874,6 +874,20 @@ class TestIndexRange:
         with pytest.raises(InputError, match=f"k={k} outside 1..{top}"):
             check(fg_rep(1.0), k, (A, B, A * B))
 
+    @pytest.mark.parametrize("check,words", [
+        (lambda triple: check_Hk(fg_rep(1.0), 1, triple), (A, B)),
+        (lambda triple: check_Ck(fg_rep(1.0), 1, triple), (A, B, A * B, B * A)),
+        (lambda triple: projection_triple_defect(fg_rep(1.0), 1, A, triple),
+         (B, A * B)),
+    ], ids=["Hk", "Ck", "projection"])
+    def test_single_triple_checks_reject_other_than_three_words(
+            self, monkeypatch, check, words):
+        # Hk and Ck raised a bare ValueError on unpacking; the projection
+        # defect of two words was the sine between two lines
+        monkeypatch.setattr(verification, "_WordBall", no_ball)
+        with pytest.raises(InputError, match=f"three words, got {len(words)}"):
+            check(words)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
     @pytest.mark.parametrize("scan", [
         lambda s: hk_scan(fg_rep(1.0), 1, 2, min_separation=s),
