@@ -73,6 +73,11 @@ def _write_csv(out: str, columns: list, rows: list, descriptions: dict):
         fh.write("\n")
 
 
+def _check_csv_out(fmt: str, out: str | None):
+    if fmt == "csv" and out is None:
+        raise click.UsageError("--format csv needs --out")
+
+
 def _status_from_verdicts(verdicts) -> int:
     verdicts = list(verdicts)
     if any(v in ("fail", "flat") for v in verdicts):
@@ -159,11 +164,10 @@ def construct(family, x, partition, rep_path, out):
               default="json")
 def gap_scan(family, x, partition, rep_path, k, l_value, out, fmt):
     """Fit the growth of the word-sphere minimum of the k-th singular gap."""
+    _check_csv_out(fmt, out)
     rep = _load_representation(family, x, partition, rep_path)
     report = ver.anosov_gap_scan(rep, k, _check_L(l_value))
     if fmt == "csv":
-        if out is None:
-            raise click.UsageError("--format csv needs --out")
         rows = [{"length": int(l), "min_log_gap": float(g)}
                 for l, g in zip(report.lengths, report.min_log_gaps)]
         _write_csv(out, ["length", "min_log_gap"], rows, {
@@ -249,6 +253,7 @@ def check(what, family, x, partition, rep_path, k, l_value, base_word,
               default="json")
 def collar(family, x, partition, rep_path, k, l_value, out, fmt):
     """Collar inequality for every linked pair of ball words."""
+    _check_csv_out(fmt, out)
     rep = _load_representation(family, x, partition, rep_path)
     reports = ver.collar_scan(rep, k, _check_L(l_value))
     rows = [r.to_dict() for r in reports]
@@ -260,8 +265,6 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
         "weight_chain_ok": all(r.weight_chain_ok for r in reports),
     }
     if fmt == "csv":
-        if out is None:
-            raise click.UsageError("--format csv needs --out")
         _write_csv(out, ["g", "h", "k", "lhs", "rhs", "weight_rhs", "holds",
                          "margin", "sign_indeterminate"], rows, {
             "g": "word whose weight period is bounded below",

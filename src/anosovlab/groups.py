@@ -11,6 +11,7 @@ trace -2 and whose generator axes cross.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,9 @@ def words_of_length(rank: int, max_length: int) -> list:
     The sphere of radius l in rank n has 2n (2n-1)^(l-1) words; a
     BudgetError is raised when the ball would exceed ``WORD_BALL_CAP``.
     """
+    for name, value in (("rank", rank), ("max length", max_length)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} {value!r} is not an integer")
     if rank < 1:
         raise InputError("rank must be >= 1")
     if max_length < 0:

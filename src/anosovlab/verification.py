@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -334,6 +335,8 @@ class GapScanReport(_Report):
 
 
 def _check_k(k: int, top: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InputError(f"k={k!r} is not an integer")
     if not 1 <= k <= top:
         raise InputError(f"k={k} outside 1..{top}")
 
@@ -1182,24 +1185,6 @@ class CollarReport(_Report):
         return self.rhs >= self.weight_rhs - WEIGHT_CHAIN_SLACK
 
 
-def _collar_report(ball: _WordBall, k: int, g: Word, h: Word) -> CollarReport:
-    lhs, lhs_signed = ball.cached(weight_period, g, k)
-    ratios = ball.cached(eigenvalue_ratios, h, k)
-    if ratios.lambda_ratio_modulus <= 1.0 + EIGEN_GAP_MIN:
-        raise GapError(
-            f"no eigenvalue gap at index {k} for word {h}: "
-            f"|lambda_{k}|/|lambda_{k + 1}| = {ratios.lambda_ratio_modulus:.6g}",
-            index=k, ratio=ratios.lambda_ratio_modulus)
-    rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
-    weight_rhs = 1.0 / (1.0 - np.exp(
-        -ball.cached(length_functions, h, k).weight_length))
-    return CollarReport(
-        g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
-        holds=bool(lhs > rhs), margin=float(lhs - rhs),
-        sign_indeterminate=(ratios.lambda_ratio_signed is None
-                            or not lhs_signed))
-
-
 def _linked(ends: np.ndarray) -> np.ndarray:
     """(n, n) mask of ``groups.is_linked`` on every ordered pair (g, h) of n
     words with (n, 2) (attracting, repelling) angles ``ends``: the cyclic
@@ -1213,6 +1198,62 @@ def _linked(ends: np.ndarray) -> np.ndarray:
         distinct = distinct & (circle_separation(cycle[i], cycle[j])
                                >= ANGLE_SEPARATION)
     return distinct & ((descents == 1) | (descents == 3))
+
+
+def _collar_rhs(ball: _WordBall, k: int, h: Word) -> tuple:
+    """(rhs, weight_rhs, signed) of h as the linked word of a pair: GapError
+    without a modulus gap at k."""
+    ratios = ball.cached(eigenvalue_ratios, h, k)
+    if ratios.lambda_ratio_modulus <= 1.0 + EIGEN_GAP_MIN:
+        raise GapError(
+            f"no eigenvalue gap at index {k} for word {h}: "
+            f"|lambda_{k}|/|lambda_{k + 1}| = {ratios.lambda_ratio_modulus:.6g}",
+            index=k, ratio=ratios.lambda_ratio_modulus)
+    rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
+    weight_rhs = 1.0 / (1.0 - np.exp(
+        -ball.cached(length_functions, h, k).weight_length))
+    return rhs, weight_rhs, ratios.lambda_ratio_signed is not None
+
+
+def _collar_reports(ball: _WordBall, k: int, words: list, g_rows: np.ndarray,
+                    h_rows: np.ndarray) -> list:
+    """Collar reports of the pairs (words[g_rows[p]], words[h_rows[p]]).
+
+    lhs and its sign flag are computed once per word as g, rhs, weight_rhs
+    and the signed flag once per word as h; a word whose value raises keeps
+    its error, which is raised at the first pair reading it, g before h.
+    """
+    n = len(words)
+    lhs, rhs, weight_rhs = np.full((3, n), np.nan)
+    lhs_signed, rhs_signed = np.zeros((2, n), dtype=bool)
+    g_errors, h_errors = [None] * n, [None] * n
+    for i, w in enumerate(words):
+        try:
+            lhs[i], lhs_signed[i] = ball.cached(weight_period, w, k)
+        except (GapError, NumericError) as exc:
+            g_errors[i] = exc
+        try:
+            rhs[i], weight_rhs[i], rhs_signed[i] = _collar_rhs(ball, k, w)
+        except (GapError, NumericError) as exc:
+            h_errors[i] = exc
+    g_bad = np.array([e is not None for e in g_errors], dtype=bool)
+    h_bad = np.array([e is not None for e in h_errors], dtype=bool)
+    bad = g_bad[g_rows] | h_bad[h_rows]
+    if bad.any():
+        p = int(np.argmax(bad))
+        error = g_errors[g_rows[p]] or h_errors[h_rows[p]]
+        raise error.with_traceback(None)
+    # positional, in CollarReport's field order; a word's values are one
+    # Python float each, shared by its pairs
+    g_list, h_list = g_rows.tolist(), h_rows.tolist()
+    left, right = lhs[g_rows], rhs[h_rows]
+    return list(itertools.starmap(CollarReport, zip(
+        map(words.__getitem__, g_list), map(words.__getitem__, h_list),
+        itertools.repeat(k), map(lhs.tolist().__getitem__, g_list),
+        map(rhs.tolist().__getitem__, h_list),
+        map(weight_rhs.tolist().__getitem__, h_list),
+        (left > right).tolist(), (left - right).tolist(),
+        (~rhs_signed[h_rows] | ~lhs_signed[g_rows]).tolist())))
 
 
 def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
@@ -1229,27 +1270,35 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     ends = np.array([ball.fixed_points(g), ball.fixed_points(h)])
     if not _linked(ends)[0, 1]:
         raise PreconditionError(f"pair ({g}, {h}) is not linked")
-    return _collar_report(ball, k, g, h)
-
-
-def _linked_pairs(ball: _WordBall) -> list:
-    """Linked ordered pairs (g, h) of the ball's loxodromic words, in ball
-    order of g, then of h; pairs with two coincident fixed points are left
-    out."""
-    words, ends = ball.loxodromic()
-    return [(words[i], words[j]) for i, j in np.argwhere(_linked(ends))]
+    return _collar_reports(ball, k, [g, h], np.array([0]), np.array([1]))[0]
 
 
 def linked_pairs(rep: Representation, max_length: int) -> list:
-    """All ordered linked pairs (g, h) of nontrivial ball words."""
-    return _linked_pairs(_WordBall(rep, max_length))
+    """All ordered linked pairs (g, h) of the ball's loxodromic words, in
+    ball order of g, then of h; pairs with two coincident fixed points are
+    left out."""
+    words, ends = _WordBall(rep, max_length).loxodromic()
+    return [(words[i], words[j]) for i, j in np.argwhere(_linked(ends))]
 
 
 def collar_scan(rep: Representation, k: int, max_length: int) -> list:
-    """Collar reports for every ordered linked pair in the word ball."""
+    """Collar reports for every ordered linked pair of the ball's loxodromic
+    words, in ball order of g, then of h (``linked_pairs``' order).
+
+    The values of the inequality are per-word: lhs and its sign flag are
+    computed once for each loxodromic word as g, rhs, weight_rhs and the
+    gap test once for each as h, and each pair is read off the nonzero
+    entries of the linkage mask by index.  A word whose value raises
+    (GapError without a gap at k, NumericError) raises only when a linked
+    pair reads it: the first such pair in the order above, its g's error
+    before its h's.  The ``CollarReport`` objects are built last, once every
+    value is known.
+    """
     _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, max_length)
-    return [_collar_report(ball, k, g, h) for g, h in _linked_pairs(ball)]
+    words, ends = ball.loxodromic()
+    g_rows, h_rows = np.nonzero(_linked(ends))
+    return _collar_reports(ball, k, words, g_rows, h_rows)
 
 
 # ---------------------------------------------------------------------------

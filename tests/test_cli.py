@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from anosovlab import verification as ver
 from anosovlab.cli import main
 from anosovlab.representations import rep_from_json
 
 
 def run(args):
     return main(list(args))
+
+
+def no_scan(*args):
+    raise AssertionError("scan ran before the usage error")
 
 
 class TestConstruct:
@@ -97,6 +102,13 @@ class TestGapScan:
         assert len(lines) == 4
         schema = json.loads((tmp_path / "scan.csv.schema.json").read_text())
         assert [c["name"] for c in schema["columns"]] == ["length", "min_log_gap"]
+
+    def test_csv_without_out_rejected_before_scanning(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(ver, "anosov_gap_scan", no_scan)
+        assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
+                    "--L", "5", "--format", "csv"]) == 64
+        assert "--format csv needs --out" in capsys.readouterr().err
 
     def test_L_cap(self):
         assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
@@ -268,6 +280,13 @@ class TestCollar:
         assert run(["collar", "--family", "fg", "--x", "1", "--k", "1",
                     "--L", "8"]) == 64
         assert "--L 8 exceeds the cap 7" in capsys.readouterr().err
+
+    def test_csv_without_out_rejected_before_scanning(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(ver, "collar_scan", no_scan)
+        assert run(["collar", "--family", "fg", "--x", "1", "--k", "1",
+                    "--L", "5", "--format", "csv"]) == 64
+        assert "--format csv needs --out" in capsys.readouterr().err
 
     def test_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

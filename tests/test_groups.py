@@ -97,6 +97,17 @@ class TestWordsOfLength:
         ball = words_of_length(2, 3)
         assert len(set(ball)) == len(ball)
 
+    @pytest.mark.parametrize("rank, max_length, message", [
+        (2, 1.5, "max length 1.5"), (2, 2.0, "max length 2.0"),
+        (2, True, "max length True"), (2.0, 2, "rank 2.0"),
+        (True, 2, "rank True")])
+    def test_non_integers_rejected(self, rank, max_length, message):
+        with pytest.raises(InputError, match=f"{message} is not an integer"):
+            words_of_length(rank, max_length)
+
+    def test_numpy_integers_accepted(self):
+        assert words_of_length(np.int32(2), np.int64(2)) == words_of_length(2, 2)
+
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(groups, "WORD_BALL_CAP", 1000)
         with pytest.raises(BudgetError, match="cap of 1000 words"):

@@ -279,6 +279,43 @@ def assert_matches_reference(report, reference):
         assert getattr(report, field) == reference[field], field
 
 
+def rotation_rep(seed):
+    """A 4-dimensional rep whose generators' middle eigenvalues are a complex
+    pair, so collar pairs at k=1 are signed and sign-indeterminate."""
+    a = np.zeros((4, 4))
+    a[0, 0], a[3, 3] = 4.0, 0.25
+    a[1:3, 1:3] = [[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]
+    q = np.eye(4) + 0.3 * np.random.default_rng(seed).normal(size=(4, 4))
+    return Representation(4, (a, q @ a @ np.linalg.inv(q)), REF, "rotation")
+
+
+def reference_collar_scan(rep, k, max_length):
+    """One linked pair at a time, g-major, each value looked up per pair
+    from ``verification``'s names, so a patched one is read here too."""
+    ball = _WordBall(rep, max_length)
+    words, ends = ball.loxodromic()
+    reports = []
+    for i, j in np.argwhere(verification._linked(ends)):
+        g, h = words[i], words[j]
+        lhs, lhs_signed = ball.cached(verification.weight_period, g, k)
+        ratios = ball.cached(verification.eigenvalue_ratios, h, k)
+        if ratios.lambda_ratio_modulus <= 1.0 + spectral.EIGEN_GAP_MIN:
+            raise GapError(
+                f"no eigenvalue gap at index {k} for word {h}: "
+                f"|lambda_{k}|/|lambda_{k + 1}| = "
+                f"{ratios.lambda_ratio_modulus:.6g}",
+                index=k, ratio=ratios.lambda_ratio_modulus)
+        rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
+        weight_rhs = 1.0 / (1.0 - np.exp(
+            -ball.cached(verification.length_functions, h, k).weight_length))
+        reports.append(CollarReport(
+            g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
+            holds=bool(lhs > rhs), margin=float(lhs - rhs),
+            sign_indeterminate=(ratios.lambda_ratio_signed is None
+                                or not lhs_signed)))
+    return reports
+
+
 def no_ball(*args):
     raise AssertionError("word ball built before the arguments were checked")
 
@@ -866,6 +903,39 @@ class TestIndexRange:
         with pytest.raises(InputError, match=f"k={k} outside 1..2"):
             scan(fg_rep(1.0), k)
 
+    @pytest.mark.parametrize("scan,k", [
+        (lambda rep, k: hk_scan(rep, k, 3), 1.0),
+        (lambda rep, k: hk_scan(rep, k, 3), True),
+        (lambda rep, k: check_positively_ratioed(rep, k, 3), 1.0),
+        (lambda rep, k: eigen_identity_scan(rep, k, 2), 1.0),
+        (lambda rep, k: anosov_gap_scan(rep, k, 3), 1.0),
+        (lambda rep, k: collar_scan(rep, k, 3), np.float64(1)),
+    ], ids=["hk", "hk-bool", "positivity", "eigen", "gap", "collar"])
+    def test_scans_reject_non_integer_k_first(self, monkeypatch, scan, k):
+        # hk raised a bare TypeError, positivity and eigen a bare
+        # IndexError, and the gap scan returned a report with k=1.0
+        monkeypatch.setattr(verification, "_WordBall", no_ball)
+        with pytest.raises(InputError,
+                           match=re.escape(f"k={k!r} is not an integer")):
+            scan(fg_rep(1.0), k)
+
+    @pytest.mark.parametrize("scan", [
+        lambda rep, length: collar_scan(rep, 1, length),
+        lambda rep, length: hk_scan(rep, 1, length),
+        lambda rep, length: check_positively_ratioed(rep, 1, length),
+    ], ids=["collar", "hk", "positivity"])
+    @pytest.mark.parametrize("length", [1.5, 3.0, True])
+    def test_scans_reject_non_integer_max_length(self, scan, length):
+        with pytest.raises(InputError,
+                           match=f"max length {length} is not an integer"):
+            scan(fg_rep(1.0), length)
+
+    def test_numpy_integers_accepted(self):
+        rep = fg_rep(1.0)
+        assert collar_scan(rep, np.int64(1), np.int64(2)) == collar_scan(
+            rep, 1, 2)
+        assert hk_scan(rep, np.int32(1), np.int64(2)) == hk_scan(rep, 1, 2)
+
     @pytest.mark.parametrize("check,k,top", [
         (check_Hk, 0, 2), (check_Hk, 3, 2), (check_Ck, 0, 1), (check_Ck, 2, 1)])
     def test_single_triple_checks_reject_k_first(self, monkeypatch, check, k,
@@ -1122,6 +1192,90 @@ class TestCollar:
         reports = collar_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 1944
         assert stacks == [(53, 3, 3)]
+
+    @pytest.mark.parametrize("rep,k,max_length", [
+        (lambda: fg_rep(1.0), 1, 3),
+        (lambda: fg_rep(1.0), 1, 4),
+        (lambda: fg_rep(1.0), 1, 5),
+        (lambda: fg_rep(0.6), 1, 3),
+        (lambda: fg_rep(0.6), 1, 4),
+        (lambda: fg_rep(0.6), 1, 5),
+        (lambda: fg_rep(0.5), 1, 4),
+        (lambda: fg_rep(2.0), 2, 4),
+        (lambda: fuchsian_locus((5, 1), REF), 2, 3),
+        (lambda: fuchsian_locus((3, 3), REF), 2, 3),
+        (lambda: fuchsian_locus((7, 1), REF), 3, 3),
+        (lambda: rotation_rep(5), 1, 3),
+    ], ids=["fg1-L3", "fg1-L4", "fg1-L5", "fg0.6-L3", "fg0.6-L4", "fg0.6-L5",
+            "fg0.5-L4", "fg2-k2-L4", "51-k2", "33-k2", "71-k3", "rotation"])
+    def test_collar_scan_equals_the_per_pair_loop(self, rep, k, max_length):
+        rep = rep()
+        assert collar_scan(rep, k, max_length) == reference_collar_scan(
+            rep, k, max_length)
+
+    def test_rotation_rep_mixes_signed_and_unsigned_pairs(self):
+        flags = Counter(r.sign_indeterminate
+                        for r in collar_scan(rotation_rep(5), 1, 3))
+        assert flags[True] > 0 and flags[False] > 0
+
+    @pytest.mark.parametrize("rep,k,max_length,message", [
+        (lambda: fuchsian_locus((3, 1), REF), 2, 2, "index 2 for word b:"),
+        (lambda: rotation_rep(0), 1, 3, "index 1 for word bA:"),
+    ], ids=["31-k2", "rotation"])
+    def test_collar_scan_raises_the_per_pair_loops_first_error(
+            self, rep, k, max_length, message):
+        rep = rep()
+        with pytest.raises(GapError) as want:
+            reference_collar_scan(rep, k, max_length)
+        with pytest.raises(GapError, match=message) as got:
+            collar_scan(rep, k, max_length)
+        assert str(got.value) == str(want.value)
+        assert (got.value.index, got.value.ratio) == (
+            want.value.index, want.value.ratio)
+
+    @pytest.mark.parametrize("rep,k,above", [
+        (lambda: fuchsian_locus((3, 1), REF), 2, 0.0),
+        (lambda: fg_rep(1.0), 1, 20.0),
+    ], ids=["every-g", "long-g"])
+    def test_collar_scan_raises_g_errors_first(self, monkeypatch, rep, k,
+                                              above):
+        # weight_period fails where |lambda_1| > above: on (3,1) every g
+        # fails and the first pair's h (b) has no gap at k=2; on fg(1) the
+        # generators (6.85) pass and aa, aB, ... (34 and 47) fail
+        period = verification.weight_period
+
+        def failing_period(spec, k):
+            top = float(abs(spec.values[0]))
+            if top > above:
+                raise NumericError(f"no weight period at |lambda_1| = {top!r}",
+                                   diagnostics={"top": top})
+            return period(spec, k)
+
+        monkeypatch.setattr(verification, "weight_period", failing_period)
+        rep = rep()
+        with pytest.raises(NumericError) as want:
+            reference_collar_scan(rep, k, 2)
+        with pytest.raises(NumericError) as got:
+            collar_scan(rep, k, 2)
+        assert (str(got.value), got.value.diagnostics) == (
+            str(want.value), want.value.diagnostics)
+
+    def test_collar_scan_reads_each_value_once_per_word(self, monkeypatch):
+        # three values per loxodromic word (52 at L=3), not per linked pair
+        reads = []
+        cached = _WordBall.cached
+
+        def counting_cached(self, fn, w, index):
+            reads.append(fn)
+            return cached(self, fn, w, index)
+
+        def no_pairs(*args):
+            raise AssertionError("linked_pairs called by collar_scan")
+
+        monkeypatch.setattr(_WordBall, "cached", counting_cached)
+        monkeypatch.setattr(verification, "linked_pairs", no_pairs)
+        assert len(collar_scan(fg_rep(1.0), 1, 3)) == 1944
+        assert len(reads) <= 3 * 52
 
     def test_linked_pairs_symmetric(self):
         pairs = linked_pairs(fg_rep(1.0), 2)
