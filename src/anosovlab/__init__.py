@@ -14,7 +14,7 @@ from .core_linalg import (
     svd,
     wedge_volume,
 )
-from .crossratio import CrossRatioValue, gcr, pcr, pcr_quotient
+from .crossratio import gcr, pcr, pcr_quotient
 from .groups import (
     Word,
     evaluate,

@@ -32,6 +32,9 @@ from .representations import (
 )
 
 L_CAP = 7   # longest word length any command scans
+# CSV schema type of a column's first value; bool first, a bool is an int
+_SCHEMA_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"),
+                 (object, "string"))
 
 
 def _fmt(value) -> str:
@@ -61,8 +64,8 @@ def _write_csv(out: str, columns: list, rows: list, descriptions: dict):
             writer.writerow([_fmt(row[c]) for c in columns])
     schema = {
         "columns": [
-            {"name": c,
-             "type": "number" if isinstance(rows[0][c], float) else "string",
+            {"name": c, "type": next(name for kind, name in _SCHEMA_TYPES
+                                     if isinstance(rows[0][c], kind)),
              "description": descriptions.get(c, "")}
             for c in columns
         ] if rows else [],
@@ -269,9 +272,14 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
                          "margin", "sign_indeterminate"], rows, {
             "g": "word whose weight period is bounded below",
             "h": "linked word supplying the root gap",
+            "k": "eigenvalue index of the collar inequality",
             "lhs": "product of top-k over bottom-k eigenvalues of g",
             "rhs": "(1 - lambda_(k+1)/lambda_k(h))^-1",
             "weight_rhs": "(1 - exp(-weight length of h))^-1",
+            "holds": "lhs > rhs",
+            "margin": "lhs - rhs",
+            "sign_indeterminate": "lhs or rhs is a modulus: an eigenvalue "
+                                  "ratio it reads is not real",
         })
         click.echo(json.dumps(summary))
     else:

@@ -2,14 +2,12 @@
 
 All three are ratios of wedge volumes of orthonormal bases; each basis
 appears exactly once in a numerator and once in a denominator, so the
-values are independent of every basis choice.  Degenerate denominators
-produce an explicit infinity marker rather than a float inf, so identity
-tests can assert on it.
+values are independent of every basis choice.  Each returns a finite
+float; a vanishing denominator, a non-finite value or one of magnitude
+1e300 or more raises DomainError.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .core_linalg import (
 from .errors import DomainError, PreconditionError
 
 __all__ = [
-    "CrossRatioValue",
     "pcr",
     "pcr_quotient",
     "gcr",
@@ -33,32 +30,12 @@ COINCIDENCE_TOL = 1e-10     # projective points closer than this coincide
 GCR_TRANSVERSALITY = 1e-9   # pairwise defect needed on the gcr domain
 
 
-@dataclass(frozen=True)
-class CrossRatioValue:
-    """Extended-real cross ratio value: a finite float or the infinity marker."""
-
-    value: float | None
-
-    @classmethod
-    def finite(cls, v: float) -> "CrossRatioValue":
-        if not np.isfinite(v):
-            raise DomainError(f"cross ratio produced non-finite float {v}")
-        if abs(v) >= 1e300:
-            raise DomainError(f"cross ratio overflow: {v:g}")
-        return cls(float(v))
-
-    @classmethod
-    def infinity(cls) -> "CrossRatioValue":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __float__(self) -> float:
-        if self.value is None:
-            raise DomainError("cross ratio is the infinity marker")
-        return self.value
+def _finite(v: float) -> float:
+    if not np.isfinite(v):
+        raise DomainError(f"cross ratio produced non-finite float {v}")
+    if abs(v) >= 1e300:
+        raise DomainError(f"cross ratio overflow: {v:g}")
+    return float(v)
 
 
 def _line2(x) -> np.ndarray:
@@ -80,12 +57,12 @@ def _wedge2(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def pcr(x1, x2, x3, x4) -> CrossRatioValue:
+def pcr(x1, x2, x3, x4) -> float:
     """Projective cross ratio of four points of RP^1.
 
     Value (x1^x3 / x1^x2) (x4^x2 / x4^x3) on any lifts; no three of the
     four points may coincide.  A vanishing denominator with nonvanishing
-    numerator gives the infinity marker.
+    numerator (the value infinity) raises DomainError.
     """
     pts = [_line2(x) for x in (x1, x2, x3, x4)]
     coincide = [[abs(_wedge2(pts[i], pts[j])) < COINCIDENCE_TOL
@@ -101,11 +78,11 @@ def pcr(x1, x2, x3, x4) -> CrossRatioValue:
         if abs(num) < DEGENERACY_TOL:
             raise PreconditionError(
                 "cross ratio is 0/0; configuration too degenerate")
-        return CrossRatioValue.infinity()
-    return CrossRatioValue.finite(num / den)
+        raise DomainError("cross ratio is infinite: its denominator vanishes")
+    return _finite(num / den)
 
 
-def pcr_quotient(v_low: Subspace, v_high: Subspace, w1, w2, w3, w4) -> CrossRatioValue:
+def pcr_quotient(v_low: Subspace, v_high: Subspace, w1, w2, w3, w4) -> float:
     """Cross ratio of a pencil: pcr of the images in P(V_high / V_low).
 
     The quotient must be 2-dimensional.  Each entry is a subspace of
@@ -128,7 +105,7 @@ def pcr_quotient(v_low: Subspace, v_high: Subspace, w1, w2, w3, w4) -> CrossRati
     return pcr(*lines)
 
 
-def gcr(v1: Subspace, w2: Subspace, w3: Subspace, v4: Subspace) -> CrossRatioValue:
+def gcr(v1: Subspace, w2: Subspace, w3: Subspace, v4: Subspace) -> float:
     """Grassmannian cross ratio of (k, d-k, d-k, k)-dimensional subspaces.
 
     (V1^W3 / V1^W2)(V4^W2 / V4^W3) through wedge volumes of concatenated
@@ -153,5 +130,5 @@ def gcr(v1: Subspace, w2: Subspace, w3: Subspace, v4: Subspace) -> CrossRatioVal
             wedges[vname, wname] = w
     value = (wedges["V1", "W3"] / wedges["V1", "W2"]
              * wedges["V4", "W2"] / wedges["V4", "W3"])
-    return CrossRatioValue.finite(value)
+    return _finite(value)
 

@@ -121,6 +121,10 @@ TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
                           # are only meaningful on separated triples
 IDENTITY_RTOL = 1e-7      # relative error within which an eigenvalue
                           # identity holds
+AUXILIARY_SEPARATION = 1e-6  # least distance (radians) of an auxiliary point
+                             # from g's fixed points; wider than coincidence
+                             # (ANGLE_SEPARATION): near a fixed point the
+                             # pencil entries nearly coincide, losing digits
 WEIGHT_CHAIN_SLACK = 1e-9  # allowed excess of the weight bound over the
                            # collar rhs
 RATIO_AGREEMENT_RTOL = 1e-8  # relative gap within which the two generator
@@ -504,7 +508,9 @@ def _check_separation(min_separation: float) -> None:
                          f"number >= 0")
 
 
-def _scan_verdict(min_defect: float) -> str:
+def _scan_verdict(min_defect: float | None) -> str:
+    if min_defect is None:   # no triple
+        return "ambiguous"
     if min_defect > SCAN_ACCEPT:
         return "pass"
     if min_defect < SCAN_REJECT:
@@ -563,19 +569,19 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     return tables
 
 
-def _line_tables(tables: list, summands) -> tuple | None:
+def _line_tables(tables: list) -> tuple | None:
     """What the defect bounds read of a sum x^1 + y^1 + z^m of three point
-    flags, whose matrix is M = [a | b | Z] (H_1 at every d); None for
-    every other sum.
+    flags, M = [a | b | Z] (H_1, C_1 at d = 4, three projected lines), by
+    the tables' roles and ranks; None for every other sum.
 
     Returns the unit vectors of the lines x^1 and y^1 per point, (n, d)
     each, and their coordinates in an orthonormal complement of z^m per
     (line point, z) pair, (n, n, d - m) each.
     """
-    if summands[:2] != (((0, 1),), ((1, 1),)) or len(summands[2]) > 1:
+    ranks = [t.basis.shape[-1] for t in tables]
+    if [t.roles for t in tables] != [(0,), (1,), (2,)] or ranks[:2] != [1, 1]:
         return None
-    m = summands[2][0][1]
-    complement = np.linalg.svd(tables[2].basis)[0][..., m:]
+    complement = np.linalg.svd(tables[2].basis)[0][..., ranks[2]:]
     units = [t.basis[..., 0] for t in tables[:2]]
     return units, [np.swapaxes(u @ complement, 0, 1) for u in units]
 
@@ -692,6 +698,40 @@ def _triple_extremes(tables: list, lines: tuple | None, x: np.ndarray,
     return missing, float(values[j]), int(known[j]), float(values.max())
 
 
+def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
+    """``(n_triples, gap_failures, min, max, worst)`` over the triples
+    (x, y, z) whose pairs (x, y), (x, z) and (y, z) the (n, n) mask
+    ``pairs`` marks, in lexicographic order, a block of first points at a
+    time so the arrays stay O(``TRIPLE_BLOCK``); ``_triple_extremes``
+    prunes against the running extremes.  ``worst`` is the first (x, y, z)
+    attaining the minimum; min, max and worst are None without a triple.
+    """
+    lines = _line_tables(tables)
+    n = len(pairs)
+    n_triples = gap_failures = 0
+    min_defect, max_defect, worst = np.inf, -np.inf, None
+    step = max(1, TRIPLE_BLOCK // max(1, n * n))
+    for start in range(0, n, step):
+        block = pairs[start:start + step]
+        x, y, z = np.nonzero(block[:, :, None] & block[:, None, :] & pairs)
+        if not len(x):
+            continue
+        x += start
+        missing, lowest, first, highest = _triple_extremes(
+            tables, lines, x, y, z, min_defect, max_defect)
+        n_triples += len(x)
+        gap_failures += int(np.count_nonzero(missing))
+        if first is None:
+            continue
+        if lowest < min_defect:
+            min_defect = lowest
+            worst = (int(x[first]), int(y[first]), int(z[first]))
+        max_defect = max(max_defect, highest)
+    if worst is None:
+        return n_triples, gap_failures, None, None, None
+    return n_triples, gap_failures, min_defect, max_defect, worst
+
+
 def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certify_indices,
                          require_certification: bool,
@@ -708,7 +748,6 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
             n_points=0, n_triples=0, gap_failures=0, min_defect=None,
             verdict="non-certifiable", min_separation=min_separation)
     atlas = BoundaryAtlas(rep, max_length)
-    n = len(atlas)
     # ordered pairs of distinct points at least min_separation apart
     separated = circle_separation(atlas.angles[:, None],
                                   atlas.angles[None, :]) >= min_separation
@@ -719,44 +758,14 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     # k = 1 every summand is a point flag
     summands = tuple(tuple(part for part in summand if part[1] < rep.dim)
                      for summand in summands_fn(k, rep.dim))
-    tables = _summand_tables(atlas, summands, used)
-    lines = _line_tables(tables, summands)
-
-    # triples in the lexicographic order of their point indices, a block of
-    # first points at a time, so the arrays stay O(TRIPLE_BLOCK); a missing
-    # flag makes the sum unachievable (defect 0); the running extremes prune
-    # the exact SVDs
-    n_triples = gap_failures = 0
-    min_defect, max_defect, worst = np.inf, -np.inf, None
-    step = max(1, TRIPLE_BLOCK // max(1, n * n))
-    for start in range(0, n, step):
-        block = separated[start:start + step]
-        x, y, z = np.nonzero(block[:, :, None] & block[:, None, :]
-                             & separated)
-        if not len(x):
-            continue
-        x += start
-        missing, lowest, first, highest = _triple_extremes(
-            tables, lines, x, y, z, min_defect, max_defect)
-        n_triples += len(x)
-        gap_failures += int(np.count_nonzero(missing))
-        if first is None:
-            continue
-        if lowest < min_defect:
-            min_defect = lowest
-            worst = (int(x[first]), int(y[first]), int(z[first]))
-        max_defect = max(max_defect, highest)
-    if worst is None:
-        min_defect = max_defect = worst_words = None
-    else:
-        worst_words = tuple(atlas.words[i] for i in worst)
-    verdict = (_scan_verdict(min_defect)
-               if min_defect is not None else "ambiguous")
+    n_triples, gap_failures, min_defect, max_defect, worst = _triple_scan(
+        _summand_tables(atlas, summands, used), separated)
     return TransversalityScanReport(
         kind=kind, rep_label=rep.label, k=k, max_length=max_length,
         certification=certification, certified=certified,
-        n_points=n, n_triples=n_triples, gap_failures=gap_failures,
-        min_defect=min_defect, verdict=verdict, worst_triple=worst_words,
+        n_points=len(atlas), n_triples=n_triples, gap_failures=gap_failures,
+        min_defect=min_defect, verdict=_scan_verdict(min_defect),
+        worst_triple=worst and tuple(atlas.words[i] for i in worst),
         max_defect=max_defect, min_separation=min_separation)
 
 
@@ -885,7 +894,13 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
     minimum 3-plane spanning defect over all triples of kept curve
     points, with verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
     ``hk_scan``, and the length of the longest sample word as its
-    ``max_length``.
+    ``max_length``; ``max_defect`` stays None.
+
+    Three lines of X have the shape x^1 + y^1 + z^1 of H_1, so the triples
+    i < j < l run on the H_k/C_k kernel (``_triple_scan``): certified
+    bounds on each defect (``_defect_bounds``) leave the exact SVD to the
+    triples that can reach the running minimum.  ``worst_triple`` is the
+    first minimum in combinations order.
     """
     _check_k(k, rep.dim - 2)
     _check_separation(min_separation)
@@ -894,21 +909,19 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
     n = len(lines)
     if n < 3:
         raise PreconditionError("need at least three distinct curve points")
-    min_defect = np.inf
-    worst = None
-    for i, j, l in itertools.combinations(range(n), 3):
-        defect = direct_sum_defect([lines[i], lines[j], lines[l]])
-        if defect < min_defect:
-            min_defect = defect
-            worst = (labels[i], labels[j], labels[l])
+    basis = np.stack([line.basis for line in lines])
+    tables = [_SummandTable((role,), np.zeros(n, dtype=bool), basis)
+              for role in range(3)]
+    n_triples, _, min_defect, _, worst = _triple_scan(
+        tables, np.triu(np.ones((n, n), dtype=bool), 1))
     return TransversalityScanReport(
         kind="projection", rep_label=rep.label, k=k,
         max_length=max(map(len, samples)),
         certification={}, certified=True, n_points=n,
-        n_triples=n * (n - 1) * (n - 2) // 6, gap_failures=0,
-        min_defect=float(min_defect),
-        verdict=_scan_verdict(float(min_defect)),
-        worst_triple=worst, min_separation=min_separation)
+        n_triples=n_triples, gap_failures=0, min_defect=min_defect,
+        verdict=_scan_verdict(min_defect),
+        worst_triple=tuple(labels[i] for i in worst),
+        min_separation=min_separation)
 
 
 # ---------------------------------------------------------------------------
@@ -1118,11 +1131,11 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
         intersect(gx_k, v_high),
         intersect(ball.space(g, k), v_high),
     ]
-    pcr_value = float(pcr_quotient(v_low, v_high, *entries))
+    pcr_value = pcr_quotient(v_low, v_high, *entries)
 
     x_dk = ball.space(x, d - k)
-    gcr_value = float(gcr(ball.space(g_inv, k), x_dk,
-                          x_dk.apply(m_g), ball.space(g, k)))
+    gcr_value = gcr(ball.space(g_inv, k), x_dk, x_dk.apply(m_g),
+                    ball.space(g, k))
 
     lambda_ratio = ball.cached(eigenvalue_ratios, g, k).lambda_ratio
     period = ball.cached(weight_period, g, k)[0]
@@ -1138,15 +1151,16 @@ _AUXILIARY_WORDS = (Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)),
 
 
 def _auxiliary_point(ball: _WordBall, g: Word, candidates) -> Word:
-    """The first candidate whose fixed point avoids both fixed points of g."""
+    """The first candidate whose fixed point is more than
+    ``AUXILIARY_SEPARATION`` from both fixed points of g."""
     gp, gm = ball.fixed_points(g)
     for cand in candidates:
         try:
             att, _ = ball.fixed_points(cand)
         except DomainError:
             continue
-        if (circle_separation(att, gp) > 1e-6
-                and circle_separation(att, gm) > 1e-6):
+        if (circle_separation(att, gp) > AUXILIARY_SEPARATION
+                and circle_separation(att, gm) > AUXILIARY_SEPARATION):
             return cand
     raise PreconditionError(f"no auxiliary boundary point found for {g}")
 

@@ -101,7 +101,8 @@ class TestGapScan:
         assert lines[0] == "length,min_log_gap"
         assert len(lines) == 4
         schema = json.loads((tmp_path / "scan.csv.schema.json").read_text())
-        assert [c["name"] for c in schema["columns"]] == ["length", "min_log_gap"]
+        assert [(c["name"], c["type"]) for c in schema["columns"]] == [
+            ("length", "integer"), ("min_log_gap", "number")]
 
     def test_csv_without_out_rejected_before_scanning(self, monkeypatch,
                                                        capsys):
@@ -199,6 +200,20 @@ class TestCheck:
         assert report["n_points"] == n_points
         assert report["min_defect"] == min_defect
 
+    def test_hyperconvex_fg_L4_unseparated_pinned(self, tmp_path):
+        # 310,124 triples, one direct_sum_defect call each, took 5.4 s
+        # before the scan ran on the H_k/C_k triple kernel
+        out = tmp_path / "r.json"
+        assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
+                    "--k", "1", "--L", "4", "--min-separation", "0",
+                    "--out", str(out)]) == 1
+        report = json.loads(out.read_text())["report"]
+        assert report["n_points"] == 124
+        assert report["n_triples"] == 310124
+        assert report["min_defect"] == 5.597394136777987e-09
+        assert report["worst_triple"] == ["AAb", "AAba", "AAbA"]
+        assert report["max_defect"] is None
+
     def test_hyperconvex_reports_the_sample_length(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["check", "hyperconvex", "--family", "fg", "--x", "1",
@@ -294,6 +309,19 @@ class TestCollar:
             run(["collar", "--family", "fg", "--x", "1", "--k", "1",
                  "--L", "2", "--format", "csv", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_schema_types_and_describes_every_column(self, tmp_path):
+        # bools and ints were all typed "string", and k, holds, margin and
+        # sign_indeterminate had empty descriptions
+        out = tmp_path / "collar.csv"
+        run(["collar", "--family", "fg", "--x", "1", "--k", "1", "--L", "2",
+             "--format", "csv", "--out", str(out)])
+        schema = json.loads((tmp_path / "collar.csv.schema.json").read_text())
+        assert {c["name"]: c["type"] for c in schema["columns"]} == {
+            "g": "string", "h": "string", "k": "integer", "lhs": "number",
+            "rhs": "number", "weight_rhs": "number", "holds": "boolean",
+            "margin": "number", "sign_indeterminate": "boolean"}
+        assert all(c["description"] for c in schema["columns"])
 
 
 class TestFgScan:

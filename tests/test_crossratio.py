@@ -8,7 +8,6 @@ from anosovlab.core_linalg import (
     span,
 )
 from anosovlab.crossratio import (
-    CrossRatioValue,
     gcr,
     pcr,
     pcr_quotient,
@@ -54,9 +53,12 @@ class TestPcr:
         assert float(pcr(a, b, a, c)) == pytest.approx(0.0, abs=1e-14)
 
     def test_infinity_marker(self):
+        # a vanishing denominator is the value infinity: a domain error
         a, b, c = line(1, 0), line(1, 1), line(0, 1)
-        assert pcr(a, a, b, c).is_infinite
-        assert pcr(b, c, a, a).is_infinite
+        with pytest.raises(DomainError):
+            pcr(a, a, b, c)
+        with pytest.raises(DomainError):
+            pcr(b, c, a, a)
 
     def test_threefold_coincidence_rejected(self):
         a, b = line(1, 0), line(0, 1)
@@ -252,12 +254,3 @@ class TestGcrIdentities:
             before = float(gcr(v1, w2, w3, v4))
             after = float(gcr(v1.apply(g), w2.apply(g), w3.apply(g), v4.apply(g)))
             assert after == pytest.approx(before, rel=1e-9)
-
-
-def test_cross_ratio_value_markers():
-    inf = CrossRatioValue.infinity()
-    assert inf.is_infinite
-    with pytest.raises(DomainError):
-        float(inf)
-    zero = CrossRatioValue.finite(0.0)
-    assert not zero.is_infinite and float(zero) == 0.0

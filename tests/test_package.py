@@ -158,6 +158,17 @@ def test_one_word_ball_model():
     assert evaluate == ["_WordBall._products"]
 
 
+def test_one_triple_kernel():
+    # every triple scan runs on verification._triple_scan; only the
+    # single-item checks take one direct_sum_defect call per triple
+    path = ROOT / "src" / "anosovlab" / "verification.py"
+    callers = sorted({scope for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Name)
+                      and node.id == "direct_sum_defect"})
+    assert callers == ["_triple_defect", "projection_triple_defect",
+                       "sopq_model_triple_defect"]
+
+
 def _definitions(tree: ast.Module):
     """(name, node) of every module-level function, class or assigned name
     of ``tree``."""

@@ -204,6 +204,29 @@ def all_triples_scan(monkeypatch, scan, *args, **kwargs):
         return scan(*args, **kwargs)
 
 
+def reference_projection_scan(rep, k, x, samples,
+                              min_separation=TRIPLE_SEPARATION):
+    """The projected scan one triple at a time: one direct_sum_defect call
+    per triple in combinations order; a strict < keeps the first minimum."""
+    samples = tuple(samples)
+    lines, labels = verification._projection_lines(rep, k, x, samples,
+                                                   min_separation)
+    n = len(lines)
+    min_defect, worst = np.inf, None
+    for i, j, l in itertools.combinations(range(n), 3):
+        defect = direct_sum_defect([lines[i], lines[j], lines[l]])
+        if defect < min_defect:
+            min_defect, worst = defect, (labels[i], labels[j], labels[l])
+    verdict = ("pass" if min_defect > SCAN_ACCEPT
+               else "fail" if min_defect < SCAN_REJECT else "ambiguous")
+    return TransversalityScanReport(
+        kind="projection", rep_label=rep.label, k=k,
+        max_length=max(map(len, samples)), certification={}, certified=True,
+        n_points=n, n_triples=n * (n - 1) * (n - 2) // 6, gap_failures=0,
+        min_defect=float(min_defect), verdict=verdict, worst_triple=worst,
+        min_separation=min_separation)
+
+
 def reference_arrangement_minimum(wedge):
     """One arrangement at a time: the rotations of every angle-sorted
     4-subset in combinations order; a strict < keeps the first minimum."""
@@ -870,6 +893,26 @@ class TestProjectionHyperconvexity:
         samples = [w for w in words_of_length(2, 2) if len(w) > 0]
         report = check_projection_hyperconvexity(rep, 1, A, samples)
         assert report.min_defect > 1e-4
+
+    @pytest.mark.parametrize("rep,k,min_separation", [
+        (fg_rep(1.0), 1, 0),
+        (fg_rep(0.6), 1, 0),
+        (fuchsian_locus((7, 1), REF), 1, 0),
+        (fuchsian_locus((5,), REF), 2, 0),
+        (fuchsian_locus((6, 1), REF), 1, 0.1),
+    ], ids=["fg1", "fg0.6", "7,1", "5-k2", "6,1-sep0.1"])
+    def test_scan_matches_per_triple_reference(self, monkeypatch, rep, k,
+                                               min_separation):
+        # the triple kernel of hk_scan, bracket and pruning included, gives
+        # every bit of the one-call-per-triple loop
+        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
+        report = check_projection_hyperconvexity(
+            rep, k, A, samples, min_separation=min_separation)
+        assert report.to_dict() == reference_projection_scan(
+            rep, k, A, samples, min_separation).to_dict()
+        assert report.to_dict() == all_triples_scan(
+            monkeypatch, check_projection_hyperconvexity, rep, k, A, samples,
+            min_separation=min_separation).to_dict()
 
     def test_zero_separation_still_drops_coincident_points(self):
         # the sample a has the base point's boundary point; keeping both
