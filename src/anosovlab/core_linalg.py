@@ -44,6 +44,8 @@ CONTAINMENT_TOL = 1e-9
 QUOTIENT_RANK_RTOL = 1e-8  # relative rank cutoff of a quotient image
 EIGEN_TIE_RTOL = 1e-8     # eigenvalues (or moduli) closer than this times the
                           # largest modulus count as equal
+EIGEN_GAP_MIN = 1e-8      # relative modulus gap an invariant subspace of
+                          # the leading eigenvalues needs after them
 EIGENVECTOR_SIN_TIE = 1e-2  # eigenvectors at an angle of smaller sine are
                             # one Jordan block's: rounding leaves those about
                             # eps^(1/m) apart for a block of size m
@@ -493,12 +495,19 @@ def spectrum(m) -> Spectrum:
 
 
 def _modulus_clusters(moduli: np.ndarray) -> list:
-    """Split a descending modulus sequence into tied groups."""
+    """Split a descending modulus sequence into tied groups.
+
+    A group ends before a modulus more than EIGEN_TIE_RTOL times the
+    largest below the group's first that also has the modulus gap of
+    ``_invariant_bases`` below the one before it, so every group's
+    invariant subspace exists.
+    """
     groups = []
     start = 0
     scale = max(moduli[0], 1e-300)
     for i in range(1, len(moduli)):
-        if moduli[start] - moduli[i] > EIGEN_TIE_RTOL * scale:
+        if (moduli[start] - moduli[i] > EIGEN_TIE_RTOL * scale
+                and moduli[i - 1] > moduli[i] * (1.0 + EIGEN_GAP_MIN)):
             groups.append((start, i))
             start = i
     groups.append((start, len(moduli)))
@@ -529,62 +538,104 @@ def _generalized_eigenspace(a: np.ndarray, values: np.ndarray) -> np.ndarray:
     return p
 
 
-def _invariant_basis(spec: Spectrum, start: int, stop: int,
-                     diagnostics: dict) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace of ``values[start:stop]``.
+def _invariant_bases(records, start: int, stop: int) -> tuple:
+    """Orthonormal bases of the invariant subspaces of ``values[start:stop]``
+    of n Spectrum records of one dimension d, in one batched pass.
+
+    Returns ``(bases, missing, errors)``.  ``bases`` is (n, d, stop -
+    start).  ``missing`` is True where a row has no eigenvalue-modulus gap
+    after the selection, |lambda_stop| <= (1 + EIGEN_GAP_MIN)
+    |lambda_(stop+1)| (1-based): nothing else is computed for it, and its
+    basis is zero.  ``errors`` maps the position of every other row that
+    fails a check to its NumericError, which carries the row's ``moduli``.
 
     An eigenvalue is defective when its unit eigenvector is at an angle of
     sine below EIGENVECTOR_SIN_TIE to another's, as a Jordan block leaves
     them, also when rounding splits its eigenvalue (by about eps^(1/m) for
     size m).  The defective eigenvalues and those tied with one within
     EIGEN_TIE_RTOL times the largest modulus (further blocks of the same
-    eigenvalue) form one deflation set, whose generalized eigenspace one
-    ``_generalized_eigenspace`` call gives (real and imaginary parts off
-    the real axis).  Every other eigenvalue gives its eigenvector: real
-    and imaginary parts of those with positive imaginary part, then the
-    real ones; equal eigenvalues with independent eigenvectors span their
-    eigenspace.  One SVD orthonormalizes the columns
-    (``_orthonormal_basis``).  Checks that the selection is closed under
-    conjugation and the columns span its dimension, and certifies the
+    eigenvalue) form a row's deflation set, whose generalized eigenspace
+    one ``_generalized_eigenspace`` call gives (real and imaginary parts
+    off the real axis); only the rows with one loop.  Every other
+    eigenvalue gives its eigenvector: real and imaginary parts of those
+    with positive imaginary part, then the real ones; equal eigenvalues
+    with independent eigenvectors span their eigenspace.  The columns of
+    the rows without a deflation set are gathered by a per-row order and
+    orthonormalized by one stacked SVD, each row bit for bit as by
+    ``_orthonormal_basis`` alone.  Checked per row: the selection is
+    closed under conjugation, the columns span its dimension, and the
     invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||, where the
-    Frobenius norm bounds the 2-norm from above without an SVD.  Every
-    NumericError carries ``diagnostics``.
+    Frobenius norm bounds the 2-norm from above without an SVD.
     """
-    a, values = spec.entries, spec.values[start:stop]
-    vectors = spec.vectors[:, start:stop]
-    parallel = (np.abs(vectors.conj().T @ vectors) ** 2
+    n, k = len(records), stop - start
+    entries = np.stack([r.entries for r in records])
+    d = entries.shape[-1]
+    moduli = np.abs(np.stack([r.values for r in records]))
+    bases = np.zeros((n, d, k))
+    missing = np.zeros(n, dtype=bool)
+    if stop < d:
+        missing = moduli[:, stop - 1] <= moduli[:, stop] * (1.0 + EIGEN_GAP_MIN)
+    live = np.flatnonzero(~missing)
+    if not live.size:
+        return bases, missing, {}
+    values = np.stack([records[i].values[start:stop] for i in live])
+    vectors = np.stack([records[i].vectors[:, start:stop] for i in live])
+    parallel = (np.abs(np.swapaxes(vectors.conj(), -1, -2) @ vectors) ** 2
                 >= 1.0 - EIGENVECTOR_SIN_TIE ** 2)
-    defective = np.count_nonzero(parallel, axis=1) > 1
-    equal = (np.abs(values[:, None] - values[None, :])
-             <= EIGEN_TIE_RTOL * max(abs(spec.values[0]), 1e-300))
-    deflated = equal[:, defective].any(axis=1)
+    defective = np.count_nonzero(parallel, axis=-1) > 1
+    equal = (np.abs(values[:, :, None] - values[:, None, :])
+             <= EIGEN_TIE_RTOL * np.maximum(moduli[live, :1, None], 1e-300))
+    deflated = (equal & defective[:, None, :]).any(axis=-1)
     upper, real = ~deflated & (values.imag > 0), ~deflated & (values.imag == 0)
-    columns = []
-    if deflated.any():
-        v = _generalized_eigenspace(a, values[deflated])
-        columns += [v.real, v.imag] if v.dtype.kind == "c" else [v]
-    if upper.any():
-        columns += [vectors[:, upper].real, vectors[:, upper].imag]
-    if real.any():
-        columns.append(vectors[:, real].real)
-    dim = np.count_nonzero(deflated | real) + 2 * np.count_nonzero(upper)
-    if dim != stop - start:
-        raise NumericError(
-            f"the {stop - start} selected eigenvalues are not closed under "
-            f"conjugation", diagnostics=diagnostics)
-    basis, rank = _orthonormal_basis(np.hstack(columns))
-    if rank != dim:
-        raise NumericError(
-            f"invariant basis of {dim} eigenvalues has rank {rank}",
-            diagnostics=diagnostics)
-    image = a @ basis
-    resid = float(np.linalg.norm(image - basis @ (basis.T @ image)))
-    if spec.norm > 0 and resid > 1e-8 * spec.norm:
-        raise NumericError(
-            f"invariant subspace residual {resid:g} exceeds "
-            f"{1e-8 * spec.norm:g}",
-            diagnostics={**diagnostics, "residual": resid})
-    return basis
+    closed = (np.count_nonzero(deflated | real, axis=1)
+              + 2 * np.count_nonzero(upper, axis=1) == k)
+    rank = np.full(len(live), k)
+    plain = np.flatnonzero(closed & ~deflated.any(axis=1))
+    if plain.size:
+        # of the 2k real and imaginary parts, a stable sort by group takes
+        # Re of the upper, Im of the upper, Re of the real ones, in order
+        parts = np.concatenate((vectors.real, vectors.imag), axis=2)[plain]
+        group = np.concatenate((np.where(upper, 0, np.where(real, 2, 3)),
+                                np.where(upper, 1, 3)), axis=1)[plain]
+        source = np.argsort(group, axis=1, kind="stable")[:, None, :k]
+        u, s, _ = np.linalg.svd(np.take_along_axis(parts, source, 2),
+                                full_matrices=False)
+        bases[live[plain]] = u
+        # the rank as _orthonormal_basis counts it
+        rank[plain] = np.count_nonzero(s > 1e-10 * s[:, :1], axis=1)
+    for j in np.flatnonzero(closed & deflated.any(axis=1)):
+        spec = records[live[j]]
+        v = _generalized_eigenspace(
+            spec.entries, spec.values[start:stop][deflated[j]])
+        vecs = spec.vectors[:, start:stop]
+        columns = [v.real, v.imag] if v.dtype.kind == "c" else [v]
+        columns += [vecs[:, upper[j]].real, vecs[:, upper[j]].imag,
+                    vecs[:, real[j]].real]
+        basis, rank[j] = _orthonormal_basis(np.hstack(columns))
+        if rank[j] == k:
+            bases[live[j]] = basis
+    errors = {}
+    for j in np.flatnonzero(~closed):
+        errors[int(live[j])] = NumericError(
+            f"the {k} selected eigenvalues are not closed under conjugation",
+            diagnostics={"moduli": moduli[live[j]].tolist()})
+    for j in np.flatnonzero(closed & (rank != k)):
+        errors[int(live[j])] = NumericError(
+            f"invariant basis of {k} eigenvalues has rank {rank[j]}",
+            diagnostics={"moduli": moduli[live[j]].tolist()})
+    rows = live[closed & (rank == k)]
+    basis = bases[rows]
+    image = entries[rows] @ basis
+    resid = np.linalg.norm(
+        image - basis @ (np.swapaxes(basis, -1, -2) @ image), axis=(-2, -1))
+    norms = np.array([records[i].norm for i in rows])
+    for j in np.flatnonzero((norms > 0) & (resid > 1e-8 * norms)):
+        errors[int(rows[j])] = NumericError(
+            f"invariant subspace residual {resid[j]:g} exceeds "
+            f"{1e-8 * norms[j]:g}",
+            diagnostics={"moduli": moduli[rows[j]].tolist(),
+                         "residual": float(resid[j])})
+    return bases, missing, errors
 
 
 def eig_by_modulus(m) -> EigenDecomposition:
@@ -592,20 +643,22 @@ def eig_by_modulus(m) -> EigenDecomposition:
 
     Each modulus cluster gets an orthonormal basis of the sum of the
     generalized eigenspaces of its eigenvalues, read off the Spectrum
-    record by ``_invariant_basis``.  Postconditions checked: the
-    characteristic-polynomial residual of each eigenvalue (``spectrum``)
-    and the per-cluster invariance residual
+    record by ``_invariant_bases`` on the one row.  Postconditions
+    checked: the characteristic-polynomial residual of each eigenvalue
+    (``spectrum``) and the per-cluster invariance residual
     ||(I - P P^T) M P||_F <= 1e-8 ||M||.
     """
     spec = spectrum(m)
     vals = spec.values
     moduli = np.abs(vals)
     clusters = []
+    # every cluster has its modulus gap: none is missing
     for start, stop in _modulus_clusters(moduli):
-        basis = _invariant_basis(spec, start, stop,
-                                 diagnostics={"moduli": moduli.tolist()})
+        bases, _, errors = _invariant_bases([spec], start, stop)
+        if errors:
+            raise errors[0]
         clusters.append(ModulusCluster(
             modulus=float(moduli[start:stop].mean()),
             eigenvalues=tuple(vals[start:stop]),
-            basis=_readonly(basis)))
+            basis=_readonly(bases[0])))
     return EigenDecomposition(values=tuple(vals), clusters=tuple(clusters))

@@ -15,7 +15,9 @@ residual-checked eigenvalues and eigenvectors and ||M||_2, from one
 caller keeping the record decomposes each matrix once, and one record
 serves the attracting spaces of every dimension: a space is spanned by the
 record's eigenvectors above the modulus gap and certified by its
-invariance residual.
+invariance residual.  ``attracting_space`` is the batched kernel
+``core_linalg._invariant_bases`` on one record; the scans call that kernel
+on the records of all their points at once.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_linalg import (
+    EIGEN_GAP_MIN,
     Spectrum,
     Subspace,
-    _invariant_basis,
+    _invariant_bases,
     as_matrix,
     spectrum,
     svd,
@@ -35,6 +38,7 @@ from .core_linalg import (
 from .errors import GapError, NumericError
 
 __all__ = [
+    "EIGEN_GAP_MIN",
     "SpectralGaps",
     "LengthPair",
     "singular_gap",
@@ -45,7 +49,6 @@ __all__ = [
     "weight_period",
 ]
 
-EIGEN_GAP_MIN = 1e-8     # relative modulus gap needed for an attracting space
 REAL_IMAG_TOL = 1e-8     # |Im| below this times the modulus counts as real
 
 
@@ -112,29 +115,30 @@ def singular_gap(m, k: int) -> float:
 
 
 def attracting_space(m, k: int) -> Subspace:
-    """Invariant subspace of the k largest-modulus eigenvalues.
+    """Invariant subspace of the k largest-modulus eigenvalues:
+    ``core_linalg._invariant_bases`` on the one record, selection [0, k).
 
-    Requires a modulus gap, |lambda_k| > (1 + 1e-8) |lambda_{k+1}|, else
-    raises GapError.  The space is read off the first k columns of the
-    record's eigenvectors (``core_linalg._invariant_basis``: real and
-    imaginary parts of complex pairs, one generalized eigenspace for all
-    the Jordan blocks among them) and orthonormalized by one SVD.  The
-    result is certified by its invariance residual
-    ||(I - P P^T) M P||_F <= 1e-8 ||M||; a failed certification raises
-    NumericError with ``residual`` and ``gap_ratio`` diagnostics.
+    Requires a modulus gap, |lambda_k| > (1 + EIGEN_GAP_MIN)
+    |lambda_{k+1}|, else raises GapError.  The space is read off the first
+    k columns of the record's eigenvectors (real and imaginary parts of
+    complex pairs, one generalized eigenspace for all the Jordan blocks
+    among them) and orthonormalized by one SVD.  The result is certified
+    by its invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||; a
+    failed check raises NumericError with ``moduli`` (and ``residual``)
+    diagnostics.
     """
     spec = _indexed_spectrum(m, k)
-    moduli = np.abs(spec.values)
-    if moduli[k] <= 0 or moduli[k - 1] <= moduli[k] * (1.0 + EIGEN_GAP_MIN):
+    bases, missing, errors = _invariant_bases([spec], 0, k)
+    if missing[0]:
+        moduli = np.abs(spec.values)
+        ratio = float(moduli[k - 1] / max(moduli[k], 1e-300))
         raise GapError(
             f"no eigenvalue-modulus gap of index {k}: "
-            f"|lambda_{k}|/|lambda_{k + 1}| = "
-            f"{moduli[k - 1] / max(moduli[k], 1e-300):.6g}",
-            index=k,
-            ratio=float(moduli[k - 1] / max(moduli[k], 1e-300)))
-    basis = _invariant_basis(
-        spec, 0, k, diagnostics={"gap_ratio": float(moduli[k - 1] / moduli[k])})
-    return Subspace(basis)
+            f"|lambda_{k}|/|lambda_{k + 1}| = {ratio:.6g}",
+            index=k, ratio=ratio)
+    if errors:
+        raise errors[0]
+    return Subspace(bases[0])
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:

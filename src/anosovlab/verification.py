@@ -22,6 +22,7 @@ from .core_linalg import (
     Spectrum,
     Subspace,
     _intersections,
+    _invariant_bases,
     _smallest_singular_values,
     _spectra,
     direct_sum_defect,
@@ -72,6 +73,7 @@ __all__ = [
     "SopqScanReport",
     "anosov_gap_scan",
     "boundary_flag",
+    "attracting_space",   # re-exported: bench/tracing.py rebinds it here
     "check_Hk",
     "check_Ck",
     "hk_scan",
@@ -177,10 +179,12 @@ class _WordBall:
     The first Spectrum read builds every word's record from one batched
     eigendecomposition of ``images`` (``core_linalg._spectra``); a word
     whose record failed its residual check raises its NumericError only
-    when it is read.  Reference fixed points and every value read from a
-    record (``cached``: attracting spaces of any dimension, ratios,
-    lengths) are computed on first use and kept for the life of the ball,
-    which is one scan or check.
+    when it is read.  Attracting spaces are kept in one flag table per
+    dimension (``flags``), which computes each row once, the rows a read
+    asks for together.  Reference fixed points and every value read from
+    a record (``cached``: ratios, lengths, periods) are computed on first
+    use.  Everything is kept for the life of the ball, which is one scan
+    or check.
     """
 
     def __init__(self, rep: Representation, max_length: int, named=()):
@@ -202,13 +206,15 @@ class _WordBall:
         self._fixed: dict = {}
         self._records = None
         self._values: dict = {}
-        self._zero = Subspace.zero(rep.dim)
-        self._full = Subspace.full(rep.dim)
+        self._flags: dict = {}
+        self._spaces: dict = {}
 
     def _products(self, rep: Representation) -> np.ndarray:
         """The (n, dim, dim) images of ``words`` under ``rep``, equal to
         ``evaluate`` bit for bit: beyond ``RENORMALIZE_ABOVE`` letters its
-        result, else the prefix's row times a generator or its inverse."""
+        result, else the prefix's row times a generator or its inverse,
+        one stacked matmul per (length, last letter) group, shortest
+        first."""
         # the earlier letters of a word end its prefixes, which are rows too
         used = max((abs(w.letters[-1]) for w in self.words[1:]), default=0)
         if used > rep.rank:
@@ -218,18 +224,31 @@ class _WordBall:
         for i, g in enumerate(rep.generator_images, 1):
             steps[i] = g
             steps[-i] = np.linalg.inv(g)
-        images = np.empty((len(self.words), rep.dim, rep.dim))
-        images[0] = np.eye(rep.dim)   # the ball's first word is the identity
+        groups, long = {}, []
         for i, w in enumerate(self.words[1:], 1):
             letters = w.letters
-            images[i] = (images[self._rows[letters[:-1]]] @ steps[letters[-1]]
-                         if len(letters) <= RENORMALIZE_ABOVE
-                         else evaluate(rep, w))
+            if len(letters) > RENORMALIZE_ABOVE:
+                long.append(i)
+            else:
+                rows, prefixes = groups.setdefault(
+                    (len(letters), letters[-1]), ([], []))
+                rows.append(i)
+                prefixes.append(self._rows[letters[:-1]])
+        images = np.empty((len(self.words), rep.dim, rep.dim))
+        images[0] = np.eye(rep.dim)   # the ball's first word is the identity
+        for (_, letter), (rows, prefixes) in sorted(groups.items()):
+            images[rows] = images[prefixes] @ steps[letter]
+        for i in long:
+            images[i] = evaluate(rep, self.words[i])
         return images
 
     def image(self, w: Word) -> np.ndarray:
         """Image of ``w``: its row of ``images``."""
         return self.images[self._rows[w.letters]]
+
+    def row(self, w: Word) -> int:
+        """The row of ``w`` in ``words`` and ``images``."""
+        return self._rows[w.letters]
 
     def fixed_points(self, w: Word) -> tuple:
         """Attracting and repelling angles of ``w`` on the reference circle."""
@@ -257,11 +276,15 @@ class _WordBall:
             words.append(w)
         return words, np.array(ends, dtype=float).reshape(-1, 2)
 
-    def spectrum(self, w: Word) -> Spectrum:
-        """The Spectrum record of the image of ``w``."""
+    def _spectra(self) -> list:
+        """Every row's Spectrum record or NumericError, built on first use."""
         if self._records is None:
             self._records = _spectra(self.images)
-        spec = self._records[self._rows[w.letters]]
+        return self._records
+
+    def spectrum(self, w: Word) -> Spectrum:
+        """The Spectrum record of the image of ``w``."""
+        spec = self._spectra()[self._rows[w.letters]]
         if isinstance(spec, NumericError):
             raise spec.with_traceback(None)
         return spec
@@ -274,16 +297,73 @@ class _WordBall:
             value = self._values[key] = fn(self.spectrum(w), index)
         return value
 
-    def space(self, w: Word, dim: int) -> Subspace:
-        """Attracting space of dimension ``dim`` of the image of ``w``."""
+    def flags(self, dim: int, rows) -> tuple:
+        """Attracting spaces of dimension ``dim`` of the images of ``rows``:
+        ``(bases, missing)``, (len(rows), d, dim) orthonormal bases, and
+        True where a row has no eigenvalue-modulus gap at ``dim`` (its
+        basis is zero).
+
+        The table of ``dim`` holds every row computed so far; the rows not
+        yet in it are computed by one ``core_linalg._invariant_bases``
+        call.  A row whose Spectrum record or kernel check failed raises
+        its NumericError here, the first in ``rows`` order.  Dimensions 0
+        and d are the zero and the whole space.
+        """
         d = self.rep.dim
         if dim < 0 or dim > d:
             raise InputError(f"flag dimension {dim} outside 0..{d}")
-        if dim == 0:
-            return self._zero
-        if dim == d:
-            return self._full
-        return self.cached(attracting_space, w, dim)
+        rows = np.asarray(rows, dtype=np.intp)
+        if dim in (0, d):
+            return (np.broadcast_to(np.eye(d)[:, :dim], (len(rows), d, dim)),
+                    np.zeros(len(rows), dtype=bool))
+        if dim not in self._flags:
+            n = len(self.words)
+            # bases, missing mask, errors by row, rows computed
+            self._flags[dim] = (np.zeros((n, d, dim)), np.zeros(n, dtype=bool),
+                                {}, np.zeros(n, dtype=bool))
+        bases, missing, errors, done = self._flags[dim]
+        todo = np.unique(rows[~done[rows]])
+        if todo.size:
+            records = self._spectra()
+            good = []
+            for r in todo.tolist():
+                if isinstance(records[r], NumericError):
+                    errors[r] = records[r]
+                else:
+                    good.append(r)
+            if good:
+                bases[good], missing[good], found = _invariant_bases(
+                    [records[r] for r in good], 0, dim)
+                errors.update((good[i], e) for i, e in found.items())
+            done[todo] = True
+        if errors:
+            for r in rows.tolist():
+                if r in errors:
+                    raise errors[r].with_traceback(None)
+        return bases[rows], missing[rows]
+
+    def gap_error(self, dim: int, row: int) -> GapError:
+        """The GapError of a row missing from the flag table of ``dim``,
+        naming its word."""
+        moduli = np.abs(self._spectra()[row].values)
+        ratio = float(moduli[dim - 1] / max(moduli[dim], 1e-300))
+        return GapError(
+            f"no eigenvalue gap at dimension {dim} for word {self.words[row]}: "
+            f"|lambda_{dim}|/|lambda_{dim + 1}| = {ratio:.6g}",
+            index=dim, ratio=ratio)
+
+    def space(self, w: Word, dim: int) -> Subspace:
+        """Attracting space of dimension ``dim`` of the image of ``w``: its
+        row of the flag table, or its GapError."""
+        key = (w, dim)
+        value = self._spaces.get(key)
+        if value is None:
+            row = self._rows[w.letters]
+            bases, missing = self.flags(dim, [row])
+            if missing[0]:
+                raise self.gap_error(dim, row)
+            value = self._spaces[key] = Subspace(bases[0])
+        return value
 
 
 class BoundaryAtlas:
@@ -294,7 +374,8 @@ class BoundaryAtlas:
     ``self.ball`` are stably sorted by it, and a point within
     ``POINT_DEDUP_TOL`` of the last kept one (or, across the wrap, of the
     first) is dropped.  Non-loxodromic words are skipped and counted.
-    Boundary flags are read from the same ball.
+    Boundary flags are read from the same ball's flag tables; ``rows``
+    holds the ball row of each point.
     """
 
     def __init__(self, rep: Representation, max_length: int):
@@ -314,12 +395,19 @@ class BoundaryAtlas:
             kept.pop()
         self.words = [words[i] for i in kept]
         self.angles = ends[kept, 0]
+        self.rows = np.array([self.ball.row(w) for w in self.words],
+                             dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.words)
 
     def space(self, i: int, dim: int) -> Subspace:
         return self.ball.space(self.words[i], dim)
+
+    def flags(self, dim: int, points) -> tuple:
+        """``(bases, missing)`` of the flags of dimension ``dim`` at the
+        point indices ``points``: ``_WordBall.flags`` on their rows."""
+        return self.ball.flags(dim, self.rows[points])
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +505,10 @@ def required_indices_c(k: int, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def boundary_flag(rep: Representation, w: Word, dims) -> PartialFlag:
-    """Attracting spaces of ``w`` at ``dims``, read off the ball naming it."""
+    """Attracting spaces of ``w`` at ``dims``, read off the ball naming it;
+    a missing one raises the GapError naming ``w`` and its dimension."""
     ball = _WordBall(rep, 0, (w,))
-    parts = []
-    for dim in dims:
-        try:
-            parts.append(ball.space(w, dim))
-        except GapError as exc:
-            raise GapError(
-                f"no eigenvalue gap at dimension {dim} for word {w}",
-                index=dim, ratio=exc.ratio) from exc
-    return PartialFlag(tuple(parts))
+    return PartialFlag(tuple(ball.space(w, dim) for dim in dims))
 
 
 # A transversality sum is described by its summands in order.  A summand
@@ -535,9 +616,12 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     """Tables of the summands over the points and pairs of ``used``.
 
     ``used`` marks the ordered point pairs that occur in some kept triple.
-    Every flag is computed once per point of such a pair; a flag without
-    an eigenvalue gap (GapError) is missing, and so is every key that
-    reads it.  An intersection summand is computed for every pair of
+    The flags of each dimension at the points of such pairs come from the
+    ball's flag table (``BoundaryAtlas.flags``), one batched
+    ``core_linalg._invariant_bases`` call per dimension; a flag without an
+    eigenvalue-modulus gap is missing, and so is every key that reads it,
+    while a flag's NumericError is raised, the first in (dim, point)
+    order.  An intersection summand is computed for every pair of
     ``used`` without a missing flag in one ``core_linalg._intersections``
     call, at the transversal dimension: a line in H_k and C_k.  The scan
     hands in its summands without their whole-space parts, so at k = 1
@@ -549,11 +633,7 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     flags, gaps = {}, {}
     for dim in sorted({dim for summand in summands for _, dim in summand}):
         flags[dim], gaps[dim] = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
-        for i in points:
-            try:
-                flags[dim][i] = atlas.space(i, dim).basis
-            except GapError:
-                gaps[dim][i] = True
+        flags[dim][points], gaps[dim][points] = atlas.flags(dim, points)
     tables = []
     for summand in summands:
         roles, dims = zip(*summand)
@@ -951,8 +1031,10 @@ def check_positively_ratioed(rep: Representation, k: int,
     minimum without visiting each: one prefix-min/max sweep per point, O(n^3)
     time and O(n^2) memory, bit-identical to scoring every arrangement.  The
     worst quadruple is the first minimum by 4-subset, then rotation.
-    Passing means min > 1 + ``POSITIVITY_MARGIN``.  A wedge below
-    ``WEDGE_DEGENERACY_TOL`` raises ``DomainError``.
+    Passing means min > 1 + ``POSITIVITY_MARGIN``.  A point without an
+    eigenvalue-modulus gap at k or d - k raises ``GapError`` naming its
+    word and the flag dimension; a wedge below ``WEDGE_DEGENERACY_TOL``
+    raises ``DomainError``.
     """
     d = rep.dim
     _check_k(k, d - 1)
@@ -980,10 +1062,24 @@ def check_positively_ratioed(rep: Representation, k: int,
 
 def _wedge_table(atlas: BoundaryAtlas, k: int) -> np.ndarray:
     """W[i, j] = det[k-flag_i | (d-k)-flag_j], one batched ``det`` over the
-    (n, n, d, d) stack; the diagonal, never read, is zero."""
+    (n, n, d, d) stack; the diagonal, never read, is zero.
+
+    The flags of each dimension come from the ball's flag table
+    (``BoundaryAtlas.flags``), one batched ``core_linalg._invariant_bases``
+    call per dimension.  A missing flag raises the GapError naming the
+    first such point's word and the dimension, k's before d - k's; a
+    flag's NumericError is raised before the missing flags of its
+    dimension.
+    """
     n, d = len(atlas), atlas.ball.rep.dim
-    k_flags = np.stack([atlas.space(i, k).basis for i in range(n)])
-    dk_flags = np.stack([atlas.space(i, d - k).basis for i in range(n)])
+    flags = []
+    for dim in (k, d - k):
+        bases, missing = atlas.flags(dim, np.arange(n))
+        if missing.any():
+            raise atlas.ball.gap_error(
+                dim, atlas.rows[int(np.argmax(missing))])
+        flags.append(bases)
+    k_flags, dk_flags = flags
     wedge = np.linalg.det(np.concatenate(
         [np.broadcast_to(k_flags[:, None], (n, n, d, k)),
          np.broadcast_to(dk_flags[None, :], (n, n, d, d - k))], axis=3))

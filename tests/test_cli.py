@@ -159,6 +159,15 @@ class TestCheck:
         assert doc["error"] == "InputError"
         assert f"k={k} outside 1..2" in doc["message"]
 
+    def test_pos_ratioed_missing_flag_exit_3_names_word_and_dim(self, capsys):
+        # the eigenvalue 1 of (5,1) is double: no 3-flag at any point
+        assert run(["check", "pos-ratioed", "--family", "fuchsian",
+                    "--partition", "5,1", "--k", "3", "--L", "2"]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "GapError", "message":
+                       "no eigenvalue gap at dimension 3 for word BA: "
+                       "|lambda_3|/|lambda_4| = 1"}
+
     @pytest.mark.parametrize("command", [
         ["gap-scan"], ["collar"], ["check", "eigen-identities"]],
         ids=["gap-scan", "collar", "eigen-identities"])

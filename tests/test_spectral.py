@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from anosovlab import spectral
 from anosovlab.core_linalg import (
+    Spectrum,
     Subspace,
+    _invariant_bases,
     _orthonormal_basis,
     eig_by_modulus,
     grassmann_distance,
@@ -197,6 +199,15 @@ class TestAttractingSpace:
     def test_modulus_tie_raises(self):
         with pytest.raises(GapError):
             attracting_space(np.diag([2.0, 2.0, 0.25]), 1)
+
+    def test_zero_eigenvalue_after_the_selection_is_a_gap(self):
+        # |lambda_1| / |lambda_2| is infinite, as the collar rule reads it;
+        # the clusters of eig_by_modulus have the same gaps
+        m = np.diag([2.0, 0.0, 0.0])
+        m[1, 2] = 1.0
+        s = attracting_space(m, 1)
+        assert grassmann_distance(s, Subspace.coordinate(3, 0)) < 1e-15
+        assert [c.size for c in eig_by_modulus(m).clusters] == [1, 2]
 
     def test_leading_complex_pair_gives_rotation_plane(self):
         # oracle: rotation-scaling block on span(q0, q1), eigenvalue 0.25 on q2
@@ -432,6 +443,52 @@ class TestAgainstSchur:
                     space.basis, _orthonormal_basis(columns)[0]), (str(w), k)
                 compared += 1
         assert compared == reads
+
+
+def rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+
+
+class TestInvariantBases:
+    """The batched kernel on rows of every kind against ``attracting_space``
+    on each row alone, which is the kernel on that one row."""
+
+    def test_synthetic_rows_equal_the_one_row_calls(self):
+        q = random_orthogonal(4, np.random.default_rng(21))
+        pair = np.diag([0.0, 0.0, 1.0, 0.5])
+        pair[:2, :2] = 3.0 * rotation(0.7)     # a leading complex pair
+        jordan = np.diag([2.0, 2.0, 1.0, 0.5])
+        jordan[0, 1] = 1.0                     # J_2(2): a deflation set
+        tied = np.diag([3.0, 2.0, 2.0, 0.5])   # [0, 2) splits the tie
+        plain = np.diag([4.0, -2.0, 1.0, 0.25])
+        records = [spectrum(q @ m @ q.T) for m in (pair, jordan, tied, plain)]
+        # one eigenvector turned by 1e-6 off its line: the residual fails
+        good = records[3]
+        turned = good.vectors.copy()
+        turned[:, [0, 3]] = turned[:, [0, 3]] @ rotation(1e-6)
+        records.append(Spectrum(entries=good.entries, values=good.values,
+                                vectors=turned, norm=good.norm))
+        bases, missing, errors = _invariant_bases(records, 0, 2)
+        assert bases.shape == (5, 4, 2)
+        assert missing.tolist() == [False, False, True, False, False]
+        assert list(errors) == [4]
+        for i, record in enumerate(records):
+            if missing[i]:
+                with pytest.raises(GapError):
+                    attracting_space(record, 2)
+                assert not bases[i].any()
+            elif i in errors:
+                with pytest.raises(NumericError) as exc:
+                    attracting_space(record, 2)
+                assert str(exc.value) == str(errors[i])
+                assert "residual" in errors[i].diagnostics
+            else:
+                assert np.array_equal(bases[i],
+                                      attracting_space(record, 2).basis)
+        for i in (0, 1, 3):   # each spans the first two columns of q
+            assert grassmann_distance(Subspace(bases[i]),
+                                      Subspace(q[:, :2])) < 1e-12
 
 
 class TestEigenvalueRatios:

@@ -31,6 +31,7 @@ from anosovlab.errors import (
     PreconditionError,
 )
 from anosovlab.groups import (
+    RENORMALIZE_ABOVE,
     Word,
     circle_separation,
     evaluate,
@@ -417,6 +418,94 @@ class TestWordBall:
             assert ball.fixed_points(v) == expected
         assert np.linalg.norm(ball.image(w), 2) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rep", [
+        fg_rep(1.0), fuchsian_locus((5, 1), REF), fuchsian_locus((7, 1), REF),
+        fuchsian_locus((9, 1), REF)], ids=["fg", "51", "71", "91"])
+    def test_level_batched_products_equal_evaluate_at_length_6(self, rep):
+        # one stacked matmul per (length, last letter) group gives every
+        # row of the 1,457-word ball as evaluate does, bit for bit
+        ball = _WordBall(rep, 6)
+        assert len(ball.words) == 1457
+        for w, m in zip(ball.words, ball.images):
+            assert np.array_equal(m, evaluate(rep, w)), str(w)
+
+    def test_named_word_past_renormalization_comes_from_evaluate(
+            self, monkeypatch):
+        calls = []
+
+        def counting_evaluate(rep, w):
+            calls.append(w)
+            return evaluate(rep, w)
+
+        monkeypatch.setattr(verification, "evaluate", counting_evaluate)
+        rep = fuchsian_locus((5, 1), REF)
+        w = Word((1, 2, -1, -2) * 10)
+        ball = _WordBall(rep, 2, (w,))
+        long = [v for v in ball.words if len(v) > RENORMALIZE_ABOVE]
+        assert w in long and w.inverse() in long
+        assert calls == long
+        assert np.array_equal(ball.image(w), evaluate(rep, w))
+
+    @pytest.mark.parametrize("rep,max_length,dims,gaps", [
+        (fg_rep(1.0), 3, (1, 2), 0),
+        (fuchsian_locus((5, 1), REF), 3, (1, 4), 0),
+        (fuchsian_locus((7, 1), REF), 2, (1, 2, 5), 0),
+        # the eigenvalue 1 of (7,1) is double: at 4, the rows whose
+        # rounding leaves the two within EIGEN_GAP_MIN are missing
+        (fuchsian_locus((7, 1), REF), 4, (1, 2, 3, 4, 5, 6), 69),
+    ], ids=["fg-L3", "51-L3", "71-L2", "71-L4"])
+    def test_flag_tables_equal_one_row_attracting_space(
+            self, rep, max_length, dims, gaps):
+        # the batched kernel over every point gives each row's flag bit for
+        # bit as the kernel on that row alone, and misses the same rows
+        atlas = BoundaryAtlas(rep, max_length)
+        missed = 0
+        for dim in dims:
+            bases, missing = atlas.flags(dim, np.arange(len(atlas)))
+            assert bases.shape == (len(atlas), rep.dim, dim)
+            for i, w in enumerate(atlas.words):
+                try:
+                    space = attracting_space(atlas.ball.spectrum(w), dim)
+                except GapError:
+                    assert missing[i], (str(w), dim)
+                    continue
+                assert not missing[i], (str(w), dim)
+                assert np.array_equal(bases[i], space.basis), (str(w), dim)
+            missed += int(np.count_nonzero(missing))
+        assert missed == gaps
+
+    def test_failed_record_raises_only_where_its_flag_is_read(
+            self, monkeypatch):
+        # the eigenvalues of the image of ``ab`` are moved off in the batch:
+        # a flag table over the other rows is built, one reading ``ab``
+        # raises the record's error, also after the other rows are kept
+        rep = fg_rep(1.0)
+        bad = evaluate(rep, A * B)
+        exact = np.linalg.eig
+
+        def moved_eig(a):
+            vals, vecs = exact(a)
+            hit = np.all(a == bad, axis=(-2, -1))
+            return np.where(hit[..., None], vals * 1.001, vals), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", moved_eig)
+        with pytest.raises(NumericError) as alone:
+            spectrum(bad)
+        ball = _WordBall(rep, 2)
+        row = ball.row(A * B)
+        others = [i for i in range(1, len(ball.words)) if i != row]
+        bases, missing = ball.flags(1, others)
+        assert not missing.any()
+        for i, basis in zip(others, bases):
+            assert np.array_equal(basis, attracting_space(
+                ball.spectrum(ball.words[i]), 1).basis)
+        for rows in ([row], others[:3] + [row] + others[3:]):
+            with pytest.raises(NumericError) as exc:
+                ball.flags(1, rows)
+            assert str(exc.value) == str(alone.value)
+        with pytest.raises(NumericError):
+            ball.space(A * B, 1)
+
     @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF),
                                      fuchsian_locus((3, 3), REF), fg_rep(1.0)])
     def test_records_equal_eigvals_bit_for_bit(self, rep):
@@ -490,17 +579,21 @@ class TestWordBall:
             check(fg_rep(1.0), Word((3,)))
 
     def test_eigen_identity_scan_computes_each_item_once(self, monkeypatch):
+        # every attracting space is a row of the ball's flag table, whose
+        # rows the kernel computes once each
         spaces, points = Counter(), Counter()
+        kernel = verification._invariant_bases
 
-        def counting_space(m, k):
-            spaces[getattr(m, "entries", m).tobytes(), k] += 1
-            return attracting_space(m, k)
+        def counting_kernel(records, start, stop):
+            for record in records:
+                spaces[record.entries.tobytes(), stop] += 1
+            return kernel(records, start, stop)
 
         def counting_points(m):
             points[getattr(m, "entries", m).tobytes()] += 1
             return rp1_fixed_points(m)
 
-        monkeypatch.setattr(verification, "attracting_space", counting_space)
+        monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
         monkeypatch.setattr(verification, "rp1_fixed_points", counting_points)
         reports = eigen_identity_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 52
@@ -674,14 +767,18 @@ class TestHkCk:
     def test_mixed_outcomes_match_per_triple_reference(self, monkeypatch,
                                                        scan, rep, k):
         # flags missing for some words: point summands and intersections
-        # missing for some keys in every chunk
-        def gappy_space(m, dim):
-            if zlib.crc32(getattr(m, "entries", m).tobytes()
-                          + bytes([dim])) % 6 == 0:
-                raise GapError("forced", index=dim, ratio=1.0)
-            return attracting_space(m, dim)
+        # missing for some keys in every chunk.  The gaps are forced where
+        # the ball's flag table computes its rows, so the scan's tables and
+        # the reference's one-flag reads both miss them
+        kernel = verification._invariant_bases
 
-        monkeypatch.setattr(verification, "attracting_space", gappy_space)
+        def gappy_kernel(records, start, stop):
+            bases, missing, errors = kernel(records, start, stop)
+            forced = [zlib.crc32(record.entries.tobytes() + bytes([stop])) % 6
+                      == 0 for record in records]
+            return bases, missing | forced, errors
+
+        monkeypatch.setattr(verification, "_invariant_bases", gappy_kernel)
         report = scan(rep, k, 2)
         reference = reference_transversality_scan(
             rep, k, 2, "Hk" if scan is hk_scan else "Ck")
@@ -728,6 +825,31 @@ class TestHkCk:
         n = report.n_points
         assert report.n_triples > n * (n - 1)
         assert len(calls) == 1 and 0 < calls[0] <= n * (n - 1)
+
+    @pytest.mark.parametrize("scan,dims", [
+        (lambda: hk_scan(fuchsian_locus((5, 1), REF), 1, 3), [1, 4]),
+        (lambda: check_positively_ratioed(fg_rep(1.0), 1, 3), [1, 2]),
+    ], ids=["hk-51-L3", "posratio-fg-L3"])
+    def test_scan_builds_each_flag_dimension_in_one_kernel_call(
+            self, monkeypatch, scan, dims):
+        # one batched flag kernel per dimension over the scan's points, and
+        # no attracting_space call per point
+        calls = []
+        kernel = verification._invariant_bases
+
+        def counting_kernel(records, start, stop):
+            calls.append((start, stop, len(records)))
+            return kernel(records, start, stop)
+
+        def no_space(*args):
+            raise AssertionError("a scan called attracting_space")
+
+        monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
+        monkeypatch.setattr(verification, "attracting_space", no_space)
+        monkeypatch.setattr(spectral, "attracting_space", no_space)
+        report = scan()
+        assert [call[:2] for call in calls] == [(0, dim) for dim in dims]
+        assert {call[2] for call in calls} == {report.n_points}
 
     def test_ck_scan_7_1_passes(self):
         rep = fuchsian_locus((7, 1), REF)
@@ -1095,6 +1217,18 @@ class TestPositivelyRatioed:
         assert len(wedge) == 124
         assert _arrangement_minimum(wedge) == \
             pairwise_arrangement_minimum(wedge)
+
+    def test_missing_flag_names_the_first_point_and_dimension(self):
+        # the eigenvalue 1 of (5,1) is double: no point has a 3-flag
+        rep = fuchsian_locus((5, 1), REF)
+        with pytest.raises(GapError) as exc:
+            check_positively_ratioed(rep, 3, 2)
+        first = BoundaryAtlas(rep, 2).words[0]
+        assert exc.value.index == 3
+        assert exc.value.ratio == pytest.approx(1.0)
+        assert str(exc.value).startswith(
+            f"no eigenvalue gap at dimension 3 for word {first}: "
+            f"|lambda_3|/|lambda_4| = ")
 
     def test_degenerate_wedge_message(self):
         # two L=5 points 7.2e-7 rad apart have nearly coincident flags
