@@ -55,20 +55,21 @@ def _write_json(doc: dict, out: str | None):
     _emit(json.dumps(doc, indent=2, default=str), out)
 
 
-def _write_csv(out: str, columns: list, rows: list, descriptions: dict):
-    """Rows of dicts -> CSV at ``out`` plus a schema sidecar ``out.schema.json``."""
+def _write_csv(out: str, table: dict, descriptions: dict):
+    """Columns (a dict of equal-length lists, in column order) -> CSV at
+    ``out`` plus a schema sidecar ``out.schema.json``."""
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow(table)
+        for row in zip(*table.values()):
+            writer.writerow([_fmt(value) for value in row])
     schema = {
         "columns": [
             {"name": c, "type": next(name for kind, name in _SCHEMA_TYPES
-                                     if isinstance(rows[0][c], kind)),
+                                     if isinstance(values[0], kind)),
              "description": descriptions.get(c, "")}
-            for c in columns
-        ] if rows else [],
+            for c, values in table.items()
+        ] if any(map(len, table.values())) else [],
         "float_format": "%.17g",
     }
     with open(out + ".schema.json", "w") as fh:
@@ -171,9 +172,10 @@ def gap_scan(family, x, partition, rep_path, k, l_value, out, fmt):
     rep = _load_representation(family, x, partition, rep_path)
     report = ver.anosov_gap_scan(rep, k, _check_L(l_value))
     if fmt == "csv":
-        rows = [{"length": int(l), "min_log_gap": float(g)}
-                for l, g in zip(report.lengths, report.min_log_gaps)]
-        _write_csv(out, ["length", "min_log_gap"], rows, {
+        _write_csv(out, {
+            "length": [int(l) for l in report.lengths],
+            "min_log_gap": [float(g) for g in report.min_log_gaps],
+        }, {
             "length": "word length of the sphere",
             "min_log_gap": "minimum over the sphere of log(sigma_k/sigma_k+1)",
         })
@@ -258,18 +260,30 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
     """Collar inequality for every linked pair of ball words."""
     _check_csv_out(fmt, out)
     rep = _load_representation(family, x, partition, rep_path)
-    reports = ver.collar_scan(rep, k, _check_L(l_value))
-    rows = [r.to_dict() for r in reports]
+    table = ver.collar_scan(rep, k, _check_L(l_value))
+    names = [str(w) for w in table.words]
+    g_rows, h_rows = table.g_rows.tolist(), table.h_rows.tolist()
+    # CollarReport's fields, column by column
+    columns = {
+        "g": [names[i] for i in g_rows],
+        "h": [names[i] for i in h_rows],
+        "k": [table.k] * len(table),
+        "lhs": table.lhs[table.g_rows].tolist(),
+        "rhs": table.rhs[table.h_rows].tolist(),
+        "weight_rhs": table.weight_rhs[table.h_rows].tolist(),
+        "holds": table.holds.tolist(),
+        "margin": table.margin.tolist(),
+        "sign_indeterminate": table.sign_indeterminate.tolist(),
+    }
     summary = {
         "command": "collar",
-        "n_pairs": len(reports),
-        "all_hold": all(r.holds for r in reports),
-        "min_margin": min((r.margin for r in reports), default=None),
-        "weight_chain_ok": all(r.weight_chain_ok for r in reports),
+        "n_pairs": len(table),
+        "all_hold": all(columns["holds"]),
+        "min_margin": min(columns["margin"], default=None),
+        "weight_chain_ok": bool(table.weight_chain_ok.all()),
     }
     if fmt == "csv":
-        _write_csv(out, ["g", "h", "k", "lhs", "rhs", "weight_rhs", "holds",
-                         "margin", "sign_indeterminate"], rows, {
+        _write_csv(out, columns, {
             "g": "word whose weight period is bounded below",
             "h": "linked word supplying the root gap",
             "k": "eigenvalue index of the collar inequality",
@@ -283,7 +297,8 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
         })
         click.echo(json.dumps(summary))
     else:
-        summary["pairs"] = rows
+        summary["pairs"] = [dict(zip(columns, row))
+                            for row in zip(*columns.values())]
         _write_json(summary, out)
     return 0 if summary["all_hold"] and summary["weight_chain_ok"] else 1
 
@@ -302,14 +317,14 @@ def fg_scan(x_min, x_max, points, log_grid, out):
     grid = (np.geomspace(x_min, x_max, points) if log_grid
             else np.linspace(x_min, x_max, points))
     reports = ver.counterexample_scan(grid)
-    rows = [r.to_dict() for r in reports]
-    columns = ["x", "ratio_gamma", "ratio_delta", "root_length"]
+    table = {c: [getattr(r, c) for r in reports]
+             for c in ("x", "ratio_gamma", "ratio_delta", "root_length")}
     if out is None:
-        click.echo(",".join(columns))
-        for row in rows:
-            click.echo(",".join(_fmt(row[c]) for c in columns))
+        click.echo(",".join(table))
+        for row in zip(*table.values()):
+            click.echo(",".join(map(_fmt, row)))
     else:
-        _write_csv(out, columns, rows, {
+        _write_csv(out, table, {
             "x": "family parameter",
             "ratio_gamma": "signed lambda_1/lambda_2 of the first generator",
             "ratio_delta": "signed lambda_1/lambda_2 of the second generator",

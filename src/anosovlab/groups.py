@@ -170,11 +170,6 @@ def evaluate(rep, word: Word) -> np.ndarray:
     return _readonly(acc)
 
 
-def _angle_of_direction(v: np.ndarray) -> float:
-    theta = float(np.arctan2(v[1], v[0])) % np.pi
-    return 0.0 if theta >= np.pi else theta
-
-
 def circle_separation(a, b):
     """Distance of two angles on RP^1 (circle of circumference pi); floats
     or arrays, elementwise."""
@@ -182,33 +177,63 @@ def circle_separation(a, b):
     return np.minimum(delta, np.pi - delta)
 
 
+def _rp1_fixed_points(stack) -> tuple:
+    """Fixed lines on RP^1 of an (n, 2, 2) stack: ``(ends, loxodromic)``.
+
+    ``ends`` is (n, 2), the (attracting, repelling) angles in [0, pi) of
+    each loxodromic row and NaN elsewhere; ``loxodromic`` is the mask of
+    rows with |tr| > ``LOXODROMIC_TRACE`` sqrt|det| and a positive
+    discriminant.  Each eigendirection is the better-conditioned kernel
+    row of M - lambda I, normalized by its 2-norm (``np.vecdot``, which
+    rounds as ``np.linalg.norm`` of the one vector does).
+    """
+    a = np.asarray(stack, dtype=float)
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    tr = a00 + a11
+    det = a00 * a11 - a01 * a10
+    disc = tr * tr - 4.0 * det
+    loxodromic = ~((np.abs(tr) <= LOXODROMIC_TRACE * np.sqrt(np.abs(det)))
+                   | (disc <= 0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sq = np.sqrt(disc)
+        lam = np.stack([(tr + sq) / 2.0, (tr - sq) / 2.0], axis=1)
+        swap = np.abs(lam[:, 0]) < np.abs(lam[:, 1])
+        lam[swap] = lam[swap, ::-1]
+        # rows of (a - lam I) are proportional; pick the better-conditioned kernel
+        cand1 = np.stack(np.broadcast_arrays(a01[:, None], lam - a00[:, None]),
+                         axis=-1)
+        cand2 = np.stack(np.broadcast_arrays(lam - a11[:, None], a10[:, None]),
+                         axis=-1)
+        norm1 = np.sqrt(np.vecdot(cand1, cand1))
+        norm2 = np.sqrt(np.vecdot(cand2, cand2))
+        first = norm1 >= norm2
+        v = np.where(first[..., None], cand1, cand2)
+        v = v / np.where(first, norm1, norm2)[..., None]
+        ends = np.arctan2(v[..., 1], v[..., 0]) % np.pi
+    ends[ends >= np.pi] = 0.0
+    ends[~loxodromic] = np.nan
+    return ends, loxodromic
+
+
+def _not_loxodromic(m) -> DomainError:
+    """The DomainError of a 2x2 matrix without fixed points to read."""
+    tr = m[0, 0] + m[1, 1]
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return DomainError(
+        f"matrix is not loxodromic: trace {tr:.6g}, det {det:.6g}")
+
+
 def rp1_fixed_points(m) -> tuple:
     """Angles in [0, pi) of the attracting and repelling fixed lines of a
-    loxodromic 2x2 matrix, as ``(attracting, repelling)`` floats."""
+    loxodromic 2x2 matrix, as ``(attracting, repelling)`` floats: the
+    one-row call of ``_rp1_fixed_points``."""
     a = np.asarray(m, dtype=float)
     if a.shape != (2, 2):
         raise InputError("fixed points on RP^1 need a 2x2 matrix")
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = tr * tr - 4.0 * det
-    if abs(tr) <= LOXODROMIC_TRACE * np.sqrt(abs(det)) or disc <= 0:
-        raise DomainError(
-            f"matrix is not loxodromic: trace {tr:.6g}, det {det:.6g}")
-    sq = np.sqrt(disc)
-    lam_plus = (tr + sq) / 2.0
-    lam_minus = (tr - sq) / 2.0
-    if abs(lam_plus) < abs(lam_minus):
-        lam_plus, lam_minus = lam_minus, lam_plus
-
-    def eigdir(lam):
-        # rows of (a - lam I) are proportional; pick the better-conditioned kernel
-        cand1 = np.array([a[0, 1], lam - a[0, 0]])
-        cand2 = np.array([lam - a[1, 1], a[1, 0]])
-        v = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-        return v / np.linalg.norm(v)
-
-    return (_angle_of_direction(eigdir(lam_plus)),
-            _angle_of_direction(eigdir(lam_minus)))
+    ends, loxodromic = _rp1_fixed_points(a[None])
+    if not loxodromic[0]:
+        raise _not_loxodromic(a)
+    return tuple(ends[0].tolist())
 
 
 def is_cyclically_ordered(angles) -> bool:

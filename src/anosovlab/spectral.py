@@ -17,7 +17,10 @@ serves the attracting spaces of every dimension: a space is spanned by the
 record's eigenvectors above the modulus gap and certified by its
 invariance residual.  ``attracting_space`` is the batched kernel
 ``core_linalg._invariant_bases`` on one record; the scans call that kernel
-on the records of all their points at once.
+on the records of all their points at once.  In the same way
+``eigenvalue_ratios``, ``length_functions`` and ``weight_period`` are
+one-row calls of ``_eigenvalue_columns``, which the scans call once on the
+stacked eigenvalues of all their words.
 """
 
 from __future__ import annotations
@@ -141,39 +144,130 @@ def attracting_space(m, k: int) -> Subspace:
     return Subspace(bases[0])
 
 
-def eigenvalue_ratios(m, k: int) -> SpectralGaps:
-    """Populate SpectralGaps from the sorted eigenvalue list."""
-    spec = _indexed_spectrum(m, k)
-    lk, lk1 = spec.values[k - 1:k + 1]
-    modulus_ratio = float(abs(lk) / abs(lk1)) if abs(lk1) > 0 else np.inf
-    signed = None
-    if (abs(lk.imag) <= REAL_IMAG_TOL * max(abs(lk), 1e-300)
-            and abs(lk1.imag) <= REAL_IMAG_TOL * max(abs(lk1), 1e-300)
-            and lk1.real != 0.0):
-        signed = float(lk.real / lk1.real)
-        if abs(abs(signed) - modulus_ratio) > 1e-9 * max(modulus_ratio, 1.0):
-            raise NumericError(
+@dataclass(frozen=True)
+class _EigenvalueColumns:
+    """The eigenvalue-side values of n matrices at one index k, a column
+    each (``_eigenvalue_columns``)."""
+
+    period: np.ndarray        # weight period, or its modulus where not real
+    period_real: np.ndarray   # the weight period is real
+    ratio: np.ndarray         # lambda_k/lambda_(k+1), signed where
+    ratio_signed: np.ndarray  # both are real, else the modulus ratio
+    modulus: np.ndarray       # |lambda_k|/|lambda_(k+1)|, inf if the latter is 0
+    weight_length: np.ndarray
+    root_length: np.ndarray
+    no_gap: np.ndarray        # modulus <= 1 + EIGEN_GAP_MIN
+    disagree: np.ndarray      # signed and modulus ratios disagree
+    zero: np.ndarray          # some eigenvalue has modulus zero
+
+    def ratio_error(self, row: int) -> NumericError | None:
+        """The NumericError of ``eigenvalue_ratios`` on ``row``, if any."""
+        if self.disagree[row]:
+            return NumericError(
                 "signed and modulus eigenvalue ratios disagree beyond tolerance")
+        return None
+
+    def length_error(self, row: int) -> NumericError | None:
+        """The NumericError of ``length_functions`` on ``row``, if any."""
+        if self.zero[row]:
+            return NumericError("matrix has an eigenvalue of modulus zero")
+        return None
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, rounded as ``abs`` of one numpy scalar rounds it."""
+    return np.hypot(z.real, z.imag)
+
+
+def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
+    """The eigenvalue-side values at index k of the n rows of an (n, d)
+    table of eigenvalues, each row sorted as a ``Spectrum`` record's.
+
+    Rows whose eigenvalues are all real are computed in real arithmetic,
+    the others in complex arithmetic, so every value is the one a single
+    matrix's record gives: the weight period lambda_1...lambda_k /
+    (lambda_d...lambda_(d-k+1)), real to a relative ``REAL_IMAG_TOL`` or
+    else replaced by its modulus; the signed ratio lambda_k/lambda_(k+1)
+    where both are real to that tolerance and lambda_(k+1) is not zero;
+    the modulus ratio; the weight and root lengths.  Nothing is raised:
+    ``no_gap`` marks rows without a modulus gap at k, ``disagree`` and
+    ``zero`` the rows whose one-row call raises NumericError.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    real = ~np.any(values.imag != 0, axis=-1)
+    out = {name: np.empty(n) for name in (
+        "period", "ratio", "modulus", "weight_length", "root_length")}
+    out.update((name, np.zeros(n, dtype=bool)) for name in (
+        "period_real", "ratio_signed", "disagree", "zero"))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows, vals in ((real, values[real].real), (~real, values[~real])):
+            period = np.prod(vals[:, :k], axis=-1) / np.prod(vals[:, -k:], axis=-1)
+            flag = np.abs(period.imag) <= REAL_IMAG_TOL * np.maximum(
+                _modulus(period), 1e-300)
+            out["period"][rows] = np.where(flag, period.real, _modulus(period))
+            out["period_real"][rows] = flag
+
+            lk, lk1 = vals[:, k - 1], vals[:, k]
+            mk, mk1 = _modulus(lk), _modulus(lk1)
+            modulus = np.where(mk1 > 0, mk / mk1, np.inf)
+            signed = ((np.abs(lk.imag) <= REAL_IMAG_TOL * np.maximum(mk, 1e-300))
+                      & (np.abs(lk1.imag) <= REAL_IMAG_TOL
+                         * np.maximum(mk1, 1e-300))
+                      & (lk1.real != 0.0))
+            ratio = np.where(signed, lk.real / lk1.real, modulus)
+            out["modulus"][rows] = modulus
+            out["ratio"][rows] = ratio
+            out["ratio_signed"][rows] = signed
+            out["disagree"][rows] = signed & (
+                np.abs(np.abs(ratio) - modulus)
+                > 1e-9 * np.maximum(modulus, 1.0))
+
+            # the lengths read np.abs, as the one-matrix formula did; on
+            # complex values it rounds differently from _modulus
+            moduli = np.abs(vals)
+            logs = np.log(moduli)
+            out["zero"][rows] = moduli[:, -1] < 1e-300
+            out["weight_length"][rows] = (np.sum(logs[:, :k], axis=-1)
+                                          - np.sum(logs[:, -k:], axis=-1))
+            out["root_length"][rows] = logs[:, k - 1] - logs[:, k]
+    return _EigenvalueColumns(no_gap=out["modulus"] <= 1.0 + EIGEN_GAP_MIN,
+                              **out)
+
+
+def _one_row(m, k: int) -> _EigenvalueColumns:
+    """``_eigenvalue_columns`` of the record of ``m`` alone."""
+    return _eigenvalue_columns(_indexed_spectrum(m, k).values[None], k)
+
+
+def eigenvalue_ratios(m, k: int) -> SpectralGaps:
+    """The signed and modulus ratios lambda_k/lambda_(k+1) of the sorted
+    eigenvalues: the one-row call of ``_eigenvalue_columns``.  A signed
+    ratio whose modulus disagrees with the modulus ratio raises
+    NumericError."""
+    columns = _one_row(m, k)
+    error = columns.ratio_error(0)
+    if error is not None:
+        raise error
+    signed = float(columns.ratio[0]) if columns.ratio_signed[0] else None
     return SpectralGaps(k=k, lambda_ratio_signed=signed,
-                        lambda_ratio_modulus=modulus_ratio)
+                        lambda_ratio_modulus=float(columns.modulus[0]))
 
 
 def length_functions(m, k: int) -> LengthPair:
-    """Weight and root lengths at index k, from eigenvalue moduli only."""
-    moduli = np.abs(_indexed_spectrum(m, k).values)
-    if moduli[-1] < 1e-300:
-        raise NumericError("matrix has an eigenvalue of modulus zero")
-    logs = np.log(moduli)
-    weight = float(np.sum(logs[:k]) - np.sum(logs[-k:]))
-    root = float(logs[k - 1] - logs[k])
-    return LengthPair(weight_length=weight, root_length=root)
+    """Weight and root lengths at index k, from eigenvalue moduli only: the
+    one-row call of ``_eigenvalue_columns``."""
+    columns = _one_row(m, k)
+    error = columns.length_error(0)
+    if error is not None:
+        raise error
+    return LengthPair(weight_length=float(columns.weight_length[0]),
+                      root_length=float(columns.root_length[0]))
 
 
 def weight_period(m, k: int) -> tuple:
     """(lambda_1...lambda_k / (lambda_d...lambda_(d-k+1)), True) when real
-    to a relative REAL_IMAG_TOL, else (its modulus, False)."""
-    vals = _indexed_spectrum(m, k).values
-    ratio = np.prod(vals[:k]) / np.prod(vals[-k:])
-    if abs(ratio.imag) <= REAL_IMAG_TOL * max(abs(ratio), 1e-300):
-        return float(ratio.real), True
-    return float(abs(ratio)), False
+    to a relative REAL_IMAG_TOL, else (its modulus, False): the one-row
+    call of ``_eigenvalue_columns``."""
+    columns = _one_row(m, k)
+    return float(columns.period[0]), bool(columns.period_real[0])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,8 +43,9 @@ from .groups import (
     RENORMALIZE_ABOVE,
     Word,
     circle_separation,
+    _not_loxodromic,
+    _rp1_fixed_points,
     evaluate,
-    rp1_fixed_points,
     words_of_length,
 )
 from .representations import (
@@ -55,12 +57,10 @@ from .representations import (
     sopq_positive,
 )
 from .spectral import (
-    EIGEN_GAP_MIN,
+    _eigenvalue_columns,
     attracting_space,
     eigenvalue_ratios,
-    length_functions,
     singular_gaps,
-    weight_period,
 )
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "PositivityScanReport",
     "EigenIdentityReport",
     "CollarReport",
+    "CollarTable",
     "CounterexampleRow",
     "SopqScanReport",
     "anosov_gap_scan",
@@ -174,17 +175,22 @@ class _WordBall:
     ``words`` is the ball ``words_of_length(rep.rank, max_length)``, its
     first ``size`` words, then the prefixes of the named words and of their
     inverses that it lacks, shortest first, then by letters.  ``images``
-    stacks their images in one read-only (n, d, d) array, and the 2x2
-    reference images are built on first use the same way (``_products``).
-    The first Spectrum read builds every word's record from one batched
-    eigendecomposition of ``images`` (``core_linalg._spectra``); a word
-    whose record failed its residual check raises its NumericError only
-    when it is read.  Attracting spaces are kept in one flag table per
-    dimension (``flags``), which computes each row once, the rows a read
-    asks for together.  Reference fixed points and every value read from
-    a record (``cached``: ratios, lengths, periods) are computed on first
-    use.  Everything is kept for the life of the ball, which is one scan
-    or check.
+    stacks their images in one read-only (n, d, d) array.  Every table
+    below is built on first use, one batched call for all rows, and kept
+    for the life of the ball, which is one scan or check:
+
+    - the 2x2 reference images (``_products``) and their fixed points, one
+      ``groups._rp1_fixed_points`` call (``reference_ends``), read by
+      ``fixed_points`` and ``loxodromic``;
+    - every word's Spectrum record, from one batched eigendecomposition
+      of ``images`` (``core_linalg._spectra``); a word whose record failed
+      its residual check raises its NumericError only when it is read
+      (``spectrum``);
+    - the eigenvalue-side values at each index k, one
+      ``spectral._eigenvalue_columns`` call (``eigenvalues``);
+    - one attracting-flag table per dimension: ``fill`` computes the rows
+      it lacks in one ``core_linalg._invariant_bases`` call and keeps
+      their errors, and ``flags`` raises them where their rows are read.
     """
 
     def __init__(self, rep: Representation, max_length: int, named=()):
@@ -202,10 +208,9 @@ class _WordBall:
             raise InputError("word images overflow: matrix entries must be finite")
         images.flags.writeable = False
         self.images = images
-        self._reference_images = None
-        self._fixed: dict = {}
+        self._reference = None
         self._records = None
-        self._values: dict = {}
+        self._eigenvalues: dict = {}
         self._flags: dict = {}
         self._spaces: dict = {}
 
@@ -250,37 +255,49 @@ class _WordBall:
         """The row of ``w`` in ``words`` and ``images``."""
         return self._rows[w.letters]
 
-    def fixed_points(self, w: Word) -> tuple:
-        """Attracting and repelling angles of ``w`` on the reference circle."""
-        points = self._fixed.get(w)
-        if points is None:
+    def reference_ends(self) -> tuple:
+        """``(ends, loxodromic)`` of every row: the (n, 2) attracting and
+        repelling angles of its reference image (NaN where it is not
+        loxodromic) and the loxodromic mask."""
+        if self._reference is None:
             ref = self.rep.reference
             if ref is None:
                 raise InputError(
                     "representation carries no 2x2 boundary reference")
-            if self._reference_images is None:
-                self._reference_images = self._products(ref)
-            m = self._reference_images[self._rows[w.letters]]
-            points = self._fixed[w] = rp1_fixed_points(m)
-        return points
+            images = self._products(ref)
+            self._reference = (images, *_rp1_fixed_points(images))
+        return self._reference[1:]
+
+    def fixed_points(self, w: Word) -> tuple:
+        """Attracting and repelling angles of ``w`` on the reference circle;
+        DomainError where its reference image is not loxodromic."""
+        ends, loxodromic = self.reference_ends()
+        row = self._rows[w.letters]
+        if not loxodromic[row]:
+            raise _not_loxodromic(self._reference[0][row])
+        return tuple(ends[row].tolist())
+
+    def loxodromic_rows(self) -> np.ndarray:
+        """The rows of the nontrivial ball words, not the named ones, with
+        reference fixed points, in order."""
+        return np.flatnonzero(self.reference_ends()[1][1:self.size]) + 1
 
     def loxodromic(self) -> tuple:
-        """The nontrivial ball words, not the named ones, with reference fixed
-        points, in order, and their (n, 2) (attracting, repelling) angles."""
-        words, ends = [], []
-        for w in self.words[1:self.size]:
-            try:
-                ends.append(self.fixed_points(w))
-            except DomainError:
-                continue
-            words.append(w)
-        return words, np.array(ends, dtype=float).reshape(-1, 2)
+        """The words of ``loxodromic_rows`` and their (n, 2) (attracting,
+        repelling) angles."""
+        rows = self.loxodromic_rows()
+        return [self.words[r] for r in rows], self.reference_ends()[0][rows]
 
     def _spectra(self) -> list:
         """Every row's Spectrum record or NumericError, built on first use."""
         if self._records is None:
             self._records = _spectra(self.images)
         return self._records
+
+    def failed(self) -> np.ndarray:
+        """The mask of rows whose Spectrum record is a NumericError."""
+        return np.array([isinstance(r, NumericError) for r in self._spectra()],
+                        dtype=bool)
 
     def spectrum(self, w: Word) -> Spectrum:
         """The Spectrum record of the image of ``w``."""
@@ -289,36 +306,29 @@ class _WordBall:
             raise spec.with_traceback(None)
         return spec
 
-    def cached(self, fn, w: Word, index: int):
-        """``fn(spectrum of w, index)`` for a ``spectral`` function, kept."""
-        key = (fn, w, index)
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = fn(self.spectrum(w), index)
-        return value
+    def eigenvalues(self, k: int):
+        """``spectral._eigenvalue_columns`` at index k of every row, one
+        call; a row whose record failed reads as the identity."""
+        columns = self._eigenvalues.get(k)
+        if columns is None:
+            ones = np.ones(self.rep.dim)
+            columns = self._eigenvalues[k] = _eigenvalue_columns(
+                np.array([ones if isinstance(r, NumericError) else r.values
+                          for r in self._spectra()]), k)
+        return columns
 
-    def flags(self, dim: int, rows) -> tuple:
-        """Attracting spaces of dimension ``dim`` of the images of ``rows``:
-        ``(bases, missing)``, (len(rows), d, dim) orthonormal bases, and
-        True where a row has no eigenvalue-modulus gap at ``dim`` (its
-        basis is zero).
+    def fill(self, dim: int, rows) -> tuple:
+        """The flag table of dimension ``dim``, 0 < dim < d, with ``rows``
+        computed: ``(bases, missing, errors, done)`` over all rows.
 
-        The table of ``dim`` holds every row computed so far; the rows not
-        yet in it are computed by one ``core_linalg._invariant_bases``
-        call.  A row whose Spectrum record or kernel check failed raises
-        its NumericError here, the first in ``rows`` order.  Dimensions 0
-        and d are the zero and the whole space.
+        The rows not yet done are computed by one
+        ``core_linalg._invariant_bases`` call; a row whose Spectrum record
+        or kernel check failed keeps its NumericError in ``errors``, and
+        nothing is raised.
         """
-        d = self.rep.dim
-        if dim < 0 or dim > d:
-            raise InputError(f"flag dimension {dim} outside 0..{d}")
         rows = np.asarray(rows, dtype=np.intp)
-        if dim in (0, d):
-            return (np.broadcast_to(np.eye(d)[:, :dim], (len(rows), d, dim)),
-                    np.zeros(len(rows), dtype=bool))
         if dim not in self._flags:
-            n = len(self.words)
-            # bases, missing mask, errors by row, rows computed
+            n, d = len(self.words), self.rep.dim
             self._flags[dim] = (np.zeros((n, d, dim)), np.zeros(n, dtype=bool),
                                 {}, np.zeros(n, dtype=bool))
         bases, missing, errors, done = self._flags[dim]
@@ -336,6 +346,27 @@ class _WordBall:
                     [records[r] for r in good], 0, dim)
                 errors.update((good[i], e) for i, e in found.items())
             done[todo] = True
+        return self._flags[dim]
+
+    def flags(self, dim: int, rows) -> tuple:
+        """Attracting spaces of dimension ``dim`` of the images of ``rows``:
+        ``(bases, missing)``, (len(rows), d, dim) orthonormal bases, and
+        True where a row has no eigenvalue-modulus gap at ``dim`` (its
+        basis is zero).
+
+        The rows are read from the table of ``dim`` (``fill``); a row
+        whose Spectrum record or kernel check failed raises its
+        NumericError here, the first in ``rows`` order.  Dimensions 0 and
+        d are the zero and the whole space.
+        """
+        d = self.rep.dim
+        if dim < 0 or dim > d:
+            raise InputError(f"flag dimension {dim} outside 0..{d}")
+        rows = np.asarray(rows, dtype=np.intp)
+        if dim in (0, d):
+            return (np.broadcast_to(np.eye(d)[:, :dim], (len(rows), d, dim)),
+                    np.zeros(len(rows), dtype=bool))
+        bases, missing, errors, _ = self.fill(dim, rows)
         if errors:
             for r in rows.tolist():
                 if r in errors:
@@ -933,7 +964,6 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
     ball = _WordBall(rep, 0, (x, *samples))
     cutoff = max(min_separation, ANGLE_SEPARATION)
     kept_angles = [ball.fixed_points(x)[0]]
-    lines = [_projected_line(ball, k, x, x)]
     labels = [x]
     for y in samples:
         try:
@@ -943,9 +973,11 @@ def _projection_lines(rep: Representation, k: int, x: Word, samples,
         if any(circle_separation(angle, a) < cutoff for a in kept_angles):
             continue
         kept_angles.append(angle)
-        lines.append(_projected_line(ball, k, x, y))
         labels.append(y)
-    return lines, labels
+    # the kept points' k-flags in one kernel call; each line raises its own
+    # errors, in label order
+    ball.fill(k, [ball.row(w) for w in labels])
+    return [_projected_line(ball, k, x, w) for w in labels], labels
 
 
 def projection_triple_defect(rep: Representation, k: int, x: Word,
@@ -1233,8 +1265,13 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
     gcr_value = gcr(ball.space(g_inv, k), x_dk, x_dk.apply(m_g),
                     ball.space(g, k))
 
-    lambda_ratio = ball.cached(eigenvalue_ratios, g, k).lambda_ratio
-    period = ball.cached(weight_period, g, k)[0]
+    row = ball.row(g)
+    columns = ball.eigenvalues(k)
+    error = columns.ratio_error(row)
+    if error is not None:
+        raise error
+    lambda_ratio = float(columns.ratio[row])
+    period = float(columns.period[row])
     return EigenIdentityReport(
         g=g, x=x, k=k, pcr_value=pcr_value, lambda_ratio=lambda_ratio,
         gcr_value=gcr_value, weight_period=period,
@@ -1264,11 +1301,22 @@ def _auxiliary_point(ball: _WordBall, g: Word, candidates) -> Word:
 def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
     """Eigenvalue-identity reports for every loxodromic word of the ball, in
     ball order, each at the first of ``_AUXILIARY_WORDS`` within the rep's
-    rank whose boundary point avoids its fixed points."""
+    rank whose boundary point avoids its fixed points.
+
+    The flags every item reads (dimensions k, d - k - 1, d - k and
+    d - k + 1 of the loxodromic words, which include their inverses, and
+    of the auxiliary words) are filled first, one kernel call per
+    dimension; each item then raises its own errors, in item order.
+    """
     _check_k(k, rep.dim - 1)
     aux = [w for w in _AUXILIARY_WORDS if max(map(abs, w.letters)) <= rep.rank]
     ball = _WordBall(rep, max_length, aux)
     words, _ = ball.loxodromic()
+    d = rep.dim
+    rows = np.concatenate([ball.loxodromic_rows(),
+                           [ball.row(w) for w in aux]]).astype(np.intp)
+    for dim in sorted({k, d - k - 1, d - k, d - k + 1}.difference({0, d})):
+        ball.fill(dim, rows)
     return [_eigen_identities(ball, k, w, _auxiliary_point(ball, w, aux))
             for w in words]
 
@@ -1310,77 +1358,128 @@ def _linked(ends: np.ndarray) -> np.ndarray:
     return distinct & ((descents == 1) | (descents == 3))
 
 
-def _collar_rhs(ball: _WordBall, k: int, h: Word) -> tuple:
-    """(rhs, weight_rhs, signed) of h as the linked word of a pair: GapError
-    without a modulus gap at k."""
-    ratios = ball.cached(eigenvalue_ratios, h, k)
-    if ratios.lambda_ratio_modulus <= 1.0 + EIGEN_GAP_MIN:
-        raise GapError(
-            f"no eigenvalue gap at index {k} for word {h}: "
-            f"|lambda_{k}|/|lambda_{k + 1}| = {ratios.lambda_ratio_modulus:.6g}",
-            index=k, ratio=ratios.lambda_ratio_modulus)
-    rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
-    weight_rhs = 1.0 / (1.0 - np.exp(
-        -ball.cached(length_functions, h, k).weight_length))
-    return rhs, weight_rhs, ratios.lambda_ratio_signed is not None
+@dataclass(frozen=True, eq=False)
+class CollarTable(Sequence):
+    """The collar reports of a set of linked pairs, held as columns.
 
-
-def _collar_reports(ball: _WordBall, k: int, words: list, g_rows: np.ndarray,
-                    h_rows: np.ndarray) -> list:
-    """Collar reports of the pairs (words[g_rows[p]], words[h_rows[p]]).
-
-    lhs and its sign flag are computed once per word as g, rhs, weight_rhs
-    and the signed flag once per word as h; a word whose value raises keeps
-    its error, which is raised at the first pair reading it, g before h.
+    ``words`` are the loxodromic words; pair p is (words[g_rows[p]],
+    words[h_rows[p]]).  ``lhs`` and ``lhs_signed`` are per word as g,
+    ``rhs``, ``weight_rhs`` and ``rhs_signed`` per word as h, and
+    ``margin``, ``holds`` and ``sign_indeterminate`` per pair.  As a
+    sequence the table reads as its ``CollarReport`` rows, each built only
+    when it is read.
     """
-    n = len(words)
-    lhs, rhs, weight_rhs = np.full((3, n), np.nan)
-    lhs_signed, rhs_signed = np.zeros((2, n), dtype=bool)
-    g_errors, h_errors = [None] * n, [None] * n
-    for i, w in enumerate(words):
-        try:
-            lhs[i], lhs_signed[i] = ball.cached(weight_period, w, k)
-        except (GapError, NumericError) as exc:
-            g_errors[i] = exc
-        try:
-            rhs[i], weight_rhs[i], rhs_signed[i] = _collar_rhs(ball, k, w)
-        except (GapError, NumericError) as exc:
-            h_errors[i] = exc
-    g_bad = np.array([e is not None for e in g_errors], dtype=bool)
-    h_bad = np.array([e is not None for e in h_errors], dtype=bool)
-    bad = g_bad[g_rows] | h_bad[h_rows]
+
+    k: int
+    words: tuple
+    g_rows: np.ndarray
+    h_rows: np.ndarray
+    lhs: np.ndarray
+    lhs_signed: np.ndarray
+    rhs: np.ndarray
+    weight_rhs: np.ndarray
+    rhs_signed: np.ndarray
+    margin: np.ndarray
+    holds: np.ndarray
+    sign_indeterminate: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[2:]:
+            getattr(self, f.name).flags.writeable = False
+
+    @property
+    def weight_chain_ok(self) -> np.ndarray:
+        """Per pair: ``CollarReport.weight_chain_ok``."""
+        return (self.rhs >= self.weight_rhs - WEIGHT_CHAIN_SLACK)[self.h_rows]
+
+    def __len__(self) -> int:
+        return len(self.g_rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[p] for p in range(*index.indices(len(self)))]
+        p = range(len(self))[index]
+        g, h = int(self.g_rows[p]), int(self.h_rows[p])
+        return CollarReport(
+            self.words[g], self.words[h], self.k, float(self.lhs[g]),
+            float(self.rhs[h]), float(self.weight_rhs[h]),
+            bool(self.holds[p]), float(self.margin[p]),
+            bool(self.sign_indeterminate[p]))
+
+    def __iter__(self):
+        # positional, in CollarReport's field order; a word's values are one
+        # Python float each, shared by its pairs
+        g_list, h_list = self.g_rows.tolist(), self.h_rows.tolist()
+        return itertools.starmap(CollarReport, zip(
+            map(self.words.__getitem__, g_list),
+            map(self.words.__getitem__, h_list), itertools.repeat(self.k),
+            map(self.lhs.tolist().__getitem__, g_list),
+            map(self.rhs.tolist().__getitem__, h_list),
+            map(self.weight_rhs.tolist().__getitem__, h_list),
+            self.holds.tolist(), self.margin.tolist(),
+            self.sign_indeterminate.tolist()))
+
+
+def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
+                  g_rows: np.ndarray, h_rows: np.ndarray) -> CollarTable:
+    """The collar table of the pairs (g_rows[p], h_rows[p]) of the ball
+    rows ``rows``, from the ball's eigenvalue columns at k.
+
+    A word fails as g where its record failed, and as h also where its
+    ratios disagree, where it has no modulus gap at k, or where it has an
+    eigenvalue of modulus zero.  The first pair reading a failure raises
+    it, g's before h's, as the one-row calls on that word would.
+    """
+    columns = ball.eigenvalues(k)
+    failed = ball.failed()[rows]
+    h_failed = failed | (columns.disagree | columns.no_gap | columns.zero)[rows]
+    bad = failed[g_rows] | h_failed[h_rows]
     if bad.any():
         p = int(np.argmax(bad))
-        error = g_errors[g_rows[p]] or h_errors[h_rows[p]]
-        raise error.with_traceback(None)
-    # positional, in CollarReport's field order; a word's values are one
-    # Python float each, shared by its pairs
-    g_list, h_list = g_rows.tolist(), h_rows.tolist()
+        g, h = rows[g_rows[p]], rows[h_rows[p]]
+        # raises g's record error, or h's; then h's errors in the order of
+        # the one-row calls: the ratios, the gap, the lengths
+        ball.spectrum(ball.words[g if failed[g_rows[p]] else h])
+        error = columns.ratio_error(h)
+        if error is None and columns.no_gap[h]:
+            modulus = float(columns.modulus[h])
+            error = GapError(
+                f"no eigenvalue gap at index {k} for word {ball.words[h]}: "
+                f"|lambda_{k}|/|lambda_{k + 1}| = {modulus:.6g}",
+                index=k, ratio=modulus)
+        raise error or columns.length_error(h)
+    lhs, lhs_signed = columns.period[rows], columns.period_real[rows]
+    rhs_signed = columns.ratio_signed[rows]
+    with np.errstate(divide="ignore", over="ignore"):
+        rhs = 1.0 / (1.0 - 1.0 / columns.ratio[rows])
+        weight_rhs = 1.0 / (1.0 - np.exp(-columns.weight_length[rows]))
     left, right = lhs[g_rows], rhs[h_rows]
-    return list(itertools.starmap(CollarReport, zip(
-        map(words.__getitem__, g_list), map(words.__getitem__, h_list),
-        itertools.repeat(k), map(lhs.tolist().__getitem__, g_list),
-        map(rhs.tolist().__getitem__, h_list),
-        map(weight_rhs.tolist().__getitem__, h_list),
-        (left > right).tolist(), (left - right).tolist(),
-        (~rhs_signed[h_rows] | ~lhs_signed[g_rows]).tolist())))
+    return CollarTable(
+        k=k, words=tuple(ball.words[r] for r in rows.tolist()),
+        g_rows=g_rows, h_rows=h_rows, lhs=lhs, lhs_signed=lhs_signed,
+        rhs=rhs, weight_rhs=weight_rhs, rhs_signed=rhs_signed,
+        margin=left - right, holds=left > right,
+        sign_indeterminate=~rhs_signed[h_rows] | ~lhs_signed[g_rows])
 
 
 def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
-    """Collar inequality for one linked pair.
+    """Collar inequality for one linked pair: the one row of its
+    ``CollarTable``.
 
     lhs is the signed weight period of g, rhs = (1 - lambda_(k+1)/lambda_k(h))^-1
     with the signed ratio; when the signed ratio is unavailable the
     moduli are substituted and the report is flagged sign-indeterminate.
-    Without a modulus gap |lambda_k/lambda_(k+1)(h)| > 1 + ``EIGEN_GAP_MIN``
-    (``attracting_space``'s rule) rhs is undefined: GapError.
+    Without a modulus gap |lambda_k/lambda_(k+1)(h)| > 1 +
+    ``spectral.EIGEN_GAP_MIN`` (``attracting_space``'s rule) rhs is
+    undefined: GapError.
     """
     _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, 0, (g, h))
     ends = np.array([ball.fixed_points(g), ball.fixed_points(h)])
     if not _linked(ends)[0, 1]:
         raise PreconditionError(f"pair ({g}, {h}) is not linked")
-    return _collar_reports(ball, k, [g, h], np.array([0]), np.array([1]))[0]
+    rows = np.array([ball.row(g), ball.row(h)])
+    return _collar_table(ball, k, rows, np.array([0]), np.array([1]))[0]
 
 
 def linked_pairs(rep: Representation, max_length: int) -> list:
@@ -1391,24 +1490,25 @@ def linked_pairs(rep: Representation, max_length: int) -> list:
     return [(words[i], words[j]) for i, j in np.argwhere(_linked(ends))]
 
 
-def collar_scan(rep: Representation, k: int, max_length: int) -> list:
-    """Collar reports for every ordered linked pair of the ball's loxodromic
-    words, in ball order of g, then of h (``linked_pairs``' order).
+def collar_scan(rep: Representation, k: int, max_length: int) -> CollarTable:
+    """The collar table of every ordered linked pair of the ball's
+    loxodromic words, in ball order of g, then of h (``linked_pairs``'
+    order).
 
-    The values of the inequality are per-word: lhs and its sign flag are
-    computed once for each loxodromic word as g, rhs, weight_rhs and the
-    gap test once for each as h, and each pair is read off the nonzero
-    entries of the linkage mask by index.  A word whose value raises
-    (GapError without a gap at k, NumericError) raises only when a linked
-    pair reads it: the first such pair in the order above, its g's error
-    before its h's.  The ``CollarReport`` objects are built last, once every
-    value is known.
+    One array pass per ball gives every value: the loxodromic words and
+    their reference fixed points from one batched call, the pairs from the
+    nonzero entries of the linkage mask, and lhs, rhs, weight_rhs and both
+    sign flags per word from one ``spectral._eigenvalue_columns`` call over
+    the ball's Spectrum records.  A word whose value fails (GapError
+    without a gap at k, NumericError) raises only when a linked pair reads
+    it: the first such pair in the order above, its g's error before its
+    h's.  No ``CollarReport`` is built until the table's rows are read.
     """
     _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, max_length)
-    words, ends = ball.loxodromic()
-    g_rows, h_rows = np.nonzero(_linked(ends))
-    return _collar_reports(ball, k, words, g_rows, h_rows)
+    rows = ball.loxodromic_rows()
+    g_rows, h_rows = np.nonzero(_linked(ball.reference_ends()[0][rows]))
+    return _collar_table(ball, k, rows, g_rows, h_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -331,6 +332,32 @@ class TestCollar:
             "rhs": "number", "weight_rhs": "number", "holds": "boolean",
             "margin": "number", "sign_indeterminate": "boolean"}
         assert all(c["description"] for c in schema["columns"])
+
+    @pytest.mark.parametrize("args,digests", [
+        (["--x", "1", "--L", "4"], {
+            "collar.json": "e737ada76f357b4fa039cacb0093dc2a"
+                           "450ba4ebfc1e0bdc0d074c906e0ab0d5"}),
+        (["--x", "0.6", "--L", "4"], {
+            "collar.json": "033cecda5949c6e846cebe565394d518"
+                           "1d2ed648fe2e870b6469165d736dafd4"}),
+        (["--x", "1", "--L", "3", "--format", "csv"], {
+            "collar.csv": "0895b8d470ec4d822b8e2d7bfb062daa"
+                          "73fb91437ea038fbdfe2d1097479bf39",
+            "collar.csv.schema.json": "7ff3819d1998ad4ac4cf21de14d04ece"
+                                      "e7eef5d1d04cfde2d7fcd89b8188c1a2"}),
+    ], ids=["json-x1-L4", "json-x0.6-L4", "csv-x1-L3"])
+    def test_output_bytes_pinned(self, tmp_path, capsys, args, digests):
+        # the bytes the per-report writer produced before the scan became a
+        # column table; the csv summary on stdout is pinned too
+        out = tmp_path / next(iter(digests))
+        assert run(["collar", "--family", "fg", "--k", "1", *args,
+                    "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+        if "csv" in args:
+            assert json.loads(capsys.readouterr().out) == {
+                "command": "collar", "n_pairs": 1944, "all_hold": True,
+                "min_margin": 45.80789337049672, "weight_chain_ok": True}
 
 
 class TestFgScan:

@@ -202,6 +202,47 @@ class TestFixedPoints:
         with pytest.raises(DomainError):
             rp1_fixed_points(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("rep", [
+        fg_rep(1.0), fg_rep(0.6),
+        fuchsian_locus((5, 1), punctured_torus_reference())],
+        ids=["fg1", "fg0.6", "51"])
+    def test_batched_rows_equal_the_one_row_call(self, rep):
+        # every row of the L=6 ball's reference images, bit for bit, and
+        # against the per-matrix formulas the kernel replaced; a row
+        # without fixed points gives the one-row call's DomainError
+        stack = np.array([evaluate(rep.reference, w)
+                          for w in words_of_length(2, 6)])
+        ends, loxodromic = groups._rp1_fixed_points(stack)
+        assert ends.shape == (1457, 2) and (~loxodromic).sum() == 25
+        for m, row, lox in zip(stack, ends, loxodromic):
+            if lox:
+                assert rp1_fixed_points(m) == tuple(row.tolist())
+                assert scalar_fixed_points(m) == tuple(row.tolist())
+            else:
+                assert np.isnan(row).all()
+                with pytest.raises(DomainError) as exc:
+                    rp1_fixed_points(m)
+                assert str(exc.value) == str(groups._not_loxodromic(m))
+                assert str(exc.value).startswith("matrix is not loxodromic")
+
+
+def scalar_fixed_points(a) -> tuple:
+    """Oracle: the fixed points of one loxodromic 2x2 matrix, one scalar
+    operation at a time."""
+    tr = a[0, 0] + a[1, 1]
+    sq = np.sqrt(tr * tr - 4.0 * (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+    lams = sorted(((tr + sq) / 2.0, (tr - sq) / 2.0), key=abs, reverse=True)
+    points = []
+    for lam in lams:
+        cand1 = np.array([a[0, 1], lam - a[0, 0]])
+        cand2 = np.array([lam - a[1, 1], a[1, 0]])
+        v = (cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2)
+             else cand2)
+        v = v / np.linalg.norm(v)
+        theta = float(np.arctan2(v[1], v[0])) % np.pi
+        points.append(0.0 if theta >= np.pi else theta)
+    return tuple(points)
+
 
 class TestCyclicOrder:
     def test_monotone(self):

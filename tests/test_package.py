@@ -169,6 +169,20 @@ def test_one_triple_kernel():
                        "sopq_model_triple_defect"]
 
 
+def test_per_word_values_come_from_the_batched_kernels():
+    # the scans read reference fixed points and eigenvalue values from the
+    # word ball's batched tables; only the root-gap scan of two generators
+    # per grid point calls a one-row function (EigenIdentityReport's
+    # weight_period field is a stored name, not a read)
+    path = ROOT / "src" / "anosovlab" / "verification.py"
+    names = ("rp1_fixed_points", "length_functions", "weight_period",
+             "eigenvalue_ratios")
+    found = sorted({(node.id, scope) for scope, node in _scoped_nodes(path)
+                    if isinstance(node, ast.Name) and node.id in names
+                    and isinstance(node.ctx, ast.Load)})
+    assert found == [("eigenvalue_ratios", "counterexample_scan")]
+
+
 def _definitions(tree: ast.Module):
     """(name, node) of every module-level function, class or assigned name
     of ``tree``."""

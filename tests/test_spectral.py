@@ -15,7 +15,7 @@ from anosovlab.core_linalg import (
     spectrum,
 )
 from anosovlab.errors import GapError, NumericError
-from anosovlab.groups import Word, evaluate
+from anosovlab.groups import Word, evaluate, words_of_length
 from anosovlab.representations import (
     fg_rep,
     fuchsian_locus,
@@ -563,6 +563,84 @@ class TestLengthFunctions:
         with pytest.raises(NumericError):
             length_functions(np.diag([1.0, 0.0]), 1)
 
+
+
+def scalar_eigenvalue_values(values, k):
+    """Oracle: the one-matrix formulas the kernel replaced, on one sorted
+    eigenvalue row (real dtype when every eigenvalue is real), as
+    (modulus, signed or None, disagree, (period, real), weight, root,
+    zero)."""
+    tol = spectral.REAL_IMAG_TOL
+    lk, lk1 = values[k - 1:k + 1]
+    modulus = float(abs(lk) / abs(lk1)) if abs(lk1) > 0 else np.inf
+    signed, disagree = None, False
+    if (abs(lk.imag) <= tol * max(abs(lk), 1e-300)
+            and abs(lk1.imag) <= tol * max(abs(lk1), 1e-300)
+            and lk1.real != 0.0):
+        signed = float(lk.real / lk1.real)
+        disagree = abs(abs(signed) - modulus) > 1e-9 * max(modulus, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.prod(values[:k]) / np.prod(values[-k:])
+        logs = np.log(np.abs(values))
+    if abs(ratio.imag) <= tol * max(abs(ratio), 1e-300):
+        period = (float(ratio.real), True)
+    else:
+        period = (float(abs(ratio)), False)
+    return (modulus, signed, disagree, period,
+            float(np.sum(logs[:k]) - np.sum(logs[-k:])),
+            float(logs[k - 1] - logs[k]), np.abs(values)[-1] < 1e-300)
+
+
+class TestEigenvalueColumns:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kernel_rows_equal_the_one_row_calls(self, k):
+        # the rotation rep's L=3 ball mixes real and complex spectra; then
+        # the (3,1) generator b (no gap at k=2), a zero eigenvalue, and a
+        # complex pair of modulus below 1e-300 that counts as real, whose
+        # signed ratio disagrees with the modulus ratio at k=2
+        from test_verification import rotation_rep
+
+        rep = rotation_rep(5)
+        tiny = np.zeros((4, 4))
+        tiny[0, 0], tiny[1, 1] = 1e-303, 1e-305
+        tiny[2:, 2:] = 1e-310 * np.array([[1.0, -1.0], [1.0, 1.0]])
+        matrices = [evaluate(rep, w) for w in words_of_length(2, 3)] + [
+            fuchsian_locus((3, 1), REF).generator_images[1],
+            np.diag([2.0, 1.0, 0.5, 0.0]), tiny]
+        with np.errstate(divide="ignore"):   # det of the singular shifts
+            records = [spectrum(m) for m in matrices]
+        assert {r.values.dtype.kind for r in records} == {"f", "c"}
+        columns = spectral._eigenvalue_columns(
+            np.array([r.values for r in records]), k)
+        for i, record in enumerate(records):
+            modulus, signed, disagree, period, weight, root, zero = (
+                scalar_eigenvalue_values(record.values, k))
+            assert (columns.modulus[i], columns.disagree[i],
+                    columns.zero[i]) == (modulus, disagree, zero)
+            assert columns.ratio_signed[i] == (signed is not None)
+            assert columns.ratio[i] == (modulus if signed is None else signed)
+            assert columns.no_gap[i] == (modulus <= 1 + spectral.EIGEN_GAP_MIN)
+            # the tiny pair's product underflows: its period is NaN
+            assert repr(weight_period(record, k)) == repr(period) == repr(
+                (float(columns.period[i]), bool(columns.period_real[i])))
+            if disagree:
+                with pytest.raises(NumericError, match="disagree"):
+                    eigenvalue_ratios(record, k)
+            else:
+                assert eigenvalue_ratios(record, k) == spectral.SpectralGaps(
+                    k, signed, modulus)
+            if zero:
+                with pytest.raises(NumericError, match="modulus zero"):
+                    length_functions(record, k)
+            else:
+                assert length_functions(record, k) == spectral.LengthPair(
+                    weight, root)
+                assert (columns.weight_length[i], columns.root_length[i]) == (
+                    weight, root)
+        expected = {1: (False, True, False), 2: (True, True, True),
+                    3: (False, True, False)}[k]
+        assert (columns.no_gap[-3], columns.zero[-2],
+                columns.disagree[-1]) == expected
 
 class TestConvergenceToAttractor:
     def test_cartan_power_converges(self):

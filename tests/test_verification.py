@@ -314,15 +314,23 @@ def rotation_rep(seed):
 
 
 def reference_collar_scan(rep, k, max_length):
-    """One linked pair at a time, g-major, each value looked up per pair
-    from ``verification``'s names, so a patched one is read here too."""
+    """One linked pair at a time, g-major, each value from the one-row
+    ``spectral`` calls on the ball's records (kept per word), so a record
+    failure patched into ``verification._spectra`` is read here too."""
     ball = _WordBall(rep, max_length)
     words, ends = ball.loxodromic()
+    values = {}
+
+    def value(fn, w):
+        if (fn, w) not in values:
+            values[fn, w] = fn(ball.spectrum(w), k)
+        return values[fn, w]
+
     reports = []
     for i, j in np.argwhere(verification._linked(ends)):
         g, h = words[i], words[j]
-        lhs, lhs_signed = ball.cached(verification.weight_period, g, k)
-        ratios = ball.cached(verification.eigenvalue_ratios, h, k)
+        lhs, lhs_signed = value(spectral.weight_period, g)
+        ratios = value(spectral.eigenvalue_ratios, h)
         if ratios.lambda_ratio_modulus <= 1.0 + spectral.EIGEN_GAP_MIN:
             raise GapError(
                 f"no eigenvalue gap at index {k} for word {h}: "
@@ -331,7 +339,7 @@ def reference_collar_scan(rep, k, max_length):
                 index=k, ratio=ratios.lambda_ratio_modulus)
         rhs = 1.0 / (1.0 - 1.0 / ratios.lambda_ratio)
         weight_rhs = 1.0 / (1.0 - np.exp(
-            -ball.cached(verification.length_functions, h, k).weight_length))
+            -value(spectral.length_functions, h).weight_length))
         reports.append(CollarReport(
             g=g, h=h, k=k, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
             holds=bool(lhs > rhs), margin=float(lhs - rhs),
@@ -580,25 +588,62 @@ class TestWordBall:
 
     def test_eigen_identity_scan_computes_each_item_once(self, monkeypatch):
         # every attracting space is a row of the ball's flag table, whose
-        # rows the kernel computes once each
-        spaces, points = Counter(), Counter()
+        # rows the kernel computes once each, and every reference fixed
+        # point a row of one batched call over the ball
+        spaces, points, calls = Counter(), Counter(), []
         kernel = verification._invariant_bases
+        fixed_points = verification._rp1_fixed_points
 
         def counting_kernel(records, start, stop):
+            calls.append(stop)
             for record in records:
                 spaces[record.entries.tobytes(), stop] += 1
             return kernel(records, start, stop)
 
-        def counting_points(m):
-            points[getattr(m, "entries", m).tobytes()] += 1
-            return rp1_fixed_points(m)
+        def counting_points(stack):
+            points.update(m.tobytes() for m in stack)
+            return fixed_points(stack)
 
         monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
-        monkeypatch.setattr(verification, "rp1_fixed_points", counting_points)
+        monkeypatch.setattr(verification, "_rp1_fixed_points", counting_points)
         reports = eigen_identity_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 52
+        assert sorted(calls) == [1, 2]
         assert len(spaces) == 104 and set(spaces.values()) == {1}
-        assert len(points) == 52 and set(points.values()) == {1}
+        assert len(points) == 53 and set(points.values()) == {1}
+
+    @pytest.mark.parametrize("rep,k,max_length", [
+        (lambda: fg_rep(1.0), 1, 3),
+        (lambda: fg_rep(1.0), 2, 3),
+        (lambda: fg_rep(1.0), 1, 4),
+        (lambda: fg_rep(0.6), 1, 3),
+        (lambda: fuchsian_locus((5, 1), REF), 1, 2),
+        (lambda: fuchsian_locus((4, 2), REF), 2, 3),
+    ], ids=["fg1-L3", "fg1-k2", "fg1-L4", "fg0.6-L3", "51-L2", "42-k2"])
+    def test_eigen_identity_scan_equals_the_point_by_point_loop(
+            self, rep, k, max_length):
+        # filling the flag tables first changes neither the reports nor the
+        # first error: the loop below reads each flag through a one-row
+        # kernel call, item by item
+        rep = rep()
+        aux = [w for w in verification._AUXILIARY_WORDS
+               if max(map(abs, w.letters)) <= rep.rank]
+
+        def point_by_point():
+            ball = _WordBall(rep, max_length, aux)
+            return [verification._eigen_identities(
+                        ball, k, w, verification._auxiliary_point(ball, w, aux))
+                    for w in ball.loxodromic()[0]]
+
+        try:
+            want = point_by_point()
+        except (DomainError, GapError, NumericError,
+                PreconditionError) as exc:
+            with pytest.raises(type(exc)) as got:
+                eigen_identity_scan(rep, k, max_length)
+            assert str(got.value) == str(exc)
+        else:
+            assert eigen_identity_scan(rep, k, max_length) == want
 
 
 class TestBoundaryAtlas:
@@ -990,6 +1035,22 @@ class TestProjectionHyperconvexity:
         assert report.min_defect > 1e-4
         assert report.verdict == "pass"
 
+    def test_curve_flags_are_one_kernel_call(self, monkeypatch):
+        # the kept points' k-flags, not one call per point; at d = 3 and
+        # k = 1 the base point's other flags are 0, 1 (its k-flag) and 3
+        calls = []
+        kernel = verification._invariant_bases
+
+        def counting_kernel(records, start, stop):
+            calls.append((len(records), stop))
+            return kernel(records, start, stop)
+
+        monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
+        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
+        report = check_projection_hyperconvexity(fg_rep(1.0), 1, A, samples,
+                                                 min_separation=0)
+        assert calls == [(report.n_points, 1)]
+
     def test_repeated_point_in_triple_rejected(self):
         rep = fg_rep(1.0)
         with pytest.raises(PreconditionError):
@@ -1097,8 +1158,8 @@ class TestIndexRange:
 
     def test_numpy_integers_accepted(self):
         rep = fg_rep(1.0)
-        assert collar_scan(rep, np.int64(1), np.int64(2)) == collar_scan(
-            rep, 1, 2)
+        assert list(collar_scan(rep, np.int64(1), np.int64(2))) == list(
+            collar_scan(rep, 1, 2))
         assert hk_scan(rep, np.int32(1), np.int64(2)) == hk_scan(rep, 1, 2)
 
     @pytest.mark.parametrize("check,k,top", [
@@ -1387,7 +1448,7 @@ class TestCollar:
             "fg0.5-L4", "fg2-k2-L4", "51-k2", "33-k2", "71-k3", "rotation"])
     def test_collar_scan_equals_the_per_pair_loop(self, rep, k, max_length):
         rep = rep()
-        assert collar_scan(rep, k, max_length) == reference_collar_scan(
+        assert list(collar_scan(rep, k, max_length)) == reference_collar_scan(
             rep, k, max_length)
 
     def test_rotation_rep_mixes_signed_and_unsigned_pairs(self):
@@ -1416,19 +1477,23 @@ class TestCollar:
     ], ids=["every-g", "long-g"])
     def test_collar_scan_raises_g_errors_first(self, monkeypatch, rep, k,
                                               above):
-        # weight_period fails where |lambda_1| > above: on (3,1) every g
-        # fails and the first pair's h (b) has no gap at k=2; on fg(1) the
-        # generators (6.85) pass and aa, aB, ... (34 and 47) fail
-        period = verification.weight_period
+        # a word's record fails where |lambda_1| > above, with an error
+        # naming its matrix: on (3,1) every word fails, so the first pair's
+        # g error must be raised, not its h's; on fg(1) the generators
+        # (6.85) pass and aa, aB, ... (34 and 47) fail
+        spectra = verification._spectra
 
-        def failing_period(spec, k):
-            top = float(abs(spec.values[0]))
-            if top > above:
-                raise NumericError(f"no weight period at |lambda_1| = {top!r}",
-                                   diagnostics={"top": top})
-            return period(spec, k)
+        def failing(record):
+            top = float(abs(record.values[0]))
+            crc = zlib.crc32(record.entries.tobytes())
+            return NumericError(f"no record at |lambda_1| = {top!r} ({crc})",
+                                diagnostics={"top": top})
 
-        monkeypatch.setattr(verification, "weight_period", failing_period)
+        def failing_spectra(matrices):
+            return [failing(r) if abs(r.values[0]) > above else r
+                    for r in spectra(matrices)]
+
+        monkeypatch.setattr(verification, "_spectra", failing_spectra)
         rep = rep()
         with pytest.raises(NumericError) as want:
             reference_collar_scan(rep, k, 2)
@@ -1438,21 +1503,47 @@ class TestCollar:
             str(want.value), want.value.diagnostics)
 
     def test_collar_scan_reads_each_value_once_per_word(self, monkeypatch):
-        # three values per loxodromic word (52 at L=3), not per linked pair
-        reads = []
-        cached = _WordBall.cached
+        # one batched call each for the fixed points and the eigenvalue
+        # values of the 53 ball words, not one per word or per linked pair
+        calls = []
+        fixed_points = verification._rp1_fixed_points
+        columns = verification._eigenvalue_columns
 
-        def counting_cached(self, fn, w, index):
-            reads.append(fn)
-            return cached(self, fn, w, index)
+        def counting_points(stack):
+            calls.append(("points", len(stack)))
+            return fixed_points(stack)
+
+        def counting_columns(values, k):
+            calls.append(("values", len(values)))
+            return columns(values, k)
 
         def no_pairs(*args):
             raise AssertionError("linked_pairs called by collar_scan")
 
-        monkeypatch.setattr(_WordBall, "cached", counting_cached)
+        monkeypatch.setattr(verification, "_rp1_fixed_points", counting_points)
+        monkeypatch.setattr(verification, "_eigenvalue_columns",
+                            counting_columns)
         monkeypatch.setattr(verification, "linked_pairs", no_pairs)
         assert len(collar_scan(fg_rep(1.0), 1, 3)) == 1944
-        assert len(reads) <= 3 * 52
+        assert calls == [("points", 53), ("values", 53)]
+
+    def test_collar_scan_builds_reports_only_when_read(self, monkeypatch):
+        built = []
+        report = verification.CollarReport
+
+        def counting_report(*args):
+            built.append(args)
+            return report(*args)
+
+        monkeypatch.setattr(verification, "CollarReport", counting_report)
+        table = collar_scan(fg_rep(1.0), 1, 3)
+        assert built == []
+        rows = list(table)
+        assert len(built) == len(rows) == len(table) == 1944
+        assert table[5] == rows[5] and table[-1] == rows[-1]
+        assert table[1:3] == rows[1:3]
+        with pytest.raises(IndexError):
+            table[1944]
 
     def test_linked_pairs_symmetric(self):
         pairs = linked_pairs(fg_rep(1.0), 2)
