@@ -58,9 +58,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """The entries of a Spectrum, or a square array as a float array."""
+    """The matrix of a one-row Spectrum, or a square array as floats."""
     if isinstance(m, Spectrum):
-        return m.entries
+        if len(m.norms) != 1:
+            raise DimensionError(f"expected one row, got {len(m.norms)}")
+        return m.entries[0]
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected square matrix, got shape {a.shape}")
@@ -424,30 +426,48 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A matrix, its residual-checked eigenvalues and eigenvectors, its 2-norm.
+    """n matrices ``entries``, their 2-norms ``norms``, and their
+    residual-checked eigenvalues and eigenvectors, a read-only row each.
 
-    ``values`` run by descending modulus, then real part, then imaginary
-    part, and column j of ``vectors`` is a unit eigenvector of ``values[j]``.
-    Both are real when every eigenvalue is, as ``np.linalg.eig`` gives them
-    for the matrix alone.
+    ``values[i]`` run by descending modulus, then real part, then imaginary
+    part, and column j of ``vectors[i]`` is a unit eigenvector of
+    ``values[i, j]``; ``errors`` maps each row that failed its residual
+    check to its NumericError.  A one-row table stands for one matrix.
     """
 
     entries: np.ndarray = field(repr=False)
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
-    norm: float
+    norms: np.ndarray
+    errors: dict
+
+    def __post_init__(self):
+        for name in ("entries", "values", "vectors", "norms"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def take(self, rows) -> "Spectrum":
+        """The table of ``rows``, real when all their spectra are, as
+        ``np.linalg.eig`` gives them alone."""
+        rows = np.asarray(rows, dtype=np.intp)
+        values, vectors = self.values[rows], self.vectors[rows]
+        if not values.imag.any():
+            values, vectors = values.real, vectors.real
+        errors = {i: self.errors[r] for i, r in enumerate(rows.tolist())
+                  if r in self.errors}
+        return Spectrum(self.entries[rows], values, vectors, self.norms[rows],
+                        errors)
 
 
-def _spectra(matrices) -> list:
-    """The Spectrum of each of n square matrices, or its NumericError.
+def _spectra(matrices) -> Spectrum:
+    """The Spectrum table of n square matrices, an (n, d, d) stack or a
+    sequence of (d, d) arrays.
 
-    ``matrices`` is an (n, d, d) stack or a sequence of (d, d) arrays; each
-    record keeps its matrix as ``entries``.  One batched ``eig``, one
-    batched 2-norm and one batched determinant serve all of them, and each
-    matrix is checked as if alone: |det(M - lambda I)| <= 1e-8
-    max(||M||, 1)^d per eigenvalue.  A matrix failing the check gets, in
-    place of its record, the error naming its first failing eigenvalue, for
-    the caller to raise where that matrix is read.
+    One batched ``eig``, one batched 2-norm and one batched determinant
+    serve all of them, and each matrix is checked as if alone:
+    |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d per eigenvalue, one array
+    comparison for all rows.  A matrix failing the check gets, in
+    ``errors``, the error naming its first failing eigenvalue, for the
+    caller to raise where that matrix is read.
     """
     stack = np.asarray(matrices, dtype=float)
     d = stack.shape[-1]
@@ -463,35 +483,35 @@ def _spectra(matrices) -> list:
         if rows.any():
             resids[rows] = np.abs(np.linalg.det(
                 stack[rows, None] - shifts[..., None, None] * np.eye(d)))
-    records = []
-    for i, m in enumerate(matrices):
-        row_vals, row_vecs = vals[i], vecs[i]
-        if real[i]:
-            row_vals, row_vecs = row_vals.real, row_vecs.real
-        norm = float(norms[i])
-        budget = 1e-8 * max(norm, 1.0) ** d
-        bad = np.flatnonzero(resids[i] > budget) if norm > 0 else []
-        if len(bad):
-            lam, resid = row_vals[bad[0]], float(resids[i, bad[0]])
-            records.append(NumericError(
-                f"characteristic-polynomial residual {resid:g} exceeds "
-                f"{budget:g} at eigenvalue {lam}",
-                diagnostics={"eigenvalue": lam, "residual": resid}))
-        else:
-            records.append(Spectrum(entries=m, values=_readonly(row_vals),
-                                    vectors=_readonly(row_vecs), norm=norm))
-    return records
+    budgets = 1e-8 * np.maximum(norms, 1.0) ** d
+    bad = (resids > budgets[:, None]) & (norms > 0)[:, None]
+    errors = {}
+    for i in np.flatnonzero(bad.any(axis=-1)).tolist():
+        j = int(np.argmax(bad[i]))
+        lam = vals[i, j].real if real[i] else vals[i, j]
+        resid = float(resids[i, j])
+        errors[i] = NumericError(
+            f"characteristic-polynomial residual {resid:g} exceeds "
+            f"{budgets[i]:g} at eigenvalue {lam}",
+            diagnostics={"eigenvalue": lam, "residual": resid})
+    return Spectrum(entries=stack, values=vals, vectors=vecs, norms=norms,
+                    errors=errors)
 
 
 def spectrum(m) -> Spectrum:
-    """The Spectrum of a matrix (``_spectra`` on it alone); a Spectrum is
-    returned as is."""
-    if isinstance(m, Spectrum):
-        return m
-    record = _spectra([as_matrix(m)])[0]
-    if isinstance(record, NumericError):
-        raise record
-    return record
+    """The one-row Spectrum of a matrix (``_spectra`` on it alone), or its
+    NumericError raised; a one-row Spectrum is returned as is."""
+    a = as_matrix(m)
+    table = m if isinstance(m, Spectrum) else _spectra(a[None])
+    for error in table.errors.values():
+        raise error.with_traceback(None)
+    return table
+
+
+def _no_gap(above, below):
+    """The one modulus-gap rule: no gap between the moduli ``above`` and
+    ``below`` where above <= (1 + EIGEN_GAP_MIN) below."""
+    return above <= below * (1.0 + EIGEN_GAP_MIN)
 
 
 def _modulus_clusters(moduli: np.ndarray) -> list:
@@ -507,7 +527,7 @@ def _modulus_clusters(moduli: np.ndarray) -> list:
     scale = max(moduli[0], 1e-300)
     for i in range(1, len(moduli)):
         if (moduli[start] - moduli[i] > EIGEN_TIE_RTOL * scale
-                and moduli[i - 1] > moduli[i] * (1.0 + EIGEN_GAP_MIN)):
+                and not _no_gap(moduli[i - 1], moduli[i])):
             groups.append((start, i))
             start = i
     groups.append((start, len(moduli)))
@@ -538,16 +558,17 @@ def _generalized_eigenspace(a: np.ndarray, values: np.ndarray) -> np.ndarray:
     return p
 
 
-def _invariant_bases(records, start: int, stop: int) -> tuple:
+def _invariant_bases(spec: Spectrum, rows, start: int, stop: int) -> tuple:
     """Orthonormal bases of the invariant subspaces of ``values[start:stop]``
-    of n Spectrum records of one dimension d, in one batched pass.
+    of the rows ``rows`` of a Spectrum table, in one batched pass.
 
-    Returns ``(bases, missing, errors)``.  ``bases`` is (n, d, stop -
-    start).  ``missing`` is True where a row has no eigenvalue-modulus gap
-    after the selection, |lambda_stop| <= (1 + EIGEN_GAP_MIN)
-    |lambda_(stop+1)| (1-based): nothing else is computed for it, and its
-    basis is zero.  ``errors`` maps the position of every other row that
-    fails a check to its NumericError, which carries the row's ``moduli``.
+    Returns ``(bases, missing, errors)``.  ``bases`` is (len(rows), d, stop
+    - start).  ``missing`` is True where a row has no modulus gap after the
+    selection, ``_no_gap`` of |lambda_stop|, |lambda_(stop+1)| (1-based):
+    nothing else is computed for it, and its basis is zero.  ``errors``
+    maps the position in ``rows`` of every other row that fails a check
+    to its NumericError, which carries the row's ``moduli``.  Rows are
+    read through ``Spectrum.take``, in real arithmetic where all are real.
 
     An eigenvalue is defective when its unit eigenvector is at an angle of
     sine below EIGENVECTOR_SIN_TIE to another's, as a Jordan block leaves
@@ -567,19 +588,18 @@ def _invariant_bases(records, start: int, stop: int) -> tuple:
     invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||, where the
     Frobenius norm bounds the 2-norm from above without an SVD.
     """
-    n, k = len(records), stop - start
-    entries = np.stack([r.entries for r in records])
-    d = entries.shape[-1]
-    moduli = np.abs(np.stack([r.values for r in records]))
+    table = spec.take(rows)
+    n, k, d = len(table.norms), stop - start, table.entries.shape[-1]
+    moduli = np.abs(table.values)
     bases = np.zeros((n, d, k))
-    missing = np.zeros(n, dtype=bool)
-    if stop < d:
-        missing = moduli[:, stop - 1] <= moduli[:, stop] * (1.0 + EIGEN_GAP_MIN)
+    missing = (_no_gap(moduli[:, stop - 1], moduli[:, stop]) if stop < d
+               else np.zeros(n, dtype=bool))
     live = np.flatnonzero(~missing)
     if not live.size:
         return bases, missing, {}
-    values = np.stack([records[i].values[start:stop] for i in live])
-    vectors = np.stack([records[i].vectors[:, start:stop] for i in live])
+    selected = table.take(live)
+    values = selected.values[:, start:stop]
+    vectors = selected.vectors[:, :, start:stop]
     parallel = (np.abs(np.swapaxes(vectors.conj(), -1, -2) @ vectors) ** 2
                 >= 1.0 - EIGENVECTOR_SIN_TIE ** 2)
     defective = np.count_nonzero(parallel, axis=-1) > 1
@@ -604,10 +624,10 @@ def _invariant_bases(records, start: int, stop: int) -> tuple:
         # the rank as _orthonormal_basis counts it
         rank[plain] = np.count_nonzero(s > 1e-10 * s[:, :1], axis=1)
     for j in np.flatnonzero(closed & deflated.any(axis=1)):
-        spec = records[live[j]]
+        row = selected.take([j])
         v = _generalized_eigenspace(
-            spec.entries, spec.values[start:stop][deflated[j]])
-        vecs = spec.vectors[:, start:stop]
+            row.entries[0], row.values[0, start:stop][deflated[j]])
+        vecs = row.vectors[0, :, start:stop]
         columns = [v.real, v.imag] if v.dtype.kind == "c" else [v]
         columns += [vecs[:, upper[j]].real, vecs[:, upper[j]].imag,
                     vecs[:, real[j]].real]
@@ -615,25 +635,23 @@ def _invariant_bases(records, start: int, stop: int) -> tuple:
         if rank[j] == k:
             bases[live[j]] = basis
     errors = {}
-    for j in np.flatnonzero(~closed):
+    for j in np.flatnonzero(~closed | (rank != k)):
         errors[int(live[j])] = NumericError(
+            f"invariant basis of {k} eigenvalues has rank {rank[j]}"
+            if closed[j] else
             f"the {k} selected eigenvalues are not closed under conjugation",
             diagnostics={"moduli": moduli[live[j]].tolist()})
-    for j in np.flatnonzero(closed & (rank != k)):
-        errors[int(live[j])] = NumericError(
-            f"invariant basis of {k} eigenvalues has rank {rank[j]}",
-            diagnostics={"moduli": moduli[live[j]].tolist()})
-    rows = live[closed & (rank == k)]
-    basis = bases[rows]
-    image = entries[rows] @ basis
+    kept = live[closed & (rank == k)]
+    basis = bases[kept]
+    image = table.entries[kept] @ basis
     resid = np.linalg.norm(
         image - basis @ (np.swapaxes(basis, -1, -2) @ image), axis=(-2, -1))
-    norms = np.array([records[i].norm for i in rows])
+    norms = table.norms[kept]
     for j in np.flatnonzero((norms > 0) & (resid > 1e-8 * norms)):
-        errors[int(rows[j])] = NumericError(
+        errors[int(kept[j])] = NumericError(
             f"invariant subspace residual {resid[j]:g} exceeds "
             f"{1e-8 * norms[j]:g}",
-            diagnostics={"moduli": moduli[rows[j]].tolist(),
+            diagnostics={"moduli": moduli[kept[j]].tolist(),
                          "residual": float(resid[j])})
     return bases, missing, errors
 
@@ -642,19 +660,19 @@ def eig_by_modulus(m) -> EigenDecomposition:
     """Eigenvalues ordered by descending modulus with cluster bases.
 
     Each modulus cluster gets an orthonormal basis of the sum of the
-    generalized eigenspaces of its eigenvalues, read off the Spectrum
-    record by ``_invariant_bases`` on the one row.  Postconditions
-    checked: the characteristic-polynomial residual of each eigenvalue
-    (``spectrum``) and the per-cluster invariance residual
-    ||(I - P P^T) M P||_F <= 1e-8 ||M||.
+    generalized eigenspaces of its eigenvalues, read off the one-row
+    Spectrum by ``_invariant_bases``.  Postconditions checked: the
+    characteristic-polynomial residual of each eigenvalue (``spectrum``)
+    and the per-cluster invariance residual ||(I - P P^T) M P||_F <= 1e-8
+    ||M||.
     """
     spec = spectrum(m)
-    vals = spec.values
+    vals = spec.values[0]
     moduli = np.abs(vals)
     clusters = []
     # every cluster has its modulus gap: none is missing
     for start, stop in _modulus_clusters(moduli):
-        bases, _, errors = _invariant_bases([spec], start, stop)
+        bases, _, errors = _invariant_bases(spec, [0], start, stop)
         if errors:
             raise errors[0]
         clusters.append(ModulusCluster(

@@ -9,18 +9,16 @@ corresponding matrices.
 
 Singular gaps at any number of indices come from one SVD per matrix, and
 a stack of matrices is decomposed in one batched call.  The eigenvalue
-side reads one ``core_linalg.Spectrum`` per matrix: its sorted,
+side reads a ``core_linalg.Spectrum`` table, a row per matrix: its sorted,
 residual-checked eigenvalues and eigenvectors and ||M||_2, from one
-``np.linalg.eig``.  Each function takes a matrix or its record, so a
-caller keeping the record decomposes each matrix once, and one record
-serves the attracting spaces of every dimension: a space is spanned by the
-record's eigenvectors above the modulus gap and certified by its
-invariance residual.  ``attracting_space`` is the batched kernel
-``core_linalg._invariant_bases`` on one record; the scans call that kernel
-on the records of all their points at once.  In the same way
-``eigenvalue_ratios``, ``length_functions`` and ``weight_period`` are
-one-row calls of ``_eigenvalue_columns``, which the scans call once on the
-stacked eigenvalues of all their words.
+``np.linalg.eig``.  Each function takes a matrix or its one-row Spectrum,
+so a caller keeping the table decomposes each matrix once, and one row
+serves the attracting spaces of every dimension, each spanned by the
+row's eigenvectors above its modulus gap and certified by its invariance
+residual.  ``attracting_space`` is one row of the batched kernel
+``core_linalg._invariant_bases``, and ``eigenvalue_ratios``,
+``length_functions`` and ``weight_period`` are one row of
+``_eigenvalue_columns``: the scans call both kernels once on all rows.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .core_linalg import (
     Spectrum,
     Subspace,
     _invariant_bases,
+    _no_gap,
     as_matrix,
     spectrum,
     svd,
@@ -89,7 +88,7 @@ def _check_index(k: int, d: int):
 
 
 def _indexed_spectrum(m, k: int) -> Spectrum:
-    """The record of ``m`` once k is checked, so a bad index decomposes nothing."""
+    """The one-row Spectrum of ``m``; a bad index k decomposes nothing."""
     _check_index(k, as_matrix(m).shape[0])
     return spectrum(m)
 
@@ -119,11 +118,11 @@ def singular_gap(m, k: int) -> float:
 
 def attracting_space(m, k: int) -> Subspace:
     """Invariant subspace of the k largest-modulus eigenvalues:
-    ``core_linalg._invariant_bases`` on the one record, selection [0, k).
+    ``core_linalg._invariant_bases`` on the one row, selection [0, k).
 
     Requires a modulus gap, |lambda_k| > (1 + EIGEN_GAP_MIN)
     |lambda_{k+1}|, else raises GapError.  The space is read off the first
-    k columns of the record's eigenvectors (real and imaginary parts of
+    k columns of the row's eigenvectors (real and imaginary parts of
     complex pairs, one generalized eigenspace for all the Jordan blocks
     among them) and orthonormalized by one SVD.  The result is certified
     by its invariance residual ||(I - P P^T) M P||_F <= 1e-8 ||M||; a
@@ -131,9 +130,9 @@ def attracting_space(m, k: int) -> Subspace:
     diagnostics.
     """
     spec = _indexed_spectrum(m, k)
-    bases, missing, errors = _invariant_bases([spec], 0, k)
+    bases, missing, errors = _invariant_bases(spec, [0], 0, k)
     if missing[0]:
-        moduli = np.abs(spec.values)
+        moduli = np.abs(spec.values[0])
         ratio = float(moduli[k - 1] / max(moduli[k], 1e-300))
         raise GapError(
             f"no eigenvalue-modulus gap of index {k}: "
@@ -156,22 +155,20 @@ class _EigenvalueColumns:
     modulus: np.ndarray       # |lambda_k|/|lambda_(k+1)|, inf if the latter is 0
     weight_length: np.ndarray
     root_length: np.ndarray
-    no_gap: np.ndarray        # modulus <= 1 + EIGEN_GAP_MIN
+    no_gap: np.ndarray        # no modulus gap at k (core_linalg._no_gap)
     disagree: np.ndarray      # signed and modulus ratios disagree
     zero: np.ndarray          # some eigenvalue has modulus zero
 
-    def ratio_error(self, row: int) -> NumericError | None:
-        """The NumericError of ``eigenvalue_ratios`` on ``row``, if any."""
+    def check_ratios(self, row: int) -> None:
+        """Raises the NumericError of ``eigenvalue_ratios`` on ``row``."""
         if self.disagree[row]:
-            return NumericError(
+            raise NumericError(
                 "signed and modulus eigenvalue ratios disagree beyond tolerance")
-        return None
 
-    def length_error(self, row: int) -> NumericError | None:
-        """The NumericError of ``length_functions`` on ``row``, if any."""
+    def check_lengths(self, row: int) -> None:
+        """Raises the NumericError of ``length_functions`` on ``row``."""
         if self.zero[row]:
-            return NumericError("matrix has an eigenvalue of modulus zero")
-        return None
+            raise NumericError("matrix has an eigenvalue of modulus zero")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -181,17 +178,19 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
     """The eigenvalue-side values at index k of the n rows of an (n, d)
-    table of eigenvalues, each row sorted as a ``Spectrum`` record's.
+    table of eigenvalues, each row sorted as a ``Spectrum`` row.
 
     Rows whose eigenvalues are all real are computed in real arithmetic,
     the others in complex arithmetic, so every value is the one a single
-    matrix's record gives: the weight period lambda_1...lambda_k /
+    matrix's one-row Spectrum gives: the weight period lambda_1...lambda_k /
     (lambda_d...lambda_(d-k+1)), real to a relative ``REAL_IMAG_TOL`` or
     else replaced by its modulus; the signed ratio lambda_k/lambda_(k+1)
     where both are real to that tolerance and lambda_(k+1) is not zero;
     the modulus ratio; the weight and root lengths.  Nothing is raised:
-    ``no_gap`` marks rows without a modulus gap at k, ``disagree`` and
-    ``zero`` the rows whose one-row call raises NumericError.
+    ``no_gap`` marks rows without a modulus gap at k (``attracting_space``'s
+    rule, ``core_linalg._no_gap``, on |lambda_k| and |lambda_(k+1)|),
+    ``disagree`` and ``zero`` the rows whose one-row call raises
+    NumericError.
     """
     values = np.asarray(values)
     n = len(values)
@@ -199,7 +198,7 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
     out = {name: np.empty(n) for name in (
         "period", "ratio", "modulus", "weight_length", "root_length")}
     out.update((name, np.zeros(n, dtype=bool)) for name in (
-        "period_real", "ratio_signed", "disagree", "zero"))
+        "period_real", "ratio_signed", "no_gap", "disagree", "zero"))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows, vals in ((real, values[real].real), (~real, values[~real])):
             period = np.prod(vals[:, :k], axis=-1) / np.prod(vals[:, -k:], axis=-1)
@@ -217,6 +216,7 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
                       & (lk1.real != 0.0))
             ratio = np.where(signed, lk.real / lk1.real, modulus)
             out["modulus"][rows] = modulus
+            out["no_gap"][rows] = _no_gap(mk, mk1)
             out["ratio"][rows] = ratio
             out["ratio_signed"][rows] = signed
             out["disagree"][rows] = signed & (
@@ -231,13 +231,12 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
             out["weight_length"][rows] = (np.sum(logs[:, :k], axis=-1)
                                           - np.sum(logs[:, -k:], axis=-1))
             out["root_length"][rows] = logs[:, k - 1] - logs[:, k]
-    return _EigenvalueColumns(no_gap=out["modulus"] <= 1.0 + EIGEN_GAP_MIN,
-                              **out)
+    return _EigenvalueColumns(**out)
 
 
 def _one_row(m, k: int) -> _EigenvalueColumns:
-    """``_eigenvalue_columns`` of the record of ``m`` alone."""
-    return _eigenvalue_columns(_indexed_spectrum(m, k).values[None], k)
+    """``_eigenvalue_columns`` of the one-row Spectrum of ``m``."""
+    return _eigenvalue_columns(_indexed_spectrum(m, k).values, k)
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:
@@ -246,9 +245,7 @@ def eigenvalue_ratios(m, k: int) -> SpectralGaps:
     ratio whose modulus disagrees with the modulus ratio raises
     NumericError."""
     columns = _one_row(m, k)
-    error = columns.ratio_error(0)
-    if error is not None:
-        raise error
+    columns.check_ratios(0)
     signed = float(columns.ratio[0]) if columns.ratio_signed[0] else None
     return SpectralGaps(k=k, lambda_ratio_signed=signed,
                         lambda_ratio_modulus=float(columns.modulus[0]))
@@ -258,9 +255,7 @@ def length_functions(m, k: int) -> LengthPair:
     """Weight and root lengths at index k, from eigenvalue moduli only: the
     one-row call of ``_eigenvalue_columns``."""
     columns = _one_row(m, k)
-    error = columns.length_error(0)
-    if error is not None:
-        raise error
+    columns.check_lengths(0)
     return LengthPair(weight_length=float(columns.weight_length[0]),
                       root_length=float(columns.root_length[0]))
 

@@ -29,13 +29,13 @@ from .core_linalg import (
     direct_sum_defect,
     intersect,
     quotient_project,
+    spectrum,
 )
 from .crossratio import gcr, pcr_quotient
 from .errors import (
     DomainError,
     GapError,
     InputError,
-    NumericError,
     PreconditionError,
 )
 from .groups import (
@@ -175,17 +175,16 @@ class _WordBall:
     ``words`` is the ball ``words_of_length(rep.rank, max_length)``, its
     first ``size`` words, then the prefixes of the named words and of their
     inverses that it lacks, shortest first, then by letters.  ``images``
-    stacks their images in one read-only (n, d, d) array.  Every table
-    below is built on first use, one batched call for all rows, and kept
-    for the life of the ball, which is one scan or check:
+    stacks their images in one read-only (n, d, d) array.  Every per-word
+    value below is a table, a row per word, built on first use by one
+    batched call and kept for the life of the ball (one scan or check):
 
     - the 2x2 reference images (``_products``) and their fixed points, one
       ``groups._rp1_fixed_points`` call (``reference_ends``), read by
       ``fixed_points`` and ``loxodromic``;
-    - every word's Spectrum record, from one batched eigendecomposition
-      of ``images`` (``core_linalg._spectra``); a word whose record failed
-      its residual check raises its NumericError only when it is read
-      (``spectrum``);
+    - the Spectrum table of ``images``, one ``core_linalg._spectra`` call;
+      a word whose row failed its residual check raises its NumericError
+      only when it is read (``spectrum``, ``flags``);
     - the eigenvalue-side values at each index k, one
       ``spectral._eigenvalue_columns`` call (``eigenvalues``);
     - one attracting-flag table per dimension: ``fill`` computes the rows
@@ -203,13 +202,28 @@ class _WordBall:
         for letters in sorted(sorted(extra), key=len):
             self._rows[letters] = len(self.words)
             self.words.append(Word._trusted(letters))
+        # each (length, last letter) group's rows and their prefixes' rows,
+        # and the rows beyond RENORMALIZE_ABOVE letters
+        groups, self._long = {}, []
+        for i, w in enumerate(self.words[1:], 1):
+            letters = w.letters
+            if len(letters) > RENORMALIZE_ABOVE:
+                self._long.append(i)
+            else:
+                rows, prefixes = groups.setdefault(
+                    (len(letters), letters[-1]), ([], []))
+                rows.append(i)
+                prefixes.append(self._rows[letters[:-1]])
+        self._steps = sorted(groups.items())
+        self._used = max((abs(w.letters[-1]) for w in self.words[1:]),
+                         default=0)
         images = self._products(rep)
         if not np.all(np.isfinite(images)):
             raise InputError("word images overflow: matrix entries must be finite")
         images.flags.writeable = False
         self.images = images
         self._reference = None
-        self._records = None
+        self._spectrum = None
         self._eigenvalues: dict = {}
         self._flags: dict = {}
         self._spaces: dict = {}
@@ -220,30 +234,17 @@ class _WordBall:
         result, else the prefix's row times a generator or its inverse,
         one stacked matmul per (length, last letter) group, shortest
         first."""
-        # the earlier letters of a word end its prefixes, which are rows too
-        used = max((abs(w.letters[-1]) for w in self.words[1:]), default=0)
-        if used > rep.rank:
-            raise InputError(f"word uses generator {used}, "
+        if self._used > rep.rank:
+            raise InputError(f"word uses generator {self._used}, "
                              f"representation has {rep.rank}")
         steps = {}
         for i, g in enumerate(rep.generator_images, 1):
-            steps[i] = g
-            steps[-i] = np.linalg.inv(g)
-        groups, long = {}, []
-        for i, w in enumerate(self.words[1:], 1):
-            letters = w.letters
-            if len(letters) > RENORMALIZE_ABOVE:
-                long.append(i)
-            else:
-                rows, prefixes = groups.setdefault(
-                    (len(letters), letters[-1]), ([], []))
-                rows.append(i)
-                prefixes.append(self._rows[letters[:-1]])
+            steps[i], steps[-i] = g, np.linalg.inv(g)
         images = np.empty((len(self.words), rep.dim, rep.dim))
         images[0] = np.eye(rep.dim)   # the ball's first word is the identity
-        for (_, letter), (rows, prefixes) in sorted(groups.items()):
+        for (_, letter), (rows, prefixes) in self._steps:
             images[rows] = images[prefixes] @ steps[letter]
-        for i in long:
+        for i in self._long:
             images[i] = evaluate(rep, self.words[i])
         return images
 
@@ -288,63 +289,51 @@ class _WordBall:
         rows = self.loxodromic_rows()
         return [self.words[r] for r in rows], self.reference_ends()[0][rows]
 
-    def _spectra(self) -> list:
-        """Every row's Spectrum record or NumericError, built on first use."""
-        if self._records is None:
-            self._records = _spectra(self.images)
-        return self._records
+    def _spectra(self) -> Spectrum:
+        """The Spectrum table of ``images``, built on first use."""
+        if self._spectrum is None:
+            self._spectrum = _spectra(self.images)
+        return self._spectrum
 
     def failed(self) -> np.ndarray:
-        """The mask of rows whose Spectrum record is a NumericError."""
-        return np.array([isinstance(r, NumericError) for r in self._spectra()],
-                        dtype=bool)
+        """The mask of rows that failed their residual check."""
+        return np.isin(np.arange(len(self.words)),
+                       list(self._spectra().errors))
 
     def spectrum(self, w: Word) -> Spectrum:
-        """The Spectrum record of the image of ``w``."""
-        spec = self._spectra()[self._rows[w.letters]]
-        if isinstance(spec, NumericError):
-            raise spec.with_traceback(None)
-        return spec
+        """The one-row Spectrum of the image of ``w``, or its error raised."""
+        return spectrum(self._spectra().take([self._rows[w.letters]]))
 
     def eigenvalues(self, k: int):
         """``spectral._eigenvalue_columns`` at index k of every row, one
-        call; a row whose record failed reads as the identity."""
-        columns = self._eigenvalues.get(k)
-        if columns is None:
-            ones = np.ones(self.rep.dim)
-            columns = self._eigenvalues[k] = _eigenvalue_columns(
-                np.array([ones if isinstance(r, NumericError) else r.values
-                          for r in self._spectra()]), k)
-        return columns
+        call; a failed row reads as the identity."""
+        if k not in self._eigenvalues:
+            self._eigenvalues[k] = _eigenvalue_columns(np.where(
+                self.failed()[:, None], 1.0, self._spectra().values), k)
+        return self._eigenvalues[k]
 
     def fill(self, dim: int, rows) -> tuple:
         """The flag table of dimension ``dim``, 0 < dim < d, with ``rows``
         computed: ``(bases, missing, errors, done)`` over all rows.
 
-        The rows not yet done are computed by one
-        ``core_linalg._invariant_bases`` call; a row whose Spectrum record
-        or kernel check failed keeps its NumericError in ``errors``, and
-        nothing is raised.
+        ``errors`` starts as the Spectrum table's; the rows not yet done
+        that passed their residual check are computed by one
+        ``core_linalg._invariant_bases`` call, which adds the errors of
+        its checks.  Nothing is raised.
         """
         rows = np.asarray(rows, dtype=np.intp)
         if dim not in self._flags:
             n, d = len(self.words), self.rep.dim
             self._flags[dim] = (np.zeros((n, d, dim)), np.zeros(n, dtype=bool),
-                                {}, np.zeros(n, dtype=bool))
+                                dict(self._spectra().errors),
+                                np.zeros(n, dtype=bool))
         bases, missing, errors, done = self._flags[dim]
         todo = np.unique(rows[~done[rows]])
         if todo.size:
-            records = self._spectra()
-            good = []
-            for r in todo.tolist():
-                if isinstance(records[r], NumericError):
-                    errors[r] = records[r]
-                else:
-                    good.append(r)
-            if good:
-                bases[good], missing[good], found = _invariant_bases(
-                    [records[r] for r in good], 0, dim)
-                errors.update((good[i], e) for i, e in found.items())
+            good = todo[~self.failed()[todo]]
+            bases[good], missing[good], found = _invariant_bases(
+                self._spectra(), good, 0, dim)
+            errors.update((int(good[i]), e) for i, e in found.items())
             done[todo] = True
         return self._flags[dim]
 
@@ -355,9 +344,9 @@ class _WordBall:
         basis is zero).
 
         The rows are read from the table of ``dim`` (``fill``); a row
-        whose Spectrum record or kernel check failed raises its
-        NumericError here, the first in ``rows`` order.  Dimensions 0 and
-        d are the zero and the whole space.
+        whose residual or kernel check failed raises its NumericError
+        here, the first in ``rows`` order.  Dimensions 0 and d are the
+        zero and the whole space.
         """
         d = self.rep.dim
         if dim < 0 or dim > d:
@@ -376,7 +365,7 @@ class _WordBall:
     def gap_error(self, dim: int, row: int) -> GapError:
         """The GapError of a row missing from the flag table of ``dim``,
         naming its word."""
-        moduli = np.abs(self._spectra()[row].values)
+        moduli = np.abs(self._spectra().values[row])
         ratio = float(moduli[dim - 1] / max(moduli[dim], 1e-300))
         return GapError(
             f"no eigenvalue gap at dimension {dim} for word {self.words[row]}: "
@@ -386,15 +375,13 @@ class _WordBall:
     def space(self, w: Word, dim: int) -> Subspace:
         """Attracting space of dimension ``dim`` of the image of ``w``: its
         row of the flag table, or its GapError."""
-        key = (w, dim)
-        value = self._spaces.get(key)
-        if value is None:
+        if (w, dim) not in self._spaces:
             row = self._rows[w.letters]
             bases, missing = self.flags(dim, [row])
             if missing[0]:
                 raise self.gap_error(dim, row)
-            value = self._spaces[key] = Subspace(bases[0])
-        return value
+            self._spaces[w, dim] = Subspace(bases[0])
+        return self._spaces[w, dim]
 
 
 class BoundaryAtlas:
@@ -1267,9 +1254,7 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
 
     row = ball.row(g)
     columns = ball.eigenvalues(k)
-    error = columns.ratio_error(row)
-    if error is not None:
-        raise error
+    columns.check_ratios(row)
     lambda_ratio = float(columns.ratio[row])
     period = float(columns.period[row])
     return EigenIdentityReport(
@@ -1346,16 +1331,16 @@ class CollarReport(_Report):
 def _linked(ends: np.ndarray) -> np.ndarray:
     """(n, n) mask of ``groups.is_linked`` on every ordered pair (g, h) of n
     words with (n, 2) (attracting, repelling) angles ``ends``: the cyclic
-    descents of (g-, h-, g+, h+) number 1 or 3, and no two of the four
-    points are closer than ``ANGLE_SEPARATION``."""
+    descents of (g-, h-, g+, h+) are odd in number (1 or 3, for four
+    distinct points), and no two of the four points are closer than
+    ``ANGLE_SEPARATION``."""
     plus, minus = ends[:, 0], ends[:, 1]
     cycle = (minus[:, None], minus[None, :], plus[:, None], plus[None, :])
-    descents = sum(cycle[(i + 1) % 4] < cycle[i] for i in range(4))
-    distinct = True
+    odd = ((cycle[1] < cycle[0]) ^ (cycle[2] < cycle[1])
+           ^ (cycle[3] < cycle[2]) ^ (cycle[0] < cycle[3]))
     for i, j in itertools.combinations(range(4), 2):
-        distinct = distinct & (circle_separation(cycle[i], cycle[j])
-                               >= ANGLE_SEPARATION)
-    return distinct & ((descents == 1) | (descents == 3))
+        odd &= circle_separation(cycle[i], cycle[j]) >= ANGLE_SEPARATION
+    return odd
 
 
 @dataclass(frozen=True, eq=False)
@@ -1425,7 +1410,7 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
     """The collar table of the pairs (g_rows[p], h_rows[p]) of the ball
     rows ``rows``, from the ball's eigenvalue columns at k.
 
-    A word fails as g where its record failed, and as h also where its
+    A word fails as g where its residual check failed, and as h also where its
     ratios disagree, where it has no modulus gap at k, or where it has an
     eigenvalue of modulus zero.  The first pair reading a failure raises
     it, g's before h's, as the one-row calls on that word would.
@@ -1437,17 +1422,17 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
     if bad.any():
         p = int(np.argmax(bad))
         g, h = rows[g_rows[p]], rows[h_rows[p]]
-        # raises g's record error, or h's; then h's errors in the order of
+        # raises g's residual error, or h's; then h's errors in the order of
         # the one-row calls: the ratios, the gap, the lengths
         ball.spectrum(ball.words[g if failed[g_rows[p]] else h])
-        error = columns.ratio_error(h)
-        if error is None and columns.no_gap[h]:
+        columns.check_ratios(h)
+        if columns.no_gap[h]:
             modulus = float(columns.modulus[h])
-            error = GapError(
+            raise GapError(
                 f"no eigenvalue gap at index {k} for word {ball.words[h]}: "
                 f"|lambda_{k}|/|lambda_{k + 1}| = {modulus:.6g}",
                 index=k, ratio=modulus)
-        raise error or columns.length_error(h)
+        columns.check_lengths(h)
     lhs, lhs_signed = columns.period[rows], columns.period_real[rows]
     rhs_signed = columns.ratio_signed[rows]
     with np.errstate(divide="ignore", over="ignore"):
@@ -1469,9 +1454,9 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     lhs is the signed weight period of g, rhs = (1 - lambda_(k+1)/lambda_k(h))^-1
     with the signed ratio; when the signed ratio is unavailable the
     moduli are substituted and the report is flagged sign-indeterminate.
-    Without a modulus gap |lambda_k/lambda_(k+1)(h)| > 1 +
-    ``spectral.EIGEN_GAP_MIN`` (``attracting_space``'s rule) rhs is
-    undefined: GapError.
+    Without a modulus gap |lambda_k(h)| > (1 + EIGEN_GAP_MIN)
+    |lambda_(k+1)(h)| (``attracting_space``'s rule, ``core_linalg._no_gap``)
+    rhs is undefined: GapError.
     """
     _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, 0, (g, h))
@@ -1499,7 +1484,7 @@ def collar_scan(rep: Representation, k: int, max_length: int) -> CollarTable:
     their reference fixed points from one batched call, the pairs from the
     nonzero entries of the linkage mask, and lhs, rhs, weight_rhs and both
     sign flags per word from one ``spectral._eigenvalue_columns`` call over
-    the ball's Spectrum records.  A word whose value fails (GapError
+    the ball's Spectrum table.  A word whose value fails (GapError
     without a gap at k, NumericError) raises only when a linked pair reads
     it: the first such pair in the order above, its g's error before its
     h's.  No ``CollarReport`` is built until the table's rows are read.

@@ -158,6 +158,36 @@ def test_one_word_ball_model():
     assert evaluate == ["_WordBall._products"]
 
 
+def test_one_spectrum_table():
+    # a Spectrum is built only in core_linalg, as one table, so no module
+    # holds a per-row record or tests a row for its NumericError
+    src = ROOT / "src" / "anosovlab"
+    built = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+             for scope, node in _scoped_nodes(path)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "Spectrum"]
+    assert built == ["core_linalg.py:Spectrum.take", "core_linalg.py:_spectra"]
+    tests = [ast.unparse(node)
+             for _, node in _scoped_nodes(src / "verification.py")
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "isinstance"
+             and "NumericError" in ast.unparse(node.args[1])]
+    assert tests == []
+
+
+def test_one_gap_rule():
+    # every modulus-gap test reads core_linalg._no_gap, the only reader of
+    # EIGEN_GAP_MIN (spectral re-exports the name in __all__)
+    src = ROOT / "src" / "anosovlab"
+    reads = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+             for scope, node in _scoped_nodes(path)
+             if (isinstance(node, ast.Name) and node.id == "EIGEN_GAP_MIN"
+                 and isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.Attribute)
+                 and node.attr == "EIGEN_GAP_MIN")]
+    assert reads == ["core_linalg.py:_no_gap"]
+
+
 def test_one_triple_kernel():
     # every triple scan runs on verification._triple_scan; only the
     # single-item checks take one direct_sum_defect call per triple

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,10 +8,10 @@ from hypothesis import strategies as st
 
 from anosovlab import spectral
 from anosovlab.core_linalg import (
-    Spectrum,
     Subspace,
     _invariant_bases,
     _orthonormal_basis,
+    _spectra,
     eig_by_modulus,
     grassmann_distance,
     spectrum,
@@ -69,9 +71,10 @@ class TestSpectrum:
         a = np.diag([0.0, 0.0, -2.0, 0.5, 2.0])
         a[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]    # eigenvalues +-i
         spec = spectrum(a)
-        assert np.allclose(spec.values, [2.0, -2.0, 1j, -1j, 0.5], atol=1e-15)
-        assert spec.norm == pytest.approx(2.0)
-        assert spec.entries is a
+        assert np.allclose(spec.values, [[2.0, -2.0, 1j, -1j, 0.5]], atol=1e-15)
+        assert spec.norms[0] == pytest.approx(2.0)
+        assert spec.entries.shape == (1, 5, 5)
+        assert np.shares_memory(spec.entries, a)
 
     def test_record_returned_unchanged(self):
         spec = spectrum(FG_GAMMA)
@@ -140,7 +143,7 @@ class TestSpectrum:
     @settings(max_examples=60, deadline=None)
     def test_readers_agree_on_random_matrices(self, d, seed):
         m = np.random.default_rng(seed).normal(size=(d, d))
-        assert np.array_equal(spectrum(m).values,
+        assert np.array_equal(spectrum(m).values[0],
                               np.array(eig_by_modulus(m).values))
         for k in range(1, d):
             lengths = length_functions(m, k)
@@ -343,7 +346,7 @@ class TestAgainstSchur:
         d = len(m)
         vals = np.linalg.eigvals(m)
         vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
-        assert np.array_equal(spectrum(m).values, vals)
+        assert np.array_equal(spectrum(m).values[0], vals)
         for k in range(1, d):
             if np.isclose(moduli[k - 1], moduli[k], rtol=1e-6):
                 with pytest.raises(GapError):   # k splits a complex pair
@@ -435,7 +438,7 @@ class TestAgainstSchur:
                     space = attracting_space(spec, k)
                 except GapError:
                     continue
-                values, vectors = spec.values[:k], spec.vectors[:, :k]
+                values, vectors = spec.values[0, :k], spec.vectors[0, :, :k]
                 upper = vectors[:, values.imag > 0]
                 columns = np.hstack(
                     (upper.real, upper.imag, vectors[:, values.imag == 0].real))
@@ -462,30 +465,34 @@ class TestInvariantBases:
         jordan[0, 1] = 1.0                     # J_2(2): a deflation set
         tied = np.diag([3.0, 2.0, 2.0, 0.5])   # [0, 2) splits the tie
         plain = np.diag([4.0, -2.0, 1.0, 0.25])
-        records = [spectrum(q @ m @ q.T) for m in (pair, jordan, tied, plain)]
-        # one eigenvector turned by 1e-6 off its line: the residual fails
-        good = records[3]
-        turned = good.vectors.copy()
+        table = _spectra([q @ m @ q.T for m in (pair, jordan, tied, plain,
+                                                plain)])
+        assert table.values.dtype.kind == "c" and not table.errors
+        # the last row's eigenvector turned by 1e-6 off its line: the
+        # residual fails
+        vectors = table.vectors.copy()
+        turned = vectors[4]
         turned[:, [0, 3]] = turned[:, [0, 3]] @ rotation(1e-6)
-        records.append(Spectrum(entries=good.entries, values=good.values,
-                                vectors=turned, norm=good.norm))
-        bases, missing, errors = _invariant_bases(records, 0, 2)
+        table = dataclasses.replace(table, vectors=vectors)
+        bases, missing, errors = _invariant_bases(table, range(5), 0, 2)
         assert bases.shape == (5, 4, 2)
         assert missing.tolist() == [False, False, True, False, False]
         assert list(errors) == [4]
-        for i, record in enumerate(records):
+        for i in range(5):
+            row = table.take([i])
+            # the real rows are read in real arithmetic, as alone
+            assert row.values.dtype.kind == ("c" if i == 0 else "f")
             if missing[i]:
                 with pytest.raises(GapError):
-                    attracting_space(record, 2)
+                    attracting_space(row, 2)
                 assert not bases[i].any()
             elif i in errors:
                 with pytest.raises(NumericError) as exc:
-                    attracting_space(record, 2)
+                    attracting_space(row, 2)
                 assert str(exc.value) == str(errors[i])
                 assert "residual" in errors[i].diagnostics
             else:
-                assert np.array_equal(bases[i],
-                                      attracting_space(record, 2).basis)
+                assert np.array_equal(bases[i], attracting_space(row, 2).basis)
         for i in (0, 1, 3):   # each spans the first two columns of q
             assert grassmann_distance(Subspace(bases[i]),
                                       Subspace(q[:, :2])) < 1e-12
@@ -611,10 +618,10 @@ class TestEigenvalueColumns:
             records = [spectrum(m) for m in matrices]
         assert {r.values.dtype.kind for r in records} == {"f", "c"}
         columns = spectral._eigenvalue_columns(
-            np.array([r.values for r in records]), k)
+            np.concatenate([r.values for r in records]), k)
         for i, record in enumerate(records):
             modulus, signed, disagree, period, weight, root, zero = (
-                scalar_eigenvalue_values(record.values, k))
+                scalar_eigenvalue_values(record.values[0], k))
             assert (columns.modulus[i], columns.disagree[i],
                     columns.zero[i]) == (modulus, disagree, zero)
             assert columns.ratio_signed[i] == (signed is not None)

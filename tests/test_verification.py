@@ -315,8 +315,9 @@ def rotation_rep(seed):
 
 def reference_collar_scan(rep, k, max_length):
     """One linked pair at a time, g-major, each value from the one-row
-    ``spectral`` calls on the ball's records (kept per word), so a record
-    failure patched into ``verification._spectra`` is read here too."""
+    ``spectral`` calls on the ball's one-row Spectrum of the word (kept per
+    word), so a failure patched into ``verification._spectra`` is read
+    here too."""
     ball = _WordBall(rep, max_length)
     words, ends = ball.loxodromic()
     values = {}
@@ -525,9 +526,9 @@ class TestWordBall:
             vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
             record = ball.spectrum(w)
             assert record.values.dtype == vals.dtype
-            assert np.array_equal(record.values, vals)
-            assert np.array_equal(spectrum(m).values, vals)
-            assert record.norm == np.linalg.norm(m, 2)
+            assert np.array_equal(record.values[0], vals)
+            assert np.array_equal(spectrum(m).values[0], vals)
+            assert record.norms[0] == np.linalg.norm(m, 2)
 
     def test_failed_record_raises_only_where_read(self, monkeypatch):
         # the eigenvalues of the image of ``ab`` are moved off in the batch:
@@ -554,7 +555,62 @@ class TestWordBall:
                     assert str(exc.value) == str(alone.value)
                     assert exc.value.diagnostics == alone.value.diagnostics
             else:
-                assert np.array_equal(ball.spectrum(w).entries, ball.image(w))
+                assert np.array_equal(ball.spectrum(w).entries[0],
+                                      ball.image(w))
+
+    @pytest.mark.parametrize("rep,max_length", [
+        (fg_rep(1.0), 6), (fuchsian_locus((5, 1), REF), 6),
+        (rotation_rep(5), 3)], ids=["fg-L6", "51-L6", "rotation-L3"])
+    def test_table_rows_equal_the_one_row_spectra(self, rep, max_length):
+        # each row of the ball's table, taken alone, is the one-row
+        # Spectrum of its matrix bit for bit, in real arithmetic where its
+        # spectrum is real; the rotation rep mixes real and complex rows
+        ball = _WordBall(rep, max_length)
+        table = verification._spectra(ball.images)
+        assert not table.errors
+        kinds = set()
+        for i, m in enumerate(ball.images):
+            row, alone = table.take([i]), spectrum(m)
+            for name in ("entries", "values", "vectors", "norms"):
+                got, want = getattr(row, name), getattr(alone, name)
+                assert got.dtype == want.dtype, (i, name)
+                assert np.array_equal(got, want), (i, name)
+            kinds.add(row.values.dtype.kind)
+        if rep.label == "rotation":
+            assert kinds == {"f", "c"} and table.values.dtype.kind == "c"
+
+    def test_failed_row_keeps_the_scalar_error_text(self, monkeypatch):
+        # the eigenvalues of the image of ``ab`` are moved off in the batch:
+        # only its row has an error, worded as the one-matrix check words
+        # it, |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d at the first
+        # failing eigenvalue
+        rep = fg_rep(1.0)
+        bad = evaluate(rep, A * B)
+        exact = np.linalg.eig
+
+        def moved_eig(a):
+            vals, vecs = exact(a)
+            hit = np.all(a == bad, axis=(-2, -1))
+            return np.where(hit[..., None], vals * 1.001, vals), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", moved_eig)
+        ball = _WordBall(rep, 2)
+        table = verification._spectra(ball.images)
+        assert list(table.errors) == [ball.row(A * B)]
+        budget = 1e-8 * max(float(np.linalg.norm(bad, 2)), 1.0) ** 3
+        for lam in sorted(exact(bad)[0].real * 1.001, key=abs, reverse=True):
+            resid = float(abs(np.linalg.det(bad - lam * np.eye(3))))
+            if resid > budget:
+                break
+        error = table.errors[ball.row(A * B)]
+        assert str(error) == (
+            f"characteristic-polynomial residual {resid:g} exceeds "
+            f"{budget:g} at eigenvalue {lam}")
+        assert error.diagnostics == {"eigenvalue": lam, "residual": resid}
+        with pytest.raises(NumericError) as alone:
+            spectrum(bad)
+        assert (str(alone.value), alone.value.diagnostics) == (
+            str(error), error.diagnostics)
 
     @pytest.mark.parametrize("check,rows", [
         (lambda rep: collar_check(rep, 1, A, B), 5),
@@ -594,11 +650,11 @@ class TestWordBall:
         kernel = verification._invariant_bases
         fixed_points = verification._rp1_fixed_points
 
-        def counting_kernel(records, start, stop):
+        def counting_kernel(spec, rows, start, stop):
             calls.append(stop)
-            for record in records:
-                spaces[record.entries.tobytes(), stop] += 1
-            return kernel(records, start, stop)
+            for m in spec.entries[rows]:
+                spaces[m.tobytes(), stop] += 1
+            return kernel(spec, rows, start, stop)
 
         def counting_points(stack):
             points.update(m.tobytes() for m in stack)
@@ -817,10 +873,10 @@ class TestHkCk:
         # the reference's one-flag reads both miss them
         kernel = verification._invariant_bases
 
-        def gappy_kernel(records, start, stop):
-            bases, missing, errors = kernel(records, start, stop)
-            forced = [zlib.crc32(record.entries.tobytes() + bytes([stop])) % 6
-                      == 0 for record in records]
+        def gappy_kernel(spec, rows, start, stop):
+            bases, missing, errors = kernel(spec, rows, start, stop)
+            forced = [zlib.crc32(m.tobytes() + bytes([stop])) % 6 == 0
+                      for m in spec.entries[rows]]
             return bases, missing | forced, errors
 
         monkeypatch.setattr(verification, "_invariant_bases", gappy_kernel)
@@ -882,9 +938,9 @@ class TestHkCk:
         calls = []
         kernel = verification._invariant_bases
 
-        def counting_kernel(records, start, stop):
-            calls.append((start, stop, len(records)))
-            return kernel(records, start, stop)
+        def counting_kernel(spec, rows, start, stop):
+            calls.append((start, stop, len(rows)))
+            return kernel(spec, rows, start, stop)
 
         def no_space(*args):
             raise AssertionError("a scan called attracting_space")
@@ -1041,9 +1097,9 @@ class TestProjectionHyperconvexity:
         calls = []
         kernel = verification._invariant_bases
 
-        def counting_kernel(records, start, stop):
-            calls.append((len(records), stop))
-            return kernel(records, start, stop)
+        def counting_kernel(spec, rows, start, stop):
+            calls.append((len(rows), stop))
+            return kernel(spec, rows, start, stop)
 
         monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
         samples = [w for w in words_of_length(2, 3) if len(w) > 0]
@@ -1477,21 +1533,22 @@ class TestCollar:
     ], ids=["every-g", "long-g"])
     def test_collar_scan_raises_g_errors_first(self, monkeypatch, rep, k,
                                               above):
-        # a word's record fails where |lambda_1| > above, with an error
+        # a word's row fails where |lambda_1| > above, with an error
         # naming its matrix: on (3,1) every word fails, so the first pair's
         # g error must be raised, not its h's; on fg(1) the generators
         # (6.85) pass and aa, aB, ... (34 and 47) fail
         spectra = verification._spectra
 
-        def failing(record):
-            top = float(abs(record.values[0]))
-            crc = zlib.crc32(record.entries.tobytes())
-            return NumericError(f"no record at |lambda_1| = {top!r} ({crc})",
-                                diagnostics={"top": top})
-
         def failing_spectra(matrices):
-            return [failing(r) if abs(r.values[0]) > above else r
-                    for r in spectra(matrices)]
+            table = spectra(matrices)
+            tops = np.abs(table.values[:, 0])
+            for row in np.flatnonzero(tops > above).tolist():
+                top = float(tops[row])
+                crc = zlib.crc32(table.entries[row].tobytes())
+                table.errors[row] = NumericError(
+                    f"no row at |lambda_1| = {top!r} ({crc})",
+                    diagnostics={"top": top})
+            return table
 
         monkeypatch.setattr(verification, "_spectra", failing_spectra)
         rep = rep()
