@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the integer check that input errors share.
 
 Every error raised by this package derives from :class:`AnosovLabError`,
 so callers (and the CLI) can distinguish domain failures from bugs.
 """
+
+import numbers
 
 
 class AnosovLabError(Exception):
@@ -15,6 +17,14 @@ class DimensionError(AnosovLabError):
 
 class InputError(AnosovLabError):
     """A constructor argument is outside its admissible range."""
+
+
+def check_integer(value, label: str) -> int:
+    """``value`` as an int; InputError("<label> is not an integer") unless
+    it is an integer, which a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{label} is not an integer")
+    return int(value)
 
 
 class PreconditionError(AnosovLabError):

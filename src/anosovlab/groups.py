@@ -11,7 +11,6 @@ trace -2 and whose generator axes cross.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     DomainError,
     InputError,
     PreconditionError,
+    check_integer,
 )
 
 __all__ = [
@@ -123,8 +123,7 @@ def words_of_length(rank: int, max_length: int) -> list:
     BudgetError is raised when the ball would exceed ``WORD_BALL_CAP``.
     """
     for name, value in (("rank", rank), ("max length", max_length)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputError(f"{name} {value!r} is not an integer")
+        check_integer(value, f"{name} {value!r}")
     if rank < 1:
         raise InputError("rank must be >= 1")
     if max_length < 0:

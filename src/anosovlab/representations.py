@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InputError,
     NumericError,
+    check_integer,
 )
 
 __all__ = [
@@ -178,7 +179,8 @@ def sym_power(m, d: int) -> np.ndarray:
 
 def fuchsian_locus(partition, ref: Representation) -> Representation:
     """Block-diagonal sum of symmetric powers composed with a 2x2 reference."""
-    partition = tuple(int(p) for p in partition)
+    partition = tuple(check_integer(p, f"partition entry {p!r}")
+                      for p in partition)
     if any(p < 1 for p in partition):
         raise InputError("partition entries must be positive")
     if any(a < b for a, b in zip(partition, partition[1:])):
@@ -307,8 +309,10 @@ def sopq_form(p: int, q: int) -> SOpqData:
     Block anti-diagonal: the outer (p-1)-blocks pair the first and last
     p-1 coordinates through the alternating anti-diagonal matrix K, the
     middle (q-p+2)-block is J with corner entries (-1)^(p-1) and -Id in
-    between.
+    between.  p and q must be integers.
     """
+    for name, value in (("p", p), ("q", q)):
+        check_integer(value, f"{name}={value!r}")
     if not (q >= p >= 3):
         raise InputError(f"need q >= p >= 3, got ({p}, {q})")
     d = p + q

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -37,6 +36,7 @@ from .errors import (
     GapError,
     InputError,
     PreconditionError,
+    check_integer,
 )
 from .groups import (
     ANGLE_SEPARATION,
@@ -445,8 +445,7 @@ class GapScanReport(_Report):
 
 
 def _check_k(k: int, top: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise InputError(f"k={k!r} is not an integer")
+    check_integer(k, f"k={k!r}")
     if not 1 <= k <= top:
         raise InputError(f"k={k} outside 1..{top}")
 
@@ -454,19 +453,16 @@ def _check_k(k: int, top: int) -> None:
 def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
     """Gap scan reports keyed by index, from one SVD per word of the ball.
 
-    The images of each word sphere, a slice of the ball's stack (words come
-    ordered by length), are decomposed in one batched call.
+    Every word but the identity is decomposed in one batched call; words
+    come ordered by length, so each length's minima are one reduceat.
     """
     if max_length < 3:
         raise InputError("gap scans need max_length >= 3")
     ball = _WordBall(rep, max_length)
     lengths = list(range(1, max_length + 1))
-    edges = np.searchsorted([len(w) for w in ball.words],
-                            np.arange(max_length + 2))
-    minima = np.array([
-        np.log(singular_gaps(ball.images[edges[length]:edges[length + 1]],
-                             indices)).min(axis=0)
-        for length in lengths])
+    starts = np.searchsorted([len(w) for w in ball.words], lengths) - 1
+    minima = np.minimum.reduceat(
+        np.log(singular_gaps(ball.images[1:], indices)), starts)
     return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist())
             for i, k in enumerate(indices)}
 
@@ -474,13 +470,11 @@ def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
 def _gap_report(rep: Representation, k: int, max_length: int, lengths,
                 minima) -> GapScanReport:
     slope, intercept = np.polyfit(lengths, minima, 1)
-    running_max = -np.inf
-    monotone = True
-    for length, m in zip(lengths, minima):
-        if length >= 3 and m < running_max - MONOTONE_SLACK:
-            monotone = False
-        if length >= 2:
-            running_max = max(running_max, m)
+    # a dip: from length 3 on, a minimum below the running maximum of the
+    # minima from length 2 on, less the slack
+    later = np.array(minima[1:])
+    monotone = not np.any(
+        later < np.maximum.accumulate(later) - MONOTONE_SLACK)
     if slope > SLOPE_ANOSOV and monotone:
         verdict = "anosov-like"
     elif slope < SLOPE_FLAT:
@@ -850,8 +844,10 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
     separated = circle_separation(atlas.angles[:, None],
                                   atlas.angles[None, :]) >= min_separation
     np.fill_diagonal(separated, False)
-    pairwise = separated.astype(int)
-    used = separated & (pairwise @ pairwise > 0)   # some third point fits
+    # some third point fits: einsum's float32 loop counts exactly (below
+    # WORD_BALL_CAP < 2^24) and starts no BLAS threads
+    pairwise = separated.astype(np.float32)
+    used = separated & (np.einsum("ik,kj->ij", pairwise, pairwise) > 0)
     # intersect(v, R^d) is v itself: whole-space parts drop out, and at
     # k = 1 every summand is a point flag
     summands = tuple(tuple(part for part in summand if part[1] < rep.dim)
@@ -1048,8 +1044,10 @@ def check_positively_ratioed(rep: Representation, k: int,
     cyclic arrangements, scored from one batched ``det`` table of [k-flag_i |
     (d-k)-flag_j] (``_wedge_table``).  ``_arrangement_minimum`` finds their
     minimum without visiting each: one prefix-min/max sweep per point, O(n^3)
-    time and O(n^2) memory, bit-identical to scoring every arrangement.  The
-    worst quadruple is the first minimum by 4-subset, then rotation.
+    time and O(n^2) memory on every table, however many arrangements tie,
+    bit-identical to scoring every arrangement.  The worst quadruple is the
+    first minimum in sweep order: z in angle order, then x, y and w by
+    cyclic position after z.
     Passing means min > 1 + ``POSITIVITY_MARGIN``.  A point without an
     eigenvalue-modulus gap at k or d - k raises ``GapError`` naming its
     word and the flag dimension; a wedge below ``WEDGE_DEGENERACY_TOL``
@@ -1114,14 +1112,15 @@ def _arrangement_minimum(wedge: np.ndarray) -> tuple:
     ``(W[x,z]/W[x,y]) * (W[w,y]/W[w,z])``; only off-diagonal entries are
     read.  Instead of scoring all 4 C(n, 4) arrangements, one sweep per z
     (``_arc_sweep``) takes the exact minimum over w for every (x, y) from
-    prefix minima and maxima: O(n^3) time and O(n^2) memory, and every
-    value bit-identical to the arrangement's own.
+    prefix minima and maxima, every value bit-identical to the
+    arrangement's own: O(n^3) time and O(n^2) memory on every table.
 
-    Ties are kept as the loop over 4-subsets a < b < c < d in combinations
-    order, each in rotations r = 0..3 (x the r-th point), keeps them: the
-    z whose sweeps attain the minimum are swept again, and of the
-    arrangements attaining it (``_first_attaining``) the one with the least
-    (subset, r) wins.
+    The witness is the first minimum in the order the sweeps visit
+    arrangements: z in angle order, then x, y and w by cyclic position
+    after z.  The first minimizing z is swept once more; its first (x, y)
+    attaining the minimum, row-major, is kept, and the first w before x
+    whose product G * F equals it.  Such a w exists: the minimum is F times
+    a prefix minimum or maximum of G, which is the G of some w before x.
     """
     n = len(wedge)
     ring = np.tile(wedge, (2, 2))
@@ -1130,42 +1129,18 @@ def _arrangement_minimum(wedge: np.ndarray) -> tuple:
     valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
     minima = [np.min(_arc_sweep(ring, z)[2], where=valid, initial=np.inf)
               for z in range(n)]
-    min_gcr = min(minima)
-    tied = np.flatnonzero(np.array(minima) == min_gcr)
-    return float(min_gcr), min(
-        _first_attaining(ring, z, min_gcr, valid) for z in tied)[1]
-
-
-def _first_attaining(ring: np.ndarray, z: int, min_gcr: float,
-                     valid: np.ndarray) -> tuple:
-    """(key, (x, y, z, w)) of the first arrangement of one z whose value is
-    ``min_gcr``; the key orders by sorted 4-subset, then rotation.
-
-    The arrangements are taken one y at a time, as (w, x) masks, so memory
-    stays O(n^2) however many of them tie; time is O(n^2) per y that has
-    one, O(n^4) only when nearly every arrangement ties.
-    """
-    n = len(ring) // 2
+    z = int(np.argmin(minima))
+    min_gcr = minima[z]
     g, f, values = _arc_sweep(ring, z)
+    r, j = np.argwhere(valid & (values == min_gcr))[0]
+    w = int(np.argmax(g[:r + 1, j] * f[r, j] == min_gcr))
     arc = (z + 1 + np.arange(n - 1)) % n
-    hits = valid & (values == min_gcr)
-    firsts = []
-    for j in np.flatnonzero(hits.any(axis=0)):
-        r = np.flatnonzero(hits[:, j])   # x at arc position r + 1
-        w, s = np.nonzero((g[:, j, None] * f[r, j] == min_gcr)
-                          & (np.arange(n - 1)[:, None] <= r))
-        quads = np.column_stack(
-            np.broadcast_arrays(arc[r[s] + 1], arc[j], z, arc[w]))
-        subsets = np.sort(quads, axis=1)
-        rotations = np.argmax(subsets == quads[:, :1], axis=1)
-        keys = np.ravel_multi_index((*subsets.T, rotations), (n,) * 4 + (4,))
-        first = int(np.argmin(keys))
-        firsts.append((int(keys[first]), tuple(quads[first].tolist())))
-    return min(firsts)
+    return float(min_gcr), (int(arc[r + 1]), int(arc[j]), z, int(arc[w]))
 
 
 def _arc_sweep(ring: np.ndarray, z: int) -> tuple:
-    """Every arrangement (x, y, z, w) of one z, minimised over w.
+    """Every arrangement (x, y, z, w) of one z, minimised over w, in O(n^2)
+    time and memory.
 
     ``ring`` is the wedge table tiled twice in both axes, so the n - 1
     points after z in cyclic order, the arc, are a view: on it the
@@ -1599,13 +1574,18 @@ def sopq_scan(p: int, q: int, count: int, seed: int,
     ``SOPQ_RESIDUAL_RTOL`` ||Q||_2 and, for every k in 1..p-3, both
     coefficients are positive and the model defect exceeds
     ``SOPQ_DEFECT_FLOOR``.  p must be at least 4, so that some k is
-    checked, and ``entry_max`` finite; an element too large to certify
-    (its residual overflows) raises NumericError.
+    checked, and ``entry_max`` finite; p, q, ``count`` and ``seed`` must
+    be integers, the seed >= 0.  An element too large to certify (its
+    residual overflows) raises NumericError.
     """
+    for name, value in (("p", p), ("q", q), ("count", count), ("seed", seed)):
+        check_integer(value, f"{name}={value!r}")
     if p < 4:
         raise InputError(f"p={p} is below 4: no k in 1..p-3 to check")
     if count < 1:
         raise InputError(f"count={count} is below 1")
+    if seed < 0:
+        raise InputError(f"seed={seed} is negative")
     if not (math.isfinite(entry_max) and entry_max > SOPQ_ENTRY_MIN):
         raise InputError(
             f"entry_max={entry_max} is not a finite number above "

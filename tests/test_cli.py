@@ -408,6 +408,13 @@ class TestSopq:
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "0",
                     "--seed", "7"]) == 64
 
+    def test_negative_seed_exit_3(self, capsys):
+        # the generator would raise a bare ValueError and exit 1
+        assert run(["sopq", "--p", "4", "--q", "5", "--count", "1",
+                    "--seed", "-1"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "message": "seed=-1 is negative"}
+
     def test_empty_draw_range_exit_3(self, capsys):
         assert run(["sopq", "--p", "4", "--q", "5", "--count", "2",
                     "--seed", "7", "--entry-max", "0"]) == 3

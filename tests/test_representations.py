@@ -149,6 +149,18 @@ class TestFuchsianLocus:
         with pytest.raises(InputError):
             fuchsian_locus((1, 5), punctured_torus_reference())
 
+    @pytest.mark.parametrize("partition, entry", [
+        ((5.7, 1), "5.7"), ((True, 1), "True"), ((5, 1.0), "1.0")])
+    def test_partition_entries_must_be_integers(self, partition, entry):
+        # int() would truncate: (5.7, 1) built the (5,1) locus
+        with pytest.raises(InputError,
+                           match=f"partition entry {entry} is not an integer"):
+            fuchsian_locus(partition, punctured_torus_reference())
+
+    def test_numpy_integer_partition_accepted(self):
+        rep = fuchsian_locus(np.array([5, 1]), punctured_torus_reference())
+        assert rep.label == "fuchsian-(5,1)"
+
     def test_reference_attached(self):
         rep = fuchsian_locus((3,), punctured_torus_reference())
         assert rep.reference is not None and rep.reference.dim == 2
@@ -236,6 +248,12 @@ class TestSopq:
             eig = np.linalg.eigvalsh(data.Q)
             assert int(np.sum(eig > 0)) == p
             assert int(np.sum(eig < 0)) == q
+
+    @pytest.mark.parametrize("p, q, bad", [
+        (4.0, 5, "p=4.0"), (4, 5.5, "q=5.5"), (True, 5, "p=True")])
+    def test_form_rejects_non_integer_signature(self, p, q, bad):
+        with pytest.raises(InputError, match=f"{bad} is not an integer"):
+            sopq_form(p, q)
 
     def test_E_zero_is_identity_limit(self):
         data = sopq_form(4, 5)

@@ -229,36 +229,41 @@ def reference_projection_scan(rep, k, x, samples,
 
 
 def reference_arrangement_minimum(wedge):
-    """One arrangement at a time: the rotations of every angle-sorted
-    4-subset in combinations order; a strict < keeps the first minimum."""
+    """One arrangement at a time, in the sweep's order: z in angle order,
+    then x, y and w by cyclic position after z (the arc after z reads
+    w, x, y); a strict < keeps the first minimum."""
+    n = len(wedge)
     min_gcr, worst, count = np.inf, None, 0
-    for quad in itertools.combinations(range(len(wedge)), 4):
-        for rot in range(4):
-            x, y, z, w = quad[rot:] + quad[:rot]
-            val = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
-            count += 1
-            if val < min_gcr:
-                min_gcr, worst = val, (x, y, z, w)
+    for z in range(n):
+        arc = [(z + i) % n for i in range(1, n)]
+        for a in range(1, n - 2):
+            for b in range(a + 1, n - 1):
+                for c in range(a):
+                    x, y, w = arc[a], arc[b], arc[c]
+                    val = ((wedge[x, z] / wedge[x, y])
+                           * (wedge[w, y] / wedge[w, z]))
+                    count += 1
+                    if val < min_gcr:
+                        min_gcr, worst = val, (x, y, z, w)
     return float(min_gcr), worst, count
 
 
 def pairwise_arrangement_minimum(wedge):
-    """The same first minimum in array code, O(n^4): the 4-subsets of one
-    leading pair (a, b) at a time, their four rotations as (m, 4) index
-    arrays; a row-major argmin and a strict < across pairs keep the first."""
+    """The same first minimum in array code, O(n^4): the arrangements of
+    one (z, x) at a time as a (y, w) grid, both by arc position; a
+    row-major argmin and a strict < across (z, x) keep the first."""
     n = len(wedge)
     min_gcr, worst = np.inf, None
-    tails = np.column_stack(np.triu_indices(n, 1))   # (c, d), c < d, sorted
-    rotations = (np.arange(4)[:, None] + np.arange(4)) % 4   # r-th starts at r
-    for a, b in itertools.combinations(range(n - 2), 2):
-        cd = tails[np.searchsorted(tails[:, 0], b + 1):]   # b < c < d
-        quads = np.concatenate((np.broadcast_to((a, b), (len(cd), 2)), cd), 1)
-        x, y, z, w = quads[:, rotations].transpose(2, 0, 1)
-        values = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
-        s, r = divmod(int(np.argmin(values)), 4)   # subset, then rotation
-        if values[s, r] < min_gcr:
-            min_gcr, worst = float(values[s, r]), quads[s, rotations[r]]
-    return min_gcr, tuple(worst.tolist())
+    for z in range(n):
+        arc = (z + 1 + np.arange(n - 1)) % n
+        for a in range(1, n - 2):
+            x, y, w = arc[a], arc[a + 1:, None], arc[None, :a]
+            values = (wedge[x, z] / wedge[x, y]) * (wedge[w, y] / wedge[w, z])
+            s, t = np.unravel_index(int(np.argmin(values)), values.shape)
+            if values[s, t] < min_gcr:
+                min_gcr = float(values[s, t])
+                worst = (int(x), int(y[s, 0]), z, int(w[0, t]))
+    return min_gcr, worst
 
 
 @st.composite
@@ -1335,6 +1340,24 @@ class TestPositivelyRatioed:
         assert _arrangement_minimum(wedge) == \
             pairwise_arrangement_minimum(wedge)
 
+    def test_all_tied_table_costs_one_sweep_more_than_n(self, monkeypatch):
+        # on a constant table every arrangement ties: the witness must cost
+        # one more sweep, not a pass over the tied arrangements
+        sweeps = []
+        sweep = verification._arc_sweep
+
+        def counting_sweep(ring, z):
+            sweeps.append(z)
+            return sweep(ring, z)
+
+        monkeypatch.setattr(verification, "_arc_sweep", counting_sweep)
+        min_gcr, worst = _arrangement_minimum(np.ones((124, 124)))
+        assert min_gcr == 1.0
+        assert len(sweeps) <= 124 + 1
+        wedge = np.ones((7, 7))
+        min_gcr, worst, _ = reference_arrangement_minimum(wedge)
+        assert _arrangement_minimum(wedge) == (min_gcr, worst)
+
     def test_missing_flag_names_the_first_point_and_dimension(self):
         # the eigenvalue 1 of (5,1) is double: no point has a 3-flag
         rep = fuchsian_locus((5, 1), REF)
@@ -1710,6 +1733,14 @@ class TestSopqScan:
             "coeff_k1": 11.507085493220536,
             "coeff_inv_k1": 3.9160692539664215,
             "model_defect_k1": 0.3862826364141154}
+
+    @pytest.mark.parametrize("args, bad", [
+        ((4.5, 5, 3, 0), "p=4.5"), ((4, 5.0, 3, 0), "q=5.0"),
+        ((4, 5, 2.5, 0), "count=2.5"), ((4, 5, True, 0), "count=True"),
+        ((4, 5, 3, 1.5), "seed=1.5"), ((4, 5, 3, False), "seed=False")])
+    def test_non_integer_arguments_rejected(self, args, bad):
+        with pytest.raises(InputError, match=f"{bad} is not an integer"):
+            sopq_scan(*args, 2.0)
 
     def test_count_below_one_rejected(self):
         with pytest.raises(InputError, match="count=0"):
