@@ -107,12 +107,15 @@ BRACKET_RTOL = 1e-6       # relative slack of the certified bounds on a
                           # runs
 BRACKET_ATOL = 1e-7       # their absolute slack: covers the sqrt(eps)
                           # error of the Gram route near defect 0
-NEWTON_STEPS = 60         # Newton steps after which a triple's bounds are
-                          # given up (0, inf): its exact SVD always runs
-NEWTON_RTOL = 1e-12       # relative Newton step below which a triple's
-                          # bounds have converged
+BRACKET_STEPS = 60        # root-finding steps after which a triple's
+                          # bounds are given up (0, inf): its exact SVD
+                          # always runs
 POINT_DEDUP_TOL = 1e-8    # boundary angles closer than this are one point
-TRIPLE_BLOCK = 1 << 14    # (first point, y, z) index cells scanned at once
+TRIPLE_BLOCK = 1 << 14    # (anchor point, u, v) cells of a triple scan's
+                          # chunk: its Gram tables and bounds are
+                          # O(TRIPLE_BLOCK) arrays (one anchor point per
+                          # chunk once n^2 is larger)
+PAIR_BLOCK = 1 << 16      # (g, h) cells of the linkage mask built at once
 CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
                           # transversality scan
 POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
@@ -661,94 +664,223 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     return tables
 
 
-def _line_tables(tables: list) -> tuple | None:
-    """What the defect bounds read of a sum x^1 + y^1 + z^m of three point
-    flags, M = [a | b | Z] (H_1, C_1 at d = 4, three projected lines), by
-    the tables' roles and ranks; None for every other sum.
+def _anchor(tables: list) -> int:
+    """The index of the anchor Z of a sum M = [R | Z]: the point flag
+    whose point, held fixed, leaves each other summand reading one other
+    point, a different one each.  That is z^(d-k-1) of H_k and x^(d-k-2)
+    of C_k; of three point flags (H_1, C_1, the projected scan) it is the
+    one of the largest rank, the last of a tie."""
+    def fits(t):
+        rest = [set(u.roles) - set(t.roles) for u in tables if u is not t]
+        return (len(t.roles) == 1 and all(len(r) == 1 for r in rest)
+                and rest[0] != rest[1])
+    return max((i for i, t in enumerate(tables) if fits(t)),
+               key=lambda i: (tables[i].basis.shape[-1], i))
 
-    Returns the unit vectors of the lines x^1 and y^1 per point, (n, d)
-    each, and their coordinates in an orthonormal complement of z^m per
-    (line point, z) pair, (n, n, d - m) each.
+
+def _at_anchors(table: _SummandTable, role: int,
+                points: np.ndarray) -> np.ndarray:
+    """The bases of ``table`` at the keys of the anchor points ``points``
+    (of triple position ``role``) and every point u: (c, n, d, rank), with
+    c = 1 where the key does not read the anchor."""
+    if table.roles[0] == role:
+        return table.basis[points]
+    if len(table.roles) == 1:
+        return table.basis[None]
+    return np.swapaxes(table.basis[:, points], 0, 1)
+
+
+def _gram(tables: list, anchor: int, complement: np.ndarray,
+          points: np.ndarray, p: np.ndarray, u: np.ndarray,
+          v: np.ndarray) -> tuple:
+    """``(g, c)`` of the triples (points[p[i]], u[i], v[i]) of a chunk of
+    anchor points ``points``: g, (r, r, N), is R^T (I - Z Z^T) R, and c,
+    (r1, r2, N), is B1^T B2.
+
+    M = [R | Z]: Z is the anchor's basis, R = [B1 | B2] the other two
+    summands' (u reads B1, v reads B2).  R^T R has the diagonal blocks I
+    and the cross block c.  ``complement`` holds an orthonormal
+    complement C of Z per point, so g is the Gram matrix of the
+    coordinates C^T R.  Each summand's own block of g is an (anchor
+    point, point) table, and the cross blocks of g and of R^T R are one
+    batched GEMM each over the chunk; a triple reads its entries off
+    these tables.  No basis is gathered per triple.
     """
-    ranks = [t.basis.shape[-1] for t in tables]
-    if [t.roles for t in tables] != [(0,), (1,), (2,)] or ranks[:2] != [1, 1]:
-        return None
-    complement = np.linalg.svd(tables[2].basis)[0][..., ranks[2]:]
-    units = [t.basis[..., 0] for t in tables[:2]]
-    return units, [np.swapaxes(u @ complement, 0, 1) for u in units]
+    role = tables[anchor].roles[0]
+    n = len(tables[anchor].missing)
+    ct = np.swapaxes(complement[points], 1, 2)
+    full, coords, ranks = [], [], []
+    for i, t in enumerate(tables):
+        if i != anchor:
+            # (c or 1, d, n rank): column (point, basis vector)
+            basis = _at_anchors(t, role, points)
+            d, rank = basis.shape[-2:]
+            full.append(basis.transpose(0, 2, 1, 3).reshape(
+                len(basis), d, n * rank))
+            coords.append(ct @ full[-1])
+            ranks.append(rank)
+    r1, r2 = ranks
+    r = r1 + r2
+    size = len(points) * n
+    g = np.empty((r, r, len(p)))
+    for (lo, hi), coord, key in zip(((0, r1), (r1, r)), coords, (u, v)):
+        coord = coord.reshape(len(points), len(ct[0]), n, hi - lo)
+        block = np.einsum("ceni,cenj->ijcn", coord, coord)
+        g[lo:hi, lo:hi] = np.take(block.reshape((hi - lo) ** 2, size),
+                                  p * n + key, axis=1).reshape(
+                                      hi - lo, hi - lo, len(p))
+    # the GEMM's entry ((u, i), (v, j)) of anchor point p
+    within = (np.arange(r1)[:, None] * (n * r2) + np.arange(r2)).reshape(-1, 1)
+    at = u * (r1 * r2 * n) + v * r2 + within
+    crosses = []
+    for left, right in (coords, full):
+        cross = np.ascontiguousarray(np.swapaxes(left, 1, 2)) @ right
+        index = at + p * (r1 * r2 * n * n) if len(cross) > 1 else at
+        crosses.append(cross.reshape(-1)[index].reshape(r1, r2, len(p)))
+    g[:r1, r1:] = crosses[0]
+    g[r1:, :r1] = np.swapaxes(crosses[0], 0, 1)
+    return g, crosses[1]
 
 
-def _defect_bounds(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray,
-                   c: np.ndarray, low: float, high: float) -> tuple:
-    """Certified bounds lo <= sigma_min(M) <= hi of M = [a | b | Z].
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of an (r, r, ...) stack, entry axes first: the closed
+    form at r = 3 (``_pencil_jet`` has its own at r = 2), else one
+    batched ``np.linalg.det``."""
+    if len(m) == 3:
+        return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
 
-    a and b are unit columns with c = a.b and Z is orthonormal; g11, g22
-    and g12 are the entries of g = R^T (I - Z Z^T) R, R = [a | b], so
-    G + I, G = R^T R, has diagonal 2.  sigma_min^2 is the smallest root of
-    the quartic q(lam) = det A(lam), A(lam) = g - lam (G + I) + lam^2 I
-    (the Schur complement of M^T M - lam I, times 1 - lam), whose roots
-    are all real, and q(0) = det g >= 0, so Newton from 0 rises
-    monotonically towards it; below every root, with Newton step s, the
-    root lies in [lam + s, lam + 4 s].  q is evaluated as the determinant
-    of A, not from its expanded coefficients, which near a multiple root
-    at 1 (orthogonal summands) lose the root to eps^(1/4).  The bounds
-    carry the relative slack ``BRACKET_RTOL`` and the absolute
-    ``BRACKET_ATOL``.
 
-    A row stops once its step is below ``NEWTON_RTOL`` of lam, or once
-    its bounds lie strictly between min(low, min hi) and
-    max(high, max lo), where no extreme can be; its bounds stay valid,
-    only wider.  A row still going after ``NEWTON_STEPS``, or whose
-    bounds are not finite, gets (0, inf).
+def _pencil_jet(g: np.ndarray, c: np.ndarray, lam) -> tuple:
+    """q and q' at ``lam`` of q(lam) = det A(lam), A(lam) = g - lam h +
+    lam^2 I, per row, h = R^T R + I with the cross block ``c`` (``_gram``),
+    and q'' at r = 2, where all three have a closed form (else None).
+    Otherwise q' = sum_j det(A with column j taken from A'), det being
+    multilinear in the columns: 1 + r ``_det`` calls."""
+    r = len(g)
+    if r == 2:
+        c = c[0, 0]
+        a00, a11, a01 = g[0, 0], g[1, 1], g[0, 1]
+        if np.ndim(lam):   # else lam is 0, the first step
+            t = lam * (lam - 2)
+            a00, a11, a01 = a00 + t, a11 + t, a01 - lam * c
+        e, trace = 2 * lam - 2, a00 + a11
+        return (a00 * a11 - a01 * a01, e * trace + 2 * a01 * c,
+                2 * (trace + e * e - c * c))
+    r1 = len(c)
+    eye = np.eye(r)[:, :, None]
+    h = 2 * eye + np.zeros_like(g)
+    h[:r1, r1:], h[r1:, :r1] = c, np.swapaxes(c, 0, 1)
+    a, da = g - lam * h + lam * lam * eye, 2 * lam * eye - h
+    dq = 0.0
+    for j in range(r):
+        column = a[:, j].copy()
+        a[:, j] = da[:, j]
+        dq = dq + _det(a)
+        a[:, j] = column
+    return _det(a), dq, None
+
+
+def _sigma_bounds(below, above) -> tuple:
+    """Bounds on sigma_min from bounds on its square, with the relative
+    slack ``BRACKET_RTOL`` and the absolute ``BRACKET_ATOL``."""
+    return (np.sqrt(np.maximum(below, 0.0)) * (1 - BRACKET_RTOL)
+            - BRACKET_ATOL,
+            np.sqrt(np.maximum(above, 0.0)) * (1 + BRACKET_RTOL)
+            + BRACKET_ATOL)
+
+
+def _reach(low: float, high: float, least: float, most: float) -> tuple:
+    """The bounds on sigma_min^2 from which a row can pass an extreme: it
+    can reach min(low, min hi) when its lower bound is at most the first,
+    and max(high, max lo) when its upper bound is at least the second.
+    ``least`` and ``most`` are the rows' least upper and most lower bound
+    on sigma_min^2, and lo and hi their ``_sigma_bounds``."""
+    top, bottom = _sigma_bounds(most, least)
+    bottom, top = min(low, bottom), max(high, top)
+    return (((bottom + BRACKET_ATOL) / (1 - BRACKET_RTOL)) ** 2,
+            ((top - BRACKET_ATOL) / (1 + BRACKET_RTOL)) ** 2
+            if top > BRACKET_ATOL else -np.inf)
+
+
+def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
+                 high: float) -> tuple:
+    """Certified bounds ``(below, above)`` on sigma_min(M)^2 of
+    M = [R | Z] per row of ``_gram``'s (g, c); ``_sigma_bounds`` turns
+    them into bounds lo <= sigma_min(M) <= hi.
+
+    R's summands have orthonormal bases and Z is orthonormal.
+    sigma_min^2 is the smallest root of q(lam) = det A(lam),
+    A(lam) = g - lam h + lam^2 I, h = R^T R + I (the Schur complement of
+    M^T M - lam I, times 1 - lam), a polynomial of degree n = 2r whose
+    roots are all real: the eigenvalues of M^T M, and 1.  q(0) = det g
+    >= 0.  Below every root, with u_i = 1/(root_i - lam), S1 = sum u_i =
+    -q'/q, so Newton's step s = 1/S1, the root lies in [lam + s,
+    lam + n s], and Newton from 0 rises monotonically towards it.  At
+    r = 2 q'' is at hand too: with S2 = sum u_i^2 = (q'/q)^2 - q''/q, the
+    largest u lies in [S2/S1, (S1 + sqrt((n-1)(n S2 - S1^2)))/n], so the
+    root in the narrower [lam + L, lam + S1/S2], L Laguerre's step, which
+    the iteration takes instead: cubic near a simple root.  q, q' and q''
+    are evaluated as determinants (``_pencil_jet``), not from expanded
+    coefficients, which near a multiple root at 1 (orthogonal summands)
+    lose the root to eps^(1/4).
+
+    A row stops once its bracket is narrower than ``BRACKET_RTOL`` of its
+    lower end, inside the slack, or once its bounds cannot reach
+    min(low, min hi) nor max(high, max lo) (``_reach``), where no
+    extreme can be; its bounds stay valid, only wider.  A row still going
+    after ``BRACKET_STEPS``, or whose lower bound is not finite, gets
+    (0, inf).
     """
-    n = len(g11)
-    rows = np.stack([g11, g22, g12, c])
-    lam = np.zeros(n)
-    lo, hi = np.zeros(n), np.full(n, np.inf)
-    todo = np.arange(n)
+    r, n = len(g), g.shape[-1]
+    degree = 2 * r
+    todo, lam, root_lo, root_hi = None, 0.0, 0.0, np.inf
+    least, most = np.inf, 0.0   # the least upper and most lower root bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(NEWTON_STEPS):
-            g11, g22, g12, c = rows
-            a11 = (lam - 2) * lam + g11
-            a22 = (lam - 2) * lam + g22
-            a12 = g12 - lam * c
-            s = -(a11 * a22 - a12 * a12) / (
-                2 * ((lam - 1) * (a11 + a22) + a12 * c))
-            below = np.sqrt(np.maximum(lam + np.minimum(s, 4 * s), 0.0))
-            above = np.sqrt(np.maximum(lam + np.maximum(s, 4 * s), 0.0))
+        for _ in range(BRACKET_STEPS):
+            q, dq, ddq = _pencil_jet(g, c, lam)
+            s = -q / dq
+            if ddq is None:
+                step, upper = s, degree * s
+            else:
+                # S2 / S1^2, in [1/n, 1]
+                w = np.minimum(np.maximum(1 + s * ddq / dq, 1 / degree), 1.0)
+                step = degree * s / (
+                    1 + np.sqrt((degree - 1) * (degree * w - 1)))
+                upper = s / w
             # every iterate brackets the root: keep the tightest bounds
-            lo[todo] = np.fmax(
-                lo[todo], below * (1 - BRACKET_RTOL) - BRACKET_ATOL)
-            hi[todo] = np.fmin(
-                hi[todo], above * (1 + BRACKET_RTOL) + BRACKET_ATOL)
-            bottom, top = min(low, hi.min()), max(high, lo.max())
-            going = ((s > NEWTON_RTOL * (lam + s))
-                     & ((lo[todo] <= bottom) | (hi[todo] >= top)))
-            todo, lam, rows = todo[going], (lam + s)[going], rows[:, going]
+            # (fmax and fmin also drop a NaN of a degenerate row)
+            low_end = np.minimum(step, upper)
+            high_end = np.maximum(step, upper)
+            if todo is not None:
+                low_end, high_end = lam + low_end, lam + high_end
+            root_lo = np.fmax(root_lo, low_end)
+            root_hi = np.fmin(root_hi, high_end)
+            if todo is None:
+                todo, below, above = np.arange(n), root_lo, root_hi
+            else:
+                below[todo], above[todo] = root_lo, root_hi
+            least = min(least, root_hi.min())
+            most = max(most, root_lo.max())
+            reach_lo, reach_hi = _reach(low, high, least, most)
+            going = np.flatnonzero(
+                (root_hi > (1 + BRACKET_RTOL) * root_lo)
+                & ((root_lo <= reach_lo) | (root_hi >= reach_hi)))
+            todo = todo[going]
             if not todo.size:
                 break
-    lo = np.maximum(lo, 0.0)
-    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+            lam = (lam + step)[going]
+            root_lo, root_hi = root_lo[going], root_hi[going]
+            g, c = g[:, :, going], c[:, :, going]
+    bad = below == np.inf
     bad[todo] = True
-    lo[bad], hi[bad] = 0.0, np.inf
-    return lo, hi
+    below[bad], above[bad] = 0.0, np.inf
+    return below, above
 
 
-def _triple_bounds(lines: tuple, columns, low: float, high: float) -> tuple:
-    """Bounds lo <= defect <= hi of the triples (x[i], y[i], z[i]) of
-    ``columns`` = (x, y, z) from the tables of ``_line_tables``."""
-    (a, b), (pa, pb) = lines
-    x, y, z = columns
-    pa, pb = pa[x, z], pb[y, z]
-
-    def dot(u, v):
-        return np.einsum("ij,ij->i", u, v)
-
-    return _defect_bounds(dot(pa, pa), dot(pb, pb), dot(pa, pb),
-                          dot(a[x], b[y]), low, high)
-
-
-def _triple_extremes(tables: list, lines: tuple | None, x: np.ndarray,
+def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
                      y: np.ndarray, z: np.ndarray, low: float,
                      high: float) -> tuple:
     """Missing flags of the triples (x[i], y[i], z[i]) and the extremes of
@@ -756,27 +888,42 @@ def _triple_extremes(tables: list, lines: tuple | None, x: np.ndarray,
 
     Returns ``(missing, lowest, first, highest)``.  A triple reading a
     missing flag has defect 0.  Every other triple gets certified bounds
-    lo <= defect <= hi (``_triple_bounds``) where ``lines``, the tables of
-    ``_line_tables``, is not None, else (0, inf); only the triples whose
-    lo is at most min(low, min hi) or whose hi is at least
-    max(high, max lo) get the exact defect, from one batched SVD of their
-    concatenated summand bases, which have d columns in all.  ``lowest``
-    is the minimum of the exact defects, with ``first`` the first index
-    attaining it, and ``highest`` their maximum.  Every triple attaining
-    the minimum of these triples, when that is at most ``low``, or their
-    maximum, when that is at least ``high``, is among them, so a strict
-    ``lowest < low`` keeps the first minimum of the whole scan.
-    ``first`` is None when all triples are pruned.
+    lo <= defect <= hi from its row of ``gram`` (``_gram``,
+    ``_root_bounds``), row i % N of its N rows: a scan of a sum symmetric
+    in two points lists each triple with those swapped N triples later,
+    and its singular values are the same.  Only the triples whose lo is
+    at most min(low, min hi) or whose hi is at least max(high, max lo) get
+    the exact defect, from one batched SVD of their concatenated summand
+    bases, which have d columns in all.  ``lowest`` is the minimum of the
+    exact defects, with ``first`` the index of the lexicographically
+    first (x, y, z) attaining it, and ``highest`` their maximum.  Every
+    triple attaining the minimum of these triples, when that is at most
+    ``low``, or their maximum, when that is at least ``high``, is among
+    them, so ``lowest`` and ``first`` decide the first minimum of the
+    whole scan whatever the order of its chunks.  ``first`` is None when
+    all triples are pruned.
     """
     columns = (x, y, z)
     keys = [tuple(columns[role] for role in t.roles) for t in tables]
-    missing = np.any([t.missing[key] for t, key in zip(tables, keys)], axis=0)
-    lo, hi = np.zeros(len(y)), np.where(missing, 0.0, np.inf)
-    rows = np.flatnonzero(~missing)
-    if lines is not None and rows.size:
-        lo[rows], hi[rows] = _triple_bounds(
-            lines, [c[rows] for c in columns], low, high)
-    exact = (lo <= min(low, hi.min())) | (hi >= max(high, lo.max()))
+    missing = np.zeros(len(y), dtype=bool)
+    for t, key in zip(tables, keys):
+        if t.missing.any():
+            missing |= t.missing[key]
+    g, c = gram
+    size = g.shape[-1]
+    below, above = np.zeros(size), np.zeros(size)
+    bounded = np.flatnonzero(~missing[:size])
+    if bounded.size == size:
+        below, above = _root_bounds(g, c, low, high)
+    elif bounded.size:
+        below[bounded], above[bounded] = _root_bounds(
+            g[:, :, bounded], c[:, :, bounded], low, high)
+    # a missing flag's defect is 0
+    reach_lo, reach_hi = _reach(
+        low if bounded.size == size else 0.0, high,
+        above[bounded].min(initial=np.inf), below[bounded].max(initial=0.0))
+    exact = missing | np.tile((below <= reach_lo) | (above >= reach_hi),
+                              len(y) // size)
     defects = np.zeros(len(y))
     rows = np.flatnonzero(exact & ~missing)
     defects[rows] = _smallest_singular_values(np.concatenate(
@@ -786,38 +933,72 @@ def _triple_extremes(tables: list, lines: tuple | None, x: np.ndarray,
     if not known.size:
         return missing, np.inf, None, -np.inf
     values = defects[known]
-    j = int(np.argmin(values))
-    return missing, float(values[j]), int(known[j]), float(values.max())
+    lowest = values.min()
+    ties = known[values == lowest]
+    first = ties[np.lexsort((z[ties], y[ties], x[ties]))[0]]
+    return missing, float(lowest), int(first), float(values.max())
 
 
 def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
     """``(n_triples, gap_failures, min, max, worst)`` over the triples
     (x, y, z) whose pairs (x, y), (x, z) and (y, z) the (n, n) mask
-    ``pairs`` marks, in lexicographic order, a block of first points at a
-    time so the arrays stay O(``TRIPLE_BLOCK``); ``_triple_extremes``
-    prunes against the running extremes.  ``worst`` is the first (x, y, z)
+    ``pairs`` marks.  ``worst`` is the lexicographically first (x, y, z)
     attaining the minimum; min, max and worst are None without a triple.
+
+    The triples run anchor-major (``_anchor``): a chunk of anchor points
+    at a time, so the arrays stay O(``TRIPLE_BLOCK``), with the Gram
+    blocks of each chunk from ``_gram``; ``_triple_extremes`` prunes
+    against the running extremes and breaks ties by (x, y, z).  When the
+    two other summands are one point table and ``pairs`` is symmetric
+    (H_1), the sum is symmetric in their points u and v: the Gram rows
+    and bounds are built for u < v only, and serve (v, u) too.
     """
-    lines = _line_tables(tables)
+    anchor = _anchor(tables)
+    role = tables[anchor].roles[0]
+    others = [t for i, t in enumerate(tables) if i != anchor]
+    free = [(set(t.roles) - {role}).pop() for t in others]
+    mirror = (others[0].basis is others[1].basis
+              and len(others[0].roles) == len(others[1].roles) == 1
+              and np.array_equal(pairs, pairs.T))
+    # axis of each role on a chunk's (anchor point, u, v) grid
+    axes = {role: 0, free[0]: 1, free[1]: 2}
+    basis = tables[anchor].basis
+    complement = np.linalg.svd(basis)[0][..., basis.shape[-1]:]
     n = len(pairs)
     n_triples = gap_failures = 0
     min_defect, max_defect, worst = np.inf, -np.inf, None
     step = max(1, TRIPLE_BLOCK // max(1, n * n))
     for start in range(0, n, step):
-        block = pairs[start:start + step]
-        x, y, z = np.nonzero(block[:, :, None] & block[:, None, :] & pairs)
-        if not len(x):
+        points = np.arange(start, min(start + step, n))
+        cells = np.triu(np.ones((n, n), dtype=bool), 1) if mirror else True
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            mask = pairs if axes[i] else pairs[points]
+            mask = mask if axes[j] else mask[:, points]
+            if axes[i] > axes[j]:
+                mask = mask.T
+            cells = cells & np.expand_dims(mask, 3 - axes[i] - axes[j])
+        cell = np.flatnonzero(cells)
+        if not cell.size:
             continue
-        x += start
+        # (p, u, v) of each cell (p n + u) n + v, by products, not modulo
+        pu = cell // n
+        p = pu // n
+        u, v = pu - p * n, cell - pu * n
+        gram = _gram(tables, anchor, complement, points, p, u, v)
+        if mirror:
+            p, u, v = (np.tile(p, 2), np.concatenate([u, v]),
+                       np.concatenate([v, u]))
+        at = {role: points[p], free[0]: u, free[1]: v}
+        x, y, z = at[0], at[1], at[2]
         missing, lowest, first, highest = _triple_extremes(
-            tables, lines, x, y, z, min_defect, max_defect)
+            tables, gram, x, y, z, min_defect, max_defect)
         n_triples += len(x)
         gap_failures += int(np.count_nonzero(missing))
         if first is None:
             continue
-        if lowest < min_defect:
-            min_defect = lowest
-            worst = (int(x[first]), int(y[first]), int(z[first]))
+        key = (int(x[first]), int(y[first]), int(z[first]))
+        if lowest < min_defect or (lowest == min_defect and key < worst):
+            min_defect, worst = lowest, key
         max_defect = max(max_defect, highest)
     if worst is None:
         return n_triples, gap_failures, None, None, None
@@ -884,13 +1065,12 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     intersection is computed.
 
     The defects come from one batched SVD, but only on the triples that
-    can still reach the running minimum or maximum.  At k = 1 every other
-    triple is pruned by certified bounds on its smallest singular value,
-    from the Gram entries of the lines x^1 and y^1 split off z^(d-2) (see
-    ``_defect_bounds``); at k >= 2 every triple gets its SVD.  The
-    reported values, the first worst triple and the counts are those of
-    the SVD of every triple.  ``min_separation`` must be a finite number
-    >= 0.
+    can still reach the running minimum or maximum.  Every other triple
+    is pruned by certified bounds on its smallest singular value, from
+    the Gram blocks of the other summands split off the anchor
+    z^(d-k-1) (``_triple_scan``, ``_root_bounds``).  The reported values,
+    the first worst triple and the counts are those of the SVD of every
+    triple.  ``min_separation`` must be a finite number >= 0.
     """
     _check_k(k, rep.dim - 1)
     return _transversality_scan(
@@ -910,9 +1090,9 @@ def ck_scan(rep: Representation, k: int, max_length: int,
     At k = 1, x^d is the whole space, so C_1 is x^(d-3) + y^1 + z^2,
     three point flags, and no intersection is computed; for k >= 2, the
     line x^(d-k+1) n y^k is computed once per ordered pair (x, y), as the
-    H_k line is.  Every
-    triple gets its exact SVD, except at d = 4, where C_1 has the two
-    lines x^1 and y^1 and is bounded as H_1 is.
+    H_k line is.  Triples are pruned by certified bounds as in
+    ``hk_scan``, split off the anchor x^(d-k-2) (of the three point flags
+    of C_1, the largest).
     """
     _check_k(k, rep.dim - 2)
     return _transversality_scan(
@@ -993,7 +1173,7 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
 
     Three lines of X have the shape x^1 + y^1 + z^1 of H_1, so the triples
     i < j < l run on the H_k/C_k kernel (``_triple_scan``): certified
-    bounds on each defect (``_defect_bounds``) leave the exact SVD to the
+    bounds on each defect (``_root_bounds``) leave the exact SVD to the
     triples that can reach the running minimum.  ``worst_triple`` is the
     first minimum in combinations order.
     """
@@ -1308,14 +1488,21 @@ def _linked(ends: np.ndarray) -> np.ndarray:
     words with (n, 2) (attracting, repelling) angles ``ends``: the cyclic
     descents of (g-, h-, g+, h+) are odd in number (1 or 3, for four
     distinct points), and no two of the four points are closer than
-    ``ANGLE_SEPARATION``."""
+    ``ANGLE_SEPARATION``.  Built ``PAIR_BLOCK`` cells of g rows at a
+    time, so its temporaries stay that size."""
     plus, minus = ends[:, 0], ends[:, 1]
-    cycle = (minus[:, None], minus[None, :], plus[:, None], plus[None, :])
-    odd = ((cycle[1] < cycle[0]) ^ (cycle[2] < cycle[1])
-           ^ (cycle[3] < cycle[2]) ^ (cycle[0] < cycle[3]))
-    for i, j in itertools.combinations(range(4), 2):
-        odd &= circle_separation(cycle[i], cycle[j]) >= ANGLE_SEPARATION
-    return odd
+    n = len(ends)
+    linked = np.empty((n, n), dtype=bool)
+    step = max(1, PAIR_BLOCK // max(1, n))
+    for start in range(0, n, step):
+        g = slice(start, start + step)
+        cycle = (minus[g, None], minus[None, :], plus[g, None], plus[None, :])
+        odd = ((cycle[1] < cycle[0]) ^ (cycle[2] < cycle[1])
+               ^ (cycle[3] < cycle[2]) ^ (cycle[0] < cycle[3]))
+        for i, j in itertools.combinations(range(4), 2):
+            odd &= circle_separation(cycle[i], cycle[j]) >= ANGLE_SEPARATION
+        linked[g] = odd
+    return linked
 
 
 @dataclass(frozen=True, eq=False)

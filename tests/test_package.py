@@ -199,6 +199,17 @@ def test_one_triple_kernel():
                        "sopq_model_triple_defect"]
 
 
+def test_exact_defects_run_only_in_the_triple_kernel():
+    # the exact SVD of a scan runs only on the triples whose certified
+    # bracket can reach the running minimum or maximum
+    path = ROOT / "src" / "anosovlab" / "verification.py"
+    name = "_smallest_singular_values"
+    callers = sorted({scope for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == name})
+    assert callers == ["_triple_extremes"]
+
+
 def test_per_word_values_come_from_the_batched_kernels():
     # the scans read reference fixed points and eigenvalue values from the
     # word ball's batched tables; only the root-gap scan of two generators

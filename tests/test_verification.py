@@ -73,8 +73,9 @@ from anosovlab.verification import (
     WEDGE_DEGENERACY_TOL,
     BoundaryAtlas,
     _arrangement_minimum,
-    _defect_bounds,
     _gap_scans,
+    _root_bounds,
+    _sigma_bounds,
     _wedge_table,
     _WordBall,
     anosov_gap_scan,
@@ -191,11 +192,13 @@ def all_triples_defects(tables, x, y, z):
     return missing, np.where(missing, 0.0, _smallest_singular_values(stack))
 
 
-def all_triples_extremes(tables, parts, x, y, z, low, high):
+def all_triples_extremes(tables, gram, x, y, z, low, high):
     """Drop-in for ``verification._triple_extremes`` that prunes nothing:
-    the extremes over the exact defects of every triple."""
+    the extremes over the exact defects of every triple, the first
+    minimum by (x, y, z)."""
     missing, defects = all_triples_defects(tables, x, y, z)
-    j = int(np.argmin(defects))
+    ties = np.flatnonzero(defects == defects.min())
+    j = int(ties[np.lexsort((z[ties], y[ties], x[ties]))[0]])
     return missing, float(defects[j]), j, float(defects.max())
 
 
@@ -864,6 +867,29 @@ class TestHkCk:
         assert report.to_dict() == all_triples_scan(
             monkeypatch, scan, rep, k, L, **kwargs).to_dict()
 
+    @pytest.mark.parametrize("scan,rep,k,L", [
+        (hk_scan, fuchsian_locus((5, 1), REF), 1, 3),
+        (hk_scan, fuchsian_locus((7, 1), REF), 2, 3),
+        (hk_scan, fuchsian_locus((9, 1), REF), 3, 2),
+        (ck_scan, fuchsian_locus((7, 1), REF), 1, 2),
+        (ck_scan, fuchsian_locus((4, 1), REF), 2, 3),
+        # a rank-0 summand: x^0 of C_1 at d = 3, the anchor z^0 of H_(d-1)
+        (ck_scan, fg_rep(1.0), 1, 3),
+        (hk_scan, fg_rep(1.0), 2, 3),
+        (hk_scan, fuchsian_locus((5, 1), REF), 5, 2),
+        pytest.param(hk_scan, fuchsian_locus((5, 1), REF), 1, 4,
+                     marks=pytest.mark.slow),
+        pytest.param(hk_scan, fuchsian_locus((7, 1), REF), 2, 4,
+                     marks=pytest.mark.slow),
+    ], ids=["H1-5,1-L3", "H2-7,1-L3", "H3-9,1-L2", "C1-7,1-L2", "C2-4,1-L3",
+            "C1-fg-L3", "H2-fg-L3", "H5-5,1-L2", "H1-5,1-L4", "H2-7,1-L4"])
+    def test_pruned_scan_equals_the_all_triples_oracle(
+            self, monkeypatch, scan, rep, k, L):
+        # every sum shape (r = 1 to 6) through the anchor-major kernel:
+        # bracket, pruning and chunk order change no bit of the report
+        assert scan(rep, k, L).to_dict() == all_triples_scan(
+            monkeypatch, scan, rep, k, L).to_dict()
+
     @pytest.mark.parametrize("scan,rep,k", [
         (hk_scan, fuchsian_locus((7, 1), REF), 2),
         (ck_scan, fuchsian_locus((4, 1), REF), 2),
@@ -995,20 +1021,23 @@ class TestHkCk:
 
 @st.composite
 def split_matrices(draw):
-    """A batch of M = [R | Z] with its Gram blocks g = R^T (I - Z Z^T) R
-    and G = R^T R.  Z is orthonormal; R is one or two orthonormal blocks
-    of one or two columns in all, each at an angle from 1e-12 to pi/2
-    off span(Z) and the blocks before it, so sigma_min runs from about
-    1e-12 to exactly 1.  The scan's shape is blocks (1, 1), the lines a
-    and b; one block (1,) pads R with a column orthogonal to everything
-    (g22 = 1, g12 = c = 0), and (2,) has c = 0."""
-    d = draw(st.integers(min_value=3, max_value=8))
-    blocks = draw(st.sampled_from([(1,), (2,), (1, 1)]))
-    m = draw(st.integers(min_value=1, max_value=d - sum(blocks)))
+    """A batch of M = [R | Z] with its Gram blocks g = R^T (I - Z Z^T) R,
+    (r, r, N), and c = B1^T B2, (r1, r2, N), the cross block of R^T R.
+    Z is orthonormal; R = [B1 | B2] is two orthonormal blocks of r1 and
+    r2 columns, r = r1 + r2 from 2 to 4, each block at an angle from
+    1e-12 to pi/2 off span(Z) and the block before it.  So sigma_min runs
+    from about 1e-12 (a root near 0) to exactly 1 (orthogonal summands: a
+    multiple root near 1).  The scans' shapes are (1, 1) (H_1, three
+    projected lines), (2, 1) (H_2), (1, 2) (C_1) and (3, 1), (1, 3),
+    (2, 2) (H_3, C_2)."""
+    blocks = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
+                                   (1, 3)]))
+    m = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=sum(blocks) + m, max_value=8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     count = draw(st.integers(min_value=1, max_value=6))
     offset = st.floats(min_value=-12, max_value=0).map(lambda t: 10.0 ** t)
-    ms, gs, Gs = [], [], []
+    ms, gs, cs = [], [], []
     for _ in range(count):
         theta = draw(st.one_of(offset, offset.map(lambda t: 1 - t)))
         theta *= np.pi / 2
@@ -1023,15 +1052,12 @@ def split_matrices(draw):
             fresh = fresh[:, size:]
             parts.append(np.linalg.qr(tilted)[0])
         r = np.hstack(parts)
-        p_r = (q[:, m:].T @ r)
-        g, G = np.eye(2), np.eye(2)
-        g[:r.shape[1], :r.shape[1]] = p_r.T @ p_r
-        if len(parts) == 2:
-            G[0, 1] = G[1, 0] = parts[0][:, 0] @ parts[1][:, 0]
+        p_r = q[:, m:].T @ r
         ms.append(np.hstack([r, z]))
-        gs.append(g)
-        Gs.append(G)
-    return np.array(ms), np.array(gs), np.array(Gs)
+        gs.append(p_r.T @ p_r)
+        cs.append(parts[0].T @ parts[1])
+    return (np.array(ms), np.moveaxis(np.array(gs), 0, -1),
+            np.moveaxis(np.array(cs), 0, -1))
 
 
 class TestDefectBounds:
@@ -1041,40 +1067,51 @@ class TestDefectBounds:
            high=st.one_of(st.just(-np.inf), st.floats(0.0, 1.0)))
     def test_bounds_contain_the_svd_value(self, split, low, high):
         # early stops against low/high only widen the bounds
-        ms, g, G = split
-        lo, hi = _defect_bounds(g[:, 0, 0], g[:, 1, 1], g[:, 0, 1],
-                                G[:, 0, 1], low, high)
+        ms, g, c = split
+        lo, hi = _sigma_bounds(*_root_bounds(g, c, low, high))
         sigma = _smallest_singular_values(ms)
         assert np.all(lo <= sigma) and np.all(sigma <= hi)
 
-    @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF), fg_rep(1.0)])
-    def test_bounds_hold_on_every_triple(self, monkeypatch, rep):
-        tables, seen = [], []
-        summand_tables = verification._summand_tables
-        triple_bounds = verification._triple_bounds
+    @pytest.mark.parametrize("scan,rep,k,L,count", [
+        (hk_scan, fuchsian_locus((5, 1), REF), 1, 3, 38280),
+        (hk_scan, fg_rep(1.0), 1, 3, 38280),
+        (hk_scan, fuchsian_locus((7, 1), REF), 2, 3, 38280),
+        (ck_scan, fuchsian_locus((7, 1), REF), 1, 2, 648),
+    ], ids=["rep0", "rep1", "H2-7,1-L3", "C1-7,1-L2"])
+    def test_bounds_hold_on_every_triple(self, monkeypatch, scan, rep, k, L,
+                                         count):
+        # every triple of a chunk gets finite bounds, and they hold
+        seen = []
+        extremes = verification._triple_extremes
+        root_bounds = verification._root_bounds
 
-        def keep_tables(*args):
-            tables.append(summand_tables(*args))
-            return tables[-1]
+        def keep_triples(tables, gram, x, y, z, low, high):
+            seen.append([tables, (x, y, z)])
+            return extremes(tables, gram, x, y, z, low, high)
 
-        def keep_bounds(lines, columns, low, high):
-            lo, hi = triple_bounds(lines, columns, low, high)
-            seen.append((columns, lo, hi))
-            return lo, hi
+        def keep_bounds(g, c, low, high):
+            below, above = root_bounds(g, c, low, high)
+            seen[-1].append(_sigma_bounds(below, above))
+            return below, above
 
-        monkeypatch.setattr(verification, "_summand_tables", keep_tables)
-        monkeypatch.setattr(verification, "_triple_bounds", keep_bounds)
-        report = hk_scan(rep, 1, 3)
+        monkeypatch.setattr(verification, "_triple_extremes", keep_triples)
+        monkeypatch.setattr(verification, "_root_bounds", keep_bounds)
+        report = scan(rep, k, L)
         checked = bounded = 0
-        for columns, lo, hi in seen:
-            _, defects = all_triples_defects(tables[0], *columns)
+        for tables, columns, (lo, hi) in seen:
+            missing, defects = all_triples_defects(tables, *columns)
+            assert not missing.any()
+            # H_1's triples with x and y swapped read the same bound rows
+            lo, hi = (np.tile(b, len(defects) // len(lo)) for b in (lo, hi))
             assert np.all(lo <= defects)
             assert np.all(defects <= hi)
             checked += len(defects)
             bounded += int(np.sum(np.isfinite(hi)))
-        assert checked == bounded == report.n_triples == 38280
+        assert checked == bounded == report.n_triples == count
 
     def test_exact_svd_runs_on_few_triples(self, monkeypatch):
+        # the bracket leaves the exact SVD to at most 1% of the H_1 triples
+        # and 0.1% of the H_2 and C_1 ones (16, 9 and 8 rows measured)
         rows = []
 
         def counting(stack):
@@ -1083,9 +1120,13 @@ class TestDefectBounds:
 
         monkeypatch.setattr(verification, "_smallest_singular_values",
                             counting)
-        report = hk_scan(fuchsian_locus((5, 1), REF), 1, 3)
-        assert report.n_triples == 38280
-        assert 0 < sum(rows) <= 0.01 * report.n_triples
+        for scan, partition, k, cap in [(hk_scan, (5, 1), 1, 0.01),
+                                        (hk_scan, (7, 1), 2, 0.001),
+                                        (ck_scan, (7, 1), 1, 0.001)]:
+            rows.clear()
+            report = scan(fuchsian_locus(partition, REF), k, 3)
+            assert report.n_triples == 38280
+            assert 0 < sum(rows) <= cap * report.n_triples
 
 
 class TestProjectionHyperconvexity:
@@ -1144,7 +1185,8 @@ class TestProjectionHyperconvexity:
         (fuchsian_locus((7, 1), REF), 1, 0),
         (fuchsian_locus((5,), REF), 2, 0),
         (fuchsian_locus((6, 1), REF), 1, 0.1),
-    ], ids=["fg1", "fg0.6", "7,1", "5-k2", "6,1-sep0.1"])
+        (fg_rep(1.0), 1, TRIPLE_SEPARATION),
+    ], ids=["fg1", "fg0.6", "7,1", "5-k2", "6,1-sep0.1", "fg1-sep0.3"])
     def test_scan_matches_per_triple_reference(self, monkeypatch, rep, k,
                                                min_separation):
         # the triple kernel of hk_scan, bracket and pruning included, gives
