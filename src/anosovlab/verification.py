@@ -692,7 +692,7 @@ def _at_anchors(table: _SummandTable, role: int,
 
 def _gram(tables: list, anchor: int, complement: np.ndarray,
           points: np.ndarray, p: np.ndarray, u: np.ndarray,
-          v: np.ndarray) -> tuple:
+          v: np.ndarray, fixed: np.ndarray | None) -> tuple:
     """``(g, c)`` of the triples (points[p[i]], u[i], v[i]) of a chunk of
     anchor points ``points``: g, (r, r, N), is R^T (I - Z Z^T) R, and c,
     (r1, r2, N), is B1^T B2.
@@ -704,7 +704,9 @@ def _gram(tables: list, anchor: int, complement: np.ndarray,
     coordinates C^T R.  Each summand's own block of g is an (anchor
     point, point) table, and the cross blocks of g and of R^T R are one
     batched GEMM each over the chunk; a triple reads its entries off
-    these tables.  No basis is gathered per triple.
+    these tables.  No basis is gathered per triple.  ``fixed`` is the
+    cross block of R^T R over all points when neither summand of R reads
+    the anchor (``_fixed_cross``), else None.
     """
     role = tables[anchor].roles[0]
     n = len(tables[anchor].missing)
@@ -733,8 +735,9 @@ def _gram(tables: list, anchor: int, complement: np.ndarray,
     within = (np.arange(r1)[:, None] * (n * r2) + np.arange(r2)).reshape(-1, 1)
     at = u * (r1 * r2 * n) + v * r2 + within
     crosses = []
-    for left, right in (coords, full):
-        cross = np.ascontiguousarray(np.swapaxes(left, 1, 2)) @ right
+    for (left, right), cross in ((coords, None), (full, fixed)):
+        if cross is None:
+            cross = np.ascontiguousarray(np.swapaxes(left, 1, 2)) @ right
         index = at + p * (r1 * r2 * n * n) if len(cross) > 1 else at
         crosses.append(cross.reshape(-1)[index].reshape(r1, r2, len(p)))
     g[:r1, r1:] = crosses[0]
@@ -742,9 +745,22 @@ def _gram(tables: list, anchor: int, complement: np.ndarray,
     return g, crosses[1]
 
 
+def _fixed_cross(tables: list, anchor: int) -> np.ndarray | None:
+    """B1^T B2 of ``_gram`` over all points, (1, n r1, n r2), when neither
+    summand of R reads the anchor (H_1, C_1, the projected scan): then it is
+    one block for the whole scan.  None otherwise."""
+    role = tables[anchor].roles[0]
+    others = [t for i, t in enumerate(tables) if i != anchor]
+    if any(role in t.roles for t in others):
+        return None
+    b1, b2 = (np.swapaxes(t.basis, 0, 1).reshape(len(t.basis[0]), -1)
+              for t in others)
+    return (b1.T @ b2)[None]
+
+
 def _det(m: np.ndarray) -> np.ndarray:
     """Determinants of an (r, r, ...) stack, entry axes first: the closed
-    form at r = 3 (``_pencil_jet`` has its own at r = 2), else one
+    form at r = 3 (``_pencil_jet`` has its own at r1 = r2 = 1), else one
     batched ``np.linalg.det``."""
     if len(m) == 3:
         return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
@@ -755,20 +771,19 @@ def _det(m: np.ndarray) -> np.ndarray:
 
 def _pencil_jet(g: np.ndarray, c: np.ndarray, lam) -> tuple:
     """q and q' at ``lam`` of q(lam) = det A(lam), A(lam) = g - lam h +
-    lam^2 I, per row, h = R^T R + I with the cross block ``c`` (``_gram``),
-    and q'' at r = 2, where all three have a closed form (else None).
-    Otherwise q' = sum_j det(A with column j taken from A'), det being
-    multilinear in the columns: 1 + r ``_det`` calls."""
+    lam^2 I, per row, h = R^T R + I with the cross block ``c`` (``_gram``).
+    At r1 = r2 = 1 both have a closed form; otherwise q' = sum_j det(A
+    with column j taken from A'), det being multilinear in the columns:
+    1 + r ``_det`` calls."""
     r = len(g)
-    if r == 2:
+    if c.shape[:2] == (1, 1):
         c = c[0, 0]
         a00, a11, a01 = g[0, 0], g[1, 1], g[0, 1]
         if np.ndim(lam):   # else lam is 0, the first step
             t = lam * (lam - 2)
             a00, a11, a01 = a00 + t, a11 + t, a01 - lam * c
-        e, trace = 2 * lam - 2, a00 + a11
-        return (a00 * a11 - a01 * a01, e * trace + 2 * a01 * c,
-                2 * (trace + e * e - c * c))
+        return (a00 * a11 - a01 * a01,
+                (2 * lam - 2) * (a00 + a11) + 2 * a01 * c)
     r1 = len(c)
     eye = np.eye(r)[:, :, None]
     h = 2 * eye + np.zeros_like(g)
@@ -780,7 +795,7 @@ def _pencil_jet(g: np.ndarray, c: np.ndarray, lam) -> tuple:
         a[:, j] = da[:, j]
         dq = dq + _det(a)
         a[:, j] = column
-    return _det(a), dq, None
+    return _det(a), dq
 
 
 def _sigma_bounds(below, above) -> tuple:
@@ -818,12 +833,8 @@ def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
     roots are all real: the eigenvalues of M^T M, and 1.  q(0) = det g
     >= 0.  Below every root, with u_i = 1/(root_i - lam), S1 = sum u_i =
     -q'/q, so Newton's step s = 1/S1, the root lies in [lam + s,
-    lam + n s], and Newton from 0 rises monotonically towards it.  At
-    r = 2 q'' is at hand too: with S2 = sum u_i^2 = (q'/q)^2 - q''/q, the
-    largest u lies in [S2/S1, (S1 + sqrt((n-1)(n S2 - S1^2)))/n], so the
-    root in the narrower [lam + L, lam + S1/S2], L Laguerre's step, which
-    the iteration takes instead: cubic near a simple root.  q, q' and q''
-    are evaluated as determinants (``_pencil_jet``), not from expanded
+    lam + n s], and Newton from 0 rises monotonically towards it.  q and
+    q' are evaluated as determinants (``_pencil_jet``), not from expanded
     coefficients, which near a multiple root at 1 (orthogonal summands)
     lose the root to eps^(1/4).
 
@@ -840,20 +851,12 @@ def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
     least, most = np.inf, 0.0   # the least upper and most lower root bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(BRACKET_STEPS):
-            q, dq, ddq = _pencil_jet(g, c, lam)
-            s = -q / dq
-            if ddq is None:
-                step, upper = s, degree * s
-            else:
-                # S2 / S1^2, in [1/n, 1]
-                w = np.minimum(np.maximum(1 + s * ddq / dq, 1 / degree), 1.0)
-                step = degree * s / (
-                    1 + np.sqrt((degree - 1) * (degree * w - 1)))
-                upper = s / w
+            q, dq = _pencil_jet(g, c, lam)
+            step = -q / dq
             # every iterate brackets the root: keep the tightest bounds
             # (fmax and fmin also drop a NaN of a degenerate row)
-            low_end = np.minimum(step, upper)
-            high_end = np.maximum(step, upper)
+            low_end = np.minimum(step, degree * step)
+            high_end = np.maximum(step, degree * step)
             if todo is not None:
                 low_end, high_end = lam + low_end, lam + high_end
             root_lo = np.fmax(root_lo, low_end)
@@ -889,12 +892,10 @@ def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
     Returns ``(missing, lowest, first, highest)``.  A triple reading a
     missing flag has defect 0.  Every other triple gets certified bounds
     lo <= defect <= hi from its row of ``gram`` (``_gram``,
-    ``_root_bounds``), row i % N of its N rows: a scan of a sum symmetric
-    in two points lists each triple with those swapped N triples later,
-    and its singular values are the same.  Only the triples whose lo is
-    at most min(low, min hi) or whose hi is at least max(high, max lo) get
-    the exact defect, from one batched SVD of their concatenated summand
-    bases, which have d columns in all.  ``lowest`` is the minimum of the
+    ``_root_bounds``).  Only the triples whose lo is at most min(low,
+    min hi) or whose hi is at least max(high, max lo) get the exact
+    defect, from one batched SVD of their concatenated summand bases,
+    which have d columns in all.  ``lowest`` is the minimum of the
     exact defects, with ``first`` the index of the lexicographically
     first (x, y, z) attaining it, and ``highest`` their maximum.  Every
     triple attaining the minimum of these triples, when that is at most
@@ -910,20 +911,18 @@ def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
         if t.missing.any():
             missing |= t.missing[key]
     g, c = gram
-    size = g.shape[-1]
-    below, above = np.zeros(size), np.zeros(size)
-    bounded = np.flatnonzero(~missing[:size])
-    if bounded.size == size:
+    below, above = np.zeros(len(y)), np.zeros(len(y))
+    bounded = np.flatnonzero(~missing)
+    if bounded.size == len(y):
         below, above = _root_bounds(g, c, low, high)
     elif bounded.size:
         below[bounded], above[bounded] = _root_bounds(
             g[:, :, bounded], c[:, :, bounded], low, high)
     # a missing flag's defect is 0
     reach_lo, reach_hi = _reach(
-        low if bounded.size == size else 0.0, high,
+        low if bounded.size == len(y) else 0.0, high,
         above[bounded].min(initial=np.inf), below[bounded].max(initial=0.0))
-    exact = missing | np.tile((below <= reach_lo) | (above >= reach_hi),
-                              len(y) // size)
+    exact = missing | (below <= reach_lo) | (above >= reach_hi)
     defects = np.zeros(len(y))
     rows = np.flatnonzero(exact & ~missing)
     defects[rows] = _smallest_singular_values(np.concatenate(
@@ -948,29 +947,24 @@ def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
     The triples run anchor-major (``_anchor``): a chunk of anchor points
     at a time, so the arrays stay O(``TRIPLE_BLOCK``), with the Gram
     blocks of each chunk from ``_gram``; ``_triple_extremes`` prunes
-    against the running extremes and breaks ties by (x, y, z).  When the
-    two other summands are one point table and ``pairs`` is symmetric
-    (H_1), the sum is symmetric in their points u and v: the Gram rows
-    and bounds are built for u < v only, and serve (v, u) too.
+    against the running extremes and breaks ties by (x, y, z).
     """
     anchor = _anchor(tables)
     role = tables[anchor].roles[0]
     others = [t for i, t in enumerate(tables) if i != anchor]
     free = [(set(t.roles) - {role}).pop() for t in others]
-    mirror = (others[0].basis is others[1].basis
-              and len(others[0].roles) == len(others[1].roles) == 1
-              and np.array_equal(pairs, pairs.T))
     # axis of each role on a chunk's (anchor point, u, v) grid
     axes = {role: 0, free[0]: 1, free[1]: 2}
     basis = tables[anchor].basis
     complement = np.linalg.svd(basis)[0][..., basis.shape[-1]:]
+    fixed = _fixed_cross(tables, anchor)
     n = len(pairs)
     n_triples = gap_failures = 0
     min_defect, max_defect, worst = np.inf, -np.inf, None
     step = max(1, TRIPLE_BLOCK // max(1, n * n))
     for start in range(0, n, step):
         points = np.arange(start, min(start + step, n))
-        cells = np.triu(np.ones((n, n), dtype=bool), 1) if mirror else True
+        cells = True
         for i, j in ((0, 1), (0, 2), (1, 2)):
             mask = pairs if axes[i] else pairs[points]
             mask = mask if axes[j] else mask[:, points]
@@ -984,10 +978,7 @@ def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
         pu = cell // n
         p = pu // n
         u, v = pu - p * n, cell - pu * n
-        gram = _gram(tables, anchor, complement, points, p, u, v)
-        if mirror:
-            p, u, v = (np.tile(p, 2), np.concatenate([u, v]),
-                       np.concatenate([v, u]))
+        gram = _gram(tables, anchor, complement, points, p, u, v, fixed)
         at = {role: points[p], free[0]: u, free[1]: v}
         x, y, z = at[0], at[1], at[2]
         missing, lowest, first, highest = _triple_extremes(
