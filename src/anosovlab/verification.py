@@ -91,7 +91,6 @@ __all__ = [
     "sopq_positivity_coeffs",
     "sopq_model_triple_defect",
     "sopq_scan",
-    "required_indices_h",
     "required_indices_c",
 ]
 
@@ -117,7 +116,7 @@ TRIPLE_BLOCK = 1 << 14    # (anchor point, u, v) cells of a triple scan's
                           # chunk once n^2 is larger)
 PAIR_BLOCK = 1 << 16      # (g, h) cells of the linkage mask built at once
 CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
-                          # transversality scan
+                          # C_k scan
 POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
 WEDGE_DEGENERACY_TOL = 1e-12  # |wedge| below this is a transversality failure
 TRIPLE_SEPARATION = 0.3   # minimum pairwise boundary separation (radians) of
@@ -498,16 +497,11 @@ def anosov_gap_scan(rep: Representation, k: int,
     ``SLOPE_ANOSOV`` and the per-length minima never dip more than
     ``MONOTONE_SLACK`` below the running maximum from length 2 on,
     ``flat`` when the slope is below ``SLOPE_FLAT``, else ``ambiguous``.
-    The transversality scans certify several indices through the same
-    code, where one SVD per word serves every index.
+    The C_k scan certifies several indices through the same code, where
+    one SVD per word serves every index.
     """
     _check_k(k, rep.dim - 1)
     return _gap_scans(rep, (k,), max_length)[k]
-
-
-def required_indices_h(k: int, d: int) -> tuple:
-    """Gap indices needed to evaluate the H_k transversality sum."""
-    return tuple(sorted({j for j in (k - 1, k, k + 1) if 1 <= j <= d - 1}))
 
 
 def required_indices_c(k: int, d: int) -> tuple:
@@ -586,8 +580,11 @@ class TransversalityScanReport(_Report):
     rep_label: str
     k: int
     max_length: int
-    certification: dict
-    certified: bool
+    certification: dict     # index -> gap-scan verdict the scan's verdict
+                            # is gated on (C_k's required indices); {} for
+                            # H_k and the projected scan
+    certified: bool         # every certification verdict is anosov-like
+                            # (vacuously true when there is none)
     n_points: int
     n_triples: int
     gap_failures: int
@@ -997,20 +994,10 @@ def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
 
 
 def _transversality_scan(rep: Representation, k: int, max_length: int,
-                         kind: str, summands_fn, certify_indices,
-                         require_certification: bool,
+                         kind: str, summands_fn, certification: dict,
                          min_separation: float) -> TransversalityScanReport:
-    _check_separation(min_separation)
-    certification = {
-        idx: report.verdict for idx, report in
-        _gap_scans(rep, certify_indices, CERTIFICATION_LENGTH).items()}
-    certified = all(v == "anosov-like" for v in certification.values())
-    if require_certification and not certified:
-        return TransversalityScanReport(
-            kind=kind, rep_label=rep.label, k=k, max_length=max_length,
-            certification=certification, certified=False,
-            n_points=0, n_triples=0, gap_failures=0, min_defect=None,
-            verdict="non-certifiable", min_separation=min_separation)
+    """The scan of one sum over the ball of length ``max_length``, its
+    ``certification`` (all anosov-like) copied into the report."""
     atlas = BoundaryAtlas(rep, max_length)
     # ordered pairs of distinct points at least min_separation apart
     separated = circle_separation(atlas.angles[:, None],
@@ -1028,7 +1015,7 @@ def _transversality_scan(rep: Representation, k: int, max_length: int,
         _summand_tables(atlas, summands, used), separated)
     return TransversalityScanReport(
         kind=kind, rep_label=rep.label, k=k, max_length=max_length,
-        certification=certification, certified=certified,
+        certification=certification, certified=True,
         n_points=len(atlas), n_triples=n_triples, gap_failures=gap_failures,
         min_defect=min_defect, verdict=_scan_verdict(min_defect),
         worst_triple=worst and tuple(atlas.words[i] for i in worst),
@@ -1062,12 +1049,16 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     z^(d-k-1) (``_triple_scan``, ``_root_bounds``).  The reported values,
     the first worst triple and the counts are those of the SVD of every
     triple.  ``min_separation`` must be a finite number >= 0.
+
+    The verdict does not read the Anosov gaps, so no gap scan runs: the
+    report's ``certification`` is {} and ``certified`` is vacuously true.
+    ``anosov_gap_scan`` (``anosovlab gap-scan``) gives the gap evidence at
+    k-1, k and k+1.
     """
     _check_k(k, rep.dim - 1)
-    return _transversality_scan(
-        rep, k, max_length, "Hk", _hk_summands,
-        required_indices_h(k, rep.dim), require_certification=False,
-        min_separation=min_separation)
+    _check_separation(min_separation)
+    return _transversality_scan(rep, k, max_length, "Hk", _hk_summands, {},
+                                min_separation)
 
 
 def ck_scan(rep: Representation, k: int, max_length: int,
@@ -1083,13 +1074,23 @@ def ck_scan(rep: Representation, k: int, max_length: int,
     line x^(d-k+1) n y^k is computed once per ordered pair (x, y), as the
     H_k line is.  Triples are pruned by certified bounds as in
     ``hk_scan``, split off the anchor x^(d-k-2) (of the three point flags
-    of C_1, the largest).
+    of C_1, the largest).  The gap scans run at ``CERTIFICATION_LENGTH``,
+    all indices on one ball, after ``k`` and ``min_separation`` are
+    checked and before the ball of length ``max_length`` is built.
     """
     _check_k(k, rep.dim - 2)
-    return _transversality_scan(
-        rep, k, max_length, "Ck", _ck_summands,
-        required_indices_c(k, rep.dim), require_certification=True,
-        min_separation=min_separation)
+    _check_separation(min_separation)
+    certification = {
+        idx: report.verdict for idx, report in _gap_scans(
+            rep, required_indices_c(k, rep.dim), CERTIFICATION_LENGTH).items()}
+    if any(v != "anosov-like" for v in certification.values()):
+        return TransversalityScanReport(
+            kind="Ck", rep_label=rep.label, k=k, max_length=max_length,
+            certification=certification, certified=False,
+            n_points=0, n_triples=0, gap_failures=0, min_defect=None,
+            verdict="non-certifiable", min_separation=min_separation)
+    return _transversality_scan(rep, k, max_length, "Ck", _ck_summands,
+                                certification, min_separation)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_one_gap_rule():
     assert reads == ["core_linalg.py:_no_gap"]
 
 
+def test_only_ck_scans_certify():
+    # the gap scans run for a gap scan and for the C_k certification its
+    # verdict is gated on; the H_k path builds no certification ball
+    path = ROOT / "src" / "anosovlab" / "verification.py"
+    callers = sorted({scope for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "_gap_scans"})
+    assert callers == ["anosov_gap_scan", "ck_scan"]
+
+
 def test_one_triple_kernel():
     # every triple scan runs on verification._triple_scan; only the
     # single-item checks take one direct_sum_defect call per triple

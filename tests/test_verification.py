@@ -54,6 +54,7 @@ from anosovlab.spectral import (
     singular_gap,
 )
 from anosovlab.verification import (
+    CERTIFICATION_LENGTH,
     IDENTITY_RTOL,
     MONOTONE_SLACK,
     RATIO_AGREEMENT_RTOL,
@@ -94,7 +95,6 @@ from anosovlab.verification import (
     hk_scan,
     linked_pairs,
     required_indices_c,
-    required_indices_h,
     sopq_model_triple_defect,
     sopq_positivity_coeffs,
     sopq_scan,
@@ -769,9 +769,7 @@ class TestGapScan:
             assert report.verdict == verdict
 
     def test_required_indices(self):
-        assert required_indices_h(1, 6) == (1, 2)
         assert required_indices_c(1, 6) == (1, 2, 3)
-        assert required_indices_h(5, 6) == (4, 5)
         assert required_indices_c(6, 8) == (5, 6, 7)
 
 
@@ -846,6 +844,35 @@ class TestHkCk:
         report = ck_scan(rep, 1, 2)
         assert report.verdict == "non-certifiable"
         assert report.certification[3] == "flat"
+
+    def test_hk_scan_runs_no_gap_scan(self, monkeypatch):
+        # the H_k verdict reads no Anosov gap, so the L=6 certification
+        # ball is never built
+        def no_gap_scans(*args):
+            raise AssertionError("gap scans ran in an H_k scan")
+
+        monkeypatch.setattr(verification, "_gap_scans", no_gap_scans)
+        report = hk_scan(fuchsian_locus((5, 1), REF), 1, 3)
+        # the benchmark's reference value, to BLAS rounding
+        assert report.min_defect == pytest.approx(0.00664840506557898,
+                                                  rel=1e-9)
+        assert report.n_triples == 38280
+        assert report.certification == {}
+        assert report.certified is True
+
+    def test_ck_scan_certifies_once(self, monkeypatch):
+        calls = []
+        gap_scans = verification._gap_scans
+
+        def recorded(rep, indices, max_length):
+            calls.append((tuple(indices), max_length))
+            return gap_scans(rep, indices, max_length)
+
+        monkeypatch.setattr(verification, "_gap_scans", recorded)
+        report = ck_scan(fuchsian_locus((7, 1), REF), 1, 2)
+        assert calls == [((1, 2, 3), CERTIFICATION_LENGTH)]
+        assert report.certified
+        assert set(report.certification) == {1, 2, 3}
 
     @pytest.mark.parametrize("scan,rep,k,L,kwargs", [
         (hk_scan, fuchsian_locus((5, 1), REF), 1, 3, {}),
