@@ -22,7 +22,7 @@ from click.core import ParameterSource
 
 from . import verification as ver
 from .errors import AnosovLabError, InputError
-from .groups import Word, words_of_length
+from .groups import Word
 from .representations import (
     fg_rep,
     fuchsian_locus,
@@ -207,46 +207,38 @@ def check(what, family, x, partition, rep_path, k, l_value, base_word,
                                    f"apply to check {what}")
     rep = _load_representation(family, x, partition, rep_path)
     l_value = _check_L(l_value)
-    what = what.lower()
-    if what == "hk":
+    if what == "eigen-identities":
+        reports = ver.eigen_identity_scan(rep, k, l_value)
+        passed = all(r.passed for r in reports)
+        _write_json({
+            "command": "check-eigen-identities",
+            "n_words": len(reports),
+            "max_pcr_rel_error": max(r.pcr_rel_error for r in reports),
+            "max_gcr_rel_error": max(r.gcr_rel_error for r in reports),
+            "all_periods_above_one": all(r.gcr_value > 1.0 for r in reports),
+            "tolerance": ver.IDENTITY_RTOL,
+            "passed": passed,
+            "reports": [r.to_dict() for r in reports],
+        }, out)
+        return 0 if passed else 1
+    if what == "Hk":
         report = ver.hk_scan(rep, k, l_value, min_separation=min_separation)
-        _write_json({"command": "check-Hk", "report": report.to_dict()}, out)
-        return _status_from_verdicts([report.verdict])
-    if what == "ck":
+    elif what == "Ck":
         report = ver.ck_scan(rep, k, l_value, min_separation=min_separation)
-        _write_json({"command": "check-Ck", "report": report.to_dict()}, out)
-        return _status_from_verdicts([report.verdict])
-    if what == "hyperconvex":
+    elif what == "hyperconvex":
         try:
             base = Word.parse(base_word, rep.rank)
         except InputError as exc:
             raise click.BadParameter(
                 str(exc), param_hint="'--base-word'") from None
-        samples = [w for w in words_of_length(rep.rank, l_value) if len(w) > 0]
         report = ver.check_projection_hyperconvexity(
-            rep, k, base, samples, min_separation=min_separation)
-        _write_json({"command": "check-hyperconvex",
-                     "report": report.to_dict()}, out)
-        return _status_from_verdicts([report.verdict])
-    if what == "pos-ratioed":
+            rep, k, base, l_value, min_separation=min_separation)
+    else:
         report = ver.check_positively_ratioed(rep, k, l_value)
-        _write_json({"command": "check-pos-ratioed",
-                     "report": report.to_dict()}, out)
+    _write_json({"command": f"check-{what}", "report": report.to_dict()}, out)
+    if what == "pos-ratioed":
         return 0 if report.passed else 1
-    # eigen identities
-    reports = ver.eigen_identity_scan(rep, k, l_value)
-    passed = all(r.passed for r in reports)
-    _write_json({
-        "command": "check-eigen-identities",
-        "n_words": len(reports),
-        "max_pcr_rel_error": max(r.pcr_rel_error for r in reports),
-        "max_gcr_rel_error": max(r.gcr_rel_error for r in reports),
-        "all_periods_above_one": all(r.gcr_value > 1.0 for r in reports),
-        "tolerance": ver.IDENTITY_RTOL,
-        "passed": passed,
-        "reports": [r.to_dict() for r in reports],
-    }, out)
-    return 0 if passed else 1
+    return _status_from_verdicts([report.verdict])
 
 
 @cli.command()

@@ -200,10 +200,6 @@ class PartialFlag:
     def dims(self) -> tuple:
         return tuple(p.rank for p in self.parts)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.parts[0].ambient_dim
-
     def part(self, rank: int) -> Subspace:
         for p in self.parts:
             if p.rank == rank:
@@ -407,21 +403,6 @@ class EigenDecomposition:
 
     values: tuple
     clusters: tuple
-
-    @property
-    def moduli(self) -> np.ndarray:
-        return np.abs(np.array(self.values))
-
-    def pairs(self) -> list:
-        """Distinct eigenvalues with multiplicities, descending modulus."""
-        out = []
-        scale = max(self.moduli.max(), 1e-300)
-        for lam in self.values:
-            if out and abs(lam - out[-1][0]) <= EIGEN_TIE_RTOL * scale:
-                out[-1] = (out[-1][0], out[-1][1] + 1)
-            else:
-                out.append((lam, 1))
-        return out
 
 
 @dataclass(frozen=True)

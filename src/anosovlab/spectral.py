@@ -16,9 +16,9 @@ so a caller keeping the table decomposes each matrix once, and one row
 serves the attracting spaces of every dimension, each spanned by the
 row's eigenvectors above its modulus gap and certified by its invariance
 residual.  ``attracting_space`` is one row of the batched kernel
-``core_linalg._invariant_bases``, and ``eigenvalue_ratios``,
-``length_functions`` and ``weight_period`` are one row of
-``_eigenvalue_columns``: the scans call both kernels once on all rows.
+``core_linalg._invariant_bases``, and ``eigenvalue_ratios`` and
+``length_functions`` are one row of ``_eigenvalue_columns``: the scans
+call both kernels once on all rows.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "attracting_space",
     "eigenvalue_ratios",
     "length_functions",
-    "weight_period",
 ]
 
 REAL_IMAG_TOL = 1e-8     # |Im| below this times the modulus counts as real
@@ -258,11 +257,3 @@ def length_functions(m, k: int) -> LengthPair:
     columns.check_lengths(0)
     return LengthPair(weight_length=float(columns.weight_length[0]),
                       root_length=float(columns.root_length[0]))
-
-
-def weight_period(m, k: int) -> tuple:
-    """(lambda_1...lambda_k / (lambda_d...lambda_(d-k+1)), True) when real
-    to a relative REAL_IMAG_TOL, else (its modulus, False): the one-row
-    call of ``_eigenvalue_columns``."""
-    columns = _one_row(m, k)
-    return float(columns.period[0]), bool(columns.period_real[0])

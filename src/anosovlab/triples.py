@@ -1,0 +1,410 @@
+"""The triple kernel: the extremes of a transversality sum's defect over
+the triples of a point set, with certified bounds on each triple's smallest
+singular value leaving the exact SVD to the triples that can reach them."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .ball import BoundaryAtlas
+from .core_linalg import (
+    _intersections,
+    _smallest_singular_values,
+)
+
+BRACKET_RTOL = 1e-6       # relative slack of the certified bounds on a
+                          # triple's defect that decide where the exact SVD
+                          # runs
+BRACKET_ATOL = 1e-7       # their absolute slack: covers the sqrt(eps)
+                          # error of the Gram route near defect 0
+BRACKET_STEPS = 60        # root-finding steps after which a triple's
+                          # bounds are given up (0, inf): its exact SVD
+                          # always runs
+TRIPLE_BLOCK = 1 << 14    # (anchor point, u, v) cells of a triple scan's
+                          # chunk: its Gram tables and bounds are
+                          # O(TRIPLE_BLOCK) arrays (one anchor point per
+                          # chunk once n^2 is larger)
+
+
+@dataclass(frozen=True)
+class _SummandTable:
+    """One summand of a transversality sum at every key it is asked for.
+
+    A key is one point (a flag) or an ordered pair of points (an
+    intersection), indexed by the triple positions in ``roles``.
+    """
+
+    roles: tuple
+    missing: np.ndarray   # per key: a flag it reads has no eigenvalue gap
+    basis: np.ndarray     # (..., d, rank): an orthonormal basis per key
+
+
+def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
+    """Tables of the summands over the points and pairs of ``used``.
+
+    ``used`` marks the ordered point pairs that occur in some kept triple.
+    The flags of each dimension at the points of such pairs come from the
+    ball's flag table (``BoundaryAtlas.flags``), one batched
+    ``core_linalg._invariant_bases`` call per dimension; a flag without an
+    eigenvalue-modulus gap is missing, and so is every key that reads it,
+    while a flag's NumericError is raised, the first in (dim, point)
+    order.  An intersection summand is computed for every pair of
+    ``used`` without a missing flag in one ``core_linalg._intersections``
+    call, at the transversal dimension: a line in H_k and C_k.  The scan
+    hands in its summands without their whole-space parts, so at k = 1
+    every summand is a point flag and no intersection is computed.
+    """
+    n = len(atlas)
+    d = atlas.ball.rep.dim
+    points = np.flatnonzero(used.any(axis=1))
+    flags, gaps = {}, {}
+    for dim in sorted({dim for summand in summands for _, dim in summand}):
+        flags[dim], gaps[dim] = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
+        flags[dim][points], gaps[dim][points] = atlas.flags(dim, points)
+    tables = []
+    for summand in summands:
+        roles, dims = zip(*summand)
+        if len(dims) == 1:
+            missing, basis = gaps[dims[0]], flags[dims[0]]
+        else:
+            a, b = dims
+            missing = gaps[a][:, None] | gaps[b][None, :]
+            i, j = np.nonzero(used & ~missing)
+            basis = np.zeros((n, n, d, a + b - d))
+            basis[i, j] = _intersections(flags[a][i], flags[b][j])
+        tables.append(_SummandTable(roles, missing, basis))
+    return tables
+
+
+def _anchor(tables: list) -> int:
+    """The index of the anchor Z of a sum M = [R | Z]: the point flag
+    whose point, held fixed, leaves each other summand reading one other
+    point, a different one each.  That is z^(d-k-1) of H_k and x^(d-k-2)
+    of C_k; of three point flags (H_1, C_1, the projected scan) it is the
+    one of the largest rank, the last of a tie."""
+    def fits(t):
+        rest = [set(u.roles) - set(t.roles) for u in tables if u is not t]
+        return (len(t.roles) == 1 and all(len(r) == 1 for r in rest)
+                and rest[0] != rest[1])
+    return max((i for i, t in enumerate(tables) if fits(t)),
+               key=lambda i: (tables[i].basis.shape[-1], i))
+
+
+def _at_anchors(table: _SummandTable, role: int,
+                points: np.ndarray) -> np.ndarray:
+    """The bases of ``table`` at the keys of the anchor points ``points``
+    (of triple position ``role``) and every point u: (c, n, d, rank), with
+    c = 1 where the key does not read the anchor."""
+    if table.roles[0] == role:
+        return table.basis[points]
+    if len(table.roles) == 1:
+        return table.basis[None]
+    return np.swapaxes(table.basis[:, points], 0, 1)
+
+
+def _gram(tables: list, anchor: int, complement: np.ndarray,
+          points: np.ndarray, p: np.ndarray, u: np.ndarray,
+          v: np.ndarray, fixed: np.ndarray | None) -> tuple:
+    """``(g, c)`` of the triples (points[p[i]], u[i], v[i]) of a chunk of
+    anchor points ``points``: g, (r, r, N), is R^T (I - Z Z^T) R, and c,
+    (r1, r2, N), is B1^T B2.
+
+    M = [R | Z]: Z is the anchor's basis, R = [B1 | B2] the other two
+    summands' (u reads B1, v reads B2).  R^T R has the diagonal blocks I
+    and the cross block c.  ``complement`` holds an orthonormal
+    complement C of Z per point, so g is the Gram matrix of the
+    coordinates C^T R.  Each summand's own block of g is an (anchor
+    point, point) table, and the cross blocks of g and of R^T R are one
+    batched GEMM each over the chunk; a triple reads its entries off
+    these tables.  No basis is gathered per triple.  ``fixed`` is the
+    cross block of R^T R over all points when neither summand of R reads
+    the anchor (``_fixed_cross``), else None.
+    """
+    role = tables[anchor].roles[0]
+    n = len(tables[anchor].missing)
+    ct = np.swapaxes(complement[points], 1, 2)
+    full, coords, ranks = [], [], []
+    for i, t in enumerate(tables):
+        if i != anchor:
+            # (c or 1, d, n rank): column (point, basis vector)
+            basis = _at_anchors(t, role, points)
+            d, rank = basis.shape[-2:]
+            full.append(basis.transpose(0, 2, 1, 3).reshape(
+                len(basis), d, n * rank))
+            coords.append(ct @ full[-1])
+            ranks.append(rank)
+    r1, r2 = ranks
+    r = r1 + r2
+    size = len(points) * n
+    g = np.empty((r, r, len(p)))
+    for (lo, hi), coord, key in zip(((0, r1), (r1, r)), coords, (u, v)):
+        coord = coord.reshape(len(points), len(ct[0]), n, hi - lo)
+        block = np.einsum("ceni,cenj->ijcn", coord, coord)
+        g[lo:hi, lo:hi] = np.take(block.reshape((hi - lo) ** 2, size),
+                                  p * n + key, axis=1).reshape(
+                                      hi - lo, hi - lo, len(p))
+    # the GEMM's entry ((u, i), (v, j)) of anchor point p
+    within = (np.arange(r1)[:, None] * (n * r2) + np.arange(r2)).reshape(-1, 1)
+    at = u * (r1 * r2 * n) + v * r2 + within
+    crosses = []
+    for (left, right), cross in ((coords, None), (full, fixed)):
+        if cross is None:
+            cross = np.ascontiguousarray(np.swapaxes(left, 1, 2)) @ right
+        index = at + p * (r1 * r2 * n * n) if len(cross) > 1 else at
+        crosses.append(cross.reshape(-1)[index].reshape(r1, r2, len(p)))
+    g[:r1, r1:] = crosses[0]
+    g[r1:, :r1] = np.swapaxes(crosses[0], 0, 1)
+    return g, crosses[1]
+
+
+def _fixed_cross(tables: list, anchor: int) -> np.ndarray | None:
+    """B1^T B2 of ``_gram`` over all points, (1, n r1, n r2), when neither
+    summand of R reads the anchor (H_1, C_1, the projected scan): then it is
+    one block for the whole scan.  None otherwise."""
+    role = tables[anchor].roles[0]
+    others = [t for i, t in enumerate(tables) if i != anchor]
+    if any(role in t.roles for t in others):
+        return None
+    b1, b2 = (np.swapaxes(t.basis, 0, 1).reshape(len(t.basis[0]), -1)
+              for t in others)
+    return (b1.T @ b2)[None]
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of an (r, r, ...) stack, entry axes first: the closed
+    form at r = 3 (``_pencil_jet`` has its own at r1 = r2 = 1), else one
+    batched ``np.linalg.det``."""
+    if len(m) == 3:
+        return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
+
+
+def _pencil_jet(g: np.ndarray, c: np.ndarray, lam) -> tuple:
+    """q and q' at ``lam`` of q(lam) = det A(lam), A(lam) = g - lam h +
+    lam^2 I, per row, h = R^T R + I with the cross block ``c`` (``_gram``).
+    At r1 = r2 = 1 both have a closed form; otherwise q' = sum_j det(A
+    with column j taken from A'), det being multilinear in the columns:
+    1 + r ``_det`` calls."""
+    r = len(g)
+    if c.shape[:2] == (1, 1):
+        c = c[0, 0]
+        a00, a11, a01 = g[0, 0], g[1, 1], g[0, 1]
+        if np.ndim(lam):   # else lam is 0, the first step
+            t = lam * (lam - 2)
+            a00, a11, a01 = a00 + t, a11 + t, a01 - lam * c
+        return (a00 * a11 - a01 * a01,
+                (2 * lam - 2) * (a00 + a11) + 2 * a01 * c)
+    r1 = len(c)
+    eye = np.eye(r)[:, :, None]
+    h = 2 * eye + np.zeros_like(g)
+    h[:r1, r1:], h[r1:, :r1] = c, np.swapaxes(c, 0, 1)
+    a, da = g - lam * h + lam * lam * eye, 2 * lam * eye - h
+    dq = 0.0
+    for j in range(r):
+        column = a[:, j].copy()
+        a[:, j] = da[:, j]
+        dq = dq + _det(a)
+        a[:, j] = column
+    return _det(a), dq
+
+
+def _sigma_bounds(below, above) -> tuple:
+    """Bounds on sigma_min from bounds on its square, with the relative
+    slack ``BRACKET_RTOL`` and the absolute ``BRACKET_ATOL``."""
+    return (np.sqrt(np.maximum(below, 0.0)) * (1 - BRACKET_RTOL)
+            - BRACKET_ATOL,
+            np.sqrt(np.maximum(above, 0.0)) * (1 + BRACKET_RTOL)
+            + BRACKET_ATOL)
+
+
+def _reach(low: float, high: float, least: float, most: float) -> tuple:
+    """The bounds on sigma_min^2 from which a row can pass an extreme: it
+    can reach min(low, min hi) when its lower bound is at most the first,
+    and max(high, max lo) when its upper bound is at least the second.
+    ``least`` and ``most`` are the rows' least upper and most lower bound
+    on sigma_min^2, and lo and hi their ``_sigma_bounds``."""
+    top, bottom = _sigma_bounds(most, least)
+    bottom, top = min(low, bottom), max(high, top)
+    return (((bottom + BRACKET_ATOL) / (1 - BRACKET_RTOL)) ** 2,
+            ((top - BRACKET_ATOL) / (1 + BRACKET_RTOL)) ** 2
+            if top > BRACKET_ATOL else -np.inf)
+
+
+def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
+                 high: float) -> tuple:
+    """Certified bounds ``(below, above)`` on sigma_min(M)^2 of
+    M = [R | Z] per row of ``_gram``'s (g, c); ``_sigma_bounds`` turns
+    them into bounds lo <= sigma_min(M) <= hi.
+
+    R's summands have orthonormal bases and Z is orthonormal.
+    sigma_min^2 is the smallest root of q(lam) = det A(lam),
+    A(lam) = g - lam h + lam^2 I, h = R^T R + I (the Schur complement of
+    M^T M - lam I, times 1 - lam), a polynomial of degree n = 2r whose
+    roots are all real: the eigenvalues of M^T M, and 1.  q(0) = det g
+    >= 0.  Below every root, with u_i = 1/(root_i - lam), S1 = sum u_i =
+    -q'/q, so Newton's step s = 1/S1, the root lies in [lam + s,
+    lam + n s], and Newton from 0 rises monotonically towards it.  q and
+    q' are evaluated as determinants (``_pencil_jet``), not from expanded
+    coefficients, which near a multiple root at 1 (orthogonal summands)
+    lose the root to eps^(1/4).
+
+    A row stops once its bracket is narrower than ``BRACKET_RTOL`` of its
+    lower end, inside the slack, or once its bounds cannot reach
+    min(low, min hi) nor max(high, max lo) (``_reach``), where no
+    extreme can be; its bounds stay valid, only wider.  A row still going
+    after ``BRACKET_STEPS``, or whose lower bound is not finite, gets
+    (0, inf).
+    """
+    r, n = len(g), g.shape[-1]
+    degree = 2 * r
+    todo, lam, root_lo, root_hi = None, 0.0, 0.0, np.inf
+    least, most = np.inf, 0.0   # the least upper and most lower root bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(BRACKET_STEPS):
+            q, dq = _pencil_jet(g, c, lam)
+            step = -q / dq
+            # every iterate brackets the root: keep the tightest bounds
+            # (fmax and fmin also drop a NaN of a degenerate row)
+            low_end = np.minimum(step, degree * step)
+            high_end = np.maximum(step, degree * step)
+            if todo is not None:
+                low_end, high_end = lam + low_end, lam + high_end
+            root_lo = np.fmax(root_lo, low_end)
+            root_hi = np.fmin(root_hi, high_end)
+            if todo is None:
+                todo, below, above = np.arange(n), root_lo, root_hi
+            else:
+                below[todo], above[todo] = root_lo, root_hi
+            least = min(least, root_hi.min())
+            most = max(most, root_lo.max())
+            reach_lo, reach_hi = _reach(low, high, least, most)
+            going = np.flatnonzero(
+                (root_hi > (1 + BRACKET_RTOL) * root_lo)
+                & ((root_lo <= reach_lo) | (root_hi >= reach_hi)))
+            todo = todo[going]
+            if not todo.size:
+                break
+            lam = (lam + step)[going]
+            root_lo, root_hi = root_lo[going], root_hi[going]
+            g, c = g[:, :, going], c[:, :, going]
+    bad = below == np.inf
+    bad[todo] = True
+    below[bad], above[bad] = 0.0, np.inf
+    return below, above
+
+
+def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
+                     y: np.ndarray, z: np.ndarray, low: float,
+                     high: float) -> tuple:
+    """Missing flags of the triples (x[i], y[i], z[i]) and the extremes of
+    their defects that can pass beyond ``low`` or ``high``.
+
+    Returns ``(missing, lowest, first, highest)``.  A triple reading a
+    missing flag has defect 0.  Every other triple gets certified bounds
+    lo <= defect <= hi from its row of ``gram`` (``_gram``,
+    ``_root_bounds``).  Only the triples whose lo is at most min(low,
+    min hi) or whose hi is at least max(high, max lo) get the exact
+    defect, from one batched SVD of their concatenated summand bases,
+    which have d columns in all.  ``lowest`` is the minimum of the
+    exact defects, with ``first`` the index of the lexicographically
+    first (x, y, z) attaining it, and ``highest`` their maximum.  Every
+    triple attaining the minimum of these triples, when that is at most
+    ``low``, or their maximum, when that is at least ``high``, is among
+    them, so ``lowest`` and ``first`` decide the first minimum of the
+    whole scan whatever the order of its chunks.  ``first`` is None when
+    all triples are pruned.
+    """
+    columns = (x, y, z)
+    keys = [tuple(columns[role] for role in t.roles) for t in tables]
+    missing = np.zeros(len(y), dtype=bool)
+    for t, key in zip(tables, keys):
+        if t.missing.any():
+            missing |= t.missing[key]
+    g, c = gram
+    below, above = np.zeros(len(y)), np.zeros(len(y))
+    bounded = np.flatnonzero(~missing)
+    if bounded.size == len(y):
+        below, above = _root_bounds(g, c, low, high)
+    elif bounded.size:
+        below[bounded], above[bounded] = _root_bounds(
+            g[:, :, bounded], c[:, :, bounded], low, high)
+    # a missing flag's defect is 0
+    reach_lo, reach_hi = _reach(
+        low if bounded.size == len(y) else 0.0, high,
+        above[bounded].min(initial=np.inf), below[bounded].max(initial=0.0))
+    exact = missing | (below <= reach_lo) | (above >= reach_hi)
+    defects = np.zeros(len(y))
+    rows = np.flatnonzero(exact & ~missing)
+    defects[rows] = _smallest_singular_values(np.concatenate(
+        [t.basis[tuple(c[rows] for c in key)]
+         for t, key in zip(tables, keys)], axis=2))
+    known = np.flatnonzero(exact)
+    if not known.size:
+        return missing, np.inf, None, -np.inf
+    values = defects[known]
+    lowest = values.min()
+    ties = known[values == lowest]
+    first = ties[np.lexsort((z[ties], y[ties], x[ties]))[0]]
+    return missing, float(lowest), int(first), float(values.max())
+
+
+def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
+    """``(n_triples, gap_failures, min, max, worst)`` over the triples
+    (x, y, z) whose pairs (x, y), (x, z) and (y, z) the (n, n) mask
+    ``pairs`` marks.  ``worst`` is the lexicographically first (x, y, z)
+    attaining the minimum; min, max and worst are None without a triple.
+
+    The triples run anchor-major (``_anchor``): a chunk of anchor points
+    at a time, so the arrays stay O(``TRIPLE_BLOCK``), with the Gram
+    blocks of each chunk from ``_gram``; ``_triple_extremes`` prunes
+    against the running extremes and breaks ties by (x, y, z).
+    """
+    anchor = _anchor(tables)
+    role = tables[anchor].roles[0]
+    others = [t for i, t in enumerate(tables) if i != anchor]
+    free = [(set(t.roles) - {role}).pop() for t in others]
+    # axis of each role on a chunk's (anchor point, u, v) grid
+    axes = {role: 0, free[0]: 1, free[1]: 2}
+    basis = tables[anchor].basis
+    complement = np.linalg.svd(basis)[0][..., basis.shape[-1]:]
+    fixed = _fixed_cross(tables, anchor)
+    n = len(pairs)
+    n_triples = gap_failures = 0
+    min_defect, max_defect, worst = np.inf, -np.inf, None
+    step = max(1, TRIPLE_BLOCK // max(1, n * n))
+    for start in range(0, n, step):
+        points = np.arange(start, min(start + step, n))
+        cells = True
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            mask = pairs if axes[i] else pairs[points]
+            mask = mask if axes[j] else mask[:, points]
+            if axes[i] > axes[j]:
+                mask = mask.T
+            cells = cells & np.expand_dims(mask, 3 - axes[i] - axes[j])
+        cell = np.flatnonzero(cells)
+        if not cell.size:
+            continue
+        # (p, u, v) of each cell (p n + u) n + v, by products, not modulo
+        pu = cell // n
+        p = pu // n
+        u, v = pu - p * n, cell - pu * n
+        gram = _gram(tables, anchor, complement, points, p, u, v, fixed)
+        at = {role: points[p], free[0]: u, free[1]: v}
+        x, y, z = at[0], at[1], at[2]
+        missing, lowest, first, highest = _triple_extremes(
+            tables, gram, x, y, z, min_defect, max_defect)
+        n_triples += len(x)
+        gap_failures += int(np.count_nonzero(missing))
+        if first is None:
+            continue
+        key = (int(x[first]), int(y[first]), int(z[first]))
+        if lowest < min_defect or (lowest == min_defect and key < worst):
+            min_defect, worst = lowest, key
+        max_defect = max(max_defect, highest)
+    if worst is None:
+        return n_triples, gap_failures, None, None, None
+    return n_triples, gap_failures, min_defect, max_defect, worst

@@ -6,6 +6,9 @@ Everything here is a desk-scale numerical verification over word balls:
 "for all" statements are checked on exhaustive samples of fixed points
 and reported with minimum defects and three-way verdicts, never claimed
 as proofs.  Every threshold behind a verdict is a constant of this module.
+The word ball and its atlas (``ball``) and the triple kernel (``triples``)
+keep their own constants: point deduplication, bracket slack and block
+size, none of which decides a verdict.
 """
 
 from __future__ import annotations
@@ -17,18 +20,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .ball import (
+    BoundaryAtlas,
+    _WordBall,
+)
 from .core_linalg import (
     PartialFlag,
-    Spectrum,
     Subspace,
-    _intersections,
-    _invariant_bases,
-    _smallest_singular_values,
-    _spectra,
     direct_sum_defect,
     intersect,
     quotient_project,
-    spectrum,
 )
 from .crossratio import gcr, pcr_quotient
 from .errors import (
@@ -40,13 +41,8 @@ from .errors import (
 )
 from .groups import (
     ANGLE_SEPARATION,
-    RENORMALIZE_ABOVE,
     Word,
     circle_separation,
-    _not_loxodromic,
-    _rp1_fixed_points,
-    evaluate,
-    words_of_length,
 )
 from .representations import (
     Representation,
@@ -57,10 +53,14 @@ from .representations import (
     sopq_positive,
 )
 from .spectral import (
-    _eigenvalue_columns,
     attracting_space,
     eigenvalue_ratios,
     singular_gaps,
+)
+from .triples import (
+    _SummandTable,
+    _summand_tables,
+    _triple_scan,
 )
 
 __all__ = [
@@ -101,19 +101,6 @@ MONOTONE_SLACK = 0.5      # allowed dip (log units) of per-length minima;
                           # specific lengths without changing the trend
 SCAN_ACCEPT = 1e-4        # scan-level defect above which a property holds
 SCAN_REJECT = 1e-7        # scan-level defect below which it fails
-BRACKET_RTOL = 1e-6       # relative slack of the certified bounds on a
-                          # triple's defect that decide where the exact SVD
-                          # runs
-BRACKET_ATOL = 1e-7       # their absolute slack: covers the sqrt(eps)
-                          # error of the Gram route near defect 0
-BRACKET_STEPS = 60        # root-finding steps after which a triple's
-                          # bounds are given up (0, inf): its exact SVD
-                          # always runs
-POINT_DEDUP_TOL = 1e-8    # boundary angles closer than this are one point
-TRIPLE_BLOCK = 1 << 14    # (anchor point, u, v) cells of a triple scan's
-                          # chunk: its Gram tables and bounds are
-                          # O(TRIPLE_BLOCK) arrays (one anchor point per
-                          # chunk once n^2 is larger)
 PAIR_BLOCK = 1 << 16      # (g, h) cells of the linkage mask built at once
 CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
                           # C_k scan
@@ -165,269 +152,6 @@ class _Report:
     def to_dict(self) -> dict:
         return {_KEYS.get(f.name, f.name): _plain(getattr(self, f.name))
                 for f in fields(self)}
-
-
-# ---------------------------------------------------------------------------
-# the word ball: images, reference fixed points and flags, each computed once
-# ---------------------------------------------------------------------------
-
-class _WordBall:
-    """The words a scan or check reads, and everything it reads off them.
-
-    ``words`` is the ball ``words_of_length(rep.rank, max_length)``, its
-    first ``size`` words, then the prefixes of the named words and of their
-    inverses that it lacks, shortest first, then by letters.  ``images``
-    stacks their images in one read-only (n, d, d) array.  Every per-word
-    value below is a table, a row per word, built on first use by one
-    batched call and kept for the life of the ball (one scan or check):
-
-    - the 2x2 reference images (``_products``) and their fixed points, one
-      ``groups._rp1_fixed_points`` call (``reference_ends``), read by
-      ``fixed_points`` and ``loxodromic``;
-    - the Spectrum table of ``images``, one ``core_linalg._spectra`` call;
-      a word whose row failed its residual check raises its NumericError
-      only when it is read (``spectrum``, ``flags``);
-    - the eigenvalue-side values at each index k, one
-      ``spectral._eigenvalue_columns`` call (``eigenvalues``);
-    - one attracting-flag table per dimension: ``fill`` computes the rows
-      it lacks in one ``core_linalg._invariant_bases`` call and keeps
-      their errors, and ``flags`` raises them where their rows are read.
-    """
-
-    def __init__(self, rep: Representation, max_length: int, named=()):
-        self.rep = rep
-        self.words = words_of_length(rep.rank, max_length)
-        self.size = len(self.words)
-        self._rows = {w.letters: i for i, w in enumerate(self.words)}
-        extra = {v.letters[:i] for w in named for v in (w, w.inverse())
-                 for i in range(1, len(v) + 1)}.difference(self._rows)
-        for letters in sorted(sorted(extra), key=len):
-            self._rows[letters] = len(self.words)
-            self.words.append(Word._trusted(letters))
-        # each (length, last letter) group's rows and their prefixes' rows,
-        # and the rows beyond RENORMALIZE_ABOVE letters
-        groups, self._long = {}, []
-        for i, w in enumerate(self.words[1:], 1):
-            letters = w.letters
-            if len(letters) > RENORMALIZE_ABOVE:
-                self._long.append(i)
-            else:
-                rows, prefixes = groups.setdefault(
-                    (len(letters), letters[-1]), ([], []))
-                rows.append(i)
-                prefixes.append(self._rows[letters[:-1]])
-        self._steps = sorted(groups.items())
-        self._used = max((abs(w.letters[-1]) for w in self.words[1:]),
-                         default=0)
-        images = self._products(rep)
-        if not np.all(np.isfinite(images)):
-            raise InputError("word images overflow: matrix entries must be finite")
-        images.flags.writeable = False
-        self.images = images
-        self._reference = None
-        self._spectrum = None
-        self._eigenvalues: dict = {}
-        self._flags: dict = {}
-        self._spaces: dict = {}
-
-    def _products(self, rep: Representation) -> np.ndarray:
-        """The (n, dim, dim) images of ``words`` under ``rep``, equal to
-        ``evaluate`` bit for bit: beyond ``RENORMALIZE_ABOVE`` letters its
-        result, else the prefix's row times a generator or its inverse,
-        one stacked matmul per (length, last letter) group, shortest
-        first."""
-        if self._used > rep.rank:
-            raise InputError(f"word uses generator {self._used}, "
-                             f"representation has {rep.rank}")
-        steps = {}
-        for i, g in enumerate(rep.generator_images, 1):
-            steps[i], steps[-i] = g, np.linalg.inv(g)
-        images = np.empty((len(self.words), rep.dim, rep.dim))
-        images[0] = np.eye(rep.dim)   # the ball's first word is the identity
-        for (_, letter), (rows, prefixes) in self._steps:
-            images[rows] = images[prefixes] @ steps[letter]
-        for i in self._long:
-            images[i] = evaluate(rep, self.words[i])
-        return images
-
-    def image(self, w: Word) -> np.ndarray:
-        """Image of ``w``: its row of ``images``."""
-        return self.images[self._rows[w.letters]]
-
-    def row(self, w: Word) -> int:
-        """The row of ``w`` in ``words`` and ``images``."""
-        return self._rows[w.letters]
-
-    def reference_ends(self) -> tuple:
-        """``(ends, loxodromic)`` of every row: the (n, 2) attracting and
-        repelling angles of its reference image (NaN where it is not
-        loxodromic) and the loxodromic mask."""
-        if self._reference is None:
-            ref = self.rep.reference
-            if ref is None:
-                raise InputError(
-                    "representation carries no 2x2 boundary reference")
-            images = self._products(ref)
-            self._reference = (images, *_rp1_fixed_points(images))
-        return self._reference[1:]
-
-    def fixed_points(self, w: Word) -> tuple:
-        """Attracting and repelling angles of ``w`` on the reference circle;
-        DomainError where its reference image is not loxodromic."""
-        ends, loxodromic = self.reference_ends()
-        row = self._rows[w.letters]
-        if not loxodromic[row]:
-            raise _not_loxodromic(self._reference[0][row])
-        return tuple(ends[row].tolist())
-
-    def loxodromic_rows(self) -> np.ndarray:
-        """The rows of the nontrivial ball words, not the named ones, with
-        reference fixed points, in order."""
-        return np.flatnonzero(self.reference_ends()[1][1:self.size]) + 1
-
-    def loxodromic(self) -> tuple:
-        """The words of ``loxodromic_rows`` and their (n, 2) (attracting,
-        repelling) angles."""
-        rows = self.loxodromic_rows()
-        return [self.words[r] for r in rows], self.reference_ends()[0][rows]
-
-    def _spectra(self) -> Spectrum:
-        """The Spectrum table of ``images``, built on first use."""
-        if self._spectrum is None:
-            self._spectrum = _spectra(self.images)
-        return self._spectrum
-
-    def failed(self) -> np.ndarray:
-        """The mask of rows that failed their residual check."""
-        return np.isin(np.arange(len(self.words)),
-                       list(self._spectra().errors))
-
-    def spectrum(self, w: Word) -> Spectrum:
-        """The one-row Spectrum of the image of ``w``, or its error raised."""
-        return spectrum(self._spectra().take([self._rows[w.letters]]))
-
-    def eigenvalues(self, k: int):
-        """``spectral._eigenvalue_columns`` at index k of every row, one
-        call; a failed row reads as the identity."""
-        if k not in self._eigenvalues:
-            self._eigenvalues[k] = _eigenvalue_columns(np.where(
-                self.failed()[:, None], 1.0, self._spectra().values), k)
-        return self._eigenvalues[k]
-
-    def fill(self, dim: int, rows) -> tuple:
-        """The flag table of dimension ``dim``, 0 < dim < d, with ``rows``
-        computed: ``(bases, missing, errors, done)`` over all rows.
-
-        ``errors`` starts as the Spectrum table's; the rows not yet done
-        that passed their residual check are computed by one
-        ``core_linalg._invariant_bases`` call, which adds the errors of
-        its checks.  Nothing is raised.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if dim not in self._flags:
-            n, d = len(self.words), self.rep.dim
-            self._flags[dim] = (np.zeros((n, d, dim)), np.zeros(n, dtype=bool),
-                                dict(self._spectra().errors),
-                                np.zeros(n, dtype=bool))
-        bases, missing, errors, done = self._flags[dim]
-        todo = np.unique(rows[~done[rows]])
-        if todo.size:
-            good = todo[~self.failed()[todo]]
-            bases[good], missing[good], found = _invariant_bases(
-                self._spectra(), good, 0, dim)
-            errors.update((int(good[i]), e) for i, e in found.items())
-            done[todo] = True
-        return self._flags[dim]
-
-    def flags(self, dim: int, rows) -> tuple:
-        """Attracting spaces of dimension ``dim`` of the images of ``rows``:
-        ``(bases, missing)``, (len(rows), d, dim) orthonormal bases, and
-        True where a row has no eigenvalue-modulus gap at ``dim`` (its
-        basis is zero).
-
-        The rows are read from the table of ``dim`` (``fill``); a row
-        whose residual or kernel check failed raises its NumericError
-        here, the first in ``rows`` order.  Dimensions 0 and d are the
-        zero and the whole space.
-        """
-        d = self.rep.dim
-        if dim < 0 or dim > d:
-            raise InputError(f"flag dimension {dim} outside 0..{d}")
-        rows = np.asarray(rows, dtype=np.intp)
-        if dim in (0, d):
-            return (np.broadcast_to(np.eye(d)[:, :dim], (len(rows), d, dim)),
-                    np.zeros(len(rows), dtype=bool))
-        bases, missing, errors, _ = self.fill(dim, rows)
-        if errors:
-            for r in rows.tolist():
-                if r in errors:
-                    raise errors[r].with_traceback(None)
-        return bases[rows], missing[rows]
-
-    def gap_error(self, dim: int, row: int) -> GapError:
-        """The GapError of a row missing from the flag table of ``dim``,
-        naming its word."""
-        moduli = np.abs(self._spectra().values[row])
-        ratio = float(moduli[dim - 1] / max(moduli[dim], 1e-300))
-        return GapError(
-            f"no eigenvalue gap at dimension {dim} for word {self.words[row]}: "
-            f"|lambda_{dim}|/|lambda_{dim + 1}| = {ratio:.6g}",
-            index=dim, ratio=ratio)
-
-    def space(self, w: Word, dim: int) -> Subspace:
-        """Attracting space of dimension ``dim`` of the image of ``w``: its
-        row of the flag table, or its GapError."""
-        if (w, dim) not in self._spaces:
-            row = self._rows[w.letters]
-            bases, missing = self.flags(dim, [row])
-            if missing[0]:
-                raise self.gap_error(dim, row)
-            self._spaces[w, dim] = Subspace(bases[0])
-        return self._spaces[w, dim]
-
-
-class BoundaryAtlas:
-    """Deduplicated attracting fixed points of a word ball, with flag access.
-
-    ``angles`` ascends in [0, pi); ``angles[i]`` is the attracting angle,
-    in the 2x2 reference, of ``words[i]``.  The loxodromic words of
-    ``self.ball`` are stably sorted by it, and a point within
-    ``POINT_DEDUP_TOL`` of the last kept one (or, across the wrap, of the
-    first) is dropped.  Non-loxodromic words are skipped and counted.
-    Boundary flags are read from the same ball's flag tables; ``rows``
-    holds the ball row of each point.
-    """
-
-    def __init__(self, rep: Representation, max_length: int):
-        self.ball = _WordBall(rep, max_length)
-        words, ends = self.ball.loxodromic()
-        self.skipped_nonloxodromic = len(self.ball.words) - 1 - len(words)
-        attracting = ends[:, 0].tolist()
-        kept = []
-        for i in sorted(range(len(words)), key=attracting.__getitem__):
-            if kept and circle_separation(
-                    attracting[kept[-1]], attracting[i]) < POINT_DEDUP_TOL:
-                continue
-            kept.append(i)
-        # the sort is linear but the circle wraps: the last can equal the first
-        if len(kept) > 1 and circle_separation(
-                attracting[kept[0]], attracting[kept[-1]]) < POINT_DEDUP_TOL:
-            kept.pop()
-        self.words = [words[i] for i in kept]
-        self.angles = ends[kept, 0]
-        self.rows = np.array([self.ball.row(w) for w in self.words],
-                             dtype=np.intp)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def space(self, i: int, dim: int) -> Subspace:
-        return self.ball.space(self.words[i], dim)
-
-    def flags(self, dim: int, points) -> tuple:
-        """``(bases, missing)`` of the flags of dimension ``dim`` at the
-        point indices ``points``: ``_WordBall.flags`` on their rows."""
-        return self.ball.flags(dim, self.rows[points])
 
 
 # ---------------------------------------------------------------------------
@@ -611,388 +335,6 @@ def _scan_verdict(min_defect: float | None) -> str:
     return "ambiguous"
 
 
-@dataclass(frozen=True)
-class _SummandTable:
-    """One summand of a transversality sum at every key it is asked for.
-
-    A key is one point (a flag) or an ordered pair of points (an
-    intersection), indexed by the triple positions in ``roles``.
-    """
-
-    roles: tuple
-    missing: np.ndarray   # per key: a flag it reads has no eigenvalue gap
-    basis: np.ndarray     # (..., d, rank): an orthonormal basis per key
-
-
-def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
-    """Tables of the summands over the points and pairs of ``used``.
-
-    ``used`` marks the ordered point pairs that occur in some kept triple.
-    The flags of each dimension at the points of such pairs come from the
-    ball's flag table (``BoundaryAtlas.flags``), one batched
-    ``core_linalg._invariant_bases`` call per dimension; a flag without an
-    eigenvalue-modulus gap is missing, and so is every key that reads it,
-    while a flag's NumericError is raised, the first in (dim, point)
-    order.  An intersection summand is computed for every pair of
-    ``used`` without a missing flag in one ``core_linalg._intersections``
-    call, at the transversal dimension: a line in H_k and C_k.  The scan
-    hands in its summands without their whole-space parts, so at k = 1
-    every summand is a point flag and no intersection is computed.
-    """
-    n = len(atlas)
-    d = atlas.ball.rep.dim
-    points = np.flatnonzero(used.any(axis=1))
-    flags, gaps = {}, {}
-    for dim in sorted({dim for summand in summands for _, dim in summand}):
-        flags[dim], gaps[dim] = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
-        flags[dim][points], gaps[dim][points] = atlas.flags(dim, points)
-    tables = []
-    for summand in summands:
-        roles, dims = zip(*summand)
-        if len(dims) == 1:
-            missing, basis = gaps[dims[0]], flags[dims[0]]
-        else:
-            a, b = dims
-            missing = gaps[a][:, None] | gaps[b][None, :]
-            i, j = np.nonzero(used & ~missing)
-            basis = np.zeros((n, n, d, a + b - d))
-            basis[i, j] = _intersections(flags[a][i], flags[b][j])
-        tables.append(_SummandTable(roles, missing, basis))
-    return tables
-
-
-def _anchor(tables: list) -> int:
-    """The index of the anchor Z of a sum M = [R | Z]: the point flag
-    whose point, held fixed, leaves each other summand reading one other
-    point, a different one each.  That is z^(d-k-1) of H_k and x^(d-k-2)
-    of C_k; of three point flags (H_1, C_1, the projected scan) it is the
-    one of the largest rank, the last of a tie."""
-    def fits(t):
-        rest = [set(u.roles) - set(t.roles) for u in tables if u is not t]
-        return (len(t.roles) == 1 and all(len(r) == 1 for r in rest)
-                and rest[0] != rest[1])
-    return max((i for i, t in enumerate(tables) if fits(t)),
-               key=lambda i: (tables[i].basis.shape[-1], i))
-
-
-def _at_anchors(table: _SummandTable, role: int,
-                points: np.ndarray) -> np.ndarray:
-    """The bases of ``table`` at the keys of the anchor points ``points``
-    (of triple position ``role``) and every point u: (c, n, d, rank), with
-    c = 1 where the key does not read the anchor."""
-    if table.roles[0] == role:
-        return table.basis[points]
-    if len(table.roles) == 1:
-        return table.basis[None]
-    return np.swapaxes(table.basis[:, points], 0, 1)
-
-
-def _gram(tables: list, anchor: int, complement: np.ndarray,
-          points: np.ndarray, p: np.ndarray, u: np.ndarray,
-          v: np.ndarray, fixed: np.ndarray | None) -> tuple:
-    """``(g, c)`` of the triples (points[p[i]], u[i], v[i]) of a chunk of
-    anchor points ``points``: g, (r, r, N), is R^T (I - Z Z^T) R, and c,
-    (r1, r2, N), is B1^T B2.
-
-    M = [R | Z]: Z is the anchor's basis, R = [B1 | B2] the other two
-    summands' (u reads B1, v reads B2).  R^T R has the diagonal blocks I
-    and the cross block c.  ``complement`` holds an orthonormal
-    complement C of Z per point, so g is the Gram matrix of the
-    coordinates C^T R.  Each summand's own block of g is an (anchor
-    point, point) table, and the cross blocks of g and of R^T R are one
-    batched GEMM each over the chunk; a triple reads its entries off
-    these tables.  No basis is gathered per triple.  ``fixed`` is the
-    cross block of R^T R over all points when neither summand of R reads
-    the anchor (``_fixed_cross``), else None.
-    """
-    role = tables[anchor].roles[0]
-    n = len(tables[anchor].missing)
-    ct = np.swapaxes(complement[points], 1, 2)
-    full, coords, ranks = [], [], []
-    for i, t in enumerate(tables):
-        if i != anchor:
-            # (c or 1, d, n rank): column (point, basis vector)
-            basis = _at_anchors(t, role, points)
-            d, rank = basis.shape[-2:]
-            full.append(basis.transpose(0, 2, 1, 3).reshape(
-                len(basis), d, n * rank))
-            coords.append(ct @ full[-1])
-            ranks.append(rank)
-    r1, r2 = ranks
-    r = r1 + r2
-    size = len(points) * n
-    g = np.empty((r, r, len(p)))
-    for (lo, hi), coord, key in zip(((0, r1), (r1, r)), coords, (u, v)):
-        coord = coord.reshape(len(points), len(ct[0]), n, hi - lo)
-        block = np.einsum("ceni,cenj->ijcn", coord, coord)
-        g[lo:hi, lo:hi] = np.take(block.reshape((hi - lo) ** 2, size),
-                                  p * n + key, axis=1).reshape(
-                                      hi - lo, hi - lo, len(p))
-    # the GEMM's entry ((u, i), (v, j)) of anchor point p
-    within = (np.arange(r1)[:, None] * (n * r2) + np.arange(r2)).reshape(-1, 1)
-    at = u * (r1 * r2 * n) + v * r2 + within
-    crosses = []
-    for (left, right), cross in ((coords, None), (full, fixed)):
-        if cross is None:
-            cross = np.ascontiguousarray(np.swapaxes(left, 1, 2)) @ right
-        index = at + p * (r1 * r2 * n * n) if len(cross) > 1 else at
-        crosses.append(cross.reshape(-1)[index].reshape(r1, r2, len(p)))
-    g[:r1, r1:] = crosses[0]
-    g[r1:, :r1] = np.swapaxes(crosses[0], 0, 1)
-    return g, crosses[1]
-
-
-def _fixed_cross(tables: list, anchor: int) -> np.ndarray | None:
-    """B1^T B2 of ``_gram`` over all points, (1, n r1, n r2), when neither
-    summand of R reads the anchor (H_1, C_1, the projected scan): then it is
-    one block for the whole scan.  None otherwise."""
-    role = tables[anchor].roles[0]
-    others = [t for i, t in enumerate(tables) if i != anchor]
-    if any(role in t.roles for t in others):
-        return None
-    b1, b2 = (np.swapaxes(t.basis, 0, 1).reshape(len(t.basis[0]), -1)
-              for t in others)
-    return (b1.T @ b2)[None]
-
-
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of an (r, r, ...) stack, entry axes first: the closed
-    form at r = 3 (``_pencil_jet`` has its own at r1 = r2 = 1), else one
-    batched ``np.linalg.det``."""
-    if len(m) == 3:
-        return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
-
-
-def _pencil_jet(g: np.ndarray, c: np.ndarray, lam) -> tuple:
-    """q and q' at ``lam`` of q(lam) = det A(lam), A(lam) = g - lam h +
-    lam^2 I, per row, h = R^T R + I with the cross block ``c`` (``_gram``).
-    At r1 = r2 = 1 both have a closed form; otherwise q' = sum_j det(A
-    with column j taken from A'), det being multilinear in the columns:
-    1 + r ``_det`` calls."""
-    r = len(g)
-    if c.shape[:2] == (1, 1):
-        c = c[0, 0]
-        a00, a11, a01 = g[0, 0], g[1, 1], g[0, 1]
-        if np.ndim(lam):   # else lam is 0, the first step
-            t = lam * (lam - 2)
-            a00, a11, a01 = a00 + t, a11 + t, a01 - lam * c
-        return (a00 * a11 - a01 * a01,
-                (2 * lam - 2) * (a00 + a11) + 2 * a01 * c)
-    r1 = len(c)
-    eye = np.eye(r)[:, :, None]
-    h = 2 * eye + np.zeros_like(g)
-    h[:r1, r1:], h[r1:, :r1] = c, np.swapaxes(c, 0, 1)
-    a, da = g - lam * h + lam * lam * eye, 2 * lam * eye - h
-    dq = 0.0
-    for j in range(r):
-        column = a[:, j].copy()
-        a[:, j] = da[:, j]
-        dq = dq + _det(a)
-        a[:, j] = column
-    return _det(a), dq
-
-
-def _sigma_bounds(below, above) -> tuple:
-    """Bounds on sigma_min from bounds on its square, with the relative
-    slack ``BRACKET_RTOL`` and the absolute ``BRACKET_ATOL``."""
-    return (np.sqrt(np.maximum(below, 0.0)) * (1 - BRACKET_RTOL)
-            - BRACKET_ATOL,
-            np.sqrt(np.maximum(above, 0.0)) * (1 + BRACKET_RTOL)
-            + BRACKET_ATOL)
-
-
-def _reach(low: float, high: float, least: float, most: float) -> tuple:
-    """The bounds on sigma_min^2 from which a row can pass an extreme: it
-    can reach min(low, min hi) when its lower bound is at most the first,
-    and max(high, max lo) when its upper bound is at least the second.
-    ``least`` and ``most`` are the rows' least upper and most lower bound
-    on sigma_min^2, and lo and hi their ``_sigma_bounds``."""
-    top, bottom = _sigma_bounds(most, least)
-    bottom, top = min(low, bottom), max(high, top)
-    return (((bottom + BRACKET_ATOL) / (1 - BRACKET_RTOL)) ** 2,
-            ((top - BRACKET_ATOL) / (1 + BRACKET_RTOL)) ** 2
-            if top > BRACKET_ATOL else -np.inf)
-
-
-def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
-                 high: float) -> tuple:
-    """Certified bounds ``(below, above)`` on sigma_min(M)^2 of
-    M = [R | Z] per row of ``_gram``'s (g, c); ``_sigma_bounds`` turns
-    them into bounds lo <= sigma_min(M) <= hi.
-
-    R's summands have orthonormal bases and Z is orthonormal.
-    sigma_min^2 is the smallest root of q(lam) = det A(lam),
-    A(lam) = g - lam h + lam^2 I, h = R^T R + I (the Schur complement of
-    M^T M - lam I, times 1 - lam), a polynomial of degree n = 2r whose
-    roots are all real: the eigenvalues of M^T M, and 1.  q(0) = det g
-    >= 0.  Below every root, with u_i = 1/(root_i - lam), S1 = sum u_i =
-    -q'/q, so Newton's step s = 1/S1, the root lies in [lam + s,
-    lam + n s], and Newton from 0 rises monotonically towards it.  q and
-    q' are evaluated as determinants (``_pencil_jet``), not from expanded
-    coefficients, which near a multiple root at 1 (orthogonal summands)
-    lose the root to eps^(1/4).
-
-    A row stops once its bracket is narrower than ``BRACKET_RTOL`` of its
-    lower end, inside the slack, or once its bounds cannot reach
-    min(low, min hi) nor max(high, max lo) (``_reach``), where no
-    extreme can be; its bounds stay valid, only wider.  A row still going
-    after ``BRACKET_STEPS``, or whose lower bound is not finite, gets
-    (0, inf).
-    """
-    r, n = len(g), g.shape[-1]
-    degree = 2 * r
-    todo, lam, root_lo, root_hi = None, 0.0, 0.0, np.inf
-    least, most = np.inf, 0.0   # the least upper and most lower root bound
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(BRACKET_STEPS):
-            q, dq = _pencil_jet(g, c, lam)
-            step = -q / dq
-            # every iterate brackets the root: keep the tightest bounds
-            # (fmax and fmin also drop a NaN of a degenerate row)
-            low_end = np.minimum(step, degree * step)
-            high_end = np.maximum(step, degree * step)
-            if todo is not None:
-                low_end, high_end = lam + low_end, lam + high_end
-            root_lo = np.fmax(root_lo, low_end)
-            root_hi = np.fmin(root_hi, high_end)
-            if todo is None:
-                todo, below, above = np.arange(n), root_lo, root_hi
-            else:
-                below[todo], above[todo] = root_lo, root_hi
-            least = min(least, root_hi.min())
-            most = max(most, root_lo.max())
-            reach_lo, reach_hi = _reach(low, high, least, most)
-            going = np.flatnonzero(
-                (root_hi > (1 + BRACKET_RTOL) * root_lo)
-                & ((root_lo <= reach_lo) | (root_hi >= reach_hi)))
-            todo = todo[going]
-            if not todo.size:
-                break
-            lam = (lam + step)[going]
-            root_lo, root_hi = root_lo[going], root_hi[going]
-            g, c = g[:, :, going], c[:, :, going]
-    bad = below == np.inf
-    bad[todo] = True
-    below[bad], above[bad] = 0.0, np.inf
-    return below, above
-
-
-def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
-                     y: np.ndarray, z: np.ndarray, low: float,
-                     high: float) -> tuple:
-    """Missing flags of the triples (x[i], y[i], z[i]) and the extremes of
-    their defects that can pass beyond ``low`` or ``high``.
-
-    Returns ``(missing, lowest, first, highest)``.  A triple reading a
-    missing flag has defect 0.  Every other triple gets certified bounds
-    lo <= defect <= hi from its row of ``gram`` (``_gram``,
-    ``_root_bounds``).  Only the triples whose lo is at most min(low,
-    min hi) or whose hi is at least max(high, max lo) get the exact
-    defect, from one batched SVD of their concatenated summand bases,
-    which have d columns in all.  ``lowest`` is the minimum of the
-    exact defects, with ``first`` the index of the lexicographically
-    first (x, y, z) attaining it, and ``highest`` their maximum.  Every
-    triple attaining the minimum of these triples, when that is at most
-    ``low``, or their maximum, when that is at least ``high``, is among
-    them, so ``lowest`` and ``first`` decide the first minimum of the
-    whole scan whatever the order of its chunks.  ``first`` is None when
-    all triples are pruned.
-    """
-    columns = (x, y, z)
-    keys = [tuple(columns[role] for role in t.roles) for t in tables]
-    missing = np.zeros(len(y), dtype=bool)
-    for t, key in zip(tables, keys):
-        if t.missing.any():
-            missing |= t.missing[key]
-    g, c = gram
-    below, above = np.zeros(len(y)), np.zeros(len(y))
-    bounded = np.flatnonzero(~missing)
-    if bounded.size == len(y):
-        below, above = _root_bounds(g, c, low, high)
-    elif bounded.size:
-        below[bounded], above[bounded] = _root_bounds(
-            g[:, :, bounded], c[:, :, bounded], low, high)
-    # a missing flag's defect is 0
-    reach_lo, reach_hi = _reach(
-        low if bounded.size == len(y) else 0.0, high,
-        above[bounded].min(initial=np.inf), below[bounded].max(initial=0.0))
-    exact = missing | (below <= reach_lo) | (above >= reach_hi)
-    defects = np.zeros(len(y))
-    rows = np.flatnonzero(exact & ~missing)
-    defects[rows] = _smallest_singular_values(np.concatenate(
-        [t.basis[tuple(c[rows] for c in key)]
-         for t, key in zip(tables, keys)], axis=2))
-    known = np.flatnonzero(exact)
-    if not known.size:
-        return missing, np.inf, None, -np.inf
-    values = defects[known]
-    lowest = values.min()
-    ties = known[values == lowest]
-    first = ties[np.lexsort((z[ties], y[ties], x[ties]))[0]]
-    return missing, float(lowest), int(first), float(values.max())
-
-
-def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
-    """``(n_triples, gap_failures, min, max, worst)`` over the triples
-    (x, y, z) whose pairs (x, y), (x, z) and (y, z) the (n, n) mask
-    ``pairs`` marks.  ``worst`` is the lexicographically first (x, y, z)
-    attaining the minimum; min, max and worst are None without a triple.
-
-    The triples run anchor-major (``_anchor``): a chunk of anchor points
-    at a time, so the arrays stay O(``TRIPLE_BLOCK``), with the Gram
-    blocks of each chunk from ``_gram``; ``_triple_extremes`` prunes
-    against the running extremes and breaks ties by (x, y, z).
-    """
-    anchor = _anchor(tables)
-    role = tables[anchor].roles[0]
-    others = [t for i, t in enumerate(tables) if i != anchor]
-    free = [(set(t.roles) - {role}).pop() for t in others]
-    # axis of each role on a chunk's (anchor point, u, v) grid
-    axes = {role: 0, free[0]: 1, free[1]: 2}
-    basis = tables[anchor].basis
-    complement = np.linalg.svd(basis)[0][..., basis.shape[-1]:]
-    fixed = _fixed_cross(tables, anchor)
-    n = len(pairs)
-    n_triples = gap_failures = 0
-    min_defect, max_defect, worst = np.inf, -np.inf, None
-    step = max(1, TRIPLE_BLOCK // max(1, n * n))
-    for start in range(0, n, step):
-        points = np.arange(start, min(start + step, n))
-        cells = True
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            mask = pairs if axes[i] else pairs[points]
-            mask = mask if axes[j] else mask[:, points]
-            if axes[i] > axes[j]:
-                mask = mask.T
-            cells = cells & np.expand_dims(mask, 3 - axes[i] - axes[j])
-        cell = np.flatnonzero(cells)
-        if not cell.size:
-            continue
-        # (p, u, v) of each cell (p n + u) n + v, by products, not modulo
-        pu = cell // n
-        p = pu // n
-        u, v = pu - p * n, cell - pu * n
-        gram = _gram(tables, anchor, complement, points, p, u, v, fixed)
-        at = {role: points[p], free[0]: u, free[1]: v}
-        x, y, z = at[0], at[1], at[2]
-        missing, lowest, first, highest = _triple_extremes(
-            tables, gram, x, y, z, min_defect, max_defect)
-        n_triples += len(x)
-        gap_failures += int(np.count_nonzero(missing))
-        if first is None:
-            continue
-        key = (int(x[first]), int(y[first]), int(z[first]))
-        if lowest < min_defect or (lowest == min_defect and key < worst):
-            min_defect, worst = lowest, key
-        max_defect = max(max_defect, highest)
-    if worst is None:
-        return n_triples, gap_failures, None, None, None
-    return n_triples, gap_failures, min_defect, max_defect, worst
-
-
 def _transversality_scan(rep: Representation, k: int, max_length: int,
                          kind: str, summands_fn, certification: dict,
                          min_separation: float) -> TransversalityScanReport:
@@ -1046,9 +388,10 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     can still reach the running minimum or maximum.  Every other triple
     is pruned by certified bounds on its smallest singular value, from
     the Gram blocks of the other summands split off the anchor
-    z^(d-k-1) (``_triple_scan``, ``_root_bounds``).  The reported values,
-    the first worst triple and the counts are those of the SVD of every
-    triple.  ``min_separation`` must be a finite number >= 0.
+    z^(d-k-1) (``triples._triple_scan``, ``triples._root_bounds``).  The
+    reported values, the first worst triple and the counts are those of
+    the SVD of every triple.  ``min_separation`` must be a finite number
+    >= 0.
 
     The verdict does not read the Anosov gaps, so no gap scan runs: the
     report's ``certification`` is {} and ``certified`` is vacuously true.
@@ -1111,20 +454,17 @@ def _projected_line(ball: _WordBall, k: int, x: Word, w: Word) -> Subspace:
     return quotient_project(line, x_low, x_high)
 
 
-def _projection_lines(rep: Representation, k: int, x: Word, samples,
+def _projection_lines(rep: Representation, k: int, x: Word, max_length: int,
                       min_separation: float):
     """Curve points in P(x^(d-k+1)/x^(d-k-2)): the special x-line plus the
-    projected sections of the samples with boundary points, thinned to the
-    separation cutoff and never keeping two coincident boundary points."""
-    ball = _WordBall(rep, 0, (x, *samples))
+    projected sections of the ball's words with boundary points, thinned to
+    the separation cutoff and never keeping two coincident boundary points."""
+    ball = _WordBall(rep, max_length, (x,))
     cutoff = max(min_separation, ANGLE_SEPARATION)
     kept_angles = [ball.fixed_points(x)[0]]
     labels = [x]
-    for y in samples:
-        try:
-            angle = ball.fixed_points(y)[0]
-        except DomainError:
-            continue
+    words, ends = ball.loxodromic()
+    for y, angle in zip(words, ends[:, 0].tolist()):
         if any(circle_separation(angle, a) < cutoff for a in kept_angles):
             continue
         kept_angles.append(angle)
@@ -1147,32 +487,31 @@ def projection_triple_defect(rep: Representation, k: int, x: Word,
 
 
 def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
-                                    samples,
+                                    max_length: int,
                                     min_separation: float = TRIPLE_SEPARATION
                                     ) -> TransversalityScanReport:
     """Spanning defect of projected triples in the 3-space
     X = x^(d-k+1)/x^(d-k-2), for k in 1..d-2.
 
-    The boundary point y of every sample with reference fixed points (the
-    others are skipped) maps to the line [y^k n x^(d-k+1)]; the point x
-    itself contributes the line [x^(d-k-1)].  Samples closer than the
-    separation cutoff (at least ``groups.ANGLE_SEPARATION``) to an
-    already-kept curve point are thinned out; the report carries the
-    minimum 3-plane spanning defect over all triples of kept curve
-    points, with verdicts from ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in
-    ``hk_scan``, and the length of the longest sample word as its
-    ``max_length``; ``max_defect`` stays None.
+    The boundary point y of every word of the ball of length
+    ``max_length`` with reference fixed points (the others are skipped)
+    maps to the line [y^k n x^(d-k+1)]; the point x itself contributes the
+    line [x^(d-k-1)].  Words closer than the separation cutoff (at least
+    ``groups.ANGLE_SEPARATION``) to an already-kept curve point are thinned
+    out, in ball order; the report carries the minimum 3-plane spanning
+    defect over all triples of kept curve points, with verdicts from
+    ``SCAN_ACCEPT`` and ``SCAN_REJECT`` as in ``hk_scan``; ``max_defect``
+    stays None.
 
     Three lines of X have the shape x^1 + y^1 + z^1 of H_1, so the triples
-    i < j < l run on the H_k/C_k kernel (``_triple_scan``): certified
-    bounds on each defect (``_root_bounds``) leave the exact SVD to the
-    triples that can reach the running minimum.  ``worst_triple`` is the
-    first minimum in combinations order.
+    i < j < l run on the H_k/C_k kernel (``triples._triple_scan``):
+    certified bounds on each defect (``triples._root_bounds``) leave the
+    exact SVD to the triples that can reach the running minimum.
+    ``worst_triple`` is the first minimum in combinations order.
     """
     _check_k(k, rep.dim - 2)
     _check_separation(min_separation)
-    samples = tuple(samples)
-    lines, labels = _projection_lines(rep, k, x, samples, min_separation)
+    lines, labels = _projection_lines(rep, k, x, max_length, min_separation)
     n = len(lines)
     if n < 3:
         raise PreconditionError("need at least three distinct curve points")
@@ -1183,7 +522,7 @@ def check_projection_hyperconvexity(rep: Representation, k: int, x: Word,
         tables, np.triu(np.ones((n, n), dtype=bool), 1))
     return TransversalityScanReport(
         kind="projection", rep_label=rep.label, k=k,
-        max_length=max(map(len, samples)),
+        max_length=max_length,
         certification={}, certified=True, n_points=n,
         n_triples=n_triples, gap_failures=0, min_defect=min_defect,
         verdict=_scan_verdict(min_defect),
@@ -1380,7 +719,7 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
                 raise PreconditionError(
                     f"auxiliary point {x} hits a fixed point of {g}")
     d = ball.rep.dim
-    m_g = ball.image(g)
+    m_g = ball.images[ball.row(g)]
     g_inv = g.inverse()
 
     v_low = ball.space(g_inv, d - k - 1)

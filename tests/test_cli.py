@@ -112,6 +112,23 @@ class TestGapScan:
                     "--L", "5", "--format", "csv"]) == 64
         assert "--format csv needs --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,digests", [
+        ([], {"scan.json": "3ddf0d1b66064c7ce0b16d7e70961bfb"
+                           "71d8a648a25fb77140c8ca8c91146ba9"}),
+        (["--format", "csv"], {
+            "scan.csv": "f65bf582e48051e6f9a26dc7dfb6b28b"
+                        "310dc6668b2db42815c0de6479ce9402",
+            "scan.csv.schema.json": "4206acb8d44279170ffc5e13f08a08fa"
+                                    "1d843ff0af5cffbd36ad7bce6c673fc7"}),
+    ], ids=["json", "csv"])
+    def test_output_bytes_pinned(self, tmp_path, args, digests):
+        out = tmp_path / next(iter(digests))
+        assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
+                    "--L", "4", *args, "--out", str(out)]) == 0
+        assert {name: hashlib.sha256(
+                    (tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
     def test_L_cap(self):
         assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
                     "--L", "9"]) == 64
@@ -278,6 +295,33 @@ class TestCheck:
                     "4,2", "--k", "1", "--L", "2", "--min-separation", "0.5",
                     "--out", str(out)]) == 1
         assert json.loads(out.read_text())["report"]["min_separation"] == 0.5
+
+    @pytest.mark.parametrize("args,digest", [
+        (["Hk", "--family", "fuchsian", "--partition", "5,1", "--k", "1",
+          "--L", "3"], "54c6f7c32df100d15c2f5afc71b235cd"
+                       "7f2d8c8402bd974a818737317c03d47d"),
+        (["Hk", "--family", "fuchsian", "--partition", "7,1", "--k", "2",
+          "--L", "2"], "358498678ee7dd5c6726231a2c6cf8bb"
+                       "ab132578e17f797b0ce010003e2e3e3c"),
+        (["Ck", "--family", "fuchsian", "--partition", "7,1", "--k", "1",
+          "--L", "2"], "603bd481549f0f72e68600a5c1d7dcae"
+                       "0949ce9c028868d24daf6076d3baee83"),
+        (["hyperconvex", "--family", "fg", "--x", "1", "--k", "1",
+          "--L", "3"], "f43df793731087ba8a05097eea9446df"
+                       "09156b0be0e7ce2faaa5ec0189813e77"),
+        (["pos-ratioed", "--family", "fg", "--x", "1", "--k", "1",
+          "--L", "3"], "48f81b17fee68f1c9a584e241accfd8a"
+                       "784d1be6091b7382d2d3f355100835d4"),
+        (["eigen-identities", "--family", "fg", "--x", "1", "--k", "1",
+          "--L", "2"], "22afe5a362ae65d9365ed99b5c1af2c3"
+                       "ab0382b3bcb77a62f859f3cb8b786b52"),
+    ], ids=["Hk-5,1-k1-L3", "Hk-7,1-k2-L2", "Ck-7,1-k1-L2",
+            "hyperconvex-fg-L3", "pos-ratioed-fg-L3",
+            "eigen-identities-fg-L2"])
+    def test_output_bytes_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "r.json"
+        assert run(["check", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestCollar:

@@ -347,11 +347,6 @@ class TestEig:
         else:
             eig_by_modulus(FG_GAMMA)
 
-    def test_pairs_multiplicity(self):
-        dec = eig_by_modulus(np.diag([2.0, 2.0, 0.25]))
-        pairs = dec.pairs()
-        assert pairs[0][1] == 2 and pairs[1][1] == 1
-
 
 # ---------------------------------------------------------------------------
 # types

@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import anosovlab
+from anosovlab import verification
 from anosovlab.cli import cli
+from anosovlab.representations import (
+    fg_rep,
+    fuchsian_locus,
+    punctured_torus_reference,
+)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(anosovlab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +52,19 @@ def test_every_traced_name_resolves():
             missing.append(qualname)
     assert len(tracing.TRACED) == 15
     assert missing == []
+
+
+def test_traced_names_count_calls_from_the_scans():
+    # a traced name is rebound in every module holding it; the scans must
+    # still call it through one of those, wherever their code lives
+    with bench_module("tracing").Tracer() as tracer:
+        verification.hk_scan(
+            fuchsian_locus((5, 1), punctured_torus_reference()), 1, 2)
+        verification.check_positively_ratioed(fg_rep(1), 1, 2)
+        verification.linked_pairs(fg_rep(1), 2)
+    calls = tracer.calls()
+    assert calls["verification.BoundaryAtlas"] == 2
+    assert calls["verification.linked_pairs"] == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -144,6 +163,47 @@ def _scoped_nodes(path: Path):
     yield from visit(ast.parse(path.read_text()), "")
 
 
+# the modules the scans and checks run in: the word ball, the triple kernel
+# and the scans themselves
+SCAN_MODULES = ("ball.py", "triples.py", "verification.py")
+
+
+def _scan_nodes():
+    """(where, node) of every node of the scan modules, where being
+    ``file:scope`` as in ``_scoped_nodes``."""
+    for name in SCAN_MODULES:
+        for scope, node in _scoped_nodes(ROOT / "src" / "anosovlab" / name):
+            yield f"{name}:{scope}", node
+
+
+def _imports(name: str) -> set:
+    """(module, name) of every name the package module ``name`` imports;
+    a bare ``from . import m`` gives (m, m)."""
+    tree = ast.parse((ROOT / "src" / "anosovlab" / name).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found |= {(node.module or alias.name, alias.name)
+                      for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.split(".")[-1]
+                found.add((module, module))
+    return found
+
+
+def test_scan_modules_are_layered():
+    # the word ball sits below the triple kernel and both below the scans,
+    # which read every per-word value and every kernel through them
+    modules = {name: {module for module, _ in _imports(name)}
+               for name in ("ball.py", "triples.py")}
+    assert modules["ball.py"] & {"triples", "verification"} == set()
+    assert "verification" not in modules["triples.py"]
+    kernels = {"_spectra", "_invariant_bases", "_rp1_fixed_points",
+               "evaluate", "_intersections", "_smallest_singular_values"}
+    assert sorted(kernels & {n for _, n in _imports("verification.py")}) == []
+
+
 def test_one_word_ball_model():
     # every eigendecomposition is the batched one of core_linalg._spectra,
     # and every word image the checks read is a row of their word ball
@@ -153,9 +213,9 @@ def test_one_word_ball_model():
            if isinstance(node, ast.Attribute) and node.attr == "eig"
            and ast.unparse(node.value) == "np.linalg"]
     assert eig == ["core_linalg.py:_spectra"]
-    evaluate = [scope for scope, node in _scoped_nodes(src / "verification.py")
+    evaluate = [where for where, node in _scan_nodes()
                 if isinstance(node, ast.Name) and node.id == "evaluate"]
-    assert evaluate == ["_WordBall._products"]
+    assert evaluate == ["ball.py:_WordBall._products"]
 
 
 def test_one_spectrum_table():
@@ -167,8 +227,7 @@ def test_one_spectrum_table():
              if isinstance(node, ast.Call)
              and ast.unparse(node.func).split(".")[-1] == "Spectrum"]
     assert built == ["core_linalg.py:Spectrum.take", "core_linalg.py:_spectra"]
-    tests = [ast.unparse(node)
-             for _, node in _scoped_nodes(src / "verification.py")
+    tests = [ast.unparse(node) for _, node in _scan_nodes()
              if isinstance(node, ast.Call)
              and ast.unparse(node.func) == "isinstance"
              and "NumericError" in ast.unparse(node.args[1])]
@@ -199,25 +258,24 @@ def test_only_ck_scans_certify():
 
 
 def test_one_triple_kernel():
-    # every triple scan runs on verification._triple_scan; only the
-    # single-item checks take one direct_sum_defect call per triple
-    path = ROOT / "src" / "anosovlab" / "verification.py"
-    callers = sorted({scope for scope, node in _scoped_nodes(path)
+    # every triple scan runs on triples._triple_scan; only the single-item
+    # checks take one direct_sum_defect call per triple
+    callers = sorted({where for where, node in _scan_nodes()
                       if isinstance(node, ast.Name)
                       and node.id == "direct_sum_defect"})
-    assert callers == ["_triple_defect", "projection_triple_defect",
-                       "sopq_model_triple_defect"]
+    assert callers == ["verification.py:_triple_defect",
+                       "verification.py:projection_triple_defect",
+                       "verification.py:sopq_model_triple_defect"]
 
 
 def test_exact_defects_run_only_in_the_triple_kernel():
     # the exact SVD of a scan runs only on the triples whose certified
     # bracket can reach the running minimum or maximum
-    path = ROOT / "src" / "anosovlab" / "verification.py"
     name = "_smallest_singular_values"
-    callers = sorted({scope for scope, node in _scoped_nodes(path)
+    callers = sorted({where for where, node in _scan_nodes()
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func) == name})
-    assert callers == ["_triple_extremes"]
+    assert callers == ["triples.py:_triple_extremes"]
 
 
 def test_per_word_values_come_from_the_batched_kernels():
@@ -225,13 +283,13 @@ def test_per_word_values_come_from_the_batched_kernels():
     # word ball's batched tables; only the root-gap scan of two generators
     # per grid point calls a one-row function (EigenIdentityReport's
     # weight_period field is a stored name, not a read)
-    path = ROOT / "src" / "anosovlab" / "verification.py"
     names = ("rp1_fixed_points", "length_functions", "weight_period",
              "eigenvalue_ratios")
-    found = sorted({(node.id, scope) for scope, node in _scoped_nodes(path)
+    found = sorted({(node.id, where) for where, node in _scan_nodes()
                     if isinstance(node, ast.Name) and node.id in names
                     and isinstance(node.ctx, ast.Load)})
-    assert found == [("eigenvalue_ratios", "counterexample_scan")]
+    assert found == [("eigenvalue_ratios",
+                      "verification.py:counterexample_scan")]
 
 
 def _definitions(tree: ast.Module):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovlab import spectral
+from anosovlab.ball import BoundaryAtlas
 from anosovlab.core_linalg import (
     Subspace,
     _invariant_bases,
@@ -28,9 +29,7 @@ from anosovlab.spectral import (
     eigenvalue_ratios,
     length_functions,
     singular_gap,
-    weight_period,
 )
-from anosovlab.verification import BoundaryAtlas
 
 RNG = np.random.default_rng(1123)
 
@@ -62,7 +61,6 @@ RECORD_READERS = {
     "attracting_space": lambda m: attracting_space(m, 1),
     "eigenvalue_ratios": lambda m: eigenvalue_ratios(m, 1),
     "length_functions": lambda m: length_functions(m, 1),
-    "weight_period": lambda m: weight_period(m, 1),
 }
 
 
@@ -128,7 +126,7 @@ class TestSpectrum:
             abs(np.linalg.det(FG_GAMMA - lam * np.eye(3))), rel=1e-9)
 
     @pytest.mark.parametrize("fn", [attracting_space, eigenvalue_ratios,
-                                    length_functions, weight_period])
+                                    length_functions])
     @pytest.mark.parametrize("k", [0, 3])
     def test_bad_index_decomposes_nothing(self, monkeypatch, fn, k):
         def no_spectrum(m):
@@ -147,10 +145,10 @@ class TestSpectrum:
                               np.array(eig_by_modulus(m).values))
         for k in range(1, d):
             lengths = length_functions(m, k)
-            period, _ = weight_period(m, k)
+            columns = spectral._eigenvalue_columns(spectrum(m).values, k)
             ratio = eigenvalue_ratios(m, k).lambda_ratio_modulus
             # moduli of a complex pair tie exactly: a length can be 0
-            assert np.log(abs(period)) == pytest.approx(
+            assert np.log(abs(columns.period[0])) == pytest.approx(
                 lengths.weight_length, rel=1e-10, abs=1e-12)
             assert np.log(ratio) == pytest.approx(
                 lengths.root_length, rel=1e-10, abs=1e-12)
@@ -305,7 +303,7 @@ class TestAgainstSchur:
         atlas = BoundaryAtlas(rep, max_length)
         compared, missed = 0, []
         for w in atlas.words:
-            m = atlas.ball.image(w)
+            m = atlas.ball.images[atlas.ball.row(w)]
             for k in dims:
                 try:
                     space = attracting_space(m, k)
@@ -328,7 +326,7 @@ class TestAgainstSchur:
         atlas = BoundaryAtlas(fuchsian_locus((7, 1), REF), 4)
         far = []
         for w in atlas.words:
-            m = atlas.ball.image(w)
+            m = atlas.ball.images[atlas.ball.row(w)]
             for k in (1, 2):
                 space, oracle = attracting_space(m, k), schur_attracting_space(m, k)
                 if grassmann_distance(space, oracle) <= 1e-9:
@@ -628,7 +626,7 @@ class TestEigenvalueColumns:
             assert columns.ratio[i] == (modulus if signed is None else signed)
             assert columns.no_gap[i] == (modulus <= 1 + spectral.EIGEN_GAP_MIN)
             # the tiny pair's product underflows: its period is NaN
-            assert repr(weight_period(record, k)) == repr(period) == repr(
+            assert repr(period) == repr(
                 (float(columns.period[i]), bool(columns.period_real[i])))
             if disagree:
                 with pytest.raises(NumericError, match="disagree"):

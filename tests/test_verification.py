@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from anosovlab import spectral, verification
+from anosovlab import ball as word_ball
+from anosovlab import spectral, triples, verification
+from anosovlab.ball import (
+    BoundaryAtlas,
+    _WordBall,
+)
 from anosovlab.core_linalg import (
     Subspace,
     _intersections,
@@ -53,6 +58,10 @@ from anosovlab.spectral import (
     eigenvalue_ratios,
     singular_gap,
 )
+from anosovlab.triples import (
+    _root_bounds,
+    _sigma_bounds,
+)
 from anosovlab.verification import (
     CERTIFICATION_LENGTH,
     IDENTITY_RTOL,
@@ -72,13 +81,9 @@ from anosovlab.verification import (
     SLOPE_FLAT,
     TRIPLE_SEPARATION,
     WEDGE_DEGENERACY_TOL,
-    BoundaryAtlas,
     _arrangement_minimum,
     _gap_scans,
-    _root_bounds,
-    _sigma_bounds,
     _wedge_table,
-    _WordBall,
     anosov_gap_scan,
     boundary_flag,
     check_Ck,
@@ -138,8 +143,10 @@ def reference_transversality_scan(rep, k, max_length, kind,
     """
     atlas = BoundaryAtlas(rep, max_length)
     d = rep.dim
-    space = atlas.space
     angles = atlas.angles
+
+    def space(i, dim):
+        return atlas.ball.space(atlas.words[i], dim)
 
     def summands(x, y, z):
         if kind == "Hk":
@@ -193,7 +200,7 @@ def all_triples_defects(tables, x, y, z):
 
 
 def all_triples_extremes(tables, gram, x, y, z, low, high):
-    """Drop-in for ``verification._triple_extremes`` that prunes nothing:
+    """Drop-in for ``triples._triple_extremes`` that prunes nothing:
     the extremes over the exact defects of every triple, the first
     minimum by (x, y, z)."""
     missing, defects = all_triples_defects(tables, x, y, z)
@@ -204,16 +211,15 @@ def all_triples_extremes(tables, gram, x, y, z, low, high):
 
 def all_triples_scan(monkeypatch, scan, *args, **kwargs):
     with monkeypatch.context() as patch:
-        patch.setattr(verification, "_triple_extremes", all_triples_extremes)
+        patch.setattr(triples, "_triple_extremes", all_triples_extremes)
         return scan(*args, **kwargs)
 
 
-def reference_projection_scan(rep, k, x, samples,
+def reference_projection_scan(rep, k, x, max_length,
                               min_separation=TRIPLE_SEPARATION):
     """The projected scan one triple at a time: one direct_sum_defect call
     per triple in combinations order; a strict < keeps the first minimum."""
-    samples = tuple(samples)
-    lines, labels = verification._projection_lines(rep, k, x, samples,
+    lines, labels = verification._projection_lines(rep, k, x, max_length,
                                                    min_separation)
     n = len(lines)
     min_defect, worst = np.inf, None
@@ -225,7 +231,7 @@ def reference_projection_scan(rep, k, x, samples,
                else "fail" if min_defect < SCAN_REJECT else "ambiguous")
     return TransversalityScanReport(
         kind="projection", rep_label=rep.label, k=k,
-        max_length=max(map(len, samples)), certification={}, certified=True,
+        max_length=max_length, certification={}, certified=True,
         n_points=n, n_triples=n * (n - 1) * (n - 2) // 6, gap_failures=0,
         min_defect=float(min_defect), verdict=verdict, worst_triple=worst,
         min_separation=min_separation)
@@ -287,8 +293,8 @@ def reference_positivity_scan(rep, k, max_length):
     points and the arrangement loop above."""
     atlas = BoundaryAtlas(rep, max_length)
     n, d = len(atlas), rep.dim
-    k_flags = [atlas.space(i, k) for i in range(n)]
-    dk_flags = [atlas.space(i, d - k) for i in range(n)]
+    k_flags = [atlas.ball.space(w, k) for w in atlas.words]
+    dk_flags = [atlas.ball.space(w, d - k) for w in atlas.words]
     wedge = np.zeros((n, n))
     for i, j in itertools.permutations(range(n), 2):
         wedge[i, j] = wedge_volume([k_flags[i], dk_flags[j]])
@@ -321,10 +327,17 @@ def rotation_rep(seed):
     return Representation(4, (a, q @ a @ np.linalg.inv(q)), REF, "rotation")
 
 
+def weight_period(record, k):
+    """The weight period of a one-row Spectrum at k and whether it is
+    real: its row of ``spectral._eigenvalue_columns``."""
+    columns = spectral._eigenvalue_columns(record.values, k)
+    return float(columns.period[0]), bool(columns.period_real[0])
+
+
 def reference_collar_scan(rep, k, max_length):
     """One linked pair at a time, g-major, each value from the one-row
     ``spectral`` calls on the ball's one-row Spectrum of the word (kept per
-    word), so a failure patched into ``verification._spectra`` is read
+    word), so a failure patched into ``ball._spectra`` is read
     here too."""
     ball = _WordBall(rep, max_length)
     words, ends = ball.loxodromic()
@@ -338,7 +351,7 @@ def reference_collar_scan(rep, k, max_length):
     reports = []
     for i, j in np.argwhere(verification._linked(ends)):
         g, h = words[i], words[j]
-        lhs, lhs_signed = value(spectral.weight_period, g)
+        lhs, lhs_signed = value(weight_period, g)
         ratios = value(spectral.eigenvalue_ratios, h)
         if ratios.lambda_ratio_modulus <= 1.0 + spectral.EIGEN_GAP_MIN:
             raise GapError(
@@ -384,7 +397,7 @@ class TestWordBall:
         ball = _WordBall(rep, 5)
         assert ball.images.shape == (len(ball.words), rep.dim, rep.dim)
         for w in ball.words:
-            assert np.array_equal(ball.image(w), evaluate(rep, w))
+            assert np.array_equal(ball.images[ball.row(w)], evaluate(rep, w))
             try:
                 expected = rp1_fixed_points(evaluate(rep.reference, w))
             except DomainError:
@@ -427,13 +440,14 @@ class TestWordBall:
         ball = _WordBall(rep, 0, (w, A))
         assert len(ball.words) == 1 + 2 * 40 + 1   # a is a prefix of w
         for v in ball.words:
-            assert np.array_equal(ball.image(v), evaluate(rep, v))
+            assert np.array_equal(ball.images[ball.row(v)], evaluate(rep, v))
             try:
                 expected = rp1_fixed_points(evaluate(rep.reference, v))
             except DomainError:
                 continue
             assert ball.fixed_points(v) == expected
-        assert np.linalg.norm(ball.image(w), 2) == pytest.approx(1.0)
+        assert np.linalg.norm(ball.images[ball.row(w)], 2) == \
+            pytest.approx(1.0)
 
     @pytest.mark.parametrize("rep", [
         fg_rep(1.0), fuchsian_locus((5, 1), REF), fuchsian_locus((7, 1), REF),
@@ -454,14 +468,14 @@ class TestWordBall:
             calls.append(w)
             return evaluate(rep, w)
 
-        monkeypatch.setattr(verification, "evaluate", counting_evaluate)
+        monkeypatch.setattr(word_ball, "evaluate", counting_evaluate)
         rep = fuchsian_locus((5, 1), REF)
         w = Word((1, 2, -1, -2) * 10)
         ball = _WordBall(rep, 2, (w,))
         long = [v for v in ball.words if len(v) > RENORMALIZE_ABOVE]
         assert w in long and w.inverse() in long
         assert calls == long
-        assert np.array_equal(ball.image(w), evaluate(rep, w))
+        assert np.array_equal(ball.images[ball.row(w)], evaluate(rep, w))
 
     @pytest.mark.parametrize("rep,max_length,dims,gaps", [
         (fg_rep(1.0), 3, (1, 2), 0),
@@ -564,7 +578,7 @@ class TestWordBall:
                     assert exc.value.diagnostics == alone.value.diagnostics
             else:
                 assert np.array_equal(ball.spectrum(w).entries[0],
-                                      ball.image(w))
+                                      ball.images[ball.row(w)])
 
     @pytest.mark.parametrize("rep,max_length", [
         (fg_rep(1.0), 6), (fuchsian_locus((5, 1), REF), 6),
@@ -574,7 +588,7 @@ class TestWordBall:
         # Spectrum of its matrix bit for bit, in real arithmetic where its
         # spectrum is real; the rotation rep mixes real and complex rows
         ball = _WordBall(rep, max_length)
-        table = verification._spectra(ball.images)
+        table = word_ball._spectra(ball.images)
         assert not table.errors
         kinds = set()
         for i, m in enumerate(ball.images):
@@ -603,7 +617,7 @@ class TestWordBall:
 
         monkeypatch.setattr(np.linalg, "eig", moved_eig)
         ball = _WordBall(rep, 2)
-        table = verification._spectra(ball.images)
+        table = word_ball._spectra(ball.images)
         assert list(table.errors) == [ball.row(A * B)]
         budget = 1e-8 * max(float(np.linalg.norm(bad, 2)), 1.0) ** 3
         for lam in sorted(exact(bad)[0].real * 1.001, key=abs, reverse=True):
@@ -655,8 +669,8 @@ class TestWordBall:
         # rows the kernel computes once each, and every reference fixed
         # point a row of one batched call over the ball
         spaces, points, calls = Counter(), Counter(), []
-        kernel = verification._invariant_bases
-        fixed_points = verification._rp1_fixed_points
+        kernel = word_ball._invariant_bases
+        fixed_points = word_ball._rp1_fixed_points
 
         def counting_kernel(spec, rows, start, stop):
             calls.append(stop)
@@ -668,8 +682,8 @@ class TestWordBall:
             points.update(m.tobytes() for m in stack)
             return fixed_points(stack)
 
-        monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
-        monkeypatch.setattr(verification, "_rp1_fixed_points", counting_points)
+        monkeypatch.setattr(word_ball, "_invariant_bases", counting_kernel)
+        monkeypatch.setattr(word_ball, "_rp1_fixed_points", counting_points)
         reports = eigen_identity_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 52
         assert sorted(calls) == [1, 2]
@@ -929,7 +943,7 @@ class TestHkCk:
         # missing for some keys in every chunk.  The gaps are forced where
         # the ball's flag table computes its rows, so the scan's tables and
         # the reference's one-flag reads both miss them
-        kernel = verification._invariant_bases
+        kernel = word_ball._invariant_bases
 
         def gappy_kernel(spec, rows, start, stop):
             bases, missing, errors = kernel(spec, rows, start, stop)
@@ -937,7 +951,7 @@ class TestHkCk:
                       for m in spec.entries[rows]]
             return bases, missing | forced, errors
 
-        monkeypatch.setattr(verification, "_invariant_bases", gappy_kernel)
+        monkeypatch.setattr(word_ball, "_invariant_bases", gappy_kernel)
         report = scan(rep, k, 2)
         reference = reference_transversality_scan(
             rep, k, 2, "Hk" if scan is hk_scan else "Ck")
@@ -960,7 +974,7 @@ class TestHkCk:
             return _intersections(v, w)
 
         with monkeypatch.context() as patch:
-            patch.setattr(verification, "_intersections",
+            patch.setattr(triples, "_intersections",
                           counting_intersections)
             report = scan(rep, 1, 2)
         assert calls == [] and report.verdict == "pass"
@@ -976,7 +990,7 @@ class TestHkCk:
             calls.append(len(v))
             return _intersections(v, w)
 
-        monkeypatch.setattr(verification, "_intersections",
+        monkeypatch.setattr(triples, "_intersections",
                             counting_intersections)
         # k = 2 on (7,1): y^2 n z^7, neither part is the full space; one
         # batched call covers every pair
@@ -994,7 +1008,7 @@ class TestHkCk:
         # one batched flag kernel per dimension over the scan's points, and
         # no attracting_space call per point
         calls = []
-        kernel = verification._invariant_bases
+        kernel = word_ball._invariant_bases
 
         def counting_kernel(spec, rows, start, stop):
             calls.append((start, stop, len(rows)))
@@ -1003,7 +1017,7 @@ class TestHkCk:
         def no_space(*args):
             raise AssertionError("a scan called attracting_space")
 
-        monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
+        monkeypatch.setattr(word_ball, "_invariant_bases", counting_kernel)
         monkeypatch.setattr(verification, "attracting_space", no_space)
         monkeypatch.setattr(spectral, "attracting_space", no_space)
         report = scan()
@@ -1115,8 +1129,8 @@ class TestDefectBounds:
                                          count):
         # every triple of a chunk gets finite bounds, and they hold
         seen = []
-        extremes = verification._triple_extremes
-        root_bounds = verification._root_bounds
+        extremes = triples._triple_extremes
+        root_bounds = triples._root_bounds
 
         def keep_triples(tables, gram, x, y, z, low, high):
             seen.append([tables, (x, y, z)])
@@ -1127,8 +1141,8 @@ class TestDefectBounds:
             seen[-1].append(_sigma_bounds(below, above))
             return below, above
 
-        monkeypatch.setattr(verification, "_triple_extremes", keep_triples)
-        monkeypatch.setattr(verification, "_root_bounds", keep_bounds)
+        monkeypatch.setattr(triples, "_triple_extremes", keep_triples)
+        monkeypatch.setattr(triples, "_root_bounds", keep_bounds)
         report = scan(rep, k, L)
         checked = bounded = 0
         for tables, columns, (lo, hi) in seen:
@@ -1149,7 +1163,7 @@ class TestDefectBounds:
             rows.append(len(stack))
             return _smallest_singular_values(stack)
 
-        monkeypatch.setattr(verification, "_smallest_singular_values",
+        monkeypatch.setattr(triples, "_smallest_singular_values",
                             counting)
         for scan, partition, k, cap in [(hk_scan, (5, 1), 1, 0.01),
                                         (hk_scan, (7, 1), 2, 0.001),
@@ -1163,8 +1177,7 @@ class TestDefectBounds:
 class TestProjectionHyperconvexity:
     def test_fg_projection(self):
         rep = fg_rep(1.0)
-        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
-        report = check_projection_hyperconvexity(rep, 1, A, samples)
+        report = check_projection_hyperconvexity(rep, 1, A, 3)
         assert report.min_defect > 1e-4
         assert report.verdict == "pass"
 
@@ -1172,15 +1185,14 @@ class TestProjectionHyperconvexity:
         # the kept points' k-flags, not one call per point; at d = 3 and
         # k = 1 the base point's other flags are 0, 1 (its k-flag) and 3
         calls = []
-        kernel = verification._invariant_bases
+        kernel = word_ball._invariant_bases
 
         def counting_kernel(spec, rows, start, stop):
             calls.append((len(rows), stop))
             return kernel(spec, rows, start, stop)
 
-        monkeypatch.setattr(verification, "_invariant_bases", counting_kernel)
-        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
-        report = check_projection_hyperconvexity(fg_rep(1.0), 1, A, samples,
+        monkeypatch.setattr(word_ball, "_invariant_bases", counting_kernel)
+        report = check_projection_hyperconvexity(fg_rep(1.0), 1, A, 3,
                                                  min_separation=0)
         assert calls == [(report.n_points, 1)]
 
@@ -1198,16 +1210,14 @@ class TestProjectionHyperconvexity:
         # the scan and the single-triple check build each curve point with
         # the same code, also the special line of the base point itself
         rep = fg_rep(1.0)
-        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
-        report = check_projection_hyperconvexity(rep, 1, A, samples)
+        report = check_projection_hyperconvexity(rep, 1, A, 3)
         assert A in report.worst_triple
         assert projection_triple_defect(
             rep, 1, A, report.worst_triple) == report.min_defect
 
     def test_7_1_projection(self):
         rep = fuchsian_locus((7, 1), REF)
-        samples = [w for w in words_of_length(2, 2) if len(w) > 0]
-        report = check_projection_hyperconvexity(rep, 1, A, samples)
+        report = check_projection_hyperconvexity(rep, 1, A, 2)
         assert report.min_defect > 1e-4
 
     @pytest.mark.parametrize("rep,k,min_separation", [
@@ -1222,21 +1232,19 @@ class TestProjectionHyperconvexity:
                                                min_separation):
         # the triple kernel of hk_scan, bracket and pruning included, gives
         # every bit of the one-call-per-triple loop
-        samples = [w for w in words_of_length(2, 3) if len(w) > 0]
         report = check_projection_hyperconvexity(
-            rep, k, A, samples, min_separation=min_separation)
+            rep, k, A, 3, min_separation=min_separation)
         assert report.to_dict() == reference_projection_scan(
-            rep, k, A, samples, min_separation).to_dict()
+            rep, k, A, 3, min_separation).to_dict()
         assert report.to_dict() == all_triples_scan(
-            monkeypatch, check_projection_hyperconvexity, rep, k, A, samples,
+            monkeypatch, check_projection_hyperconvexity, rep, k, A, 3,
             min_separation=min_separation).to_dict()
 
     def test_zero_separation_still_drops_coincident_points(self):
-        # the sample a has the base point's boundary point; keeping both
+        # the ball word a has the base point's boundary point; keeping both
         # gave a spurious fail with min defect about 1e-33 on 17 points
         rep = fg_rep(1.0)
-        samples = [w for w in words_of_length(2, 2) if len(w) > 0]
-        report = check_projection_hyperconvexity(rep, 1, A, samples,
+        report = check_projection_hyperconvexity(rep, 1, A, 2,
                                                  min_separation=0)
         assert report.verdict == "pass"
         assert report.n_points == 12
@@ -1323,7 +1331,7 @@ class TestIndexRange:
         lambda s: hk_scan(fg_rep(1.0), 1, 2, min_separation=s),
         lambda s: ck_scan(fg_rep(1.0), 1, 2, min_separation=s),
         lambda s: check_projection_hyperconvexity(
-            fg_rep(1.0), 1, A, [B, A * B, B * A], min_separation=s),
+            fg_rep(1.0), 1, A, 2, min_separation=s),
     ], ids=["hk", "ck", "projection"])
     def test_bad_min_separation_rejected_first(self, monkeypatch, scan, value):
         # nan turned the coincidence filter off, so coincident points
@@ -1341,8 +1349,7 @@ class TestIndexRange:
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("check", [
-        lambda rep, k: check_projection_hyperconvexity(
-            rep, k, A, [B, A * B, B * A]),
+        lambda rep, k: check_projection_hyperconvexity(rep, k, A, 2),
         lambda rep, k: projection_triple_defect(rep, k, A, (B, A * B, B * A)),
     ], ids=["scan", "triple"])
     def test_projection_checks_reject_k_outside_1_to_d_minus_2(self, check, k):
@@ -1466,8 +1473,8 @@ class TestPositivelyRatioed:
         rep = fg_rep(1.0)
         atlas = BoundaryAtlas(rep, 2)
         quad = list(range(4))
-        k_fl = [atlas.space(i, 1) for i in quad]
-        dk_fl = [atlas.space(i, 2) for i in quad]
+        k_fl = [atlas.ball.space(atlas.words[i], 1) for i in quad]
+        dk_fl = [atlas.ball.space(atlas.words[i], 2) for i in quad]
         fwd = float(gcr(k_fl[0], dk_fl[1], dk_fl[2], k_fl[3]))
         swap_v = float(gcr(k_fl[3], dk_fl[1], dk_fl[2], k_fl[0]))
         swap_w = float(gcr(k_fl[0], dk_fl[2], dk_fl[1], k_fl[3]))
@@ -1633,7 +1640,7 @@ class TestCollar:
         # naming its matrix: on (3,1) every word fails, so the first pair's
         # g error must be raised, not its h's; on fg(1) the generators
         # (6.85) pass and aa, aB, ... (34 and 47) fail
-        spectra = verification._spectra
+        spectra = word_ball._spectra
 
         def failing_spectra(matrices):
             table = spectra(matrices)
@@ -1646,7 +1653,7 @@ class TestCollar:
                     diagnostics={"top": top})
             return table
 
-        monkeypatch.setattr(verification, "_spectra", failing_spectra)
+        monkeypatch.setattr(word_ball, "_spectra", failing_spectra)
         rep = rep()
         with pytest.raises(NumericError) as want:
             reference_collar_scan(rep, k, 2)
@@ -1659,8 +1666,8 @@ class TestCollar:
         # one batched call each for the fixed points and the eigenvalue
         # values of the 53 ball words, not one per word or per linked pair
         calls = []
-        fixed_points = verification._rp1_fixed_points
-        columns = verification._eigenvalue_columns
+        fixed_points = word_ball._rp1_fixed_points
+        columns = word_ball._eigenvalue_columns
 
         def counting_points(stack):
             calls.append(("points", len(stack)))
@@ -1673,8 +1680,8 @@ class TestCollar:
         def no_pairs(*args):
             raise AssertionError("linked_pairs called by collar_scan")
 
-        monkeypatch.setattr(verification, "_rp1_fixed_points", counting_points)
-        monkeypatch.setattr(verification, "_eigenvalue_columns",
+        monkeypatch.setattr(word_ball, "_rp1_fixed_points", counting_points)
+        monkeypatch.setattr(word_ball, "_eigenvalue_columns",
                             counting_columns)
         monkeypatch.setattr(verification, "linked_pairs", no_pairs)
         assert len(collar_scan(fg_rep(1.0), 1, 3)) == 1944
