@@ -272,8 +272,7 @@ class BoundaryAtlas:
             kept.pop()
         self.words = [words[i] for i in kept]
         self.angles = ends[kept, 0]
-        self.rows = np.array([self.ball.row(w) for w in self.words],
-                             dtype=np.intp)
+        self.rows = self.ball.loxodromic_rows()[kept]
 
     def __len__(self) -> int:
         return len(self.words)

@@ -253,20 +253,8 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
     _check_csv_out(fmt, out)
     rep = _load_representation(family, x, partition, rep_path)
     table = ver.collar_scan(rep, k, _check_L(l_value))
-    names = [str(w) for w in table.words]
-    g_rows, h_rows = table.g_rows.tolist(), table.h_rows.tolist()
-    # CollarReport's fields, column by column
-    columns = {
-        "g": [names[i] for i in g_rows],
-        "h": [names[i] for i in h_rows],
-        "k": [table.k] * len(table),
-        "lhs": table.lhs[table.g_rows].tolist(),
-        "rhs": table.rhs[table.h_rows].tolist(),
-        "weight_rhs": table.weight_rhs[table.h_rows].tolist(),
-        "holds": table.holds.tolist(),
-        "margin": table.margin.tolist(),
-        "sign_indeterminate": table.sign_indeterminate.tolist(),
-    }
+    columns = {name: list(values) for name, values
+               in table.columns([str(w) for w in table.words]).items()}
     summary = {
         "command": "collar",
         "n_pairs": len(table),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -837,15 +836,14 @@ def _linked(ends: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CollarTable(Sequence):
+class CollarTable:
     """The collar reports of a set of linked pairs, held as columns.
 
     ``words`` are the loxodromic words; pair p is (words[g_rows[p]],
-    words[h_rows[p]]).  ``lhs`` and ``lhs_signed`` are per word as g,
-    ``rhs``, ``weight_rhs`` and ``rhs_signed`` per word as h, and
-    ``margin``, ``holds`` and ``sign_indeterminate`` per pair.  As a
-    sequence the table reads as its ``CollarReport`` rows, each built only
-    when it is read.
+    words[h_rows[p]]).  ``lhs`` is per word as g, ``rhs`` and
+    ``weight_rhs`` per word as h, and ``margin``, ``holds`` and
+    ``sign_indeterminate`` per pair.  Iterated, the table yields its
+    ``CollarReport`` rows, each built only when it is read.
     """
 
     k: int
@@ -853,10 +851,8 @@ class CollarTable(Sequence):
     g_rows: np.ndarray
     h_rows: np.ndarray
     lhs: np.ndarray
-    lhs_signed: np.ndarray
     rhs: np.ndarray
     weight_rhs: np.ndarray
-    rhs_signed: np.ndarray
     margin: np.ndarray
     holds: np.ndarray
     sign_indeterminate: np.ndarray
@@ -873,29 +869,27 @@ class CollarTable(Sequence):
     def __len__(self) -> int:
         return len(self.g_rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[p] for p in range(*index.indices(len(self)))]
-        p = range(len(self))[index]
-        g, h = int(self.g_rows[p]), int(self.h_rows[p])
-        return CollarReport(
-            self.words[g], self.words[h], self.k, float(self.lhs[g]),
-            float(self.rhs[h]), float(self.weight_rhs[h]),
-            bool(self.holds[p]), float(self.margin[p]),
-            bool(self.sign_indeterminate[p]))
+    def columns(self, labels) -> dict:
+        """``CollarReport``'s fields, in field order, each an iterable of
+        one value per pair; g and h are read from ``labels``, one label per
+        word.  A word's lhs, rhs and weight_rhs are one Python float each,
+        shared by its pairs."""
+        g_rows, h_rows = self.g_rows.tolist(), self.h_rows.tolist()
+        return {
+            "g": map(labels.__getitem__, g_rows),
+            "h": map(labels.__getitem__, h_rows),
+            "k": itertools.repeat(self.k, len(self)),
+            "lhs": map(self.lhs.tolist().__getitem__, g_rows),
+            "rhs": map(self.rhs.tolist().__getitem__, h_rows),
+            "weight_rhs": map(self.weight_rhs.tolist().__getitem__, h_rows),
+            "holds": self.holds.tolist(),
+            "margin": self.margin.tolist(),
+            "sign_indeterminate": self.sign_indeterminate.tolist(),
+        }
 
     def __iter__(self):
-        # positional, in CollarReport's field order; a word's values are one
-        # Python float each, shared by its pairs
-        g_list, h_list = self.g_rows.tolist(), self.h_rows.tolist()
-        return itertools.starmap(CollarReport, zip(
-            map(self.words.__getitem__, g_list),
-            map(self.words.__getitem__, h_list), itertools.repeat(self.k),
-            map(self.lhs.tolist().__getitem__, g_list),
-            map(self.rhs.tolist().__getitem__, h_list),
-            map(self.weight_rhs.tolist().__getitem__, h_list),
-            self.holds.tolist(), self.margin.tolist(),
-            self.sign_indeterminate.tolist()))
+        return itertools.starmap(
+            CollarReport, zip(*self.columns(self.words).values()))
 
 
 def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
@@ -926,18 +920,17 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
                 f"|lambda_{k}|/|lambda_{k + 1}| = {modulus:.6g}",
                 index=k, ratio=modulus)
         columns.check_lengths(h)
-    lhs, lhs_signed = columns.period[rows], columns.period_real[rows]
-    rhs_signed = columns.ratio_signed[rows]
+    lhs = columns.period[rows]
     with np.errstate(divide="ignore", over="ignore"):
         rhs = 1.0 / (1.0 - 1.0 / columns.ratio[rows])
         weight_rhs = 1.0 / (1.0 - np.exp(-columns.weight_length[rows]))
     left, right = lhs[g_rows], rhs[h_rows]
     return CollarTable(
         k=k, words=tuple(ball.words[r] for r in rows.tolist()),
-        g_rows=g_rows, h_rows=h_rows, lhs=lhs, lhs_signed=lhs_signed,
-        rhs=rhs, weight_rhs=weight_rhs, rhs_signed=rhs_signed,
+        g_rows=g_rows, h_rows=h_rows, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
         margin=left - right, holds=left > right,
-        sign_indeterminate=~rhs_signed[h_rows] | ~lhs_signed[g_rows])
+        sign_indeterminate=(~columns.ratio_signed[rows[h_rows]]
+                            | ~columns.period_real[rows[g_rows]]))
 
 
 def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
@@ -957,7 +950,8 @@ def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
     if not _linked(ends)[0, 1]:
         raise PreconditionError(f"pair ({g}, {h}) is not linked")
     rows = np.array([ball.row(g), ball.row(h)])
-    return _collar_table(ball, k, rows, np.array([0]), np.array([1]))[0]
+    (report,) = _collar_table(ball, k, rows, np.array([0]), np.array([1]))
+    return report
 
 
 def linked_pairs(rep: Representation, max_length: int) -> list:

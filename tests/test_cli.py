@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +9,12 @@ import pytest
 
 from anosovlab import verification as ver
 from anosovlab.cli import main
-from anosovlab.representations import rep_from_json
+from anosovlab.representations import (
+    fg_rep,
+    fuchsian_locus,
+    punctured_torus_reference,
+    rep_from_json,
+)
 
 
 def run(args):
@@ -336,6 +343,37 @@ class TestCollar:
         assert len(gen_pair) == 1
         assert gen_pair[0]["lhs"] == pytest.approx(46.978713763747794, rel=1e-9)
         assert gen_pair[0]["rhs"] == pytest.approx(1.1708203932499369, rel=1e-9)
+
+    @pytest.mark.parametrize("args, rep, k", [
+        (["--family", "fg", "--x", "1"], lambda: fg_rep(1.0), 1),
+        (["--family", "fuchsian", "--partition", "5,1"],
+         lambda: fuchsian_locus((5, 1), punctured_torus_reference()), 2),
+    ], ids=["fg-x1-k1", "fuchsian51-k2"])
+    def test_json_and_csv_write_the_report_rows(self, tmp_path, args, rep,
+                                                k):
+        # both writers read CollarTable.columns, whose keys are
+        # CollarReport's fields in order; their rows are the reports'
+        table = ver.collar_scan(rep(), k, 3)
+        names = [f.name for f in dataclasses.fields(ver.CollarReport)]
+        assert list(table.columns(table.words)) == names
+        reports = list(table)
+        rows = [r.to_dict() for r in reports]
+        status = int(not all(r.holds and r.weight_chain_ok for r in reports))
+        json_out, csv_out = tmp_path / "c.json", tmp_path / "c.csv"
+        command = ["collar", *args, "--k", str(k), "--L", "3"]
+        assert run([*command, "--out", str(json_out)]) == status
+        assert json.loads(json_out.read_text())["pairs"] == rows
+        assert run([*command, "--format", "csv",
+                    "--out", str(csv_out)]) == status
+        schema = json.loads((tmp_path / "c.csv.schema.json").read_text())
+        parse = {"string": str, "integer": int, "number": float,
+                 "boolean": {"True": True, "False": False}.__getitem__}
+        types = {c["name"]: parse[c["type"]] for c in schema["columns"]}
+        with open(csv_out, newline="") as fh:
+            parsed = [{name: types[name](value) for name, value in row.items()}
+                      for row in csv.DictReader(fh)]
+        assert list(types) == names
+        assert parsed == rows
 
     @pytest.mark.parametrize("partition, k", [("2,2", 1), ("3,1", 2)])
     def test_no_eigenvalue_gap_exit_3(self, capsys, partition, k):

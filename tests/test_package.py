@@ -257,6 +257,16 @@ def test_only_ck_scans_certify():
     assert callers == ["anosov_gap_scan", "ck_scan"]
 
 
+def test_cli_builds_no_collar_row():
+    # the collar command writes the pair rows CollarTable.columns maps; it
+    # reads no per-pair or per-word column of the table itself
+    path = ROOT / "src" / "anosovlab" / "cli.py"
+    reads = {node.attr for scope, node in _scoped_nodes(path)
+             if scope == "collar" and isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "table"}
+    assert reads == {"columns", "weight_chain_ok", "words"}
+
+
 def test_one_triple_kernel():
     # every triple scan runs on triples._triple_scan; only the single-item
     # checks take one direct_sum_defect call per triple
