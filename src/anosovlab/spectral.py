@@ -8,7 +8,8 @@ a representation at fixed points are attracting spaces of the
 corresponding matrices.
 
 Singular gaps at any number of indices come from one SVD per matrix, and
-a stack of matrices is decomposed in one batched call.  The eigenvalue
+a stack of matrices is decomposed in batched row blocks whose factors are
+dropped once their singular values are read.  The eigenvalue
 side reads a ``core_linalg.Spectrum`` table, a row per matrix: its sorted,
 residual-checked eigenvalues and eigenvectors and ||M||_2, from one
 ``np.linalg.eig``.  Each function takes a matrix or its one-row Spectrum,
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 REAL_IMAG_TOL = 1e-8     # |Im| below this times the modulus counts as real
+SVD_BLOCK = 1 << 13      # matrix entries of a stack decomposed at once by
+                         # singular_gaps, so the factors stay O(SVD_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -96,18 +99,33 @@ def singular_gaps(m, indices) -> np.ndarray:
     """sigma_k / sigma_{k+1} (1-indexed) for every k in ``indices``.
 
     ``m`` is one matrix, giving shape (len(indices),), or an (n, d, d)
-    stack, giving shape (n, len(indices)).  One SVD per matrix serves all
-    indices.
+    stack, giving shape (n, len(indices)).  One residual-checked SVD per
+    matrix serves all indices.  A stack is decomposed in row blocks of
+    ``SVD_BLOCK`` entries and only their singular values are kept; the
+    ratios and the underflow check run once over all rows, so neither a
+    value nor the row an error names depends on the block size.
     """
-    _, s, _ = svd(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim == 3:
+        step = max(1, SVD_BLOCK // max(1, a.shape[-2] * a.shape[-1]))
+        # an empty stack is one empty block, giving shape (0, d)
+        s = np.concatenate([svd(a[i:i + step])[1]
+                            for i in range(0, max(len(a), 1), step)])
+    else:   # one matrix, or the DimensionError of any other shape
+        s = svd(a)[1][None]
     for k in indices:
         _check_index(k, s.shape[-1])
     idx = np.asarray(indices, dtype=int)
-    low = s[..., idx]
-    if (low < 1e-300).any():
+    low = s[:, idx]
+    under = np.argwhere(low < 1e-300)
+    if len(under):
+        row, col = (int(i) for i in under[0])
+        k = int(idx[col])
         raise NumericError(
-            f"sigma = {float(np.min(low)):g} underflows after renormalization")
-    return s[..., idx - 1] / low
+            f"sigma_{k + 1} = {low[row, col]:g} of row {row} underflows "
+            f"at gap index {k}", diagnostics={"row": row, "index": k})
+    gaps = s[:, idx - 1] / low
+    return gaps if a.ndim == 3 else gaps[0]
 
 
 def singular_gap(m, k: int) -> float:

@@ -178,8 +178,9 @@ def _check_k(k: int, top: int) -> None:
 def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
     """Gap scan reports keyed by index, from one SVD per word of the ball.
 
-    Every word but the identity is decomposed in one batched call; words
-    come ordered by length, so each length's minima are one reduceat.
+    One ``singular_gaps`` call reads every word but the identity, in row
+    blocks that keep only the singular values; words come ordered by
+    length, so each length's minima are one reduceat.
     """
     if max_length < 3:
         raise InputError("gap scans need max_length >= 3")

@@ -85,6 +85,12 @@ class TestConstruct:
         assert doc["error"] == "ConstructionError"
 
 
+FG_L4 = ["--family", "fg", "--x", "1", "--k", "1", "--L", "4"]
+# the 1,456 words of this ball are 12 row blocks of singular_gaps' SVD
+FUCHSIAN71_L6 = ["--family", "fuchsian", "--partition", "7,1", "--k", "2",
+                 "--L", "6"]
+
+
 class TestGapScan:
     def test_fg_json_report(self, tmp_path):
         out = tmp_path / "scan.json"
@@ -120,18 +126,24 @@ class TestGapScan:
         assert "--format csv needs --out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,digests", [
-        ([], {"scan.json": "3ddf0d1b66064c7ce0b16d7e70961bfb"
-                           "71d8a648a25fb77140c8ca8c91146ba9"}),
-        (["--format", "csv"], {
+        (FG_L4, {"scan.json": "3ddf0d1b66064c7ce0b16d7e70961bfb"
+                              "71d8a648a25fb77140c8ca8c91146ba9"}),
+        ([*FG_L4, "--format", "csv"], {
             "scan.csv": "f65bf582e48051e6f9a26dc7dfb6b28b"
                         "310dc6668b2db42815c0de6479ce9402",
             "scan.csv.schema.json": "4206acb8d44279170ffc5e13f08a08fa"
                                     "1d843ff0af5cffbd36ad7bce6c673fc7"}),
-    ], ids=["json", "csv"])
+        (FUCHSIAN71_L6, {"scan.json": "effa689fe2f8164e2c966686400249f1"
+                                      "e5b71a00660653b8de326731bc580709"}),
+        ([*FUCHSIAN71_L6, "--format", "csv"], {
+            "scan.csv": "9bf23243d7c41203a5ce528485713dc7"
+                        "361125389da2a8f9ca19266235d7f4fb",
+            "scan.csv.schema.json": "4206acb8d44279170ffc5e13f08a08fa"
+                                    "1d843ff0af5cffbd36ad7bce6c673fc7"}),
+    ], ids=["json", "csv", "7,1-k2-L6-json", "7,1-k2-L6-csv"])
     def test_output_bytes_pinned(self, tmp_path, args, digests):
         out = tmp_path / next(iter(digests))
-        assert run(["gap-scan", "--family", "fg", "--x", "1", "--k", "1",
-                    "--L", "4", *args, "--out", str(out)]) == 0
+        assert run(["gap-scan", *args, "--out", str(out)]) == 0
         assert {name: hashlib.sha256(
                     (tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests

@@ -257,6 +257,17 @@ def test_only_ck_scans_certify():
     assert callers == ["anosov_gap_scan", "ck_scan"]
 
 
+def test_one_svd_caller():
+    # core_linalg.svd holds a whole stack's factors; only singular_gaps
+    # calls it, one row block at a time
+    src = ROOT / "src" / "anosovlab"
+    callers = sorted({f"{path.name}:{scope}" for path in src.glob("*.py")
+                      for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in ("svd", "core_linalg.svd")})
+    assert callers == ["spectral.py:singular_gaps"]
+
+
 def test_cli_builds_no_collar_row():
     # the collar command writes the pair rows CollarTable.columns maps; it
     # reads no per-pair or per-word column of the table itself

@@ -29,6 +29,7 @@ from anosovlab.spectral import (
     eigenvalue_ratios,
     length_functions,
     singular_gap,
+    singular_gaps,
 )
 
 RNG = np.random.default_rng(1123)
@@ -172,6 +173,45 @@ class TestSingularGap:
             singular_gap(np.eye(3), 3)
         with pytest.raises(GapError):
             singular_gap(np.eye(3), 0)
+
+    def test_row_blocks_change_no_value(self):
+        # 3 full blocks of 8x8 matrices and a partial fourth
+        step = spectral.SVD_BLOCK // 64
+        stack = RNG.normal(size=(3 * step + 37, 8, 8))
+        indices = (1, 3, 7)
+        one_by_one = np.stack([singular_gaps(m, indices) for m in stack])
+        assert np.array_equal(singular_gaps(stack, indices), one_by_one)
+
+    @pytest.mark.parametrize("block", [spectral.SVD_BLOCK, 16 * 5])
+    def test_underflow_names_its_row_and_index(self, monkeypatch, block):
+        # sigma_3 = 1e-301 in a later block (of 4x4 matrices: 512 rows at
+        # SVD_BLOCK, 5 at 80 entries); a later row underflows too
+        stack = RNG.normal(size=(2 * (spectral.SVD_BLOCK // 16) + 9, 4, 4))
+        row = spectral.SVD_BLOCK // 16 + 3
+        stack[row] = np.diag([2.0, 1.0, 1e-301, 1e-302])
+        stack[-1] = np.diag([2.0, 1e-303, 1e-304, 1e-305])
+        monkeypatch.setattr(spectral, "SVD_BLOCK", block)
+        with pytest.raises(NumericError, match=(
+                rf"sigma_3 = 1e-301 of row {row} underflows at gap index 2")
+                ) as info:
+            singular_gaps(stack, (2, 3))
+        assert info.value.diagnostics == {"row": row, "index": 2}
+
+    def test_reconstruction_residual_checked_per_matrix(self, monkeypatch):
+        # the last block's last matrix is decomposed scaled by 1 + 1e-6
+        step = spectral.SVD_BLOCK // 36
+        stack = RNG.normal(size=(2 * step + 5, 6, 6))
+        exact_svd = np.linalg.svd
+
+        def perturbed_svd(a, *args, **kwargs):
+            b = np.array(a, copy=True)
+            b[(b == stack[-1]).all(axis=(-2, -1))] *= 1.0 + 1e-6
+            return exact_svd(b, *args, **kwargs)
+
+        singular_gaps(stack, (1,))
+        monkeypatch.setattr(np.linalg, "svd", perturbed_svd)
+        with pytest.raises(NumericError, match="reconstruction residual"):
+            singular_gaps(stack, (1,))
 
 
 class TestAttractingSpace:

@@ -782,6 +782,20 @@ class TestGapScan:
             assert report.slope == pytest.approx(slope, rel=1e-12)
             assert report.verdict == verdict
 
+    def test_certification_decomposes_one_row_block_at_a_time(
+            self, monkeypatch):
+        rows = []
+        exact_svd = spectral.svd
+
+        def recorded(a):
+            rows.append(len(a))
+            return exact_svd(a)
+
+        monkeypatch.setattr(spectral, "svd", recorded)
+        _gap_scans(fuchsian_locus((7, 1), REF), (1, 2, 3), 6)
+        assert sum(rows) == 1456 and len(rows) > 1
+        assert max(rows) * 64 <= spectral.SVD_BLOCK
+
     def test_required_indices(self):
         assert required_indices_c(1, 6) == (1, 2, 3)
         assert required_indices_c(6, 8) == (5, 6, 7)
