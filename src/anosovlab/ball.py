@@ -1,8 +1,12 @@
-"""The word ball: the words a scan or check reads, their images and every
-per-word value read off them, each a table built by one batched call; and
-the boundary atlas, its deduplicated attracting fixed points."""
+"""The word ball: the words a scan or check reads, held as a prefix tree of
+columns (each row's length, parent row and last letter), their images and
+every per-word value read off them, each a table built by one batched
+call; their Word objects are built only when read.  And the boundary
+atlas, its deduplicated attracting fixed points."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .groups import (
     circle_separation,
     _not_loxodromic,
     _rp1_fixed_points,
+    _tree_row,
+    _word_tree,
     evaluate,
     words_of_length,
 )
@@ -30,24 +36,32 @@ from .representations import Representation
 from .spectral import _eigenvalue_columns
 
 POINT_DEDUP_TOL = 1e-8    # boundary angles closer than this are one point
+PRODUCT_BLOCK = 8192      # matrix entries per stacked product of _products
 
 
 class _WordBall:
     """The words a scan or check reads, and everything it reads off them.
 
-    ``words`` is the ball ``words_of_length(rep.rank, max_length)``, its
-    first ``size`` words, then the prefixes of the named words and of their
-    inverses that it lacks, shortest first, then by letters.  ``images``
-    stacks their images in one read-only (n, d, d) array.  Every per-word
-    value below is a table, a row per word, built on first use by one
-    batched call and kept for the life of the ball (one scan or check):
+    The rows are the ball ``words_of_length(rep.rank, max_length)``, its
+    first ``size`` rows, then the prefixes of the named words and of their
+    inverses that it lacks, shortest first, then by letters.  The ball is
+    held as columns, built by array arithmetic (``groups._word_tree``):
+    ``lengths``, ``parents`` (the row of the word less its last letter)
+    and ``last`` (its signed last letter).  ``words``, their Word objects,
+    is built only when first read; ``row`` finds a word's row from its
+    letters.  ``images`` stacks the images in one read-only (n, d, d)
+    array, each row its parent's times one generator or its inverse.
+    Every per-word value below is a table, a row per word, built on first
+    use by one batched call and kept for the life of the ball (one scan
+    or check):
 
     - the 2x2 reference images (``_products``) and their fixed points, one
       ``groups._rp1_fixed_points`` call (``reference_ends``), read by
       ``fixed_points`` and ``loxodromic``;
-    - the Spectrum table of ``images``, one ``core_linalg._spectra`` call;
-      a word whose row failed its residual check raises its NumericError
-      only when it is read (``spectrum``, ``flags``);
+    - the Spectrum table of ``images``, one ``core_linalg._spectra`` call,
+      and the mask of its failed rows (``failed``); a word whose row
+      failed its residual check raises its NumericError only when it is
+      read (``spectrum``, ``flags``);
     - the eigenvalue-side values at each index k, one
       ``spectral._eigenvalue_columns`` call (``eigenvalues``);
     - one attracting-flag table per dimension: ``fill`` computes the rows
@@ -57,29 +71,26 @@ class _WordBall:
 
     def __init__(self, rep: Representation, max_length: int, named=()):
         self.rep = rep
-        self.words = words_of_length(rep.rank, max_length)
-        self.size = len(self.words)
-        self._rows = {w.letters: i for i, w in enumerate(self.words)}
-        extra = {v.letters[:i] for w in named for v in (w, w.inverse())
-                 for i in range(1, len(v) + 1)}.difference(self._rows)
-        for letters in sorted(sorted(extra), key=len):
-            self._rows[letters] = len(self.words)
-            self.words.append(Word._trusted(letters))
-        # each (length, last letter) group's rows and their prefixes' rows,
-        # and the rows beyond RENORMALIZE_ABOVE letters
-        groups, self._long = {}, []
-        for i, w in enumerate(self.words[1:], 1):
-            letters = w.letters
-            if len(letters) > RENORMALIZE_ABOVE:
-                self._long.append(i)
-            else:
-                rows, prefixes = groups.setdefault(
-                    (len(letters), letters[-1]), ([], []))
-                rows.append(i)
-                prefixes.append(self._rows[letters[:-1]])
-        self._steps = sorted(groups.items())
-        self._used = max((abs(w.letters[-1]) for w in self.words[1:]),
-                         default=0)
+        self.max_length = max_length
+        lengths, parents, last = _word_tree(rep.rank, max_length)
+        self.size = len(lengths)
+        # the named rows: each prefix of a named word or of its inverse
+        # that lies outside the ball, shortest first, then by letters
+        prefixes = {v.letters[:i] for w in named for v in (w, w.inverse())
+                    for i in range(1, len(v) + 1)}
+        extra = [letters for letters in sorted(sorted(prefixes), key=len)
+                 if not self._in_ball(letters)]
+        self._named = {letters: i for i, letters in enumerate(extra, self.size)}
+        if extra:
+            lengths = np.concatenate([lengths, [len(v) for v in extra]])
+            parents = np.concatenate([parents,
+                                      [self._row(v[:-1]) for v in extra]])
+            last = np.concatenate([last, [v[-1] for v in extra]])
+        self.lengths, self.parents, self.last = lengths, parents, last
+        # runs of one length: every row's parent lies before its run
+        cuts = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
+        self._runs = list(zip(cuts, cuts[1:] + [len(lengths)]))
+        self._used = int(np.abs(last).max())
         images = self._products(rep)
         if not np.all(np.isfinite(images)):
             raise InputError("word images overflow: matrix entries must be finite")
@@ -87,33 +98,64 @@ class _WordBall:
         self.images = images
         self._reference = None
         self._spectrum = None
+        self._failed = None
         self._eigenvalues: dict = {}
         self._flags: dict = {}
         self._spaces: dict = {}
 
+    def __len__(self) -> int:
+        """The number of rows."""
+        return len(self.lengths)
+
+    @cached_property
+    def words(self) -> list:
+        """The Word of every row: ``words_of_length``, then the named rows'
+        words, built on first read."""
+        words = words_of_length(self.rep.rank, self.max_length)
+        words.extend(map(Word._trusted, self._named))
+        return words
+
+    def _in_ball(self, letters: tuple) -> bool:
+        return len(letters) <= self.max_length and all(
+            abs(x) <= self.rep.rank for x in letters)
+
+    def _row(self, letters: tuple) -> int:
+        """The row of the reduced word ``letters``: in the ball,
+        ``groups._tree_row``; else the named row's (KeyError if none)."""
+        if not self._in_ball(letters):
+            return self._named[letters]
+        return _tree_row(self.rep.rank, letters)
+
     def _products(self, rep: Representation) -> np.ndarray:
-        """The (n, dim, dim) images of ``words`` under ``rep``, equal to
+        """The (n, dim, dim) images of the rows under ``rep``, equal to
         ``evaluate`` bit for bit: beyond ``RENORMALIZE_ABOVE`` letters its
-        result, else the prefix's row times a generator or its inverse,
-        one stacked matmul per (length, last letter) group, shortest
-        first."""
+        result, else the parent's row times the image of the last letter,
+        one stacked matmul per block of ``PRODUCT_BLOCK`` entries of a run
+        of one length, shortest first."""
         if self._used > rep.rank:
             raise InputError(f"word uses generator {self._used}, "
                              f"representation has {rep.rank}")
-        steps = {}
-        for i, g in enumerate(rep.generator_images, 1):
-            steps[i], steps[-i] = g, np.linalg.inv(g)
-        images = np.empty((len(self.words), rep.dim, rep.dim))
-        images[0] = np.eye(rep.dim)   # the ball's first word is the identity
-        for (_, letter), (rows, prefixes) in self._steps:
-            images[rows] = images[prefixes] @ steps[letter]
-        for i in self._long:
-            images[i] = evaluate(rep, self.words[i])
+        d, gens = rep.dim, rep.generator_images
+        # steps[x] is the image of the signed letter x
+        steps = np.stack([np.eye(d), *gens,
+                          *(np.linalg.inv(g) for g in reversed(gens))])
+        images = np.empty((len(self), d, d))
+        images[0] = steps[0]    # the ball's first word is the identity
+        block = max(1, PRODUCT_BLOCK // (d * d))
+        for lo, hi in self._runs:
+            if self.lengths[lo] > RENORMALIZE_ABOVE:
+                for i in range(lo, hi):
+                    images[i] = evaluate(rep, self.words[i])
+                continue
+            for a in range(lo, hi, block):
+                b = min(a + block, hi)
+                np.matmul(images[self.parents[a:b]], steps[self.last[a:b]],
+                          out=images[a:b])
         return images
 
     def row(self, w: Word) -> int:
         """The row of ``w`` in ``words`` and ``images``."""
-        return self._rows[w.letters]
+        return self._row(w.letters)
 
     def reference_ends(self) -> tuple:
         """``(ends, loxodromic)`` of every row: the (n, 2) attracting and
@@ -132,7 +174,7 @@ class _WordBall:
         """Attracting and repelling angles of ``w`` on the reference circle;
         DomainError where its reference image is not loxodromic."""
         ends, loxodromic = self.reference_ends()
-        row = self._rows[w.letters]
+        row = self.row(w)
         if not loxodromic[row]:
             raise _not_loxodromic(self._reference[0][row])
         return tuple(ends[row].tolist())
@@ -155,13 +197,17 @@ class _WordBall:
         return self._spectrum
 
     def failed(self) -> np.ndarray:
-        """The mask of rows that failed their residual check."""
-        return np.isin(np.arange(len(self.words)),
-                       list(self._spectra().errors))
+        """The mask of rows that failed their residual check, built with
+        the Spectrum table."""
+        if self._failed is None:
+            errors = self._spectra().errors
+            self._failed = np.zeros(len(self), dtype=bool)
+            self._failed[list(errors)] = True
+        return self._failed
 
     def spectrum(self, w: Word) -> Spectrum:
         """The one-row Spectrum of the image of ``w``, or its error raised."""
-        return spectrum(self._spectra().take([self._rows[w.letters]]))
+        return spectrum(self._spectra().take([self.row(w)]))
 
     def eigenvalues(self, k: int):
         """``spectral._eigenvalue_columns`` at index k of every row, one
@@ -182,7 +228,7 @@ class _WordBall:
         """
         rows = np.asarray(rows, dtype=np.intp)
         if dim not in self._flags:
-            n, d = len(self.words), self.rep.dim
+            n, d = len(self), self.rep.dim
             self._flags[dim] = (np.zeros((n, d, dim)), np.zeros(n, dtype=bool),
                                 dict(self._spectra().errors),
                                 np.zeros(n, dtype=bool))
@@ -235,7 +281,7 @@ class _WordBall:
         """Attracting space of dimension ``dim`` of the image of ``w``: its
         row of the flag table, or its GapError."""
         if (w, dim) not in self._spaces:
-            row = self._rows[w.letters]
+            row = self.row(w)
             bases, missing = self.flags(dim, [row])
             if missing[0]:
                 raise self.gap_error(dim, row)
@@ -258,7 +304,7 @@ class BoundaryAtlas:
     def __init__(self, rep: Representation, max_length: int):
         self.ball = _WordBall(rep, max_length)
         words, ends = self.ball.loxodromic()
-        self.skipped_nonloxodromic = len(self.ball.words) - 1 - len(words)
+        self.skipped_nonloxodromic = len(self.ball) - 1 - len(words)
         attracting = ends[:, 0].tolist()
         kept = []
         for i in sorted(range(len(words)), key=attracting.__getitem__):

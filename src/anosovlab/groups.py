@@ -116,18 +116,37 @@ class Word:
         return cls.from_letters(letters)
 
 
-def words_of_length(rank: int, max_length: int) -> list:
-    """All freely reduced words of length <= max_length, identity first.
-
-    The sphere of radius l in rank n has 2n (2n-1)^(l-1) words; a
-    BudgetError is raised when the ball would exceed ``WORD_BALL_CAP``.
-    """
+def _ball_size(rank: int, max_length: int) -> int:
+    """The number of freely reduced words of length <= max_length in rank
+    ``rank``, 1 + sum over l of 2r (2r-1)^(l-1), found before anything is
+    built; a BudgetError when it exceeds ``WORD_BALL_CAP``."""
     for name, value in (("rank", rank), ("max length", max_length)):
         check_integer(value, f"{name} {value!r}")
     if rank < 1:
         raise InputError("rank must be >= 1")
     if max_length < 0:
         raise InputError("max length must be >= 0")
+    q = 2 * int(rank) - 1
+    # from rank 2 on a sphere is 3 or more times the last, so 64 letters
+    # are past the cap already and the power stays small
+    size = (1 + 2 * int(max_length) if q == 1 else
+            1 + (q + 1) * (q ** min(int(max_length), 64) - 1) // (q - 1))
+    if size > WORD_BALL_CAP:
+        raise BudgetError(
+            f"word ball exceeds the cap of {WORD_BALL_CAP} words")
+    return size
+
+
+def words_of_length(rank: int, max_length: int) -> list:
+    """All freely reduced words of length <= max_length, identity first.
+
+    Sphere l + 1 lists the children of sphere l, parent-major, each
+    followed by the letters 1..rank, -1..-rank but the inverse of its
+    last.  The sphere of radius l in rank n has 2n (2n-1)^(l-1) words; a
+    BudgetError is raised, before any is built, when the ball would
+    exceed ``WORD_BALL_CAP``.
+    """
+    _ball_size(rank, max_length)
     letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
     ball = [Word()]
     sphere = [()]
@@ -136,10 +155,55 @@ def words_of_length(rank: int, max_length: int) -> list:
         sphere = [w + (letter,) for w in sphere for letter in letters
                   if not w or letter != -w[-1]]
         ball.extend(map(Word._trusted, sphere))
-        if len(ball) > WORD_BALL_CAP:
-            raise BudgetError(
-                f"word ball exceeds the cap of {WORD_BALL_CAP} words")
     return ball
+
+
+def _word_tree(rank: int, max_length: int) -> tuple:
+    """The ball of ``words_of_length(rank, max_length)`` as three columns
+    in its order, built by array arithmetic without a Word:
+    ``(lengths, parents, last)``, each word's length, the row of the word
+    less its last letter and its signed last letter (0 and 0 for the
+    identity)."""
+    size = _ball_size(rank, max_length)
+    r = int(rank)
+    letters = np.concatenate([np.arange(1, r + 1), -np.arange(1, r + 1)])
+    # by letter index: the indices of the letters that may follow it, in
+    # order, all but its inverse's
+    follow = np.array([[j for j in range(2 * r) if j != (i + r) % (2 * r)]
+                       for i in range(2 * r)], dtype=np.intp)
+    lengths = np.zeros(size, dtype=np.intp)
+    parents = np.zeros(size, dtype=np.intp)
+    index = np.zeros(size, dtype=np.intp)    # letter index of the last
+    start, stop = 0, 1
+    for length in range(1, max_length + 1):
+        if length == 1:
+            end = 1 + 2 * r
+            index[1:end] = np.arange(2 * r)
+        else:
+            end = stop + (stop - start) * (2 * r - 1)
+            parents[stop:end] = np.repeat(np.arange(start, stop), 2 * r - 1)
+            index[stop:end] = follow[index[start:stop]].ravel()
+        lengths[stop:end] = length
+        start, stop = stop, end
+    last = letters[index]
+    last[0] = 0
+    return lengths, parents, last
+
+
+def _tree_row(rank: int, letters: tuple) -> int:
+    """The row of the reduced word ``letters`` (generators 1..rank) in
+    ``words_of_length(rank, L)`` for any L >= its length, by arithmetic on
+    its letters: the children of the identity are rows 1..2r, those of
+    row p > 0 start at row (2r - 1) p + 2, and a parent's children skip
+    the inverse of its last letter."""
+    row, prev = 0, None
+    for x in letters:
+        index = x - 1 if x > 0 else rank - 1 - x
+        row = 1 + index if prev is None else (
+            (2 * rank - 1) * row + 2 + index
+            - (index > (prev + rank) % (2 * rank)))
+        prev = index
+    return row
 
 
 def evaluate(rep, word: Word) -> np.ndarray:

@@ -178,15 +178,16 @@ def _check_k(k: int, top: int) -> None:
 def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
     """Gap scan reports keyed by index, from one SVD per word of the ball.
 
-    One ``singular_gaps`` call reads every word but the identity, in row
-    blocks that keep only the singular values; words come ordered by
-    length, so each length's minima are one reduceat.
+    One ``singular_gaps`` call reads every image but the identity's, in
+    row blocks that keep only the singular values.  The ball's ``lengths``
+    column ascends, so each length's minima are one reduceat from the
+    starts it gives; no Word is built.
     """
     if max_length < 3:
         raise InputError("gap scans need max_length >= 3")
     ball = _WordBall(rep, max_length)
     lengths = list(range(1, max_length + 1))
-    starts = np.searchsorted([len(w) for w in ball.words], lengths) - 1
+    starts = np.searchsorted(ball.lengths, lengths) - 1
     minima = np.minimum.reduceat(
         np.log(singular_gaps(ball.images[1:], indices)), starts)
     return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist())

@@ -16,6 +16,9 @@ from anosovlab.errors import (
 )
 from anosovlab.groups import (
     Word,
+    _ball_size,
+    _tree_row,
+    _word_tree,
     circle_separation,
     evaluate,
     is_cyclically_ordered,
@@ -113,6 +116,32 @@ class TestWordsOfLength:
         with pytest.raises(BudgetError, match="cap of 1000 words"):
             words_of_length(2, 12)
 
+    def test_budget_raises_before_any_word_is_built(self, monkeypatch):
+        # the real cap: rank 2 at length 12 is 797,161 words
+        built = []
+        trusted = Word._trusted.__func__
+
+        def counted(cls, letters):
+            built.append(letters)
+            return trusted(cls, letters)
+
+        monkeypatch.setattr(Word, "_trusted", classmethod(counted))
+        for build in (words_of_length, _word_tree):
+            with pytest.raises(BudgetError, match=(
+                    f"cap of {groups.WORD_BALL_CAP} words")):
+                build(2, 12)
+        assert built == []
+        words_of_length(2, 1)
+        assert len(built) == 4
+
+    def test_cap_is_closed_form(self):
+        # a rank-1 ball grows by 2 words a letter, larger ranks at least 3x
+        assert _ball_size(1, 249_999) == 499_999
+        for rank, max_length in ((1, 250_000), (1, 10 ** 9), (2, 10 ** 9),
+                                 (4, 10 ** 9)):
+            with pytest.raises(BudgetError):
+                _ball_size(rank, max_length)
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_equals_validated_words(self, rank):
         ball = words_of_length(rank, 5)
@@ -121,6 +150,28 @@ class TestWordsOfLength:
         assert [hash(w) for w in ball] == [hash(w) for w in validated]
         assert all(type(x) is int for w in ball for x in w.letters)
         assert [len(w) for w in ball] == sorted(len(w) for w in ball)
+
+
+class TestWordTree:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_columns_are_the_words(self, rank):
+        # row i's parent is the row of its prefix, its last letter and
+        # length are its word's (0 and 0 for the identity)
+        for max_length in range(5):
+            words = words_of_length(rank, max_length)
+            rows = {w.letters: i for i, w in enumerate(words)}
+            assert [_tree_row(rank, w.letters) for w in words] == list(
+                range(len(words)))
+            lengths, parents, last = _word_tree(rank, max_length)
+            assert lengths.tolist() == [len(w) for w in words]
+            assert parents.tolist() == [rows[w.letters[:-1]] for w in words]
+            assert last.tolist() == [w.letters[-1] if w.letters else 0
+                                     for w in words]
+
+    def test_rejects_what_words_of_length_rejects(self):
+        for rank, max_length in ((0, 2), (2, -1), (2, 1.5)):
+            with pytest.raises(InputError):
+                _word_tree(rank, max_length)
 
 
 class TestEvaluate:

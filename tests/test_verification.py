@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import re
 import zlib
@@ -108,6 +110,18 @@ from anosovlab.verification import (
 REF = punctured_torus_reference()
 A, B = Word((1,)), Word((2,))
 LAMBDA1 = (7 + 3 * np.sqrt(5)) / 2
+
+
+def random_sl3(rank):
+    """A rank-``rank`` representation by seeded random SL(3) images."""
+    rng = np.random.default_rng(rank)
+    images = []
+    for _ in range(rank):
+        m = rng.normal(size=(3, 3))
+        m[0] *= np.sign(np.linalg.det(m))
+        images.append(m / np.cbrt(np.linalg.det(m)))
+    return Representation(dim=3, generator_images=tuple(images),
+                          label=f"random-sl3-rank{rank}")
 
 
 def reference_gap_scan(rep, k, max_length):
@@ -460,6 +474,43 @@ class TestWordBall:
         for w, m in zip(ball.words, ball.images):
             assert np.array_equal(m, evaluate(rep, w)), str(w)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_rows_and_columns_of_every_word_and_named_prefix(self, rank):
+        rep = random_sl3(rank)
+        named = (Word(tuple(range(1, rank + 1)) * 2), Word((-rank, -1, -1)))
+        for max_length in range(5):
+            ball = _WordBall(rep, max_length, named)
+            words = ball.words
+            assert words[:ball.size] == words_of_length(rank, max_length)
+            assert [ball.row(w) for w in words] == list(range(len(ball)))
+            assert ball.lengths.tolist() == [len(w) for w in words]
+            assert ball.parents.tolist() == [
+                ball.row(Word(w.letters[:-1])) for w in words]
+            assert ball.last.tolist() == [w.letters[-1] if w.letters else 0
+                                          for w in words]
+
+    @pytest.mark.parametrize("rank,size", [(3, 187), (4, 457)])
+    def test_images_equal_evaluate_on_ranks_3_and_4(self, rank, size):
+        rep = random_sl3(rank)
+        ball = _WordBall(rep, 3, (Word((rank, 1, -rank, 2, 2)),))
+        assert ball.size == size
+        for w, m in zip(ball.words, ball.images):
+            assert np.array_equal(m, evaluate(rep, w)), str(w)
+
+    def test_gap_scans_build_no_word(self, monkeypatch):
+        # the certification reads only the ball's columns and images; its
+        # reports are those of the per-word ball, pinned by digest
+        def no_words(*args):
+            raise AssertionError("a Word was built")
+
+        monkeypatch.setattr(word_ball, "words_of_length", no_words)
+        monkeypatch.setattr(Word, "_trusted", classmethod(no_words))
+        reports = _gap_scans(fuchsian_locus((7, 1), REF), (1, 2, 3), 6)
+        text = json.dumps({k: r.to_dict() for k, r in reports.items()},
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b9aa370987123dda9a3a118ac4a5981de310f5e6ef5637e0466e1febaede76c0")
+
     def test_named_word_past_renormalization_comes_from_evaluate(
             self, monkeypatch):
         calls = []
@@ -536,6 +587,9 @@ class TestWordBall:
             assert str(exc.value) == str(alone.value)
         with pytest.raises(NumericError):
             ball.space(A * B, 1)
+        # the failed mask is built once, with the Spectrum table
+        assert ball.failed() is ball.failed()
+        assert np.flatnonzero(ball.failed()).tolist() == [row]
 
     @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF),
                                      fuchsian_locus((3, 3), REF), fg_rep(1.0)])
