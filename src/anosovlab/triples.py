@@ -1,6 +1,8 @@
 """The triple kernel: the extremes of a transversality sum's defect over
 the triples of a point set, with certified bounds on each triple's smallest
-singular value leaving the exact SVD to the triples that can reach them."""
+singular value leaving the exact SVD to the triples that can reach them.
+Where swapping two points of a triple only permutes the columns of its
+matrix (the x<->y mirror of H_1), one bracket serves both orders."""
 
 from __future__ import annotations
 
@@ -23,9 +25,10 @@ BRACKET_STEPS = 60        # root-finding steps after which a triple's
                           # bounds are given up (0, inf): its exact SVD
                           # always runs
 TRIPLE_BLOCK = 1 << 14    # (anchor point, u, v) cells of a triple scan's
-                          # chunk: its Gram tables and bounds are
-                          # O(TRIPLE_BLOCK) arrays (one anchor point per
-                          # chunk once n^2 is larger)
+                          # chunk, only u < v under the mirror: its Gram
+                          # tables and bounds are O(TRIPLE_BLOCK) arrays
+                          # (one anchor point per chunk once an anchor
+                          # point has more cells)
 
 
 @dataclass(frozen=True)
@@ -298,25 +301,28 @@ def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
 
 
 def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
-                     y: np.ndarray, z: np.ndarray, low: float,
-                     high: float) -> tuple:
-    """Missing flags of the triples (x[i], y[i], z[i]) and the extremes of
-    their defects that can pass beyond ``low`` or ``high``.
+                     y: np.ndarray, z: np.ndarray, low: float, high: float,
+                     mirror: tuple | None) -> tuple:
+    """Missing flags of the rows (x[i], y[i], z[i]) and the extremes of
+    their triples' defects that can pass beyond ``low`` or ``high``.
 
-    Returns ``(missing, lowest, first, highest)``.  A triple reading a
-    missing flag has defect 0.  Every other triple gets certified bounds
+    Returns ``(missing, lowest, worst, highest)``.  Each row is one
+    ordered triple, or with ``mirror`` (``_mirror``) two: itself and the
+    triple whose positions ``mirror`` permutes, which has the same
+    missing flags and the same smallest singular value.  A triple reading
+    a missing flag has defect 0.  Every other row gets certified bounds
     lo <= defect <= hi from its row of ``gram`` (``_gram``,
-    ``_root_bounds``).  Only the triples whose lo is at most min(low,
-    min hi) or whose hi is at least max(high, max lo) get the exact
-    defect, from one batched SVD of their concatenated summand bases,
-    which have d columns in all.  ``lowest`` is the minimum of the
-    exact defects, with ``first`` the index of the lexicographically
-    first (x, y, z) attaining it, and ``highest`` their maximum.  Every
-    triple attaining the minimum of these triples, when that is at most
-    ``low``, or their maximum, when that is at least ``high``, is among
-    them, so ``lowest`` and ``first`` decide the first minimum of the
-    whole scan whatever the order of its chunks.  ``first`` is None when
-    all triples are pruned.
+    ``_root_bounds``).  Only the rows whose lo is at most min(low, min hi)
+    or whose hi is at least max(high, max lo) get the exact defect, of
+    every triple of the row, from one batched SVD of their concatenated
+    summand bases, which have d columns in all.  ``lowest`` is the minimum
+    of the exact defects, with ``worst`` the lexicographically first
+    (x, y, z) attaining it, and ``highest`` their maximum.  Every triple
+    attaining the minimum of these triples, when that is at most ``low``,
+    or their maximum, when that is at least ``high``, is among them, so
+    ``lowest`` and ``worst`` decide the first minimum of the whole scan
+    whatever the order of its chunks.  ``worst`` is None when all rows
+    are pruned.
     """
     columns = (x, y, z)
     keys = [tuple(columns[role] for role in t.roles) for t in tables]
@@ -336,32 +342,63 @@ def _triple_extremes(tables: list, gram: tuple, x: np.ndarray,
     reach_lo, reach_hi = _reach(
         low if bounded.size == len(y) else 0.0, high,
         above[bounded].min(initial=np.inf), below[bounded].max(initial=0.0))
-    exact = missing | (below <= reach_lo) | (above >= reach_hi)
-    defects = np.zeros(len(y))
-    rows = np.flatnonzero(exact & ~missing)
-    defects[rows] = _smallest_singular_values(np.concatenate(
-        [t.basis[tuple(c[rows] for c in key)]
-         for t, key in zip(tables, keys)], axis=2))
-    known = np.flatnonzero(exact)
+    known = np.flatnonzero(missing | (below <= reach_lo)
+                           | (above >= reach_hi))
     if not known.size:
         return missing, np.inf, None, -np.inf
-    values = defects[known]
-    lowest = values.min()
-    ties = known[values == lowest]
-    first = ties[np.lexsort((z[ties], y[ties], x[ties]))[0]]
-    return missing, float(lowest), int(first), float(values.max())
+    # (3, m): the triples of the known rows, their mirrors after them
+    triples = np.stack([column[known] for column in columns])
+    lost = missing[known]
+    if mirror:
+        triples = np.concatenate([triples, triples[list(mirror)]], axis=1)
+        lost = np.concatenate([lost, lost])
+    defects = np.zeros(len(lost))
+    rows = np.flatnonzero(~lost)
+    defects[rows] = _smallest_singular_values(np.concatenate(
+        [t.basis[tuple(triples[role, rows] for role in t.roles)]
+         for t in tables], axis=2))
+    lowest = defects.min()
+    ties = np.flatnonzero(defects == lowest)
+    first = ties[np.lexsort(triples[::-1, ties])[0]]
+    return (missing, float(lowest), tuple(triples[:, first].tolist()),
+            float(defects.max()))
+
+
+def _mirror(tables: list, anchor: int, pairs: np.ndarray) -> tuple | None:
+    """The permutation of the triple positions that swaps the two points
+    other than the anchor's, when that leaves every triple's defect and
+    its being scanned as they are; else None.
+
+    It does when those two summands read one point flag table (x^1 + y^1
+    of H_1, and of C_1 at d = 4): the swap only permutes the columns of
+    M, and a flag the triple reads is missing in both orders or in
+    neither.  And ``pairs`` must be symmetric, so a triple is scanned
+    exactly when its mirror is.  The projected scan's upper-triangular
+    mask is not.
+    """
+    a, b = (t for i, t in enumerate(tables) if i != anchor)
+    if (len(a.roles) == len(b.roles) == 1 and a.basis is b.basis
+            and np.array_equal(pairs, pairs.T)):
+        swap = list(range(3))
+        swap[a.roles[0]], swap[b.roles[0]] = b.roles[0], a.roles[0]
+        return tuple(swap)
+    return None
 
 
 def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
     """``(n_triples, gap_failures, min, max, worst)`` over the triples
     (x, y, z) whose pairs (x, y), (x, z) and (y, z) the (n, n) mask
-    ``pairs`` marks.  ``worst`` is the lexicographically first (x, y, z)
-    attaining the minimum; min, max and worst are None without a triple.
+    ``pairs`` marks; it pairs no point with itself.  ``worst`` is the
+    lexicographically first (x, y, z) attaining the minimum; min, max and
+    worst are None without a triple.
 
     The triples run anchor-major (``_anchor``): a chunk of anchor points
     at a time, so the arrays stay O(``TRIPLE_BLOCK``), with the Gram
     blocks of each chunk from ``_gram``; ``_triple_extremes`` prunes
-    against the running extremes and breaks ties by (x, y, z).
+    against the running extremes and breaks ties by (x, y, z).  Under
+    the mirror (``_mirror``) a chunk holds only the cells whose u is
+    before v, each standing for two triples with one Gram row and one
+    bracket; the counts and the exact SVD still cover both orders.
     """
     anchor = _anchor(tables)
     role = tables[anchor].roles[0]
@@ -372,13 +409,19 @@ def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
     basis = tables[anchor].basis
     complement = np.linalg.svd(basis)[0][..., basis.shape[-1]:]
     fixed = _fixed_cross(tables, anchor)
+    mirror = _mirror(tables, anchor, pairs)
     n = len(pairs)
+    # the (u, v) cells of one anchor point: u < v under the mirror
+    cells_uv = np.ones((n, n), dtype=bool)
+    if mirror:
+        cells_uv = np.triu(cells_uv, 1)
+    orders = 2 if mirror else 1
     n_triples = gap_failures = 0
     min_defect, max_defect, worst = np.inf, -np.inf, None
-    step = max(1, TRIPLE_BLOCK // max(1, n * n))
+    step = max(1, TRIPLE_BLOCK // max(1, np.count_nonzero(cells_uv)))
     for start in range(0, n, step):
         points = np.arange(start, min(start + step, n))
-        cells = True
+        cells = cells_uv
         for i, j in ((0, 1), (0, 2), (1, 2)):
             mask = pairs if axes[i] else pairs[points]
             mask = mask if axes[j] else mask[:, points]
@@ -394,14 +437,13 @@ def _triple_scan(tables: list, pairs: np.ndarray) -> tuple:
         u, v = pu - p * n, cell - pu * n
         gram = _gram(tables, anchor, complement, points, p, u, v, fixed)
         at = {role: points[p], free[0]: u, free[1]: v}
-        x, y, z = at[0], at[1], at[2]
-        missing, lowest, first, highest = _triple_extremes(
-            tables, gram, x, y, z, min_defect, max_defect)
-        n_triples += len(x)
-        gap_failures += int(np.count_nonzero(missing))
-        if first is None:
+        missing, lowest, key, highest = _triple_extremes(
+            tables, gram, at[0], at[1], at[2], min_defect, max_defect,
+            mirror)
+        n_triples += orders * len(p)
+        gap_failures += orders * int(np.count_nonzero(missing))
+        if key is None:
             continue
-        key = (int(x[first]), int(y[first]), int(z[first]))
         if lowest < min_defect or (lowest == min_defect and key < worst):
             min_defect, worst = lowest, key
         max_defect = max(max_defect, highest)

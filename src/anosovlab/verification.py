@@ -389,9 +389,11 @@ def hk_scan(rep: Representation, k: int, max_length: int,
     can still reach the running minimum or maximum.  Every other triple
     is pruned by certified bounds on its smallest singular value, from
     the Gram blocks of the other summands split off the anchor
-    z^(d-k-1) (``triples._triple_scan``, ``triples._root_bounds``).  The
-    reported values, the first worst triple and the counts are those of
-    the SVD of every triple.  ``min_separation`` must be a finite number
+    z^(d-k-1) (``triples._triple_scan``, ``triples._root_bounds``).  At
+    k = 1 the sum is symmetric in x and y, so (x, y, z) and (y, x, z)
+    share one bracket and only the exact SVD runs on both.  The reported
+    values, the first worst triple and the counts are those of the SVD
+    of every ordered triple.  ``min_separation`` must be a finite number
     >= 0.
 
     The verdict does not read the Anosov gaps, so no gap scan runs: the

@@ -213,14 +213,24 @@ def all_triples_defects(tables, x, y, z):
     return missing, np.where(missing, 0.0, _smallest_singular_values(stack))
 
 
-def all_triples_extremes(tables, gram, x, y, z, low, high):
+def mirrored_triples(x, y, z, mirror):
+    """The ordered triples of the kernel's rows (x[i], y[i], z[i]): the
+    rows, then with ``mirror`` the rows with their positions permuted."""
+    rows = np.stack((x, y, z))
+    return [rows] if mirror is None else [rows, rows[list(mirror)]]
+
+
+def all_triples_extremes(tables, gram, x, y, z, low, high, mirror):
     """Drop-in for ``triples._triple_extremes`` that prunes nothing:
-    the extremes over the exact defects of every triple, the first
-    minimum by (x, y, z)."""
+    the extremes over the exact defects of every ordered triple, both
+    orders of a row under the mirror, the first minimum by (x, y, z)."""
+    x, y, z = np.concatenate(mirrored_triples(x, y, z, mirror), axis=1)
     missing, defects = all_triples_defects(tables, x, y, z)
     ties = np.flatnonzero(defects == defects.min())
     j = int(ties[np.lexsort((z[ties], y[ties], x[ties]))[0]])
-    return missing, float(defects[j]), j, float(defects.max())
+    rows = len(x) // (1 if mirror is None else 2)
+    return (missing[:rows], float(defects[j]),
+            (int(x[j]), int(y[j]), int(z[j])), float(defects.max()))
 
 
 def all_triples_scan(monkeypatch, scan, *args, **kwargs):
@@ -999,6 +1009,18 @@ class TestHkCk:
         assert scan(rep, k, L).to_dict() == all_triples_scan(
             monkeypatch, scan, rep, k, L).to_dict()
 
+    @pytest.mark.slow
+    def test_h1_length_5_report_is_pinned(self):
+        # one anchor point per chunk with the mirror on, a path no shorter
+        # scan takes: the report of (5,1) H_1 over 38.8 million triples
+        report = hk_scan(fuchsian_locus((5, 1), REF), 1, 5)
+        assert (report.n_points, report.n_triples,
+                report.gap_failures) == (436, 38811168, 0)
+        assert report.min_defect == 0.004733719766359138
+        assert report.max_defect == 0.641057047818962
+        assert [str(w) for w in report.worst_triple] == ["BABAA", "aBaBA",
+                                                         "Baba"]
+
     @pytest.mark.parametrize("scan,rep,k", [
         (hk_scan, fuchsian_locus((7, 1), REF), 2),
         (ck_scan, fuchsian_locus((4, 1), REF), 2),
@@ -1200,9 +1222,9 @@ class TestDefectBounds:
         extremes = triples._triple_extremes
         root_bounds = triples._root_bounds
 
-        def keep_triples(tables, gram, x, y, z, low, high):
-            seen.append([tables, (x, y, z)])
-            return extremes(tables, gram, x, y, z, low, high)
+        def keep_triples(tables, gram, x, y, z, low, high, mirror):
+            seen.append([tables, mirrored_triples(x, y, z, mirror)])
+            return extremes(tables, gram, x, y, z, low, high, mirror)
 
         def keep_bounds(g, c, low, high):
             below, above = root_bounds(g, c, low, high)
@@ -1213,18 +1235,62 @@ class TestDefectBounds:
         monkeypatch.setattr(triples, "_root_bounds", keep_bounds)
         report = scan(rep, k, L)
         checked = bounded = 0
-        for tables, columns, (lo, hi) in seen:
-            missing, defects = all_triples_defects(tables, *columns)
-            assert not missing.any()
-            assert np.all(lo <= defects)
-            assert np.all(defects <= hi)
-            checked += len(defects)
-            bounded += int(np.sum(np.isfinite(hi)))
+        for tables, orders, (lo, hi) in seen:
+            # a row's bracket holds for both of its orders
+            for columns in orders:
+                missing, defects = all_triples_defects(tables, *columns)
+                assert not missing.any()
+                assert np.all(lo <= defects)
+                assert np.all(defects <= hi)
+                checked += len(defects)
+                bounded += int(np.sum(np.isfinite(hi)))
         assert checked == bounded == report.n_triples == count
+
+    @pytest.mark.parametrize("scan,args,orders", [
+        (hk_scan, (fuchsian_locus((5, 1), REF), 1, 3), 2),
+        (hk_scan, (fg_rep(1.0), 1, 3), 2),
+        (hk_scan, (fuchsian_locus((7, 1), REF), 2, 3), 1),
+        (ck_scan, (fuchsian_locus((7, 1), REF), 1, 2), 1),
+        # the upper-triangular mask: combinations, no mirror
+        (check_projection_hyperconvexity, (fg_rep(1.0), 1, A, 3), 1),
+    ], ids=["H1-5,1-L3", "H1-fg-L3", "H2-7,1-L3", "C1-7,1-L2",
+            "projection-fg-L3"])
+    def test_mirror_brackets_each_pair_once(self, monkeypatch, scan, args,
+                                            orders):
+        # H_1's x<->y mirror halves the rows bracketed; the other shapes
+        # bracket every triple (no gap failure in these scans)
+        rows = []
+        root_bounds = triples._root_bounds
+
+        def counting(g, c, low, high):
+            rows.append(g.shape[-1])
+            return root_bounds(g, c, low, high)
+
+        monkeypatch.setattr(triples, "_root_bounds", counting)
+        report = scan(*args)
+        assert report.gap_failures == 0
+        assert orders * sum(rows) == report.n_triples
+
+    @pytest.mark.parametrize("scan,partition,k,L", [
+        (hk_scan, (5, 1), 1, 3),
+        (hk_scan, (7, 1), 2, 3),
+        (ck_scan, (7, 1), 1, 3),
+        (hk_scan, (5, 1), 1, 4),
+    ], ids=["H1-5,1-L3", "H2-7,1-L3", "C1-7,1-L3", "H1-5,1-L4"])
+    def test_triple_count_without_enumeration(self, scan, partition, k, L):
+        # the ordered separated triples, counted from the pair mask S alone:
+        # the kernel's counts cover both orders of a mirrored row
+        rep = fuchsian_locus(partition, REF)
+        angles = BoundaryAtlas(rep, L).angles
+        s = (circle_separation(angles[:, None], angles[None, :])
+             >= TRIPLE_SEPARATION).astype(np.int64)
+        np.fill_diagonal(s, 0)
+        assert scan(rep, k, L).n_triples == int((s * (s @ s)).sum())
 
     def test_exact_svd_runs_on_few_triples(self, monkeypatch):
         # the bracket leaves the exact SVD to at most 1% of the H_1 triples
-        # and 0.1% of the H_2 and C_1 ones (16, 9 and 8 rows measured)
+        # and 0.1% of the H_2 and C_1 ones (16, 9 and 8 triples measured;
+        # the 16 of H_1 are both orders of 8 mirrored rows)
         rows = []
 
         def counting(stack):
