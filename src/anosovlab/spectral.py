@@ -34,6 +34,7 @@ from .core_linalg import (
     Subspace,
     _invariant_bases,
     _no_gap,
+    _spectra,
     as_matrix,
     spectrum,
     svd,
@@ -254,6 +255,20 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
 def _one_row(m, k: int) -> _EigenvalueColumns:
     """``_eigenvalue_columns`` of the one-row Spectrum of ``m``."""
     return _eigenvalue_columns(_indexed_spectrum(m, k).values, k)
+
+
+def _checked_columns(stack, k: int) -> _EigenvalueColumns:
+    """``_eigenvalue_columns`` at k of an (n, d, d) stack, from one
+    ``_spectra`` call.  Each row is checked as ``eigenvalue_ratios``
+    checks one matrix, and the first row that fails, in stack order,
+    raises its residual or ratio NumericError."""
+    table = _spectra(stack)
+    columns = _eigenvalue_columns(table.values, k)
+    for row in range(len(table.values)):
+        if row in table.errors:
+            raise table.errors[row].with_traceback(None)
+        columns.check_ratios(row)
+    return columns
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:

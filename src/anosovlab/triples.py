@@ -175,44 +175,51 @@ def _fixed_cross(tables: list, anchor: int) -> np.ndarray | None:
     return (b1.T @ b2)[None]
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of an (r, r, ...) stack, entry axes first: the closed
-    form at r = 3 (``_pencil_jet`` has its own at r1 = r2 = 1), else one
-    batched ``np.linalg.det``."""
-    if len(m) == 3:
-        return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
+def _pencil_sums(g: np.ndarray, c: np.ndarray, lam) -> tuple:
+    """q(lam) = det A(lam) and the power sums S1 = -tr(A^-1 A') and
+    S2 = tr((A^-1 A')^2) - 2 tr(A^-1) per row, A(lam) = g - lam h +
+    lam^2 I, A' = 2 lam I - h, h = R^T R + I with the cross block ``c``
+    (``_gram``).
 
-
-def _pencil_jet(g: np.ndarray, c: np.ndarray, lam) -> tuple:
-    """q and q' at ``lam`` of q(lam) = det A(lam), A(lam) = g - lam h +
-    lam^2 I, per row, h = R^T R + I with the cross block ``c`` (``_gram``).
-    At r1 = r2 = 1 both have a closed form; otherwise q' = sum_j det(A
-    with column j taken from A'), det being multilinear in the columns:
-    1 + r ``_det`` calls."""
-    r = len(g)
+    At r1 = r2 = 1 from q, q' and q'' in closed form (S1 = -q'/q,
+    S2 = S1^2 - q''/q); at r = 3 from the explicit cofactors (A^-1 =
+    adj A / q); otherwise from one batched inverse over the rows with
+    q > 0, where A(lam) is positive definite.  The sums of the rows with
+    q <= 0 are not read (``_laguerre_bracket``)."""
     if c.shape[:2] == (1, 1):
         c = c[0, 0]
         a00, a11, a01 = g[0, 0], g[1, 1], g[0, 1]
         if np.ndim(lam):   # else lam is 0, the first step
             t = lam * (lam - 2)
             a00, a11, a01 = a00 + t, a11 + t, a01 - lam * c
-        return (a00 * a11 - a01 * a01,
-                (2 * lam - 2) * (a00 + a11) + 2 * a01 * c)
-    r1 = len(c)
+        q, tr, e = a00 * a11 - a01 * a01, a00 + a11, 2 * lam - 2
+        s1 = (e * tr + 2 * a01 * c) / -q
+        return q, s1, s1 * s1 - 2 * (tr + e * e - c * c) / q
+    r, r1 = len(g), len(c)
     eye = np.eye(r)[:, :, None]
     h = 2 * eye + np.zeros_like(g)
     h[:r1, r1:], h[r1:, :r1] = c, np.swapaxes(c, 0, 1)
     a, da = g - lam * h + lam * lam * eye, 2 * lam * eye - h
-    dq = 0.0
-    for j in range(r):
-        column = a[:, j].copy()
-        a[:, j] = da[:, j]
-        dq = dq + _det(a)
-        a[:, j] = column
-    return _det(a), dq
+    if r == 3:
+        # the cofactors of the symmetric A, indices mod 3, are adj A; q
+        # is the expansion by the first row
+        w = np.empty_like(a)
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            k, l, m, o = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+            w[i, j] = w[j, i] = a[k, m] * a[l, o] - a[k, o] * a[l, m]
+        q = scale = a[0, 0] * w[0, 0] + a[0, 1] * w[0, 1] + a[0, 2] * w[0, 2]
+    else:
+        stack = np.moveaxis(a, (0, 1), (-2, -1))
+        q = np.linalg.det(stack)
+        inside = q > 0
+        w = np.full_like(stack, np.nan)
+        w[inside] = np.linalg.inv(stack[inside])
+        w, scale = np.moveaxis(w, (-2, -1), (0, 1)), 1.0
+    p = np.einsum("ijn,jkn->ikn", w, da)
+    s1 = -np.einsum("iin->n", p) / scale
+    s2 = (np.einsum("ijn,jin->n", p, p) / (scale * scale)
+          - 2 * np.einsum("iin->n", w) / scale)
+    return q, s1, s2
 
 
 def _sigma_bounds(below, above) -> tuple:
@@ -237,6 +244,30 @@ def _reach(low: float, high: float, least: float, most: float) -> tuple:
             if top > BRACKET_ATOL else -np.inf)
 
 
+def _laguerre_bracket(lam, q, s1, s2, degree: int) -> tuple:
+    """Laguerre's bracket ``(low_end, high_end)`` on the smallest root of
+    q per row, from q(lam) and the power sums S1, S2 of
+    ``_pencil_sums``; NaN marks an end the row does not get.
+
+    Below every root, u_i = 1/(root_i - lam) > 0 with S1 = sum u_i and
+    S2 = sum u_i^2, and the smallest root has the largest u_1.  So
+    S2 <= u_1 S1 gives root_1 <= lam + S1/S2, and Cauchy-Schwarz on the
+    other n - 1 = ``degree`` - 1 terms, (S1 - u_1)^2 <= (n - 1)(S2 -
+    u_1^2), gives root_1 >= lam + n/(S1 + sqrt((n - 1)(n S2 - S1^2))).
+    Both lie inside Newton's bracket [lam + 1/S1, lam + n/S1], as
+    S1^2 <= n S2 and S2 <= S1^2.  q <= 0 means rounding carried lam onto
+    or past the root: the high end is lam and there is no low end.  Sums
+    no roots above lam can give (S1 <= 0, S2 <= 0 or S2 > S1^2, or NaN)
+    give no end.  A rounded n S2 - S1^2 < 0 counts as 0.
+    """
+    past, square = q <= 0, s1 * s1
+    sound = ~past & (s1 > 0) & (s2 > 0) & (s2 <= square)
+    spread = np.sqrt((degree - 1) * np.maximum(degree * s2 - square, 0.0))
+    low_end = np.where(sound, lam + degree / (s1 + spread), np.nan)
+    high_end = np.where(past, lam, np.where(sound, lam + s1 / s2, np.nan))
+    return low_end, high_end
+
+
 def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
                  high: float) -> tuple:
     """Certified bounds ``(below, above)`` on sigma_min(M)^2 of
@@ -248,15 +279,27 @@ def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
     A(lam) = g - lam h + lam^2 I, h = R^T R + I (the Schur complement of
     M^T M - lam I, times 1 - lam), a polynomial of degree n = 2r whose
     roots are all real: the eigenvalues of M^T M, and 1.  q(0) = det g
-    >= 0.  Below every root, with u_i = 1/(root_i - lam), S1 = sum u_i =
-    -q'/q, so Newton's step s = 1/S1, the root lies in [lam + s,
-    lam + n s], and Newton from 0 rises monotonically towards it.  q and
-    q' are evaluated as determinants (``_pencil_jet``), not from expanded
+    >= 0.  Each step reads q and the power sums S1 = sum u_i = -q'/q and
+    S2 = sum u_i^2, u_i = 1/(root_i - lam), at the row's lam
+    (``_pencil_sums``) and bounds the root by Laguerre's bracket
+    (``_laguerre_bracket``), whose low end is the next lam: from lam = 0
+    the iterates rise monotonically to the root, cubically near it.
+    q and the sums are evaluated from A(lam) itself, not from expanded
     coefficients, which near a multiple root at 1 (orthogonal summands)
     lose the root to eps^(1/4).
 
-    A row stops once its bracket is narrower than ``BRACKET_RTOL`` of its
-    lower end, inside the slack, or once its bounds cannot reach
+    Two guards keep the bounds certified.  A row whose q is <= 0 has
+    reached the root to rounding: its high end becomes lam, which is its
+    lower bound, and it stops (at r = 1, degree 2, the first step lands
+    there).  A row whose sums no roots above lam can give (seen at
+    sigma_min about 1e-16) stops with the bounds it has.  What rounding
+    moves beyond the bracket, the root carried past by a low end or q's
+    sign near the root, is far inside the slack ``_sigma_bounds`` adds:
+    ``BRACKET_RTOL`` relative on sigma_min, and ``BRACKET_ATOL``, which
+    covers the sqrt(eps) error of the Gram route near sigma_min = 0.
+
+    A row also stops once its bracket is narrower than ``BRACKET_RTOL``
+    of its lower end, inside the slack, or once its bounds cannot reach
     min(low, min hi) nor max(high, max lo) (``_reach``), where no
     extreme can be; its bounds stay valid, only wider.  A row still going
     after ``BRACKET_STEPS``, or whose lower bound is not finite, gets
@@ -268,14 +311,9 @@ def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
     least, most = np.inf, 0.0   # the least upper and most lower root bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(BRACKET_STEPS):
-            q, dq = _pencil_jet(g, c, lam)
-            step = -q / dq
-            # every iterate brackets the root: keep the tightest bounds
-            # (fmax and fmin also drop a NaN of a degenerate row)
-            low_end = np.minimum(step, degree * step)
-            high_end = np.maximum(step, degree * step)
-            if todo is not None:
-                low_end, high_end = lam + low_end, lam + high_end
+            low_end, high_end = _laguerre_bracket(
+                lam, *_pencil_sums(g, c, lam), degree)
+            # keep the tightest bounds (fmax and fmin drop a NaN end)
             root_lo = np.fmax(root_lo, low_end)
             root_hi = np.fmin(root_hi, high_end)
             if todo is None:
@@ -286,13 +324,14 @@ def _root_bounds(g: np.ndarray, c: np.ndarray, low: float,
             most = max(most, root_lo.max())
             reach_lo, reach_hi = _reach(low, high, least, most)
             going = np.flatnonzero(
-                (root_hi > (1 + BRACKET_RTOL) * root_lo)
+                ~np.isnan(low_end)
+                & (root_hi > (1 + BRACKET_RTOL) * root_lo)
                 & ((root_lo <= reach_lo) | (root_hi >= reach_hi)))
             todo = todo[going]
             if not todo.size:
                 break
-            lam = (lam + step)[going]
             root_lo, root_hi = root_lo[going], root_hi[going]
+            lam = root_lo
             g, c = g[:, :, going], c[:, :, going]
     bad = below == np.inf
     bad[todo] = True

@@ -52,8 +52,8 @@ from .representations import (
     sopq_positive,
 )
 from .spectral import (
+    _checked_columns,
     attracting_space,
-    eigenvalue_ratios,
     singular_gaps,
 )
 from .triples import (
@@ -182,16 +182,26 @@ def _gap_scans(rep: Representation, indices, max_length: int) -> dict:
     row blocks that keep only the singular values.  The ball's ``lengths``
     column ascends, so each length's minima are one reduceat from the
     starts it gives; no Word is built.
+
+    Index k is read at min(k, d - k): sigma_k/sigma_(k+1) of rho(w) is
+    sigma_(d-k)/sigma_(d-k+1) of rho(w^-1), and every sphere of the ball
+    holds the inverses of its words, so both indices have the same
+    per-length minima.  The one from the larger singular values is
+    resolved; an SVD of rho(w) resolves no singular value below about
+    eps sigma_1.
     """
     if max_length < 3:
         raise InputError("gap scans need max_length >= 3")
     ball = _WordBall(rep, max_length)
+    d = rep.dim
+    read = sorted({min(k, d - k) for k in indices})
     lengths = list(range(1, max_length + 1))
     starts = np.searchsorted(ball.lengths, lengths) - 1
     minima = np.minimum.reduceat(
-        np.log(singular_gaps(ball.images[1:], indices)), starts)
-    return {k: _gap_report(rep, k, max_length, lengths, minima[:, i].tolist())
-            for i, k in enumerate(indices)}
+        np.log(singular_gaps(ball.images[1:], read)), starts)
+    return {k: _gap_report(rep, k, max_length, lengths,
+                           minima[:, read.index(min(k, d - k))].tolist())
+            for k in indices}
 
 
 def _gap_report(rep: Representation, k: int, max_length: int, lengths,
@@ -222,8 +232,10 @@ def anosov_gap_scan(rep: Representation, k: int,
     ``SLOPE_ANOSOV`` and the per-length minima never dip more than
     ``MONOTONE_SLACK`` below the running maximum from length 2 on,
     ``flat`` when the slope is below ``SLOPE_FLAT``, else ``ambiguous``.
-    The C_k scan certifies several indices through the same code, where
-    one SVD per word serves every index.
+    An index k above d/2 is read at d - k, from the inverse words, which
+    have the same minima (``_gap_scans``).  The C_k scan certifies several
+    indices through the same code, where one SVD per word serves every
+    index.
     """
     _check_k(k, rep.dim - 1)
     return _gap_scans(rep, (k,), max_length)[k]
@@ -387,14 +399,15 @@ def hk_scan(rep: Representation, k: int, max_length: int,
 
     The defects come from one batched SVD, but only on the triples that
     can still reach the running minimum or maximum.  Every other triple
-    is pruned by certified bounds on its smallest singular value, from
-    the Gram blocks of the other summands split off the anchor
-    z^(d-k-1) (``triples._triple_scan``, ``triples._root_bounds``).  At
-    k = 1 the sum is symmetric in x and y, so (x, y, z) and (y, x, z)
-    share one bracket and only the exact SVD runs on both.  The reported
-    values, the first worst triple and the counts are those of the SVD
-    of every ordered triple.  ``min_separation`` must be a finite number
-    >= 0.
+    is pruned by certified bounds on its smallest singular value:
+    Laguerre brackets on the smallest root of a degree-2r polynomial
+    built from the Gram blocks of the other summands (r columns) split
+    off the anchor z^(d-k-1), a few steps each (``triples._triple_scan``,
+    ``triples._root_bounds``).  At k = 1 the sum is symmetric in x and
+    y, so (x, y, z) and (y, x, z) share one bracket and only the exact
+    SVD runs on both.  The reported values, the first worst triple and
+    the counts are those of the SVD of every ordered triple.
+    ``min_separation`` must be a finite number >= 0.
 
     The verdict does not read the Anosov gaps, so no gap scan runs: the
     report's ``certification`` is {} and ``certified`` is vacuously true.
@@ -418,11 +431,12 @@ def ck_scan(rep: Representation, k: int, max_length: int,
     At k = 1, x^d is the whole space, so C_1 is x^(d-3) + y^1 + z^2,
     three point flags, and no intersection is computed; for k >= 2, the
     line x^(d-k+1) n y^k is computed once per ordered pair (x, y), as the
-    H_k line is.  Triples are pruned by certified bounds as in
+    H_k line is.  Triples are pruned by the Laguerre brackets of
     ``hk_scan``, split off the anchor x^(d-k-2) (of the three point flags
     of C_1, the largest).  The gap scans run at ``CERTIFICATION_LENGTH``,
-    all indices on one ball, after ``k`` and ``min_separation`` are
-    checked and before the ball of length ``max_length`` is built.
+    all indices on one ball, each index above d/2 read at d - k
+    (``_gap_scans``), after ``k`` and ``min_separation`` are checked and
+    before the ball of length ``max_length`` is built.
     """
     _check_k(k, rep.dim - 2)
     _check_separation(min_separation)
@@ -1010,20 +1024,24 @@ def counterexample_scan(x_grid) -> list:
 
     The two columns agree (the generators share a characteristic
     polynomial) and tend to 1 as x decreases to 0, so the root length
-    goes to 0 while the elements stay linked.
+    goes to 0 while the elements stay linked.  Both generator images of
+    every grid point are stacked, grid value by grid value, and read by one
+    eigendecomposition (``spectral._checked_columns``): the first image
+    that fails, in grid order and gamma before delta, raises its residual
+    or ratio error as ``eigenvalue_ratios`` on it alone would.
     """
-    rows = []
+    grid, images = [], []
     for x in x_grid:
         if not (np.isfinite(x) and x > 0):
             raise InputError(f"grid values must be positive, got {x}")
-        rep = fg_rep(float(x))
-        gam = eigenvalue_ratios(rep.generator_images[0], 1)
-        dlt = eigenvalue_ratios(rep.generator_images[1], 1)
-        rows.append(CounterexampleRow(
-            x=float(x), ratio_gamma=float(gam.lambda_ratio),
-            ratio_delta=float(dlt.lambda_ratio),
-            root_length=float(np.log(gam.lambda_ratio_modulus))))
-    return rows
+        grid.append(float(x))
+        images.extend(fg_rep(grid[-1]).generator_images)
+    columns = _checked_columns(np.reshape(images, (-1, 3, 3)), 1)
+    ratios, roots = columns.ratio.tolist(), np.log(columns.modulus).tolist()
+    return [CounterexampleRow(x=x, ratio_gamma=ratios[2 * i],
+                              ratio_delta=ratios[2 * i + 1],
+                              root_length=roots[2 * i])
+            for i, x in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,28 @@ class TestFgScan:
                  "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args,digest", [
+        (["--x-min", "1e-6", "--x-max", "1", "--points", "25", "--log-grid"],
+         "f117b9c1bfbba485f0cf6d607598bbee5511f32f29684578e433109ada29aa09"),
+        (["--x-min", "1e-12", "--x-max", "1e6", "--points", "400",
+          "--log-grid"],
+         "d46f26e258946a99c34c0a21105ea43d5295343e30aa0f6f83cc25b0504fe52a"),
+        (["--x-min", "0.1", "--x-max", "1", "--points", "5"],
+         "3d4b25968b8c3792fdb3f851c834cfbfee1868498b863500a3d6cbe65466bffc"),
+    ], ids=["log-25", "log-400", "linear-5"])
+    def test_output_bytes_pinned(self, tmp_path, capsys, args, digest):
+        # the bytes of the one-generator-at-a-time scan, to file and stdout
+        out = tmp_path / "grid.csv"
+        assert run(["fg-scan", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(
+            (tmp_path / "grid.csv.schema.json").read_bytes()).hexdigest() == (
+            "b65cd0f270917c4e35a89d81f033295c0c9689e7d601c289e48a3c397fde5c5d")
+        capsys.readouterr()
+        assert run(["fg-scan", *args]) == 0
+        assert hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_bad_range(self):
         assert run(["fg-scan", "--x-min", "0", "--x-max", "1"]) == 64
         assert run(["fg-scan", "--x-min", "1", "--x-max", "inf"]) == 64

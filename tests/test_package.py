@@ -300,17 +300,16 @@ def test_exact_defects_run_only_in_the_triple_kernel():
 
 
 def test_per_word_values_come_from_the_batched_kernels():
-    # the scans read reference fixed points and eigenvalue values from the
-    # word ball's batched tables; only the root-gap scan of two generators
-    # per grid point calls a one-row function (EigenIdentityReport's
+    # the scans read reference fixed points and eigenvalue values from
+    # batched tables: the word ball's, and the root-gap scan's one stack of
+    # generator images; none calls a one-row function (EigenIdentityReport's
     # weight_period field is a stored name, not a read)
     names = ("rp1_fixed_points", "length_functions", "weight_period",
              "eigenvalue_ratios")
     found = sorted({(node.id, where) for where, node in _scan_nodes()
                     if isinstance(node, ast.Name) and node.id in names
                     and isinstance(node.ctx, ast.Load)})
-    assert found == [("eigenvalue_ratios",
-                      "verification.py:counterexample_scan")]
+    assert found == []
 
 
 def _definitions(tree: ast.Module):

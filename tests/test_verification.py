@@ -5,6 +5,7 @@ import math
 import re
 import zlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +62,8 @@ from anosovlab.spectral import (
     singular_gap,
 )
 from anosovlab.triples import (
+    BRACKET_RTOL,
+    _laguerre_bracket,
     _root_bounds,
     _sigma_bounds,
 )
@@ -860,6 +863,25 @@ class TestGapScan:
         assert sum(rows) == 1456 and len(rows) > 1
         assert max(rows) * 64 <= spectral.SVD_BLOCK
 
+    def test_high_indices_read_the_inverse_gaps(self):
+        # sigma_k/sigma_(k+1) of rho(w) is sigma_(d-k)/sigma_(d-k+1) of
+        # rho(w^-1), so (7,1)'s indices 5-7 are read at 3-1; read directly
+        # from the formed L = 6 products, rounding made them ambiguous,
+        # flat, flat (k = 7 minima at lengths 4-6: 1.160, 0.672, 0.234)
+        rep = fuchsian_locus((7, 1), REF)
+        scans = _gap_scans(rep, tuple(range(1, 8)), 6)
+        for k in (5, 6, 7):
+            assert scans[k].verdict == "anosov-like"
+            assert scans[k].min_log_gaps == scans[8 - k].min_log_gaps
+        assert scans[7].min_log_gaps[3:] == pytest.approx(
+            (3.995, 3.721, 4.620), abs=1e-3)
+        # the C_6 certification reads 5, 6 and 7: non-certifiable before
+        report = ck_scan(rep, 6, 3)
+        assert report.certification == {5: "anosov-like", 6: "anosov-like",
+                                        7: "anosov-like"}
+        assert report.verdict == "pass"
+        assert report.min_defect == pytest.approx(6.242e-4, rel=1e-3)
+
     def test_required_indices(self):
         assert required_indices_c(1, 6) == (1, 2, 3)
         assert required_indices_c(6, 8) == (5, 6, 7)
@@ -1012,14 +1034,30 @@ class TestHkCk:
     @pytest.mark.slow
     def test_h1_length_5_report_is_pinned(self):
         # one anchor point per chunk with the mirror on, a path no shorter
-        # scan takes: the report of (5,1) H_1 over 38.8 million triples
+        # scan takes: the report of (5,1) H_1 over 38.8 million triples,
+        # as the Newton bracket gave it
         report = hk_scan(fuchsian_locus((5, 1), REF), 1, 5)
-        assert (report.n_points, report.n_triples,
-                report.gap_failures) == (436, 38811168, 0)
-        assert report.min_defect == 0.004733719766359138
-        assert report.max_defect == 0.641057047818962
-        assert [str(w) for w in report.worst_triple] == ["BABAA", "aBaBA",
-                                                         "Baba"]
+        assert report.to_dict() == {
+            "kind": "Hk", "rep": "fuchsian-(5,1)", "k": 1, "L": 5,
+            "certification": {}, "certified": True, "n_points": 436,
+            "n_triples": 38811168, "gap_failures": 0,
+            "min_defect": 0.004733719766359138,
+            "max_defect": 0.641057047818962, "min_separation": 0.3,
+            "verdict": "pass", "worst_triple": ["BABAA", "aBaBA", "Baba"]}
+
+    @pytest.mark.slow
+    def test_c2_length_4_report_is_pinned(self):
+        # r = 4, the batched-inverse bracket, over 866,448 triples: the
+        # report as the Newton bracket gave it
+        report = ck_scan(fuchsian_locus((4, 1), REF), 2, 4)
+        assert report.to_dict() == {
+            "kind": "Ck", "rep": "fuchsian-(4,1)", "k": 2, "L": 4,
+            "certification": {"1": "anosov-like", "2": "anosov-like",
+                              "3": "anosov-like", "4": "anosov-like"},
+            "certified": True, "n_points": 124, "n_triples": 866448,
+            "gap_failures": 0, "min_defect": 0.010175009461893493,
+            "max_defect": 0.7613457822490686, "min_separation": 0.3,
+            "verdict": "pass", "worst_triple": ["aB", "abba", "Baba"]}
 
     @pytest.mark.parametrize("scan,rep,k", [
         (hk_scan, fuchsian_locus((7, 1), REF), 2),
@@ -1150,30 +1188,18 @@ class TestHkCk:
                                                   rel=1e-9, abs=0)
 
 
-@st.composite
-def split_matrices(draw):
+def split_batch(blocks, m, d, seed, thetas):
     """A batch of M = [R | Z] with its Gram blocks g = R^T (I - Z Z^T) R,
-    (r, r, N), and c = B1^T B2, (r1, r2, N), the cross block of R^T R.
-    Z is orthonormal, of m = 0 to 4 columns; R = [B1 | B2] is two
-    orthonormal blocks of r1 and r2 columns, r = r1 + r2 from 1 to 6, each
-    block at an angle from 1e-12 to pi/2 off span(Z) and the blocks before
-    it (a block with nothing before it is orthogonal to Z).  So sigma_min
-    runs from about 1e-12 (a root near 0) to exactly 1 (orthogonal
-    summands: a multiple root near 1).  The scans' shapes are (1, 1) (H_1,
-    three projected lines), (2, 1) (H_2), (1, 2) (C_1), (3, 1), (1, 3),
-    (2, 2) (H_3, C_2), a rank-0 block ((0, 1): C_1 at d = 3) and (5, 1)
-    (H_5 at d = 6, with m = 0)."""
-    blocks = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
-                                   (1, 3), (0, 1), (1, 0), (0, 2), (5, 1),
-                                   (3, 3)]))
-    m = draw(st.integers(min_value=0, max_value=min(4, 8 - sum(blocks))))
-    d = draw(st.integers(min_value=sum(blocks) + m, max_value=8))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    count = draw(st.integers(min_value=1, max_value=6))
-    offset = st.floats(min_value=-12, max_value=0).map(lambda t: 10.0 ** t)
+    (r, r, N), and c = B1^T B2, (r1, r2, N), the cross block of R^T R:
+    one M per angle of ``thetas``, each a fraction of pi/2.
+
+    Z is orthonormal, of ``m`` columns, in R^``d``; R = [B1 | B2] is two
+    orthonormal blocks of ``blocks`` = (r1, r2) columns, each at the angle
+    off span(Z) and the blocks before it (a block with nothing before it
+    is orthogonal to Z).  The bases are drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     ms, gs, cs = [], [], []
-    for _ in range(count):
-        theta = draw(st.one_of(offset, offset.map(lambda t: 1 - t)))
+    for theta in thetas:
         theta *= np.pi / 2
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         z, fresh = q[:, :m], q[:, m:]
@@ -1197,6 +1223,28 @@ def split_matrices(draw):
             np.moveaxis(np.array(cs), 0, -1))
 
 
+@st.composite
+def split_matrices(draw):
+    """``split_batch`` of m = 0 to 4 columns of Z and r = r1 + r2 from 1
+    to 6, at angles from 0 to 1 (of pi/2), near both ends on a log scale.
+    So sigma_min runs from 0 (to rounding: a root at 0) through about
+    1e-12 to exactly 1 (orthogonal summands: a multiple root near 1).  The scans' shapes are (1, 1) (H_1, three
+    projected lines), (2, 1) (H_2), (1, 2) (C_1), (3, 1), (1, 3), (2, 2)
+    (H_3, C_2), a rank-0 block ((0, 1): C_1 at d = 3) and (5, 1) (H_5 at
+    d = 6, with m = 0)."""
+    blocks = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
+                                   (1, 3), (0, 1), (1, 0), (0, 2), (5, 1),
+                                   (3, 3)]))
+    m = draw(st.integers(min_value=0, max_value=min(4, 8 - sum(blocks))))
+    d = draw(st.integers(min_value=sum(blocks) + m, max_value=8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    count = draw(st.integers(min_value=1, max_value=6))
+    offset = st.floats(min_value=-12, max_value=0).map(lambda t: 10.0 ** t)
+    thetas = [draw(st.one_of(offset, offset.map(lambda t: 1 - t)))
+              for _ in range(count)]
+    return split_batch(blocks, m, d, seed, thetas)
+
+
 class TestDefectBounds:
     @settings(max_examples=300, deadline=None)
     @given(split=split_matrices(),
@@ -1208,6 +1256,85 @@ class TestDefectBounds:
         lo, hi = _sigma_bounds(*_root_bounds(g, c, low, high))
         sigma = _smallest_singular_values(ms)
         assert np.all(lo <= sigma) and np.all(sigma <= hi)
+
+    @staticmethod
+    def bracket_steps(g, c):
+        """``_root_bounds(g, c)`` without early stops, and each step's
+        (rows, lam, q, S1, S2): rows index the columns of g that are still
+        going, matched by their (g, c) entries, which decide sigma_min."""
+        steps = []
+        sums = triples._pencil_sums
+
+        def recorded(g_rows, c_rows, lam):
+            out = sums(g_rows, c_rows, lam)
+            rows = [int(np.flatnonzero(
+                (g == g_rows[:, :, [i]]).all(axis=(0, 1))
+                & (c == c_rows[:, :, [i]]).all(axis=(0, 1)))[0])
+                for i in range(g_rows.shape[-1])]
+            steps.append((rows, lam, *out))
+            return out
+
+        with mock.patch.object(triples, "_pencil_sums", recorded):
+            bounds = _root_bounds(g, c, np.inf, -np.inf)
+        return bounds, steps
+
+    @settings(max_examples=300, deadline=None)
+    @given(split=split_matrices())
+    def test_each_laguerre_bracket_is_inside_newtons(self, split):
+        # every step's bracket, before the steps are combined, lies inside
+        # the Newton bracket [lam + 1/S1, lam + n/S1] of the same sums (to
+        # rounding) and holds sigma_min^2 within the slack
+        ms, g, c = split
+        sigma = _smallest_singular_values(ms)
+        degree = 2 * len(g)
+        _, steps = self.bracket_steps(g, c)
+        for rows, lam, q, s1, s2 in steps:
+            low_end, high_end = _laguerre_bracket(lam, q, s1, s2, degree)
+            sound = ~np.isnan(low_end)
+            newton_lo, newton_hi = lam + 1 / s1, lam + degree / s1
+            rounding = 1e-12 * newton_hi
+            assert np.all((low_end >= newton_lo - rounding)[sound])
+            assert np.all((high_end <= newton_hi + rounding)[sound])
+            lo, hi = _sigma_bounds(np.nan_to_num(low_end, nan=0.0),
+                                   np.nan_to_num(high_end, nan=np.inf))
+            assert np.all(lo <= sigma[rows]) and np.all(sigma[rows] <= hi)
+
+    def test_degree_two_bracket_closes_on_the_root(self):
+        # r = 1 (C_1 at d = 3): q has degree 2, so Laguerre's first step
+        # lands on the root, where rounding leaves q <= 0; the q guard
+        # takes lam as the upper bound and the bracket closes there
+        ms, g, c = split_batch((0, 1), 1, 3, 1, [0.5])
+        (below, above), steps = self.bracket_steps(g, c)
+        assert [q[0] <= 0 for _, _, q, _, _ in steps] == [False, True]
+        assert above == steps[1][1] and above <= (1 + BRACKET_RTOL) * below
+        lo, hi = _sigma_bounds(below, above)
+        assert lo <= _smallest_singular_values(ms) <= hi
+
+    def test_unsound_sums_keep_the_previous_bounds(self):
+        # r = 4 with R of rank 2 (sigma_min ~ 4e-17): q(0) > 0 is rounding,
+        # and its sums (S2 < 0) fit no roots above 0.  Read as a bracket
+        # they put the lower bound above 0.16; the row keeps (0, inf)
+        ms, g, c = split_batch((2, 2), 0, 4, 2, [0.0])
+        (below, above), steps = self.bracket_steps(g, c)
+        (_, _, q, s1, s2), = steps
+        assert q[0] > 0 and s2[0] < 0
+        assert (below, above) == (0.0, np.inf)
+        assert _smallest_singular_values(ms) < 1e-16
+
+    def test_c2_4_1_bracket_evaluations(self, monkeypatch):
+        # the power sums are evaluated once per step over the chunk's going
+        # rows: 21 steps over (4,1) C_2 at L = 3 (r = 4), where Newton's
+        # bracket took 69
+        calls = []
+        sums = triples._pencil_sums
+
+        def counting(g, c, lam):
+            calls.append(g.shape[-1])
+            return sums(g, c, lam)
+
+        monkeypatch.setattr(triples, "_pencil_sums", counting)
+        ck_scan(fuchsian_locus((4, 1), REF), 2, 3)
+        assert 0 < len(calls) <= 25
 
     @pytest.mark.parametrize("scan,rep,k,L,count", [
         (hk_scan, fuchsian_locus((5, 1), REF), 1, 3, 38280),
@@ -1886,6 +2013,45 @@ class TestCounterexample:
     def test_rejects_bad_grid(self):
         with pytest.raises(InputError):
             counterexample_scan([0.0])
+
+    def test_rows_equal_the_one_row_calls(self):
+        # one eigendecomposition of the stacked grid changes no bit of the
+        # rows the one-matrix eigenvalue_ratios calls give
+        grid = np.geomspace(1e-12, 1e6, 61)
+        for x, row in zip(grid, counterexample_scan(grid)):
+            gamma, delta = (eigenvalue_ratios(m, 1)
+                            for m in fg_rep(float(x)).generator_images)
+            assert (row.ratio_gamma, row.ratio_delta, row.root_length) == (
+                gamma.lambda_ratio, delta.lambda_ratio,
+                float(np.log(gamma.lambda_ratio_modulus)))
+
+    @pytest.mark.parametrize("residual,ratio,first", [
+        ((5,), (4,), "signed"),         # x[2]: gamma's ratio before delta's
+        ((4,), (4,), "residual"),       # one image: its residual first
+        ((3, 5), (), "residual 3"),     # x[1] delta before x[2] delta
+    ])
+    def test_first_failing_image_raises_in_grid_order(self, monkeypatch,
+                                                      residual, ratio,
+                                                      first):
+        # rows of the stack: gamma(x0), delta(x0), gamma(x1), ...
+        spectra, columns = spectral._spectra, spectral._eigenvalue_columns
+
+        def failing_spectra(stack):
+            table = spectra(stack)
+            table.errors.update((row, NumericError(f"residual {row}"))
+                                for row in residual)
+            return table
+
+        def disagreeing(values, k):
+            out = columns(values, k)
+            out.disagree[list(ratio)] = True
+            return out
+
+        monkeypatch.setattr(spectral, "_spectra", failing_spectra)
+        monkeypatch.setattr(spectral, "_eigenvalue_columns", disagreeing)
+        with pytest.raises(NumericError) as exc:
+            counterexample_scan([0.5, 1.0, 2.0, 4.0])
+        assert str(exc.value).startswith(first)
 
 
 class TestSopqChecks:
