@@ -64,9 +64,9 @@ class _WordBall:
       read (``spectrum``, ``flags``);
     - the eigenvalue-side values at each index k, one
       ``spectral._eigenvalue_columns`` call (``eigenvalues``);
-    - one attracting-flag table per dimension: ``fill`` computes the rows
-      it lacks in one ``core_linalg._invariant_bases`` call and keeps
-      their errors, and ``flags`` raises them where their rows are read.
+    - one attracting-flag table per dimension over every row that passed
+      its residual check, one ``core_linalg._invariant_bases`` call, whose
+      errors ``flags`` raises where their rows are read.
     """
 
     def __init__(self, rep: Representation, max_length: int, named=()):
@@ -217,41 +217,18 @@ class _WordBall:
                 self.failed()[:, None], 1.0, self._spectra().values), k)
         return self._eigenvalues[k]
 
-    def fill(self, dim: int, rows) -> tuple:
-        """The flag table of dimension ``dim``, 0 < dim < d, with ``rows``
-        computed: ``(bases, missing, errors, done)`` over all rows.
-
-        ``errors`` starts as the Spectrum table's; the rows not yet done
-        that passed their residual check are computed by one
-        ``core_linalg._invariant_bases`` call, which adds the errors of
-        its checks.  Nothing is raised.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if dim not in self._flags:
-            n, d = len(self), self.rep.dim
-            self._flags[dim] = (np.zeros((n, d, dim)), np.zeros(n, dtype=bool),
-                                dict(self._spectra().errors),
-                                np.zeros(n, dtype=bool))
-        bases, missing, errors, done = self._flags[dim]
-        todo = np.unique(rows[~done[rows]])
-        if todo.size:
-            good = todo[~self.failed()[todo]]
-            bases[good], missing[good], found = _invariant_bases(
-                self._spectra(), good, 0, dim)
-            errors.update((int(good[i]), e) for i, e in found.items())
-            done[todo] = True
-        return self._flags[dim]
-
     def flags(self, dim: int, rows) -> tuple:
         """Attracting spaces of dimension ``dim`` of the images of ``rows``:
         ``(bases, missing)``, (len(rows), d, dim) orthonormal bases, and
         True where a row has no eigenvalue-modulus gap at ``dim`` (its
         basis is zero).
 
-        The rows are read from the table of ``dim`` (``fill``); a row
-        whose residual or kernel check failed raises its NumericError
-        here, the first in ``rows`` order.  Dimensions 0 and d are the
-        zero and the whole space.
+        The rows are read from the table of ``dim``, built on first read
+        over every row that passed its residual check by one
+        ``core_linalg._invariant_bases`` call.  A row whose residual or
+        kernel check failed raises its NumericError here, the first in
+        ``rows`` order.  Dimensions 0 and d are the zero and the whole
+        space.
         """
         d = self.rep.dim
         if dim < 0 or dim > d:
@@ -260,7 +237,15 @@ class _WordBall:
         if dim in (0, d):
             return (np.broadcast_to(np.eye(d)[:, :dim], (len(rows), d, dim)),
                     np.zeros(len(rows), dtype=bool))
-        bases, missing, errors, _ = self.fill(dim, rows)
+        if dim not in self._flags:
+            n, good = len(self), np.flatnonzero(~self.failed())
+            bases, missing = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
+            bases[good], missing[good], found = _invariant_bases(
+                self._spectra(), good, 0, dim)
+            errors = dict(self._spectra().errors)
+            errors.update((int(good[i]), e) for i, e in found.items())
+            self._flags[dim] = bases, missing, errors
+        bases, missing, errors = self._flags[dim]
         if errors:
             for r in rows.tolist():
                 if r in errors:
@@ -290,7 +275,7 @@ class _WordBall:
 
 
 class BoundaryAtlas:
-    """Deduplicated attracting fixed points of a word ball, with flag access.
+    """Deduplicated attracting fixed points of a word ball.
 
     ``angles`` ascends in [0, pi); ``angles[i]`` is the attracting angle,
     in the 2x2 reference, of ``words[i]``.  The loxodromic words of
@@ -322,8 +307,3 @@ class BoundaryAtlas:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def flags(self, dim: int, points) -> tuple:
-        """``(bases, missing)`` of the flags of dimension ``dim`` at the
-        point indices ``points``: ``_WordBall.flags`` on their rows."""
-        return self.ball.flags(dim, self.rows[points])

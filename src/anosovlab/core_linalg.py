@@ -72,13 +72,10 @@ def as_matrix(m) -> np.ndarray:
 def _orthonormal_basis(a: np.ndarray, rank_rtol: float = 1e-10):
     """Orthonormalize the columns of ``a``, detecting rank by SVD."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.shape[1] == 0:
-        return a.reshape(a.shape[0], 0), 0
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if not a.size:
         return a[:, :0], 0
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    # a zero matrix has s[0] = 0 and rank 0
     rank = int(np.sum(s > rank_rtol * s[0]))
     return u[:, :rank], rank
 

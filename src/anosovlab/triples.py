@@ -49,15 +49,16 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
 
     ``used`` marks the ordered point pairs that occur in some kept triple.
     The flags of each dimension at the points of such pairs come from the
-    ball's flag table (``BoundaryAtlas.flags``), one batched
-    ``core_linalg._invariant_bases`` call per dimension; a flag without an
-    eigenvalue-modulus gap is missing, and so is every key that reads it,
-    while a flag's NumericError is raised, the first in (dim, point)
-    order.  An intersection summand is computed for every pair of
-    ``used`` without a missing flag in one ``core_linalg._intersections``
-    call, at the transversal dimension: a line in H_k and C_k.  The scan
-    hands in its summands without their whole-space parts, so at k = 1
-    every summand is a point flag and no intersection is computed.
+    ball's flag table (``_WordBall.flags``), one batched
+    ``core_linalg._invariant_bases`` call per dimension over the whole
+    ball; a flag without an eigenvalue-modulus gap is missing, and so is
+    every key that reads it, while a flag's NumericError is raised, the
+    first in (dim, point) order.  An intersection summand is computed for
+    every pair of ``used`` without a missing flag in one
+    ``core_linalg._intersections`` call, at the transversal dimension: a
+    line in H_k and C_k.  The scan hands in its summands without their
+    whole-space parts, so at k = 1 every summand is a point flag and no
+    intersection is computed.
     """
     n = len(atlas)
     d = atlas.ball.rep.dim
@@ -65,7 +66,8 @@ def _summand_tables(atlas: BoundaryAtlas, summands, used: np.ndarray) -> list:
     flags, gaps = {}, {}
     for dim in sorted({dim for summand in summands for _, dim in summand}):
         flags[dim], gaps[dim] = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
-        flags[dim][points], gaps[dim][points] = atlas.flags(dim, points)
+        flags[dim][points], gaps[dim][points] = atlas.ball.flags(
+            dim, atlas.rows[points])
     tables = []
     for summand in summands:
         roles, dims = zip(*summand)
@@ -263,8 +265,11 @@ def _laguerre_bracket(lam, q, s1, s2, degree: int) -> tuple:
     past, square = q <= 0, s1 * s1
     sound = ~past & (s1 > 0) & (s2 > 0) & (s2 <= square)
     spread = np.sqrt((degree - 1) * np.maximum(degree * s2 - square, 0.0))
-    low_end = np.where(sound, lam + degree / (s1 + spread), np.nan)
-    high_end = np.where(past, lam, np.where(sound, lam + s1 / s2, np.nan))
+    # only the sound rows are divided: the others may hold zeros
+    low_end = lam + np.divide(degree, s1 + spread, where=sound,
+                              out=np.full(np.shape(s1), np.nan))
+    high_end = np.where(past, lam, lam + np.divide(
+        s1, s2, where=sound, out=np.full(np.shape(s1), np.nan)))
     return low_end, high_end
 
 

@@ -475,7 +475,9 @@ def _projection_lines(rep: Representation, k: int, x: Word, max_length: int,
                       min_separation: float):
     """Curve points in P(x^(d-k+1)/x^(d-k-2)): the special x-line plus the
     projected sections of the ball's words with boundary points, thinned to
-    the separation cutoff and never keeping two coincident boundary points."""
+    the separation cutoff and never keeping two coincident boundary points.
+    The lines are read off a ball named by the kept words alone, so only
+    their images are decomposed."""
     ball = _WordBall(rep, max_length, (x,))
     cutoff = max(min_separation, ANGLE_SEPARATION)
     kept_angles = [ball.fixed_points(x)[0]]
@@ -486,10 +488,8 @@ def _projection_lines(rep: Representation, k: int, x: Word, max_length: int,
             continue
         kept_angles.append(angle)
         labels.append(y)
-    # the kept points' k-flags in one kernel call; each line raises its own
-    # errors, in label order
-    ball.fill(k, [ball.row(w) for w in labels])
-    return [_projected_line(ball, k, x, w) for w in labels], labels
+    curve = _WordBall(rep, 0, labels)
+    return [_projected_line(curve, k, x, w) for w in labels], labels
 
 
 def projection_triple_defect(rep: Representation, k: int, x: Word,
@@ -610,16 +610,16 @@ def _wedge_table(atlas: BoundaryAtlas, k: int) -> np.ndarray:
     (n, n, d, d) stack; the diagonal, never read, is zero.
 
     The flags of each dimension come from the ball's flag table
-    (``BoundaryAtlas.flags``), one batched ``core_linalg._invariant_bases``
-    call per dimension.  A missing flag raises the GapError naming the
-    first such point's word and the dimension, k's before d - k's; a
-    flag's NumericError is raised before the missing flags of its
-    dimension.
+    (``_WordBall.flags``), one batched ``core_linalg._invariant_bases``
+    call per dimension over the whole ball.  A missing flag raises the
+    GapError naming the first such point's word and the dimension, k's
+    before d - k's; a flag's NumericError is raised before the missing
+    flags of its dimension.
     """
     n, d = len(atlas), atlas.ball.rep.dim
     flags = []
     for dim in (k, d - k):
-        bases, missing = atlas.flags(dim, np.arange(n))
+        bases, missing = atlas.ball.flags(dim, atlas.rows)
         if missing.any():
             raise atlas.ball.gap_error(
                 dim, atlas.rows[int(np.argmax(missing))])
@@ -789,22 +789,13 @@ def _auxiliary_point(ball: _WordBall, g: Word, candidates) -> Word:
 def eigen_identity_scan(rep: Representation, k: int, max_length: int) -> list:
     """Eigenvalue-identity reports for every loxodromic word of the ball, in
     ball order, each at the first of ``_AUXILIARY_WORDS`` within the rep's
-    rank whose boundary point avoids its fixed points.
-
-    The flags every item reads (dimensions k, d - k - 1, d - k and
-    d - k + 1 of the loxodromic words, which include their inverses, and
-    of the auxiliary words) are filled first, one kernel call per
-    dimension; each item then raises its own errors, in item order.
+    rank whose boundary point avoids its fixed points.  Each item raises
+    its own errors, in item order.
     """
     _check_k(k, rep.dim - 1)
     aux = [w for w in _AUXILIARY_WORDS if max(map(abs, w.letters)) <= rep.rank]
     ball = _WordBall(rep, max_length, aux)
     words, _ = ball.loxodromic()
-    d = rep.dim
-    rows = np.concatenate([ball.loxodromic_rows(),
-                           [ball.row(w) for w in aux]]).astype(np.intp)
-    for dim in sorted({k, d - k - 1, d - k, d - k + 1}.difference({0, d})):
-        ball.fill(dim, rows)
     return [_eigen_identities(ball, k, w, _auxiliary_point(ball, w, aux))
             for w in words]
 

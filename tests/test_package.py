@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import anosovlab
+from anosovlab import ball as word_ball
 from anosovlab import verification
 from anosovlab.cli import cli
 from anosovlab.representations import (
@@ -266,6 +267,32 @@ def test_one_svd_caller():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func) in ("svd", "core_linalg.svd")})
     assert callers == ["spectral.py:singular_gaps"]
+
+
+def test_flag_tables_are_built_whole(monkeypatch):
+    # a ball's flag table of a dimension covers every row that passed its
+    # residual check, one kernel call on its first read: no scan fills
+    # rows ahead, and only the one-matrix functions call the kernel too
+    src = ROOT / "src" / "anosovlab"
+    callers = sorted({f"{path.name}:{scope}" for path in src.glob("*.py")
+                      for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "_invariant_bases"})
+    assert callers == ["ball.py:_WordBall.flags",
+                       "core_linalg.py:eig_by_modulus",
+                       "spectral.py:attracting_space"]
+    calls = []
+    kernel = word_ball._invariant_bases
+
+    def counting(spec, rows, start, stop):
+        calls.append((rows.tolist(), stop))
+        return kernel(spec, rows, start, stop)
+
+    monkeypatch.setattr(word_ball, "_invariant_bases", counting)
+    ball = word_ball._WordBall(fg_rep(1.0), 2)
+    for rows in ([3], [1, 2], [3]):
+        ball.flags(1, rows)
+    assert calls == [(list(range(len(ball))), 1)]
 
 
 def test_cli_builds_no_collar_row():

@@ -88,6 +88,20 @@ class TestGeneratorImages:
         assert g[0, 0] == 1.0
 
 
+    def test_rejects_reference_not_2x2(self):
+        rep = fg_rep(1.0)
+        with pytest.raises(InputError, match="boundary reference must be 2x2"):
+            Representation(dim=3, generator_images=rep.generator_images,
+                           reference=rep)
+
+    def test_rejects_reference_generator_not_loxodromic(self):
+        # a parabolic generator: trace 2
+        ref = Representation(dim=2,
+                             generator_images=(np.array([[1, 1], [0, 1]]),))
+        with pytest.raises(InputError, match=r"loxodromic \(\|trace\| > 2\)"):
+            Representation(dim=2, generator_images=ref.generator_images,
+                           reference=ref)
+
 class TestSymPower:
     def test_diagonal_weights(self):
         t = 1.7
@@ -99,6 +113,23 @@ class TestSymPower:
         got = sym_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 3)
         expected = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         assert np.allclose(got, expected)
+
+    def test_singular_input_rejected(self):
+        with pytest.raises(InputError, match="input matrix is singular"):
+            sym_power(np.diag([1.0, 0.0]), 3)
+
+    def test_negative_determinant_odd_dimension_negates(self):
+        # diag(1, -1) goes to diag(1, -1, 1) of determinant -1; the
+        # global sign makes it unimodular
+        got = sym_power(np.diag([1.0, -1.0]), 3)
+        assert np.array_equal(got, np.diag([-1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_negative_determinant_even_dimension_raises(self, d):
+        # diag(1, -1) goes to determinant (-1)^(d(d-1)/2), -1 at d = 2, 6
+        with pytest.raises(ConstructionError, match="cannot be scaled to 1 "
+                           f"in even dimension {d}"):
+            sym_power(np.diag([1.0, -1.0]), d)
 
     def test_dimension_one(self):
         got = sym_power(random_sl2(), 1)
@@ -283,6 +314,22 @@ class TestSopq:
         v = np.array([-1.0, 0.0, 0.5])
         with pytest.raises(DomainError):
             sopq_E(data, 4 - 1, v)
+
+    @pytest.mark.parametrize("k", [0, 4, -1])
+    def test_E_index_outside_range_rejected(self, k):
+        with pytest.raises(InputError, match=f"index k={k} outside 1..3"):
+            sopq_E(sopq_form(4, 5), k, 1.0)
+
+    @pytest.mark.parametrize("v", [0.0, -0.5, np.nan, np.inf])
+    def test_E_scalar_must_be_positive(self, v):
+        with pytest.raises(DomainError, match="E_1 needs a positive scalar"):
+            sopq_E(sopq_form(4, 5), 1, v)
+
+    def test_E_last_rejects_wrong_length(self):
+        # (4, 5): the J block, and the vector, has length 5 - 4 + 2 = 3
+        with pytest.raises(DomainError, match=r"E_3 needs a vector of "
+                           r"length 3, got shape \(4,\)"):
+            sopq_E(sopq_form(4, 5), 3, np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_ab_superdiagonal_entries(self):
         # entries of each ab factor at (d-k-1, d-k) and (d-k, d-k+1)

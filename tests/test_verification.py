@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -556,7 +556,7 @@ class TestWordBall:
         atlas = BoundaryAtlas(rep, max_length)
         missed = 0
         for dim in dims:
-            bases, missing = atlas.flags(dim, np.arange(len(atlas)))
+            bases, missing = atlas.ball.flags(dim, atlas.rows)
             assert bases.shape == (len(atlas), rep.dim, dim)
             for i, w in enumerate(atlas.words):
                 try:
@@ -733,8 +733,9 @@ class TestWordBall:
 
     def test_eigen_identity_scan_computes_each_item_once(self, monkeypatch):
         # every attracting space is a row of the ball's flag table, whose
-        # rows the kernel computes once each, and every reference fixed
-        # point a row of one batched call over the ball
+        # rows the kernel computes once each: the 53 rows of the L = 3 ball
+        # at k = 1 and 2, the identity's included.  Every reference fixed
+        # point is a row of one batched call over the ball
         spaces, points, calls = Counter(), Counter(), []
         kernel = word_ball._invariant_bases
         fixed_points = word_ball._rp1_fixed_points
@@ -754,7 +755,7 @@ class TestWordBall:
         reports = eigen_identity_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 52
         assert sorted(calls) == [1, 2]
-        assert len(spaces) == 104 and set(spaces.values()) == {1}
+        assert len(spaces) == 106 and set(spaces.values()) == {1}
         assert len(points) == 53 and set(points.values()) == {1}
 
     @pytest.mark.parametrize("rep,k,max_length", [
@@ -767,17 +768,17 @@ class TestWordBall:
     ], ids=["fg1-L3", "fg1-k2", "fg1-L4", "fg0.6-L3", "51-L2", "42-k2"])
     def test_eigen_identity_scan_equals_the_point_by_point_loop(
             self, rep, k, max_length):
-        # filling the flag tables first changes neither the reports nor the
-        # first error: the loop below reads each flag through a one-row
-        # kernel call, item by item
+        # the whole-ball flag tables change neither the reports nor the
+        # first error: the loop below checks each item on the ball named by
+        # its two words alone (``check_eigen_identities``), item by item
         rep = rep()
         aux = [w for w in verification._AUXILIARY_WORDS
                if max(map(abs, w.letters)) <= rep.rank]
 
         def point_by_point():
             ball = _WordBall(rep, max_length, aux)
-            return [verification._eigen_identities(
-                        ball, k, w, verification._auxiliary_point(ball, w, aux))
+            return [check_eigen_identities(
+                        rep, k, w, verification._auxiliary_point(ball, w, aux))
                     for w in ball.loxodromic()[0]]
 
         try:
@@ -1133,7 +1134,8 @@ class TestHkCk:
     ], ids=["hk-51-L3", "posratio-fg-L3"])
     def test_scan_builds_each_flag_dimension_in_one_kernel_call(
             self, monkeypatch, scan, dims):
-        # one batched flag kernel per dimension over the scan's points, and
+        # one batched flag kernel per dimension over the whole ball, all 53
+        # rows of the rank-2 L = 3 ball, not only the scan's 44 points, and
         # no attracting_space call per point
         calls = []
         kernel = word_ball._invariant_bases
@@ -1150,7 +1152,8 @@ class TestHkCk:
         monkeypatch.setattr(spectral, "attracting_space", no_space)
         report = scan()
         assert [call[:2] for call in calls] == [(0, dim) for dim in dims]
-        assert {call[2] for call in calls} == {report.n_points}
+        assert report.n_points == 44
+        assert {call[2] for call in calls} == {53}
 
     def test_ck_scan_7_1_passes(self):
         rep = fuchsian_locus((7, 1), REF)
@@ -1280,6 +1283,8 @@ class TestDefectBounds:
 
     @settings(max_examples=300, deadline=None)
     @given(split=split_matrices())
+    # r = 4 with R of rank 2: S1 = -0.0 and S2 < 0 on the first step
+    @example(split=split_batch((2, 2), 0, 4, 1253040446, [0.0]))
     def test_each_laguerre_bracket_is_inside_newtons(self, split):
         # every step's bracket, before the steps are combined, lies inside
         # the Newton bracket [lam + 1/S1, lam + n/S1] of the same sums (to
@@ -1290,11 +1295,13 @@ class TestDefectBounds:
         _, steps = self.bracket_steps(g, c)
         for rows, lam, q, s1, s2 in steps:
             low_end, high_end = _laguerre_bracket(lam, q, s1, s2, degree)
+            # Newton's bracket only where S1 > 0: the others may divide by 0
             sound = ~np.isnan(low_end)
-            newton_lo, newton_hi = lam + 1 / s1, lam + degree / s1
+            at = lam[sound] if np.ndim(lam) else lam
+            newton_lo, newton_hi = at + 1 / s1[sound], at + degree / s1[sound]
             rounding = 1e-12 * newton_hi
-            assert np.all((low_end >= newton_lo - rounding)[sound])
-            assert np.all((high_end <= newton_hi + rounding)[sound])
+            assert np.all(low_end[sound] >= newton_lo - rounding)
+            assert np.all(high_end[sound] <= newton_hi + rounding)
             lo, hi = _sigma_bounds(np.nan_to_num(low_end, nan=0.0),
                                    np.nan_to_num(high_end, nan=np.inf))
             assert np.all(lo <= sigma[rows]) and np.all(sigma[rows] <= hi)
@@ -1320,6 +1327,18 @@ class TestDefectBounds:
         assert q[0] > 0 and s2[0] < 0
         assert (below, above) == (0.0, np.inf)
         assert _smallest_singular_values(ms) < 1e-16
+
+    def test_unsound_row_is_not_divided(self):
+        # S1 = -0.0, as the r = 4 draw above gives it: the row gets no end
+        # and no division by zero, and the sound row beside it keeps the
+        # exact values of its formulas
+        lam = np.array([0.0, 0.5])
+        q = np.array([1.6e-34, 1.0])
+        s1, s2 = np.array([-0.0, 4.0]), np.array([-5.0e34, 3.0])
+        low_end, high_end = _laguerre_bracket(lam, q, s1, s2, 8)
+        assert np.isnan(low_end[0]) and np.isnan(high_end[0])
+        assert low_end[1] == 0.5 + 8 / (4.0 + np.sqrt(7 * (8 * 3.0 - 16.0)))
+        assert high_end[1] == 0.5 + 4.0 / 3.0
 
     def test_c2_4_1_bracket_evaluations(self, monkeypatch):
         # the power sums are evaluated once per step over the chunk's going
@@ -1435,7 +1454,21 @@ class TestDefectBounds:
             assert 0 < sum(rows) <= cap * report.n_triples
 
 
+def one_generator_rep() -> Representation:
+    """Sym^2 of the first reference generator alone, with that one-generator
+    reference: every word is a power of it, so its boundary has two
+    points."""
+    ref = Representation(dim=2, generator_images=REF.generator_images[:1])
+    return fuchsian_locus((3,), ref)
+
+
 class TestProjectionHyperconvexity:
+    def test_fewer_than_three_curve_points_rejected(self):
+        # the base point and the repelling point of its inverse
+        with pytest.raises(PreconditionError,
+                           match="need at least three distinct curve points"):
+            check_projection_hyperconvexity(one_generator_rep(), 1, A, 3)
+
     def test_fg_projection(self):
         rep = fg_rep(1.0)
         report = check_projection_hyperconvexity(rep, 1, A, 3)
@@ -1443,8 +1476,10 @@ class TestProjectionHyperconvexity:
         assert report.verdict == "pass"
 
     def test_curve_flags_are_one_kernel_call(self, monkeypatch):
-        # the kept points' k-flags, not one call per point; at d = 3 and
-        # k = 1 the base point's other flags are 0, 1 (its k-flag) and 3
+        # the k-flags of the ball named by the 44 kept words, 49 rows with
+        # the identity and the inverses and prefixes not among them, in
+        # one call, not one per point; at d = 3 and k = 1 the base point's
+        # other flags are 0, 1 (its k-flag) and 3
         calls = []
         kernel = word_ball._invariant_bases
 
@@ -1455,7 +1490,8 @@ class TestProjectionHyperconvexity:
         monkeypatch.setattr(word_ball, "_invariant_bases", counting_kernel)
         report = check_projection_hyperconvexity(fg_rep(1.0), 1, A, 3,
                                                  min_separation=0)
-        assert calls == [(report.n_points, 1)]
+        assert report.n_points == 44
+        assert calls == [(49, 1)]
 
     def test_repeated_point_in_triple_rejected(self):
         rep = fg_rep(1.0)
@@ -1624,6 +1660,11 @@ class TestIndexRange:
 
 
 class TestPositivelyRatioed:
+    def test_fewer_than_four_points_rejected(self):
+        with pytest.raises(InputError,
+                           match="need at least 4 boundary points"):
+            check_positively_ratioed(one_generator_rep(), 1, 3)
+
     def test_fg_min_gcr_above_one(self):
         report = check_positively_ratioed(fg_rep(1.0), 1, 2)
         assert report.passed
