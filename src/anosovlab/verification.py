@@ -100,7 +100,8 @@ MONOTONE_SLACK = 0.5      # allowed dip (log units) of per-length minima;
                           # specific lengths without changing the trend
 SCAN_ACCEPT = 1e-4        # scan-level defect above which a property holds
 SCAN_REJECT = 1e-7        # scan-level defect below which it fails
-PAIR_BLOCK = 1 << 16      # (g, h) cells of the linkage mask built at once
+PAIR_BLOCK = 1 << 16      # pair cells built at once: (g, h) of the linkage
+                          # mask, (i, j) of the wedge table's det stack
 CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
                           # C_k scan
 POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
@@ -571,11 +572,11 @@ def check_positively_ratioed(rep: Representation, k: int,
     The 4 C(n, 4) rotations of 4-subsets of the angle-sorted points are all
     cyclic arrangements, scored from one batched ``det`` table of [k-flag_i |
     (d-k)-flag_j] (``_wedge_table``).  ``_arrangement_minimum`` finds their
-    minimum without visiting each: one prefix-min/max sweep per point, O(n^3)
-    time and O(n^2) memory on every table, however many arrangements tie,
-    bit-identical to scoring every arrangement.  The worst quadruple is the
-    first minimum in sweep order: z in angle order, then x, y and w by
-    cyclic position after z.
+    minimum without visiting each: one prefix-min/max pass for every z at
+    once, O(n^3) time and O(n^2) memory on every table, however many
+    arrangements tie, bit-identical to scoring every arrangement.  The worst
+    quadruple is the first minimum in the order z in angle order, then x, y
+    and w by cyclic position after z.
     Passing means min > 1 + ``POSITIVITY_MARGIN``.  A point without an
     eigenvalue-modulus gap at k or d - k raises ``GapError`` naming its
     word and the flag dimension; a wedge below ``WEDGE_DEGENERACY_TOL``
@@ -606,8 +607,9 @@ def check_positively_ratioed(rep: Representation, k: int,
 
 
 def _wedge_table(atlas: BoundaryAtlas, k: int) -> np.ndarray:
-    """W[i, j] = det[k-flag_i | (d-k)-flag_j], one batched ``det`` over the
-    (n, n, d, d) stack; the diagonal, never read, is zero.
+    """W[i, j] = det[k-flag_i | (d-k)-flag_j], one batched ``det`` per
+    block of ``PAIR_BLOCK`` (i, j) cells, so the (rows, n, d, d) stack
+    stays that size; the diagonal, never read, is zero.
 
     The flags of each dimension come from the ball's flag table
     (``_WordBall.flags``), one batched ``core_linalg._invariant_bases``
@@ -625,9 +627,13 @@ def _wedge_table(atlas: BoundaryAtlas, k: int) -> np.ndarray:
                 dim, atlas.rows[int(np.argmax(missing))])
         flags.append(bases)
     k_flags, dk_flags = flags
-    wedge = np.linalg.det(np.concatenate(
-        [np.broadcast_to(k_flags[:, None], (n, n, d, k)),
-         np.broadcast_to(dk_flags[None, :], (n, n, d, d - k))], axis=3))
+    wedge = np.empty((n, n))
+    stack = np.empty((min(n, max(1, PAIR_BLOCK // n)), n, d, d))
+    stack[..., k:] = dk_flags
+    for start in range(0, n, len(stack)):
+        rows = k_flags[start:start + len(stack)]
+        stack[:len(rows), ..., :k] = rows[:, None]
+        wedge[start:start + len(rows)] = np.linalg.det(stack[:len(rows)])
     np.fill_diagonal(wedge, 0.0)
     return wedge
 
@@ -638,47 +644,69 @@ def _arrangement_minimum(wedge: np.ndarray) -> tuple:
 
     An arrangement is cyclically ordered, x < y < z < w, and scores
     ``(W[x,z]/W[x,y]) * (W[w,y]/W[w,z])``; only off-diagonal entries are
-    read.  Instead of scoring all 4 C(n, 4) arrangements, one sweep per z
-    (``_arc_sweep``) takes the exact minimum over w for every (x, y) from
-    prefix minima and maxima, every value bit-identical to the
-    arrangement's own: O(n^3) time and O(n^2) memory on every table.
+    read.  On the arc after z the order is w, x, y.  With F = W[x,z]/W[x,y]
+    and G = W[w,y]/W[w,z], the minimum over w before x of fl(G * F), the
+    loop's two IEEE factors commuted, is F times the prefix minimum of G
+    where F > 0 and times its prefix maximum where F < 0, as rounding is
+    monotone.  One pass over the arc position of x keeps those prefix
+    extremes for every z at once (``_point_minima``), as (z, y) planes of
+    the y after x: O(n^3) time and O(n^2) memory on every table, every
+    value bit-identical.
 
-    The witness is the first minimum in the order the sweeps visit
-    arrangements: z in angle order, then x, y and w by cyclic position
-    after z.  The first minimizing z is swept once more; its first (x, y)
-    attaining the minimum, row-major, is kept, and the first w before x
-    whose product G * F equals it.  Such a w exists: the minimum is F times
-    a prefix minimum or maximum of G, which is the G of some w before x.
+    The witness is the first minimum in the order z in angle order, then
+    x, y and w by cyclic position after z.  Only the first minimizing z is
+    swept (``_arc_sweep``); its first (x, y) attaining the minimum,
+    row-major, is kept, and the first w before x whose product G * F equals
+    it.  Such a w exists: the minimum is F times a prefix minimum or
+    maximum of G, which is the G of some w before x.
     """
     n = len(wedge)
-    ring = np.tile(wedge, (2, 2))
-    np.fill_diagonal(ring, 1.0)   # the arcs' W[i, i]: read by no arrangement
-    # (x, y) at arc positions (i, j) with 1 <= i < j; row r holds i = r + 1
-    valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
-    minima = [np.min(_arc_sweep(ring, z)[2], where=valid, initial=np.inf)
-              for z in range(n)]
+    minima = _point_minima(wedge)
     z = int(np.argmin(minima))
     min_gcr = minima[z]
+    ring = np.tile(wedge, (2, 2))
+    np.fill_diagonal(ring, 1.0)   # the arc's W[i, i]: read by no arrangement
     g, f, values = _arc_sweep(ring, z)
+    # (x, y) at arc positions (i, j) with 1 <= i < j; row r holds i = r + 1
+    valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
     r, j = np.argwhere(valid & (values == min_gcr))[0]
     w = int(np.argmax(g[:r + 1, j] * f[r, j] == min_gcr))
     arc = (z + 1 + np.arange(n - 1)) % n
     return float(min_gcr), (int(arc[r + 1]), int(arc[j]), z, int(arc[w]))
 
 
-def _arc_sweep(ring: np.ndarray, z: int) -> tuple:
-    """Every arrangement (x, y, z, w) of one z, minimised over w, in O(n^2)
-    time and memory.
+def _point_minima(wedge: np.ndarray) -> np.ndarray:
+    """Each z's minimum of ``_arrangement_minimum``, all from one pass over
+    the arc position a of x, whose planes are freed before the witness."""
+    n = len(wedge)
+    # sheared[p, c] = W[p, p + c], tiled: x at arc position a of every z is
+    # the row slice p = z + 1 + a, with W[x, z] in column n - 1 - a
+    i = np.arange(n)[:, None]
+    sheared = np.tile(wedge[i, (i + np.arange(n)) % n], (2, 1))
+    rows = sheared[1:n + 1]                  # w at arc position 0
+    low = rows[:, 1:n - 1] / rows[:, n - 1:]  # columns: y at 1 .. n - 2
+    high = low.copy()
+    minima = np.full(n, np.inf)
+    for a in range(1, n - 2):
+        rows = sheared[a + 1:a + 1 + n]
+        to_y, to_z = rows[:, 1:n - 1 - a], rows[:, n - 1 - a:n - a]
+        f = to_z / to_y
+        low, high = low[:, 1:], high[:, 1:]  # y after x
+        np.minimum(minima, np.min(np.where(f > 0, low, high) * f, axis=1),
+                   out=minima)
+        g = to_y[:, 1:] / to_z               # w at a, for the next x
+        np.minimum(low[:, 1:], g, out=low[:, 1:])
+        np.maximum(high[:, 1:], g, out=high[:, 1:])
+    return minima
 
-    ``ring`` is the wedge table tiled twice in both axes, so the n - 1
-    points after z in cyclic order, the arc, are a view: on it the
-    arrangement's order is w, x, y.  With G[w, y] = W[w,y]/W[w,z] and
-    F[x, y] = W[x,z]/W[x,y], its value is the product G * F, the loop's two
-    IEEE factors commuted and so bit-identical.  Rounding is monotone, so
-    the minimum over w before x of fl(G * F) is F times the prefix minimum
-    of G along the arc where F > 0, and times its prefix maximum where
-    F < 0.  Returns G (arc position of w, of y), F and those minima, the
-    last two with row r for x at arc position r + 1.
+
+def _arc_sweep(ring: np.ndarray, z: int) -> tuple:
+    """The witness's sweep: every arrangement (x, y, z, w) of one z,
+    minimised over w by the prefix extremes of ``_arrangement_minimum``.
+
+    ``ring`` is the wedge table tiled twice in both axes, so the arc after
+    z is a view.  Returns G (arc position of w, of y), F and those minima,
+    the last two with row r for x at arc position r + 1.
     """
     n = len(ring) // 2
     arc = ring[z + 1:z + n, z + 1:z + n]

@@ -302,6 +302,24 @@ def pairwise_arrangement_minimum(wedge):
     return min_gcr, worst
 
 
+def per_point_arrangement_minimum(wedge):
+    """The same first minimum from one ``_arc_sweep`` per z: O(n^3) time,
+    O(n^2) memory, and n sweeps of two ``ufunc.accumulate`` passes."""
+    n = len(wedge)
+    ring = np.tile(wedge, (2, 2))
+    np.fill_diagonal(ring, 1.0)
+    valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
+    minima = [np.min(verification._arc_sweep(ring, z)[2], where=valid,
+                     initial=np.inf) for z in range(n)]
+    z = int(np.argmin(minima))
+    min_gcr = minima[z]
+    g, f, values = verification._arc_sweep(ring, z)
+    r, j = np.argwhere(valid & (values == min_gcr))[0]
+    w = int(np.argmax(g[:r + 1, j] * f[r, j] == min_gcr))
+    arc = (z + 1 + np.arange(n - 1)) % n
+    return float(min_gcr), (int(arc[r + 1]), int(arc[j]), z, int(arc[w]))
+
+
 @st.composite
 def wedge_tables(draw, elements):
     n = draw(st.integers(min_value=4, max_value=12))
@@ -1715,16 +1733,54 @@ class TestPositivelyRatioed:
             assert _arrangement_minimum(wedge) == \
                 pairwise_arrangement_minimum(wedge)
 
-    def test_sweep_matches_pairwise_arrays_on_fg_L4(self):
-        atlas = BoundaryAtlas(fg_rep(1.0), 4)
+    def test_sweep_matches_pairwise_arrays_on_fg_L4(self, x=1.0):
+        atlas = BoundaryAtlas(fg_rep(x), 4)
         wedge = _wedge_table(atlas, 1)
         assert len(wedge) == 124
         assert _arrangement_minimum(wedge) == \
             pairwise_arrangement_minimum(wedge)
 
-    def test_all_tied_table_costs_one_sweep_more_than_n(self, monkeypatch):
-        # on a constant table every arrangement ties: the witness must cost
-        # one more sweep, not a pass over the tied arrangements
+    # fg(0.6) and fg(2) have their minima near 1 + 1e-10, where rounding
+    # decides ``passed``
+    @pytest.mark.parametrize("x", [0.6, 2.0])
+    def test_sweep_matches_pairwise_arrays_on_fg_L4_near_one(self, x):
+        self.test_sweep_matches_pairwise_arrays_on_fg_L4(x)
+
+    def test_sweep_matches_per_point_sweeps_on_fg_L5(self):
+        # the L=5 scan aborts on a degenerate wedge before its sweep; its
+        # table still gives the sweep 436 points of real rounding
+        wedge = _wedge_table(BoundaryAtlas(fg_rep(1.0), 5), 1)
+        assert len(wedge) == 436
+        assert _arrangement_minimum(wedge) == \
+            per_point_arrangement_minimum(wedge)
+
+    @pytest.mark.parametrize("rep, k, max_length, block, calls", [
+        (fg_rep(1.0), 1, 3, 1, 44), (fg_rep(1.0), 1, 3, 44 * 5 + 3, 9),
+        (fuchsian_locus((5, 1), REF), 2, 2, 12 * 5, 3),
+    ], ids=["fg1-k1-L3-row", "fg1-k1-L3-5rows", "51-k2-L2-5rows"])
+    def test_wedge_table_in_row_blocks_equals_one_block(
+            self, monkeypatch, rep, k, max_length, block, calls):
+        atlas = BoundaryAtlas(rep, max_length)
+        _wedge_table(atlas, k)   # the ball's flag tables, which call det
+        dets = []
+        det = np.linalg.det
+
+        def counting_det(a):
+            dets.append(len(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        whole = _wedge_table(atlas, k)
+        assert dets == [len(atlas)]
+        dets.clear()
+        monkeypatch.setattr(verification, "PAIR_BLOCK", block)
+        assert np.array_equal(_wedge_table(atlas, k), whole)
+        assert len(dets) == calls
+        assert sum(dets) == len(atlas)
+
+    def test_all_tied_table_costs_one_sweep(self, monkeypatch):
+        # on a constant table every arrangement ties: the witness costs the
+        # one sweep of its z, not a pass over the tied arrangements
         sweeps = []
         sweep = verification._arc_sweep
 
@@ -1735,7 +1791,7 @@ class TestPositivelyRatioed:
         monkeypatch.setattr(verification, "_arc_sweep", counting_sweep)
         min_gcr, worst = _arrangement_minimum(np.ones((124, 124)))
         assert min_gcr == 1.0
-        assert len(sweeps) <= 124 + 1
+        assert sweeps == [0]
         wedge = np.ones((7, 7))
         min_gcr, worst, _ = reference_arrangement_minimum(wedge)
         assert _arrangement_minimum(wedge) == (min_gcr, worst)
