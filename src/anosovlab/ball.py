@@ -58,10 +58,14 @@ class _WordBall:
     - the 2x2 reference images (``_products``) and their fixed points, one
       ``groups._rp1_fixed_points`` call (``reference_ends``), read by
       ``fixed_points`` and ``loxodromic``;
-    - the Spectrum table of ``images``, one ``core_linalg._spectra`` call,
-      and the mask of its failed rows (``failed``); a word whose row
-      failed its residual check raises its NumericError only when it is
-      read (``spectrum``, ``flags``);
+    - the Spectrum table of ``images`` and the mask of its failed rows
+      (``failed``); a word whose row failed its residual check raises its
+      NumericError only when it is read (``spectrum``, ``flags``).  The
+      table is values-only (one ``core_linalg._spectra`` call without
+      eigenvectors) until a flag or a one-row ``spectrum`` is read, which
+      replaces it by one table with eigenvectors.  LAPACK runs the same QR
+      sweeps either way, so its values, and all read off them before,
+      stay the same bit for bit;
     - the eigenvalue-side values at each index k, one
       ``spectral._eigenvalue_columns`` call (``eigenvalues``);
     - one attracting-flag table per dimension over every row that passed
@@ -190,10 +194,12 @@ class _WordBall:
         rows = self.loxodromic_rows()
         return [self.words[r] for r in rows], self.reference_ends()[0][rows]
 
-    def _spectra(self) -> Spectrum:
-        """The Spectrum table of ``images``, built on first use."""
-        if self._spectrum is None:
-            self._spectrum = _spectra(self.images)
+    def _spectra(self, vectors: bool = False) -> Spectrum:
+        """The Spectrum table of ``images``, built on first use, values
+        only until ``vectors`` is asked for."""
+        if self._spectrum is None or (vectors
+                                      and self._spectrum.vectors is None):
+            self._spectrum = _spectra(self.images, vectors)
         return self._spectrum
 
     def failed(self) -> np.ndarray:
@@ -207,7 +213,7 @@ class _WordBall:
 
     def spectrum(self, w: Word) -> Spectrum:
         """The one-row Spectrum of the image of ``w``, or its error raised."""
-        return spectrum(self._spectra().take([self.row(w)]))
+        return spectrum(self._spectra(vectors=True).take([self.row(w)]))
 
     def eigenvalues(self, k: int):
         """``spectral._eigenvalue_columns`` at index k of every row, one
@@ -238,11 +244,12 @@ class _WordBall:
             return (np.broadcast_to(np.eye(d)[:, :dim], (len(rows), d, dim)),
                     np.zeros(len(rows), dtype=bool))
         if dim not in self._flags:
+            table = self._spectra(vectors=True)
             n, good = len(self), np.flatnonzero(~self.failed())
             bases, missing = np.zeros((n, d, dim)), np.zeros(n, dtype=bool)
             bases[good], missing[good], found = _invariant_bases(
-                self._spectra(), good, 0, dim)
-            errors = dict(self._spectra().errors)
+                table, good, 0, dim)
+            errors = dict(table.errors)
             errors.update((int(good[i]), e) for i, e in found.items())
             self._flags[dim] = bases, missing, errors
         bases, missing, errors = self._flags[dim]

@@ -409,8 +409,9 @@ class Spectrum:
 
     ``values[i]`` run by descending modulus, then real part, then imaginary
     part, and column j of ``vectors[i]`` is a unit eigenvector of
-    ``values[i, j]``; ``errors`` maps each row that failed its residual
-    check to its NumericError.  A one-row table stands for one matrix.
+    ``values[i, j]``; ``vectors`` is None in a values-only table.
+    ``errors`` maps each row that failed its residual check to its
+    NumericError.  A one-row table stands for one matrix.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -421,27 +422,32 @@ class Spectrum:
 
     def __post_init__(self):
         for name in ("entries", "values", "vectors", "norms"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def take(self, rows) -> "Spectrum":
         """The table of ``rows``, real when all their spectra are, as
         ``np.linalg.eig`` gives them alone."""
         rows = np.asarray(rows, dtype=np.intp)
-        values, vectors = self.values[rows], self.vectors[rows]
+        values = self.values[rows]
+        vectors = None if self.vectors is None else self.vectors[rows]
         if not values.imag.any():
-            values, vectors = values.real, vectors.real
+            values = values.real
+            vectors = None if vectors is None else vectors.real
         errors = {i: self.errors[r] for i, r in enumerate(rows.tolist())
                   if r in self.errors}
         return Spectrum(self.entries[rows], values, vectors, self.norms[rows],
                         errors)
 
 
-def _spectra(matrices) -> Spectrum:
+def _spectra(matrices, vectors: bool = True) -> Spectrum:
     """The Spectrum table of n square matrices, an (n, d, d) stack or a
-    sequence of (d, d) arrays.
+    sequence of (d, d) arrays; without eigenvectors where ``vectors`` is
+    False.
 
-    One batched ``eig``, one batched 2-norm and one batched determinant
-    serve all of them, and each matrix is checked as if alone:
+    One batched ``eig`` (``eigvals`` without eigenvectors), one batched
+    2-norm and one batched determinant serve all of them, and each matrix
+    is checked as if alone:
     |det(M - lambda I)| <= 1e-8 max(||M||, 1)^d per eigenvalue, one array
     comparison for all rows.  A matrix failing the check gets, in
     ``errors``, the error naming its first failing eigenvalue, for the
@@ -449,10 +455,14 @@ def _spectra(matrices) -> Spectrum:
     """
     stack = np.asarray(matrices, dtype=float)
     d = stack.shape[-1]
-    vals, vecs = np.linalg.eig(stack)
+    if vectors:
+        vals, vecs = np.linalg.eig(stack)
+    else:
+        vals, vecs = np.linalg.eigvals(stack), None
     order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)), axis=-1)
     vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    if vectors:
+        vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
     real = ~np.any(vals.imag != 0, axis=-1)
     norms = np.linalg.norm(stack, 2, axis=(-2, -1))
     # real spectra are checked in real arithmetic, as eigvals would give them

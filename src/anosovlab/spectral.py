@@ -219,6 +219,8 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
         "period_real", "ratio_signed", "no_gap", "disagree", "zero"))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows, vals in ((real, values[real].real), (~real, values[~real])):
+            if not len(vals):
+                continue
             period = np.prod(vals[:, :k], axis=-1) / np.prod(vals[:, -k:], axis=-1)
             flag = np.abs(period.imag) <= REAL_IMAG_TOL * np.maximum(
                 _modulus(period), 1e-300)

@@ -101,7 +101,7 @@ MONOTONE_SLACK = 0.5      # allowed dip (log units) of per-length minima;
 SCAN_ACCEPT = 1e-4        # scan-level defect above which a property holds
 SCAN_REJECT = 1e-7        # scan-level defect below which it fails
 PAIR_BLOCK = 1 << 16      # pair cells built at once: (g, h) of the linkage
-                          # mask, (i, j) of the wedge table's det stack
+                          # parity, (i, j) of the wedge table's det stack
 CERTIFICATION_LENGTH = 6  # word length of the gap scans certifying a
                           # C_k scan
 POSITIVITY_MARGIN = 1e-9  # a positivity scan passes when min gcr > 1 + this
@@ -664,9 +664,7 @@ def _arrangement_minimum(wedge: np.ndarray) -> tuple:
     minima = _point_minima(wedge)
     z = int(np.argmin(minima))
     min_gcr = minima[z]
-    ring = np.tile(wedge, (2, 2))
-    np.fill_diagonal(ring, 1.0)   # the arc's W[i, i]: read by no arrangement
-    g, f, values = _arc_sweep(ring, z)
+    g, f, values = _arc_sweep(wedge, z)
     # (x, y) at arc positions (i, j) with 1 <= i < j; row r holds i = r + 1
     valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
     r, j = np.argwhere(valid & (values == min_gcr))[0]
@@ -700,17 +698,20 @@ def _point_minima(wedge: np.ndarray) -> np.ndarray:
     return minima
 
 
-def _arc_sweep(ring: np.ndarray, z: int) -> tuple:
+def _arc_sweep(wedge: np.ndarray, z: int) -> tuple:
     """The witness's sweep: every arrangement (x, y, z, w) of one z,
     minimised over w by the prefix extremes of ``_arrangement_minimum``.
 
-    ``ring`` is the wedge table tiled twice in both axes, so the arc after
-    z is a view.  Returns G (arc position of w, of y), F and those minima,
-    the last two with row r for x at arc position r + 1.
+    The wedge table is read rotated to start at z, an (n, n) copy, so the
+    arc after z is a view.  Returns G (arc position of w, of y), F and
+    those minima, the last two with row r for x at arc position r + 1.
     """
-    n = len(ring) // 2
-    arc = ring[z + 1:z + n, z + 1:z + n]
-    to_z = ring[z + 1:z + n, z, None]
+    n = len(wedge)
+    order = (z + np.arange(n)) % n
+    rotated = wedge.take(order, 0).take(order, 1)
+    np.fill_diagonal(rotated, 1.0)  # the arc's W[i, i]: read by no arrangement
+    arc = rotated[1:, 1:]
+    to_z = rotated[1:, 0, None]
     g = arc / to_z
     f = to_z[1:] / arc[1:]
     low = np.minimum.accumulate(g, axis=0)[:-1]    # w strictly before x
@@ -855,20 +856,51 @@ def _linked(ends: np.ndarray) -> np.ndarray:
     words with (n, 2) (attracting, repelling) angles ``ends``: the cyclic
     descents of (g-, h-, g+, h+) are odd in number (1 or 3, for four
     distinct points), and no two of the four points are closer than
-    ``ANGLE_SEPARATION``.  Built ``PAIR_BLOCK`` cells of g rows at a
-    time, so its temporaries stay that size."""
+    ``ANGLE_SEPARATION``.  The parity is built ``PAIR_BLOCK`` cells of g
+    rows at a time, so its temporaries stay that size.
+
+    The close points are found once among the 2n ends.  Sorted by angle
+    mod pi, two ends closer than the tolerance lie in one run of gaps
+    below twice it, the last run joined to the first across pi, so
+    ``circle_separation`` is evaluated only on the pairs inside a run.
+    A word whose own ends are close (or not finite) is linked to none,
+    two words with a close pair of ends to neither, and no word to itself.
+    """
     plus, minus = ends[:, 0], ends[:, 1]
     n = len(ends)
     linked = np.empty((n, n), dtype=bool)
     step = max(1, PAIR_BLOCK // max(1, n))
     for start in range(0, n, step):
-        g = slice(start, start + step)
-        cycle = (minus[g, None], minus[None, :], plus[g, None], plus[None, :])
-        odd = ((cycle[1] < cycle[0]) ^ (cycle[2] < cycle[1])
-               ^ (cycle[3] < cycle[2]) ^ (cycle[0] < cycle[3]))
-        for i, j in itertools.combinations(range(4), 2):
-            odd &= circle_separation(cycle[i], cycle[j]) >= ANGLE_SEPARATION
-        linked[g] = odd
+        g_minus = minus[start:start + step, None]
+        g_plus = plus[start:start + step, None]
+        linked[start:start + step] = ((minus < g_minus) ^ (g_plus < minus)
+                                      ^ (plus < g_plus) ^ (g_minus < plus))
+    own = ~(circle_separation(plus, minus) >= ANGLE_SEPARATION)
+    good = np.flatnonzero(~own)
+    points, word = np.concatenate((plus[good], minus[good])), np.tile(good, 2)
+    angles = np.mod(points, np.pi)
+    order = np.argsort(angles, kind="stable")
+    angles = angles[order]
+    run = np.cumsum(np.diff(angles, prepend=angles[:1])
+                    >= 2 * ANGLE_SEPARATION)
+    if len(run) and angles[0] + np.pi - angles[-1] < 2 * ANGLE_SEPARATION:
+        run[run == run[-1]] = 0
+    # each end and the end ``offset`` places after it, while both lie in
+    # one run; a run of r ends stops the loop at offset r
+    first, pairs = np.arange(len(run)), []
+    for offset in range(1, len(run)):
+        second = (first + offset) % len(run)
+        same = run == run[second]
+        if not same.any():
+            break
+        pairs.append(order[np.stack((first[same], second[same]))])
+    if pairs:
+        a, b = np.hstack(pairs)
+        close = ~(circle_separation(points[a], points[b]) >= ANGLE_SEPARATION)
+        g, h = word[a[close]], word[b[close]]
+        linked[g, h] = linked[h, g] = False
+    linked[own] = linked[:, own] = False
+    np.fill_diagonal(linked, False)
     return linked
 
 
@@ -942,8 +974,8 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
     columns = ball.eigenvalues(k)
     failed = ball.failed()[rows]
     h_failed = failed | (columns.disagree | columns.no_gap | columns.zero)[rows]
-    bad = failed[g_rows] | h_failed[h_rows]
-    if bad.any():
+    # a failing word is rare: the per-pair mask is gathered only for one
+    if h_failed.any() and (bad := failed[g_rows] | h_failed[h_rows]).any():
         p = int(np.argmax(bad))
         g, h = rows[g_rows[p]], rows[h_rows[p]]
         # raises g's residual error, or h's; then h's errors in the order of
@@ -966,8 +998,8 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
         k=k, words=tuple(ball.words[r] for r in rows.tolist()),
         g_rows=g_rows, h_rows=h_rows, lhs=lhs, rhs=rhs, weight_rhs=weight_rhs,
         margin=left - right, holds=left > right,
-        sign_indeterminate=(~columns.ratio_signed[rows[h_rows]]
-                            | ~columns.period_real[rows[g_rows]]))
+        sign_indeterminate=((~columns.ratio_signed[rows])[h_rows]
+                            | (~columns.period_real[rows])[g_rows]))
 
 
 def collar_check(rep: Representation, k: int, g: Word, h: Word) -> CollarReport:
@@ -1008,10 +1040,11 @@ def collar_scan(rep: Representation, k: int, max_length: int) -> CollarTable:
     their reference fixed points from one batched call, the pairs from the
     nonzero entries of the linkage mask, and lhs, rhs, weight_rhs and both
     sign flags per word from one ``spectral._eigenvalue_columns`` call over
-    the ball's Spectrum table.  A word whose value fails (GapError
-    without a gap at k, NumericError) raises only when a linked pair reads
-    it: the first such pair in the order above, its g's error before its
-    h's.  No ``CollarReport`` is built until the table's rows are read.
+    the ball's Spectrum table, which holds no eigenvectors.  A word whose
+    value fails (GapError without a gap at k, NumericError) raises only
+    when a linked pair reads it: the first such pair in the order above,
+    its g's error before its h's.  No ``CollarReport`` is built until the
+    table's rows are read.
     """
     _check_k(k, rep.dim - 1)
     ball = _WordBall(rep, max_length)

@@ -207,13 +207,17 @@ def test_scan_modules_are_layered():
 
 def test_one_word_ball_model():
     # every eigendecomposition is the batched one of core_linalg._spectra,
-    # and every word image the checks read is a row of their word ball
+    # with or without eigenvectors, and every word image the checks read
+    # is a row of their word ball
     src = ROOT / "src" / "anosovlab"
-    eig = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+    eig = [f"{path.name}:{scope}:{node.attr}"
+           for path in sorted(src.glob("*.py"))
            for scope, node in _scoped_nodes(path)
-           if isinstance(node, ast.Attribute) and node.attr == "eig"
+           if isinstance(node, ast.Attribute)
+           and node.attr in ("eig", "eigvals")
            and ast.unparse(node.value) == "np.linalg"]
-    assert eig == ["core_linalg.py:_spectra"]
+    assert eig == ["core_linalg.py:_spectra:eig",
+                   "core_linalg.py:_spectra:eigvals"]
     evaluate = [where for where, node in _scan_nodes()
                 if isinstance(node, ast.Name) and node.id == "evaluate"]
     assert evaluate == ["ball.py:_WordBall._products"]

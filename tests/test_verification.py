@@ -5,6 +5,7 @@ import math
 import re
 import zlib
 from collections import Counter
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,7 @@ from anosovlab.errors import (
     PreconditionError,
 )
 from anosovlab.groups import (
+    ANGLE_SEPARATION,
     RENORMALIZE_ABOVE,
     Word,
     circle_separation,
@@ -302,18 +304,48 @@ def pairwise_arrangement_minimum(wedge):
     return min_gcr, worst
 
 
+def six_separation_linked(ends):
+    """The linkage mask of n words with (n, 2) (attracting, repelling)
+    angles ``ends``, pair by pair: the parity of the cyclic descents of
+    (g-, h-, g+, h+) and the six separations of the four ends, each an
+    (n, n) ``circle_separation`` table."""
+    plus, minus = ends[:, 0], ends[:, 1]
+    cycle = (minus[:, None], minus[None, :], plus[:, None], plus[None, :])
+    odd = ((cycle[1] < cycle[0]) ^ (cycle[2] < cycle[1])
+           ^ (cycle[3] < cycle[2]) ^ (cycle[0] < cycle[3]))
+    for i, j in itertools.combinations(range(4), 2):
+        odd = odd & (circle_separation(cycle[i], cycle[j]) >= ANGLE_SEPARATION)
+    return odd
+
+
+# ends at, just inside and just outside the coincidence tolerance of 1.0,
+# 2.0 and of each other, and across the wrap at pi
+TIGHT = ANGLE_SEPARATION * (1 - 1e-6)
+LOOSE = ANGLE_SEPARATION * (1 + 1e-6)
+NEAR_ENDS = [0.0, TIGHT, LOOSE, np.pi - 1e-11, np.pi - TIGHT, np.pi - LOOSE,
+             1.0, 1.0 + TIGHT, 1.0 + LOOSE, 1.0 - TIGHT, 1.0 + 1.5 * LOOSE,
+             1.0 + 3 * LOOSE, 2.0, 2.0 - LOOSE, 2.0 + 0.5 * TIGHT]
+
+
+def counting(stacks, name, kernel):
+    """``kernel`` wrapped to append ``(name, shape)`` of each stack it is
+    called on to ``stacks``."""
+    def wrapped(a):
+        stacks.append((name, np.shape(a)))
+        return kernel(a)
+    return wrapped
+
+
 def per_point_arrangement_minimum(wedge):
     """The same first minimum from one ``_arc_sweep`` per z: O(n^3) time,
     O(n^2) memory, and n sweeps of two ``ufunc.accumulate`` passes."""
     n = len(wedge)
-    ring = np.tile(wedge, (2, 2))
-    np.fill_diagonal(ring, 1.0)
     valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
-    minima = [np.min(verification._arc_sweep(ring, z)[2], where=valid,
+    minima = [np.min(verification._arc_sweep(wedge, z)[2], where=valid,
                      initial=np.inf) for z in range(n)]
     z = int(np.argmin(minima))
     min_gcr = minima[z]
-    g, f, values = verification._arc_sweep(ring, z)
+    g, f, values = verification._arc_sweep(wedge, z)
     r, j = np.argwhere(valid & (values == min_gcr))[0]
     w = int(np.argmax(g[:r + 1, j] * f[r, j] == min_gcr))
     arc = (z + 1 + np.arange(n - 1)) % n
@@ -686,6 +718,77 @@ class TestWordBall:
         if rep.label == "rotation":
             assert kinds == {"f", "c"} and table.values.dtype.kind == "c"
 
+    @pytest.mark.parametrize("rep", [
+        fg_rep(1.0), fuchsian_locus((5, 1), REF), fuchsian_locus((7, 1), REF),
+        rotation_rep(5)], ids=["fg", "51", "71", "rotation"])
+    def test_values_only_table_has_the_eig_values(self, rep):
+        # LAPACK runs the same QR sweeps with and without eigenvectors, so
+        # the values-only table is the eig table less its vectors, bit for
+        # bit, the residual checks read off the values included
+        images = _WordBall(rep, 4).images
+        assert (np.linalg.eigvals(images).tobytes()
+                == np.linalg.eig(images)[0].tobytes())
+        alone, table = (word_ball._spectra(images, False),
+                        word_ball._spectra(images))
+        assert alone.vectors is None and table.vectors is not None
+        assert alone.values.dtype == table.values.dtype
+        assert alone.values.tobytes() == table.values.tobytes()
+        assert alone.norms.tobytes() == table.norms.tobytes()
+        assert alone.errors.keys() == table.errors.keys()
+
+    def test_eigenvectors_are_computed_once_when_first_read(self, monkeypatch):
+        # the eigenvalue columns read eigvals; the first one-row spectrum
+        # builds the eig table, which every later read shares
+        stacks = []
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counting(
+                stacks, name, getattr(np.linalg, name)))
+        ball = _WordBall(fg_rep(1.0), 2)
+        ball.eigenvalues(1)
+        assert ball.spectrum(A).vectors.shape == (1, 3, 3)
+        ball.flags(1, [ball.row(B)])
+        ball.spectrum(B)
+        assert stacks == [("eigvals", (17, 3, 3)), ("eig", (17, 3, 3))]
+
+    def test_flag_read_after_values_keeps_values_and_errors(self,
+                                                           monkeypatch):
+        # the row of ab is moved off in both kernels, so it fails its
+        # residual check in either table: the eig table a flag read builds
+        # has the values-only table's values and errors, and the columns
+        # read off the latter stay the ball's
+        rep = fg_rep(1.0)
+        bad = evaluate(rep, A * B)
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+
+        def moved(vals, a):
+            hit = np.all(a == bad, axis=(-2, -1))
+            return np.where(hit[..., None], vals * 1.001, vals)
+
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: moved(eigvals(a), a))
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: (moved(eig(a)[0], a), eig(a)[1]))
+        ball = _WordBall(rep, 2)
+        columns = ball.eigenvalues(1)
+        alone, failed = ball._spectra(), ball.failed().copy()
+        assert alone.vectors is None
+        assert list(alone.errors) == [ball.row(A * B)]
+        with pytest.raises(NumericError) as exc:
+            ball.flags(1, [ball.row(A), ball.row(A * B)])
+        table = ball._spectra()
+        assert table.vectors is not None and ball._spectra(True) is table
+        assert str(exc.value) == str(alone.errors[ball.row(A * B)])
+        assert table.values.tobytes() == alone.values.tobytes()
+        assert {i: (str(e), e.diagnostics) for i, e in table.errors.items()} \
+            == {i: (str(e), e.diagnostics) for i, e in alone.errors.items()}
+        assert np.array_equal(ball.failed(), failed)
+        assert ball.eigenvalues(1) is columns
+        fresh = spectral._eigenvalue_columns(
+            np.where(failed[:, None], 1.0, table.values), 1)
+        for f in fields(columns):
+            assert np.array_equal(getattr(fresh, f.name),
+                                  getattr(columns, f.name)), f.name
+
     def test_failed_row_keeps_the_scalar_error_text(self, monkeypatch):
         # the eigenvalues of the image of ``ab`` are moved off in the batch:
         # only its row has an error, worded as the one-matrix check words
@@ -719,25 +822,22 @@ class TestWordBall:
         assert (str(alone.value), alone.value.diagnostics) == (
             str(error), error.diagnostics)
 
-    @pytest.mark.parametrize("check,rows", [
-        (lambda rep: collar_check(rep, 1, A, B), 5),
-        (lambda rep: check_eigen_identities(rep, 1, A * B, B), 6),
-        (lambda rep: check_Hk(rep, 1, (A, B, A * B)), 7),
-        (lambda rep: boundary_flag(rep, A * A, (1, 2)), 5),
+    @pytest.mark.parametrize("check,kernel,rows", [
+        (lambda rep: collar_check(rep, 1, A, B), "eigvals", 5),
+        (lambda rep: check_eigen_identities(rep, 1, A * B, B), "eig", 6),
+        (lambda rep: check_Hk(rep, 1, (A, B, A * B)), "eig", 7),
+        (lambda rep: boundary_flag(rep, A * A, (1, 2)), "eig", 5),
     ], ids=["collar", "eigen", "Hk", "flag"])
     def test_single_item_check_decomposes_in_one_batch(self, monkeypatch,
-                                                       check, rows):
-        # the identity, the named words and their inverses with prefixes
+                                                       check, kernel, rows):
+        # the identity, the named words and their inverses with prefixes;
+        # the collar reads eigenvalues alone, the others a flag first
         stacks = []
-        exact = np.linalg.eig
-
-        def counting_eig(a):
-            stacks.append(np.shape(a))
-            return exact(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counting(
+                stacks, name, getattr(np.linalg, name)))
         check(fg_rep(1.0))
-        assert stacks == [(rows, 3, 3)]
+        assert stacks == [(kernel, (rows, 3, 3))]
 
     @pytest.mark.parametrize("check", [
         lambda rep, c: collar_check(rep, 1, c, B),
@@ -1784,9 +1884,9 @@ class TestPositivelyRatioed:
         sweeps = []
         sweep = verification._arc_sweep
 
-        def counting_sweep(ring, z):
+        def counting_sweep(wedge, z):
             sweeps.append(z)
-            return sweep(ring, z)
+            return sweep(wedge, z)
 
         monkeypatch.setattr(verification, "_arc_sweep", counting_sweep)
         min_gcr, worst = _arrangement_minimum(np.ones((124, 124)))
@@ -1935,18 +2035,15 @@ class TestCollar:
             assert report.rhs >= report.weight_rhs - 1e-9
 
     def test_collar_scan_decomposes_each_word_once(self, monkeypatch):
-        # one batched eig over the 53 words of the ball, identity included
+        # one batched eigvals over the 53 words of the ball, identity
+        # included: the scan reads no eigenvector
         stacks = []
-        exact = np.linalg.eig
-
-        def counting_eig(a):
-            stacks.append(np.shape(a))
-            return exact(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counting(
+                stacks, name, getattr(np.linalg, name)))
         reports = collar_scan(fg_rep(1.0), 1, 3)
         assert len(reports) == 1944
-        assert stacks == [(53, 3, 3)]
+        assert stacks == [("eigvals", (53, 3, 3))]
 
     @pytest.mark.parametrize("rep,k,max_length", [
         (lambda: fg_rep(1.0), 1, 3),
@@ -2000,8 +2097,8 @@ class TestCollar:
         # (6.85) pass and aa, aB, ... (34 and 47) fail
         spectra = word_ball._spectra
 
-        def failing_spectra(matrices):
-            table = spectra(matrices)
+        def failing_spectra(matrices, vectors=True):
+            table = spectra(matrices, vectors)
             tops = np.abs(table.values[:, 0])
             for row in np.flatnonzero(tops > above).tolist():
                 top = float(tops[row])
@@ -2080,6 +2177,68 @@ class TestCollar:
         assert len(reports) == 1944
         for r in reports:
             assert collar_check(rep, 1, r.g, r.h) == r
+
+
+class TestLinked:
+    @pytest.mark.parametrize("max_length", [2, 3, 5])
+    @pytest.mark.parametrize("rep", [
+        fg_rep(1.0), fg_rep(0.6), fuchsian_locus((5, 1), REF)],
+        ids=["fg1", "fg0.6", "51"])
+    def test_equals_the_six_separation_mask(self, rep, max_length):
+        # powers share their ends and inverses swap them: the coincident
+        # pairs the sorted circle must find
+        ends = _WordBall(rep, max_length).loxodromic()[1]
+        want = six_separation_linked(ends)
+        assert want.any()
+        assert np.array_equal(verification._linked(ends), want)
+
+    @pytest.mark.parametrize("ends", [
+        np.empty((0, 2)),
+        [[1.0, 2.0]],
+        [[1.0, 2.0], [0.5, 1.5]],
+        [[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [0.5, 2.5], [1.5, 0.2]],
+        [[1.0, 2.0], [1.0 + LOOSE, 0.5], [1.0 + TIGHT, 2.5],
+         [2.0 - TIGHT, 0.2], [2.0 + LOOSE, 1.5]],
+        [[0.0, 1.5], [np.pi - 1e-11, 0.7], [1.0, 2.0], [2.5, np.pi - 1e-11],
+         [TIGHT, 2.2], [0.3, np.pi - LOOSE]],
+        [[1.0, 2.0], [np.nan, 0.5], [0.3, np.nan], [0.1, 2.5], [1.5, 0.2],
+         [np.nan, np.nan]],
+        [[1.0 + i * 1.5 * LOOSE, 2.0 - i * 1.5 * LOOSE] for i in range(8)],
+        np.full((6, 2), 0.7),
+        np.tile([0.7, 2.0], (6, 1)),
+        [[1.0, 2.0], [2.0 + np.pi, 1.5], [1.0 + np.pi, 0.5],
+         [2.0 - np.pi, 2.5], [-0.2, 1.6]],
+    ], ids=["n0", "n1", "n2", "coincident", "near-tolerance", "wrap", "nan",
+            "chain", "all-coincident", "all-one-axis", "outside-0-pi"])
+    def test_equals_the_six_separation_mask_on_constructed_ends(self, ends):
+        ends = np.array(ends, dtype=float).reshape(-1, 2)
+        assert np.array_equal(verification._linked(ends),
+                              six_separation_linked(ends))
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2)),
+                      elements=st.one_of(
+                          st.sampled_from(NEAR_ENDS + [np.nan]),
+                          st.floats(0.0, np.pi, exclude_max=True))))
+    @settings(deadline=None)
+    def test_equals_the_six_separation_mask_on_drawn_ends(self, ends):
+        assert np.array_equal(verification._linked(ends),
+                              six_separation_linked(ends))
+
+    def test_no_square_separation_table(self, monkeypatch):
+        # the separations are read on the n words' own ends and on the
+        # pairs of ends in one run, never on an (n, n) table of pairs
+        shapes = []
+
+        def recording(a, b):
+            shapes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+            return circle_separation(a, b)
+
+        monkeypatch.setattr(verification, "circle_separation", recording)
+        for ends in (_WordBall(fg_rep(1.0), 3).loxodromic()[1],
+                     np.tile([0.7, 2.0], (6, 1))):
+            assert np.array_equal(verification._linked(ends),
+                                  six_separation_linked(ends))
+        assert shapes and all(len(shape) == 1 for shape in shapes)
 
 
 class TestCounterexample:
