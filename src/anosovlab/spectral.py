@@ -11,12 +11,13 @@ Singular gaps at any number of indices come from one SVD per matrix, and
 a stack of matrices is decomposed in batched row blocks whose factors are
 dropped once their singular values are read.  The eigenvalue
 side reads a ``core_linalg.Spectrum`` table, a row per matrix: its sorted,
-residual-checked eigenvalues and eigenvectors and ||M||_2, from one
-``np.linalg.eig``.  Each function takes a matrix or its one-row Spectrum,
-so a caller keeping the table decomposes each matrix once, and one row
-serves the attracting spaces of every dimension, each spanned by the
-row's eigenvectors above its modulus gap and certified by its invariance
-residual.  ``attracting_space`` is one row of the batched kernel
+residual-checked eigenvalues, its eigenvectors and ||M||_2, from one
+``np.linalg.eig``; a word ball's table holds values only, from
+``np.linalg.eigvals``, until a flag is read.  Each function takes a matrix
+or its one-row Spectrum, so a caller keeping the table decomposes each
+matrix once, and one row serves the attracting spaces of every
+dimension, each spanned by the row's eigenvectors above its modulus gap
+and certified by its invariance residual.  ``attracting_space`` is one row of the batched kernel
 ``core_linalg._invariant_bases``, and ``eigenvalue_ratios`` and
 ``length_functions`` are one row of ``_eigenvalue_columns``: the scans
 call both kernels once on all rows.

@@ -172,7 +172,7 @@ def _fixed_cross(tables: list, anchor: int) -> np.ndarray | None:
     others = [t for i, t in enumerate(tables) if i != anchor]
     if any(role in t.roles for t in others):
         return None
-    b1, b2 = (np.swapaxes(t.basis, 0, 1).reshape(len(t.basis[0]), -1)
+    b1, b2 = (np.swapaxes(t.basis, 0, 1).reshape(t.basis.shape[-2], -1)
               for t in others)
     return (b1.T @ b2)[None]
 

@@ -654,28 +654,32 @@ def _arrangement_minimum(wedge: np.ndarray) -> tuple:
     value bit-identical.
 
     The witness is the first minimum in the order z in angle order, then
-    x, y and w by cyclic position after z.  Only the first minimizing z is
-    swept (``_arc_sweep``); its first (x, y) attaining the minimum,
-    row-major, is kept, and the first w before x whose product G * F equals
-    it.  Such a w exists: the minimum is F times a prefix minimum or
-    maximum of G, which is the G of some w before x.
+    x, y and w by cyclic position after z.  The pass also keeps, per z, the
+    first arc position of x whose row reaches z's minimum.  For the first
+    minimizing z only that x's (w, y) block is scored again, with the
+    pass's divisions and products: the witness takes its first y attaining
+    the minimum, then the first w before x whose product G * F equals it.
+    Such a w exists: the minimum is F times a prefix minimum or maximum of
+    G, which is the G of some w before x.
     """
     n = len(wedge)
-    minima = _point_minima(wedge)
+    minima, first = _point_minima(wedge)
     z = int(np.argmin(minima))
-    min_gcr = minima[z]
-    g, f, values = _arc_sweep(wedge, z)
-    # (x, y) at arc positions (i, j) with 1 <= i < j; row r holds i = r + 1
-    valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
-    r, j = np.argwhere(valid & (values == min_gcr))[0]
-    w = int(np.argmax(g[:r + 1, j] * f[r, j] == min_gcr))
+    min_gcr, a = minima[z], first[z]
     arc = (z + 1 + np.arange(n - 1)) % n
-    return float(min_gcr), (int(arc[r + 1]), int(arc[j]), z, int(arc[w]))
+    x, y, w = arc[a], arc[a + 1:], arc[:a, None]
+    f = wedge[x, z] / wedge[x, y]
+    g = wedge[w, y] / wedge[w, z]
+    values = np.where(f > 0, g.min(0), g.max(0)) * f
+    j = int(np.argmax(values == min_gcr))
+    i = int(np.argmax(g[:, j] * f[j] == min_gcr))
+    return float(min_gcr), (int(x), int(y[j]), z, int(w[i, 0]))
 
 
-def _point_minima(wedge: np.ndarray) -> np.ndarray:
+def _point_minima(wedge: np.ndarray) -> tuple:
     """Each z's minimum of ``_arrangement_minimum``, all from one pass over
-    the arc position a of x, whose planes are freed before the witness."""
+    the arc position a of x, and for each z the first a whose row attains
+    it."""
     n = len(wedge)
     # sheared[p, c] = W[p, p + c], tiled: x at arc position a of every z is
     # the row slice p = z + 1 + a, with W[x, z] in column n - 1 - a
@@ -685,38 +689,19 @@ def _point_minima(wedge: np.ndarray) -> np.ndarray:
     low = rows[:, 1:n - 1] / rows[:, n - 1:]  # columns: y at 1 .. n - 2
     high = low.copy()
     minima = np.full(n, np.inf)
+    first = np.zeros(n, dtype=int)
     for a in range(1, n - 2):
         rows = sheared[a + 1:a + 1 + n]
         to_y, to_z = rows[:, 1:n - 1 - a], rows[:, n - 1 - a:n - a]
         f = to_z / to_y
         low, high = low[:, 1:], high[:, 1:]  # y after x
-        np.minimum(minima, np.min(np.where(f > 0, low, high) * f, axis=1),
-                   out=minima)
+        row = np.min(np.where(f > 0, low, high) * f, axis=1)
+        first[row < minima] = a
+        np.minimum(minima, row, out=minima)
         g = to_y[:, 1:] / to_z               # w at a, for the next x
         np.minimum(low[:, 1:], g, out=low[:, 1:])
         np.maximum(high[:, 1:], g, out=high[:, 1:])
-    return minima
-
-
-def _arc_sweep(wedge: np.ndarray, z: int) -> tuple:
-    """The witness's sweep: every arrangement (x, y, z, w) of one z,
-    minimised over w by the prefix extremes of ``_arrangement_minimum``.
-
-    The wedge table is read rotated to start at z, an (n, n) copy, so the
-    arc after z is a view.  Returns G (arc position of w, of y), F and
-    those minima, the last two with row r for x at arc position r + 1.
-    """
-    n = len(wedge)
-    order = (z + np.arange(n)) % n
-    rotated = wedge.take(order, 0).take(order, 1)
-    np.fill_diagonal(rotated, 1.0)  # the arc's W[i, i]: read by no arrangement
-    arc = rotated[1:, 1:]
-    to_z = rotated[1:, 0, None]
-    g = arc / to_z
-    f = to_z[1:] / arc[1:]
-    low = np.minimum.accumulate(g, axis=0)[:-1]    # w strictly before x
-    high = np.maximum.accumulate(g, axis=0)[:-1]
-    return g, f, np.where(f > 0, low, high) * f
+    return minima, first
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,19 @@ def test_one_triple_kernel():
                        "verification.py:sopq_model_triple_defect"]
 
 
+def test_one_positivity_pass():
+    # the arrangement minimum and its witness come from one prefix-extreme
+    # pass; no scan sweeps the arc of one z again with ufunc.accumulate
+    callers = sorted({where for where, node in _scan_nodes()
+                      if isinstance(node, ast.Name)
+                      and node.id == "_point_minima"})
+    assert callers == ["verification.py:_arrangement_minimum"]
+    accumulates = sorted({where for where, node in _scan_nodes()
+                          if isinstance(node, ast.Attribute)
+                          and node.attr == "accumulate"})
+    assert accumulates == ["verification.py:_gap_report"]
+
+
 def test_exact_defects_run_only_in_the_triple_kernel():
     # the exact SVD of a scan runs only on the triples whose certified
     # bracket can reach the running minimum or maximum

@@ -336,16 +336,36 @@ def counting(stacks, name, kernel):
     return wrapped
 
 
+def arc_sweep(wedge, z):
+    """Every arrangement (x, y, z, w) of one z, minimised over w by prefix
+    extremes of G along the arc: the wedge table rotated to start at z, an
+    (n, n) copy, and two ``ufunc.accumulate`` passes.  Returns G (arc
+    position of w, of y), F and those minima, the last two with row r for
+    x at arc position r + 1."""
+    n = len(wedge)
+    order = (z + np.arange(n)) % n
+    rotated = wedge.take(order, 0).take(order, 1)
+    np.fill_diagonal(rotated, 1.0)  # the arc's W[i, i]: read by no arrangement
+    arc = rotated[1:, 1:]
+    to_z = rotated[1:, 0, None]
+    g = arc / to_z
+    f = to_z[1:] / arc[1:]
+    low = np.minimum.accumulate(g, axis=0)[:-1]    # w strictly before x
+    high = np.maximum.accumulate(g, axis=0)[:-1]
+    return g, f, np.where(f > 0, low, high) * f
+
+
 def per_point_arrangement_minimum(wedge):
-    """The same first minimum from one ``_arc_sweep`` per z: O(n^3) time,
-    O(n^2) memory, and n sweeps of two ``ufunc.accumulate`` passes."""
+    """The same first minimum from one ``arc_sweep`` per z: O(n^3) time,
+    O(n^2) memory; the first minimizing z is swept again for its first
+    (x, y) row-major, then its first w."""
     n = len(wedge)
     valid = np.triu(np.ones((n - 2, n - 1), dtype=bool), 2)
-    minima = [np.min(verification._arc_sweep(wedge, z)[2], where=valid,
-                     initial=np.inf) for z in range(n)]
+    minima = [np.min(arc_sweep(wedge, z)[2], where=valid, initial=np.inf)
+              for z in range(n)]
     z = int(np.argmin(minima))
     min_gcr = minima[z]
-    g, f, values = verification._arc_sweep(wedge, z)
+    g, f, values = arc_sweep(wedge, z)
     r, j = np.argwhere(valid & (values == min_gcr))[0]
     w = int(np.argmax(g[:r + 1, j] * f[r, j] == min_gcr))
     arc = (z + 1 + np.arange(n - 1)) % n
@@ -1116,6 +1136,11 @@ class TestHkCk:
         (hk_scan, fuchsian_locus((5, 1), REF), 1, 2, {"min_separation": 0}),
         # no separation: nearly coincident points give defects near 1e-7
         (hk_scan, fuchsian_locus((6, 1), REF), 2, 2, {"min_separation": 0}),
+        # an empty atlas: no triple, verdict ambiguous
+        (hk_scan, fg_rep(1.0), 1, 0, {}),
+        (hk_scan, fuchsian_locus((5, 1), REF), 2, 0, {}),
+        (ck_scan, fuchsian_locus((4, 1), REF), 1, 0, {}),
+        (ck_scan, fuchsian_locus((4, 1), REF), 2, 0, {}),
     ])
     def test_scan_matches_per_triple_reference(self, monkeypatch, scan, rep,
                                                k, L, kwargs):
@@ -1878,23 +1903,37 @@ class TestPositivelyRatioed:
         assert len(dets) == calls
         assert sum(dets) == len(atlas)
 
-    def test_all_tied_table_costs_one_sweep(self, monkeypatch):
+    def test_all_tied_table_costs_one_pass(self, monkeypatch):
         # on a constant table every arrangement ties: the witness costs the
-        # one sweep of its z, not a pass over the tied arrangements
-        sweeps = []
-        sweep = verification._arc_sweep
+        # one pass of every z's minimum, not a pass over the tied
+        # arrangements
+        passes = []
+        point_minima = verification._point_minima
 
-        def counting_sweep(wedge, z):
-            sweeps.append(z)
-            return sweep(wedge, z)
+        def counting_pass(wedge):
+            passes.append(len(wedge))
+            return point_minima(wedge)
 
-        monkeypatch.setattr(verification, "_arc_sweep", counting_sweep)
-        min_gcr, worst = _arrangement_minimum(np.ones((124, 124)))
-        assert min_gcr == 1.0
-        assert sweeps == [0]
+        monkeypatch.setattr(verification, "_point_minima", counting_pass)
+        assert _arrangement_minimum(np.ones((124, 124))) == (1.0, (2, 3, 0, 1))
+        assert passes == [124]
         wedge = np.ones((7, 7))
         min_gcr, worst, _ = reference_arrangement_minimum(wedge)
         assert _arrangement_minimum(wedge) == (min_gcr, worst)
+
+    def test_witness_takes_the_first_arc_position_of_x(self):
+        # z = 0 has its minimum -4 at x = 2 (arc position 1, w = 1, y = 3)
+        # and again at x = 3 (arc position 2, w = 1, y = 4); every other z
+        # stays above it, so only the first x of z = 0 decides the witness
+        wedge = np.ones((6, 6))
+        wedge[2, 0] = wedge[3, 0] = -2.0
+        wedge[1, 3] = wedge[1, 4] = 2.0
+        min_gcr, worst, _ = reference_arrangement_minimum(wedge)
+        assert (min_gcr, worst) == (-4.0, (2, 3, 0, 1))
+        minima, first = verification._point_minima(wedge)
+        assert minima[0] == -4.0 and first[0] == 1
+        assert _arrangement_minimum(wedge) == (min_gcr, worst)
+        assert per_point_arrangement_minimum(wedge) == (min_gcr, worst)
 
     def test_missing_flag_names_the_first_point_and_dimension(self):
         # the eigenvalue 1 of (5,1) is double: no point has a 3-flag
