@@ -95,6 +95,10 @@ def _load_representation(family, x, partition, rep_path):
     given = sum(v is not None for v in (family, rep_path))
     if given != 1:
         raise click.UsageError("give exactly one of --family or --rep")
+    if x is not None and family != "fg":
+        raise click.UsageError("--x applies only to --family fg")
+    if partition is not None and family != "fuchsian":
+        raise click.UsageError("--partition applies only to --family fuchsian")
     if rep_path is not None:
         with open(rep_path) as fh:
             return rep_from_json(fh.read())

@@ -34,6 +34,7 @@ from .errors import (
     NumericError,
     check_integer,
 )
+from .groups import _rp1_fixed_points
 
 __all__ = [
     "Representation",
@@ -107,11 +108,12 @@ class Representation:
         if self.reference is not None:
             if self.reference.dim != 2:
                 raise InputError("boundary reference must be 2x2")
-            for g in self.reference.generator_images:
-                tr = float(np.trace(g))
-                if abs(tr) <= 2.0:
-                    raise InputError(
-                        "reference generators must be loxodromic (|trace| > 2)")
+            # the rule the word ball reads fixed points by
+            _, loxodromic = _rp1_fixed_points(
+                np.reshape(self.reference.generator_images, (-1, 2, 2)))
+            if not loxodromic.all():
+                raise InputError(
+                    "reference generators must be loxodromic (|trace| > 2)")
         object.__setattr__(self, "generator_images", images)
 
     @property

@@ -175,14 +175,7 @@ class _EigenvalueColumns:
     weight_length: np.ndarray
     root_length: np.ndarray
     no_gap: np.ndarray        # no modulus gap at k (core_linalg._no_gap)
-    disagree: np.ndarray      # signed and modulus ratios disagree
     zero: np.ndarray          # some eigenvalue has modulus zero
-
-    def check_ratios(self, row: int) -> None:
-        """Raises the NumericError of ``eigenvalue_ratios`` on ``row``."""
-        if self.disagree[row]:
-            raise NumericError(
-                "signed and modulus eigenvalue ratios disagree beyond tolerance")
 
     def check_lengths(self, row: int) -> None:
         """Raises the NumericError of ``length_functions`` on ``row``."""
@@ -202,14 +195,16 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
     Rows whose eigenvalues are all real are computed in real arithmetic,
     the others in complex arithmetic, so every value is the one a single
     matrix's one-row Spectrum gives: the weight period lambda_1...lambda_k /
-    (lambda_d...lambda_(d-k+1)), real to a relative ``REAL_IMAG_TOL`` or
-    else replaced by its modulus; the signed ratio lambda_k/lambda_(k+1)
-    where both are real to that tolerance and lambda_(k+1) is not zero;
-    the modulus ratio; the weight and root lengths.  Nothing is raised:
-    ``no_gap`` marks rows without a modulus gap at k (``attracting_space``'s
-    rule, ``core_linalg._no_gap``, on |lambda_k| and |lambda_(k+1)|),
-    ``disagree`` and ``zero`` the rows whose one-row call raises
-    NumericError.
+    (lambda_d...lambda_(d-k+1)), real or else replaced by its modulus; the
+    ratio lambda_k/lambda_(k+1), signed where both are real and
+    lambda_(k+1) is not zero, else of moduli; the modulus ratio; the
+    weight and root lengths.  A value is real when |Im| is at most
+    ``REAL_IMAG_TOL`` times its own modulus, so an exact zero is real and
+    |Re| of a real eigenvalue is its modulus: a signed ratio's magnitude
+    is the modulus ratio.  Nothing is raised: ``no_gap`` marks rows
+    without a modulus gap at k (``attracting_space``'s rule,
+    ``core_linalg._no_gap``, on |lambda_k| and |lambda_(k+1)|), ``zero``
+    the rows whose ``length_functions`` call raises NumericError.
     """
     values = np.asarray(values)
     n = len(values)
@@ -217,32 +212,26 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
     out = {name: np.empty(n) for name in (
         "period", "ratio", "modulus", "weight_length", "root_length")}
     out.update((name, np.zeros(n, dtype=bool)) for name in (
-        "period_real", "ratio_signed", "no_gap", "disagree", "zero"))
+        "period_real", "ratio_signed", "no_gap", "zero"))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows, vals in ((real, values[real].real), (~real, values[~real])):
             if not len(vals):
                 continue
             period = np.prod(vals[:, :k], axis=-1) / np.prod(vals[:, -k:], axis=-1)
-            flag = np.abs(period.imag) <= REAL_IMAG_TOL * np.maximum(
-                _modulus(period), 1e-300)
+            flag = np.abs(period.imag) <= REAL_IMAG_TOL * _modulus(period)
             out["period"][rows] = np.where(flag, period.real, _modulus(period))
             out["period_real"][rows] = flag
 
             lk, lk1 = vals[:, k - 1], vals[:, k]
             mk, mk1 = _modulus(lk), _modulus(lk1)
             modulus = np.where(mk1 > 0, mk / mk1, np.inf)
-            signed = ((np.abs(lk.imag) <= REAL_IMAG_TOL * np.maximum(mk, 1e-300))
-                      & (np.abs(lk1.imag) <= REAL_IMAG_TOL
-                         * np.maximum(mk1, 1e-300))
+            signed = ((np.abs(lk.imag) <= REAL_IMAG_TOL * mk)
+                      & (np.abs(lk1.imag) <= REAL_IMAG_TOL * mk1)
                       & (lk1.real != 0.0))
-            ratio = np.where(signed, lk.real / lk1.real, modulus)
             out["modulus"][rows] = modulus
             out["no_gap"][rows] = _no_gap(mk, mk1)
-            out["ratio"][rows] = ratio
+            out["ratio"][rows] = np.where(signed, lk.real / lk1.real, modulus)
             out["ratio_signed"][rows] = signed
-            out["disagree"][rows] = signed & (
-                np.abs(np.abs(ratio) - modulus)
-                > 1e-9 * np.maximum(modulus, 1.0))
 
             # the lengths read np.abs, as the one-matrix formula did; on
             # complex values it rounds differently from _modulus
@@ -262,25 +251,21 @@ def _one_row(m, k: int) -> _EigenvalueColumns:
 
 def _checked_columns(stack, k: int) -> _EigenvalueColumns:
     """``_eigenvalue_columns`` at k of an (n, d, d) stack, from one
-    ``_spectra`` call.  Each row is checked as ``eigenvalue_ratios``
-    checks one matrix, and the first row that fails, in stack order,
-    raises its residual or ratio NumericError."""
+    ``_spectra`` call.  The first row, in stack order, that failed its
+    residual check raises its NumericError, as ``eigenvalue_ratios`` on
+    that matrix alone would."""
     table = _spectra(stack)
-    columns = _eigenvalue_columns(table.values, k)
-    for row in range(len(table.values)):
-        if row in table.errors:
-            raise table.errors[row].with_traceback(None)
-        columns.check_ratios(row)
-    return columns
+    if table.errors:
+        raise table.errors[min(table.errors)].with_traceback(None)
+    return _eigenvalue_columns(table.values, k)
 
 
 def eigenvalue_ratios(m, k: int) -> SpectralGaps:
     """The signed and modulus ratios lambda_k/lambda_(k+1) of the sorted
-    eigenvalues: the one-row call of ``_eigenvalue_columns``.  A signed
-    ratio whose modulus disagrees with the modulus ratio raises
-    NumericError."""
+    eigenvalues: the one-row call of ``_eigenvalue_columns``.  The signed
+    ratio is None unless both eigenvalues are real and lambda_(k+1) is not
+    zero; where it is given, its magnitude is the modulus ratio."""
     columns = _one_row(m, k)
-    columns.check_ratios(0)
     signed = float(columns.ratio[0]) if columns.ratio_signed[0] else None
     return SpectralGaps(k=k, lambda_ratio_signed=signed,
                         lambda_ratio_modulus=float(columns.modulus[0]))

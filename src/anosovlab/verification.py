@@ -771,7 +771,6 @@ def _eigen_identities(ball: _WordBall, k: int, g: Word,
 
     row = ball.row(g)
     columns = ball.eigenvalues(k)
-    columns.check_ratios(row)
     lambda_ratio = float(columns.ratio[row])
     period = float(columns.period[row])
     return EigenIdentityReport(
@@ -951,22 +950,21 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
     """The collar table of the pairs (g_rows[p], h_rows[p]) of the ball
     rows ``rows``, from the ball's eigenvalue columns at k.
 
-    A word fails as g where its residual check failed, and as h also where its
-    ratios disagree, where it has no modulus gap at k, or where it has an
-    eigenvalue of modulus zero.  The first pair reading a failure raises
-    it, g's before h's, as the one-row calls on that word would.
+    A word fails as g where its residual check failed, and as h also where
+    it has no modulus gap at k or an eigenvalue of modulus zero.  The first
+    pair reading a failure raises it, g's before h's, as the one-row calls
+    on that word would.
     """
     columns = ball.eigenvalues(k)
     failed = ball.failed()[rows]
-    h_failed = failed | (columns.disagree | columns.no_gap | columns.zero)[rows]
+    h_failed = failed | (columns.no_gap | columns.zero)[rows]
     # a failing word is rare: the per-pair mask is gathered only for one
     if h_failed.any() and (bad := failed[g_rows] | h_failed[h_rows]).any():
         p = int(np.argmax(bad))
         g, h = rows[g_rows[p]], rows[h_rows[p]]
         # raises g's residual error, or h's; then h's errors in the order of
-        # the one-row calls: the ratios, the gap, the lengths
+        # the one-row calls: the gap, the lengths
         ball.spectrum(ball.words[g if failed[g_rows[p]] else h])
-        columns.check_ratios(h)
         if columns.no_gap[h]:
             modulus = float(columns.modulus[h])
             raise GapError(
@@ -1064,8 +1062,8 @@ def counterexample_scan(x_grid) -> list:
     goes to 0 while the elements stay linked.  Both generator images of
     every grid point are stacked, grid value by grid value, and read by one
     eigendecomposition (``spectral._checked_columns``): the first image
-    that fails, in grid order and gamma before delta, raises its residual
-    or ratio error as ``eigenvalue_ratios`` on it alone would.
+    that fails its residual check, in grid order and gamma before delta,
+    raises its error as ``eigenvalue_ratios`` on it alone would.
     """
     grid, images = [], []
     for x in x_grid:

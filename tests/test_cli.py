@@ -14,6 +14,7 @@ from anosovlab.representations import (
     fuchsian_locus,
     punctured_torus_reference,
     rep_from_json,
+    rep_to_json,
 )
 
 
@@ -83,6 +84,30 @@ class TestConstruct:
         assert run(["construct", "--rep", str(path)]) == 3
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "ConstructionError"
+
+    @pytest.mark.parametrize("args, message", [
+        (["construct", "--family", "fuchsian", "--partition", "3,1",
+          "--x", "5"], "--x applies only to --family fg"),
+        (["gap-scan", "--family", "fg", "--x", "1", "--partition", "zz",
+          "--k", "1", "--L", "3"],
+         "--partition applies only to --family fuchsian"),
+        (["check", "Hk", "--family", "fuchsian", "--partition", "5,1",
+          "--x", "1", "--k", "1", "--L", "2"],
+         "--x applies only to --family fg"),
+        (["collar", "--rep", "REP", "--x", "1", "--k", "1", "--L", "2"],
+         "--x applies only to --family fg"),
+        (["construct", "--rep", "REP", "--partition", "3,1"],
+         "--partition applies only to --family fuchsian"),
+    ])
+    def test_family_option_that_does_not_apply_exit_64(
+            self, tmp_path, monkeypatch, capsys, args, message):
+        # the option was read by no family and the run went on without it
+        path = tmp_path / "rep.json"
+        path.write_text(rep_to_json(fg_rep(1.0)))
+        for scan in ("anosov_gap_scan", "hk_scan", "collar_scan"):
+            monkeypatch.setattr(ver, scan, no_scan)
+        assert run([str(path) if a == "REP" else a for a in args]) == 64
+        assert message in capsys.readouterr().err
 
 
 FG_L4 = ["--family", "fg", "--x", "1", "--k", "1", "--L", "4"]
@@ -214,6 +239,23 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "InputError"
         assert "k=3 outside 1..2" in doc["message"]
+
+    def test_near_parabolic_reference_exit_3(self, tmp_path, capsys):
+        # |trace| = 2 + 9e-10 passed a |trace| > 2 test, but the ball reads
+        # no fixed point below LOXODROMIC_TRACE: eigen-identities then
+        # crashed on an empty set of words
+        rep = fg_rep(1.0)
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({
+            "dim": 3, "generators": [g.tolist() for g in rep.generator_images],
+            "reference": {"dim": 2, "generators": [
+                [[1.00003, 0.0], [0.0, 1 / 1.00003]],
+                [[1.0, 1.0], [9e-10, 1 + 9e-10]]]}}))
+        assert run(["check", "eigen-identities", "--rep", str(path),
+                    "--k", "1", "--L", "1"]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError",
+            "message": "reference generators must be loxodromic (|trace| > 2)"}
 
     def test_eigen_identities_fg(self, tmp_path):
         out = tmp_path / "r.json"

@@ -252,6 +252,31 @@ def test_one_gap_rule():
     assert reads == ["core_linalg.py:_no_gap"]
 
 
+def test_one_realness_rule():
+    # a value is real when |Im| is at most REAL_IMAG_TOL times its own
+    # modulus: every read of the tolerance is such a comparison in the
+    # eigenvalue columns, and none floors the modulus
+    src = ROOT / "src" / "anosovlab"
+
+    def is_read(node):
+        return ((isinstance(node, ast.Name) and node.id == "REAL_IMAG_TOL"
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "REAL_IMAG_TOL"))
+
+    nodes = [(f"{path.name}:{scope}", node) for path in sorted(src.glob("*.py"))
+             for scope, node in _scoped_nodes(path)]
+    reads = [where for where, node in nodes if is_read(node)]
+    tests = [node for _, node in nodes if isinstance(node, ast.Compare)
+             and any(map(is_read, ast.walk(node)))]
+    assert set(reads) == {"spectral.py:_eigenvalue_columns"}
+    assert sum(is_read(n) for t in tests for n in ast.walk(t)) == len(reads)
+    assert [ast.unparse(t) for t in tests
+            if any(isinstance(n, ast.Call)
+                   and ast.unparse(n.func) in ("np.maximum", "max")
+                   for n in ast.walk(t))] == []
+
+
 def test_only_ck_scans_certify():
     # the gap scans run for a gap scan and for the C_k certification its
     # verdict is gated on; the H_k path builds no certification ball

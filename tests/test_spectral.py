@@ -613,25 +613,22 @@ class TestLengthFunctions:
 def scalar_eigenvalue_values(values, k):
     """Oracle: the one-matrix formulas the kernel replaced, on one sorted
     eigenvalue row (real dtype when every eigenvalue is real), as
-    (modulus, signed or None, disagree, (period, real), weight, root,
-    zero)."""
+    (modulus, signed or None, (period, real), weight, root, zero)."""
     tol = spectral.REAL_IMAG_TOL
     lk, lk1 = values[k - 1:k + 1]
     modulus = float(abs(lk) / abs(lk1)) if abs(lk1) > 0 else np.inf
-    signed, disagree = None, False
-    if (abs(lk.imag) <= tol * max(abs(lk), 1e-300)
-            and abs(lk1.imag) <= tol * max(abs(lk1), 1e-300)
+    signed = None
+    if (abs(lk.imag) <= tol * abs(lk) and abs(lk1.imag) <= tol * abs(lk1)
             and lk1.real != 0.0):
         signed = float(lk.real / lk1.real)
-        disagree = abs(abs(signed) - modulus) > 1e-9 * max(modulus, 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.prod(values[:k]) / np.prod(values[-k:])
         logs = np.log(np.abs(values))
-    if abs(ratio.imag) <= tol * max(abs(ratio), 1e-300):
+    if abs(ratio.imag) <= tol * abs(ratio):
         period = (float(ratio.real), True)
     else:
         period = (float(abs(ratio)), False)
-    return (modulus, signed, disagree, period,
+    return (modulus, signed, period,
             float(np.sum(logs[:k]) - np.sum(logs[-k:])),
             float(logs[k - 1] - logs[k]), np.abs(values)[-1] < 1e-300)
 
@@ -641,8 +638,8 @@ class TestEigenvalueColumns:
     def test_kernel_rows_equal_the_one_row_calls(self, k):
         # the rotation rep's L=3 ball mixes real and complex spectra; then
         # the (3,1) generator b (no gap at k=2), a zero eigenvalue, and a
-        # complex pair of modulus below 1e-300 that counts as real, whose
-        # signed ratio disagrees with the modulus ratio at k=2
+        # complex pair of modulus below 1e-300 under two real eigenvalues:
+        # its ratios are signed only at k=1, where both are real
         from test_verification import rotation_rep
 
         rep = rotation_rep(5)
@@ -658,22 +655,17 @@ class TestEigenvalueColumns:
         columns = spectral._eigenvalue_columns(
             np.concatenate([r.values for r in records]), k)
         for i, record in enumerate(records):
-            modulus, signed, disagree, period, weight, root, zero = (
+            modulus, signed, period, weight, root, zero = (
                 scalar_eigenvalue_values(record.values[0], k))
-            assert (columns.modulus[i], columns.disagree[i],
-                    columns.zero[i]) == (modulus, disagree, zero)
+            assert (columns.modulus[i], columns.zero[i]) == (modulus, zero)
             assert columns.ratio_signed[i] == (signed is not None)
             assert columns.ratio[i] == (modulus if signed is None else signed)
             assert columns.no_gap[i] == (modulus <= 1 + spectral.EIGEN_GAP_MIN)
             # the tiny pair's product underflows: its period is NaN
             assert repr(period) == repr(
                 (float(columns.period[i]), bool(columns.period_real[i])))
-            if disagree:
-                with pytest.raises(NumericError, match="disagree"):
-                    eigenvalue_ratios(record, k)
-            else:
-                assert eigenvalue_ratios(record, k) == spectral.SpectralGaps(
-                    k, signed, modulus)
+            assert eigenvalue_ratios(record, k) == spectral.SpectralGaps(
+                k, signed, modulus)
             if zero:
                 with pytest.raises(NumericError, match="modulus zero"):
                     length_functions(record, k)
@@ -682,10 +674,30 @@ class TestEigenvalueColumns:
                     weight, root)
                 assert (columns.weight_length[i], columns.root_length[i]) == (
                     weight, root)
-        expected = {1: (False, True, False), 2: (True, True, True),
+        expected = {1: (False, True, True), 2: (True, True, False),
                     3: (False, True, False)}[k]
         assert (columns.no_gap[-3], columns.zero[-2],
-                columns.disagree[-1]) == expected
+                columns.ratio_signed[-1]) == expected
+        assert columns.ratio[-1] == columns.modulus[-1]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_signed_ratios_have_the_modulus_ratio(self, d):
+        # a scale per matrix down to 1e-320 and one per row put eigenvalues,
+        # complex pairs among them, into the subnormal range; a value is
+        # real only relative to its own modulus, so every signed ratio's
+        # magnitude is the modulus ratio, bit for bit
+        rng = np.random.default_rng(2004 + d)
+        scales = rng.uniform(-320, 0, (400, 1)) + rng.uniform(-5, 5, (400, d))
+        stack = 10.0 ** scales[..., None] * rng.normal(size=(400, d, d))
+        with np.errstate(all="ignore"):
+            values = _spectra(stack).values
+        assert np.abs(values[:, -1]).min() < 2.3e-308
+        for k in range(1, d):
+            columns = spectral._eigenvalue_columns(values, k)
+            signed = columns.ratio_signed
+            assert signed.any()
+            assert np.array_equal(np.abs(columns.ratio[signed]),
+                                  columns.modulus[signed])
 
 class TestConvergenceToAttractor:
     def test_cartan_power_converges(self):
