@@ -2,7 +2,7 @@
 columns (each row's length, parent row and last letter), their images and
 every per-word value read off them, each a table built by one batched
 call; their Word objects are built only when read.  And the boundary
-atlas, its deduplicated attracting fixed points."""
+atlas, its attracting fixed points less coincident ones (``_close_pairs``)."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .errors import (
 from .groups import (
     RENORMALIZE_ABOVE,
     Word,
-    circle_separation,
+    _close_pairs,
     _not_loxodromic,
     _rp1_fixed_points,
     _tree_row,
@@ -35,7 +35,6 @@ from .groups import (
 from .representations import Representation
 from .spectral import _eigenvalue_columns
 
-POINT_DEDUP_TOL = 1e-8    # boundary angles closer than this are one point
 PRODUCT_BLOCK = 8192      # matrix entries per stacked product of _products
 
 
@@ -286,9 +285,10 @@ class BoundaryAtlas:
 
     ``angles`` ascends in [0, pi); ``angles[i]`` is the attracting angle,
     in the 2x2 reference, of ``words[i]``.  The loxodromic words of
-    ``self.ball`` are stably sorted by it, and a point within
-    ``POINT_DEDUP_TOL`` of the last kept one (or, across the wrap, of the
-    first) is dropped.  Non-loxodromic words are skipped and counted.
+    ``self.ball`` are stably sorted by it, and the later point of every
+    close pair (``groups._close_pairs``, the linkage's rule) is dropped,
+    the last across the wrap: a chain of points each close to the next
+    keeps only its first.  Non-loxodromic words are skipped and counted.
     Boundary flags are read from the same ball's flag tables; ``rows``
     holds the ball row of each point.
     """
@@ -297,17 +297,10 @@ class BoundaryAtlas:
         self.ball = _WordBall(rep, max_length)
         words, ends = self.ball.loxodromic()
         self.skipped_nonloxodromic = len(self.ball) - 1 - len(words)
-        attracting = ends[:, 0].tolist()
-        kept = []
-        for i in sorted(range(len(words)), key=attracting.__getitem__):
-            if kept and circle_separation(
-                    attracting[kept[-1]], attracting[i]) < POINT_DEDUP_TOL:
-                continue
-            kept.append(i)
-        # the sort is linear but the circle wraps: the last can equal the first
-        if len(kept) > 1 and circle_separation(
-                attracting[kept[0]], attracting[kept[-1]]) < POINT_DEDUP_TOL:
-            kept.pop()
+        order = np.argsort(ends[:, 0], kind="stable")
+        dropped = np.zeros(len(order), dtype=bool)
+        dropped[np.maximum(*_close_pairs(ends[order, 0]))] = True
+        kept = order[~dropped]
         self.words = [words[i] for i in kept]
         self.angles = ends[kept, 0]
         self.rows = self.ball.loxodromic_rows()[kept]

@@ -43,11 +43,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _open(path: str, newline: str | None = None):
+    """``path`` opened for writing; an OSError is raised as a
+    click.FileError, a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise click.FileError(path, hint=exc.strerror) from None
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         click.echo(text)
     else:
-        with open(out, "w") as fh:
+        with _open(out) as fh:
             fh.write(text + "\n")
 
 
@@ -58,7 +67,7 @@ def _write_json(doc: dict, out: str | None):
 def _write_csv(out: str, table: dict, descriptions: dict):
     """Columns (a dict of equal-length lists, in column order) -> CSV at
     ``out`` plus a schema sidecar ``out.schema.json``."""
-    with open(out, "w", newline="") as fh:
+    with _open(out, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table)
         for row in zip(*table.values()):
@@ -72,7 +81,7 @@ def _write_csv(out: str, table: dict, descriptions: dict):
         ] if any(map(len, table.values())) else [],
         "float_format": "%.17g",
     }
-    with open(out + ".schema.json", "w") as fh:
+    with _open(out + ".schema.json") as fh:
         json.dump(schema, fh, indent=2)
         fh.write("\n")
 
@@ -134,8 +143,9 @@ rep_options = [
                  help="Parameter of the fg family."),
     click.option("--partition", type=str, default=None,
                  help="Comma-separated non-increasing partition, e.g. 5,1."),
-    click.option("--rep", "rep_path", type=click.Path(exists=True),
-                 default=None, help="Path to a representation JSON file."),
+    click.option("--rep", "rep_path",
+                 type=click.Path(exists=True, dir_okay=False), default=None,
+                 help="Path to a representation JSON file."),
 ]
 
 
@@ -154,7 +164,7 @@ def cli():
 
 @cli.command()
 @_add_options(rep_options)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output path for the representation JSON (default stdout).")
 def construct(family, x, partition, rep_path, out):
     """Emit a representation as JSON."""
@@ -167,7 +177,7 @@ def construct(family, x, partition, rep_path, out):
 @_add_options(rep_options)
 @click.option("--k", type=int, required=True)
 @click.option("--L", "l_value", type=int, required=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
 def gap_scan(family, x, partition, rep_path, k, l_value, out, fmt):
@@ -198,7 +208,7 @@ def gap_scan(family, x, partition, rep_path, k, l_value, out, fmt):
 @click.option("--base-word", type=str, default="a",
               help="Base boundary point for the hyperconvex projection check.")
 @click.option("--min-separation", type=float, default=ver.TRIPLE_SEPARATION)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def check(what, family, x, partition, rep_path, k, l_value, base_word,
           min_separation, out):
     """Run one of the transversality / positivity / identity checks."""
@@ -249,7 +259,7 @@ def check(what, family, x, partition, rep_path, k, l_value, base_word,
 @_add_options(rep_options)
 @click.option("--k", type=int, required=True)
 @click.option("--L", "l_value", type=int, required=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
 def collar(family, x, partition, rep_path, k, l_value, out, fmt):
@@ -292,7 +302,7 @@ def collar(family, x, partition, rep_path, k, l_value, out, fmt):
 @click.option("--x-max", type=float, required=True)
 @click.option("--points", type=click.IntRange(min=1), default=25)
 @click.option("--log-grid", is_flag=True, default=False)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="CSV output path (stdout when omitted).")
 def fg_scan(x_min, x_max, points, log_grid, out):
     """Root-gap degeneration grid of the one-parameter family."""
@@ -324,7 +334,7 @@ def fg_scan(x_min, x_max, points, log_grid, out):
 @click.option("--seed", type=int, required=True,
               help="RNG seed; required for reproducibility.")
 @click.option("--entry-max", type=float, default=2.0)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def sopq(p, q, count, seed, entry_max, out):
     """Build random positive elements and check the positivity coefficients."""
     report = ver.sopq_scan(p, q, count, seed, entry_max)

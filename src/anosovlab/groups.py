@@ -240,6 +240,28 @@ def circle_separation(a, b):
     return np.minimum(delta, np.pi - delta)
 
 
+def _close_pairs(angles) -> tuple:
+    """Every pair of the finite ``angles`` closer than ``ANGLE_SEPARATION``
+    on RP^1, once: ``(a, b)`` index arrays, b after a in the stable order
+    mod pi, counted across the wrap.  An angle's candidates are the at
+    most n - 1 angles less than twice the tolerance ahead of it, found by
+    ``searchsorted``; ``circle_separation`` keeps the close ones."""
+    angles = np.asarray(angles, dtype=float)
+    n = len(angles)
+    ring = np.mod(angles, np.pi)
+    order = np.argsort(ring, kind="stable")
+    ring = ring[order]
+    ahead = np.searchsorted(np.concatenate((ring, ring + np.pi)),
+                            ring + 2 * ANGLE_SEPARATION)
+    count = np.minimum(ahead - np.arange(1, n + 1), n - 1)
+    first = np.repeat(np.arange(n), count)
+    # candidate j of an angle lies j places ahead of it, j = 1..count
+    step = np.arange(1, len(first) + 1) - np.searchsorted(first, first)
+    a, b = order[first], order[(first + step) % n]
+    close = circle_separation(angles[a], angles[b]) < ANGLE_SEPARATION
+    return a[close], b[close]
+
+
 def _rp1_fixed_points(stack) -> tuple:
     """Fixed lines on RP^1 of an (n, 2, 2) stack: ``(ends, loxodromic)``.
 

@@ -77,7 +77,9 @@ class Representation:
     Each image is converted to a float array and checked here: it must be
     square (DimensionError), finite (InputError), of dimension ``dim``
     (InputError) and of determinant 1 within ``DET_RTOL`` sigma_1^d
-    (ConstructionError).  The images are stored read-only.
+    (ConstructionError).  The images are stored read-only.  A reference
+    must be 2x2, have one generator per image and loxodromic generators
+    (InputError).
     """
 
     dim: int
@@ -108,6 +110,10 @@ class Representation:
         if self.reference is not None:
             if self.reference.dim != 2:
                 raise InputError("boundary reference must be 2x2")
+            if self.reference.rank != len(images):
+                raise InputError(
+                    f"boundary reference has {self.reference.rank} "
+                    f"generators, representation has {len(images)}")
             # the rule the word ball reads fixed points by
             _, loxodromic = _rp1_fixed_points(
                 np.reshape(self.reference.generator_images, (-1, 2, 2)))

@@ -7,8 +7,8 @@ Everything here is a desk-scale numerical verification over word balls:
 and reported with minimum defects and three-way verdicts, never claimed
 as proofs.  Every threshold behind a verdict is a constant of this module.
 The word ball and its atlas (``ball``) and the triple kernel (``triples``)
-keep their own constants: point deduplication, bracket slack and block
-size, none of which decides a verdict.
+keep their own constants: bracket slack and block sizes, none of which
+decides a verdict.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .errors import (
 from .groups import (
     ANGLE_SEPARATION,
     Word,
+    _close_pairs,
     circle_separation,
 )
 from .representations import (
@@ -843,12 +844,11 @@ def _linked(ends: np.ndarray) -> np.ndarray:
     ``ANGLE_SEPARATION``.  The parity is built ``PAIR_BLOCK`` cells of g
     rows at a time, so its temporaries stay that size.
 
-    The close points are found once among the 2n ends.  Sorted by angle
-    mod pi, two ends closer than the tolerance lie in one run of gaps
-    below twice it, the last run joined to the first across pi, so
-    ``circle_separation`` is evaluated only on the pairs inside a run.
-    A word whose own ends are close (or not finite) is linked to none,
-    two words with a close pair of ends to neither, and no word to itself.
+    A word whose own ends are close (or not finite) is linked to none.
+    The close pairs among the 2n ends of the other words are one
+    ``groups._close_pairs`` call, the atlas's coincidence rule: two words
+    with a close pair of ends are linked to neither.  No word is linked
+    to itself.
     """
     plus, minus = ends[:, 0], ends[:, 1]
     n = len(ends)
@@ -861,28 +861,9 @@ def _linked(ends: np.ndarray) -> np.ndarray:
                                       ^ (plus < g_plus) ^ (g_minus < plus))
     own = ~(circle_separation(plus, minus) >= ANGLE_SEPARATION)
     good = np.flatnonzero(~own)
-    points, word = np.concatenate((plus[good], minus[good])), np.tile(good, 2)
-    angles = np.mod(points, np.pi)
-    order = np.argsort(angles, kind="stable")
-    angles = angles[order]
-    run = np.cumsum(np.diff(angles, prepend=angles[:1])
-                    >= 2 * ANGLE_SEPARATION)
-    if len(run) and angles[0] + np.pi - angles[-1] < 2 * ANGLE_SEPARATION:
-        run[run == run[-1]] = 0
-    # each end and the end ``offset`` places after it, while both lie in
-    # one run; a run of r ends stops the loop at offset r
-    first, pairs = np.arange(len(run)), []
-    for offset in range(1, len(run)):
-        second = (first + offset) % len(run)
-        same = run == run[second]
-        if not same.any():
-            break
-        pairs.append(order[np.stack((first[same], second[same]))])
-    if pairs:
-        a, b = np.hstack(pairs)
-        close = ~(circle_separation(points[a], points[b]) >= ANGLE_SEPARATION)
-        g, h = word[a[close]], word[b[close]]
-        linked[g, h] = linked[h, g] = False
+    word = np.tile(good, 2)
+    a, b = _close_pairs(np.concatenate((plus[good], minus[good])))
+    linked[word[a], word[b]] = linked[word[b], word[a]] = False
     linked[own] = linked[:, own] = False
     np.fill_diagonal(linked, False)
     return linked

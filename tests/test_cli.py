@@ -86,6 +86,38 @@ class TestConstruct:
         assert doc["error"] == "ConstructionError"
 
     @pytest.mark.parametrize("args, message", [
+        (["construct", "--family", "fg", "--x", "1", "--out", "DIR"],
+         "is a directory"),
+        (["construct", "--family", "fg", "--x", "1", "--out",
+          "DIR/missing/rep.json"], "Could not open file"),
+        (["fg-scan", "--x-min", "1", "--x-max", "2", "--out",
+          "DIR/missing/x.csv"], "Could not open file"),
+        (["collar", "--family", "fg", "--x", "1", "--k", "1", "--L", "2",
+          "--format", "csv", "--out", "DIR/missing/c.csv"],
+         "Could not open file"),
+        (["construct", "--rep", "DIR"], "is a directory"),
+    ], ids=["out-directory", "out-missing-parent", "fg-scan-csv",
+            "collar-csv", "rep-directory"])
+    def test_unusable_path_exit_64(self, tmp_path, capsys, args, message):
+        # a usage error, not a traceback and the failed-check status 1
+        assert run([a.replace("DIR", str(tmp_path)) for a in args]) == 64
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_reference_of_another_rank_exit_3(self, tmp_path, capsys, count):
+        doc = json.loads(rep_to_json(fg_rep(1.0)))
+        gens = doc["reference"]["generators"]
+        doc["reference"]["generators"] = (gens + [[[2, 1], [1, 1]]])[:count]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        assert run(["collar", "--rep", str(path), "--k", "1",
+                    "--L", "2"]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError",
+            "message": f"boundary reference has {count} generators, "
+                       "representation has 2"}
+
+    @pytest.mark.parametrize("args, message", [
         (["construct", "--family", "fuchsian", "--partition", "3,1",
           "--x", "5"], "--x applies only to --family fg"),
         (["gap-scan", "--family", "fg", "--x", "1", "--partition", "zz",

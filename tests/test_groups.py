@@ -15,8 +15,10 @@ from anosovlab.errors import (
     PreconditionError,
 )
 from anosovlab.groups import (
+    ANGLE_SEPARATION,
     Word,
     _ball_size,
+    _close_pairs,
     _tree_row,
     _word_tree,
     circle_separation,
@@ -344,6 +346,80 @@ class TestCyclicOrder:
             v = g @ np.array([np.cos(t), np.sin(t)])
             moved.append(float(np.arctan2(v[1], v[0])) % np.pi)
         assert is_cyclically_ordered(angles) == is_cyclically_ordered(moved)
+
+
+def brute_close_pairs(angles):
+    """Every pair (i, j), i < j, of ``angles`` closer than
+    ``ANGLE_SEPARATION``, from the whole table of separations."""
+    pairs = itertools.combinations(range(len(angles)), 2)
+    return sorted((i, j) for i, j in pairs if circle_separation(
+        angles[i], angles[j]) < ANGLE_SEPARATION)
+
+
+TIGHT = ANGLE_SEPARATION * (1 - 1e-6)
+LOOSE = ANGLE_SEPARATION * (1 + 1e-6)
+NEAR_ANGLES = [0.0, TIGHT, LOOSE, np.pi - 1e-11, np.pi - TIGHT, -TIGHT,
+               1.0, 1.0 + TIGHT, 1.0 + LOOSE, 1.0 - TIGHT, 1.0 + 1.5 * LOOSE,
+               1.0 + np.pi, 1.0 - 2 * np.pi + TIGHT, 2.0, 2.0 - LOOSE]
+# each angle closer than the tolerance to the next, not to the one after
+CHAIN = [1.0 + i * 0.75 * ANGLE_SEPARATION for i in range(6)]
+
+
+class TestClosePairs:
+    def check(self, angles):
+        angles = np.array(angles, dtype=float)
+        a, b = _close_pairs(angles)
+        # each close pair once
+        assert sorted(zip(np.minimum(a, b).tolist(),
+                          np.maximum(a, b).tolist())) == brute_close_pairs(
+            angles)
+        # b after a in the stable order mod pi, or before it across the wrap
+        ring = np.mod(angles, np.pi)
+        rank = np.argsort(np.argsort(ring, kind="stable"))
+        across = ring[a] - ring[b] > np.pi / 2
+        assert np.array_equal(rank[b] < rank[a], across)
+        return a, b
+
+    @pytest.mark.parametrize("angles", [
+        [], [1.0], [1.0, 2.0], [1.0, 1.0],
+        [1.0, 1.0 + TIGHT, 2.0, 2.0 + LOOSE],
+        [0.5, 2.0, 0.5, 0.5, 2.0, 0.5, 1.0],
+        [np.pi - 1e-11, 0.0, 1.0, np.pi - TIGHT, TIGHT],
+        [1.0 + np.pi, -0.5, 1.0 - np.pi, np.pi - 0.5 - LOOSE, 7.0, -1e-20,
+         0.0],
+        [0.7] * 6,
+    ], ids=["n0", "n1", "n2", "exact", "near-tolerance", "clusters", "wrap",
+            "outside-0-pi", "all-coincident"])
+    def test_equals_the_brute_force_on_constructed_angles(self, angles):
+        self.check(angles)
+
+    def test_chain_pairs_only_neighbours_within_the_tolerance(self):
+        a, b = self.check(CHAIN)
+        assert sorted(zip(a.tolist(), b.tolist())) == [
+            (i, i + 1) for i in range(5)]
+
+    def test_the_pair_across_pi_starts_at_the_later_angle(self):
+        a, b = self.check([0.0, 1.0, np.pi - TIGHT / 2])
+        assert (a.tolist(), b.tolist()) == ([2], [0])
+
+    @given(st.lists(st.one_of(st.sampled_from(NEAR_ANGLES),
+                              st.floats(-4.0, 7.0)), max_size=14))
+    @settings(deadline=None)
+    def test_equals_the_brute_force_on_drawn_angles(self, angles):
+        self.check(angles)
+
+    def test_separations_read_only_nearby_candidates(self, monkeypatch):
+        # spread angles have no candidate, so no square table is built
+        sizes = []
+
+        def recording(a, b):
+            sizes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+            return circle_separation(a, b)
+
+        monkeypatch.setattr(groups, "circle_separation", recording)
+        a, b = _close_pairs(np.linspace(0.0, np.pi, 1000, endpoint=False))
+        assert len(a) == len(b) == 0
+        assert sizes == [(0,)]
 
 
 def schottky_reference():

@@ -277,6 +277,24 @@ def test_one_realness_rule():
                    for n in ast.walk(t))] == []
 
 
+def test_one_coincidence_rule():
+    # two boundary points are one by the rule of groups._close_pairs, in
+    # the atlas and in the linkage mask alike; the atlas measures no
+    # separation and keeps no angle tolerance of its own
+    src = ROOT / "src" / "anosovlab"
+    callers = sorted({f"{path.name}:{scope}" for path in src.glob("*.py")
+                      for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).endswith("_close_pairs")})
+    assert callers == ["ball.py:BoundaryAtlas.__init__",
+                       "verification.py:_linked"]
+    names = {getattr(node, attr) for _, node in _scoped_nodes(src / "ball.py")
+             for attr in ("id", "attr", "name") if hasattr(node, attr)}
+    assert "circle_separation" not in names
+    assert [n for n in names if isinstance(n, str) and n.isupper()
+            and ("TOL" in n or "SEPARATION" in n)] == []
+
+
 def test_only_ck_scans_certify():
     # the gap scans run for a gap scan and for the C_k certification its
     # verdict is gated on; the H_k path builds no certification ball

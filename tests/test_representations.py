@@ -94,6 +94,15 @@ class TestGeneratorImages:
             Representation(dim=3, generator_images=rep.generator_images,
                            reference=rep)
 
+    def test_rejects_reference_with_more_generators(self):
+        rep = fg_rep(1.0)
+        ref = Representation(dim=2, generator_images=(
+            *rep.reference.generator_images, [[2, 1], [1, 1]]))
+        with pytest.raises(InputError, match="boundary reference has 3 "
+                           "generators, representation has 2"):
+            Representation(dim=3, generator_images=rep.generator_images,
+                           reference=ref)
+
     def test_rejects_reference_generator_not_loxodromic(self):
         # a parabolic generator: trace 2
         ref = Representation(dim=2,

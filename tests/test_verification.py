@@ -502,14 +502,14 @@ class TestWordBall:
             assert ball.fixed_points(w) == expected
 
     def test_reference_without_a_generator_is_an_input_error(self):
+        # raised where the representation is built, before a ball reads it
         fg = fg_rep(1.0)
         short = Representation(dim=2, generator_images=(
             REF.generator_images[0],))
-        rep = Representation(dim=3, generator_images=fg.generator_images,
-                             reference=short)
-        with pytest.raises(InputError,
-                           match="word uses generator 2, representation has 1"):
-            BoundaryAtlas(rep, 1)
+        with pytest.raises(InputError, match="boundary reference has 1 "
+                           "generators, representation has 2"):
+            Representation(dim=3, generator_images=fg.generator_images,
+                           reference=short)
 
     def test_named_words_inverses_and_prefixes_are_rows(self):
         rep = fuchsian_locus((7, 1), REF)
@@ -945,6 +945,33 @@ class TestBoundaryAtlas:
         assert ends.shape == (len(words), 2)
         assert (len(words) + atlas.skipped_nonloxodromic
                 == len(atlas.ball.words) - 1)
+
+    @pytest.mark.parametrize("max_length", range(1, 7))
+    def test_drops_the_later_point_of_each_close_pair(self, max_length):
+        # point by point: in the stable order by attracting angle, a point
+        # close to any earlier one, kept or not, is dropped
+        atlas = BoundaryAtlas(fg_rep(1.0), max_length)
+        words, ends = atlas.ball.loxodromic()
+        order = sorted(range(len(words)), key=lambda i: ends[i, 0])
+        angles = ends[order, 0]
+        kept = [i for p, i in enumerate(order) if not np.any(
+            circle_separation(angles[p], angles[:p]) < ANGLE_SEPARATION)]
+        assert atlas.words == [words[i] for i in kept]
+        assert np.array_equal(atlas.angles, ends[kept, 0])
+        assert np.array_equal(atlas.rows, atlas.ball.loxodromic_rows()[kept])
+
+    def test_L7_keeps_points_apart_by_the_angle_separation(self):
+        # aaaaab lies within 1e-8 of aaaaaba, but not within
+        # ANGLE_SEPARATION, and the axes of the two differ
+        atlas = BoundaryAtlas(fg_rep(1.0), 7)
+        assert len(atlas) == 4188
+        words = [Word.parse(w, 2) for w in ("a", "aaaaab", "aaaaaba")]
+        assert set(words) <= set(atlas.words)
+        rows = [atlas.ball.row(w) for w in words[1:]]
+        (plus, minus), (near_plus, near_minus) = (
+            atlas.ball.reference_ends()[0][rows])
+        assert ANGLE_SEPARATION < circle_separation(plus, near_plus) < 1e-8
+        assert circle_separation(minus, near_minus) > 0.5
 
 
 class TestGapScan:
