@@ -17,10 +17,7 @@ from .core_linalg import (
     _spectra,
     spectrum,
 )
-from .errors import (
-    GapError,
-    InputError,
-)
+from .errors import InputError
 from .groups import (
     RENORMALIZE_ABOVE,
     Word,
@@ -33,7 +30,7 @@ from .groups import (
     words_of_length,
 )
 from .representations import Representation
-from .spectral import _eigenvalue_columns
+from .spectral import _eigenvalue_columns, _gap_error
 
 PRODUCT_BLOCK = 8192      # matrix entries per stacked product of _products
 
@@ -258,15 +255,10 @@ class _WordBall:
                     raise errors[r].with_traceback(None)
         return bases[rows], missing[rows]
 
-    def gap_error(self, dim: int, row: int) -> GapError:
+    def gap_error(self, dim: int, row: int):
         """The GapError of a row missing from the flag table of ``dim``,
-        naming its word."""
-        moduli = np.abs(self._spectra().values[row])
-        ratio = float(moduli[dim - 1] / max(moduli[dim], 1e-300))
-        return GapError(
-            f"no eigenvalue gap at dimension {dim} for word {self.words[row]}: "
-            f"|lambda_{dim}|/|lambda_{dim + 1}| = {ratio:.6g}",
-            index=dim, ratio=ratio)
+        naming its word (``spectral._gap_error``)."""
+        return _gap_error(self.eigenvalues(dim), row, dim, self.words[row])
 
     def space(self, w: Word, dim: int) -> Subspace:
         """Attracting space of dimension ``dim`` of the image of ``w``: its

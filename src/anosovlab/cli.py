@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 import click
 import numpy as np
@@ -64,14 +65,18 @@ def _write_json(doc: dict, out: str | None):
     _emit(json.dumps(doc, indent=2, default=str), out)
 
 
-def _write_csv(out: str, table: dict, descriptions: dict):
+def _write_csv(out: str | None, table: dict, descriptions: dict):
     """Columns (a dict of equal-length lists, in column order) -> CSV at
-    ``out`` plus a schema sidecar ``out.schema.json``."""
-    with _open(out, newline="") as fh:
+    ``out`` plus a schema sidecar ``out.schema.json``; to stdout, without a
+    sidecar, where ``out`` is None."""
+    with (nullcontext(sys.stdout) if out is None
+          else _open(out, newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table)
         for row in zip(*table.values()):
             writer.writerow([_fmt(value) for value in row])
+    if out is None:
+        return
     schema = {
         "columns": [
             {"name": c, "type": next(name for kind, name in _SCHEMA_TYPES
@@ -313,17 +318,12 @@ def fg_scan(x_min, x_max, points, log_grid, out):
     reports = ver.counterexample_scan(grid)
     table = {c: [getattr(r, c) for r in reports]
              for c in ("x", "ratio_gamma", "ratio_delta", "root_length")}
-    if out is None:
-        click.echo(",".join(table))
-        for row in zip(*table.values()):
-            click.echo(",".join(map(_fmt, row)))
-    else:
-        _write_csv(out, table, {
-            "x": "family parameter",
-            "ratio_gamma": "signed lambda_1/lambda_2 of the first generator",
-            "ratio_delta": "signed lambda_1/lambda_2 of the second generator",
-            "root_length": "log of the top eigenvalue gap",
-        })
+    _write_csv(out, table, {
+        "x": "family parameter",
+        "ratio_gamma": "signed lambda_1/lambda_2 of the first generator",
+        "ratio_delta": "signed lambda_1/lambda_2 of the second generator",
+        "root_length": "log of the top eigenvalue gap",
+    })
     return 0 if all(r.columns_agree for r in reports) else 1
 
 

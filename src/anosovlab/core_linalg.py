@@ -512,9 +512,8 @@ def _modulus_clusters(moduli: np.ndarray) -> list:
     """
     groups = []
     start = 0
-    scale = max(moduli[0], 1e-300)
     for i in range(1, len(moduli)):
-        if (moduli[start] - moduli[i] > EIGEN_TIE_RTOL * scale
+        if (moduli[start] - moduli[i] > EIGEN_TIE_RTOL * moduli[0]
                 and not _no_gap(moduli[i - 1], moduli[i])):
             groups.append((start, i))
             start = i
@@ -592,7 +591,7 @@ def _invariant_bases(spec: Spectrum, rows, start: int, stop: int) -> tuple:
                 >= 1.0 - EIGENVECTOR_SIN_TIE ** 2)
     defective = np.count_nonzero(parallel, axis=-1) > 1
     equal = (np.abs(values[:, :, None] - values[:, None, :])
-             <= EIGEN_TIE_RTOL * np.maximum(moduli[live, :1, None], 1e-300))
+             <= EIGEN_TIE_RTOL * moduli[live, :1, None])
     deflated = (equal & defective[:, None, :]).any(axis=-1)
     upper, real = ~deflated & (values.imag > 0), ~deflated & (values.imag == 0)
     closed = (np.count_nonzero(deflated | real, axis=1)

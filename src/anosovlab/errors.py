@@ -32,9 +32,9 @@ class PreconditionError(AnosovLabError):
 
 
 class GapError(AnosovLabError):
-    """A required singular-value or eigenvalue gap is absent.
-
-    ``ratio`` is the offending gap ratio, ``index`` the gap index.
+    """A required eigenvalue-modulus gap is absent; a bad gap index is an
+    InputError.  ``spectral._gap_error`` builds it: ``ratio`` is
+    |lambda_k|/|lambda_(k+1)| (inf where lambda_(k+1) is 0), ``index`` k.
     """
 
     def __init__(self, message, index=None, ratio=None):

@@ -20,7 +20,9 @@ dimension, each spanned by the row's eigenvectors above its modulus gap
 and certified by its invariance residual.  ``attracting_space`` is one row of the batched kernel
 ``core_linalg._invariant_bases``, and ``eigenvalue_ratios`` and
 ``length_functions`` are one row of ``_eigenvalue_columns``: the scans
-call both kernels once on all rows.
+call both kernels once on all rows.  A missing modulus gap, a flag's or
+the collar's, is reported by ``_gap_error`` alone, from the columns'
+modulus ratio; an index outside 1..d-1 raises InputError.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .core_linalg import (
     spectrum,
     svd,
 )
-from .errors import GapError, NumericError
+from .errors import GapError, InputError, NumericError
 
 __all__ = [
     "EIGEN_GAP_MIN",
@@ -88,7 +90,7 @@ class LengthPair:
 
 def _check_index(k: int, d: int):
     if not 1 <= k < d:
-        raise GapError(f"gap index k={k} outside 1..{d - 1}", index=k)
+        raise InputError(f"gap index k={k} outside 1..{d - 1}")
 
 
 def _indexed_spectrum(m, k: int) -> Spectrum:
@@ -151,12 +153,7 @@ def attracting_space(m, k: int) -> Subspace:
     spec = _indexed_spectrum(m, k)
     bases, missing, errors = _invariant_bases(spec, [0], 0, k)
     if missing[0]:
-        moduli = np.abs(spec.values[0])
-        ratio = float(moduli[k - 1] / max(moduli[k], 1e-300))
-        raise GapError(
-            f"no eigenvalue-modulus gap of index {k}: "
-            f"|lambda_{k}|/|lambda_{k + 1}| = {ratio:.6g}",
-            index=k, ratio=ratio)
+        raise _gap_error(_eigenvalue_columns(spec.values, k), 0, k)
     if errors:
         raise errors[0]
     return Subspace(bases[0])
@@ -242,6 +239,18 @@ def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:
                                           - np.sum(logs[:, -k:], axis=-1))
             out["root_length"][rows] = logs[:, k - 1] - logs[:, k]
     return _EigenvalueColumns(**out)
+
+
+def _gap_error(columns: _EigenvalueColumns, row: int, k: int,
+               word=None) -> GapError:
+    """The GapError of ``row`` of the eigenvalue columns at k, a row without
+    a modulus gap at k, naming ``word`` if one is given; its ratio is the
+    row's ``modulus``, inf where |lambda_(k+1)| is 0."""
+    ratio = float(columns.modulus[row])
+    named = "" if word is None else f" for word {word}"
+    return GapError(f"no eigenvalue gap at index {k}{named}: "
+                    f"|lambda_{k}|/|lambda_{k + 1}| = {ratio:.6g}",
+                    index=k, ratio=ratio)
 
 
 def _one_row(m, k: int) -> _EigenvalueColumns:

@@ -33,7 +33,6 @@ from .core_linalg import (
 from .crossratio import gcr, pcr_quotient
 from .errors import (
     DomainError,
-    GapError,
     InputError,
     PreconditionError,
     check_integer,
@@ -943,15 +942,14 @@ def _collar_table(ball: _WordBall, k: int, rows: np.ndarray,
     if h_failed.any() and (bad := failed[g_rows] | h_failed[h_rows]).any():
         p = int(np.argmax(bad))
         g, h = rows[g_rows[p]], rows[h_rows[p]]
-        # raises g's residual error, or h's; then h's errors in the order of
-        # the one-row calls: the gap, the lengths
-        ball.spectrum(ball.words[g if failed[g_rows[p]] else h])
+        # g's residual error, or h's; then h's errors in the order of the
+        # one-row calls: the gap, the lengths
+        errors = ball._spectra().errors
+        for r in (g, h):
+            if r in errors:
+                raise errors[r].with_traceback(None)
         if columns.no_gap[h]:
-            modulus = float(columns.modulus[h])
-            raise GapError(
-                f"no eigenvalue gap at index {k} for word {ball.words[h]}: "
-                f"|lambda_{k}|/|lambda_{k + 1}| = {modulus:.6g}",
-                index=k, ratio=modulus)
+            raise ball.gap_error(k, h)
         columns.check_lengths(h)
     lhs = columns.period[rows]
     with np.errstate(divide="ignore", over="ignore"):

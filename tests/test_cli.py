@@ -259,7 +259,7 @@ class TestCheck:
                     "--partition", "5,1", "--k", "3", "--L", "2"]) == 3
         doc = json.loads(capsys.readouterr().err)
         assert doc == {"error": "GapError", "message":
-                       "no eigenvalue gap at dimension 3 for word BA: "
+                       "no eigenvalue gap at index 3 for word BA: "
                        "|lambda_3|/|lambda_4| = 1"}
 
     @pytest.mark.parametrize("command", [

@@ -252,6 +252,25 @@ def test_one_gap_rule():
     assert reads == ["core_linalg.py:_no_gap"]
 
 
+def test_one_gap_error():
+    # a missing modulus gap is reported by spectral._gap_error alone, with
+    # the modulus ratio of the eigenvalue columns; no max takes a 1e-300
+    # floor, of a ratio's denominator or of a tie scale
+    src = ROOT / "src" / "anosovlab"
+    calls = [(f"{path.name}:{scope}", node)
+             for path in sorted(src.glob("*.py"))
+             for scope, node in _scoped_nodes(path)
+             if isinstance(node, ast.Call)]
+    built = [where for where, node in calls
+             if ast.unparse(node.func).split(".")[-1] == "GapError"]
+    assert built == ["spectral.py:_gap_error"]
+    floors = [f"{where} {ast.unparse(node)}" for where, node in calls
+              if ast.unparse(node.func) in ("max", "np.maximum")
+              and any(isinstance(arg, ast.Constant) and arg.value == 1e-300
+                      for arg in node.args)]
+    assert floors == []
+
+
 def test_one_realness_rule():
     # a value is real when |Im| is at most REAL_IMAG_TOL times its own
     # modulus: every read of the tolerance is such a comparison in the

@@ -17,7 +17,7 @@ from anosovlab.core_linalg import (
     grassmann_distance,
     spectrum,
 )
-from anosovlab.errors import GapError, NumericError
+from anosovlab.errors import GapError, InputError, NumericError
 from anosovlab.groups import Word, evaluate, words_of_length
 from anosovlab.representations import (
     fg_rep,
@@ -134,7 +134,7 @@ class TestSpectrum:
             raise AssertionError("decomposed before checking the index")
 
         monkeypatch.setattr(spectral, "spectrum", no_spectrum)
-        with pytest.raises(GapError):
+        with pytest.raises(InputError):
             fn(FG_GAMMA, k)
 
     @given(st.integers(min_value=2, max_value=8),
@@ -169,9 +169,9 @@ class TestSingularGap:
         assert singular_gap(FG_GAMMA, 1) == pytest.approx(s[0] / s[1], rel=1e-12)
 
     def test_bad_index(self):
-        with pytest.raises(GapError):
+        with pytest.raises(InputError):
             singular_gap(np.eye(3), 3)
-        with pytest.raises(GapError):
+        with pytest.raises(InputError):
             singular_gap(np.eye(3), 0)
 
     def test_row_blocks_change_no_value(self):
@@ -240,6 +240,26 @@ class TestAttractingSpace:
     def test_modulus_tie_raises(self):
         with pytest.raises(GapError):
             attracting_space(np.diag([2.0, 2.0, 0.25]), 1)
+
+    def test_missing_gap_over_a_zero_modulus_reads_inf(self):
+        # |lambda_2| = |lambda_3| = 0: no gap at 2, and the ratio is the
+        # eigenvalue columns' modulus, inf, not a quotient over a floor
+        m = np.diag([2.0, 0.0, 0.0])
+        m[1, 2] = 1.0
+        with pytest.raises(GapError) as exc:
+            attracting_space(m, 2)
+        assert (exc.value.index, exc.value.ratio) == (2, np.inf)
+        assert str(exc.value) == (
+            "no eigenvalue gap at index 2: |lambda_2|/|lambda_3| = inf")
+
+    def test_missing_gap_message_reads_the_modulus_ratio(self):
+        m = np.diag([2.0, -2.0, 0.25])
+        with pytest.raises(GapError) as exc:
+            attracting_space(m, 1)
+        assert (exc.value.index, exc.value.ratio) == (
+            1, eigenvalue_ratios(m, 1).lambda_ratio_modulus)
+        assert str(exc.value) == (
+            "no eigenvalue gap at index 1: |lambda_1|/|lambda_2| = 1")
 
     def test_zero_eigenvalue_after_the_selection_is_a_gap(self):
         # |lambda_1| / |lambda_2| is infinite, as the collar rule reads it;

@@ -1962,6 +1962,43 @@ class TestPositivelyRatioed:
         assert _arrangement_minimum(wedge) == (min_gcr, worst)
         assert per_point_arrangement_minimum(wedge) == (min_gcr, worst)
 
+    @pytest.mark.parametrize("rep,k,max_length,p,bound", [
+        ((3,), 1, 2, 3, 1e-9),
+        ("fg", 1, 2, 3, 1e-9),
+        ((5, 1), 1, 2, 5, 1e-9),
+        ((5, 1), 2, 2, 5, 1e-9),
+        ((4, 2), 1, 2, 4, 1e-9),
+        ((7, 1), 1, 2, 7, 1e-6),
+        ((7, 1), 3, 2, 7, 1e-6),
+        # (5,1) at L=3 reads item 1's middle flags: 4.9e-5 and 1.65e-4
+        pytest.param((3,), 1, 3, 3, 1e-9, marks=pytest.mark.slow),
+        pytest.param((4, 2), 1, 3, 4, 1e-6, marks=pytest.mark.slow),
+        pytest.param((5, 1), 1, 3, 5, 1e-3, marks=pytest.mark.slow),
+        pytest.param((5, 1), 2, 3, 5, 1e-3, marks=pytest.mark.slow),
+    ], ids=["3-k1-L2", "fg-k1-L2", "5,1-k1-L2", "5,1-k2-L2", "4,2-k1-L2",
+            "7,1-k1-L2", "7,1-k3-L2", "3-k1-L3", "4,2-k1-L3", "5,1-k1-L3",
+            "5,1-k2-L3"])
+    def test_fuchsian_exponent(self, rep, k, max_length, p, bound):
+        # on a Fuchsian locus gcr is cr_ref^(k(p - k)), p the top block and
+        # cr_ref the 2x2 reference cross ratio of the same four angles,
+        # W[i, j] = sin(theta_j - theta_i); over every cyclic arrangement
+        rep = fg_rep(1.0) if rep == "fg" else fuchsian_locus(rep, REF)
+        atlas = BoundaryAtlas(rep, max_length)
+        theta = atlas.angles
+        quads = np.array(list(itertools.combinations(range(len(atlas)), 4)))
+        x, y, z, w = np.concatenate(
+            [np.roll(quads, -s, axis=1) for s in range(4)]).T
+
+        def log_cr(table):
+            return np.log((table[x, z] / table[x, y])
+                          * (table[w, y] / table[w, z]))
+
+        log_ref = log_cr(np.sin(theta[None, :] - theta[:, None]))
+        keep = np.abs(log_ref) > 1e-3
+        assert keep.sum() > len(x) // 2
+        exponents = log_cr(_wedge_table(atlas, k))[keep] / log_ref[keep]
+        assert np.max(np.abs(exponents - k * (p - k))) < bound
+
     def test_missing_flag_names_the_first_point_and_dimension(self):
         # the eigenvalue 1 of (5,1) is double: no point has a 3-flag
         rep = fuchsian_locus((5, 1), REF)
@@ -1971,7 +2008,7 @@ class TestPositivelyRatioed:
         assert exc.value.index == 3
         assert exc.value.ratio == pytest.approx(1.0)
         assert str(exc.value).startswith(
-            f"no eigenvalue gap at dimension 3 for word {first}: "
+            f"no eigenvalue gap at index 3 for word {first}: "
             f"|lambda_3|/|lambda_4| = ")
 
     def test_degenerate_wedge_message(self):
@@ -2150,6 +2187,22 @@ class TestCollar:
         assert str(got.value) == str(want.value)
         assert (got.value.index, got.value.ratio) == (
             want.value.index, want.value.ratio)
+
+    @pytest.mark.parametrize("rep,k,max_length", [
+        (lambda: fuchsian_locus((3, 1), REF), 2, 2),
+        (lambda: rotation_rep(0), 1, 3),
+    ], ids=["31-k2", "rotation"])
+    def test_collar_scan_missing_gap_decomposes_no_eigenvectors(
+            self, monkeypatch, rep, k, max_length):
+        # the GapError is built from the values-only table the scan read
+        def no_eig(a):
+            raise AssertionError("eigenvectors decomposed for the error")
+
+        rep = rep()
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        with pytest.raises(GapError, match=f"^no eigenvalue gap at index {k} "
+                           "for word "):
+            collar_scan(rep, k, max_length)
 
     @pytest.mark.parametrize("rep,k,above", [
         (lambda: fuchsian_locus((3, 1), REF), 2, 0.0),
