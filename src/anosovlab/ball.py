@@ -1,8 +1,9 @@
 """The word ball: the words a scan or check reads, held as a prefix tree of
-columns (each row's length, parent row and last letter), their images and
-every per-word value read off them, each a table built by one batched
-call; their Word objects are built only when read.  And the boundary
-atlas, its attracting fixed points less coincident ones (``_close_pairs``)."""
+columns (each row's length, parent row and last letter), their images, of
+the columns alone, and every per-word value read off them, each a table
+built by one batched call; their Word objects are built only when read.
+And the boundary atlas, its attracting fixed points less coincident ones
+(``_close_pairs``)."""
 
 from __future__ import annotations
 
@@ -19,20 +20,17 @@ from .core_linalg import (
 )
 from .errors import InputError
 from .groups import (
-    RENORMALIZE_ABOVE,
     Word,
     _close_pairs,
     _not_loxodromic,
     _rp1_fixed_points,
     _tree_row,
+    _word_products,
     _word_tree,
-    evaluate,
     words_of_length,
 )
 from .representations import Representation
 from .spectral import _eigenvalue_columns, _gap_error
-
-PRODUCT_BLOCK = 8192      # matrix entries per stacked product of _products
 
 
 class _WordBall:
@@ -46,14 +44,14 @@ class _WordBall:
     and ``last`` (its signed last letter).  ``words``, their Word objects,
     is built only when first read; ``row`` finds a word's row from its
     letters.  ``images`` stacks the images in one read-only (n, d, d)
-    array, each row its parent's times one generator or its inverse.
+    array, one ``groups._word_products`` call on the columns.
     Every per-word value below is a table, a row per word, built on first
     use by one batched call and kept for the life of the ball (one scan
     or check):
 
-    - the 2x2 reference images (``_products``) and their fixed points, one
-      ``groups._rp1_fixed_points`` call (``reference_ends``), read by
-      ``fixed_points`` and ``loxodromic``;
+    - the 2x2 reference images (``groups._word_products``) and their
+      fixed points, one ``groups._rp1_fixed_points`` call
+      (``reference_ends``), read by ``fixed_points`` and ``loxodromic``;
     - the Spectrum table of ``images`` and the mask of its failed rows
       (``failed``); a word whose row failed its residual check raises its
       NumericError only when it is read (``spectrum``, ``flags``).  The
@@ -87,15 +85,8 @@ class _WordBall:
                                       [self._row(v[:-1]) for v in extra]])
             last = np.concatenate([last, [v[-1] for v in extra]])
         self.lengths, self.parents, self.last = lengths, parents, last
-        # runs of one length: every row's parent lies before its run
-        cuts = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
-        self._runs = list(zip(cuts, cuts[1:] + [len(lengths)]))
-        self._used = int(np.abs(last).max())
-        images = self._products(rep)
-        if not np.all(np.isfinite(images)):
-            raise InputError("word images overflow: matrix entries must be finite")
-        images.flags.writeable = False
-        self.images = images
+        self.images = _word_products(rep, lengths, parents, last)
+        self.images.flags.writeable = False
         self._reference = None
         self._spectrum = None
         self._failed = None
@@ -126,33 +117,6 @@ class _WordBall:
             return self._named[letters]
         return _tree_row(self.rep.rank, letters)
 
-    def _products(self, rep: Representation) -> np.ndarray:
-        """The (n, dim, dim) images of the rows under ``rep``, equal to
-        ``evaluate`` bit for bit: beyond ``RENORMALIZE_ABOVE`` letters its
-        result, else the parent's row times the image of the last letter,
-        one stacked matmul per block of ``PRODUCT_BLOCK`` entries of a run
-        of one length, shortest first."""
-        if self._used > rep.rank:
-            raise InputError(f"word uses generator {self._used}, "
-                             f"representation has {rep.rank}")
-        d, gens = rep.dim, rep.generator_images
-        # steps[x] is the image of the signed letter x
-        steps = np.stack([np.eye(d), *gens,
-                          *(np.linalg.inv(g) for g in reversed(gens))])
-        images = np.empty((len(self), d, d))
-        images[0] = steps[0]    # the ball's first word is the identity
-        block = max(1, PRODUCT_BLOCK // (d * d))
-        for lo, hi in self._runs:
-            if self.lengths[lo] > RENORMALIZE_ABOVE:
-                for i in range(lo, hi):
-                    images[i] = evaluate(rep, self.words[i])
-                continue
-            for a in range(lo, hi, block):
-                b = min(a + block, hi)
-                np.matmul(images[self.parents[a:b]], steps[self.last[a:b]],
-                          out=images[a:b])
-        return images
-
     def row(self, w: Word) -> int:
         """The row of ``w`` in ``words`` and ``images``."""
         return self._row(w.letters)
@@ -166,7 +130,8 @@ class _WordBall:
             if ref is None:
                 raise InputError(
                     "representation carries no 2x2 boundary reference")
-            images = self._products(ref)
+            images = _word_products(ref, self.lengths, self.parents,
+                                    self.last)
             self._reference = (images, *_rp1_fixed_points(images))
         return self._reference[1:]
 

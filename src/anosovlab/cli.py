@@ -114,7 +114,7 @@ def _load_representation(family, x, partition, rep_path):
     if partition is not None and family != "fuchsian":
         raise click.UsageError("--partition applies only to --family fuchsian")
     if rep_path is not None:
-        with open(rep_path) as fh:
+        with open(rep_path, "rb") as fh:
             return rep_from_json(fh.read())
     if family == "fg":
         if x is None:

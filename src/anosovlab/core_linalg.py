@@ -49,6 +49,8 @@ EIGEN_GAP_MIN = 1e-8      # relative modulus gap an invariant subspace of
 EIGENVECTOR_SIN_TIE = 1e-2  # eigenvectors at an angle of smaller sine are
                             # one Jordan block's: rounding leaves those about
                             # eps^(1/m) apart for a block of size m
+STACK_BLOCK = 1 << 13     # matrix entries per stacked numpy call, a block
+                          # of word products or of SVDs
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -496,6 +498,11 @@ def spectrum(m) -> Spectrum:
     return table
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, as ``abs`` of a numpy scalar: ``_no_gap``'s input."""
+    return np.hypot(z.real, z.imag)
+
+
 def _no_gap(above, below):
     """The one modulus-gap rule: no gap between the moduli ``above`` and
     ``below`` where above <= (1 + EIGEN_GAP_MIN) below."""
@@ -577,7 +584,7 @@ def _invariant_bases(spec: Spectrum, rows, start: int, stop: int) -> tuple:
     """
     table = spec.take(rows)
     n, k, d = len(table.norms), stop - start, table.entries.shape[-1]
-    moduli = np.abs(table.values)
+    moduli = _modulus(table.values)
     bases = np.zeros((n, d, k))
     missing = (_no_gap(moduli[:, stop - 1], moduli[:, stop]) if stop < d
                else np.zeros(n, dtype=bool))
@@ -655,7 +662,7 @@ def eig_by_modulus(m) -> EigenDecomposition:
     """
     spec = spectrum(m)
     vals = spec.values[0]
-    moduli = np.abs(vals)
+    moduli = _modulus(vals)
     clusters = []
     # every cluster has its modulus gap: none is missing
     for start, stop in _modulus_clusters(moduli):

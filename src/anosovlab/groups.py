@@ -1,5 +1,9 @@
 """Free-group words, their matrix images, and boundary order on RP^1.
 
+Word images are multiplied in one place, ``_word_products``, over a prefix
+tree of words: the word ball calls it on its whole tree, and ``evaluate``
+on a word's chain of prefixes.
+
 Boundary combinatorics (cyclic order, linkedness) is always read off a
 fixed 2x2 reference representation; the boundary circle of the group
 does not depend on the target representation, and RP^1 carries an
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_linalg import _readonly
+from .core_linalg import STACK_BLOCK, _readonly
 from .errors import (
     BudgetError,
     DomainError,
@@ -206,31 +210,54 @@ def _tree_row(rank: int, letters: tuple) -> int:
     return row
 
 
+def _word_products(rep, lengths, parents, last) -> np.ndarray:
+    """The (n, d, d) images under ``rep`` of a prefix tree of words, its
+    rows sorted by length, row 0 the identity: ``lengths``, ``parents``
+    (the row of the word less its last letter) and ``last`` (its signed
+    last letter).  Each row is its parent's times the image of its last
+    letter, one stacked matmul per block of ``STACK_BLOCK`` entries of a
+    run of one length; a row longer than ``RENORMALIZE_ABOVE`` letters is
+    then divided by its 2-norm.  InputError where a letter names a
+    generator ``rep`` lacks or an entry is not finite."""
+    gens, d = rep.generator_images, rep.dim
+    used = int(np.abs(last).max())
+    if used > len(gens):
+        raise InputError(
+            f"word uses generator {used}, representation has {len(gens)}")
+    # steps[x] is the image of the signed letter x
+    steps = np.stack([np.eye(d), *gens,
+                      *(np.linalg.inv(g) for g in reversed(gens))])
+    images = np.empty((len(lengths), d, d))
+    images[0] = steps[0]
+    block = max(1, STACK_BLOCK // (d * d))
+    cuts = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [len(lengths)]):
+        for a in range(lo, hi, block):
+            b = min(a + block, hi)
+            np.matmul(images[parents[a:b]], steps[last[a:b]],
+                      out=images[a:b])
+            if lengths[lo] > RENORMALIZE_ABOVE:
+                images[a:b] /= np.linalg.norm(images[a:b], 2, axis=(-2, -1),
+                                              keepdims=True)
+    if not np.all(np.isfinite(images)):
+        raise InputError("word images overflow: matrix entries must be finite")
+    return images
+
+
 def evaluate(rep, word: Word) -> np.ndarray:
     """Image of a word, as a read-only float array: the ordered product of
-    generator images and inverses.  Non-finite entries raise InputError.
+    generator images and inverses, the last row of ``_word_products`` on
+    the word's chain of prefixes.  Non-finite entries raise InputError.
 
-    For words longer than 30 letters each partial product is divided by
-    its largest singular value, so the result is a positive multiple of
-    the image with unit 2-norm; every ratio read off it (singular and
+    Each partial product past the 30th letter is divided by its largest
+    singular value, so a longer word's result is a positive multiple of
+    its image with unit 2-norm; every ratio read off it (singular and
     eigenvalue gaps, attracting spaces, cross ratios) is unchanged.
     """
-    d = rep.dim
-    gens = rep.generator_images
-    for letter in word.letters:
-        if abs(letter) > len(gens):
-            raise InputError(
-                f"word uses generator {abs(letter)}, representation has {len(gens)}")
-    acc = np.eye(d)
-    renormalize = len(word) > RENORMALIZE_ABOVE
-    for letter in word.letters:
-        g = gens[abs(letter) - 1]
-        acc = acc @ (g if letter > 0 else np.linalg.inv(g))
-        if renormalize:
-            acc /= np.linalg.norm(acc, 2)
-    if not np.all(np.isfinite(acc)):
-        raise InputError("matrix entries must be finite")
-    return _readonly(acc)
+    n = len(word)
+    images = _word_products(rep, np.arange(n + 1), np.arange(-1, n),
+                            np.array((0, *word.letters)))
+    return _readonly(images[-1])
 
 
 def circle_separation(a, b):

@@ -473,8 +473,9 @@ def rep_to_json(rep: Representation) -> str:
     return json.dumps(doc, indent=2)
 
 
-def rep_from_json(text: str) -> Representation:
-    """Parse ``rep_to_json`` output; malformed text raises InputError."""
+def rep_from_json(text: str | bytes) -> Representation:
+    """Parse ``rep_to_json`` output, as text or bytes; malformed input,
+    undecodable bytes too, raises InputError."""
     try:
         doc = json.loads(text)
         rdoc = doc.get("reference")

@@ -33,16 +33,18 @@ import numpy as np
 
 from .core_linalg import (
     EIGEN_GAP_MIN,
+    STACK_BLOCK,
     Spectrum,
     Subspace,
     _invariant_bases,
+    _modulus,
     _no_gap,
     _spectra,
     as_matrix,
     spectrum,
     svd,
 )
-from .errors import GapError, InputError, NumericError
+from .errors import GapError, InputError, NumericError, check_integer
 
 __all__ = [
     "EIGEN_GAP_MIN",
@@ -56,8 +58,6 @@ __all__ = [
 ]
 
 REAL_IMAG_TOL = 1e-8     # |Im| below this times the modulus counts as real
-SVD_BLOCK = 1 << 13      # matrix entries of a stack decomposed at once by
-                         # singular_gaps, so the factors stay O(SVD_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ class LengthPair:
 
 
 def _check_index(k: int, d: int):
+    check_integer(k, f"gap index k={k!r}")
     if not 1 <= k < d:
         raise InputError(f"gap index k={k} outside 1..{d - 1}")
 
@@ -105,13 +106,13 @@ def singular_gaps(m, indices) -> np.ndarray:
     ``m`` is one matrix, giving shape (len(indices),), or an (n, d, d)
     stack, giving shape (n, len(indices)).  One residual-checked SVD per
     matrix serves all indices.  A stack is decomposed in row blocks of
-    ``SVD_BLOCK`` entries and only their singular values are kept; the
+    ``STACK_BLOCK`` entries and only their singular values are kept; the
     ratios and the underflow check run once over all rows, so neither a
     value nor the row an error names depends on the block size.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim == 3:
-        step = max(1, SVD_BLOCK // max(1, a.shape[-2] * a.shape[-1]))
+        step = max(1, STACK_BLOCK // max(1, a.shape[-2] * a.shape[-1]))
         # an empty stack is one empty block, giving shape (0, d)
         s = np.concatenate([svd(a[i:i + step])[1]
                             for i in range(0, max(len(a), 1), step)])
@@ -178,11 +179,6 @@ class _EigenvalueColumns:
         """Raises the NumericError of ``length_functions`` on ``row``."""
         if self.zero[row]:
             raise NumericError("matrix has an eigenvalue of modulus zero")
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise, rounded as ``abs`` of one numpy scalar rounds it."""
-    return np.hypot(z.real, z.imag)
 
 
 def _eigenvalue_columns(values, k: int) -> _EigenvalueColumns:

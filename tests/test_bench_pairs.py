@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,36 @@ def test_a_run_without_result_is_a_problem_and_no_pair():
     assert summary["metrics"][0]["pairs"] == 1
     assert summary["metrics"][0]["won"] == 1
     assert [(side, i) for side, i, _ in summary["problems"]] == [("parent", 1)]
+
+
+def test_workload_all_summarizes_each_workload(tmp_path, monkeypatch,
+                                               capsys):
+    # "all" runs every workload of the parent's BENCHMARK.json in its own
+    # alternating pairs and prints one summary each
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        root.mkdir()
+    (roots[0] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": METRICS[:1]}))
+    runs = []
+
+    def stub(root, both, workload, seconds, seed):
+        runs.append((Path(root).name, workload))
+        scan_s = {"w1": 1.0, "w2": 2.0}[workload]
+        return result(scan_s if Path(root).name == "parent" else scan_s / 2,
+                      1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    assert bench_pairs.main([str(roots[0]), str(roots[1]),
+                             "--workload", "all", "--pairs", "2"]) == 0
+    assert runs == [("parent", "w1"), ("change", "w1"),
+                    ("change", "w1"), ("parent", "w1"),
+                    ("parent", "w2"), ("change", "w2"),
+                    ("change", "w2"), ("parent", "w2")]
+    assert capsys.readouterr().out.splitlines() == [
+        "workload w1: 2 pairs",
+        "  scan_s: parent 1, change 0.5, parent IQR 0, change won 2/2",
+        "workload w2: 2 pairs",
+        "  scan_s: parent 2, change 1, parent IQR 0, change won 2/2",
+    ]

@@ -77,6 +77,15 @@ class TestConstruct:
         assert doc["error"] == "InputError"
         assert "malformed representation JSON" in doc["message"]
 
+    def test_binary_rep_file_exit_3(self, tmp_path, capsys):
+        # bytes that are not UTF-8 are malformed JSON, not a traceback
+        path = tmp_path / "rep.json"
+        path.write_bytes(bytes(range(128, 256)))
+        assert run(["construct", "--rep", str(path)]) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InputError"
+        assert "malformed representation JSON" in doc["message"]
+
     def test_overflowing_rep_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "rep.json"
         path.write_text(

@@ -220,7 +220,24 @@ def test_one_word_ball_model():
                    "core_linalg.py:_spectra:eigvals"]
     evaluate = [where for where, node in _scan_nodes()
                 if isinstance(node, ast.Name) and node.id == "evaluate"]
-    assert evaluate == ["ball.py:_WordBall._products"]
+    assert evaluate == []
+    # every word image is a row of groups._word_products, whose callers
+    # are the word ball and evaluate, its one-row call
+    products = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+                for scope, node in _scoped_nodes(path)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "_word_products"]
+    assert products == ["ball.py:_WordBall.__init__",
+                        "ball.py:_WordBall.reference_ends",
+                        "groups.py:evaluate"]
+    matmuls = [f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+               if path.name in ("ball.py", "groups.py")
+               for scope, node in _scoped_nodes(path)
+               if (isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.MatMult))
+               or (isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "np.matmul")]
+    assert matmuls == ["groups.py:_word_products"]
 
 
 def test_one_spectrum_table():
@@ -250,6 +267,56 @@ def test_one_gap_rule():
              or (isinstance(node, ast.Attribute)
                  and node.attr == "EIGEN_GAP_MIN")]
     assert reads == ["core_linalg.py:_no_gap"]
+    # and every modulus it compares is rounded by core_linalg._modulus:
+    # each argument of a _no_gap call is a name bound to a _modulus call,
+    # or a parameter bound to one at every call of its function
+    functions = [node for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)]
+
+    def calls(fn, name):
+        return [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == name]
+
+    def bound(fn, name):
+        """The values assigned to ``name`` in ``fn``, tuples paired."""
+        values = []
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                values += [v for t, v in pairs
+                           if isinstance(t, ast.Name) and t.id == name]
+        return values
+
+    def rounded(fn, expr):
+        while isinstance(expr, ast.Subscript):
+            expr = expr.value
+        if isinstance(expr, ast.Call):
+            return ast.unparse(expr.func) == "_modulus"
+        if not isinstance(expr, ast.Name):
+            return False
+        if bound(fn, expr.id):
+            return all(rounded(fn, v) for v in bound(fn, expr.id))
+        params = [a.arg for a in fn.args.args]
+        if expr.id not in params:
+            return False
+        i = params.index(expr.id)
+        sites = [(caller, call) for caller in functions
+                 for call in calls(caller, fn.name)]
+        return bool(sites) and all(rounded(caller, call.args[i])
+                                   for caller, call in sites)
+
+    arguments = [(fn.name, fn, arg) for fn in functions
+                 for call in calls(fn, "_no_gap") for arg in call.args]
+    assert sorted({name for name, _, _ in arguments}) == [
+        "_eigenvalue_columns", "_invariant_bases", "_modulus_clusters"]
+    assert [f"{name}: {ast.unparse(arg)}" for name, fn, arg in arguments
+            if not rounded(fn, arg)] == []
 
 
 def test_one_gap_error():

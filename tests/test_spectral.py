@@ -137,6 +137,31 @@ class TestSpectrum:
         with pytest.raises(InputError):
             fn(FG_GAMMA, k)
 
+    @pytest.mark.parametrize("fn", [
+        singular_gap, lambda m, k: singular_gaps(m, (k,)), attracting_space,
+        eigenvalue_ratios, length_functions],
+        ids=["singular_gap", "singular_gaps", "attracting_space",
+             "eigenvalue_ratios", "length_functions"])
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "1"])
+    def test_non_integer_index_is_an_input_error(self, fn, k):
+        with pytest.raises(InputError, match="is not an integer"):
+            fn(np.diag([4.0, 1.0, 0.25]), k)
+
+    def test_one_modulus_for_the_gap_rule(self):
+        # |lambda_2|/|lambda_3| of a rotation pair above the eigenvalue 1
+        # rounds to 1 + EIGEN_GAP_MIN in _modulus (np.hypot), a hair above
+        # it in np.abs: the flag, the columns and the clusters all read
+        # _modulus, so each sees no gap at 2
+        a, b = 0.23303118598482983, 0.9724692727066001
+        m = np.diag([0.0, 0.0, 1.0, 0.5])
+        m[:2, :2] = [[a, -b], [b, a]]
+        assert eigenvalue_ratios(m, 2).lambda_ratio_modulus == 1.00000001
+        assert spectral._eigenvalue_columns(spectrum(m).values, 2).no_gap[0]
+        with pytest.raises(GapError, match="no eigenvalue gap at index 2"):
+            attracting_space(m, 2)
+        assert [len(c.eigenvalues)
+                for c in eig_by_modulus(m).clusters] == [3, 1]
+
     @given(st.integers(min_value=2, max_value=8),
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -176,21 +201,21 @@ class TestSingularGap:
 
     def test_row_blocks_change_no_value(self):
         # 3 full blocks of 8x8 matrices and a partial fourth
-        step = spectral.SVD_BLOCK // 64
+        step = spectral.STACK_BLOCK // 64
         stack = RNG.normal(size=(3 * step + 37, 8, 8))
         indices = (1, 3, 7)
         one_by_one = np.stack([singular_gaps(m, indices) for m in stack])
         assert np.array_equal(singular_gaps(stack, indices), one_by_one)
 
-    @pytest.mark.parametrize("block", [spectral.SVD_BLOCK, 16 * 5])
+    @pytest.mark.parametrize("block", [spectral.STACK_BLOCK, 16 * 5])
     def test_underflow_names_its_row_and_index(self, monkeypatch, block):
         # sigma_3 = 1e-301 in a later block (of 4x4 matrices: 512 rows at
-        # SVD_BLOCK, 5 at 80 entries); a later row underflows too
-        stack = RNG.normal(size=(2 * (spectral.SVD_BLOCK // 16) + 9, 4, 4))
-        row = spectral.SVD_BLOCK // 16 + 3
+        # STACK_BLOCK, 5 at 80 entries); a later row underflows too
+        stack = RNG.normal(size=(2 * (spectral.STACK_BLOCK // 16) + 9, 4, 4))
+        row = spectral.STACK_BLOCK // 16 + 3
         stack[row] = np.diag([2.0, 1.0, 1e-301, 1e-302])
         stack[-1] = np.diag([2.0, 1e-303, 1e-304, 1e-305])
-        monkeypatch.setattr(spectral, "SVD_BLOCK", block)
+        monkeypatch.setattr(spectral, "STACK_BLOCK", block)
         with pytest.raises(NumericError, match=(
                 rf"sigma_3 = 1e-301 of row {row} underflows at gap index 2")
                 ) as info:
@@ -199,7 +224,7 @@ class TestSingularGap:
 
     def test_reconstruction_residual_checked_per_matrix(self, monkeypatch):
         # the last block's last matrix is decomposed scaled by 1 + 1e-6
-        step = spectral.SVD_BLOCK // 36
+        step = spectral.STACK_BLOCK // 36
         stack = RNG.normal(size=(2 * step + 5, 6, 6))
         exact_svd = np.linalg.svd
 

@@ -129,6 +129,19 @@ def random_sl3(rank):
                           label=f"random-sl3-rank{rank}")
 
 
+def per_letter_product(rep, w):
+    """The image of ``w``, one letter at a time, each partial product past
+    ``RENORMALIZE_ABOVE`` letters divided by its 2-norm: an oracle for the
+    word images, written apart from ``groups._word_products``."""
+    acc = np.eye(rep.dim)
+    for i, x in enumerate(w.letters, 1):
+        g = rep.generator_images[abs(x) - 1]
+        acc = acc @ (g if x > 0 else np.linalg.inv(g))
+        if i > RENORMALIZE_ABOVE:
+            acc /= np.linalg.norm(acc, 2)
+    return acc
+
+
 def reference_gap_scan(rep, k, max_length):
     """One index at a time, one evaluate and one singular_gap call per word."""
     words = words_of_length(rep.rank, max_length)
@@ -531,18 +544,20 @@ class TestWordBall:
 
     @pytest.mark.parametrize("rep", [fuchsian_locus((5, 1), REF), fg_rep(2.0)])
     def test_every_row_equals_evaluate_past_renormalization(self, rep):
-        # a 40-letter word is renormalized by evaluate; its row is the same
-        # unit-norm matrix, not the plain product of its prefix chain
+        # a 40-letter word's row and evaluate are the per-letter product,
+        # each partial product past letter 30 divided by its 2-norm
         w = Word((1, 2, -1, -2) * 10)
         ball = _WordBall(rep, 0, (w, A))
         assert len(ball.words) == 1 + 2 * 40 + 1   # a is a prefix of w
         for v in ball.words:
-            assert np.array_equal(ball.images[ball.row(v)], evaluate(rep, v))
+            expected = per_letter_product(rep, v)
+            assert np.array_equal(ball.images[ball.row(v)], expected)
+            assert np.array_equal(evaluate(rep, v), expected)
             try:
-                expected = rp1_fixed_points(evaluate(rep.reference, v))
+                ends = rp1_fixed_points(per_letter_product(rep.reference, v))
             except DomainError:
                 continue
-            assert ball.fixed_points(v) == expected
+            assert ball.fixed_points(v) == ends
         assert np.linalg.norm(ball.images[ball.row(w)], 2) == \
             pytest.approx(1.0)
 
@@ -550,12 +565,13 @@ class TestWordBall:
         fg_rep(1.0), fuchsian_locus((5, 1), REF), fuchsian_locus((7, 1), REF),
         fuchsian_locus((9, 1), REF)], ids=["fg", "51", "71", "91"])
     def test_level_batched_products_equal_evaluate_at_length_6(self, rep):
-        # one stacked matmul per (length, last letter) group gives every
-        # row of the 1,457-word ball as evaluate does, bit for bit
+        # one stacked matmul per block of a run of one length gives every
+        # row of the 1,457-word ball as the per-letter product does, bit
+        # for bit
         ball = _WordBall(rep, 6)
         assert len(ball.words) == 1457
         for w, m in zip(ball.words, ball.images):
-            assert np.array_equal(m, evaluate(rep, w)), str(w)
+            assert np.array_equal(m, per_letter_product(rep, w)), str(w)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_rows_and_columns_of_every_word_and_named_prefix(self, rank):
@@ -578,7 +594,7 @@ class TestWordBall:
         ball = _WordBall(rep, 3, (Word((rank, 1, -rank, 2, 2)),))
         assert ball.size == size
         for w, m in zip(ball.words, ball.images):
-            assert np.array_equal(m, evaluate(rep, w)), str(w)
+            assert np.array_equal(m, per_letter_product(rep, w)), str(w)
 
     def test_gap_scans_build_no_word(self, monkeypatch):
         # the certification reads only the ball's columns and images; its
@@ -594,22 +610,28 @@ class TestWordBall:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "b9aa370987123dda9a3a118ac4a5981de310f5e6ef5637e0466e1febaede76c0")
 
-    def test_named_word_past_renormalization_comes_from_evaluate(
+    def test_named_words_past_renormalization_build_no_word(
             self, monkeypatch):
-        calls = []
+        # the rows of a 40- and a 100-letter named word and of their
+        # prefixes and inverses come from the ball's columns alone, each
+        # the per-letter product, of unit 2-norm past letter 30
+        rep = fuchsian_locus((9, 1), REF)
+        named = (Word((1, 2, -1, -2) * 10), Word((1, 1, 2, -1, 2) * 20))
+        words = [Word(v.letters[:i]) for w in named for v in (w, w.inverse())
+                 for i in range(len(v) + 1)]
 
-        def counting_evaluate(rep, w):
-            calls.append(w)
-            return evaluate(rep, w)
+        def no_words(*args):
+            raise AssertionError("a Word was built")
 
-        monkeypatch.setattr(word_ball, "evaluate", counting_evaluate)
-        rep = fuchsian_locus((5, 1), REF)
-        w = Word((1, 2, -1, -2) * 10)
-        ball = _WordBall(rep, 2, (w,))
-        long = [v for v in ball.words if len(v) > RENORMALIZE_ABOVE]
-        assert w in long and w.inverse() in long
-        assert calls == long
-        assert np.array_equal(ball.images[ball.row(w)], evaluate(rep, w))
+        monkeypatch.setattr(word_ball, "words_of_length", no_words)
+        monkeypatch.setattr(Word, "_trusted", classmethod(no_words))
+        ball = _WordBall(rep, 2, named)
+        for v in words:
+            image = ball.images[ball.row(v)]
+            assert np.array_equal(image, per_letter_product(rep, v)), str(v)
+            if len(v) > RENORMALIZE_ABOVE:
+                assert np.linalg.norm(image, 2) == pytest.approx(1.0,
+                                                                 rel=1e-14)
 
     @pytest.mark.parametrize("rep,max_length,dims,gaps", [
         (fg_rep(1.0), 3, (1, 2), 0),
@@ -1027,7 +1049,7 @@ class TestGapScan:
         monkeypatch.setattr(spectral, "svd", recorded)
         _gap_scans(fuchsian_locus((7, 1), REF), (1, 2, 3), 6)
         assert sum(rows) == 1456 and len(rows) > 1
-        assert max(rows) * 64 <= spectral.SVD_BLOCK
+        assert max(rows) * 64 <= spectral.STACK_BLOCK
 
     def test_high_indices_read_the_inverse_gaps(self):
         # sigma_k/sigma_(k+1) of rho(w) is sigma_(d-k)/sigma_(d-k+1) of

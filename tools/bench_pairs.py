@@ -1,6 +1,6 @@
-"""Compare two checkouts on one benchmark workload, run in alternating pairs.
+"""Compare two checkouts on benchmark workloads, run in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W \\
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W|all \\
         [--pairs 10] [--seconds S] [--seed N]
 
 PARENT and CHANGE are directories holding a checkout each (``bench/run.py``,
@@ -9,7 +9,9 @@ once in each copy; the side that runs first alternates from pair to pair.
 Before every run the ``__pycache__`` directories under both copies' ``src/``
 and ``bench/`` are deleted and the run gets ``PYTHONDONTWRITEBYTECODE=1``,
 so neither side runs from a bytecode cache the other lacks.  A run's result
-is the last line of its standard output.
+is the last line of its standard output.  ``--workload all`` compares every
+workload of the parent's ``BENCHMARK.json`` in turn, each in its own pairs
+and with its own summary.
 
 For every ``end_to_end`` metric of the parent's ``BENCHMARK.json`` it prints
 both medians, the distance between the quartiles of the parent's runs and
@@ -104,23 +106,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = [os.path.abspath(args.parent), os.path.abspath(args.change)]
     with open(os.path.join(roots[0], "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
-    results = {root: [] for root in roots}
-    for i in range(args.pairs):
-        for root in (roots if i % 2 == 0 else roots[::-1]):
-            results[root].append(run_once(root, roots, args.workload,
-                                          args.seconds, args.seed))
-    summary = summarize(results[roots[0]], results[roots[1]], metrics)
-    print(f"workload {args.workload}: {args.pairs} pairs")
-    for m in summary["metrics"]:
-        if not m["pairs"]:
-            print(f"  {m['name']}: no pair has both values")
-            continue
-        print(f"  {m['name']}: parent {m['parent']:.6g}, change "
-              f"{m['change']:.6g}, parent IQR {m['parent_iqr']:.3g}, "
-              f"change won {m['won']}/{m['pairs']}")
-    for side, i, r in summary["problems"]:
-        print(f"  problem: {side} run of pair {i}: {json.dumps(r)}")
+        bench = json.load(fh)
+    workloads = ([w["name"] for w in bench["workloads"]]
+                 if args.workload == "all" else [args.workload])
+    for workload in workloads:
+        results = {root: [] for root in roots}
+        for i in range(args.pairs):
+            for root in (roots if i % 2 == 0 else roots[::-1]):
+                results[root].append(run_once(root, roots, workload,
+                                              args.seconds, args.seed))
+        summary = summarize(results[roots[0]], results[roots[1]],
+                            bench["end_to_end"])
+        print(f"workload {workload}: {args.pairs} pairs")
+        for m in summary["metrics"]:
+            if not m["pairs"]:
+                print(f"  {m['name']}: no pair has both values")
+                continue
+            print(f"  {m['name']}: parent {m['parent']:.6g}, change "
+                  f"{m['change']:.6g}, parent IQR {m['parent_iqr']:.3g}, "
+                  f"change won {m['won']}/{m['pairs']}")
+        for side, i, r in summary["problems"]:
+            print(f"  problem: {side} run of pair {i}: {json.dumps(r)}")
     return 0
 
 
